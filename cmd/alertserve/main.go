@@ -85,7 +85,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	adaptive := fs.Bool("adaptive", false, "let the measured-delay controller move the admission limits; -max-inflight/-max-queue become initial bounds")
 	sloShed := fs.Bool("slo-shed", false, "shed requests whose deadline is predicted unmeetable at admission (429 + drain-estimate Retry-After)")
 	binaryAddr := fs.String("binary-addr", "", "binwire listen address (host:port; empty = HTTP/JSON only)")
-	coalesceWindow := fs.Duration("coalesce-window", 0, "binary dispatcher wait before flushing a decide batch (0 = group commit, no added latency)")
 	nodeID := fs.String("node-id", "", "cluster identity advertised in /v1/stats (empty = standalone)")
 	peers := fs.String("peers", "", "comma-separated peer addresses advertised in /v1/stats for client-side member discovery")
 	idleEvict := fs.Duration("idle-evict", 0, "evict sessions idle longer than this, swept at the same period (0 = never)")
@@ -213,14 +212,14 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 			ln.Close()
 			return err
 		}
-		bserver = netserve.NewBinary(front, bln, netserve.BinaryConfig{CoalesceWindow: *coalesceWindow})
+		bserver = netserve.NewBinary(front, bln, netserve.BinaryConfig{})
 		go bserver.Serve()
 	}
 
 	fmt.Fprintf(stdout, "alertserve: listening on %s platform=%s task=%s shards=%d\n",
 		ln.Addr(), plat.Name, *task, srv.Shards())
 	if bserver != nil {
-		fmt.Fprintf(stdout, "alertserve: binary listener on %s coalesce-window=%s\n", bserver.Addr(), *coalesceWindow)
+		fmt.Fprintf(stdout, "alertserve: binary listener on %s\n", bserver.Addr())
 	}
 	if *nodeID != "" {
 		fmt.Fprintf(stdout, "alertserve: cluster node %q peers=%d\n", *nodeID, len(peerList))

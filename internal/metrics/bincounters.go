@@ -6,53 +6,28 @@ import (
 	"time"
 )
 
-// BinCounters are the connection/frame/coalescing counters of the binary
-// wire listener (internal/netserve's TCP front end). They are the binary
-// transport's sibling of NetCounters: where NetCounters count what the
-// HTTP surface saw, these count connections, frames, and — the number the
-// transport exists for — how many decide requests were coalesced across
-// connections into shared DecideBatch flushes. All methods are safe for
-// concurrent use.
+// BinCounters are the binary wire listener's counters: the shared
+// transport set plus what only a persistent framed transport has —
+// connections, frames, and how many decide requests were coalesced across
+// connections into shared DecideBatch flushes.
 type BinCounters struct {
-	start time.Time
+	TransportCounters
 
 	connsOpened atomic.Int64
 	connsClosed atomic.Int64
 	framesIn    atomic.Int64
 	framesOut   atomic.Int64
 
-	decides        atomic.Int64
-	observes       atomic.Int64
-	batches        atomic.Int64
-	batchDecisions atomic.Int64
-	exports        atomic.Int64
-	checkpoints    atomic.Int64
-	imports        atomic.Int64
-	evictions      atomic.Int64
-
 	// coalesceFlushes counts multi-request flushes; coalesced counts the
 	// decide requests inside them (decides served alone appear only in
 	// decides). coalesced/coalesceFlushes is the realized batch size.
 	coalesceFlushes atomic.Int64
 	coalesced       atomic.Int64
-
-	rejectedOverload  atomic.Int64
-	rejectedDeadline  atomic.Int64
-	rejectedDraining  atomic.Int64
-	rejectedRestoring atomic.Int64
-	rejectedHopeless  atomic.Int64
-	badFrames         atomic.Int64
-
-	// reqNanos accumulates decide latency from frame decode to response
-	// write (admission wait and coalescing delay included).
-	reqNanos atomic.Int64
-	reqCount atomic.Int64
-	maxNanos atomic.Int64
 }
 
 // NewBinCounters returns zeroed counters with the uptime clock started.
 func NewBinCounters() *BinCounters {
-	return &BinCounters{start: time.Now()}
+	return &BinCounters{TransportCounters: TransportCounters{start: time.Now()}}
 }
 
 // RecordConnOpen counts an accepted connection.
@@ -67,71 +42,11 @@ func (c *BinCounters) RecordFrameIn() { c.framesIn.Add(1) }
 // RecordFrameOut counts a frame written to a connection.
 func (c *BinCounters) RecordFrameOut() { c.framesOut.Add(1) }
 
-// RecordDecide folds in one served decide and its frame-to-frame latency.
-func (c *BinCounters) RecordDecide(d time.Duration) {
-	c.decides.Add(1)
-	c.recordLatency(d)
-}
-
-// RecordObserve folds in one accepted observe.
-func (c *BinCounters) RecordObserve() { c.observes.Add(1) }
-
-// RecordBatch folds in one client-sent batch frame and its size.
-func (c *BinCounters) RecordBatch(size int) {
-	c.batches.Add(1)
-	c.batchDecisions.Add(int64(size))
-}
-
 // RecordCoalesce folds in one multi-request flush: size decide requests
 // from possibly many connections served by a single DecideBatch.
 func (c *BinCounters) RecordCoalesce(size int) {
 	c.coalesceFlushes.Add(1)
 	c.coalesced.Add(int64(size))
-}
-
-// RecordExport folds in one served export (snapshot + remove).
-func (c *BinCounters) RecordExport() { c.exports.Add(1) }
-
-// RecordCheckpoint folds in one served checkpoint read.
-func (c *BinCounters) RecordCheckpoint() { c.checkpoints.Add(1) }
-
-// RecordImport folds in one served session import.
-func (c *BinCounters) RecordImport() { c.imports.Add(1) }
-
-// RecordEviction folds in one served eviction.
-func (c *BinCounters) RecordEviction() { c.evictions.Add(1) }
-
-// RecordRejectOverload counts a 429 error frame: admission queue full.
-func (c *BinCounters) RecordRejectOverload() { c.rejectedOverload.Add(1) }
-
-// RecordRejectDeadline counts a request whose Spec deadline expired while
-// it waited at the admission gate.
-func (c *BinCounters) RecordRejectDeadline() { c.rejectedDeadline.Add(1) }
-
-// RecordRejectDraining counts a request refused during shutdown drain.
-func (c *BinCounters) RecordRejectDraining() { c.rejectedDraining.Add(1) }
-
-// RecordRejectRestoring counts a request shed while its stream was
-// restoring after a failover.
-func (c *BinCounters) RecordRejectRestoring() { c.rejectedRestoring.Add(1) }
-
-// RecordRejectHopeless counts a request the SLO shedder refused because
-// its deadline was predicted unmeetable at the saturated gate.
-func (c *BinCounters) RecordRejectHopeless() { c.rejectedHopeless.Add(1) }
-
-// RecordBadFrame counts a frame that parsed but could not be served
-// (unknown type, malformed body, unsupported version).
-func (c *BinCounters) RecordBadFrame() { c.badFrames.Add(1) }
-
-func (c *BinCounters) recordLatency(d time.Duration) {
-	c.reqNanos.Add(int64(d))
-	c.reqCount.Add(1)
-	for {
-		cur := c.maxNanos.Load()
-		if int64(d) <= cur || c.maxNanos.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
 }
 
 // BinSnapshot is a point-in-time view of the binary listener's counters,
@@ -145,31 +60,18 @@ type BinSnapshot struct {
 	// FramesIn/FramesOut count frames read and written.
 	FramesIn  int64 `json:"frames_in"`
 	FramesOut int64 `json:"frames_out"`
-	// Decides counts served decide frames; Batches counts client-sent
-	// batch frames and BatchDecisions the decisions inside them.
-	Decides        int64 `json:"decides"`
-	Observes       int64 `json:"observes"`
-	Batches        int64 `json:"batches"`
-	BatchDecisions int64 `json:"batch_decisions"`
+	TransportSnapshot
 	// CoalesceFlushes counts server-side multi-request flushes and
 	// Coalesced the decide requests they served: decides that crossed the
 	// engine as part of a shared DecideBatch rather than alone.
 	CoalesceFlushes int64 `json:"coalesce_flushes"`
 	Coalesced       int64 `json:"coalesced"`
-	// Stream migration ops served over the binary transport.
-	Exports     int64 `json:"exports"`
-	Checkpoints int64 `json:"checkpoints"`
-	Imports     int64 `json:"imports"`
-	Evictions   int64 `json:"evictions"`
-	// Error-frame counts, same taxonomy as NetSnapshot's rejections.
-	RejectedOverload  int64 `json:"rejected_overload"`
-	RejectedDeadline  int64 `json:"rejected_deadline"`
-	RejectedDraining  int64 `json:"rejected_draining"`
-	RejectedRestoring int64 `json:"rejected_restoring,omitempty"`
-	RejectedHopeless  int64 `json:"rejected_hopeless,omitempty"`
-	BadFrames         int64 `json:"bad_frames"`
-	// AvgDecideLatency and MaxDecideLatency run from frame decode to
-	// response write, admission wait and coalescing delay included.
+	// BadFrames counts frames that parsed but could not be served (unknown
+	// type, malformed body, unsupported version).
+	BadFrames int64 `json:"bad_frames"`
+	// AvgDecideLatency and MaxDecideLatency cover decide and batch frames
+	// from frame decode to accounting, admission wait and coalescing delay
+	// included.
 	AvgDecideLatency time.Duration `json:"avg_decide_latency_ns"`
 	MaxDecideLatency time.Duration `json:"max_decide_latency_ns"`
 	// Uptime is the time since the counters were created.
@@ -184,28 +86,13 @@ func (c *BinCounters) Snapshot() BinSnapshot {
 		ConnsClosed:       c.connsClosed.Load(),
 		FramesIn:          c.framesIn.Load(),
 		FramesOut:         c.framesOut.Load(),
-		Decides:           c.decides.Load(),
-		Observes:          c.observes.Load(),
-		Batches:           c.batches.Load(),
-		BatchDecisions:    c.batchDecisions.Load(),
+		TransportSnapshot: c.snapshot(),
 		CoalesceFlushes:   c.coalesceFlushes.Load(),
 		Coalesced:         c.coalesced.Load(),
-		Exports:           c.exports.Load(),
-		Checkpoints:       c.checkpoints.Load(),
-		Imports:           c.imports.Load(),
-		Evictions:         c.evictions.Load(),
-		RejectedOverload:  c.rejectedOverload.Load(),
-		RejectedDeadline:  c.rejectedDeadline.Load(),
-		RejectedDraining:  c.rejectedDraining.Load(),
-		RejectedRestoring: c.rejectedRestoring.Load(),
-		RejectedHopeless:  c.rejectedHopeless.Load(),
-		BadFrames:         c.badFrames.Load(),
-		MaxDecideLatency:  time.Duration(c.maxNanos.Load()),
+		BadFrames:         c.badInput.Load(),
 		Uptime:            time.Since(c.start),
 	}
-	if n := c.reqCount.Load(); n > 0 {
-		s.AvgDecideLatency = time.Duration(c.reqNanos.Load() / n)
-	}
+	s.AvgDecideLatency, s.MaxDecideLatency = c.latency()
 	return s
 }
 

@@ -19,20 +19,19 @@ func TestBinCountersAggregate(t *testing.T) {
 		c.RecordFrameIn()
 		c.RecordFrameOut()
 	}
-	c.RecordDecide(10 * time.Millisecond)
-	c.RecordDecide(30 * time.Millisecond)
-	c.RecordObserve()
-	c.RecordBatch(64)
+	c.RecordDecides(OpDecide, 1, 10*time.Millisecond)
+	c.RecordDecides(OpBatch, 64, 30*time.Millisecond)
+	c.RecordOp(OpObserve)
 	c.RecordCoalesce(2)
-	c.RecordExport()
-	c.RecordCheckpoint()
-	c.RecordImport()
-	c.RecordEviction()
-	c.RecordRejectOverload()
-	c.RecordRejectDeadline()
-	c.RecordRejectDraining()
-	c.RecordRejectRestoring()
-	c.RecordBadFrame()
+	c.RecordOp(OpExport)
+	c.RecordOp(OpCheckpoint)
+	c.RecordOp(OpImport)
+	c.RecordOp(OpEvict)
+	c.RecordReject(RejectOverload)
+	c.RecordReject(RejectDeadline)
+	c.RecordReject(RejectDraining)
+	c.RecordReject(RejectRestoring)
+	c.RecordBadInput()
 
 	s := c.Snapshot()
 	if s.ConnsOpened != 2 || s.ConnsClosed != 1 {
@@ -41,7 +40,7 @@ func TestBinCountersAggregate(t *testing.T) {
 	if s.FramesIn != 5 || s.FramesOut != 5 {
 		t.Errorf("frames = %d/%d", s.FramesIn, s.FramesOut)
 	}
-	if s.Decides != 2 || s.Observes != 1 || s.Batches != 1 || s.BatchDecisions != 64 {
+	if s.Decides != 1 || s.Observes != 1 || s.Batches != 1 || s.BatchDecisions != 64 {
 		t.Errorf("ops = %+v", s)
 	}
 	if s.CoalesceFlushes != 1 || s.Coalesced != 2 {
@@ -50,6 +49,10 @@ func TestBinCountersAggregate(t *testing.T) {
 	if s.RejectedOverload != 1 || s.RejectedDeadline != 1 || s.RejectedDraining != 1 || s.RejectedRestoring != 1 || s.BadFrames != 1 {
 		t.Errorf("rejections = %+v", s)
 	}
+	if s.Exports != 1 || s.Checkpoints != 1 || s.Imports != 1 || s.Evictions != 1 {
+		t.Errorf("stream ops = %+v", s)
+	}
+	// Batch frames fold into the latency pair exactly like HTTP's.
 	if s.AvgDecideLatency != 20*time.Millisecond {
 		t.Errorf("avg latency = %v, want 20ms", s.AvgDecideLatency)
 	}
@@ -59,7 +62,7 @@ func TestBinCountersAggregate(t *testing.T) {
 	if s.Uptime <= 0 {
 		t.Errorf("uptime = %v", s.Uptime)
 	}
-	if str := s.String(); !strings.Contains(str, "decides=2") {
+	if str := s.String(); !strings.Contains(str, "decides=1") {
 		t.Errorf("String() = %q", str)
 	}
 }
@@ -69,28 +72,30 @@ func TestBinCountersAggregate(t *testing.T) {
 // net snapshots are pinned.
 func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 	in := BinSnapshot{
-		ConnsOpened:       10,
-		ConnsClosed:       4,
-		FramesIn:          5000,
-		FramesOut:         4998,
-		Decides:           2400,
-		Observes:          2400,
-		Batches:           3,
-		BatchDecisions:    192,
-		CoalesceFlushes:   120,
-		Coalesced:         900,
-		Exports:           2,
-		Checkpoints:       7,
-		Imports:           2,
-		Evictions:         1,
-		RejectedOverload:  13,
-		RejectedDeadline:  1,
-		RejectedDraining:  2,
-		RejectedRestoring: 1,
-		BadFrames:         1,
-		AvgDecideLatency:  80 * time.Microsecond,
-		MaxDecideLatency:  9 * time.Millisecond,
-		Uptime:            time.Hour,
+		ConnsOpened: 10,
+		ConnsClosed: 4,
+		FramesIn:    5000,
+		FramesOut:   4998,
+		TransportSnapshot: TransportSnapshot{
+			Decides:           2400,
+			Observes:          2400,
+			Batches:           3,
+			BatchDecisions:    192,
+			Exports:           2,
+			Checkpoints:       7,
+			Imports:           2,
+			Evictions:         1,
+			RejectedOverload:  13,
+			RejectedDeadline:  1,
+			RejectedDraining:  2,
+			RejectedRestoring: 1,
+		},
+		CoalesceFlushes:  120,
+		Coalesced:        900,
+		BadFrames:        1,
+		AvgDecideLatency: 80 * time.Microsecond,
+		MaxDecideLatency: 9 * time.Millisecond,
+		Uptime:           time.Hour,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -120,8 +125,8 @@ func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 // and the binary families appear only when a binary snapshot is present.
 func TestWritePrometheus(t *testing.T) {
 	serve := ServeSnapshot{Decisions: 7, Streams: 3}
-	net := NetSnapshot{Decides: 5, RejectedOverload: 2}
-	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, Decides: 9, Coalesced: 6}
+	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Checkpoints: 1}}
+	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Checkpoints: 2}, Coalesced: 6}
 
 	ov := OverloadSnapshot{Adaptive: true, InflightLimit: 8, QueueLimit: 16, ShedHopeless: 3}
 
@@ -133,6 +138,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE alert_serve_streams gauge\nalert_serve_streams 3\n",
 		"# TYPE alert_http_decides_total counter\nalert_http_decides_total 5\n",
 		"alert_http_rejected_overload_total 2\n",
+		"# TYPE alert_http_checkpoints_total counter\nalert_http_checkpoints_total 1\n",
+		"alert_binwire_checkpoints_total 2\n",
 		"# TYPE alert_binwire_conns gauge\nalert_binwire_conns 3\n",
 		"alert_binwire_decides_total 9\n",
 		"alert_binwire_coalesced_total 6\n",

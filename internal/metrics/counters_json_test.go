@@ -48,17 +48,20 @@ func TestServeSnapshotJSONRoundTrip(t *testing.T) {
 // contract the same way.
 func TestNetSnapshotJSONRoundTrip(t *testing.T) {
 	in := NetSnapshot{
-		Decides:           100,
-		Batches:           7,
-		BatchDecisions:    448,
-		Observes:          99,
+		TransportSnapshot: TransportSnapshot{
+			Decides:          100,
+			Batches:          7,
+			BatchDecisions:   448,
+			Observes:         99,
+			Evictions:        2,
+			Exports:          8,
+			Checkpoints:      9,
+			Imports:          6,
+			RejectedOverload: 11,
+			RejectedDeadline: 1,
+			RejectedDraining: 4,
+		},
 		Reads:             3,
-		Evictions:         2,
-		Exports:           8,
-		Imports:           6,
-		RejectedOverload:  11,
-		RejectedDeadline:  1,
-		RejectedDraining:  4,
 		BadRequests:       5,
 		AvgRequestLatency: 80 * time.Microsecond,
 		MaxRequestLatency: 9 * time.Millisecond,
@@ -78,7 +81,7 @@ func TestNetSnapshotJSONRoundTrip(t *testing.T) {
 
 	assertJSONKeys(t, b, []string{
 		"decides", "batches", "batch_decisions", "observes", "reads",
-		"evictions", "exports", "imports", "rejected_overload",
+		"evictions", "exports", "checkpoints", "imports", "rejected_overload",
 		"rejected_deadline", "rejected_draining", "bad_requests",
 		"avg_request_latency_ns", "max_request_latency_ns", "uptime_ns",
 	})
@@ -107,22 +110,23 @@ func assertJSONKeys(t *testing.T, b []byte, want []string) {
 // the handler layer assumes.
 func TestNetCountersRecording(t *testing.T) {
 	c := NewNetCounters()
-	c.RecordDecide(10 * time.Microsecond)
-	c.RecordDecide(30 * time.Microsecond)
-	c.RecordBatch(64, 2*time.Millisecond)
-	c.RecordObserve()
+	c.RecordDecides(OpDecide, 1, 10*time.Microsecond)
+	c.RecordDecides(OpDecide, 1, 30*time.Microsecond)
+	c.RecordDecides(OpBatch, 64, 2*time.Millisecond)
+	c.RecordOp(OpObserve)
 	c.RecordRead()
-	c.RecordEviction()
-	c.RecordRejectOverload()
-	c.RecordRejectDeadline()
-	c.RecordRejectDraining()
-	c.RecordBadRequest()
+	c.RecordOp(OpEvict)
+	c.RecordOp(OpCheckpoint)
+	c.RecordReject(RejectOverload)
+	c.RecordReject(RejectDeadline)
+	c.RecordReject(RejectDraining)
+	c.RecordBadInput()
 
 	s := c.Snapshot()
 	if s.Decides != 2 || s.Batches != 1 || s.BatchDecisions != 64 || s.Observes != 1 {
 		t.Errorf("traffic counters wrong: %+v", s)
 	}
-	if s.Reads != 1 || s.Evictions != 1 || s.RejectedOverload != 1 ||
+	if s.Reads != 1 || s.Evictions != 1 || s.Checkpoints != 1 || s.RejectedOverload != 1 ||
 		s.RejectedDeadline != 1 || s.RejectedDraining != 1 || s.BadRequests != 1 {
 		t.Errorf("bookkeeping counters wrong: %+v", s)
 	}

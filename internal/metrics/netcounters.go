@@ -6,144 +6,31 @@ import (
 	"time"
 )
 
-// NetCounters are the request/latency/overload counters of the network
-// serving front end (internal/netserve). They sit above ServeCounters —
-// which count what the stream table served — and count what the HTTP
-// surface saw: requests per endpoint, admission-control rejections, and
-// end-to-end request latency including queueing at the admission gate. All
-// methods are safe for concurrent use.
+// NetCounters are the HTTP surface's counters: the shared transport set
+// plus the ungated reads only HTTP serves.
 type NetCounters struct {
-	start time.Time
-
-	decides        atomic.Int64
-	batches        atomic.Int64
-	batchDecisions atomic.Int64
-	observes       atomic.Int64
-	reads          atomic.Int64
-	evictions      atomic.Int64
-	exports        atomic.Int64
-	imports        atomic.Int64
-
-	rejectedOverload  atomic.Int64
-	rejectedDeadline  atomic.Int64
-	rejectedDraining  atomic.Int64
-	rejectedRestoring atomic.Int64
-	rejectedHopeless  atomic.Int64
-	badRequests       atomic.Int64
-
-	// reqNanos accumulates the handler time of decide and decide-batch
-	// requests (admission wait + service + encoding); maxNanos tracks the
-	// high-water mark via CAS.
-	reqNanos atomic.Int64
-	reqCount atomic.Int64
-	maxNanos atomic.Int64
+	TransportCounters
+	reads atomic.Int64
 }
 
 // NewNetCounters returns zeroed counters with the uptime clock started.
 func NewNetCounters() *NetCounters {
-	return &NetCounters{start: time.Now()}
+	return &NetCounters{TransportCounters: TransportCounters{start: time.Now()}}
 }
 
-// RecordDecide folds in one served single-decide request and its end-to-end
-// handler latency.
-func (c *NetCounters) RecordDecide(d time.Duration) {
-	c.decides.Add(1)
-	c.recordLatency(d)
-}
-
-// RecordBatch folds in one served decide-batch request: its size and its
-// end-to-end handler latency.
-func (c *NetCounters) RecordBatch(size int, d time.Duration) {
-	c.batches.Add(1)
-	c.batchDecisions.Add(int64(size))
-	c.recordLatency(d)
-}
-
-func (c *NetCounters) recordLatency(d time.Duration) {
-	c.reqNanos.Add(int64(d))
-	c.reqCount.Add(1)
-	for {
-		cur := c.maxNanos.Load()
-		if int64(d) <= cur || c.maxNanos.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// RecordObserve folds in one accepted observe request.
-func (c *NetCounters) RecordObserve() { c.observes.Add(1) }
-
-// RecordRead folds in one stats/streams read.
+// RecordRead folds in one ungated read: stats, metrics, streams,
+// membership view, replica list.
 func (c *NetCounters) RecordRead() { c.reads.Add(1) }
 
-// RecordEviction folds in one DELETE /v1/streams/{id}.
-func (c *NetCounters) RecordEviction() { c.evictions.Add(1) }
-
-// RecordExport folds in one served GET /v1/streams/{id}/snapshot (a
-// session left this node).
-func (c *NetCounters) RecordExport() { c.exports.Add(1) }
-
-// RecordImport folds in one served PUT /v1/streams/{id} (a session arrived
-// at this node).
-func (c *NetCounters) RecordImport() { c.imports.Add(1) }
-
-// RecordRejectOverload counts a 429: the admission queue was full.
-func (c *NetCounters) RecordRejectOverload() { c.rejectedOverload.Add(1) }
-
-// RecordRejectDeadline counts a request whose Spec deadline expired while
-// it waited at the admission gate.
-func (c *NetCounters) RecordRejectDeadline() { c.rejectedDeadline.Add(1) }
-
-// RecordRejectDraining counts a request refused because the server is
-// draining for shutdown.
-func (c *NetCounters) RecordRejectDraining() { c.rejectedDraining.Add(1) }
-
-// RecordRejectRestoring counts a request shed with 503 because its stream
-// was mid-restore after a failover — the bounded, Retry-After-hinted shed
-// window the self-healing path is allowed.
-func (c *NetCounters) RecordRejectRestoring() { c.rejectedRestoring.Add(1) }
-
-// RecordRejectHopeless counts a 429 from the SLO shedder: the gate was
-// saturated and the request's deadline was predicted unmeetable, so it was
-// shed before joining the queue.
-func (c *NetCounters) RecordRejectHopeless() { c.rejectedHopeless.Add(1) }
-
-// RecordBadRequest counts a 4xx other than admission rejections
-// (unparseable body, unknown objective, bad path).
-func (c *NetCounters) RecordBadRequest() { c.badRequests.Add(1) }
-
-// NetSnapshot is a point-in-time view of the front-end counters. Like
+// NetSnapshot is a point-in-time view of the HTTP counters. Like
 // ServeSnapshot it is served over GET /v1/stats, so the JSON field names
 // are a stable wire contract; Duration fields marshal as integer
 // nanoseconds.
 type NetSnapshot struct {
-	// Decides counts POST /v1/decide requests served; Batches counts
-	// POST /v1/decide-batch requests and BatchDecisions the decisions
-	// inside them; Observes counts accepted observes.
-	Decides        int64 `json:"decides"`
-	Batches        int64 `json:"batches"`
-	BatchDecisions int64 `json:"batch_decisions"`
-	Observes       int64 `json:"observes"`
-	// Reads counts stats/streams GETs; Evictions counts stream DELETEs.
-	Reads     int64 `json:"reads"`
-	Evictions int64 `json:"evictions"`
-	// Exports counts served snapshot exports; Imports counts served
-	// session imports (the HTTP ends of stream migration).
-	Exports int64 `json:"exports"`
-	Imports int64 `json:"imports"`
-	// RejectedOverload counts 429s from a full admission queue;
-	// RejectedDeadline requests whose Spec deadline expired while queued;
-	// RejectedDraining requests refused during shutdown drain;
-	// RejectedRestoring requests shed while their stream was restoring
-	// after a failover; RejectedHopeless requests the SLO shedder refused
-	// because their deadline was predicted unmeetable; BadRequests
-	// malformed requests.
-	RejectedOverload  int64 `json:"rejected_overload"`
-	RejectedDeadline  int64 `json:"rejected_deadline"`
-	RejectedDraining  int64 `json:"rejected_draining"`
-	RejectedRestoring int64 `json:"rejected_restoring,omitempty"`
-	RejectedHopeless  int64 `json:"rejected_hopeless,omitempty"`
-	BadRequests       int64 `json:"bad_requests"`
+	TransportSnapshot
+	// Reads counts the ungated GETs; BadRequests malformed requests.
+	Reads       int64 `json:"reads"`
+	BadRequests int64 `json:"bad_requests"`
 	// AvgRequestLatency and MaxRequestLatency are end-to-end handler times
 	// of decide and decide-batch requests, admission wait included.
 	AvgRequestLatency time.Duration `json:"avg_request_latency_ns"`
@@ -156,26 +43,12 @@ type NetSnapshot struct {
 // read atomically, though the set is not a single atomic cut.
 func (c *NetCounters) Snapshot() NetSnapshot {
 	s := NetSnapshot{
-		Decides:           c.decides.Load(),
-		Batches:           c.batches.Load(),
-		BatchDecisions:    c.batchDecisions.Load(),
-		Observes:          c.observes.Load(),
+		TransportSnapshot: c.snapshot(),
 		Reads:             c.reads.Load(),
-		Evictions:         c.evictions.Load(),
-		Exports:           c.exports.Load(),
-		Imports:           c.imports.Load(),
-		RejectedOverload:  c.rejectedOverload.Load(),
-		RejectedDeadline:  c.rejectedDeadline.Load(),
-		RejectedDraining:  c.rejectedDraining.Load(),
-		RejectedRestoring: c.rejectedRestoring.Load(),
-		RejectedHopeless:  c.rejectedHopeless.Load(),
-		BadRequests:       c.badRequests.Load(),
-		MaxRequestLatency: time.Duration(c.maxNanos.Load()),
+		BadRequests:       c.badInput.Load(),
 		Uptime:            time.Since(c.start),
 	}
-	if n := c.reqCount.Load(); n > 0 {
-		s.AvgRequestLatency = time.Duration(c.reqNanos.Load() / n)
-	}
+	s.AvgRequestLatency, s.MaxRequestLatency = c.latency()
 	return s
 }
 

@@ -16,12 +16,8 @@ import (
 // alternative is a client-library dependency for what amounts to
 // fmt.Fprintf.
 func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *BinSnapshot, ov *OverloadSnapshot) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v int64) { promCounter(w, name, help, v) }
+	gauge := func(name, help string, v float64) { promGauge(w, name, help, v) }
 	secs := func(d time.Duration) float64 { return d.Seconds() }
 
 	// Stream-table (engine) counters.
@@ -38,20 +34,10 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	gauge("alert_serve_queue_delay_max_seconds", "Max in-pool queue delay.", secs(serve.MaxQueueDelay))
 	gauge("alert_serve_uptime_seconds", "Time since the serve counters started.", secs(serve.Uptime))
 
-	// HTTP front-end counters.
-	counter("alert_http_decides_total", "POST /v1/decide requests served.", net.Decides)
-	counter("alert_http_batches_total", "POST /v1/decide-batch requests served.", net.Batches)
-	counter("alert_http_batch_decisions_total", "Decisions inside served decide-batch requests.", net.BatchDecisions)
-	counter("alert_http_observes_total", "Accepted observe requests.", net.Observes)
-	counter("alert_http_reads_total", "Stats/streams reads.", net.Reads)
-	counter("alert_http_evictions_total", "Stream evictions via DELETE.", net.Evictions)
-	counter("alert_http_exports_total", "Session exports served.", net.Exports)
-	counter("alert_http_imports_total", "Session imports served.", net.Imports)
-	counter("alert_http_rejected_overload_total", "429s from a full admission queue.", net.RejectedOverload)
-	counter("alert_http_rejected_deadline_total", "Requests expired while queued at admission.", net.RejectedDeadline)
-	counter("alert_http_rejected_draining_total", "Requests refused during shutdown drain.", net.RejectedDraining)
-	counter("alert_http_rejected_restoring_total", "Requests shed while their stream restored after failover.", net.RejectedRestoring)
-	counter("alert_http_rejected_hopeless_total", "Requests shed by the SLO shedder: deadline predicted unmeetable.", net.RejectedHopeless)
+	// HTTP front-end counters: the shared transport families, then what
+	// only HTTP counts.
+	net.writePrometheus(w, "alert_http")
+	counter("alert_http_reads_total", "Ungated reads: stats, metrics, streams, membership, replicas.", net.Reads)
 	counter("alert_http_bad_requests_total", "Malformed requests.", net.BadRequests)
 	gauge("alert_http_request_latency_avg_seconds", "Mean decide/batch handler latency.", secs(net.AvgRequestLatency))
 	gauge("alert_http_request_latency_max_seconds", "Max decide/batch handler latency.", secs(net.MaxRequestLatency))
@@ -88,28 +74,25 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	if bin == nil {
 		return
 	}
-	// Binary wire listener counters.
+	// Binary wire listener counters: the same shared families, then
+	// connections, frames and coalescing.
+	bin.writePrometheus(w, "alert_binwire")
 	counter("alert_binwire_conns_opened_total", "Accepted binary connections.", bin.ConnsOpened)
 	counter("alert_binwire_conns_closed_total", "Closed binary connections.", bin.ConnsClosed)
 	gauge("alert_binwire_conns", "Live binary connections.", float64(bin.ConnsOpened-bin.ConnsClosed))
 	counter("alert_binwire_frames_in_total", "Frames read from binary connections.", bin.FramesIn)
 	counter("alert_binwire_frames_out_total", "Frames written to binary connections.", bin.FramesOut)
-	counter("alert_binwire_decides_total", "Decide frames served.", bin.Decides)
-	counter("alert_binwire_observes_total", "Observe frames accepted.", bin.Observes)
-	counter("alert_binwire_batches_total", "Client-sent batch frames served.", bin.Batches)
-	counter("alert_binwire_batch_decisions_total", "Decisions inside client-sent batch frames.", bin.BatchDecisions)
 	counter("alert_binwire_coalesce_flushes_total", "Cross-connection multi-request flushes.", bin.CoalesceFlushes)
 	counter("alert_binwire_coalesced_total", "Decide frames served inside coalesced flushes.", bin.Coalesced)
-	counter("alert_binwire_exports_total", "Session exports served over binary.", bin.Exports)
-	counter("alert_binwire_checkpoints_total", "Session checkpoints served over binary.", bin.Checkpoints)
-	counter("alert_binwire_imports_total", "Session imports served over binary.", bin.Imports)
-	counter("alert_binwire_evictions_total", "Stream evictions served over binary.", bin.Evictions)
-	counter("alert_binwire_rejected_overload_total", "429 error frames from a full admission queue.", bin.RejectedOverload)
-	counter("alert_binwire_rejected_deadline_total", "Requests expired while queued at admission.", bin.RejectedDeadline)
-	counter("alert_binwire_rejected_draining_total", "Requests refused during shutdown drain.", bin.RejectedDraining)
-	counter("alert_binwire_rejected_restoring_total", "Requests shed while their stream restored after failover.", bin.RejectedRestoring)
-	counter("alert_binwire_rejected_hopeless_total", "Requests shed by the SLO shedder: deadline predicted unmeetable.", bin.RejectedHopeless)
 	counter("alert_binwire_bad_frames_total", "Frames that parsed but could not be served.", bin.BadFrames)
-	gauge("alert_binwire_decide_latency_avg_seconds", "Mean frame-to-frame decide latency.", secs(bin.AvgDecideLatency))
-	gauge("alert_binwire_decide_latency_max_seconds", "Max frame-to-frame decide latency.", secs(bin.MaxDecideLatency))
+	gauge("alert_binwire_decide_latency_avg_seconds", "Mean decide/batch latency, frame decode to accounting.", secs(bin.AvgDecideLatency))
+	gauge("alert_binwire_decide_latency_max_seconds", "Max decide/batch latency, frame decode to accounting.", secs(bin.MaxDecideLatency))
+}
+
+func promCounter(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+func promGauge(w io.Writer, name, help string, v float64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }

@@ -1,6 +1,8 @@
-// Binary wire listener: the binwire protocol served over persistent TCP,
-// sharing the HTTP front end's admission gate, drain state, and recovery
-// holds so the two transports are one server with two encodings.
+// Binary wire listener: the binwire protocol served over persistent TCP.
+// Like the HTTP handlers it is a codec over the op core (ops.go) — the read
+// loop decodes a frame into an op call and encodes the result or the reject
+// — so the gate, drain state, recovery holds and SLO accounting are the
+// same code, not a copy. The one thing it adds is the decide coalescer.
 //
 // # Why it is fast
 //
@@ -16,8 +18,7 @@
 //     flush is in the engine, new arrivals pile up and leave as a single
 //     DecideBatch — the per-shard task amortization that made wire
 //     batch64 ~5.5x now applies transparently to singleton requests. An
-//     idle server flushes a lone request immediately (no added latency);
-//     a fixed CoalesceWindow can widen batches further at a latency cost.
+//     idle server flushes a lone request immediately (no added latency).
 //
 // The steady-state server path for a decide allocates nothing: frame
 // decode aliases the reader's buffer, the pending queue and flush slices
@@ -26,12 +27,13 @@
 //
 // # Ordering and admission
 //
-// Every frame is admitted individually through the shared gate BEFORE
-// joining the coalescer, so MaxInflight/MaxQueue bound both transports
-// together and admission stays all-or-nothing: a coalesced request was
-// already accepted, and accepted requests are always served — drain waits
-// for them. Rejections are error frames carrying the same Retry-After
-// hint (retry_after_ms) as the HTTP 429/503 bodies.
+// Every decide frame passes the op core's admission half (begin) on its
+// read goroutine BEFORE joining the coalescer, and its accounting half
+// (finish) in the flush that served it, so MaxInflight/MaxQueue bound both
+// transports together and admission stays all-or-nothing: a coalesced
+// request was already accepted, and accepted requests are always served —
+// drain waits for them. Rejections are error frames whose code is the HTTP
+// status and whose retry_after_ms is the HTTP body's.
 //
 // Frames on one connection are processed in arrival order: observes and
 // stream ops run synchronously on the read goroutine, decides enter the
@@ -51,28 +53,19 @@ import (
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/internal/binwire"
 	"github.com/alert-project/alert/internal/metrics"
-	"github.com/alert-project/alert/internal/overload"
 )
 
-// BinaryConfig tunes the binary listener. The zero value is production
-// ready.
-type BinaryConfig struct {
-	// CoalesceWindow, when positive, makes the dispatcher wait this long
-	// after a wake before swapping out the pending decide queue, trading
-	// latency for larger cross-connection batches. 0 selects group
-	// commit: flush immediately, and let batches form naturally from
-	// what arrives while the previous flush is in the engine — no added
-	// latency when idle, near-ideal amortization when busy.
-	CoalesceWindow time.Duration
-}
+// BinaryConfig has no fields: group commit is the listener's one mode. The
+// type remains only as NewBinary's parameter because bench/alertbench
+// constructs netserve.BinaryConfig{} and the benchmark's files are frozen.
+type BinaryConfig struct{}
 
 // BinaryServer serves the binwire protocol over TCP on behalf of an HTTP
 // front end. Build it with NewBinary, feed it a listener with Serve, and
 // Close it after the front end has drained.
 type BinaryServer struct {
-	front  *Server
-	bin    *metrics.BinCounters
-	window time.Duration
+	front *Server
+	bin   *metrics.BinCounters
 
 	// Coalescer state: pending decides swap wholesale under pmu; wake
 	// (capacity 1) nudges the dispatcher.
@@ -91,14 +84,12 @@ type BinaryServer struct {
 
 // pendingDecide is one admitted decide waiting in the coalescer.
 type pendingDecide struct {
-	c      *binConn
-	id     uint64
-	stream int
-	spec   alert.Spec
-	start  time.Time
-	// admitted is when the request cleared the gate; service time —
-	// admitted to reply — is what feeds the controller's latency estimate.
-	admitted time.Time
+	c   *binConn
+	id  uint64
+	req alert.BatchRequest
+	// start is when the frame was decoded, admitted when it cleared the
+	// gate; finish turns them into sojourn and service time.
+	start, admitted time.Time
 }
 
 // NewBinary attaches a binary listener to the front end over an
@@ -107,17 +98,16 @@ type pendingDecide struct {
 // of the front end's state before HTTP can answer a single stats read, so
 // a PreferBinary client can never probe a binary-serving node and
 // conclude it speaks only JSON.
-func NewBinary(front *Server, ln net.Listener, cfg BinaryConfig) *BinaryServer {
+func NewBinary(front *Server, ln net.Listener, _ BinaryConfig) *BinaryServer {
 	bs := &BinaryServer{
-		front:  front,
-		bin:    metrics.NewBinCounters(),
-		window: cfg.CoalesceWindow,
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		ln:     ln,
-		addr:   ln.Addr().String(),
-		conns:  make(map[net.Conn]struct{}),
+		front: front,
+		bin:   metrics.NewBinCounters(),
+		wake:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		ln:    ln,
+		addr:  ln.Addr().String(),
+		conns: make(map[net.Conn]struct{}),
 	}
 	front.mu.Lock()
 	front.binary = bs
@@ -208,11 +198,11 @@ type binConn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	// fwbuf accumulates this connection's responses during one dispatcher
-	// flush so a coalesced batch costs one write syscall per connection,
-	// not one per response. Only the dispatcher touches fwbuf/fdirty, so
-	// they need no lock; the final write still takes wmu to serialize with
-	// the read goroutine's acks.
+	// fwbuf accumulates this connection's decide responses during one
+	// dispatcher flush so a coalesced batch costs one write syscall per
+	// connection, not one per response. Only the dispatcher touches
+	// fwbuf/fdirty, so they need no lock; the final write still takes wmu
+	// to serialize with the read goroutine's acks.
 	fwbuf  []byte
 	fdirty bool
 }
@@ -249,401 +239,189 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 		}
 		bs.bin.RecordFrameIn()
 		if f.Version != binwire.Version {
-			bs.bin.RecordBadFrame()
-			c.sendError(f.ID, binwire.CodeBadRequest, 0, "unsupported binwire version (server speaks 1)")
+			c.sendReject(f.ID, badInput(bs.tc(), "unsupported binwire version (server speaks 1)"))
 			return
 		}
-		switch f.Type {
-		case binwire.MsgDecide:
-			bs.handleDecide(c, f)
-		case binwire.MsgObserve:
-			bs.handleObserve(c, f)
-		case binwire.MsgBatch:
-			batchBuf = bs.handleBatch(c, f, batchBuf[:0])
-		case binwire.MsgExport:
-			bs.handleStreamOp(c, f)
-		case binwire.MsgCheckpoint:
-			bs.handleStreamOp(c, f)
-		case binwire.MsgEvict:
-			bs.handleStreamOp(c, f)
-		case binwire.MsgImport:
-			bs.handleImport(c, f)
-		default:
-			bs.bin.RecordBadFrame()
-			c.sendError(f.ID, binwire.CodeBadRequest, 0, "unexpected frame type")
+		batchBuf = bs.serveFrame(c, f, batchBuf[:0])
+	}
+}
+
+// tc is the counter set the op core moves for requests that arrived over
+// binwire.
+func (bs *BinaryServer) tc() *metrics.TransportCounters { return &bs.bin.TransportCounters }
+
+// serveFrame is the binwire codec over the op core: decode the frame body,
+// call the op with the binwire counters, encode its result or its reject.
+// Everything but a decide runs synchronously on the read goroutine, so
+// frames on one connection are served in arrival order. It returns the
+// batch decode buffer for reuse.
+func (bs *BinaryServer) serveFrame(c *binConn, f binwire.Frame, batchBuf []alert.BatchRequest) []alert.BatchRequest {
+	front, tc, ctx := bs.front, bs.tc(), context.Background()
+	var rej reject
+	switch f.Type {
+	case binwire.MsgDecide:
+		start := time.Now()
+		stream, spec, err := binwire.DecodeDecide(f.Body)
+		if err != nil {
+			rej = badInput(tc, err.Error())
+			break
 		}
+		// The response is written by the dispatcher.
+		rej = bs.enqueue(c, f.ID, start, stream, spec)
+	case binwire.MsgObserve:
+		stream, fb, err := binwire.DecodeObserve(f.Body)
+		if err != nil {
+			rej = badInput(tc, err.Error())
+			break
+		}
+		if rej = front.observe(ctx, tc, stream, fb); !rej.refused() {
+			c.send(func(b []byte) []byte { return binwire.AppendObserveResp(b, f.ID) })
+		}
+	case binwire.MsgBatch:
+		start := time.Now()
+		var err error
+		if batchBuf, err = binwire.DecodeBatch(f.Body, batchBuf); err != nil {
+			rej = badInput(tc, err.Error())
+			break
+		}
+		var results []alert.BatchResult
+		if results, rej = front.decideBatch(ctx, tc, start, batchBuf); !rej.refused() {
+			c.send(func(b []byte) []byte { return binwire.AppendBatchResp(b, f.ID, results) })
+		}
+	case binwire.MsgExport, binwire.MsgCheckpoint:
+		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
+		if err != nil {
+			rej = badInput(tc, err.Error())
+			break
+		}
+		op := metrics.OpExport
+		if f.Type == binwire.MsgCheckpoint {
+			op = metrics.OpCheckpoint
+		}
+		var blob []byte
+		if blob, _, rej = front.snapshot(ctx, tc, op, stream); !rej.refused() {
+			c.send(func(b []byte) []byte { return binwire.AppendSnapshot(b, binwire.MsgSnapshotResp, f.ID, stream, blob) })
+		}
+	case binwire.MsgEvict:
+		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
+		if err != nil {
+			rej = badInput(tc, err.Error())
+			break
+		}
+		if rej = front.evict(ctx, tc, stream); !rej.refused() {
+			c.send(func(b []byte) []byte { return binwire.AppendStreamReq(b, binwire.MsgEvictResp, f.ID, stream) })
+		}
+	case binwire.MsgImport:
+		stream, blob, err := binwire.DecodeSnapshot(f.Type, f.Body)
+		if err != nil {
+			rej = badInput(tc, err.Error())
+			break
+		}
+		if rej = front.importStream(ctx, tc, stream, blob); !rej.refused() {
+			c.send(func(b []byte) []byte { return binwire.AppendStreamReq(b, binwire.MsgImportResp, f.ID, stream) })
+		}
+	default:
+		rej = badInput(tc, "unexpected frame type")
 	}
+	if rej.refused() {
+		c.sendReject(f.ID, rej)
+	}
+	return batchBuf
 }
 
-// retryAfterMs is the static hint attached to drain/restore error frames —
-// the binary twin of writeError's retry_after_ms body field.
-func (bs *BinaryServer) retryAfterMs() int64 {
-	return int64(bs.front.retryAfter / time.Millisecond)
-}
-
-// hintMs converts a resolved Retry-After duration to the error frame's
-// millisecond hint — the binary twin of writeErrorHint (same 1ms floor).
-func hintMs(hint time.Duration) int64 {
-	ms := int64(hint / time.Millisecond)
-	if ms < 1 {
-		ms = 1
+// enqueue runs a decide's admission half and hands it to the coalescer.
+func (bs *BinaryServer) enqueue(c *binConn, id uint64, start time.Time, stream int, spec alert.Spec) reject {
+	one := [1]alert.BatchRequest{{Stream: stream, Spec: spec}}
+	if rej := bs.front.begin(context.Background(), bs.tc(), metrics.OpDecide, one[:]); rej.refused() {
+		return rej
 	}
-	return ms
-}
-
-// admit runs the shared admission gate for a binary request, paying for a
-// deadline context only when the request actually queues. On admitOK the
-// caller owes a front.release().
-func (bs *BinaryServer) admit(deadlineS float64, drainExempt bool) admitStatus {
-	st, w := bs.front.tryAdmit(deadlineS, drainExempt)
-	if w == nil {
-		return st
-	}
-	ctx := context.Background()
-	if d, ok := admissionTimeout(deadlineS); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return bs.front.admitQueued(ctx, w, drainExempt)
-}
-
-// rejectAdmit sends the error frame for a failed admission, mirroring
-// admitOrRejectFull's status codes and Retry-After semantics — the same
-// dynamic drain-estimate hint, clamped to deadline headroom, when the
-// adaptive gate is on.
-func (bs *BinaryServer) rejectAdmit(c *binConn, id uint64, st admitStatus, deadlineS float64) {
-	ctrl := bs.front.gate.Controller()
-	switch st {
-	case admitOverload:
-		bs.bin.RecordRejectOverload()
-		ctrl.RecordShed(overload.ShedOverload)
-		c.sendError(id, binwire.CodeOverloaded, hintMs(bs.front.retryHint(deadlineS)), "admission queue full")
-	case admitDeadline:
-		bs.bin.RecordRejectDeadline()
-		ctrl.RecordShed(overload.ShedDeadline)
-		c.sendError(id, binwire.CodeOverloaded, hintMs(bs.front.retryHint(0)), "deadline expired before admission")
-	case admitDraining:
-		bs.bin.RecordRejectDraining()
-		ctrl.RecordShed(overload.ShedDraining)
-		c.sendError(id, binwire.CodeUnavailable, bs.retryAfterMs(), "server draining")
-	}
-}
-
-// shedIfHopeless is the SLO shedder on the binary path — the twin of the
-// HTTP handler of the same name, sending the same 429-class error frame
-// with the controller's drain estimate as the hint.
-func (bs *BinaryServer) shedIfHopeless(c *binConn, id uint64, stream int, deadlineS float64) bool {
-	if !bs.front.gate.ShouldShed(deadlineS) {
-		return false
-	}
-	bs.bin.RecordRejectHopeless()
-	bs.front.gate.Controller().RecordShed(overload.ShedHopeless)
-	bs.front.slo.RecordShed(stream)
-	c.sendError(id, binwire.CodeOverloaded, hintMs(bs.front.gate.RetryAfter()), "deadline cannot be met at current load")
-	return true
-}
-
-// rejectIfRestoring sheds a request whose stream is mid-restore, the
-// binary twin of the HTTP handler of the same name.
-func (bs *BinaryServer) rejectIfRestoring(c *binConn, id uint64, stream int) bool {
-	if bs.front.recovery == nil || !bs.front.recovery.Restoring(stream) {
-		return false
-	}
-	bs.bin.RecordRejectRestoring()
-	c.sendError(id, binwire.CodeUnavailable, bs.retryAfterMs(), "stream is restoring after failover")
-	return true
-}
-
-// handleDecide admits a decide and hands it to the coalescer; the
-// response is written by the dispatcher (or an error frame here on
-// rejection).
-func (bs *BinaryServer) handleDecide(c *binConn, f binwire.Frame) {
-	start := time.Now()
-	stream, spec, err := binwire.DecodeDecide(f.Body)
-	if err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return
-	}
-	if bs.rejectIfRestoring(c, f.ID, stream) {
-		return
-	}
-	if bs.shedIfHopeless(c, f.ID, stream, spec.Deadline) {
-		return
-	}
-	if st := bs.admit(spec.Deadline, false); st != admitOK {
-		bs.rejectAdmit(c, f.ID, st, spec.Deadline)
-		bs.front.slo.RecordShed(stream)
-		return
-	}
+	p := pendingDecide{c: c, id: id, req: one[0], start: start, admitted: time.Now()}
 	bs.pmu.Lock()
-	bs.pending = append(bs.pending, pendingDecide{c: c, id: f.ID, stream: stream, spec: spec, start: start, admitted: time.Now()})
+	bs.pending = append(bs.pending, p)
 	bs.pmu.Unlock()
 	select {
 	case bs.wake <- struct{}{}:
 	default:
 	}
+	return reject{}
 }
 
 // dispatch is the coalescing flush loop: on each wake it swaps out
-// everything pending and serves it as one unit. It exits after Close,
-// flushing one last time so no admitted request is left holding a token.
+// everything pending and serves it as one unit (group commit: batches form
+// from what arrives while the previous flush is in the engine). It exits
+// after Close, flushing one last time so no admitted request is left
+// holding a token.
 func (bs *BinaryServer) dispatch() {
 	defer close(bs.done)
-	var local []pendingDecide
+	var batch []pendingDecide
 	var reqs []alert.BatchRequest
 	var dirty []*binConn
-	for {
+	for stopping := false; !stopping; {
 		select {
 		case <-bs.wake:
 		case <-bs.stop:
-			local = bs.swapPending(local)
-			bs.flush(local, &reqs, &dirty)
-			return
+			stopping = true
 		}
-		if bs.window > 0 {
-			time.Sleep(bs.window)
-		}
-		local = bs.swapPending(local)
-		bs.flush(local, &reqs, &dirty)
+		// Exchange the shared pending queue for the recycled one.
+		bs.pmu.Lock()
+		batch, bs.pending = bs.pending, batch[:0]
+		bs.pmu.Unlock()
+		reqs, dirty = bs.flush(batch, reqs[:0], dirty[:0])
 	}
-}
-
-// swapPending exchanges the shared pending queue for the dispatcher's
-// recycled one.
-func (bs *BinaryServer) swapPending(into []pendingDecide) []pendingDecide {
-	bs.pmu.Lock()
-	out := bs.pending
-	bs.pending = into[:0]
-	bs.pmu.Unlock()
-	return out
 }
 
 // flush serves one swapped-out set of decides. A singleton takes the
 // engine's pooled single-decide path (zero allocations); anything larger
 // becomes one DecideBatch, amortizing per-shard task dispatch across
-// every connection that contributed — and the responses are written
-// grouped by connection, one syscall per contributing connection rather
-// than one per decision.
-func (bs *BinaryServer) flush(batch []pendingDecide, reqs *[]alert.BatchRequest, dirty *[]*binConn) {
-	switch len(batch) {
-	case 0:
-	case 1:
-		p := batch[0]
-		bs.front.sleepServiceDelay()
-		d, est := bs.front.alert.Decide(p.stream, p.spec)
-		p.c.sendDecideResp(p.id, d, est)
-		bs.front.gate.Controller().ObserveService(time.Since(p.admitted))
-		sojourn := time.Since(p.start)
-		bs.front.recordServedSLO(p.stream, p.spec.Deadline, sojourn)
-		bs.bin.RecordDecide(sojourn)
-		bs.front.release()
-	default:
-		rs := (*reqs)[:0]
-		for _, p := range batch {
-			rs = append(rs, alert.BatchRequest{Stream: p.stream, Spec: p.spec})
-		}
-		*reqs = rs
-		bs.front.sleepServiceDelay()
-		results := bs.front.alert.DecideBatch(rs)
-		ctrl := bs.front.gate.Controller()
-		for i, p := range batch {
-			if !p.c.fdirty {
-				p.c.fdirty = true
-				*dirty = append(*dirty, p.c)
-			}
-			p.c.fwbuf = binwire.AppendDecideResp(p.c.fwbuf, p.id, results[i].Decision, results[i].Estimate, bs.front.nodeID)
-			bs.bin.RecordFrameOut()
-			ctrl.ObserveService(time.Since(p.admitted))
-			sojourn := time.Since(p.start)
-			bs.front.recordServedSLO(p.stream, p.spec.Deadline, sojourn)
-			bs.bin.RecordDecide(sojourn)
-			bs.front.release()
-		}
-		for _, c := range *dirty {
-			c.wmu.Lock()
-			c.conn.Write(c.fwbuf) // on error the read loop tears down
-			c.wmu.Unlock()
-			c.fwbuf = c.fwbuf[:0]
-			c.fdirty = false
-		}
-		*dirty = (*dirty)[:0]
+// every connection that contributed. Each decide is accounted (finish)
+// and its response encoded into its connection's flush buffer; the buffers
+// are then written, one syscall per contributing connection rather than
+// one per decision. reqs and dirty are the dispatcher's scratch slices,
+// returned for reuse.
+func (bs *BinaryServer) flush(batch []pendingDecide, reqs []alert.BatchRequest, dirty []*binConn) ([]alert.BatchRequest, []*binConn) {
+	if len(batch) == 0 {
+		return reqs, dirty
+	}
+	front, tc := bs.front, bs.tc()
+	for i := range batch {
+		reqs = append(reqs, batch[i].req)
+	}
+	front.sleepServiceDelay()
+	var results []alert.BatchResult
+	var one [1]alert.BatchResult
+	if len(reqs) == 1 {
+		one[0].Decision, one[0].Estimate = front.alert.Decide(reqs[0].Stream, reqs[0].Spec)
+		results = one[:]
+	} else {
+		results = front.alert.DecideBatch(reqs)
 		bs.bin.RecordCoalesce(len(batch))
 	}
+	for i := range batch {
+		p := &batch[i]
+		front.finish(tc, metrics.OpDecide, reqs[i:i+1], p.start, p.admitted)
+		if !p.c.fdirty {
+			p.c.fdirty = true
+			dirty = append(dirty, p.c)
+		}
+		p.c.fwbuf = binwire.AppendDecideResp(p.c.fwbuf, p.id, results[i].Decision, results[i].Estimate, front.nodeID)
+		bs.bin.RecordFrameOut()
+	}
+	for _, c := range dirty {
+		c.wmu.Lock()
+		c.conn.Write(c.fwbuf) // on error the read loop tears down
+		c.wmu.Unlock()
+		c.fwbuf = c.fwbuf[:0]
+		c.fdirty = false
+	}
+	return reqs, dirty
 }
 
-// handleObserve runs an observe synchronously on the read goroutine: the
-// session update is enqueued before the ack frame is written, so a client
-// that awaits it sees the same FIFO ordering as the in-process path.
-func (bs *BinaryServer) handleObserve(c *binConn, f binwire.Frame) {
-	stream, fb, err := binwire.DecodeObserve(f.Body)
-	if err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return
-	}
-	if bs.rejectIfRestoring(c, f.ID, stream) {
-		return
-	}
-	if st := bs.admit(0, false); st != admitOK {
-		bs.rejectAdmit(c, f.ID, st, 0)
-		return
-	}
-	defer bs.front.release()
-	bs.front.alert.Observe(stream, fb)
-	bs.bin.RecordObserve()
-	c.sendObserveResp(f.ID)
-}
-
-// handleBatch serves a client-sent batch frame whole, like the HTTP
-// decide-batch handler: one admission, one DecideBatch, all-or-nothing.
-// It returns the decoded-request buffer for reuse.
-func (bs *BinaryServer) handleBatch(c *binConn, f binwire.Frame, buf []alert.BatchRequest) []alert.BatchRequest {
-	reqs, err := binwire.DecodeBatch(f.Body, buf)
-	if err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return reqs
-	}
-	minDeadline := 0.0
-	for _, r := range reqs {
-		if bs.rejectIfRestoring(c, f.ID, r.Stream) {
-			return reqs
-		}
-		if r.Spec.Deadline > 0 && (minDeadline == 0 || r.Spec.Deadline < minDeadline) {
-			minDeadline = r.Spec.Deadline
-		}
-	}
-	// The SLO shedder judges the batch's tightest deadline, shedding whole
-	// like the HTTP twin.
-	if len(reqs) > 0 && bs.front.gate.ShouldShed(minDeadline) {
-		bs.bin.RecordRejectHopeless()
-		bs.front.gate.Controller().RecordShed(overload.ShedHopeless)
-		for _, r := range reqs {
-			bs.front.slo.RecordShed(r.Stream)
-		}
-		c.sendError(f.ID, binwire.CodeOverloaded, hintMs(bs.front.gate.RetryAfter()), "deadline cannot be met at current load")
-		return reqs
-	}
-	if st := bs.admit(minDeadline, false); st != admitOK {
-		bs.rejectAdmit(c, f.ID, st, minDeadline)
-		for _, r := range reqs {
-			bs.front.slo.RecordShed(r.Stream)
-		}
-		return reqs
-	}
-	defer bs.front.release()
-	start := time.Now()
-	bs.front.sleepServiceDelay()
-	results := bs.front.alert.DecideBatch(reqs)
-	bs.front.gate.Controller().ObserveService(time.Since(start))
-	sojourn := time.Since(start)
-	for _, r := range reqs {
-		bs.front.recordServedSLO(r.Stream, r.Spec.Deadline, sojourn)
-	}
-	bs.bin.RecordBatch(len(results))
-	c.sendBatchResp(f.ID, results)
-	return reqs
-}
-
-// handleStreamOp serves export, checkpoint, and evict synchronously.
-// Export is admission-gated but drain-exempt (sessions must be able to
-// leave a draining node); checkpoint is ungated like its HTTP twin; evict
-// is gated normally.
-func (bs *BinaryServer) handleStreamOp(c *binConn, f binwire.Frame) {
-	stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
-	if err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return
-	}
-	switch f.Type {
-	case binwire.MsgExport:
-		if st := bs.admit(0, true); st != admitOK {
-			bs.rejectAdmit(c, f.ID, st, 0)
-			return
-		}
-		defer bs.front.release()
-		snap, ok := bs.front.alert.ExportStream(stream)
-		if !ok {
-			c.sendError(f.ID, binwire.CodeNotFound, 0, "stream has no session")
-			return
-		}
-		blob, err := snap.MarshalBinary()
-		if err != nil {
-			c.sendError(f.ID, binwire.CodeInternal, 0, err.Error())
-			return
-		}
-		bs.bin.RecordExport()
-		c.sendSnapshot(binwire.MsgSnapshotResp, f.ID, stream, blob)
-	case binwire.MsgCheckpoint:
-		snap, ok := bs.front.alert.SnapshotStream(stream)
-		if !ok {
-			c.sendError(f.ID, binwire.CodeNotFound, 0, "stream has no session")
-			return
-		}
-		blob, err := snap.MarshalBinary()
-		if err != nil {
-			c.sendError(f.ID, binwire.CodeInternal, 0, err.Error())
-			return
-		}
-		bs.bin.RecordCheckpoint()
-		c.sendSnapshot(binwire.MsgSnapshotResp, f.ID, stream, blob)
-	case binwire.MsgEvict:
-		if st := bs.admit(0, false); st != admitOK {
-			bs.rejectAdmit(c, f.ID, st, 0)
-			return
-		}
-		defer bs.front.release()
-		bs.front.alert.EvictStream(stream)
-		bs.bin.RecordEviction()
-		c.sendStreamResp(binwire.MsgEvictResp, f.ID, stream)
-	}
-}
-
-// handleImport restores an exported session, mirroring the HTTP import
-// handler: gated, never drain-exempt, and announced to the recovery layer
-// so concurrent movers of one stream resolve to a single winner.
-func (bs *BinaryServer) handleImport(c *binConn, f binwire.Frame) {
-	stream, blob, err := binwire.DecodeSnapshot(f.Type, f.Body)
-	if err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return
-	}
-	var snap alert.SessionSnapshot
-	if err := snap.UnmarshalBinary(blob); err != nil {
-		bs.bin.RecordBadFrame()
-		c.sendError(f.ID, binwire.CodeBadRequest, 0, err.Error())
-		return
-	}
-	if st := bs.admit(0, false); st != admitOK {
-		bs.rejectAdmit(c, f.ID, st, 0)
-		return
-	}
-	defer bs.front.release()
-	if err := bs.front.alert.ImportStream(stream, snap); err != nil {
-		c.sendError(f.ID, binwire.CodeConflict, 0, err.Error())
-		return
-	}
-	if bs.front.recovery != nil {
-		if bs.front.recovery.AnnounceImport(stream, snap.Decisions) {
-			c.sendError(f.ID, binwire.CodeConflict, 0, "a peer serves a fresher session; import evicted")
-			return
-		}
-	}
-	bs.bin.RecordImport()
-	c.sendStreamResp(binwire.MsgImportResp, f.ID, stream)
-}
-
-// The send* methods encode into the connection's reused buffer under its
-// write mutex. Write errors are dropped: the read loop observes the dead
-// connection and tears everything down.
-
-func (c *binConn) sendDecideResp(id uint64, d alert.Decision, e alert.Estimate) {
+// send encodes one frame into the connection's reused buffer and writes
+// it, under the write mutex. Write errors are dropped: the read loop
+// observes the dead connection and tears everything down.
+func (c *binConn) send(appendFrame func([]byte) []byte) {
 	c.wmu.Lock()
-	c.wbuf = binwire.AppendDecideResp(c.wbuf[:0], id, d, e, c.srv.front.nodeID)
+	c.wbuf = appendFrame(c.wbuf[:0])
 	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err == nil {
@@ -651,52 +429,10 @@ func (c *binConn) sendDecideResp(id uint64, d alert.Decision, e alert.Estimate) 
 	}
 }
 
-func (c *binConn) sendObserveResp(id uint64) {
-	c.wmu.Lock()
-	c.wbuf = binwire.AppendObserveResp(c.wbuf[:0], id)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
-}
-
-func (c *binConn) sendBatchResp(id uint64, res []alert.BatchResult) {
-	c.wmu.Lock()
-	c.wbuf = binwire.AppendBatchResp(c.wbuf[:0], id, res)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
-}
-
-func (c *binConn) sendSnapshot(t binwire.MsgType, id uint64, stream int, blob []byte) {
-	c.wmu.Lock()
-	c.wbuf = binwire.AppendSnapshot(c.wbuf[:0], t, id, stream, blob)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
-}
-
-func (c *binConn) sendStreamResp(t binwire.MsgType, id uint64, stream int) {
-	c.wmu.Lock()
-	c.wbuf = binwire.AppendStreamReq(c.wbuf[:0], t, id, stream)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
-}
-
-func (c *binConn) sendError(id uint64, code uint16, retryAfterMs int64, msg string) {
-	c.wmu.Lock()
-	c.wbuf = binwire.AppendError(c.wbuf[:0], id, code, retryAfterMs, msg)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
+// sendReject puts a reject on the binwire: an error frame whose code is
+// the reject's status and whose retry_after_ms is its hint.
+func (c *binConn) sendReject(id uint64, rej reject) {
+	c.send(func(b []byte) []byte {
+		return binwire.AppendError(b, id, uint16(rej.status), rej.retryAfterMs(), rej.msg)
+	})
 }

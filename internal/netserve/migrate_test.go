@@ -1,13 +1,11 @@
 package netserve
 
 import (
-	"context"
 	"encoding/base64"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/alert-project/alert"
 )
@@ -135,46 +133,8 @@ func TestImportRejections(t *testing.T) {
 	}
 }
 
-// TestDrainExportAsymmetry: a draining node still serves exports — that is
-// how its sessions leave — but refuses imports with 503, and the export
-// path never wedges Drain.
-func TestDrainExportAsymmetry(t *testing.T) {
-	s := New(testAlertServer(t, 2), Config{})
-
-	doJSON(t, s, http.MethodPost, "/v1/decide", DecideRequest{Stream: 1, Spec: testSpec()}, nil)
-	doJSON(t, s, http.MethodPost, "/v1/decide", DecideRequest{Stream: 2, Spec: testSpec()}, nil)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mutating traffic is refused...
-	if code := doJSON(t, s, http.MethodPost, "/v1/decide", DecideRequest{Stream: 1, Spec: testSpec()}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("decide during drain: status %d, want 503", code)
-	}
-	// ...including imports...
-	var snap SnapshotResponse
-	if code := doJSON(t, s, http.MethodGet, "/v1/streams/1/snapshot", nil, &snap); code != http.StatusOK {
-		t.Fatalf("export during drain: status %d, want 200", code)
-	}
-	if code := doJSON(t, s, http.MethodPut, "/v1/streams/9", ImportRequest{SnapshotB64: snap.SnapshotB64}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("import during drain: status %d, want 503", code)
-	}
-	// ...but the remaining session can still be exported.
-	if code := doJSON(t, s, http.MethodGet, "/v1/streams/2/snapshot", nil, nil); code != http.StatusOK {
-		t.Errorf("second export during drain failed")
-	}
-	var stats StatsResponse
-	doJSON(t, s, http.MethodGet, "/v1/stats", nil, &stats)
-	if stats.Streams != 0 {
-		t.Errorf("streams = %d after draining exports, want 0", stats.Streams)
-	}
-}
-
 // TestEvictRacesDecideBatch is the netserve-level eviction race test
-// (the serve-layer twin is TestEvictStreamConcurrentWithDecideBatch):
+// (the serve layer's is TestEvictStreamConcurrentWithDecideBatch):
 // DELETE /v1/streams/{id} racing in-flight POST /v1/decide-batch on the
 // same stream. Every batch response must carry a full set of real
 // decisions — admission is all-or-nothing, the pool never drops accepted

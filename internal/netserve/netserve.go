@@ -1,9 +1,29 @@
-// Package netserve is the network serving front end over alert.Server: an
-// HTTP/JSON API exposing the stream table to remote clients, with the
-// production behaviors the in-process path never needed — bounded
-// admission, per-request deadlines, and graceful drain.
+// Package netserve is the network serving front end over alert.Server: the
+// stream table exposed to remote clients, with the production behaviors
+// the in-process path never needed — bounded admission, per-request
+// deadlines, and graceful drain.
 //
-// Endpoints (see wire.go for the exact JSON shapes):
+// # One pipeline, two codecs
+//
+// Every data-plane operation — decide, observe, decide-batch, and the
+// stream ops export, checkpoint, import, evict — is implemented once, in
+// ops.go, as
+//
+//	restoring hold → SLO shed → admit → serve → account → release
+//
+// and returns a typed result or a reject (status, Retry-After hint,
+// message). Two codecs sit on top and do nothing but translate: the HTTP
+// handlers in this file map JSON bodies to op calls and a reject to a
+// status line + Retry-After header + JSON error body; the binwire read
+// loop in binary.go maps frames to the same calls and a reject to an error
+// frame whose code is that status and whose retry_after_ms is that hint.
+// What an op counts, and when its SLO clock starts and stops, is therefore
+// the same on both wires; each codec only says whose counters to move.
+// binwire adds one thing of its own, the cross-connection decide
+// coalescer, and even that enters and leaves through the pipeline's two
+// halves (begin, finish).
+//
+// HTTP endpoints (see wire.go for the exact JSON shapes):
 //
 //	POST   /v1/decide        one decision for one stream
 //	POST   /v1/observe       feedback for one stream (fire-and-forget)
@@ -65,7 +85,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -153,9 +172,10 @@ func (c Config) retryAfter() time.Duration {
 	return c.RetryAfter
 }
 
-// Server is the HTTP front end. It implements http.Handler; mount it on
-// any mux or serve it directly. The underlying alert.Server is owned by
-// the caller and must outlive the front end.
+// Server is the front end: the op core (ops.go) and its HTTP codec. It
+// implements http.Handler; mount it on any mux or serve it directly, and
+// attach the binwire codec with NewBinary. The underlying alert.Server is
+// owned by the caller and must outlive the front end.
 type Server struct {
 	alert      *alert.Server
 	net        *metrics.NetCounters
@@ -219,10 +239,16 @@ func (s *Server) OverloadStats() metrics.OverloadSnapshot { return s.gate.Snapsh
 // NetStats snapshots the front end's request/latency/overload counters.
 func (s *Server) NetStats() metrics.NetSnapshot { return s.net.Snapshot() }
 
+// tc is the counter set the op core moves for requests that arrived over
+// HTTP.
+func (s *Server) tc() *metrics.TransportCounters { return &s.net.TransportCounters }
+
 // Drain stops admitting mutating requests (new ones get 503 +
 // Retry-After; reads still answer) and blocks until every admitted
-// request has finished, or ctx expires. It is idempotent; the front end
-// stays in draining mode afterwards.
+// request has been served and accounted, or ctx expires. Writing the
+// replies is the transports' business, which is why shutdown stops them
+// (http.Server.Shutdown, BinaryServer.Close) only after Drain returns. It
+// is idempotent; the front end stays in draining mode afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -238,95 +264,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// admitStatus classifies an admission attempt.
-type admitStatus int
-
-const (
-	admitOK admitStatus = iota
-	admitOverload
-	admitDeadline
-	admitDraining
-)
-
-// admit passes the request through the gate. On admitOK the caller MUST
-// call s.release() when done — from that point the request is "accepted"
-// and will be served no matter what. ctx carries the request's admission
-// deadline (the Spec deadline for decides, the connection's lifetime
-// otherwise); deadlineS is that same Spec deadline in seconds (0 = none),
-// which feeds the controller's headroom estimate. drainExempt requests are
-// still slot-gated but admitted while the server drains: stream export is
-// the mechanism for moving sessions OFF a draining node, so refusing it
-// would deadlock a graceful hand-off (imports stay refused — a draining
-// node must shed state, not accept it).
-func (s *Server) admit(ctx context.Context, deadlineS float64, drainExempt bool) admitStatus {
-	st, w := s.tryAdmit(deadlineS, drainExempt)
-	if w == nil {
-		return st
-	}
-	return s.admitQueued(ctx, w, drainExempt)
-}
-
-// tryAdmit is admission's no-wait half: drain refusal, free-slot
-// admission, or queue-full rejection. When it returns a non-nil Waiter the
-// request has been counted into the queue and the caller MUST finish with
-// admitQueued — the split exists so the binary listener can keep its hot
-// path free of context plumbing and only build a deadline context when a
-// request actually has to wait.
-func (s *Server) tryAdmit(deadlineS float64, drainExempt bool) (admitStatus, *overload.Waiter) {
-	// Cheap pre-check so a draining server refuses without queueing; the
-	// authoritative check is settleAdmit's, after the slot is held.
-	if !drainExempt && s.isDraining() {
-		return admitDraining, nil
-	}
-	switch v, w := s.gate.TryAcquire(deadlineS); v {
-	case overload.GateFull:
-		return admitOverload, nil
-	case overload.GateQueued:
-		return admitOK, w
-	}
-	return s.settleAdmit(drainExempt), nil
-}
-
-// admitQueued waits at the gate after tryAdmit queued the request.
-func (s *Server) admitQueued(ctx context.Context, w *overload.Waiter, drainExempt bool) admitStatus {
-	if !s.gate.Wait(ctx, w) {
-		return admitDeadline
-	}
-	return s.settleAdmit(drainExempt)
-}
-
-// settleAdmit finishes an admission that holds a gate slot: the drain
-// recheck and the inflight bookkeeping run under one lock, so Drain's "no
-// new work after the flip" promise holds even for requests that acquired
-// their slot while the flip happened — they give it back and refuse.
-func (s *Server) settleAdmit(drainExempt bool) admitStatus {
-	s.mu.Lock()
-	if s.draining && !drainExempt {
-		s.mu.Unlock()
-		s.gate.Release()
-		return admitDraining
-	}
-	s.inflight++
-	s.mu.Unlock()
-	return admitOK
-}
-
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-// release returns an admitted request's gate slot and settles the drain
-// bookkeeping.
-func (s *Server) release() {
-	s.gate.Release()
-	s.mu.Lock()
-	s.inflight--
-	if s.draining && s.inflight == 0 {
-		s.drainOnce.Do(func() { close(s.drained) })
-	}
-	s.mu.Unlock()
 }
 
 // HoldTokenForTest occupies one admission slot with no request attached,
@@ -346,54 +287,51 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	switch {
 	case path == "/v1/decide":
-		s.post(w, r, s.handleDecide)
+		s.method(w, r, http.MethodPost, s.handleDecide)
 	case path == "/v1/observe":
-		s.post(w, r, s.handleObserve)
+		s.method(w, r, http.MethodPost, s.handleObserve)
 	case path == "/v1/decide-batch":
-		s.post(w, r, s.handleDecideBatch)
+		s.method(w, r, http.MethodPost, s.handleDecideBatch)
 	case path == "/v1/stats":
-		s.get(w, r, s.handleStats)
+		s.method(w, r, http.MethodGet, s.handleStats)
 	case path == "/metrics":
-		s.get(w, r, s.handleMetrics)
+		s.method(w, r, http.MethodGet, s.handleMetrics)
 	case path == "/v1/streams":
-		s.get(w, r, s.handleStreams)
+		s.method(w, r, http.MethodGet, s.handleStreams)
 	case strings.HasPrefix(path, "/v1/streams/"):
 		s.routeStream(w, r, strings.TrimPrefix(path, "/v1/streams/"))
 	case path == membership.Endpoint:
 		s.handleMembership(w, r)
 	case path == "/v1/replicas":
-		s.get(w, r, s.handleReplicas)
+		s.method(w, r, http.MethodGet, s.handleReplicas)
 	case strings.HasPrefix(path, "/v1/replicas/"):
 		s.routeReplica(w, r, strings.TrimPrefix(path, "/v1/replicas/"))
 	case path == "/v1/claims":
-		s.post(w, r, s.handleClaim)
+		s.method(w, r, http.MethodPost, s.handleClaim)
 	default:
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %s", path), false)
+		s.net.RecordBadInput()
+		s.writeError(w, http.StatusNotFound, fmt.Sprintf("no such endpoint %s", path))
 	}
 }
 
-func (s *Server) post(w http.ResponseWriter, r *http.Request, h func(http.ResponseWriter, *http.Request)) {
-	if r.Method != http.MethodPost {
-		s.methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	h(w, r)
-}
-
-func (s *Server) get(w http.ResponseWriter, r *http.Request, h func(http.ResponseWriter, *http.Request)) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
+// method runs h when the request uses the endpoint's one method.
+func (s *Server) method(w http.ResponseWriter, r *http.Request, allow string, h func(http.ResponseWriter, *http.Request)) {
+	if r.Method != allow {
+		s.methodNotAllowed(w, allow)
 		return
 	}
 	h(w, r)
 }
 
 func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {
-	s.net.RecordBadRequest()
+	s.net.RecordBadInput()
 	w.Header().Set("Allow", allow)
-	s.writeError(w, http.StatusMethodNotAllowed, "method not allowed", false)
+	s.writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 }
+
+// The data-plane handlers below are the HTTP codec over the op core
+// (ops.go): decode the JSON body, call the op with the HTTP counters,
+// encode its result or its reject.
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -403,37 +341,14 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := req.Spec.ToSpec()
 	if err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
+		s.writeReject(w, badInput(s.tc(), err.Error()))
 		return
 	}
-	if s.rejectIfRestoring(w, req.Stream) {
+	d, est, rej := s.decide(r.Context(), s.tc(), start, req.Stream, spec)
+	if rej.refused() {
+		s.writeReject(w, rej)
 		return
 	}
-	if s.shedIfHopeless(w, req.Stream, spec.Deadline) {
-		return
-	}
-	ctx := r.Context()
-	// The Spec deadline propagates to admission: a decision still queued
-	// when the input's deadline has passed serves nobody.
-	if d, ok := admissionTimeout(spec.Deadline); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if !s.admitOrRejectDeadline(w, ctx, spec.Deadline) {
-		s.slo.RecordShed(req.Stream)
-		return
-	}
-	defer s.release()
-
-	admitted := time.Now()
-	s.sleepServiceDelay()
-	d, est := s.alert.Decide(req.Stream, spec)
-	s.gate.Controller().ObserveService(time.Since(admitted))
-	sojourn := time.Since(start)
-	s.recordServedSLO(req.Stream, spec.Deadline, sojourn)
-	s.net.RecordDecide(sojourn)
 	s.writeJSON(w, http.StatusOK, DecideResponse{
 		Decision: FromDecision(d),
 		Estimate: FromEstimate(est),
@@ -441,57 +356,15 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sleepServiceDelay applies the configured artificial service latency
-// (overload rehearsal only; see Config.ServiceDelay).
-func (s *Server) sleepServiceDelay() {
-	if s.serviceDelay > 0 {
-		time.Sleep(s.serviceDelay)
-	}
-}
-
-// recordServedSLO folds a served decide into the per-stream SLO tracker:
-// met when the request had no deadline or its end-to-end sojourn fit it.
-func (s *Server) recordServedSLO(stream int, deadlineS float64, sojourn time.Duration) {
-	s.slo.RecordServed(stream, deadlineS <= 0 || sojourn.Seconds() <= deadlineS)
-}
-
-// shedIfHopeless is the SLO shedder: when the gate is saturated and the
-// request's deadline is predicted unmeetable, shed it before it joins the
-// queue — 429 with the controller's drain estimate as the Retry-After, so
-// the client knows when capacity is expected back. Deliberately not
-// clamped to the request's headroom: this deadline is already lost, the
-// hint is for the next one.
-func (s *Server) shedIfHopeless(w http.ResponseWriter, stream int, deadlineS float64) bool {
-	if !s.gate.ShouldShed(deadlineS) {
-		return false
-	}
-	s.net.RecordRejectHopeless()
-	s.gate.Controller().RecordShed(overload.ShedHopeless)
-	s.slo.RecordShed(stream)
-	s.writeErrorHint(w, http.StatusTooManyRequests,
-		"deadline cannot be met at current load", s.gate.RetryAfter())
-	return true
-}
-
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if s.rejectIfRestoring(w, req.Stream) {
+	if rej := s.observe(r.Context(), s.tc(), req.Stream, req.Feedback.ToFeedback()); rej.refused() {
+		s.writeReject(w, rej)
 		return
 	}
-	if !s.admitOrReject(w, r.Context()) {
-		return
-	}
-	defer s.release()
-
-	// Observes are deadline-free, so they are never SLO-shed; the enqueue
-	// below happens before the 202 is written, so a client that
-	// round-trips observe → decide on one stream is FIFO-ordered exactly
-	// like the in-process path.
-	s.alert.Observe(req.Stream, req.Feedback.ToFeedback())
-	s.net.RecordObserve()
 	s.writeJSON(w, http.StatusAccepted, struct{}{})
 }
 
@@ -502,72 +375,31 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Requests) == 0 {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, "empty batch", false)
+		s.writeReject(w, badInput(s.tc(), "empty batch"))
 		return
 	}
-	inner := make([]alert.BatchRequest, len(req.Requests))
-	minDeadline := 0.0
+	reqs := make([]alert.BatchRequest, len(req.Requests))
 	for i, br := range req.Requests {
 		spec, err := br.Spec.ToSpec()
 		if err != nil {
-			s.net.RecordBadRequest()
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("request %d: %v", i, err), false)
+			s.writeReject(w, badInput(s.tc(), fmt.Sprintf("request %d: %v", i, err)))
 			return
 		}
-		inner[i] = alert.BatchRequest{Stream: br.Stream, Spec: spec}
-		if spec.Deadline > 0 && (minDeadline == 0 || spec.Deadline < minDeadline) {
-			minDeadline = spec.Deadline
-		}
-		// A batch touching a restoring stream sheds whole: serving the
-		// rest while silently skipping one slot would break the
-		// "results in request order" contract.
-		if s.rejectIfRestoring(w, br.Stream) {
-			return
-		}
+		reqs[i] = alert.BatchRequest{Stream: br.Stream, Spec: spec}
 	}
-	// The batch's admission deadline is its tightest member's: if that
-	// one can no longer be served in time, the batch is late. The SLO
-	// shedder judges the same tightest deadline — a batch sheds whole.
-	if s.gate.ShouldShed(minDeadline) {
-		s.net.RecordRejectHopeless()
-		s.gate.Controller().RecordShed(overload.ShedHopeless)
-		for _, br := range req.Requests {
-			s.slo.RecordShed(br.Stream)
-		}
-		s.writeErrorHint(w, http.StatusTooManyRequests,
-			"deadline cannot be met at current load", s.gate.RetryAfter())
+	results, rej := s.decideBatch(r.Context(), s.tc(), start, reqs)
+	if rej.refused() {
+		s.writeReject(w, rej)
 		return
 	}
-	ctx := r.Context()
-	if d, ok := admissionTimeout(minDeadline); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if !s.admitOrRejectDeadline(w, ctx, minDeadline) {
-		for _, br := range req.Requests {
-			s.slo.RecordShed(br.Stream)
-		}
-		return
-	}
-	defer s.release()
-
-	admitted := time.Now()
-	s.sleepServiceDelay()
-	results := s.alert.DecideBatch(inner)
-	s.gate.Controller().ObserveService(time.Since(admitted))
-	sojourn := time.Since(start)
 	out := BatchResponse{Results: make([]BatchResult, len(results))}
 	for i, res := range results {
-		s.recordServedSLO(res.Stream, inner[i].Spec.Deadline, sojourn)
 		out.Results[i] = BatchResult{
 			Stream:   res.Stream,
 			Decision: FromDecision(res.Decision),
 			Estimate: FromEstimate(res.Estimate),
 		}
 	}
-	s.net.RecordBatch(len(results), sojourn)
 	s.writeJSON(w, http.StatusOK, out)
 }
 
@@ -623,6 +455,16 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, StreamsResponse{Count: len(ids), IDs: ids})
 }
 
+// streamID parses the {id} of a per-stream path, writing the 400 itself.
+func (s *Server) streamID(w http.ResponseWriter, idStr string) (int, bool) {
+	id, err := strconv.Atoi(idStr)
+	if err != nil || strings.Contains(idStr, "/") {
+		s.writeReject(w, badInput(s.tc(), fmt.Sprintf("bad stream id %q", idStr)))
+		return 0, false
+	}
+	return id, true
+}
+
 // routeStream dispatches the per-stream endpoints:
 //
 //	DELETE /v1/streams/{id}             evict
@@ -630,164 +472,67 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 //	GET    /v1/streams/{id}/snapshot    export (snapshot + remove) a session
 //	GET    /v1/streams/{id}/checkpoint  checkpoint a session in place
 func (s *Server) routeStream(w http.ResponseWriter, r *http.Request, rest string) {
-	idStr, isSnapshot := strings.CutSuffix(rest, "/snapshot")
-	var isCheckpoint bool
-	if !isSnapshot {
-		idStr, isCheckpoint = strings.CutSuffix(rest, "/checkpoint")
+	op := metrics.OpExport
+	idStr, isRead := strings.CutSuffix(rest, "/snapshot")
+	if !isRead {
+		op = metrics.OpCheckpoint
+		idStr, isRead = strings.CutSuffix(rest, "/checkpoint")
 	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil || strings.Contains(idStr, "/") {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad stream id %q", idStr), false)
+	id, ok := s.streamID(w, idStr)
+	if !ok {
 		return
 	}
+	tc := s.tc()
 	switch {
-	case isSnapshot:
+	case isRead:
 		if r.Method != http.MethodGet {
 			s.methodNotAllowed(w, http.MethodGet)
 			return
 		}
-		s.handleStreamExport(w, r, id)
-	case isCheckpoint:
-		if r.Method != http.MethodGet {
-			s.methodNotAllowed(w, http.MethodGet)
+		// The blob rides base64 in JSON: session floats never pass through
+		// JSON number formatting.
+		blob, version, rej := s.snapshot(r.Context(), tc, op, id)
+		if rej.refused() {
+			s.writeReject(w, rej)
 			return
 		}
-		s.handleStreamCheckpoint(w, r, id)
+		s.writeJSON(w, http.StatusOK, SnapshotResponse{
+			Stream:      id,
+			Version:     version,
+			SnapshotB64: base64.StdEncoding.EncodeToString(blob),
+		})
 	case r.Method == http.MethodDelete:
-		s.handleStreamDelete(w, r, id)
+		if rej := s.evict(r.Context(), tc, id); rej.refused() {
+			s.writeReject(w, rej)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, EvictResponse{Stream: id, Streams: s.alert.Streams()})
 	case r.Method == http.MethodPut:
-		s.handleStreamImport(w, r, id)
+		var req ImportRequest
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+		blob, rej := decodeB64(tc, req.SnapshotB64)
+		if !rej.refused() {
+			rej = s.importStream(r.Context(), tc, id, blob)
+		}
+		if rej.refused() {
+			s.writeReject(w, rej)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, ImportResponse{Stream: id, Streams: s.alert.Streams()})
 	default:
 		s.methodNotAllowed(w, "DELETE, PUT")
 	}
 }
 
-func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request, id int) {
-	if !s.admitOrReject(w, r.Context()) {
-		return
-	}
-	defer s.release()
-
-	s.alert.EvictStream(id)
-	s.net.RecordEviction()
-	s.writeJSON(w, http.StatusOK, EvictResponse{Stream: id, Streams: s.alert.Streams()})
-}
-
-// handleStreamExport serves GET /v1/streams/{id}/snapshot: drain the
-// stream, snapshot its session, remove it, and ship the canonical binary
-// snapshot (base64 in JSON — session floats never pass through JSON number
-// formatting). Export is admission-gated but drain-exempt: it is how
-// sessions leave a draining node.
-func (s *Server) handleStreamExport(w http.ResponseWriter, r *http.Request, id int) {
-	if !s.admitOrRejectExempt(w, r.Context(), true) {
-		return
-	}
-	defer s.release()
-
-	snap, ok := s.alert.ExportStream(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("stream %d has no session", id), false)
-		return
-	}
-	blob, err := snap.MarshalBinary()
+// decodeB64 unwraps a snapshot blob from its JSON transport encoding.
+func decodeB64(tc *metrics.TransportCounters, b64 string) ([]byte, reject) {
+	blob, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error(), false)
-		return
+		return nil, badInput(tc, fmt.Sprintf("bad snapshot encoding: %v", err))
 	}
-	s.net.RecordExport()
-	s.writeJSON(w, http.StatusOK, SnapshotResponse{
-		Stream:      id,
-		Version:     int(snap.Version),
-		SnapshotB64: base64.StdEncoding.EncodeToString(blob),
-	})
-}
-
-// handleStreamCheckpoint serves GET /v1/streams/{id}/checkpoint: snapshot
-// the stream's session WITHOUT removing it — the periodic-backup read
-// behind crash recovery (a node that dies ungracefully restarts its streams
-// from their last checkpoints). Like the stats/streams reads it bypasses
-// the admission gate entirely: it mutates nothing, must keep answering
-// under overload and drain, and does not count toward the export/import
-// balance that migration accounting checks.
-func (s *Server) handleStreamCheckpoint(w http.ResponseWriter, r *http.Request, id int) {
-	s.net.RecordRead()
-	snap, ok := s.alert.SnapshotStream(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Sprintf("stream %d has no session", id), false)
-		return
-	}
-	blob, err := snap.MarshalBinary()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error(), false)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, SnapshotResponse{
-		Stream:      id,
-		Version:     int(snap.Version),
-		SnapshotB64: base64.StdEncoding.EncodeToString(blob),
-	})
-}
-
-// handleStreamImport serves PUT /v1/streams/{id}: restore an exported
-// session under the given id. Unlike export it is NOT drain-exempt — a
-// draining node sheds state, it must not accept more.
-func (s *Server) handleStreamImport(w http.ResponseWriter, r *http.Request, id int) {
-	var req ImportRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	blob, err := base64.StdEncoding.DecodeString(req.SnapshotB64)
-	if err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot encoding: %v", err), false)
-		return
-	}
-	var snap alert.SessionSnapshot
-	if err := snap.UnmarshalBinary(blob); err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	if !s.admitOrReject(w, r.Context()) {
-		return
-	}
-	defer s.release()
-
-	if err := s.alert.ImportStream(id, snap); err != nil {
-		// A live target session is the caller racing itself (or another
-		// migrator); 409 tells it the stream is already being served here.
-		s.writeError(w, http.StatusConflict, err.Error(), false)
-		return
-	}
-	// Announce ownership before answering: when this PUT returns 200,
-	// every reachable peer has either evicted its staler copy of the
-	// stream or outranked us (in which case our import is gone and the
-	// caller gets the conflict). This is what keeps a migration and a
-	// concurrent failover restore from forking the stream.
-	if s.recovery != nil {
-		if s.recovery.AnnounceImport(id, snap.Decisions) {
-			s.writeError(w, http.StatusConflict,
-				fmt.Sprintf("stream %d: a peer serves a fresher session; import evicted", id), false)
-			return
-		}
-	}
-	s.net.RecordImport()
-	s.writeJSON(w, http.StatusOK, ImportResponse{Stream: id, Streams: s.alert.Streams()})
-}
-
-// rejectIfRestoring sheds a request whose stream is mid-restore after a
-// failover: 503 + Retry-After, before any state is touched (so nothing is
-// lost — the client retries onto the finished restore). Never fires
-// without a Recovery.
-func (s *Server) rejectIfRestoring(w http.ResponseWriter, stream int) bool {
-	if s.recovery == nil || !s.recovery.Restoring(stream) {
-		return false
-	}
-	s.net.RecordRejectRestoring()
-	s.writeError(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("stream %d is restoring after failover", stream), true)
-	return true
+	return blob, reject{}
 }
 
 // handleMembership serves the membership endpoint: GET returns this
@@ -797,7 +542,7 @@ func (s *Server) rejectIfRestoring(w http.ResponseWriter, stream int) bool {
 // precisely when the data plane is saturated or draining.
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if s.agent == nil {
-		s.writeError(w, http.StatusNotFound, "membership not enabled on this node", false)
+		s.writeError(w, http.StatusNotFound, "membership not enabled on this node")
 		return
 	}
 	switch r.Method {
@@ -807,14 +552,12 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
-			s.net.RecordBadRequest()
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad heartbeat body: %v", err), false)
+			s.writeReject(w, badInput(s.tc(), fmt.Sprintf("bad heartbeat body: %v", err)))
 			return
 		}
 		hb, err := membership.DecodeHeartbeat(body)
 		if err != nil {
-			s.net.RecordBadRequest()
-			s.writeError(w, http.StatusBadRequest, err.Error(), false)
+			s.writeReject(w, badInput(s.tc(), err.Error()))
 			return
 		}
 		s.writeView(w, s.agent.HandleHeartbeat(hb))
@@ -827,7 +570,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeView(w http.ResponseWriter, v membership.View) {
 	data, err := membership.EncodeView(v)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error(), false)
+		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -836,48 +579,47 @@ func (s *Server) writeView(w http.ResponseWriter, v membership.View) {
 	w.Write([]byte("\n"))
 }
 
-// routeReplica dispatches PUT /v1/replicas/{id}.
-func (s *Server) routeReplica(w http.ResponseWriter, r *http.Request, idStr string) {
+// healing reports whether the self-healing control plane is on, writing
+// the 404 itself when it is not.
+func (s *Server) healing(w http.ResponseWriter) bool {
 	if s.recovery == nil {
-		s.writeError(w, http.StatusNotFound, "self-healing not enabled on this node", false)
+		s.writeError(w, http.StatusNotFound, "self-healing not enabled on this node")
+	}
+	return s.recovery != nil
+}
+
+// routeReplica serves PUT /v1/replicas/{id}: store a peer's replicated
+// checkpoint. Like the other control-plane endpoints it is ungated:
+// replication is what makes the next failover lossless, so overload must
+// not starve it.
+func (s *Server) routeReplica(w http.ResponseWriter, r *http.Request, idStr string) {
+	if !s.healing(w) {
 		return
 	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil || strings.Contains(idStr, "/") {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad stream id %q", idStr), false)
+	id, ok := s.streamID(w, idStr)
+	if !ok {
 		return
 	}
 	if r.Method != http.MethodPut {
 		s.methodNotAllowed(w, http.MethodPut)
 		return
 	}
-	s.handleReplicaPut(w, r, id)
-}
-
-// handleReplicaPut stores a peer's replicated checkpoint. Like the other
-// control-plane endpoints it is ungated: replication is what makes the
-// next failover lossless, so overload must not starve it.
-func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request, id int) {
 	var req ReplicaPutRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	tc := s.tc()
 	if req.Owner == "" {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, "replica without owner", false)
-		return
-	}
-	blob, err := base64.StdEncoding.DecodeString(req.SnapshotB64)
-	if err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot encoding: %v", err), false)
+		s.writeReject(w, badInput(tc, "replica without owner"))
 		return
 	}
 	var snap alert.SessionSnapshot
-	if err := snap.UnmarshalBinary(blob); err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
+	blob, rej := decodeB64(tc, req.SnapshotB64)
+	if !rej.refused() {
+		snap, rej = decodeSnapshot(tc, blob)
+	}
+	if rej.refused() {
+		s.writeReject(w, rej)
 		return
 	}
 	s.recovery.StoreReplica(id, req.Owner, snap.Decisions, snap)
@@ -886,8 +628,7 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request, id int
 
 // handleReplicas lists the replicas held for peers (ops and tests).
 func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if s.recovery == nil {
-		s.writeError(w, http.StatusNotFound, "self-healing not enabled on this node", false)
+	if !s.healing(w) {
 		return
 	}
 	s.net.RecordRead()
@@ -904,8 +645,7 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // winner, and parking one behind a saturated gate would hold the fork
 // window open.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if s.recovery == nil {
-		s.writeError(w, http.StatusNotFound, "self-healing not enabled on this node", false)
+	if !s.healing(w) {
 		return
 	}
 	var req ClaimRequest
@@ -913,94 +653,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.NodeID == "" || (req.Kind != ClaimKindImport && req.Kind != ClaimKindRestore) {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("claim needs node_id and kind %q or %q", ClaimKindImport, ClaimKindRestore), false)
+		s.writeReject(w, badInput(s.tc(),
+			fmt.Sprintf("claim needs node_id and kind %q or %q", ClaimKindImport, ClaimKindRestore)))
 		return
 	}
 	superseded, local := s.recovery.HandleClaim(req.Stream, req.NodeID, req.Kind, req.Decisions)
 	s.writeJSON(w, http.StatusOK, ClaimResponse{Superseded: superseded, Decisions: local})
-}
-
-// admissionTimeout converts a Spec deadline in seconds to an admission
-// context timeout. ok is false when the deadline imposes no bound: zero,
-// negative, or too large to represent as a time.Duration (the naive
-// float64→int64 conversion of a huge product is implementation-defined,
-// so an absurdly patient request must not come out already expired).
-func admissionTimeout(seconds float64) (time.Duration, bool) {
-	if seconds <= 0 {
-		return 0, false
-	}
-	ns := seconds * float64(time.Second)
-	// Inverted comparison so NaN (all comparisons false) lands in the
-	// no-bound branch instead of an implementation-defined conversion.
-	if !(ns < float64(math.MaxInt64)) {
-		return 0, false
-	}
-	return time.Duration(ns), true
-}
-
-// admitOrReject runs the admission gate and writes the rejection response
-// itself; the caller proceeds (and later releases) only on true.
-func (s *Server) admitOrReject(w http.ResponseWriter, ctx context.Context) bool {
-	return s.admitOrRejectFull(w, ctx, 0, false)
-}
-
-// admitOrRejectDeadline is admitOrReject for deadline-carrying requests:
-// the deadline feeds the controller's headroom estimate and clamps the
-// rejection's Retry-After hint.
-func (s *Server) admitOrRejectDeadline(w http.ResponseWriter, ctx context.Context, deadlineS float64) bool {
-	return s.admitOrRejectFull(w, ctx, deadlineS, false)
-}
-
-// admitOrRejectExempt is admitOrReject with control over the drain
-// exemption (see admit).
-func (s *Server) admitOrRejectExempt(w http.ResponseWriter, ctx context.Context, drainExempt bool) bool {
-	return s.admitOrRejectFull(w, ctx, 0, drainExempt)
-}
-
-func (s *Server) admitOrRejectFull(w http.ResponseWriter, ctx context.Context, deadlineS float64, drainExempt bool) bool {
-	ctrl := s.gate.Controller()
-	switch s.admit(ctx, deadlineS, drainExempt) {
-	case admitOK:
-		return true
-	case admitOverload:
-		s.net.RecordRejectOverload()
-		ctrl.RecordShed(overload.ShedOverload)
-		s.writeErrorHint(w, http.StatusTooManyRequests, "admission queue full",
-			s.retryHint(deadlineS))
-	case admitDeadline:
-		s.net.RecordRejectDeadline()
-		ctrl.RecordShed(overload.ShedDeadline)
-		// The deadline is spent, so there is nothing to clamp to: hint the
-		// plain drain estimate for the caller's next request.
-		s.writeErrorHint(w, http.StatusTooManyRequests, "deadline expired before admission",
-			s.retryHint(0))
-	case admitDraining:
-		s.net.RecordRejectDraining()
-		ctrl.RecordShed(overload.ShedDraining)
-		s.writeError(w, http.StatusServiceUnavailable, "server draining", true)
-	}
-	return false
-}
-
-// retryHint resolves the Retry-After a rejection carries: the controller's
-// live drain estimate when the gate is adaptive, the configured static
-// hint otherwise — clamped in both cases to the request's remaining
-// deadline headroom when it has one, because hinting a retry after the
-// deadline has passed is useless. Floor 1ms so the hint stays a hint.
-func (s *Server) retryHint(deadlineS float64) time.Duration {
-	hint := s.retryAfter
-	if s.adaptive {
-		hint = s.gate.RetryAfter()
-	}
-	if d, ok := admissionTimeout(deadlineS); ok && d < hint {
-		hint = d
-		if hint < time.Millisecond {
-			hint = time.Millisecond
-		}
-	}
-	return hint
 }
 
 // decodeBody parses a JSON request body, writing the 400 itself on
@@ -1009,8 +667,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		s.net.RecordBadRequest()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), false)
+		s.writeReject(w, badInput(s.tc(), fmt.Sprintf("bad request body: %v", err)))
 		return false
 	}
 	return true
@@ -1022,29 +679,19 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError sends the JSON error body; retryable responses carry the
-// configured static Retry-After hint.
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string, retryable bool) {
-	if !retryable {
-		s.writeJSON(w, status, ErrorResponse{Error: msg})
-		return
-	}
-	s.writeErrorHint(w, status, msg, s.retryAfter)
+// writeError sends a non-retryable JSON error body.
+func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
+	s.writeReject(w, reject{status: status, msg: msg})
 }
 
-// writeErrorHint sends a retryable JSON error carrying the given
-// Retry-After hint, both as a header (in whole seconds, per RFC 9110,
-// rounded up) and in the body in milliseconds for precision (floor 1ms —
-// 0 would read as "no hint").
-func (s *Server) writeErrorHint(w http.ResponseWriter, status int, msg string, hint time.Duration) {
-	secs := int64((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// writeReject puts a reject on the HTTP wire: its status, the JSON error
+// body, and for a retryable one the Retry-After hint both as a header (in
+// whole seconds, per RFC 9110, rounded up) and in the body in milliseconds
+// for precision.
+func (s *Server) writeReject(w http.ResponseWriter, rej reject) {
+	if rej.hint > 0 {
+		secs := int64((rej.hint + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	ms := int64(hint / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	s.writeJSON(w, status, ErrorResponse{Error: msg, RetryAfterMs: ms})
+	s.writeJSON(w, rej.status, ErrorResponse{Error: rej.msg, RetryAfterMs: rej.retryAfterMs()})
 }

@@ -32,30 +32,43 @@ func waitQueued(t *testing.T, s *Server, want int) {
 	}
 }
 
-// TestRetryHintClamp pins the Retry-After clamp table: the hint a 429
-// carries never exceeds the request's remaining deadline headroom, is
-// floored at 1ms so it stays a usable hint, and degenerate deadlines
-// (zero, negative, infinite) leave the configured hint untouched.
+// TestRetryHintClamp pins the Retry-After table: the hint a 429 carries
+// never exceeds the request's remaining deadline headroom, is floored at
+// 1ms so it stays a usable hint, and degenerate deadlines (zero, negative,
+// infinite) leave the configured hint untouched. wantMs is the one
+// hint→wire conversion both codecs share: whole milliseconds, never 0 for
+// a retryable reject — 0 reads as "no hint" on both wires.
 func TestRetryHintClamp(t *testing.T) {
-	s := New(testAlertServer(t, 1), Config{RetryAfter: 50 * time.Millisecond})
 	cases := []struct {
 		name      string
+		static    time.Duration
 		deadlineS float64
 		want      time.Duration
+		wantMs    int64
 	}{
-		{"no deadline", 0, 50 * time.Millisecond},
-		{"negative deadline", -3, 50 * time.Millisecond},
-		{"roomy deadline", 10, 50 * time.Millisecond},
-		{"exact deadline", 0.05, 50 * time.Millisecond},
-		{"clamped", 0.02, 20 * time.Millisecond},
-		{"sub-millisecond floors at 1ms", 0.0001, time.Millisecond},
-		{"infinite deadline", math.Inf(1), 50 * time.Millisecond},
-		{"huge deadline", 1e300, 50 * time.Millisecond},
+		{"no deadline", 50 * time.Millisecond, 0, 50 * time.Millisecond, 50},
+		{"negative deadline", 50 * time.Millisecond, -3, 50 * time.Millisecond, 50},
+		{"roomy deadline", 50 * time.Millisecond, 10, 50 * time.Millisecond, 50},
+		{"exact deadline", 50 * time.Millisecond, 0.05, 50 * time.Millisecond, 50},
+		{"clamped", 50 * time.Millisecond, 0.02, 20 * time.Millisecond, 20},
+		{"sub-millisecond floors at 1ms", 50 * time.Millisecond, 0.0001, time.Millisecond, 1},
+		{"infinite deadline", 50 * time.Millisecond, math.Inf(1), 50 * time.Millisecond, 50},
+		{"huge deadline", 50 * time.Millisecond, 1e300, 50 * time.Millisecond, 50},
+		{"sub-millisecond static hint floors at 1 on the wire", 500 * time.Microsecond, 0, 500 * time.Microsecond, 1},
+		{"fractional milliseconds truncate", 2500 * time.Microsecond, 0, 2500 * time.Microsecond, 2},
 	}
 	for _, tc := range cases {
-		if got := s.retryHint(tc.deadlineS); got != tc.want {
+		s := New(testAlertServer(t, 1), Config{RetryAfter: tc.static})
+		got := s.retryHint(tc.deadlineS)
+		if got != tc.want {
 			t.Errorf("%s: retryHint(%g) = %v, want %v", tc.name, tc.deadlineS, got, tc.want)
 		}
+		if ms := (reject{status: 429, hint: got}).retryAfterMs(); ms != tc.wantMs {
+			t.Errorf("%s: retry_after_ms = %d, want %d", tc.name, ms, tc.wantMs)
+		}
+	}
+	if ms := (reject{status: 404}).retryAfterMs(); ms != 0 {
+		t.Errorf("non-retryable reject carries retry_after_ms %d, want 0", ms)
 	}
 }
 
@@ -211,90 +224,6 @@ func TestBinaryDeadlineEdges(t *testing.T) {
 	}
 	if snap := bs.BinStats(); snap.RejectedDeadline != 1 {
 		t.Errorf("rejected_deadline = %d, want 1", snap.RejectedDeadline)
-	}
-}
-
-// TestHopelessShedHTTP exercises the SLO shedder end to end: with the gate
-// saturated and the controller warmed to a 10ms expected service time, a
-// request with only 1ms of deadline is shed before it queues — 429 with
-// the drain estimate as the hint — and every ledger (net counters, shed
-// classes, per-stream SLO) records it.
-func TestHopelessShedHTTP(t *testing.T) {
-	s := New(testAlertServer(t, 1), Config{MaxInflight: 1, MaxQueue: 4, SLOShed: true})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	s.gate.Controller().ObserveService(10 * time.Millisecond)
-	s.HoldTokenForTest() // saturate: inflight == limit
-	defer s.ReleaseTokenForTest()
-
-	body, _ := json.Marshal(DecideRequest{Stream: 3, Spec: Spec{
-		Objective: ObjectiveMinEnergy, DeadlineS: 0.001, AccuracyGoal: 0.9,
-	}})
-	start := time.Now()
-	resp, err := http.Post(ts.URL+"/v1/decide", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	// The whole point of shedding: the hopeless request did not wait out
-	// its deadline in the queue first.
-	if waited := time.Since(start); waited > time.Second {
-		t.Errorf("shed took %s, want immediate", waited)
-	}
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(e.Error, "deadline cannot be met") {
-		t.Errorf("error = %q, want a hopeless-deadline message", e.Error)
-	}
-	if e.RetryAfterMs < 1 {
-		t.Errorf("retry_after_ms = %d, want >= 1 (drain estimate)", e.RetryAfterMs)
-	}
-
-	if snap := s.NetStats(); snap.RejectedHopeless != 1 {
-		t.Errorf("rejected_hopeless = %d, want 1", snap.RejectedHopeless)
-	}
-	ov := s.OverloadStats()
-	if ov.ShedHopeless != 1 {
-		t.Errorf("shed_hopeless = %d, want 1", ov.ShedHopeless)
-	}
-	if !ov.SLOShed || ov.Adaptive {
-		t.Errorf("snapshot flags = adaptive %v slo_shed %v, want false/true", ov.Adaptive, ov.SLOShed)
-	}
-	rows := s.slo.Snapshot()
-	if len(rows) != 1 || rows[0].Stream != 3 || rows[0].Shed != 1 || rows[0].Served != 0 {
-		t.Errorf("slo rows = %+v, want stream 3 with one shed", rows)
-	}
-}
-
-// TestHopelessShedBinary is the binary twin: identical admission
-// semantics, so the same saturated gate sheds the same hopeless deadline
-// with a 429 error frame and a non-zero hint.
-func TestHopelessShedBinary(t *testing.T) {
-	front := New(testAlertServer(t, 1), Config{MaxInflight: 1, MaxQueue: 4, SLOShed: true})
-	bs := startBinary(t, front, BinaryConfig{})
-
-	front.gate.Controller().ObserveService(10 * time.Millisecond)
-	front.HoldTokenForTest()
-	defer front.ReleaseTokenForTest()
-
-	rc := dialBinary(t, bs.Addr())
-	rc.send(binwire.AppendDecide(nil, 1, 4, alert.Spec{
-		Objective: alert.MinimizeEnergy, Deadline: 0.001, AccuracyGoal: 0.9,
-	}))
-	if ms := rc.expectError(1, binwire.CodeOverloaded); ms < 1 {
-		t.Errorf("retry_after_ms = %d, want >= 1", ms)
-	}
-	if snap := bs.BinStats(); snap.RejectedHopeless != 1 {
-		t.Errorf("rejected_hopeless = %d, want 1", snap.RejectedHopeless)
-	}
-	if ov := front.OverloadStats(); ov.ShedHopeless != 1 {
-		t.Errorf("shed_hopeless = %d, want 1", ov.ShedHopeless)
 	}
 }
 

@@ -155,14 +155,12 @@ func (s *Server) Observe(stream int, fb Feedback) {
 	}
 }
 
-// BatchRequest is one element of a batched decision dispatch.
-type BatchRequest struct {
-	// Stream routes the request: requests sharing a stream are served in
-	// batch order by that stream's shard; distinct streams run
-	// concurrently.
-	Stream int
-	Spec   Spec
-}
+// BatchRequest is one element of a batched decision dispatch: Stream
+// routes the request (requests sharing a stream are served in batch order
+// by that stream's shard; distinct streams run concurrently) and Spec is
+// its goal. It is the pool's own request type, so a batch crosses into
+// the pool without a copy.
+type BatchRequest = serve.Request
 
 // BatchResult pairs a BatchRequest with its decision, in request order.
 type BatchResult struct {
@@ -177,11 +175,7 @@ func (s *Server) DecideBatch(reqs []BatchRequest) []BatchResult {
 	if len(reqs) == 0 {
 		return nil
 	}
-	inner := make([]serve.Request, len(reqs))
-	for i, r := range reqs {
-		inner[i] = serve.Request{Stream: r.Stream, Spec: r.Spec}
-	}
-	res := s.pool.DecideBatch(inner)
+	res := s.pool.DecideBatch(reqs)
 	out := make([]BatchResult, len(res))
 	for i, r := range res {
 		out[i] = BatchResult{
