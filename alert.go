@@ -98,8 +98,8 @@ type Options struct {
 	// mean-only ALERT* variant the paper ablates in Figure 10. Only useful
 	// for studies.
 	DisableVariance bool
-	// ReferenceScorer scores candidates with the naive pre-optimization
-	// estimator and no decision cache. Decisions are identical to the
+	// ReferenceScorer scores every candidate with the naive
+	// pre-optimization estimator, no pruning. Decisions are identical to the
 	// default fast path — the differential tests pin exactly that — so the
 	// knob exists only for those tests, benchmarks, and debugging.
 	ReferenceScorer bool

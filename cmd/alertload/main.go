@@ -58,8 +58,8 @@
 //
 // Replays are deterministic: the same trace and seed yield byte-identical
 // per-stream decision sequences (verified in main_test.go) at ANY shard
-// count — every stream owns its own session (filter state + decision
-// cache) on the server's shared decision engine, so the scheduling-
+// count — every stream owns its own session (its Kalman filter state) on
+// the server's shared decision engine, so the scheduling-
 // dependent interleaving of streams on a shard changes service order but
 // never decisions. -shards therefore defaults to one worker per CPU and is
 // purely a throughput knob.

@@ -4,10 +4,10 @@
 // benchmarks report) so hot-path regressions are visible PR over PR.
 //
 // Because BenchmarkDecide measures the retained naive scorer ("naive")
-// alongside the optimized scan ("uncached") and the memoized steady state
-// ("cached") in the same run, every snapshot carries its own baseline: the
-// derived speedup entries need no stored history to be meaningful, and
-// -check can gate on them no matter how fast or slow the machine is.
+// alongside the optimized bound-and-prune scan ("uncached") in the same
+// run, every snapshot carries its own baseline: the derived speedup entry
+// needs no stored history to be meaningful, and -check can gate on it no
+// matter how fast or slow the machine is.
 //
 // Usage:
 //
@@ -17,10 +17,10 @@
 //
 // The -check gates:
 //
-//   - BenchmarkDecide/cached must report 0 allocs/op (the steady-state
-//     serve path is contractually allocation-free),
-//   - BenchmarkDecide/uncached and /cached must be at least -min-speedup
-//     times faster than BenchmarkDecide/naive from the same run, and
+//   - BenchmarkDecide/uncached must report 0 allocs/op (the scan every
+//     served decision runs is contractually allocation-free),
+//   - BenchmarkDecide/uncached must be at least -min-speedup times faster
+//     than BenchmarkDecide/naive from the same run, and
 //   - BenchmarkPoolManyStreams/shared-engine must use at least
 //     -min-mem-reduction times fewer bytes per stream than the same run's
 //     naive one-Controller-per-stream construction (the Engine/Session
@@ -64,7 +64,7 @@ func main() {
 // Entry is one benchmark result (or derived metric) in the JSON snapshot.
 type Entry struct {
 	// Name is the benchmark path with the -GOMAXPROCS suffix stripped,
-	// e.g. "BenchmarkDecide/cached".
+	// e.g. "BenchmarkDecide/uncached".
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations,omitempty"`
 	NsPerOp    float64 `json:"ns_per_op,omitempty"`
@@ -113,7 +113,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&cfg.pkgs, "pkgs", "./...", "packages passed to go test")
 	fs.StringVar(&cfg.out, "out", "", "write the JSON snapshot to this path (default stdout)")
 	fs.StringVar(&cfg.input, "input", "", "parse this captured `go test -bench` output instead of running go test")
-	fs.BoolVar(&cfg.check, "check", false, "enforce the decide perf gates (0 allocs cached, min speedups)")
+	fs.BoolVar(&cfg.check, "check", false, "enforce the decide perf gates (0 allocs/op scan, min speedups)")
 	fs.Float64Var(&cfg.minSpeedup, "min-speedup", 2.0,
 		"minimum BenchmarkDecide speedup over the same run's naive baseline")
 	fs.Float64Var(&cfg.minMemReduction, "min-mem-reduction", 10.0,
@@ -293,23 +293,19 @@ func find(entries []Entry, name string) *Entry {
 }
 
 // derived appends the same-run comparison entries the gates (and the BENCH
-// trajectory) read: how much faster the optimized scan and the memoized
-// steady state are than the naive baseline measured moments earlier, and
-// how many times fewer bytes per stream the shared-engine stream table
-// costs than one controller per stream.
+// trajectory) read: how much faster the optimized scan is than the naive
+// baseline measured moments earlier, and how many times fewer bytes per
+// stream the shared-engine stream table costs than one controller per
+// stream.
 func derived(entries []Entry) []Entry {
 	var out []Entry
 	naive := find(entries, "BenchmarkDecide/naive")
-	for _, tt := range []struct{ name, against string }{
-		{"derived/decide-speedup-uncached-vs-naive", "BenchmarkDecide/uncached"},
-		{"derived/decide-speedup-cached-vs-naive", "BenchmarkDecide/cached"},
-	} {
-		if e := find(entries, tt.against); naive != nil && e != nil && e.NsPerOp > 0 {
-			out = append(out, Entry{
-				Name:    tt.name,
-				Metrics: map[string]float64{"x": naive.NsPerOp / e.NsPerOp},
-			})
-		}
+	scan := find(entries, "BenchmarkDecide/uncached")
+	if naive != nil && scan != nil && scan.NsPerOp > 0 {
+		out = append(out, Entry{
+			Name:    "derived/decide-speedup-uncached-vs-naive",
+			Metrics: map[string]float64{"x": naive.NsPerOp / scan.NsPerOp},
+		})
 	}
 	shared := find(entries, "BenchmarkPoolManyStreams/shared-engine")
 	perCtl := find(entries, "BenchmarkPoolManyStreams/naive-controllers")
@@ -358,27 +354,22 @@ func derived(entries []Entry) []Entry {
 // checkGates enforces the decide-path perf, stream-table memory, and
 // network-batching contracts on a parsed snapshot.
 func checkGates(entries []Entry, minSpeedup, minMemReduction, minNetBatchSpeedup, minBinwireSpeedup, minAdaptiveSLOGain float64) error {
-	cached := find(entries, "BenchmarkDecide/cached")
-	if cached == nil {
-		return fmt.Errorf("gate: BenchmarkDecide/cached missing from results")
+	scan := find(entries, "BenchmarkDecide/uncached")
+	if scan == nil {
+		return fmt.Errorf("gate: BenchmarkDecide/uncached missing from results")
 	}
-	if cached.AllocsPerOp == nil {
-		return fmt.Errorf("gate: BenchmarkDecide/cached has no allocs/op (run with -benchmem)")
+	if scan.AllocsPerOp == nil {
+		return fmt.Errorf("gate: BenchmarkDecide/uncached has no allocs/op (run with -benchmem)")
 	}
-	if *cached.AllocsPerOp != 0 {
-		return fmt.Errorf("gate: BenchmarkDecide/cached allocates %g/op, want 0", *cached.AllocsPerOp)
+	if *scan.AllocsPerOp != 0 {
+		return fmt.Errorf("gate: BenchmarkDecide/uncached allocates %g/op, want 0", *scan.AllocsPerOp)
 	}
-	for _, name := range []string{
-		"derived/decide-speedup-uncached-vs-naive",
-		"derived/decide-speedup-cached-vs-naive",
-	} {
-		e := find(entries, name)
-		if e == nil {
-			return fmt.Errorf("gate: %s missing (need BenchmarkDecide naive/uncached/cached in one run)", name)
-		}
-		if x := e.Metrics["x"]; x < minSpeedup {
-			return fmt.Errorf("gate: %s = %.2fx, want >= %.2fx", name, x, minSpeedup)
-		}
+	speedup := find(entries, "derived/decide-speedup-uncached-vs-naive")
+	if speedup == nil {
+		return fmt.Errorf("gate: derived/decide-speedup-uncached-vs-naive missing (need BenchmarkDecide naive/uncached in one run)")
+	}
+	if x := speedup.Metrics["x"]; x < minSpeedup {
+		return fmt.Errorf("gate: derived/decide-speedup-uncached-vs-naive = %.2fx, want >= %.2fx", x, minSpeedup)
 	}
 	mem := find(entries, "derived/manystreams-bytes-reduction")
 	if mem == nil {

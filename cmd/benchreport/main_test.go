@@ -15,8 +15,7 @@ goarch: amd64
 pkg: github.com/alert-project/alert/internal/core
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkDecide/naive-8         	     500	     58683 ns/op	     17041 decisions/s	       0 B/op	       0 allocs/op
-BenchmarkDecide/uncached-8      	     500	     22777 ns/op	     43904 decisions/s	       0 B/op	       0 allocs/op
-BenchmarkDecide/cached-8        	     500	        17.52 ns/op	  57077626 decisions/s	       0 B/op	       0 allocs/op
+BenchmarkDecide/uncached-8      	     500	      4177 ns/op	    239387 decisions/s	       0 B/op	       0 allocs/op
 PASS
 ok  	github.com/alert-project/alert/internal/core	0.092s
 pkg: github.com/alert-project/alert/internal/serve
@@ -41,25 +40,25 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 12 {
-		t.Fatalf("parsed %d entries, want 12", len(entries))
+	if len(entries) != 11 {
+		t.Fatalf("parsed %d entries, want 11", len(entries))
 	}
 	shared := find(entries, "BenchmarkPoolManyStreams/shared-engine")
 	if shared == nil || shared.Metrics["bytes/stream"] != 846.9 {
 		t.Errorf("shared-engine bytes/stream entry wrong: %+v", shared)
 	}
-	cached := find(entries, "BenchmarkDecide/cached")
-	if cached == nil {
-		t.Fatal("BenchmarkDecide/cached not found (proc suffix not stripped?)")
+	scan := find(entries, "BenchmarkDecide/uncached")
+	if scan == nil {
+		t.Fatal("BenchmarkDecide/uncached not found (proc suffix not stripped?)")
 	}
-	if cached.NsPerOp != 17.52 || cached.Iterations != 500 {
-		t.Errorf("cached ns/op = %g iters = %d", cached.NsPerOp, cached.Iterations)
+	if scan.NsPerOp != 4177 || scan.Iterations != 500 {
+		t.Errorf("uncached ns/op = %g iters = %d", scan.NsPerOp, scan.Iterations)
 	}
-	if cached.AllocsPerOp == nil || *cached.AllocsPerOp != 0 {
-		t.Errorf("cached allocs/op = %v, want explicit 0", cached.AllocsPerOp)
+	if scan.AllocsPerOp == nil || *scan.AllocsPerOp != 0 {
+		t.Errorf("uncached allocs/op = %v, want explicit 0", scan.AllocsPerOp)
 	}
-	if got := cached.Metrics["decisions/s"]; got != 57077626 {
-		t.Errorf("cached decisions/s = %g", got)
+	if got := scan.Metrics["decisions/s"]; got != 239387 {
+		t.Errorf("uncached decisions/s = %g", got)
 	}
 	batch := find(entries, "BenchmarkPoolDecideBatch")
 	if batch == nil || batch.AllocsPerOp == nil || *batch.AllocsPerOp != 28 {
@@ -73,7 +72,7 @@ func TestParseBenchOutput(t *testing.T) {
 
 func TestMergeMinKeepsFastestRun(t *testing.T) {
 	text := canned + `
-BenchmarkDecide/uncached-8      	     500	     19909 ns/op	     50227 decisions/s	       0 B/op	       0 allocs/op
+BenchmarkDecide/uncached-8      	     500	      3909 ns/op	    255820 decisions/s	       0 B/op	       0 allocs/op
 BenchmarkDecide/naive-8         	     500	     60001 ns/op	     16000 decisions/s	       0 B/op	       0 allocs/op
 `
 	entries, err := parseBenchOutput(text)
@@ -81,11 +80,11 @@ BenchmarkDecide/naive-8         	     500	     60001 ns/op	     16000 decisions/
 		t.Fatal(err)
 	}
 	merged := mergeMin(entries)
-	if len(merged) != 12 {
-		t.Fatalf("merged to %d entries, want 12", len(merged))
+	if len(merged) != 11 {
+		t.Fatalf("merged to %d entries, want 11", len(merged))
 	}
-	if un := find(merged, "BenchmarkDecide/uncached"); un == nil || un.NsPerOp != 19909 {
-		t.Errorf("uncached merge kept %+v, want the 19909 ns/op run", un)
+	if un := find(merged, "BenchmarkDecide/uncached"); un == nil || un.NsPerOp != 3909 {
+		t.Errorf("uncached merge kept %+v, want the 3909 ns/op run", un)
 	}
 	if nv := find(merged, "BenchmarkDecide/naive"); nv == nil || nv.NsPerOp != 58683 {
 		t.Errorf("naive merge kept %+v, want the 58683 ns/op run", nv)
@@ -98,38 +97,37 @@ func TestDerivedSpeedups(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := derived(entries)
-	if len(d) != 6 {
-		t.Fatalf("derived %d entries, want 6", len(d))
+	if len(d) != 5 {
+		t.Fatalf("derived %d entries, want 5", len(d))
 	}
-	un := d[0].Metrics["x"]
-	if un < 2.5 || un > 2.7 {
-		t.Errorf("uncached speedup = %g, want ~2.58", un)
+	if d[0].Name != "derived/decide-speedup-uncached-vs-naive" {
+		t.Errorf("first derived entry is %q", d[0].Name)
 	}
-	if ca := d[1].Metrics["x"]; ca < 3000 {
-		t.Errorf("cached speedup = %g, want thousands", ca)
+	if un := d[0].Metrics["x"]; un < 14.0 || un > 14.1 {
+		t.Errorf("uncached speedup = %g, want ~14.05 (58683/4177)", un)
 	}
-	if mem := d[2].Metrics["x"]; mem < 38 || mem > 39 {
+	if mem := d[1].Metrics["x"]; mem < 38 || mem > 39 {
 		t.Errorf("manystreams bytes reduction = %g, want ~38.1 (32272/846.9)", mem)
 	}
-	if d[2].Name != "derived/manystreams-bytes-reduction" {
+	if d[1].Name != "derived/manystreams-bytes-reduction" {
+		t.Errorf("second derived entry is %q", d[1].Name)
+	}
+	if d[2].Name != "derived/netserve-batch-speedup" {
 		t.Errorf("third derived entry is %q", d[2].Name)
 	}
-	if d[3].Name != "derived/netserve-batch-speedup" {
-		t.Errorf("fourth derived entry is %q", d[3].Name)
-	}
-	if net := d[3].Metrics["x"]; net < 7.1 || net > 7.3 {
+	if net := d[2].Metrics["x"]; net < 7.1 || net > 7.3 {
 		t.Errorf("netserve batch speedup = %g, want ~7.18 (116383/16200)", net)
 	}
-	if d[4].Name != "derived/netserve-binwire-speedup" {
-		t.Errorf("fifth derived entry is %q", d[4].Name)
+	if d[3].Name != "derived/netserve-binwire-speedup" {
+		t.Errorf("fourth derived entry is %q", d[3].Name)
 	}
-	if bw := d[4].Metrics["x"]; bw < 13.6 || bw > 13.8 {
+	if bw := d[3].Metrics["x"]; bw < 13.6 || bw > 13.8 {
 		t.Errorf("netserve binwire speedup = %g, want ~13.67 (221532/16200)", bw)
 	}
-	if d[5].Name != "derived/adaptive-slo-gain" {
-		t.Errorf("sixth derived entry is %q", d[5].Name)
+	if d[4].Name != "derived/adaptive-slo-gain" {
+		t.Errorf("fifth derived entry is %q", d[4].Name)
 	}
-	if pp := d[5].Metrics["pp"]; pp < 21.0 || pp > 21.2 {
+	if pp := d[4].Metrics["pp"]; pp < 21.0 || pp > 21.2 {
 		t.Errorf("adaptive slo gain = %g pp, want ~21.09 (31.25 - 10.16)", pp)
 	}
 }
@@ -140,17 +138,17 @@ func TestCheckGates(t *testing.T) {
 	if err := checkGates(entries, 2.0, 10.0, 2.0, 10.0, 0.0); err != nil {
 		t.Errorf("gates should pass on the canned snapshot: %v", err)
 	}
-	if err := checkGates(entries, 10.0, 10.0, 2.0, 10.0, 0.0); err == nil {
-		t.Error("uncached speedup 2.58x must fail a 10x gate")
+	if err := checkGates(entries, 20.0, 10.0, 2.0, 10.0, 0.0); err == nil {
+		t.Error("uncached speedup 14.05x must fail a 20x gate")
 	}
 	if err := checkGates(entries, 2.0, 100.0, 2.0, 10.0, 0.0); err == nil {
 		t.Error("38x memory reduction must fail a 100x gate")
 	}
 
-	// An alloc regression on the cached path must fail.
+	// An alloc regression on the scan must fail.
 	regressed, _ := parseBenchOutput(strings.Replace(canned,
-		"17.52 ns/op	  57077626 decisions/s	       0 B/op	       0 allocs/op",
-		"17.52 ns/op	  57077626 decisions/s	      48 B/op	       2 allocs/op", 1))
+		"4177 ns/op	    239387 decisions/s	       0 B/op	       0 allocs/op",
+		"4177 ns/op	    239387 decisions/s	      48 B/op	       2 allocs/op", 1))
 	regressed = append(regressed, derived(regressed)...)
 	if err := checkGates(regressed, 2.0, 10.0, 2.0, 10.0, 0.0); err == nil ||
 		!strings.Contains(err.Error(), "allocates") {
@@ -238,8 +236,8 @@ func TestRunFromInput(t *testing.T) {
 	if err := json.Unmarshal(data, &entries); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
-	if len(entries) != 18 { // 12 parsed + 6 derived
-		t.Errorf("snapshot has %d entries, want 18", len(entries))
+	if len(entries) != 16 { // 11 parsed + 5 derived
+		t.Errorf("snapshot has %d entries, want 16", len(entries))
 	}
 
 	// And a failing gate must surface as an error.

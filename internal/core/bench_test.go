@@ -8,13 +8,14 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
-// The decide benchmarks measure the three hot-path regimes side by side so
-// one run carries its own baseline: "naive" is the retained pre-optimization
-// scorer (Options.ReferenceScorer), "uncached" is the SoA scan with hoisted
-// quantile math (every iteration Observes first, so the cache never hits),
-// and "cached" is the steady-state memoized path. cmd/benchreport parses
-// these into BENCH_<pr>.json and gates on cached allocs/op == 0 and the
-// uncached- and cached-vs-naive speedups.
+// The decide benchmarks measure the two scorers side by side so one run
+// carries its own baseline: "naive" is the retained pre-optimization scorer
+// (Options.ReferenceScorer) and "uncached" is the bound-and-prune SoA scan
+// (the name predates the deletion of the decision cache and is kept so the
+// BENCH_<pr>.json trajectory stays one series). Both Observe before every
+// Decide, like the real loop. cmd/benchreport parses these into
+// BENCH_<pr>.json and gates on uncached allocs/op == 0 and the
+// uncached-vs-naive speedup.
 
 func benchProfile(b *testing.B) *dnn.ProfileTable {
 	b.Helper()
@@ -42,32 +43,26 @@ func BenchmarkDecide(b *testing.B) {
 	spec := benchSpec()
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
 
-	run := func(b *testing.B, reference, observeEachIter bool) {
+	run := func(b *testing.B, reference bool) {
 		opts := DefaultOptions()
 		opts.ReferenceScorer = reference
 		ctl := New(prof, opts)
 		ctl.Observe(out)
-		ctl.Decide(spec) // warm scratch + cache
+		ctl.Decide(spec) // warm scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if observeEachIter {
-				ctl.Observe(out)
-			}
+			ctl.Observe(out)
 			ctl.Decide(spec)
 		}
 		b.StopTimer()
 		reportRate(b)
 	}
 
-	// The pre-PR scorer, measured in the same run as its replacements; the
-	// Observe per iteration matches "uncached" so the comparison isolates
-	// the scan itself (the reference path never caches anyway).
-	b.Run("naive", func(b *testing.B) { run(b, true, true) })
-	// The optimized scan with the cache busted by an Observe per iteration.
-	b.Run("uncached", func(b *testing.B) { run(b, false, true) })
-	// The steady-state memoized path: same spec, no filter movement.
-	b.Run("cached", func(b *testing.B) { run(b, false, false) })
+	// The pre-optimization scorer, measured in the same run as its
+	// replacement.
+	b.Run("naive", func(b *testing.B) { run(b, true) })
+	b.Run("uncached", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkDecideZoo is BenchmarkDecide/uncached over the 42-model

@@ -16,8 +16,8 @@
 //     model. Built once per (ProfileTable, Options), safe for concurrent
 //     use, shared by every stream on a platform.
 //   - Session — the lightweight mutable per-stream half: the ξ and
-//     idle-power Kalman filters, the filter epoch, and the decision cache.
-//     A few hundred bytes per stream, one goroutine at a time.
+//     idle-power Kalman filters, the filter epoch, and the decision count.
+//     Under 200 bytes per stream, one goroutine at a time.
 //
 // Controller is the paper's one-stream deployment (§3.6) preserved as a
 // thin facade: a private Engine serving exactly one Session. Multi-stream
@@ -108,8 +108,8 @@ type Options struct {
 	// decision and pre-subtracted from the goal (§3.2 step 2, §4 measures
 	// 0.6–1.7 %).
 	OverheadFrac float64
-	// ReferenceScorer makes Decide/DecideAtCap score candidates with the
-	// naive per-candidate estimator (estimate) and no decision cache — the
+	// ReferenceScorer makes Decide/DecideAtCap score every candidate with
+	// the naive per-candidate estimator (estimate), no pruning — the
 	// pre-optimization hot path retained as the differential-testing
 	// oracle. Decisions and estimates are identical either way; that
 	// identity is exactly what the differential tests pin. Only useful for

@@ -16,10 +16,10 @@ import (
 // of goroutines — nothing in it is ever written after NewEngine returns.
 //
 // All mutable per-stream state (the ξ and idle-power Kalman filters, the
-// filter epoch, the decision cache) lives in Session, so a deployment
+// filter epoch, the decision count) lives in Session, so a deployment
 // serving N inference streams on one platform pays for the candidate space
-// once and per-stream only for a Session — well under a kilobyte — instead
-// of N full Controller copies. That is the layer split that lets the
+// once and per-stream only for a Session — under 200 bytes — instead of N
+// full Controller copies. That is the layer split that lets the
 // serving pool (internal/serve) scale its stream table to millions of
 // streams.
 type Engine struct {
@@ -146,7 +146,8 @@ func (e *Engine) NewSessionWith(sc *Scratch) *Session {
 		sc:   sc,
 		xi:   kalman.MakeXiFilter(e.opts.Xi),
 		idle: kalman.MakeIdlePowerFilter(e.opts.Idle),
-		// Epoch 0 is reserved so zero-valued cache entries can never match.
+		// Epoch 0 is reserved: no session ever carries it, so a snapshot
+		// that does is rejected as corrupt.
 		epoch: 1,
 	}
 }

@@ -3,8 +3,8 @@ package core
 // The decide hot path. Decide runs once per inference input on every
 // serving layer (runner, experiment grid, serve.Pool shards, cmd/alertload),
 // so the per-candidate scoring here is the single hottest loop in the
-// repository. This file restructures it around three ideas, none of which
-// may change a single decision:
+// repository. This file structures it around four ideas, none of which may
+// change a single decision:
 //
 //  1. Structure-of-arrays candidate space (candSpace): everything about a
 //     candidate that depends only on the profile table — t_prof, p_{i,j},
@@ -27,36 +27,38 @@ package core
 //     (x−µ)/σ standardization keeps the division: multiplying by a
 //     precomputed 1/σ (or 1/t_prof) is faster but perturbs the last ulp,
 //     which can flip a near-tie between candidates.
-//
-// On top of the faster scan, Decide memoizes (spec, filter epoch) →
-// Estimate per Session: Observe bumps the session's epoch, so steady-state
-// streams whose spec did not change between observations skip the scan
-// entirely. See decideCache below.
+//  4. Bound-and-prune (scan): most candidates cannot displace the running
+//     best, and a CDF-free test — the literal negation of the selector's
+//     own acceptance test, on the candidate's exact Energy — proves it for
+//     each of them before any erf is evaluated.
 
 import (
 	"math"
 
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/mathx"
-	"github.com/alert-project/alert/internal/sim"
 )
 
 // candSpace is the structure-of-arrays view of the candidate slice, indexed
 // by the same candidate index as Engine.candidates.
 type candSpace struct {
-	// model/capIdx/stop/runToDL mirror the Candidate fields.
-	model   []int32
-	capIdx  []int32
+	// stop/runToDL mirror the Candidate fields (stop is -1 for traditional
+	// candidates).
 	stop    []int32
 	runToDL []bool
-	// tProf and power are the profile-table lookups t_prof[i][j] and
-	// p_{i,j} for the candidate's (model, cap).
-	tProf []float64
-	power []float64
+	// execNom is the nominal latency of the work the candidate plans to
+	// run: the profile-table lookup t_prof[i][j] for a traditional
+	// candidate, stage stop's LatencyFrac·t_prof for an anytime one. power
+	// is p_{i,j} for the candidate's (model, cap).
+	execNom []float64
+	power   []float64
 	// acc and qFail are the candidate model's final accuracy and
 	// deadline-miss quality.
 	acc   []float64
 	qFail []float64
+	// qualUB bounds the candidate's expected Quality from above under any
+	// spec and filter state (see qualityBound).
+	qualUB []float64
 	// stageNom[i][si] is stage si's nominal latency LatencyFrac·t_prof at
 	// the candidate's (model, cap); stageAcc[i][si] its accuracy. nil for
 	// traditional candidates. Candidates sharing (model, cap) share the
@@ -77,14 +79,13 @@ type candSpace struct {
 func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 	n := len(cands)
 	s := candSpace{
-		model:    make([]int32, n),
-		capIdx:   make([]int32, n),
 		stop:     make([]int32, n),
 		runToDL:  make([]bool, n),
-		tProf:    make([]float64, n),
+		execNom:  make([]float64, n),
 		power:    make([]float64, n),
 		acc:      make([]float64, n),
 		qFail:    make([]float64, n),
+		qualUB:   make([]float64, n),
 		stageNom: make([][]float64, n),
 		stageAcc: make([][]float64, n),
 		byCap:    make([][]int32, prof.NumCaps()),
@@ -99,14 +100,13 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 	for i, cand := range cands {
 		m := prof.Models[cand.Model]
 		tp := prof.At(cand.Model, cand.Cap)
-		s.model[i] = int32(cand.Model)
-		s.capIdx[i] = int32(cand.Cap)
 		s.stop[i] = int32(cand.StopStage)
 		s.runToDL[i] = cand.RunToDeadline
-		s.tProf[i] = tp
+		s.execNom[i] = tp
 		s.power[i] = prof.PowerAt(cand.Model, cand.Cap)
 		s.acc[i] = m.Accuracy
 		s.qFail[i] = m.QFail
+		s.qualUB[i] = qualityBound(m.QFail, m.Accuracy)
 		s.all[i] = int32(i)
 		s.byCap[cand.Cap] = append(s.byCap[cand.Cap], int32(i))
 		if !m.IsAnytime() {
@@ -131,11 +131,42 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 		}
 		s.stageNom[i] = nom
 		s.stageAcc[i] = acc
+		s.execNom[i] = nom[cand.StopStage]
+		s.qualUB[i] = qualityBound(m.QFail, acc[:cand.StopStage+1]...)
 		if len(m.Stages) > s.maxStages {
 			s.maxStages = len(m.Stages)
 		}
 	}
 	return s
+}
+
+// qualitySlack is the relative head-room qualityBound leaves for float64
+// rounding.
+const qualitySlack = 0x1p-40
+
+// qualityBound returns an upper bound on the expected Quality of a
+// candidate whose reachable outcomes are a deadline miss (qFail) or one of
+// accs, valid for every spec and filter state.
+//
+// Quality is a sum Σ a_j·w_j over those outcomes whose weights are
+// non-negative and sum to exactly 1 in real arithmetic: P and 1−P for a
+// traditional candidate (Eq. 7); the ladder's telescoping differences
+// pr_si − pr_si+1 (each pr_si+1 is clamped to ≤ pr_si) plus the miss mass
+// 1 − raws[0] for an anytime one (Eq. 13). Exactly, then, it is at most
+// M = max a_j. In float64 every weight, every product, and every running
+// sum rounds once, so with n terms the computed value exceeds the exact one
+// by less than (n+3)·2⁻⁵³·A, A = max |a_j|. The bound returned is
+// M + 2⁻⁴⁰·A, which covers ladders of thousands of stages; the slack can
+// only make the scan skip less, never wrongly. If any completion
+// probability is NaN the Quality is NaN, which consider never accepts
+// either (NaN > x is false), so the bound's verdict still stands.
+func qualityBound(qFail float64, accs ...float64) float64 {
+	m, a := qFail, math.Abs(qFail)
+	for _, v := range accs {
+		m = math.Max(m, v)
+		a = math.Max(a, math.Abs(v))
+	}
+	return m + a*qualitySlack
 }
 
 // Scratch is the scan workspace: the anytime ladder's per-stage completion
@@ -149,7 +180,8 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 // a scan is fully determined by the memo key, so scans produce identical
 // results whether the workspace is private, shared across the sessions of
 // a serving shard, or freshly zeroed. It must only be shared by sessions
-// driven from one goroutine.
+// driven from one goroutine — which is also why its scan counters are plain
+// ints.
 type Scratch struct {
 	buf         []float64
 	ladderNom   *float64
@@ -157,13 +189,32 @@ type Scratch struct {
 	ladderMu    float64
 	ladderSigma float64
 	ladderN     int
+
+	// scored counts candidates that went through the full CDF ladder;
+	// fallbacks counts scans that found nothing feasible and served the
+	// infeasibility fallback. Both accumulate until TakeScanCounts.
+	scored    int
+	fallbacks int
+}
+
+// TakeScanCounts returns and resets the workspace's scan counters: how many
+// candidates the scans since the last call scored in full (the work the
+// pruning did not avoid) and how many of those scans ended in the
+// infeasibility fallback. The serving shard that owns the workspace folds
+// them into its counters.
+func (sc *Scratch) TakeScanCounts() (scored, fallbacks int) {
+	scored, fallbacks = sc.scored, sc.fallbacks
+	sc.scored, sc.fallbacks = 0, 0
+	return scored, fallbacks
 }
 
 // scoreParams are the per-Decide invariants of candidate scoring: the
-// current ξ belief and the two standard-normal quantiles the naive scorer
-// recomputed per candidate.
+// current ξ belief, the idle-power ratio, and the two standard-normal
+// quantiles the naive scorer recomputed per candidate.
 type scoreParams struct {
 	mu, sigma float64
+	// phi is the idle-power ratio φ of Eq. 9.
+	phi float64
 	// zEnergy is NormQuantile(energyQuantile(spec), µ, σ): the Eq. 12
 	// latency quantile per unit of nominal work.
 	zEnergy float64
@@ -174,13 +225,20 @@ type scoreParams struct {
 
 // scoreParamsFor computes the per-Decide invariants once.
 func (s *Session) scoreParamsFor(spec Spec) scoreParams {
-	p := scoreParams{mu: s.xi.Mean(), sigma: s.sigmaForPrediction()}
-	p.zEnergy = mathx.NormQuantile(s.energyQuantile(spec), p.mu, p.sigma)
+	p := scoreParams{mu: s.xi.Mean(), sigma: s.sigmaForPrediction(), phi: s.idle.Ratio()}
+	eq := s.energyQuantile(spec)
+	p.zEnergy = mathx.NormQuantile(eq, p.mu, p.sigma)
 	q := s.eng.opts.StopQuantile
 	if spec.Prth > 0 {
 		q = spec.Prth
 	}
-	p.zStop = mathx.NormQuantile(q, p.mu, p.sigma)
+	// The two quantile levels coincide whenever the spec sets Prth and under
+	// the default options; NormQuantile is a pure function, so reusing its
+	// result is the same bits.
+	p.zStop = p.zEnergy
+	if q != eq {
+		p.zStop = mathx.NormQuantile(q, p.mu, p.sigma)
+	}
 	return p
 }
 
@@ -193,44 +251,40 @@ func prWithin(d, b, mu, sigma float64) float64 {
 	return mathx.NormCDF(b/d, mu, sigma)
 }
 
-// estimateFast scores candidate i under the spec, producing the exact
-// Estimate the naive estimate() produces (the differential tests in
-// differential_test.go pin the equality with ==). goal is the adjusted
-// deadline; p the hoisted per-Decide invariants.
-func (s *Session) estimateFast(i int32, goal float64, spec Spec, p scoreParams) Estimate {
-	space := &s.eng.space
-	est := Estimate{Candidate: s.eng.candidates[i]}
-	tp := space.tProf[i]
+// candCost is the CDF-free half of a candidate's score: the planned stop
+// and cut of an anytime candidate, the mean executed latency, and the
+// Eq. 9/12 energy. It needs only the hoisted quantiles, the nominal work
+// and the profiled power, so the scan can compare a candidate's Energy
+// against the running best before paying for a single erf.
+type candCost struct {
+	plannedStop, cut float64 // zero for traditional candidates
+	latMean          float64
+	energy           float64
+}
 
-	if space.stageNom[i] == nil {
-		est.LatMean = p.mu * tp
-		est.PrDeadline = prWithin(tp, goal, p.mu, p.sigma)
-		est.Quality = est.PrDeadline*space.acc[i] + (1-est.PrDeadline)*space.qFail[i]
-		switch {
-		case spec.AccuracyGoal <= 0 || space.qFail[i] >= spec.AccuracyGoal:
-			est.PrQuality = 1
-		case space.acc[i] >= spec.AccuracyGoal:
-			est.PrQuality = est.PrDeadline
-		default:
-			est.PrQuality = 0
+// cost computes candidate i's candCost. It is the only implementation of
+// these values: estimateFast copies them into the Estimate and the scan's
+// pruning test reads energy from the same struct, so what is compared is
+// bit-for-bit what would have been scored.
+//
+// min is the builtin where the naive scorer calls math.Min: the two agree
+// on every input (NaN propagates, −0 orders below +0, ±Inf are honoured),
+// and the builtin inlines where math.Min is an assembly call on amd64.
+func (space *candSpace) cost(i int32, goal float64, p *scoreParams) candCost {
+	w := space.execNom[i]
+	var c candCost
+	if space.stop[i] < 0 {
+		c.latMean = p.mu * w
+		lat := p.zEnergy * w
+		if lat < c.latMean {
+			lat = c.latMean
 		}
-		lat := p.zEnergy * tp
-		if lat < est.LatMean {
-			lat = est.LatMean
-		}
-		est.Energy = s.energyAt(space.power[i], lat, goal)
-		return est
+		c.energy = energyAt(space.power[i], lat, goal, p.phi)
+		return c
 	}
-
-	nom := space.stageNom[i]
-	accs := space.stageAcc[i]
-	k := int(space.stop[i])
-
-	var stop float64
-	if space.runToDL[i] {
-		stop = goal
-	} else {
-		stop = p.zStop * nom[k]
+	stop := goal
+	if !space.runToDL[i] {
+		stop = p.zStop * w
 		if stop > goal {
 			stop = goal
 		}
@@ -238,8 +292,82 @@ func (s *Session) estimateFast(i int32, goal float64, spec Spec, p scoreParams) 
 			stop = goal
 		}
 	}
-	est.PlannedStop = stop
-	cut := math.Min(stop, goal)
+	c.plannedStop = stop
+	c.cut = min(stop, goal)
+	c.latMean = min(p.mu*w, c.cut)
+	qExec := min(p.zEnergy*w, c.cut)
+	if qExec < c.latMean {
+		qExec = c.latMean
+	}
+	c.energy = energyAt(space.power[i], qExec, goal, p.phi)
+	return c
+}
+
+// goalStage resolves which completion probability is candidate i's
+// PrQuality under an accuracy goal: goalNone (PrQuality is 1), goalMissed
+// (PrQuality is 0, known without a CDF), or the index of the first stage at
+// or above the goal, whose completion probability it is (0 for a
+// traditional candidate: its PrDeadline).
+func (space *candSpace) goalStage(i int32, accGoal float64) int {
+	if accGoal <= 0 || space.qFail[i] >= accGoal {
+		return goalNone
+	}
+	accs := space.stageAcc[i]
+	if accs == nil {
+		if space.acc[i] >= accGoal {
+			return 0
+		}
+		return goalMissed
+	}
+	for si := 0; si <= int(space.stop[i]); si++ {
+		if accs[si] >= accGoal {
+			return si
+		}
+	}
+	return goalMissed
+}
+
+const (
+	// goalNone: the spec has no accuracy goal, or even a deadline miss
+	// meets it.
+	goalNone = -1
+	// goalMissed: no output the candidate can produce reaches the goal.
+	goalMissed = -2
+)
+
+// estimateFast scores candidate i under the spec, producing the exact
+// Estimate the naive estimate() produces (the differential tests in
+// differential_test.go pin the equality with ==). goal is the adjusted
+// deadline; p the hoisted per-Decide invariants; c the candidate's
+// space.cost(i, goal, p).
+func (s *Session) estimateFast(i int32, goal float64, spec Spec, p *scoreParams, c candCost) Estimate {
+	space := &s.eng.space
+	est := Estimate{
+		Candidate:   s.eng.candidates[i],
+		LatMean:     c.latMean,
+		Energy:      c.energy,
+		PlannedStop: c.plannedStop,
+	}
+	gs := space.goalStage(i, spec.AccuracyGoal)
+
+	if space.stop[i] < 0 {
+		est.PrDeadline = prWithin(space.execNom[i], goal, p.mu, p.sigma)
+		est.Quality = est.PrDeadline*space.acc[i] + (1-est.PrDeadline)*space.qFail[i]
+		switch gs {
+		case goalNone:
+			est.PrQuality = 1
+		case goalMissed:
+			est.PrQuality = 0
+		default:
+			est.PrQuality = est.PrDeadline
+		}
+		return est
+	}
+
+	nom := space.stageNom[i]
+	accs := space.stageAcc[i]
+	k := int(space.stop[i])
+	cut := c.cut
 
 	// Raw (unclamped) per-stage completion probabilities, each evaluated
 	// once; the naive ladder evaluates stage si+1's CDF as the look-ahead of
@@ -253,7 +381,8 @@ func (s *Session) estimateFast(i int32, goal float64, spec Spec, p scoreParams) 
 	// (nom, cut, µ, σ). The memo keys on exactly those, so a K-stage
 	// ladder's scan degrades from O(K²) CDF evaluations to O(K) when cuts
 	// coincide, with zero effect otherwise — including when the workspace
-	// is shared with other sessions of the serving shard.
+	// is shared with other sessions of the serving shard, and when pruning
+	// skips candidates in between.
 	sc := s.sc
 	raws := sc.buf[:k+1]
 	start := 0
@@ -279,7 +408,7 @@ func (s *Session) estimateFast(i int32, goal float64, spec Spec, p scoreParams) 
 	for si := 0; si <= k; si++ {
 		nextPr := 0.0
 		if si < k {
-			nextPr = math.Min(raws[si+1], pr)
+			nextPr = min(raws[si+1], pr)
 		}
 		quality += accs[si] * (pr - nextPr)
 		pr = nextPr
@@ -288,26 +417,14 @@ func (s *Session) estimateFast(i int32, goal float64, spec Spec, p scoreParams) 
 	est.Quality = quality
 	est.PrDeadline = raws[k]
 
-	switch {
-	case spec.AccuracyGoal <= 0 || space.qFail[i] >= spec.AccuracyGoal:
+	switch gs {
+	case goalNone:
 		est.PrQuality = 1
-	default:
+	case goalMissed:
 		est.PrQuality = 0
-		for si := 0; si <= k; si++ {
-			if accs[si] >= spec.AccuracyGoal {
-				est.PrQuality = raws[si]
-				break
-			}
-		}
+	default:
+		est.PrQuality = raws[gs]
 	}
-
-	meanExec := math.Min(p.mu*nom[k], cut)
-	est.LatMean = meanExec
-	qExec := math.Min(p.zEnergy*nom[k], cut)
-	if qExec < meanExec {
-		qExec = meanExec
-	}
-	est.Energy = s.energyAt(space.power[i], qExec, goal)
 	return est
 }
 
@@ -336,10 +453,12 @@ func (s *Session) newSelector(spec Spec) selector {
 // consider folds one candidate's estimate into the running selection,
 // reproducing the pre-optimization Decide/DecideAtCap semantics exactly
 // (candidates must arrive in enumeration order for identical tie breaks).
-func (s *selector) consider(e Estimate) {
-	if !s.fbSet || e.Quality > s.fb.Quality ||
-		(e.Quality == s.fb.Quality && e.Energy < s.fb.Energy) {
-		s.fb, s.fbSet = e, true
+// The fallback is served only when no candidate is feasible, so it stops
+// being maintained the moment a best exists.
+func (s *selector) consider(e *Estimate) {
+	if !s.bestSet && (!s.fbSet || e.Quality > s.fb.Quality ||
+		(e.Quality == s.fb.Quality && e.Energy < s.fb.Energy)) {
+		s.fb, s.fbSet = *e, true
 	}
 	if s.spec.Prth > 0 && e.PrDeadline < s.spec.Prth {
 		return
@@ -359,64 +478,86 @@ func (s *selector) consider(e Estimate) {
 	if !s.bestSet ||
 		(s.minimizeEnergy && e.Energy < s.best.Energy) ||
 		(!s.minimizeEnergy && e.Quality > s.best.Quality) {
-		s.best, s.bestSet = e, true
+		s.best, s.bestSet = *e, true
 	}
 }
 
-// scan scores the candidates in idxs (which must be in enumeration order)
-// with the optimized estimator. ok is false when no candidate is feasible
-// (the fallback still serves). DecideAtCap reuses it over a single rung's
-// index list.
-func (s *Session) scan(idxs []int32, goal float64, spec Spec, p scoreParams) (best, fb Estimate, ok bool) {
+// cannotWin reports, from CDF-free facts alone, that consider would leave
+// the held best untouched for candidate i with the given Energy. It may
+// only be asked once a best exists (before that the fallback still needs
+// every estimate). Each clause is the literal negation of a test consider
+// applies, on the very values consider would see, so a skipped candidate is
+// one consider would have dropped — ties included, which keep the
+// first-enumerated winner because acceptance needs a strict improvement:
+//
+//   - MinimizeEnergy accepts only on e.Energy < best.Energy, and only when
+//     e.PrQuality ≥ conf > 0, which a PrQuality of exactly 0 (no reachable
+//     output meets the goal) cannot satisfy.
+//   - MaximizeAccuracy rejects e.Energy > EnergyBudget, and accepts only on
+//     e.Quality > best.Quality, impossible when even the candidate's
+//     Quality bound (qualityBound) lies strictly below best.Quality.
+func (s *selector) cannotWin(space *candSpace, i int32, energy float64) bool {
+	if s.minimizeEnergy {
+		return !(energy < s.best.Energy) ||
+			space.goalStage(i, s.spec.AccuracyGoal) == goalMissed
+	}
+	return (s.spec.EnergyBudget > 0 && energy > s.spec.EnergyBudget) ||
+		space.qualUB[i] < s.best.Quality
+}
+
+// settle ends a scan: it books the scan's work on the workspace counters
+// and returns the feasible optimum, or — ok false — the infeasibility
+// fallback.
+func (s *Session) settle(sel *selector, scored int) (est Estimate, ok bool) {
+	s.sc.scored += scored
+	if !sel.bestSet {
+		s.sc.fallbacks++
+		return sel.fb, false
+	}
+	return sel.best, true
+}
+
+// scan selects among the candidates in idxs (which must be in enumeration
+// order) and returns what scanReference returns, bit for bit, while paying
+// for the CDF ladder only where it can matter. Per candidate:
+//
+//  1. cost: Energy, planned stop and mean latency, none of which needs a
+//     CDF.
+//  2. Once a best is held, cannotWin: if the candidate provably cannot
+//     replace it, move on. The fallback is dead from the same moment (both
+//     callers read it only when nothing is feasible), so nothing else
+//     wanted the skipped estimate.
+//  3. Survivors get the full estimateFast ladder and go through consider
+//     like every candidate of the reference scan.
+//
+// ok is false when no candidate is feasible (the fallback is returned and
+// still serves). DecideAtCap reuses it over a single rung's index list.
+func (s *Session) scan(idxs []int32, goal float64, spec Spec) (Estimate, bool) {
+	p := s.scoreParamsFor(spec)
 	sel := s.newSelector(spec)
+	space := &s.eng.space
+	scored := 0
 	for _, i := range idxs {
-		sel.consider(s.estimateFast(i, goal, spec, p))
-	}
-	return sel.best, sel.fb, sel.bestSet
-}
-
-// scanReference is scan with the naive per-candidate estimate() — the
-// pre-optimization scorer retained as the differential-testing oracle and
-// selectable at runtime via Options.ReferenceScorer.
-func (s *Session) scanReference(idxs []int32, goal float64, spec Spec) (best, fb Estimate, ok bool) {
-	sel := s.newSelector(spec)
-	for _, i := range idxs {
-		sel.consider(s.estimate(s.eng.candidates[i], goal, spec))
-	}
-	return sel.best, sel.fb, sel.bestSet
-}
-
-// decideCacheSize bounds the per-epoch memoization: one slot per distinct
-// spec seen since the last Observe. A steady-state stream uses one; a
-// session whose spec churns between observations uses a few. Slots are
-// recycled round-robin, so pathological spec churn degrades to the plain
-// scan, never to unbounded growth.
-const decideCacheSize = 4
-
-// decideCacheEntry memoizes one (spec, epoch) → Estimate. The Decision is
-// not stored: it is a pure projection of the Estimate plus the engine's
-// constant overhead (decisionFor), so recomputing it on a hit is bit-exact
-// and keeps the Session's dominant field — this cache — a third smaller.
-type decideCacheEntry struct {
-	epoch uint64
-	spec  Spec
-	est   Estimate
-}
-
-// cacheGet returns the memoized decision for spec at the current filter
-// epoch, if any. Entries from earlier epochs are dead: Observe moved the
-// filters, so the scan could rank candidates differently.
-func (s *Session) cacheGet(spec Spec) (sim.Decision, Estimate, bool) {
-	for i := range s.cache {
-		if s.cache[i].epoch == s.epoch && s.cache[i].spec == spec {
-			return s.decisionFor(s.cache[i].est), s.cache[i].est, true
+		c := space.cost(i, goal, &p)
+		if sel.bestSet && sel.cannotWin(space, i, c.energy) {
+			continue
 		}
+		est := s.estimateFast(i, goal, spec, &p, c)
+		scored++
+		sel.consider(&est)
 	}
-	return sim.Decision{}, Estimate{}, false
+	return s.settle(&sel, scored)
 }
 
-// cachePut memoizes a freshly scanned decision at the current epoch.
-func (s *Session) cachePut(spec Spec, est Estimate) {
-	s.cache[s.cacheNext] = decideCacheEntry{epoch: s.epoch, spec: spec, est: est}
-	s.cacheNext = (s.cacheNext + 1) % decideCacheSize
+// scanReference is scan with the naive per-candidate estimate() and no
+// pruning — the pre-optimization scorer retained as the
+// differential-testing oracle and selectable at runtime via
+// Options.ReferenceScorer.
+func (s *Session) scanReference(idxs []int32, goal float64, spec Spec) (Estimate, bool) {
+	sel := s.newSelector(spec)
+	for _, i := range idxs {
+		est := s.estimate(s.eng.candidates[i], goal, spec)
+		sel.consider(&est)
+	}
+	return s.settle(&sel, len(idxs))
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // Session is the mutable per-stream half of the ALERT controller: the
-// Kalman belief about the stream's environment (ξ and idle power), the
-// filter epoch, and the epoch-keyed decision cache. Everything a decision
-// needs beyond that — the candidate space, profile invariants, options —
-// is read from the shared immutable Engine, so a Session stays a few
-// hundred bytes no matter how large the configuration space is.
+// Kalman belief about the stream's environment (ξ and idle power) and two
+// counters. Everything a decision needs beyond that — the candidate space,
+// profile invariants, options — is read from the shared immutable Engine,
+// so a Session stays under 200 bytes no matter how large the configuration
+// space is. It memoizes nothing: every Decide rescans (in the serving loop
+// every Decide follows an Observe, so there was never anything to reuse).
 //
 // A Session serves one inference stream and is not safe for concurrent
 // use; drive it from one goroutine at a time. Its decision sequence
@@ -32,12 +33,8 @@ type Session struct {
 	xi   kalman.XiFilter
 	idle kalman.IdlePowerFilter
 
-	// epoch counts Observe calls (starting at 1). The decision cache keys
-	// on it: a cached (spec, epoch) decision is valid exactly until the
-	// next Observe moves the filters.
-	epoch     uint64
-	cache     [decideCacheSize]decideCacheEntry
-	cacheNext int
+	// epoch is the Observe count plus one; the snapshot format carries it.
+	epoch uint64
 
 	decisions int
 }
@@ -61,17 +58,15 @@ func (s *Session) XiStd() float64 { return s.xi.Std() }
 // IdleRatio returns the current idle-power ratio estimate φ.
 func (s *Session) IdleRatio() float64 { return s.idle.Ratio() }
 
-// Decisions returns how many Decide and DecideAtCap calls have been served
-// (including cache hits).
+// Decisions returns how many Decide and DecideAtCap calls have been served.
 func (s *Session) Decisions() int { return s.decisions }
 
-// FilterEpoch returns the decision cache's epoch: it advances on every
-// Observe, invalidating all memoized decisions.
+// FilterEpoch returns the filter epoch: 1 on a fresh session, advancing on
+// every Observe.
 func (s *Session) FilterEpoch() uint64 { return s.epoch }
 
 // Observe feeds back the measurement of the input just executed (§3.2
-// step 1). It advances the filter epoch, invalidating every memoized
-// decision — the filters may move, so every spec must be re-scored.
+// step 1) and advances the filter epoch.
 func (s *Session) Observe(out sim.Outcome) {
 	s.epoch++
 	s.xi.Observe(out.ObservedXi)
@@ -146,7 +141,7 @@ func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
 		if lat < est.LatMean {
 			lat = est.LatMean
 		}
-		est.Energy = s.energyAt(power, lat, goal)
+		est.Energy = energyAt(power, lat, goal, s.idle.Ratio())
 		return est
 	}
 
@@ -224,7 +219,7 @@ func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
 	if qExec < meanExec {
 		qExec = meanExec
 	}
-	est.Energy = s.energyAt(power, qExec, goal)
+	est.Energy = energyAt(power, qExec, goal, s.idle.Ratio())
 	return est
 }
 
@@ -238,47 +233,41 @@ func (s *Session) energyQuantile(spec Spec) float64 {
 
 // energyAt is Eq. 9: inference at the configuration's profiled power p_{i,j}
 // for lat seconds, then idle at φ·p_{i,j} for the remainder of the goal
-// window.
-func (s *Session) energyAt(power, lat, goal float64) float64 {
+// window. The naive and the fast scorer both call it, so their energies
+// are the same operation sequence.
+func energyAt(power, lat, goal, phi float64) float64 {
 	idleTime := goal - lat
 	if idleTime < 0 {
 		idleTime = 0
 	}
-	return power*lat + s.idle.Ratio()*power*idleTime
+	return power*lat + phi*power*idleTime
 }
 
 // Decide selects the configuration for the next input (§3.2 steps 2–4).
 // The returned Estimate describes the chosen candidate's predictions.
 //
 // The scan walks the engine's precomputed SoA candidate space with the
-// per-Decide quantile math hoisted (fastpath.go); the feasibility rules are
-// the chance constraints of Eq. 1/2 (10/11 with a threshold), and the
-// infeasible fallback follows §4's latency > accuracy > power hierarchy:
-// maximizing expected quality already privileges deadline-meeting (missing
-// collapses quality to QFail), so the fallback is the quality-maximal
-// candidate with energy as the tiebreaker. Results are memoized per
-// (spec, filter epoch): a steady-state stream whose spec did not change
-// since the last Observe skips the scan entirely.
+// per-Decide quantile math hoisted, and scores in full only the candidates
+// that can still displace the running best (fastpath.go); the feasibility
+// rules are the chance constraints of Eq. 1/2 (10/11 with a threshold), and
+// the infeasible fallback follows §4's latency > accuracy > power
+// hierarchy: maximizing expected quality already privileges
+// deadline-meeting (missing collapses quality to QFail), so the fallback is
+// the quality-maximal candidate with energy as the tiebreaker.
 func (s *Session) Decide(spec Spec) (sim.Decision, Estimate) {
+	est, _ := s.choose(s.eng.space.all, spec)
+	return s.decisionFor(est), est
+}
+
+// choose serves one decision over the candidates in idxs with the engine's
+// configured scorer. ok is false when est is the infeasibility fallback.
+func (s *Session) choose(idxs []int32, spec Spec) (est Estimate, ok bool) {
 	s.decisions++
 	goal := s.adjustedGoal(spec.Deadline)
 	if s.eng.opts.ReferenceScorer {
-		best, fb, ok := s.scanReference(s.eng.space.all, goal, spec)
-		if !ok {
-			best = fb
-		}
-		return s.decisionFor(best), best
+		return s.scanReference(idxs, goal, spec)
 	}
-	if d, est, ok := s.cacheGet(spec); ok {
-		return d, est
-	}
-	best, fb, ok := s.scan(s.eng.space.all, goal, spec, s.scoreParamsFor(spec))
-	if !ok {
-		best = fb
-	}
-	d := s.decisionFor(best)
-	s.cachePut(spec, best)
-	return d, best
+	return s.scan(idxs, goal, spec)
 }
 
 // decisionFor projects the winning estimate onto the executor's decision.
@@ -300,23 +289,12 @@ func (s *Session) decisionFor(best Estimate) sim.Decision {
 // It counts toward Decisions() like any served decision, and scans only
 // its rung's precomputed index list rather than filtering the whole space.
 func (s *Session) DecideAtCap(spec Spec, cap int) (d sim.Decision, est Estimate, ok bool) {
-	s.decisions++
-	goal := s.adjustedGoal(spec.Deadline)
 	var idxs []int32
 	if cap >= 0 && cap < len(s.eng.space.byCap) {
 		idxs = s.eng.space.byCap[cap]
 	}
-	var best, fb Estimate
-	var bestSet bool
-	if s.eng.opts.ReferenceScorer {
-		best, fb, bestSet = s.scanReference(idxs, goal, spec)
-	} else {
-		best, fb, bestSet = s.scan(idxs, goal, spec, s.scoreParamsFor(spec))
-	}
-	if !bestSet {
-		best = fb
-	}
-	return s.decisionFor(best), best, bestSet
+	est, ok = s.choose(idxs, spec)
+	return s.decisionFor(est), est, ok
 }
 
 // EstimateAll returns estimates for the full candidate space under the

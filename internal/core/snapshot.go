@@ -11,14 +11,11 @@ package core
 // point, under any future Decide/Observe traffic. Two design decisions make
 // that cheap to guarantee:
 //
-//   - The snapshot carries only genuine state: the two Kalman filter states
-//     (kalman.XiState/IdleState), the filter epoch, and the served-decision
-//     count. The decision cache is deliberately dropped — a cache hit is a
-//     pure re-projection of an Estimate the scan would recompute
-//     identically (the differential tests pin cached == uncached == naive
-//     bit-for-bit), so a restored session's first post-restore Decide
-//     rescans and lands on the same bits. The Scratch workspace is likewise
-//     pure workspace. Neither can change a single decision.
+//   - The snapshot carries the session's whole state: the two Kalman filter
+//     states (kalman.XiState/IdleState), the filter epoch, and the
+//     served-decision count. A session memoizes nothing — every Decide
+//     rescans — and the Scratch workspace is pure workspace that cannot
+//     change a single decision, so there is nothing else to ship.
 //   - The binary encoding is canonical and fixed-width: little-endian
 //     float64 bit patterns (math.Float64bits), no JSON float formatting
 //     anywhere near the hot path, so encode→decode→encode is the identity
@@ -54,8 +51,8 @@ type SessionSnapshot struct {
 	// Version is the snapshot format version (SnapshotVersion when produced
 	// by Session.Snapshot).
 	Version uint16
-	// Epoch is the filter epoch: the Observe count plus one (epoch 0 is
-	// reserved so zero-valued decision-cache entries can never match).
+	// Epoch is the filter epoch: the Observe count plus one (no session
+	// ever carries epoch 0, so Validate treats it as corruption).
 	Epoch uint64
 	// Decisions is how many Decide/DecideAtCap calls the session has served.
 	Decisions int64
@@ -64,10 +61,10 @@ type SessionSnapshot struct {
 	Idle kalman.IdleState
 }
 
-// Snapshot captures the session's mutable state. The decision cache and
-// scan workspace are excluded (see the package comment above: both are pure
-// recomputation, so dropping them is bit-exact). The session remains
-// usable; Snapshot does not consume it.
+// Snapshot captures the session's mutable state. The scan workspace is
+// excluded (see the comment at the top of this file: it is pure
+// recomputation, so dropping it is bit-exact). The session remains usable;
+// Snapshot does not consume it.
 func (s *Session) Snapshot() SessionSnapshot {
 	return SessionSnapshot{
 		Version:   SnapshotVersion,

@@ -46,7 +46,8 @@ func TestGridCellFastPathMatchesReference(t *testing.T) {
 
 // TestScenarioCellFastPathMatchesReference repeats the comparison along the
 // scenario dimension, where compiled-trace spec churn retargets the
-// controllers mid-stream — the cache-invalidation-heavy regime.
+// controllers mid-stream — the regime where the scan's running best, and
+// with it what gets pruned, changes the most from input to input.
 func TestScenarioCellFastPathMatchesReference(t *testing.T) {
 	key := CellKey{Platform: "CPU1", Task: dnn.ImageClassification}
 	base := CellOptions{Schemes: []string{SchemeALERT}, Scenario: "churn"}

@@ -124,7 +124,7 @@ func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 // for a scraper: every family has HELP and TYPE lines, the values land,
 // and the binary families appear only when a binary snapshot is present.
 func TestWritePrometheus(t *testing.T) {
-	serve := ServeSnapshot{Decisions: 7, Streams: 3}
+	serve := ServeSnapshot{Decisions: 7, Streams: 3, CandidatesScored: 182, InfeasibleFallbacks: 1}
 	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Checkpoints: 1}}
 	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Checkpoints: 2}, Coalesced: 6}
 
@@ -135,6 +135,8 @@ func TestWritePrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE alert_serve_decisions_total counter\nalert_serve_decisions_total 7\n",
+		"# TYPE alert_serve_candidates_scored_total counter\nalert_serve_candidates_scored_total 182\n",
+		"# TYPE alert_serve_infeasible_fallbacks_total counter\nalert_serve_infeasible_fallbacks_total 1\n",
 		"# TYPE alert_serve_streams gauge\nalert_serve_streams 3\n",
 		"# TYPE alert_http_decides_total counter\nalert_http_decides_total 5\n",
 		"alert_http_rejected_overload_total 2\n",

@@ -17,6 +17,13 @@ type ServeCounters struct {
 	observes  atomic.Int64
 	batches   atomic.Int64
 
+	// candidatesScored counts candidates the decision scans scored in full
+	// (the work bound-and-prune did not avoid; divide by decisions for the
+	// per-decide figure); infeasibleFallbacks counts decisions that found no
+	// feasible candidate and served the fallback.
+	candidatesScored    atomic.Int64
+	infeasibleFallbacks atomic.Int64
+
 	// streams and sessionBytes gauge the pool's live stream table: how many
 	// per-stream sessions exist right now and their aggregate in-memory
 	// footprint. Sessions are created on a stream's first request and
@@ -60,6 +67,15 @@ func (c *ServeCounters) RecordDecide(d time.Duration) {
 		if int64(d) <= cur || c.maxNanos.CompareAndSwap(cur, int64(d)) {
 			return
 		}
+	}
+}
+
+// RecordScan folds in the scan work behind the decisions a shard just
+// served: candidates scored in full and infeasible-fallback decisions.
+func (c *ServeCounters) RecordScan(scored, fallbacks int) {
+	c.candidatesScored.Add(int64(scored))
+	if fallbacks != 0 {
+		c.infeasibleFallbacks.Add(int64(fallbacks))
 	}
 }
 
@@ -117,6 +133,12 @@ type ServeSnapshot struct {
 	Decisions int64 `json:"decisions"`
 	Observes  int64 `json:"observes"`
 	Batches   int64 `json:"batches"`
+	// CandidatesScored counts the candidates the decision scans scored in
+	// full — CandidatesScored/Decisions against the size of the candidate
+	// space is how much work the pruning leaves. InfeasibleFallbacks counts
+	// decisions for which no candidate met the constraints.
+	CandidatesScored    int64 `json:"candidates_scored"`
+	InfeasibleFallbacks int64 `json:"infeasible_fallbacks"`
 	// Streams gauges the live per-stream sessions in the pool's stream
 	// table; SessionBytes their aggregate in-memory footprint.
 	Streams      int64 `json:"streams"`
@@ -143,14 +165,16 @@ type ServeSnapshot struct {
 // read atomically, though the set is not a single atomic cut.
 func (c *ServeCounters) Snapshot() ServeSnapshot {
 	s := ServeSnapshot{
-		Decisions:     c.decisions.Load(),
-		Observes:      c.observes.Load(),
-		Batches:       c.batches.Load(),
-		Streams:       c.streams.Load(),
-		SessionBytes:  c.sessionBytes.Load(),
-		StreamExports: c.exports.Load(),
-		StreamImports: c.imports.Load(),
-		Uptime:        time.Since(c.start),
+		Decisions:           c.decisions.Load(),
+		Observes:            c.observes.Load(),
+		Batches:             c.batches.Load(),
+		CandidatesScored:    c.candidatesScored.Load(),
+		InfeasibleFallbacks: c.infeasibleFallbacks.Load(),
+		Streams:             c.streams.Load(),
+		SessionBytes:        c.sessionBytes.Load(),
+		StreamExports:       c.exports.Load(),
+		StreamImports:       c.imports.Load(),
+		Uptime:              time.Since(c.start),
 	}
 	s.MaxDecideLatency = time.Duration(c.maxNanos.Load())
 	if s.Decisions > 0 {

@@ -12,17 +12,19 @@ import (
 // survive a marshal/unmarshal round trip unchanged.
 func TestServeSnapshotJSONRoundTrip(t *testing.T) {
 	in := ServeSnapshot{
-		Decisions:        12345,
-		Observes:         678,
-		Batches:          9,
-		Streams:          42,
-		SessionBytes:     42 * 768,
-		StreamExports:    6,
-		StreamImports:    4,
-		AvgDecideLatency: 1234 * time.Nanosecond,
-		MaxDecideLatency: 5 * time.Millisecond,
-		Uptime:           3 * time.Hour,
-		DecidesPerSec:    1.25e6,
+		Decisions:           12345,
+		Observes:            678,
+		Batches:             9,
+		CandidatesScored:    12345 * 26,
+		InfeasibleFallbacks: 3,
+		Streams:             42,
+		SessionBytes:        42 * 184,
+		StreamExports:       6,
+		StreamImports:       4,
+		AvgDecideLatency:    1234 * time.Nanosecond,
+		MaxDecideLatency:    5 * time.Millisecond,
+		Uptime:              3 * time.Hour,
+		DecidesPerSec:       1.25e6,
 	}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -37,7 +39,9 @@ func TestServeSnapshotJSONRoundTrip(t *testing.T) {
 	}
 
 	assertJSONKeys(t, b, []string{
-		"decisions", "observes", "batches", "streams", "session_bytes",
+		"decisions", "observes", "batches",
+		"candidates_scored", "infeasible_fallbacks",
+		"streams", "session_bytes",
 		"stream_exports", "stream_imports",
 		"avg_decide_latency_ns", "max_decide_latency_ns", "uptime_ns",
 		"decides_per_sec",

@@ -24,6 +24,8 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	counter("alert_serve_decisions_total", "Decisions served by the stream table.", serve.Decisions)
 	counter("alert_serve_observes_total", "Feedback observations folded into sessions.", serve.Observes)
 	counter("alert_serve_batches_total", "DecideBatch dispatches.", serve.Batches)
+	counter("alert_serve_candidates_scored_total", "Candidates the decision scans scored in full (not pruned).", serve.CandidatesScored)
+	counter("alert_serve_infeasible_fallbacks_total", "Decisions that found no feasible candidate and served the fallback.", serve.InfeasibleFallbacks)
 	counter("alert_serve_stream_exports_total", "Sessions migrated out of the stream table.", serve.StreamExports)
 	counter("alert_serve_stream_imports_total", "Sessions migrated into the stream table.", serve.StreamImports)
 	gauge("alert_serve_streams", "Live per-stream sessions.", float64(serve.Streams))

@@ -5,8 +5,7 @@
 // factor to estimate system variation, to still apply."
 //
 // The design keeps exactly that structure. Each job retains its own ALERT
-// session (its own ξ filter, its own epoch and decision cache, its own
-// spec); the coordinator only arbitrates the shared *power envelope*. Jobs
+// session (its own ξ and idle-power filters, its own spec); the coordinator only arbitrates the shared *power envelope*. Jobs
 // on one platform share one immutable core.Engine — the candidate space is
 // identical for every job, so per-job state is just the session. Every
 // scheduling round the coordinator asks each session, per cap rung, "what

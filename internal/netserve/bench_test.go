@@ -24,6 +24,12 @@ import (
 //	         transport — what the frame encoding plus server-side
 //	         coalescing buys back without the caller batching anything
 //
+// No mode sends an Observe, so the streams' filters never move — but the
+// engine memoizes nothing, so every decision here is a real scan of the
+// 210-candidate space, not a replay of a remembered answer (up to BENCH_8
+// these rows timed the transport over a 23 ns decision-cache hit). The
+// repository benchmark (bench/README.md) is the full decide → observe loop.
+//
 // All report decisions/s; cmd/benchreport derives the batch-vs-single and
 // binary-vs-JSON amplifications and gates on them (BENCH_5.json /
 // BENCH_7.json).
@@ -131,6 +137,8 @@ func BenchmarkNetServe(b *testing.B) {
 // count per request. cmd/benchreport gates it at zero (BENCH_7.json): the
 // decode → admit → coalesce → decide → encode path must stay allocation
 // free or the transport's throughput story degrades under GC pressure.
+// The decide in the middle is a real candidate scan (the engine memoizes
+// nothing), so ns/op is transport plus scan.
 func BenchmarkBinaryServerDecide(b *testing.B) {
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{})
 	if err != nil {

@@ -383,6 +383,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE alert_serve_decisions_total counter",
 		"alert_serve_decisions_total 1",
+		"# TYPE alert_serve_candidates_scored_total counter",
+		"alert_serve_infeasible_fallbacks_total 0\n",
 		"alert_http_decides_total 0\n",
 		"alert_http_checkpoints_total 1\n",
 		"alert_http_reads_total 1\n",

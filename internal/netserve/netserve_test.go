@@ -110,6 +110,10 @@ func TestEndpoints(t *testing.T) {
 	if stats.Serve.Decisions != 4 || stats.Serve.Observes != 1 {
 		t.Errorf("serve counters = %+v, want 4 decisions 1 observe", stats.Serve)
 	}
+	if stats.Serve.CandidatesScored < stats.Serve.Decisions || stats.Serve.InfeasibleFallbacks != 0 {
+		t.Errorf("scan counters = %d scored, %d fallbacks over %d feasible decisions",
+			stats.Serve.CandidatesScored, stats.Serve.InfeasibleFallbacks, stats.Serve.Decisions)
+	}
 	if stats.Net.Decides != 1 || stats.Net.Batches != 1 || stats.Net.BatchDecisions != 3 || stats.Net.Observes != 1 {
 		t.Errorf("net counters = %+v", stats.Net)
 	}

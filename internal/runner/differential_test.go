@@ -2,7 +2,7 @@
 // adaptive scheduler run end-to-end over scenario traces (including spec
 // churn through runner.SpecSetter) must produce byte-identical decision
 // sequences and records whether the controller scores with the optimized
-// SoA scan + decision cache or with the retained naive reference scorer.
+// bound-and-prune SoA scan or with the retained naive reference scorer.
 package runner_test
 
 import (
@@ -16,9 +16,8 @@ import (
 
 // TestAlertFastPathMatchesReferenceOverTraces is the runner-level leg of
 // the differential acceptance criterion. The churn scenario moves the spec
-// mid-stream (SetSpec → changed cache key), and every Observe bumps the
-// cache epoch, so this exercises memoization, invalidation, and the scan
-// itself under realistic dynamics.
+// mid-stream (SetSpec) and every Observe moves the filters, so this
+// exercises the scan and its pruning under realistic dynamics.
 func TestAlertFastPathMatchesReferenceOverTraces(t *testing.T) {
 	for _, name := range []string{"phased", "thermal", "bursty", "churn"} {
 		cfg := traceConfig(t, name, 17)

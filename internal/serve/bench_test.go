@@ -10,13 +10,12 @@ import (
 )
 
 // Pool-level benchmarks for cmd/benchreport's BENCH trajectory: the
-// steady-state single-decide round trip (pooled reply channel + cached
-// controller fast path) and the grouped batch dispatch (one channel
-// operation per shard per batch).
+// single-decide round trip (pooled reply channel + the engine's scan) and
+// the grouped batch dispatch (one channel operation per shard per batch).
 
 // BenchmarkPoolDecide measures the submit→decide→reply round trip on one
-// shard in steady state (same spec, no feedback): the controller serves
-// from its decision cache, so this is the serving layer's own overhead.
+// shard with the same spec and no feedback: a real scan of the candidate
+// space per iteration plus the serving layer's own overhead.
 func BenchmarkPoolDecide(b *testing.B) {
 	pool := NewPool(testProfile(b), core.DefaultOptions(), Config{Shards: 1})
 	defer pool.Close()
@@ -34,8 +33,7 @@ func BenchmarkPoolDecide(b *testing.B) {
 }
 
 // BenchmarkPoolDecideObserve is the paper's full per-input loop through the
-// pool: decide, then feed back an observation (which busts the decision
-// cache, so every decide is a full scan).
+// pool: decide, then feed back an observation that moves the filters.
 func BenchmarkPoolDecideObserve(b *testing.B) {
 	prof := testProfile(b)
 	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})

@@ -25,7 +25,7 @@
 //     it is applied, but a later Decide on the same stream is ordered
 //     behind it and therefore sees the updated filter state.
 //   - Stream isolation: each stream has its own session (its own ξ and
-//     idle-power filters, epoch, and decision cache), created on the
+//     idle-power filters, epoch, and decision count), created on the
 //     stream's first Decide or Observe (XiEstimate is a pure read and
 //     answers sessionless streams from the engine's prior). Streams never
 //     affect each other's decisions —
@@ -251,6 +251,7 @@ func (p *Pool) work(s *shard) {
 			// Counters record before the reply unblocks the client, so a
 			// Stats read that follows a completed Decide always sees it.
 			p.counters.RecordDecide(time.Since(t.start))
+			p.counters.RecordScan(s.sc.TakeScanCounts())
 			t.reply <- decideReply{d: d, est: est}
 		case taskDecideGroup:
 			g := t.group
@@ -260,6 +261,7 @@ func (p *Pool) work(s *shard) {
 				p.counters.RecordDecide(time.Since(g.start))
 				g.out[g.idx[j]] = Result{Decision: d, Estimate: est}
 			}
+			p.counters.RecordScan(s.sc.TakeScanCounts())
 			g.wg.Done()
 		case taskObserve:
 			s.session(t.stream, t.start, p.counters).Observe(t.out)

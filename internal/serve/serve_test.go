@@ -314,8 +314,8 @@ func TestDecideBatchStress(t *testing.T) {
 }
 
 // TestPoolDecideSteadyStateAllocs asserts the serve-layer allocation
-// contract: with the reply channel pooled and the controller's cached fast
-// path, a steady-state Decide round trip allocates nothing. The worker
+// contract: with the reply channel pooled and the controller's
+// allocation-free scan, a steady-state Decide round trip allocates nothing. The worker
 // goroutine's allocations count too (AllocsPerRun reads the global
 // counter), so an occasional sync.Pool refill after GC is tolerated but
 // systematic per-call allocation is not.
@@ -324,9 +324,59 @@ func TestPoolDecideSteadyStateAllocs(t *testing.T) {
 	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
-	pool.Decide(0, spec) // warm pool, cache, scratch
+	pool.Decide(0, spec) // warm pool, scratch
 	if n := testing.AllocsPerRun(500, func() { pool.Decide(0, spec) }); n >= 1 {
 		t.Errorf("steady-state pool Decide allocates %.2f/op, want ~0", n)
+	}
+}
+
+// TestScanCountersMove is the drill for the scan observability: every
+// decision — single or batched — books the candidates its scan scored in
+// full (at least one, and far fewer than the whole space once the pruning
+// has a best to compare against), and a spec nothing can satisfy shows up
+// as an infeasible fallback.
+func TestScanCountersMove(t *testing.T) {
+	prof := testProfile(t)
+	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	defer pool.Close()
+	space := int64(len(pool.eng.Candidates()))
+
+	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
+	const singles, batch = 40, 16
+	for i := 0; i < singles; i++ {
+		d, _ := pool.Decide(i%4, spec)
+		pool.Observe(i%4, outcomeFor(prof, d, 1.05))
+	}
+	reqs := make([]Request, batch)
+	for i := range reqs {
+		reqs[i] = Request{Stream: i, Spec: spec}
+	}
+	pool.DecideBatch(reqs)
+
+	snap := pool.Counters().Snapshot()
+	decisions := int64(singles + batch)
+	if snap.Decisions != decisions {
+		t.Fatalf("decisions = %d, want %d", snap.Decisions, decisions)
+	}
+	if snap.CandidatesScored < decisions || snap.CandidatesScored > decisions*space/3 {
+		t.Errorf("candidates_scored = %d over %d decisions of a %d-candidate space: want at least 1 and under a third of the space per decide",
+			snap.CandidatesScored, decisions, space)
+	}
+	if snap.InfeasibleFallbacks != 0 {
+		t.Errorf("infeasible_fallbacks = %d before any infeasible spec", snap.InfeasibleFallbacks)
+	}
+
+	impossible := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9999}
+	pool.Decide(0, impossible)
+	pool.DecideBatch([]Request{{Stream: 1, Spec: impossible}, {Stream: 2, Spec: spec}})
+	after := pool.Counters().Snapshot()
+	if after.InfeasibleFallbacks != 2 {
+		t.Errorf("infeasible_fallbacks = %d after two infeasible decisions, want 2", after.InfeasibleFallbacks)
+	}
+	// With nothing feasible there is never a best to prune against: the
+	// whole space is scored for the fallback.
+	if got := after.CandidatesScored - snap.CandidatesScored; got < 2*space {
+		t.Errorf("two infeasible decisions scored %d candidates, want at least %d", got, 2*space)
 	}
 }
 
