@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/alert-project/alert/internal/netserve"
 )
 
 // rejectingServer answers 429 (with a scripted Retry-After header) until
@@ -156,33 +154,26 @@ func TestJitterDeterministic(t *testing.T) {
 // then delay-seconds (integer or fractional), then HTTP-date; everything
 // garbled, negative, or absurd is "no hint", never zero-wait.
 func TestRetryAfterOf(t *testing.T) {
-	resp := func(header string) *http.Response {
-		r := &http.Response{Header: http.Header{}}
-		if header != "" {
-			r.Header.Set("Retry-After", header)
-		}
-		return r
-	}
-	if got := retryAfterOf(resp(""), netserve.ErrorResponse{RetryAfterMs: 250}); got != 250*time.Millisecond {
+	if got := retryHint(250, ""); got != 250*time.Millisecond {
 		t.Errorf("body hint: %s, want 250ms", got)
 	}
-	if got := retryAfterOf(resp("2"), netserve.ErrorResponse{}); got != 2*time.Second {
+	if got := retryHint(0, "2"); got != 2*time.Second {
 		t.Errorf("integer seconds: %s, want 2s", got)
 	}
-	if got := retryAfterOf(resp("0.5"), netserve.ErrorResponse{}); got != 500*time.Millisecond {
+	if got := retryHint(0, "0.5"); got != 500*time.Millisecond {
 		t.Errorf("fractional seconds: %s, want 500ms", got)
 	}
 	future := time.Now().Add(90 * time.Second).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(resp(future), netserve.ErrorResponse{}); got <= 80*time.Second || got > 90*time.Second {
+	if got := retryHint(0, future); got <= 80*time.Second || got > 90*time.Second {
 		t.Errorf("http-date: %s, want ~90s", got)
 	}
 	for _, bad := range []string{"", "soon", "-1", "NaN", "1e99", "0"} {
-		if got := retryAfterOf(resp(bad), netserve.ErrorResponse{}); got != 0 {
+		if got := retryHint(0, bad); got != 0 {
 			t.Errorf("garbled %q: %s, want 0 (no hint)", bad, got)
 		}
 	}
 	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if got := retryAfterOf(resp(past), netserve.ErrorResponse{}); got != 0 {
+	if got := retryHint(0, past); got != 0 {
 		t.Errorf("past http-date: %s, want 0", got)
 	}
 }

@@ -6,30 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// BinaryTransport speaks the binwire protocol over a small pool of
-// persistent TCP connections. Requests are pipelined: each is stamped
-// with a connection-unique id and its caller parks on a channel until the
-// reader goroutine routes the matching response frame back, so any number
-// of goroutines share a connection without head-of-line blocking in the
-// client. Server rejections surface as the same *OverloadError /
-// *APIError values the HTTP path produces — the Client's retry loop and
-// the cluster router cannot tell the transports apart by behavior, only
-// by speed.
-//
-// A Client uses it automatically (Options.BinaryAddr or PreferBinary);
-// it is exported for callers that want the raw transport without the
-// retry loop.
-type BinaryTransport struct {
+// binaryTransport is the binwire codec: the binwire protocol over a small
+// pool of persistent TCP connections. Requests are pipelined: each is
+// stamped with a connection-unique id and its caller parks on a channel
+// until the reader goroutine routes the matching response frame back, so
+// any number of goroutines share a connection without head-of-line
+// blocking in the client. Every op is one call: encode a request frame,
+// round-trip it, check the reply frame's type.
+type binaryTransport struct {
 	addr string
 	next atomic.Uint32
 
@@ -54,15 +46,15 @@ var binPoolSize = func() int {
 	return n
 }()
 
-// NewBinaryTransport returns a transport for the given host:port. Dialing
+// newBinaryTransport returns a transport for the given host:port. Dialing
 // is lazy — a server that is down fails per request, like HTTP.
-func NewBinaryTransport(addr string) *BinaryTransport {
-	return &BinaryTransport{addr: addr, conns: make([]*binConn, binPoolSize)}
+func newBinaryTransport(addr string) *binaryTransport {
+	return &binaryTransport{addr: addr, conns: make([]*binConn, binPoolSize)}
 }
 
 // Close tears down every connection; in-flight requests fail. The
 // transport must not be used afterwards.
-func (t *BinaryTransport) Close() {
+func (t *binaryTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
 	conns := t.conns
@@ -78,7 +70,7 @@ func (t *BinaryTransport) Close() {
 // conn returns a live pooled connection, dialing a replacement for a dead
 // slot. Slots rotate round-robin so concurrent streams spread across the
 // pool.
-func (t *BinaryTransport) conn() (*binConn, error) {
+func (t *binaryTransport) conn() (*binConn, error) {
 	slot := int(t.next.Add(1)) % binPoolSize
 	t.mu.Lock()
 	if t.closed {
@@ -292,208 +284,114 @@ func (cc *binConn) forget(id uint64) {
 	cc.mu.Unlock()
 }
 
-// binRetryAfter converts an error frame's retry_after_ms hint to a
-// duration, with the same hygiene retryAfterOf applies to the HTTP hint:
-// missing, non-positive, or absurdly large (over an hour) hints count as
-// no hint at all, so a garbled server cannot stall the retry loop — the
-// client substitutes its own capped exponential schedule.
-func binRetryAfter(ms int64) time.Duration {
-	if ms <= 0 || ms > 3_600_000 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// binError maps an error frame to the same error values the HTTP path
-// produces for the equivalent status.
+// binError maps an error frame to the error the HTTP codec produces for
+// the equivalent status.
 func binError(body []byte) error {
 	code, ms, msg, err := binwire.DecodeError(body)
 	if err != nil {
 		return fmt.Errorf("client: malformed error frame: %w", err)
 	}
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		return &OverloadError{StatusCode: int(code), Message: msg, RetryAfter: binRetryAfter(ms)}
-	}
-	return &APIError{StatusCode: int(code), Message: msg}
+	return statusError(int(code), msg, ms, "")
 }
 
-func unexpectedFrame(t binwire.MsgType) error {
-	return fmt.Errorf("client: unexpected response frame type %d", byte(t))
-}
-
-// Decide requests one decision over the binary transport, returning the
-// serving node's id alongside (the binary twin of Client.DecideServed).
-func (t *BinaryTransport) Decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
+// call sends one request frame (encoded by enc) and returns the reply
+// frame, which must be of type want: an error frame becomes its binError,
+// any other type is a protocol violation. On success the caller returns
+// r.buf with binwire.PutBuf once it has decoded r.frame.Body.
+func (t *binaryTransport) call(ctx context.Context, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) (binReply, error) {
 	cc, err := t.conn()
 	if err != nil {
-		return alert.Decision{}, alert.Estimate{}, "", err
+		return binReply{}, err
 	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+	r, err := cc.roundTrip(ctx, enc)
+	if err != nil {
+		return binReply{}, err
+	}
+	switch r.frame.Type {
+	case want:
+		return r, nil
+	case binwire.MsgError:
+		err = binError(r.frame.Body)
+	default:
+		err = fmt.Errorf("client: unexpected response frame type %d", byte(r.frame.Type))
+	}
+	binwire.PutBuf(r.buf)
+	return binReply{}, err
+}
+
+// ack is call for the ops whose reply frame carries nothing to decode.
+func (t *binaryTransport) ack(ctx context.Context, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) error {
+	r, err := t.call(ctx, want, enc)
+	if err == nil {
+		binwire.PutBuf(r.buf)
+	}
+	return err
+}
+
+func (t *binaryTransport) decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
+	r, err := t.call(ctx, binwire.MsgDecideResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendDecide(dst, id, stream, spec)
 	})
 	if err != nil {
 		return alert.Decision{}, alert.Estimate{}, "", err
 	}
 	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgDecideResp:
-		d, e, node, err := binwire.DecodeDecideResp(r.frame.Body)
-		if err != nil {
-			return alert.Decision{}, alert.Estimate{}, "", fmt.Errorf("client: %w", err)
-		}
-		return d, e, node, nil
-	case binwire.MsgError:
-		return alert.Decision{}, alert.Estimate{}, "", binError(r.frame.Body)
-	default:
-		return alert.Decision{}, alert.Estimate{}, "", unexpectedFrame(r.frame.Type)
+	d, est, node, err := binwire.DecodeDecideResp(r.frame.Body)
+	if err != nil {
+		return alert.Decision{}, alert.Estimate{}, "", fmt.Errorf("client: %w", err)
 	}
+	return d, est, node, nil
 }
 
-// Observe reports a measurement. Like the HTTP path, the server enqueues
-// the update before acking, so a subsequent Decide on the stream sees it.
-func (t *BinaryTransport) Observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	cc, err := t.conn()
-	if err != nil {
-		return err
-	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+func (t *binaryTransport) observe(ctx context.Context, stream int, fb alert.Feedback) error {
+	return t.ack(ctx, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendObserve(dst, id, stream, fb)
 	})
-	if err != nil {
-		return err
-	}
-	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgObserveResp:
-		return nil
-	case binwire.MsgError:
-		return binError(r.frame.Body)
-	default:
-		return unexpectedFrame(r.frame.Type)
-	}
 }
 
-// DecideBatch dispatches the whole batch in one frame; results come back
-// in request order.
-func (t *BinaryTransport) DecideBatch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	cc, err := t.conn()
-	if err != nil {
-		return nil, err
-	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+func (t *binaryTransport) batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
+	r, err := t.call(ctx, binwire.MsgBatchResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendBatch(dst, id, reqs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgBatchResp:
-		res, err := binwire.DecodeBatchResp(r.frame.Body, make([]alert.BatchResult, 0, len(reqs)))
-		if err != nil {
-			return nil, fmt.Errorf("client: %w", err)
-		}
-		if len(res) != len(reqs) {
-			return nil, fmt.Errorf("client: batch returned %d results for %d requests", len(res), len(reqs))
-		}
-		return res, nil
-	case binwire.MsgError:
-		return nil, binError(r.frame.Body)
-	default:
-		return nil, unexpectedFrame(r.frame.Type)
+	res, err := binwire.DecodeBatchResp(r.frame.Body, make([]alert.BatchResult, 0, len(reqs)))
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
+	return res, nil
 }
 
-// EvictStream releases the stream's server-side session.
-func (t *BinaryTransport) EvictStream(ctx context.Context, stream int) error {
-	cc, err := t.conn()
-	if err != nil {
-		return err
-	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+func (t *binaryTransport) evict(ctx context.Context, stream int) error {
+	return t.ack(ctx, binwire.MsgEvictResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendStreamReq(dst, binwire.MsgEvict, id, stream)
 	})
-	if err != nil {
-		return err
-	}
-	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgEvictResp:
-		return nil
-	case binwire.MsgError:
-		return binError(r.frame.Body)
-	default:
-		return unexpectedFrame(r.frame.Type)
-	}
 }
 
-// snapshotOp runs export or checkpoint and decodes the returned session.
-func (t *BinaryTransport) snapshotOp(ctx context.Context, op binwire.MsgType, stream int) (alert.SessionSnapshot, error) {
-	var snap alert.SessionSnapshot
-	cc, err := t.conn()
-	if err != nil {
-		return snap, err
+func (t *binaryTransport) snapshot(ctx context.Context, stream int, remove bool) ([]byte, error) {
+	op := binwire.MsgCheckpoint
+	if remove {
+		op = binwire.MsgExport
 	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+	r, err := t.call(ctx, binwire.MsgSnapshotResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendStreamReq(dst, op, id, stream)
 	})
 	if err != nil {
-		return snap, err
+		return nil, err
 	}
 	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgSnapshotResp:
-		_, blob, err := binwire.DecodeSnapshot(r.frame.Type, r.frame.Body)
-		if err != nil {
-			return snap, fmt.Errorf("client: %w", err)
-		}
-		if err := snap.UnmarshalBinary(blob); err != nil {
-			return snap, fmt.Errorf("client: %w", err)
-		}
-		return snap, nil
-	case binwire.MsgError:
-		return snap, binError(r.frame.Body)
-	default:
-		return snap, unexpectedFrame(r.frame.Type)
-	}
-}
-
-// ExportStream drains, snapshots, and removes the stream's session.
-func (t *BinaryTransport) ExportStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	return t.snapshotOp(ctx, binwire.MsgExport, stream)
-}
-
-// CheckpointStream snapshots the stream's session without removing it.
-func (t *BinaryTransport) CheckpointStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	return t.snapshotOp(ctx, binwire.MsgCheckpoint, stream)
-}
-
-// ImportStream restores an exported session under the given stream id.
-func (t *BinaryTransport) ImportStream(ctx context.Context, stream int, snap alert.SessionSnapshot) error {
-	blob, err := snap.MarshalBinary()
+	_, blob, err := binwire.DecodeSnapshot(r.frame.Type, r.frame.Body)
 	if err != nil {
-		return fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	cc, err := t.conn()
-	if err != nil {
-		return err
-	}
-	r, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+	// blob aliases the pooled frame buffer; the caller gets its own copy.
+	return append([]byte(nil), blob...), nil
+}
+
+func (t *binaryTransport) restore(ctx context.Context, stream int, blob []byte) error {
+	return t.ack(ctx, binwire.MsgImportResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendSnapshot(dst, binwire.MsgImport, id, stream, blob)
 	})
-	if err != nil {
-		return err
-	}
-	defer binwire.PutBuf(r.buf)
-	switch r.frame.Type {
-	case binwire.MsgImportResp:
-		return nil
-	case binwire.MsgError:
-		return binError(r.frame.Body)
-	default:
-		return unexpectedFrame(r.frame.Type)
-	}
 }

@@ -9,30 +9,33 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// TestBinRetryAfterEdgeCases is the binary twin of
-// TestRetryAfterOfEdgeCases: the retry_after_ms hint in an error frame
-// goes through the same hygiene as the HTTP hint — missing, non-positive,
-// and multi-hour values all degrade to "no hint" so the client falls back
-// to its own capped exponential schedule, never sleeping negative or
-// absurd durations on a garbled server's say-so.
-func TestBinRetryAfterEdgeCases(t *testing.T) {
-	cases := []struct {
-		name string
-		ms   int64
-		want time.Duration
-	}{
-		{name: "zero means no hint", ms: 0, want: 0},
-		{name: "negative means no hint", ms: -250, want: 0},
-		{name: "one millisecond", ms: 1, want: time.Millisecond},
-		{name: "typical hint", ms: 50, want: 50 * time.Millisecond},
-		{name: "at the one-hour cap", ms: 3_600_000, want: time.Hour},
-		{name: "just over the cap degrades to no hint", ms: 3_600_001, want: 0},
-		{name: "absurdly large degrades to no hint", ms: 1 << 50, want: 0},
+// errorFrameBody encodes an error frame and returns its body as the read
+// loop would hand it to binError.
+func errorFrameBody(t *testing.T, code uint16, ms int64, msg string) []byte {
+	t.Helper()
+	f, _, err := binwire.ParseFrame(binwire.AppendError(nil, 1, code, ms, msg))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	return f.Body
+}
+
+// TestBinRetryAfterEdgeCases runs the header-less rows of the shared hint
+// table (hintCases — there is no second table to drift) through a real
+// 429 error frame, so the binwire codec is pinned to the same retryHint the
+// HTTP codec uses from the frame decode onwards.
+func TestBinRetryAfterEdgeCases(t *testing.T) {
+	for _, tc := range hintCases() {
+		if len(tc.headers) > 0 {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			if got := binRetryAfter(tc.ms); got != tc.want {
-				t.Errorf("binRetryAfter(%d) = %v, want %v", tc.ms, got, tc.want)
+			var oe *OverloadError
+			if err := binError(errorFrameBody(t, binwire.CodeOverloaded, tc.ms, "full")); !errors.As(err, &oe) {
+				t.Fatalf("429 frame mapped to %#v", err)
+			}
+			if oe.RetryAfter != tc.want {
+				t.Errorf("error frame retry_after_ms=%d surfaced as %v, want %v", tc.ms, oe.RetryAfter, tc.want)
 			}
 		})
 	}
@@ -42,25 +45,16 @@ func TestBinRetryAfterEdgeCases(t *testing.T) {
 // the HTTP path produces for the equivalent status, so the retry loop and
 // the cluster router treat both transports identically.
 func TestBinErrorMapping(t *testing.T) {
-	frame := func(code uint16, ms int64, msg string) []byte {
-		raw := binwire.AppendError(nil, 1, code, ms, msg)
-		f, _, err := binwire.ParseFrame(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Body
-	}
-
-	err := binError(frame(binwire.CodeOverloaded, 40, "admission queue full"))
+	err := binError(errorFrameBody(t, binwire.CodeOverloaded, 40, "admission queue full"))
 	var oe *OverloadError
 	if !errors.As(err, &oe) || oe.StatusCode != http.StatusTooManyRequests || oe.RetryAfter != 40*time.Millisecond {
 		t.Fatalf("429 frame mapped to %#v", err)
 	}
-	err = binError(frame(binwire.CodeUnavailable, 0, "server draining"))
+	err = binError(errorFrameBody(t, binwire.CodeUnavailable, 0, "server draining"))
 	if !errors.As(err, &oe) || oe.StatusCode != http.StatusServiceUnavailable || oe.RetryAfter != 0 {
 		t.Fatalf("503 frame mapped to %#v", err)
 	}
-	err = binError(frame(binwire.CodeNotFound, 0, "stream has no session"))
+	err = binError(errorFrameBody(t, binwire.CodeNotFound, 0, "stream has no session"))
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("404 frame mapped to %#v", err)

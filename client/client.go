@@ -1,42 +1,47 @@
 // Package client is the typed Go client for the ALERT network serving
-// front end (internal/netserve, hosted by cmd/alertserve). It speaks the
-// /v1 HTTP/JSON API with connection reuse — one pooled http.Transport,
-// keep-alive across requests — so the steady-state cost per decision is
-// one loopback round trip, and a DecideBatch amortizes even that across
-// the whole batch.
+// front end (internal/netserve, hosted by cmd/alertserve).
 //
 //	c, err := client.New("http://127.0.0.1:8372", client.Options{})
 //	d, est, err := c.Decide(ctx, streamID, spec)
 //	err = c.Observe(ctx, streamID, alert.Feedback{Decision: d, Latency: measured})
 //
-// JSON carries every float64 bit-exactly, so a stream driven through this
-// client makes byte-identical decisions to one driven against
-// alert.Server in-process (cmd/alertload -addr pins this).
+// One call path, two codecs. Every data-plane method (Decide, Observe,
+// DecideBatch, EvictStream, ExportStream, CheckpointStream, ImportStream)
+// has one body: pick the wire, run the op under the overload retry loop.
+// The wire is one of two codecs behind an unexported interface:
+//
+//   - HTTP/JSON (the default): the /v1 API over one pooled http.Transport
+//     with keep-alive, so the steady-state cost per decision is one
+//     loopback round trip and a DecideBatch amortizes even that.
+//   - binwire: when the server also listens on a binwire port (alertserve
+//     -binary-addr), set Options.BinaryAddr — or Options.PreferBinary to
+//     discover it from /v1/stats — and the data plane rides a small pool
+//     of persistent, pipelined TCP connections instead. The control-plane
+//     reads (Stats, Streams, Membership) always use HTTP.
+//
+// A codec only encodes one attempt and decodes its reply. Everything the
+// wires must agree on is written once above them: which statuses are
+// overload (*OverloadError) and which are not (*APIError), what counts as
+// a usable Retry-After hint, 404 on a snapshot read meaning ErrNoSession,
+// the batch result count, and the snapshot blob decode. Both wires carry
+// every float64 bit-exactly, so a stream driven through this client makes
+// byte-identical decisions to one driven against alert.Server in-process,
+// over either codec (cmd/alertload -addr pins this).
 //
 // Overload: the server sheds load at its admission gate with 429 (queue
-// full or Spec deadline expired while queued) and 503 (draining), both
-// carrying Retry-After. Those surface as *client.OverloadError; with
-// Options.MaxRetries > 0 the client retries them itself after the hinted
-// backoff. Retrying is safe: a 429/503 is rejected before the request
-// touches any stream state, so a retry never double-applies anything.
-//
-// Binary transport: when the server also listens on a binwire port
-// (alertserve -binary-addr), set Options.BinaryAddr — or
-// Options.PreferBinary to discover it from /v1/stats — and every
-// data-plane call (Decide, Observe, DecideBatch, migration ops) rides a
-// pooled, pipelined binary connection instead of HTTP/JSON. Decisions are
-// byte-identical over either transport, and overload error frames carry
-// the same retry_after_ms hint, fed through the same retry loop.
+// full or Spec deadline expired while queued) and 503 (draining or
+// restoring), both carrying a retry hint. Those surface as
+// *client.OverloadError; with Options.MaxRetries > 0 the client retries
+// them itself after the hinted backoff. Retrying is safe: a 429/503 is
+// rejected before the request touches any stream state, so a retry never
+// double-applies anything.
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -91,11 +96,27 @@ type Options struct {
 	PreferBinary bool
 }
 
+// codec is one wire format for the data plane. Each method is ONE attempt
+// of one op: encode the request, exchange it, decode the reply. A reply
+// that is not the op's success is returned through statusError, so both
+// implementations produce the same error values; retrying, ErrNoSession,
+// the batch count check and the snapshot decode live in the Client methods
+// above it. Snapshots cross it as their canonical binary blob.
+type codec interface {
+	decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error)
+	observe(ctx context.Context, stream int, fb alert.Feedback) error
+	batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error)
+	evict(ctx context.Context, stream int) error
+	// snapshot is export (remove) and checkpoint (!remove); the caller owns
+	// the returned blob.
+	snapshot(ctx context.Context, stream int, remove bool) ([]byte, error)
+	restore(ctx context.Context, stream int, blob []byte) error
+}
+
 // Client talks to one front end. It is safe for concurrent use; all
 // methods honor their context.
 type Client struct {
-	base        string
-	hc          *http.Client
+	http        httpCodec
 	ownedHC     bool
 	maxRetries  int
 	backoffBase time.Duration
@@ -106,16 +127,12 @@ type Client struct {
 	mu  sync.Mutex
 	rng *mathx.Rand
 
-	// Binary transport state. binAddr is where the binary listener lives
-	// ("" = none known); binSettled marks discovery as concluded — set at
-	// construction for an explicit BinaryAddr (or no binary at all), and
-	// after the first successful stats read for PreferBinary. bin is the
-	// lazily built transport.
-	preferBinary bool
-	binMu        sync.Mutex
-	binAddr      string
-	binSettled   bool
-	bin          *BinaryTransport
+	// data is the data-plane codec: &c.http or a *binaryTransport, fixed
+	// for the client's lifetime once known. It is set at construction
+	// unless PreferBinary leaves it to discovery, when it stays nil until
+	// the first successful stats probe (see wire).
+	dataMu sync.Mutex
+	data   codec
 }
 
 // New validates the base URL (e.g. "http://127.0.0.1:8372") and returns a
@@ -129,14 +146,10 @@ func New(baseURL string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("client: base URL %q must be http(s)", baseURL)
 	}
 	c := &Client{
-		base:         strings.TrimRight(baseURL, "/"),
-		hc:           opts.HTTPClient,
-		maxRetries:   opts.MaxRetries,
-		backoffBase:  opts.BackoffBase,
-		backoffCap:   opts.BackoffCap,
-		preferBinary: opts.PreferBinary,
-		binAddr:      opts.BinaryAddr,
-		binSettled:   opts.BinaryAddr != "" || !opts.PreferBinary,
+		http:        httpCodec{base: strings.TrimRight(baseURL, "/"), hc: opts.HTTPClient},
+		maxRetries:  opts.MaxRetries,
+		backoffBase: opts.BackoffBase,
+		backoffCap:  opts.BackoffCap,
 	}
 	if c.backoffBase <= 0 {
 		c.backoffBase = 10 * time.Millisecond
@@ -149,17 +162,20 @@ func New(baseURL string, opts Options) (*Client, error) {
 		seed = 1
 	}
 	c.rng = mathx.NewRand(seed)
-	if c.hc == nil {
+	if c.http.hc == nil {
 		// A dedicated transport so this client's connection pool is not
 		// shared with (or limited by) http.DefaultTransport users. The
 		// per-host idle limit is what makes a many-goroutine load
 		// generator reuse connections instead of churning them.
-		c.hc = &http.Client{Transport: &http.Transport{
+		c.http.hc = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        128,
 			MaxIdleConnsPerHost: 128,
 			IdleConnTimeout:     90 * time.Second,
 		}}
 		c.ownedHC = true
+	}
+	if opts.BinaryAddr != "" || !opts.PreferBinary {
+		c.settle(opts.BinaryAddr)
 	}
 	return c, nil
 }
@@ -167,42 +183,52 @@ func New(baseURL string, opts Options) (*Client, error) {
 // Close releases idle connections. The client must not be used afterwards.
 func (c *Client) Close() {
 	if c.ownedHC {
-		c.hc.CloseIdleConnections()
+		c.http.hc.CloseIdleConnections()
 	}
-	c.binMu.Lock()
-	bin := c.bin
-	c.bin = nil
-	c.binMu.Unlock()
-	if bin != nil {
-		bin.Close()
+	c.dataMu.Lock()
+	data := c.data
+	c.dataMu.Unlock()
+	if bt, ok := data.(*binaryTransport); ok {
+		bt.Close()
 	}
 }
 
-// binary returns the transport for the data-plane calls, or nil for the
-// JSON path. Under PreferBinary the first call probes GET /v1/stats for
-// an advertised binary listener; the outcome of a successful probe is
-// cached for the client's lifetime (a server's transports are fixed at
-// startup), while a failed probe — server unreachable — leaves discovery
-// open so a client built before its server came up still upgrades.
-func (c *Client) binary(ctx context.Context) *BinaryTransport {
-	c.binMu.Lock()
-	defer c.binMu.Unlock()
-	if c.bin != nil {
-		return c.bin
+// wire returns the codec for the data-plane calls. Under PreferBinary the
+// first calls probe GET /v1/stats for an advertised binary listener; the
+// outcome of a successful probe is kept for the client's lifetime (a
+// server's transports are fixed at startup), while a failed probe — server
+// unreachable — leaves discovery open so a client built before its server
+// came up still upgrades. The probe runs outside the lock and under the
+// calling goroutine's own context, so a server that accepts and never
+// answers stalls nobody past their deadline (and never Close); concurrent
+// first callers may each probe, and the first to finish settles it.
+func (c *Client) wire(ctx context.Context) codec {
+	c.dataMu.Lock()
+	data := c.data
+	c.dataMu.Unlock()
+	if data != nil {
+		return data
 	}
-	if !c.binSettled {
-		st, err := c.Stats(ctx)
-		if err != nil {
-			return nil // transient; the JSON path will surface the error
+	st, err := c.Stats(ctx)
+	if err != nil {
+		return &c.http // transient; the JSON path will surface the error
+	}
+	return c.settle(c.resolveBinaryAddr(st.BinaryAddr))
+}
+
+// settle fixes the data-plane codec — binwire at binAddr, or HTTP/JSON when
+// binAddr is empty — unless an earlier caller already has, and returns the
+// one in force.
+func (c *Client) settle(binAddr string) codec {
+	c.dataMu.Lock()
+	defer c.dataMu.Unlock()
+	if c.data == nil {
+		c.data = &c.http
+		if binAddr != "" {
+			c.data = newBinaryTransport(binAddr)
 		}
-		c.binSettled = true
-		c.binAddr = c.resolveBinaryAddr(st.BinaryAddr)
 	}
-	if c.binAddr == "" {
-		return nil
-	}
-	c.bin = NewBinaryTransport(c.binAddr)
-	return c.bin
+	return c.data
 }
 
 // resolveBinaryAddr fixes up an advertised binary address whose host part
@@ -223,7 +249,7 @@ func (c *Client) resolveBinaryAddr(addr string) string {
 	if !unspecified {
 		return addr
 	}
-	u, err := url.Parse(c.base)
+	u, err := url.Parse(c.http.base)
 	if err != nil || u.Hostname() == "" {
 		return addr
 	}
@@ -254,6 +280,48 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: %d %s: %s", e.StatusCode, http.StatusText(e.StatusCode), e.Message)
 }
 
+// statusError is the one classification of a refused request, for both
+// wires (binwire error-frame codes mirror the HTTP statuses): 429 and 503
+// are overload and retryable, everything else is not. retryAfterMs is the
+// millisecond hint of the JSON error body or the error frame, header the
+// HTTP Retry-After value ("" on binwire).
+func statusError(status int, msg string, retryAfterMs int64, header string) error {
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		return &OverloadError{StatusCode: status, Message: msg, RetryAfter: retryHint(retryAfterMs, header)}
+	}
+	return &APIError{StatusCode: status, Message: msg}
+}
+
+// maxHint is the longest server backoff hint the client believes.
+const maxHint = time.Hour
+
+// retryHint is the one hint-hygiene rule for both wires. It prefers the
+// millisecond field over the whole-second header, and treats anything
+// missing, unparseable or nonsensical — non-positive, non-finite, over an
+// hour, or too large for a Duration — as no hint at all (0), so a garbled
+// server can neither stall the retry loop nor make it retry immediately:
+// the loop substitutes its own capped exponential schedule.
+func retryHint(ms int64, header string) time.Duration {
+	// Bounded before the multiplication, which overflows int64 for large ms.
+	if ms > 0 && ms <= int64(maxHint/time.Millisecond) {
+		return time.Duration(ms) * time.Millisecond
+	}
+	// RFC 9110 allows delay-seconds or an HTTP-date; accept both.
+	header = strings.TrimSpace(header)
+	if secs, err := strconv.ParseFloat(header, 64); err == nil {
+		if secs > 0 && secs <= maxHint.Seconds() {
+			return time.Duration(secs * float64(time.Second))
+		}
+		return 0
+	}
+	if at, err := http.ParseTime(header); err == nil {
+		if d := time.Until(at); d > 0 && d <= maxHint {
+			return d
+		}
+	}
+	return 0
+}
+
 // Decide requests the configuration for the stream's next input.
 func (c *Client) Decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, error) {
 	d, est, _, err := c.DecideServed(ctx, stream, spec)
@@ -264,73 +332,41 @@ func (c *Client) Decide(ctx context.Context, stream int, spec alert.Spec) (alert
 // decision (the server's configured -node-id; empty for a standalone
 // node). The chaos harness's single-ownership checker uses it to attribute
 // every decision to a member without a second round trip.
-func (c *Client) DecideServed(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
-	if bt := c.binary(ctx); bt != nil {
-		var d alert.Decision
-		var est alert.Estimate
-		var node string
-		err := c.withRetry(ctx, func(ctx context.Context) error {
-			var err error
-			d, est, node, err = bt.Decide(ctx, stream, spec)
-			return err
-		})
-		return d, est, node, err
-	}
-	var out netserve.DecideResponse
-	err := c.do(ctx, http.MethodPost, "/v1/decide",
-		netserve.DecideRequest{Stream: stream, Spec: netserve.FromSpec(spec)}, &out)
-	if err != nil {
-		return alert.Decision{}, alert.Estimate{}, "", err
-	}
-	return out.Decision.ToDecision(), out.Estimate.ToEstimate(), out.NodeID, nil
+func (c *Client) DecideServed(ctx context.Context, stream int, spec alert.Spec) (d alert.Decision, est alert.Estimate, node string, err error) {
+	w := c.wire(ctx)
+	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
+		d, est, node, err = w.decide(ctx, stream, spec)
+		return err
+	})
+	return d, est, node, err
 }
 
 // Observe reports a measurement for the stream. The server enqueues it
 // before replying, so a subsequent Decide on the same stream (over this or
 // any connection) sees the updated filter state.
 func (c *Client) Observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	if bt := c.binary(ctx); bt != nil {
-		return c.withRetry(ctx, func(ctx context.Context) error {
-			return bt.Observe(ctx, stream, fb)
-		})
-	}
-	return c.do(ctx, http.MethodPost, "/v1/observe",
-		netserve.ObserveRequest{Stream: stream, Feedback: netserve.FromFeedback(fb)}, nil)
+	w := c.wire(ctx)
+	return c.withRetry(ctx, func(ctx context.Context) error {
+		return w.observe(ctx, stream, fb)
+	})
 }
 
 // DecideBatch dispatches the whole batch in one request; results come back
 // in request order. Requests sharing a stream are served in batch order.
-func (c *Client) DecideBatch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
+func (c *Client) DecideBatch(ctx context.Context, reqs []alert.BatchRequest) (res []alert.BatchResult, err error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	if bt := c.binary(ctx); bt != nil {
-		var res []alert.BatchResult
-		err := c.withRetry(ctx, func(ctx context.Context) error {
-			var err error
-			res, err = bt.DecideBatch(ctx, reqs)
-			return err
-		})
-		return res, err
-	}
-	in := netserve.BatchRequest{Requests: make([]netserve.DecideRequest, len(reqs))}
-	for i, r := range reqs {
-		in.Requests[i] = netserve.DecideRequest{Stream: r.Stream, Spec: netserve.FromSpec(r.Spec)}
-	}
-	var out netserve.BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/decide-batch", in, &out); err != nil {
+	w := c.wire(ctx)
+	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
+		res, err = w.batch(ctx, reqs)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(out.Results) != len(reqs) {
-		return nil, fmt.Errorf("client: batch returned %d results for %d requests", len(out.Results), len(reqs))
-	}
-	res := make([]alert.BatchResult, len(out.Results))
-	for i, r := range out.Results {
-		res[i] = alert.BatchResult{
-			Stream:   r.Stream,
-			Decision: r.Decision.ToDecision(),
-			Estimate: r.Estimate.ToEstimate(),
-		}
+	if len(res) != len(reqs) {
+		return nil, fmt.Errorf("client: batch returned %d results for %d requests", len(res), len(reqs))
 	}
 	return res, nil
 }
@@ -338,7 +374,7 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []alert.BatchRequest) ([]
 // Stats fetches the server's counter snapshots.
 func (c *Client) Stats(ctx context.Context) (netserve.StatsResponse, error) {
 	var out netserve.StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
+	err := c.get(ctx, "/v1/stats", &out)
 	return out, err
 }
 
@@ -351,7 +387,7 @@ func (c *Client) Stats(ctx context.Context) (netserve.StatsResponse, error) {
 // silently partial member set.
 func (c *Client) Membership(ctx context.Context) (membership.View, error) {
 	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, membership.Endpoint, nil, &raw); err != nil {
+	if err := c.get(ctx, membership.Endpoint, &raw); err != nil {
 		return membership.View{}, err
 	}
 	v, err := membership.DecodeView(raw)
@@ -364,21 +400,26 @@ func (c *Client) Membership(ctx context.Context) (membership.View, error) {
 // Streams lists the server's live stream ids.
 func (c *Client) Streams(ctx context.Context) ([]int, error) {
 	var out netserve.StreamsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/streams", nil, &out); err != nil {
+	if err := c.get(ctx, "/v1/streams", &out); err != nil {
 		return nil, err
 	}
 	return out.IDs, nil
 }
 
+// get runs one control-plane read — always HTTP — under the retry loop.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	return c.withRetry(ctx, func(ctx context.Context) error {
+		return c.http.once(ctx, http.MethodGet, path, nil, out)
+	})
+}
+
 // EvictStream releases the stream's server-side session. Evicting an
 // unknown stream succeeds (it is a no-op server-side).
 func (c *Client) EvictStream(ctx context.Context, stream int) error {
-	if bt := c.binary(ctx); bt != nil {
-		return c.withRetry(ctx, func(ctx context.Context) error {
-			return bt.EvictStream(ctx, stream)
-		})
-	}
-	return c.do(ctx, http.MethodDelete, "/v1/streams/"+strconv.Itoa(stream), nil, nil)
+	w := c.wire(ctx)
+	return c.withRetry(ctx, func(ctx context.Context) error {
+		return w.evict(ctx, stream)
+	})
 }
 
 // ErrNoSession reports that an export found no session for the stream: the
@@ -392,37 +433,7 @@ var ErrNoSession = errors.New("client: stream has no session")
 // canonical binary bytes (base64 in JSON), so the restored session is
 // bit-identical to the exported one.
 func (c *Client) ExportStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	if bt := c.binary(ctx); bt != nil {
-		var snap alert.SessionSnapshot
-		err := c.withRetry(ctx, func(ctx context.Context) error {
-			var err error
-			snap, err = bt.ExportStream(ctx, stream)
-			return err
-		})
-		var ae *APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-			return snap, fmt.Errorf("%w: stream %d", ErrNoSession, stream)
-		}
-		return snap, err
-	}
-	var out netserve.SnapshotResponse
-	err := c.do(ctx, http.MethodGet, "/v1/streams/"+strconv.Itoa(stream)+"/snapshot", nil, &out)
-	var snap alert.SessionSnapshot
-	if err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-			return snap, fmt.Errorf("%w: stream %d", ErrNoSession, stream)
-		}
-		return snap, err
-	}
-	blob, err := base64.StdEncoding.DecodeString(out.SnapshotB64)
-	if err != nil {
-		return snap, fmt.Errorf("client: bad snapshot encoding from server: %w", err)
-	}
-	if err := snap.UnmarshalBinary(blob); err != nil {
-		return snap, fmt.Errorf("client: %w", err)
-	}
-	return snap, nil
+	return c.snapshot(ctx, stream, true)
 }
 
 // CheckpointStream snapshots the stream's session on the server WITHOUT
@@ -431,32 +442,23 @@ func (c *Client) ExportStream(ctx context.Context, stream int) (alert.SessionSna
 // ExportStream it is ungated server-side and keeps answering under
 // overload and drain.
 func (c *Client) CheckpointStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	if bt := c.binary(ctx); bt != nil {
-		var snap alert.SessionSnapshot
-		err := c.withRetry(ctx, func(ctx context.Context) error {
-			var err error
-			snap, err = bt.CheckpointStream(ctx, stream)
-			return err
-		})
-		var ae *APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-			return snap, fmt.Errorf("%w: stream %d", ErrNoSession, stream)
-		}
-		return snap, err
+	return c.snapshot(ctx, stream, false)
+}
+
+// snapshot is export (remove) and checkpoint (!remove).
+func (c *Client) snapshot(ctx context.Context, stream int, remove bool) (snap alert.SessionSnapshot, err error) {
+	w := c.wire(ctx)
+	var blob []byte
+	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
+		blob, err = w.snapshot(ctx, stream, remove)
+		return err
+	})
+	var ae *APIError
+	if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
+		return snap, fmt.Errorf("%w: stream %d", ErrNoSession, stream)
 	}
-	var out netserve.SnapshotResponse
-	err := c.do(ctx, http.MethodGet, "/v1/streams/"+strconv.Itoa(stream)+"/checkpoint", nil, &out)
-	var snap alert.SessionSnapshot
 	if err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-			return snap, fmt.Errorf("%w: stream %d", ErrNoSession, stream)
-		}
 		return snap, err
-	}
-	blob, err := base64.StdEncoding.DecodeString(out.SnapshotB64)
-	if err != nil {
-		return snap, fmt.Errorf("client: bad snapshot encoding from server: %w", err)
 	}
 	if err := snap.UnmarshalBinary(blob); err != nil {
 		return snap, fmt.Errorf("client: %w", err)
@@ -469,17 +471,14 @@ func (c *Client) CheckpointStream(ctx context.Context, stream int) (alert.Sessio
 // surfaced as *APIError) if it is already serving a session for the
 // stream, and 503 while draining.
 func (c *Client) ImportStream(ctx context.Context, stream int, snap alert.SessionSnapshot) error {
-	if bt := c.binary(ctx); bt != nil {
-		return c.withRetry(ctx, func(ctx context.Context) error {
-			return bt.ImportStream(ctx, stream, snap)
-		})
-	}
 	blob, err := snap.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	return c.do(ctx, http.MethodPut, "/v1/streams/"+strconv.Itoa(stream),
-		netserve.ImportRequest{SnapshotB64: base64.StdEncoding.EncodeToString(blob)}, nil)
+	w := c.wire(ctx)
+	return c.withRetry(ctx, func(ctx context.Context) error {
+		return w.restore(ctx, stream, blob)
+	})
 }
 
 // Batch accumulates decide requests for one DecideBatch dispatch — the
@@ -506,22 +505,8 @@ func (b *Batch) Flush(ctx context.Context, c *Client) ([]alert.BatchResult, erro
 	return c.DecideBatch(ctx, reqs)
 }
 
-// do runs one HTTP request with encode/decode and the overload retry loop.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("client: encoding %s: %w", path, err)
-		}
-	}
-	return c.withRetry(ctx, func(ctx context.Context) error {
-		return c.once(ctx, method, path, body, out)
-	})
-}
-
 // withRetry runs fn under the overload retry loop — the single place both
-// transports get their backoff behavior from. Hintless rejections walk a
+// codecs get their backoff behavior from. Hintless rejections walk a
 // capped exponential schedule; a usable Retry-After hint overrides the
 // schedule for that attempt but not the schedule's growth. Every wait is
 // equal-jittered so a fleet of identically configured clients spreads its
@@ -560,48 +545,6 @@ func (c *Client) withRetry(ctx context.Context, fn func(context.Context) error) 
 	}
 }
 
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
-	}
-	defer func() {
-		// Drain so the keep-alive connection returns to the pool.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-
-	if resp.StatusCode >= 300 {
-		var e netserve.ErrorResponse
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			return &OverloadError{
-				StatusCode: resp.StatusCode,
-				Message:    e.Error,
-				RetryAfter: retryAfterOf(resp, e),
-			}
-		}
-		return &APIError{StatusCode: resp.StatusCode, Message: e.Error}
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: decoding %s response: %w", path, err)
-		}
-	}
-	return nil
-}
-
 // jitter equal-jitters a wait: the first half is kept, the second half is
 // drawn uniformly, so the expected wait is 3d/4 and no two clients (with
 // different seeds) retry in phase.
@@ -614,33 +557,4 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 	c.mu.Unlock()
 	half := d / 2
 	return half + time.Duration(f*float64(half))
-}
-
-// retryAfterOf extracts the backoff hint, preferring the millisecond body
-// field over the whole-second header. A missing or garbled hint returns 0,
-// which means "no hint" — the retry loop substitutes its own exponential
-// schedule rather than retrying immediately.
-func retryAfterOf(resp *http.Response, e netserve.ErrorResponse) time.Duration {
-	if e.RetryAfterMs > 0 {
-		return time.Duration(e.RetryAfterMs) * time.Millisecond
-	}
-	s := strings.TrimSpace(resp.Header.Get("Retry-After"))
-	if s == "" {
-		return 0
-	}
-	// RFC 9110 allows delay-seconds or an HTTP-date; accept both, and treat
-	// anything unparseable (or nonsensical: negative, non-finite, absurdly
-	// large) as no hint at all.
-	if secs, err := strconv.ParseFloat(s, 64); err == nil {
-		if secs <= 0 || secs != secs || secs > 3600 {
-			return 0
-		}
-		return time.Duration(secs * float64(time.Second))
-	}
-	if at, err := http.ParseTime(s); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
 }

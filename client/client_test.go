@@ -150,7 +150,7 @@ func TestOverloadErrorSurface(t *testing.T) {
 	// race with the probes below), then overflow with probes until one is
 	// rejected.
 	fe.HoldTokenForTest()
-	retrier, err := New(c.base, Options{MaxRetries: 1000})
+	retrier, err := New(c.http.base, Options{MaxRetries: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestOverloadErrorSurface(t *testing.T) {
 // transient overload by itself.
 func TestRetryOnOverload(t *testing.T) {
 	c, fe := startFrontEnd(t, netserve.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 5 * time.Millisecond})
-	retry, err := New(c.base, Options{MaxRetries: 50})
+	retry, err := New(c.http.base, Options{MaxRetries: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestContextCancellation(t *testing.T) {
 	fe.HoldTokenForTest()
 	defer fe.ReleaseTokenForTest()
 
-	retry, err := New(c.base, Options{MaxRetries: 1000})
+	retry, err := New(c.http.base, Options{MaxRetries: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +248,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.base != "http://host:1234" {
-		t.Errorf("base = %q, want trailing slash trimmed", c.base)
+	if c.http.base != "http://host:1234" {
+		t.Errorf("base = %q, want trailing slash trimmed", c.http.base)
 	}
 }
 

@@ -88,8 +88,11 @@ func BenchmarkNetServe(b *testing.B) {
 		bs := netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
 		go bs.Serve()
 		defer bs.Close()
-		bt := client.NewBinaryTransport(bs.Addr())
-		defer bt.Close()
+		bc, err := client.New(ts.URL, client.Options{BinaryAddr: bs.Addr()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer bc.Close()
 
 		// Pipelined: many goroutines keep singleton requests in flight and
 		// the server's group commit coalesces them across connections. The
@@ -106,7 +109,7 @@ func BenchmarkNetServe(b *testing.B) {
 			go func(g int) {
 				defer warm.Done()
 				for i := 0; i < 20; i++ {
-					if _, _, _, err := bt.Decide(ctx, g%64, spec); err != nil {
+					if _, _, err := bc.Decide(ctx, g%64, spec); err != nil {
 						b.Error(err)
 						return
 					}
@@ -121,7 +124,7 @@ func BenchmarkNetServe(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			id := int(stream.Add(1)) % 64
 			for pb.Next() {
-				if _, _, _, err := bt.Decide(ctx, id, spec); err != nil {
+				if _, _, err := bc.Decide(ctx, id, spec); err != nil {
 					b.Fatal(err)
 				}
 			}

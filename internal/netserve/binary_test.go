@@ -29,7 +29,7 @@ func startBinary(t *testing.T, front *Server, cfg BinaryConfig) *BinaryServer {
 }
 
 // rawConn drives the binary listener with hand-built frames — the tests
-// below deliberately sit underneath client.BinaryTransport so they pin the
+// below deliberately sit underneath the client's binwire codec so they pin the
 // wire itself, not the client's interpretation of it.
 type rawConn struct {
 	t    *testing.T

@@ -38,9 +38,11 @@
 //     bytes until then; the Streams/SessionBytes gauges watch the table). A
 //     stream that returns after eviction starts a fresh session at the
 //     prior filter state, exactly like a new stream.
-//   - Reads run on the owning worker: XiEstimate and Drain enqueue like
-//     any task, so they observe a prefix-consistent session state and
-//     never race with mutations.
+//   - Reads run on the owning worker: everything that is not a decide or
+//     an observe — XiEstimate, Drain, the evictions, the stream listing,
+//     export/checkpoint/import — is a closure enqueued like any task (on,
+//     everyShard), so it observes a prefix-consistent session state and
+//     never races with mutations.
 //   - Batched dispatch is shard-atomic: DecideBatch hands each shard one
 //     group task carrying all of that shard's requests in batch order (one
 //     channel operation per shard per batch), so a concurrent Observe
@@ -101,14 +103,7 @@ const (
 	taskDecide taskKind = iota
 	taskDecideGroup
 	taskObserve
-	taskEvict
-	taskEvictIdle
-	taskStreams
-	taskBarrier
-	taskXi
-	taskExport
-	taskImport
-	taskSnapshot
+	taskRun
 )
 
 type decideReply struct {
@@ -139,31 +134,20 @@ type batchGroup struct {
 	start   time.Time
 }
 
+// task is what travels a shard channel, by value, on every decide and
+// observe — so it carries only what those need. Every other operation is a
+// taskRun whose closure holds its own arguments and results.
 type task struct {
-	kind    taskKind
-	stream  int
-	spec    core.Spec
-	out     sim.Outcome
-	reply   chan decideReply     // decide: buffered 1, worker never blocks
-	group   *batchGroup          // decide group: one per shard per batch
-	done    chan struct{}        // barrier/evict ack: closed when the shard reaches it
-	xiReply chan [2]float64      // xi read: buffered 1
-	evicted chan int             // idle sweep: evicted-count reply, buffered 1
-	ids     chan []int           // stream listing: shard's stream ids, buffered 1
-	snap    core.SessionSnapshot // import: the state to restore
-	export  chan exportReply     // export: snapshot-and-remove reply, buffered 1
-	imErr   chan error           // import: restore verdict, buffered 1
+	kind   taskKind
+	stream int
+	spec   core.Spec
+	out    sim.Outcome
+	reply  chan decideReply // decide: buffered 1, worker never blocks
+	group  *batchGroup      // decide group: one per shard per batch
+	run    func(*shard)     // taskRun: executed on the owning worker
 	// start is the submission timestamp of traffic tasks (decide/observe):
-	// it feeds the latency counters and the session's last-use time. For
-	// taskEvictIdle it carries the idle cutoff instead.
+	// it feeds the latency counters and the session's last-use time.
 	start time.Time
-}
-
-// exportReply carries an ExportStream verdict: the snapshot, and whether
-// the stream had a live session to snapshot at all.
-type exportReply struct {
-	snap core.SessionSnapshot
-	ok   bool
 }
 
 // entry is one stream's slot in a shard's table: its session plus the
@@ -266,90 +250,44 @@ func (p *Pool) work(s *shard) {
 		case taskObserve:
 			s.session(t.stream, t.start, p.counters).Observe(t.out)
 			p.counters.RecordObserve()
-		case taskEvict:
-			if _, ok := s.sessions[t.stream]; ok {
-				delete(s.sessions, t.stream)
-				p.counters.RecordSessionEvict(int64(core.SessionBytes()))
-			}
-			close(t.done)
-		case taskEvictIdle:
-			// t.start carries the cutoff: reap every session whose last
-			// traffic predates it. Runs on the owning worker, so the sweep
-			// is ordered like any task and cannot race in-flight decides.
-			n := 0
-			for stream, e := range s.sessions {
-				if e.lastUse.Before(t.start) {
-					delete(s.sessions, stream)
-					p.counters.RecordSessionEvict(int64(core.SessionBytes()))
-					n++
-				}
-			}
-			t.evicted <- n
-		case taskStreams:
-			ids := make([]int, 0, len(s.sessions))
-			for stream := range s.sessions {
-				ids = append(ids, stream)
-			}
-			t.ids <- ids
-		case taskExport:
-			// Snapshot-and-remove on the owning worker: FIFO ordering means
-			// every Decide/Observe submitted before the export has already
-			// been applied (the queue IS the drain), and nothing can touch
-			// the session between the snapshot and the delete.
-			if e, ok := s.sessions[t.stream]; ok {
-				snap := e.sess.Snapshot()
-				delete(s.sessions, t.stream)
-				p.counters.RecordSessionEvict(int64(core.SessionBytes()))
-				p.counters.RecordStreamExport()
-				t.export <- exportReply{snap: snap, ok: true}
-			} else {
-				t.export <- exportReply{}
-			}
-		case taskImport:
-			// Restore onto this shard's shared workspace. An already-live
-			// stream refuses the import: silently replacing a session that is
-			// actively deciding would fork its decision sequence, which is
-			// exactly what migration exists to prevent.
-			if _, ok := s.sessions[t.stream]; ok {
-				t.imErr <- fmt.Errorf("serve: stream %d already live, refusing import", t.stream)
-				break
-			}
-			sess, err := s.eng.RestoreSessionWith(s.sc, t.snap)
-			if err != nil {
-				t.imErr <- err
-				break
-			}
-			s.sessions[t.stream] = &entry{sess: sess, lastUse: t.start}
-			p.counters.RecordSessionCreate(int64(core.SessionBytes()))
-			p.counters.RecordStreamImport()
-			t.imErr <- nil
-		case taskSnapshot:
-			// Checkpoint: snapshot on the owning worker WITHOUT removing the
-			// session. FIFO ordering still gives crash consistency — every
-			// Decide/Observe submitted before the checkpoint is folded in —
-			// but the stream keeps serving here. Like XiEstimate, this is a
-			// read, not traffic: it does not refresh lastUse, so periodic
-			// checkpointing never keeps an abandoned stream alive.
-			if e, ok := s.sessions[t.stream]; ok {
-				t.export <- exportReply{snap: e.sess.Snapshot(), ok: true}
-			} else {
-				t.export <- exportReply{}
-			}
-		case taskBarrier:
-			close(t.done)
-		case taskXi:
-			// Session state is only ever touched on this goroutine; reads
-			// must run here too or they race with the mutations. A read is
-			// not traffic: a stream with no session is answered from the
-			// engine's prior without materializing one, so monitoring polls
-			// (or reads racing an eviction) never re-inflate the table.
-			if e, ok := s.sessions[t.stream]; ok {
-				t.xiReply <- [2]float64{e.sess.XiMean(), e.sess.XiStd()}
-			} else {
-				mu, sigma := s.eng.XiPrior()
-				t.xiReply <- [2]float64{mu, sigma}
-			}
+		case taskRun:
+			t.run(s)
 		}
+	}
+}
+
+// on enqueues fn on s's worker — the same FIFO position any task gets, so
+// fn sees every Decide/Observe submitted to the shard before it applied and
+// runs alone with the shard's sessions — and returns a channel the worker
+// closes after fn returns. Results ride fn's captured variables; the close
+// is the happens-before that publishes them to the receiver.
+func on(s *shard, fn func(*shard)) <-chan struct{} {
+	done := make(chan struct{})
+	s.ch <- task{kind: taskRun, run: func(s *shard) {
+		fn(s)
+		close(done)
+	}}
+	return done
+}
+
+// everyShard runs fn(i, shard i) on every worker, enqueueing on every shard
+// before waiting on any, and returns once all have run.
+func (p *Pool) everyShard(fn func(i int, s *shard)) {
+	done := make([]<-chan struct{}, len(p.shards))
+	for i, s := range p.shards {
+		i := i
+		done[i] = on(s, func(s *shard) { fn(i, s) })
+	}
+	for _, d := range done {
+		<-d
+	}
+}
+
+// drop removes the stream's session, if it has one, from s (on s's worker).
+func (p *Pool) drop(s *shard, stream int) {
+	if _, ok := s.sessions[stream]; ok {
+		delete(s.sessions, stream)
+		p.counters.RecordSessionEvict(int64(core.SessionBytes()))
 	}
 }
 
@@ -409,9 +347,7 @@ func (p *Pool) Observe(stream int, out sim.Outcome) {
 // or arriving later — recreates the session from the initial filter state,
 // exactly like a brand-new stream.
 func (p *Pool) EvictStream(stream int) {
-	done := make(chan struct{})
-	p.shardFor(stream).ch <- task{kind: taskEvict, stream: stream, done: done}
-	<-done
+	<-on(p.shardFor(stream), func(s *shard) { p.drop(s, stream) })
 }
 
 // EvictIdle reaps every session whose last traffic (Decide or Observe —
@@ -424,14 +360,18 @@ func (p *Pool) EvictStream(stream int) {
 // every shard has swept.
 func (p *Pool) EvictIdle(maxAge time.Duration) int {
 	cutoff := p.clock().Add(-maxAge)
-	replies := make([]chan int, len(p.shards))
-	for i, s := range p.shards {
-		replies[i] = make(chan int, 1)
-		s.ch <- task{kind: taskEvictIdle, start: cutoff, evicted: replies[i]}
-	}
+	evicted := make([]int, len(p.shards))
+	p.everyShard(func(i int, s *shard) {
+		for stream, e := range s.sessions {
+			if e.lastUse.Before(cutoff) {
+				p.drop(s, stream)
+				evicted[i]++
+			}
+		}
+	})
 	total := 0
-	for _, r := range replies {
-		total += <-r
+	for _, n := range evicted {
+		total += n
 	}
 	return total
 }
@@ -441,14 +381,17 @@ func (p *Pool) EvictIdle(maxAge time.Duration) int {
 // is ordered behind everything submitted before the call); the table can of
 // course change as soon as the snapshot returns.
 func (p *Pool) StreamIDs() []int {
-	replies := make([]chan []int, len(p.shards))
-	for i, s := range p.shards {
-		replies[i] = make(chan []int, 1)
-		s.ch <- task{kind: taskStreams, ids: replies[i]}
-	}
+	parts := make([][]int, len(p.shards))
+	p.everyShard(func(i int, s *shard) {
+		ids := make([]int, 0, len(s.sessions))
+		for stream := range s.sessions {
+			ids = append(ids, stream)
+		}
+		parts[i] = ids
+	})
 	var all []int
-	for _, r := range replies {
-		all = append(all, <-r...)
+	for _, ids := range parts {
+		all = append(all, ids...)
 	}
 	sort.Ints(all)
 	return all
@@ -540,10 +483,7 @@ func (p *Pool) DecideBatch(reqs []Request) []Result {
 // filter state, exactly like EvictStream; callers migrating a stream stop
 // routing to it first.
 func (p *Pool) ExportStream(stream int) (core.SessionSnapshot, bool) {
-	reply := make(chan exportReply, 1)
-	p.shardFor(stream).ch <- task{kind: taskExport, stream: stream, export: reply}
-	r := <-reply
-	return r.snap, r.ok
+	return p.snapshot(stream, true)
 }
 
 // SnapshotStream checkpoints the stream's session without removing it —
@@ -556,10 +496,25 @@ func (p *Pool) ExportStream(stream int) (core.SessionSnapshot, bool) {
 // never keep an idle stream alive. The second return is false if the stream
 // has no live session.
 func (p *Pool) SnapshotStream(stream int) (core.SessionSnapshot, bool) {
-	reply := make(chan exportReply, 1)
-	p.shardFor(stream).ch <- task{kind: taskSnapshot, stream: stream, export: reply}
-	r := <-reply
-	return r.snap, r.ok
+	return p.snapshot(stream, false)
+}
+
+// snapshot is export (remove) and checkpoint (!remove): one closure on the
+// owning worker, so the queue IS the drain and nothing can touch the
+// session between the snapshot and the delete.
+func (p *Pool) snapshot(stream int, remove bool) (snap core.SessionSnapshot, ok bool) {
+	<-on(p.shardFor(stream), func(s *shard) {
+		e, live := s.sessions[stream]
+		if !live {
+			return
+		}
+		snap, ok = e.sess.Snapshot(), true
+		if remove {
+			p.drop(s, stream)
+			p.counters.RecordStreamExport()
+		}
+	})
+	return snap, ok
 }
 
 // ImportStream restores a snapshotted session into the table under the
@@ -569,24 +524,32 @@ func (p *Pool) SnapshotStream(stream int) (core.SessionSnapshot, bool) {
 // continuing the exported stream's decision sequence bit-for-bit. It
 // refuses a stream that already has a live session (the caller is
 // migrating onto a stale target) and snapshots that fail validation.
-func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) error {
-	reply := make(chan error, 1)
-	p.shardFor(stream).ch <- task{kind: taskImport, stream: stream, snap: snap, imErr: reply, start: p.clock()}
-	return <-reply
+func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) (err error) {
+	at := p.clock()
+	<-on(p.shardFor(stream), func(s *shard) {
+		// An already-live stream refuses the import: silently replacing a
+		// session that is actively deciding would fork its decision
+		// sequence, which is exactly what migration exists to prevent.
+		if _, live := s.sessions[stream]; live {
+			err = fmt.Errorf("serve: stream %d already live, refusing import", stream)
+			return
+		}
+		var sess *core.Session
+		if sess, err = s.eng.RestoreSessionWith(s.sc, snap); err != nil {
+			return
+		}
+		s.sessions[stream] = &entry{sess: sess, lastUse: at}
+		p.counters.RecordSessionCreate(int64(core.SessionBytes()))
+		p.counters.RecordStreamImport()
+	})
+	return err
 }
 
 // Drain blocks until every shard has served everything submitted before the
 // call. It is the fence that makes reading shard state (XiEstimate, tests)
 // well-defined.
 func (p *Pool) Drain() {
-	barriers := make([]chan struct{}, len(p.shards))
-	for i, s := range p.shards {
-		barriers[i] = make(chan struct{})
-		s.ch <- task{kind: taskBarrier, done: barriers[i]}
-	}
-	for _, b := range barriers {
-		<-b
-	}
+	p.everyShard(func(int, *shard) {})
 }
 
 // XiEstimate reports the (mean, std) of the stream's slowdown filter,
@@ -595,10 +558,14 @@ func (p *Pool) Drain() {
 // the engine's prior without creating one, so polling unknown or evicted
 // streams never grows the table.
 func (p *Pool) XiEstimate(stream int) (mu, sigma float64) {
-	reply := make(chan [2]float64, 1)
-	p.shardFor(stream).ch <- task{kind: taskXi, stream: stream, xiReply: reply}
-	r := <-reply
-	return r[0], r[1]
+	<-on(p.shardFor(stream), func(s *shard) {
+		if e, ok := s.sessions[stream]; ok {
+			mu, sigma = e.sess.XiMean(), e.sess.XiStd()
+		} else {
+			mu, sigma = s.eng.XiPrior()
+		}
+	})
+	return mu, sigma
 }
 
 // Close drains and stops every worker. The pool must not be used after

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/alert-project/alert/internal/core"
 	"github.com/alert-project/alert/internal/dnn"
@@ -545,4 +546,14 @@ func TestConfigDefaults(t *testing.T) {
 	_ = d
 	pool.Drain()
 	pool.Close() // double Close must be safe
+}
+
+// TestTaskFootprint pins the size of the value every Decide and Observe
+// copies through a shard channel: the three hot kinds' fields plus one
+// closure pointer. A control operation that needs more state captures it
+// in its closure rather than widening the task.
+func TestTaskFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(task{}); sz > 208 {
+		t.Errorf("task struct is %d bytes, want <= 208", sz)
+	}
 }
