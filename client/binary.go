@@ -134,6 +134,14 @@ type binConn struct {
 	wstop   chan struct{} // closed by fail: stops the writer
 }
 
+// replyPool recycles roundTrip's buffered-1 reply channels, the hot path's
+// one remaining allocation pair (a channel of a pointerful element is two).
+// Only a waiter that RECEIVED its reply may put its channel back: that
+// channel is provably empty and unreferenced by the read loop. A waiter that
+// gave up (context) or was failed (closed channel) drops its channel, because
+// a late reply may still be sent on it.
+var replyPool = sync.Pool{New: func() any { return make(chan binReply, 1) }}
+
 // binReply hands a response frame to its waiter. buf is the pooled buffer
 // Body aliases; the waiter returns it with binwire.PutBuf after decoding.
 type binReply struct {
@@ -247,7 +255,7 @@ func (cc *binConn) send(enc func(dst []byte, id uint64) []byte, id uint64) {
 // the connection dies.
 func (cc *binConn) roundTrip(ctx context.Context, enc func(dst []byte, id uint64) []byte) (binReply, error) {
 	id := cc.nextID.Add(1)
-	ch := make(chan binReply, 1)
+	ch := replyPool.Get().(chan binReply)
 	cc.mu.Lock()
 	if cc.dead != nil {
 		err := cc.dead
@@ -267,6 +275,7 @@ func (cc *binConn) roundTrip(ctx context.Context, enc func(dst []byte, id uint64
 			cc.mu.Unlock()
 			return binReply{}, err
 		}
+		replyPool.Put(ch)
 		return r, nil
 	case <-ctx.Done():
 		cc.forget(id)

@@ -574,10 +574,13 @@ func TestPreferBinaryProbeStallsNobody(t *testing.T) {
 	}
 }
 
-// TestBinaryHotPathAllocs keeps the client's cost per binwire Decide and
-// Observe where it is: the retry closure, the encode closure and the reply
-// channel. The server shares the process, but its decide and observe paths
-// allocate nothing in steady state.
+// TestBinaryHotPathAllocs keeps a binwire Decide and Observe allocation-free
+// end to end: the retry and encode closures stay on the stack, the reply
+// channel comes from replyPool, the retry loop declares its *OverloadError
+// target only once there is an error, and the server — which shares the
+// process, so its allocations count too — serves bursts out of reused
+// per-connection scratch. Measured 0 per call (3 before the pool); the bound
+// of 1 is what -race needs, where sync.Pool drops a quarter of all Puts.
 func TestBinaryHotPathAllocs(t *testing.T) {
 	url, _, bs := startBinaryFrontEnd(t, netserve.Config{})
 	c, err := New(url, Options{BinaryAddr: bs.Addr()})
@@ -591,11 +594,40 @@ func TestBinaryHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1}
-	if n := testing.AllocsPerRun(200, func() { c.Decide(ctx, 1, spec) }); n > 3 {
-		t.Errorf("Decide over binwire: %.0f allocs per call, want <= 3", n)
+	if n := testing.AllocsPerRun(500, func() { c.Decide(ctx, 1, spec) }); n > 1 {
+		t.Errorf("Decide over binwire: %.0f allocs per call, want <= 1", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.Observe(ctx, 1, fb) }); n > 3 {
-		t.Errorf("Observe over binwire: %.0f allocs per call, want <= 3", n)
+	if n := testing.AllocsPerRun(500, func() { c.Observe(ctx, 1, fb) }); n > 1 {
+		t.Errorf("Observe over binwire: %.0f allocs per call, want <= 1", n)
+	}
+}
+
+// TestReplyChannelNotRecycledOnCancel pins the one rule of replyPool: a
+// waiter that gave up must not put its channel back, because the reply it
+// abandoned can still be sent on it — and would then be received by whoever
+// drew the channel next, as the answer to a different request. The window is
+// the read loop having claimed the waiter (pending entry deleted) but not
+// yet sent; the encoder hook below opens exactly that window.
+func TestReplyChannelNotRecycledOnCancel(t *testing.T) {
+	cc := &binConn{pending: make(map[uint64]chan binReply), wwake: make(chan struct{}, 1), wstop: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	var claimed chan binReply
+	_, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
+		cc.mu.Lock()
+		claimed = cc.pending[id] // the read loop claims the waiter...
+		delete(cc.pending, id)
+		cc.mu.Unlock()
+		cancel() // ...and the waiter gives up before the reply is sent
+		return dst
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("roundTrip = %v, want context.Canceled", err)
+	}
+	claimed <- binReply{} // the late reply
+	for i := 0; i < 64; i++ {
+		if ch := replyPool.Get().(chan binReply); ch == claimed || len(ch) != 0 {
+			t.Fatal("a cancelled waiter's channel went back to the pool with a late reply in it")
+		}
 	}
 }
 

@@ -517,8 +517,11 @@ func (c *Client) withRetry(ctx context.Context, fn func(context.Context) error) 
 	backoff := c.backoffBase
 	for attempt := 0; ; attempt++ {
 		err := fn(ctx)
+		if err == nil || attempt >= c.maxRetries {
+			return err // before oe exists: errors.As makes it a heap allocation
+		}
 		var oe *OverloadError
-		if err == nil || attempt >= c.maxRetries || !errors.As(err, &oe) {
+		if !errors.As(err, &oe) {
 			return err
 		}
 		wait := oe.RetryAfter

@@ -39,6 +39,11 @@
 //     attainment by at least -min-adaptive-slo-gain percentage points
 //     under the shared 2x-overload schedule (the adaptive admission
 //     contract).
+//
+// BenchmarkNetServe/binary-loop — Decide then Observe per iteration over
+// binwire, the one row of this series that closes the paper's loop — is
+// recorded with its loops/s metric like any other row and has no gate: its
+// regressions are the repository benchmark's business (bench/README.md).
 package main
 
 import (

@@ -8,8 +8,8 @@ import (
 
 // BinCounters are the binary wire listener's counters: the shared
 // transport set plus what only a persistent framed transport has —
-// connections, frames, and how many decide requests were coalesced across
-// connections into shared DecideBatch flushes.
+// connections, frames, and how many decide requests were coalesced into
+// per-connection bursts that crossed the engine together.
 type BinCounters struct {
 	TransportCounters
 
@@ -18,9 +18,10 @@ type BinCounters struct {
 	framesIn    atomic.Int64
 	framesOut   atomic.Int64
 
-	// coalesceFlushes counts multi-request flushes; coalesced counts the
-	// decide requests inside them (decides served alone appear only in
-	// decides). coalesced/coalesceFlushes is the realized batch size.
+	// coalesceFlushes counts bursts that served more than one decide;
+	// coalesced counts the decide requests inside them (decides served alone
+	// appear only in decides). coalesced/coalesceFlushes is the realized
+	// burst size.
 	coalesceFlushes atomic.Int64
 	coalesced       atomic.Int64
 }
@@ -39,11 +40,11 @@ func (c *BinCounters) RecordConnClose() { c.connsClosed.Add(1) }
 // RecordFrameIn counts a frame read off a connection.
 func (c *BinCounters) RecordFrameIn() { c.framesIn.Add(1) }
 
-// RecordFrameOut counts a frame written to a connection.
-func (c *BinCounters) RecordFrameOut() { c.framesOut.Add(1) }
+// RecordFramesOut counts n frames handed to a connection in one write.
+func (c *BinCounters) RecordFramesOut(n int) { c.framesOut.Add(int64(n)) }
 
-// RecordCoalesce folds in one multi-request flush: size decide requests
-// from possibly many connections served by a single DecideBatch.
+// RecordCoalesce folds in one burst that served size > 1 decide requests,
+// pipelined on one connection, with a single engine crossing.
 func (c *BinCounters) RecordCoalesce(size int) {
 	c.coalesceFlushes.Add(1)
 	c.coalesced.Add(int64(size))
@@ -61,17 +62,18 @@ type BinSnapshot struct {
 	FramesIn  int64 `json:"frames_in"`
 	FramesOut int64 `json:"frames_out"`
 	TransportSnapshot
-	// CoalesceFlushes counts server-side multi-request flushes and
-	// Coalesced the decide requests they served: decides that crossed the
-	// engine as part of a shared DecideBatch rather than alone.
+	// CoalesceFlushes counts per-connection bursts that served more than one
+	// decide and Coalesced the decide requests they served: decides that
+	// crossed the engine together rather than alone. (The names date from
+	// the cross-connection coalescer; they are a wire contract.)
 	CoalesceFlushes int64 `json:"coalesce_flushes"`
 	Coalesced       int64 `json:"coalesced"`
 	// BadFrames counts frames that parsed but could not be served (unknown
 	// type, malformed body, unsupported version).
 	BadFrames int64 `json:"bad_frames"`
 	// AvgDecideLatency and MaxDecideLatency cover decide and batch frames
-	// from frame decode to accounting, admission wait and coalescing delay
-	// included.
+	// from frame decode to accounting, admission wait and the rest of the
+	// frame's burst included.
 	AvgDecideLatency time.Duration `json:"avg_decide_latency_ns"`
 	MaxDecideLatency time.Duration `json:"max_decide_latency_ns"`
 	// Uptime is the time since the counters were created.

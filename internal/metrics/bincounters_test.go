@@ -17,8 +17,9 @@ func TestBinCountersAggregate(t *testing.T) {
 	c.RecordConnClose()
 	for i := 0; i < 5; i++ {
 		c.RecordFrameIn()
-		c.RecordFrameOut()
 	}
+	c.RecordFramesOut(2)
+	c.RecordFramesOut(3)
 	c.RecordDecides(OpDecide, 1, 10*time.Millisecond)
 	c.RecordDecides(OpBatch, 64, 30*time.Millisecond)
 	c.RecordOp(OpObserve)

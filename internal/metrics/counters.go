@@ -119,7 +119,7 @@ func (c *ServeCounters) RecordStreamExport() { c.exports.Add(1) }
 // import path already moves the table gauges via RecordSessionCreate).
 func (c *ServeCounters) RecordStreamImport() { c.imports.Add(1) }
 
-// RecordBatch folds in one dispatched batch.
+// RecordBatch folds in one grouped dispatch: a DecideBatch or a burst.
 func (c *ServeCounters) RecordBatch() { c.batches.Add(1) }
 
 // ServeSnapshot is a point-in-time view of the serving counters. It is the
@@ -129,7 +129,7 @@ func (c *ServeCounters) RecordBatch() { c.batches.Add(1) }
 // encoding), which the _ns suffixes make explicit.
 type ServeSnapshot struct {
 	// Decisions and Observes count completed requests; Batches counts
-	// DecideBatch dispatches.
+	// grouped dispatches (DecideBatch calls and transport bursts).
 	Decisions int64 `json:"decisions"`
 	Observes  int64 `json:"observes"`
 	Batches   int64 `json:"batches"`

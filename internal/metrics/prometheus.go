@@ -23,7 +23,7 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	// Stream-table (engine) counters.
 	counter("alert_serve_decisions_total", "Decisions served by the stream table.", serve.Decisions)
 	counter("alert_serve_observes_total", "Feedback observations folded into sessions.", serve.Observes)
-	counter("alert_serve_batches_total", "DecideBatch dispatches.", serve.Batches)
+	counter("alert_serve_batches_total", "Grouped dispatches: DecideBatch calls and transport bursts.", serve.Batches)
 	counter("alert_serve_candidates_scored_total", "Candidates the decision scans scored in full (not pruned).", serve.CandidatesScored)
 	counter("alert_serve_infeasible_fallbacks_total", "Decisions that found no feasible candidate and served the fallback.", serve.InfeasibleFallbacks)
 	counter("alert_serve_stream_exports_total", "Sessions migrated out of the stream table.", serve.StreamExports)
@@ -77,15 +77,15 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 		return
 	}
 	// Binary wire listener counters: the same shared families, then
-	// connections, frames and coalescing.
+	// connections, frames and bursts.
 	bin.writePrometheus(w, "alert_binwire")
 	counter("alert_binwire_conns_opened_total", "Accepted binary connections.", bin.ConnsOpened)
 	counter("alert_binwire_conns_closed_total", "Closed binary connections.", bin.ConnsClosed)
 	gauge("alert_binwire_conns", "Live binary connections.", float64(bin.ConnsOpened-bin.ConnsClosed))
 	counter("alert_binwire_frames_in_total", "Frames read from binary connections.", bin.FramesIn)
 	counter("alert_binwire_frames_out_total", "Frames written to binary connections.", bin.FramesOut)
-	counter("alert_binwire_coalesce_flushes_total", "Cross-connection multi-request flushes.", bin.CoalesceFlushes)
-	counter("alert_binwire_coalesced_total", "Decide frames served inside coalesced flushes.", bin.Coalesced)
+	counter("alert_binwire_coalesce_flushes_total", "Per-connection bursts that served more than one decide.", bin.CoalesceFlushes)
+	counter("alert_binwire_coalesced_total", "Decide frames served inside multi-decide bursts.", bin.Coalesced)
 	counter("alert_binwire_bad_frames_total", "Frames that parsed but could not be served.", bin.BadFrames)
 	gauge("alert_binwire_decide_latency_avg_seconds", "Mean decide/batch latency, frame decode to accounting.", secs(bin.AvgDecideLatency))
 	gauge("alert_binwire_decide_latency_max_seconds", "Max decide/batch latency, frame decode to accounting.", secs(bin.MaxDecideLatency))

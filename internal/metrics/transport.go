@@ -45,7 +45,7 @@ const (
 // TransportCounters are the counters every transport of the network front
 // end keeps: ops served, refusals by class, malformed input, and the
 // latency of decide and decide-batch requests from decode to accounting
-// (admission wait, coalescing delay and service included; the response
+// (admission wait, the rest of its burst and service included; the response
 // write is not). They sit above ServeCounters — which count what the
 // stream table served — and count what one wire surface saw. All methods
 // are safe for concurrent use.

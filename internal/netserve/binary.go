@@ -1,51 +1,54 @@
 // Binary wire listener: the binwire protocol served over persistent TCP.
-// Like the HTTP handlers it is a codec over the op core (ops.go) — the read
-// loop decodes a frame into an op call and encodes the result or the reject
-// — so the gate, drain state, recovery holds and SLO accounting are the
-// same code, not a copy. The one thing it adds is the decide coalescer.
+// Like the HTTP handlers it is a codec over the op core (ops.go) — decode a
+// frame into an op, encode the result or the reject — so the gate, drain
+// state, recovery holds and SLO accounting are the same code, not a copy.
+// What it adds is that a connection's goroutine serves its input in bursts.
 //
 // # Why it is fast
-//
-// Three things remove the HTTP path's per-request costs:
 //
 //  1. binwire frames replace JSON: fixed-width encode/decode into reused
 //     buffers, no reflection, no header parsing, bit-exact floats.
 //  2. Connections are persistent and pipelined: a client stamps each
-//     request with an id and may keep many in flight; no per-request
-//     connection or goroutine setup.
-//  3. Decide requests from ALL connections funnel into one dispatcher
-//     that swaps out everything pending at once (group commit): while a
-//     flush is in the engine, new arrivals pile up and leave as a single
-//     DecideBatch — the per-shard task amortization that made wire
-//     batch64 ~5.5x now applies transparently to singleton requests. An
-//     idle server flushes a lone request immediately (no added latency).
+//     request with an id and may keep many in flight.
+//  3. Each wake-up runs a burst to completion (per-connection group commit):
+//     one read brings in every frame the client has pipelined; every
+//     complete frame is decoded and admitted; the burst's decides AND
+//     observes cross into the engine as one group task per shard; every
+//     reply, ack and reject is encoded into one buffer and leaves in one
+//     Write. 64 pipelined requests cost one read, one task per shard and one
+//     write, not 64 of each — and a lone request is a burst of one, served
+//     at once. No goroutine is shared between connections, so a client that
+//     stops reading blocks only its own connection's Write, holding no gate
+//     slot.
 //
-// The steady-state server path for a decide allocates nothing: frame
-// decode aliases the reader's buffer, the pending queue and flush slices
-// are reused, the engine's singleton path recycles its reply futures, and
-// the response is encoded into the connection's reused write buffer.
+// The steady-state path allocates nothing: frame decode aliases the reader's
+// buffer, and the held ops, the engine burst and the output buffer are the
+// connection's own, grown on demand and reused.
 //
 // # Ordering and admission
 //
-// Every decide frame passes the op core's admission half (begin) on its
-// read goroutine BEFORE joining the coalescer, and its accounting half
-// (finish) in the flush that served it, so MaxInflight/MaxQueue bound both
-// transports together and admission stays all-or-nothing: a coalesced
-// request was already accepted, and accepted requests are always served —
-// drain waits for them. Rejections are error frames whose code is the HTTP
-// status and whose retry_after_ms is the HTTP body's.
+// Every decide and observe passes the op core's admission half (begin) as
+// it is decoded and its accounting half (finish, or release) after the
+// burst ran and BEFORE anything is written, so MaxInflight/MaxQueue bound
+// both transports together, an accepted request is always served — drain
+// waits for it — and a slow reader holds no slot. A connection never waits
+// at the gate on slots its own un-run burst holds: a saturated gate runs
+// what is held first, so a client may pipeline more than the gate admits.
+// Rejections are error frames whose code is the HTTP status and whose
+// retry_after_ms is the HTTP body's.
 //
-// Frames on one connection are processed in arrival order: observes and
-// stream ops run synchronously on the read goroutine, decides enter the
-// dispatcher in arrival order and flushes preserve it, so a client that
-// awaits each response per stream observes exactly the in-process
-// semantics (byte-identical decision sequences, pinned by
-// cmd/alertload's wire tests).
+// Frames on one connection are served in arrival order, whatever their
+// type: the burst applies a stream's observes and decides in the order they
+// arrived, an observe is acked after it was APPLIED, and any other frame
+// first runs what is held. A pipelining client therefore sees exactly the
+// in-process semantics without awaiting anything (byte-identical decision
+// sequences, pinned by TestBinaryBurstOrder and cmd/alertload's wire tests).
 package netserve
 
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -55,7 +58,7 @@ import (
 	"github.com/alert-project/alert/internal/metrics"
 )
 
-// BinaryConfig has no fields: group commit is the listener's one mode. The
+// BinaryConfig has no fields: burst serving is the listener's one mode. The
 // type remains only as NewBinary's parameter because bench/alertbench
 // constructs netserve.BinaryConfig{} and the benchmark's files are frozen.
 type BinaryConfig struct{}
@@ -67,29 +70,12 @@ type BinaryServer struct {
 	front *Server
 	bin   *metrics.BinCounters
 
-	// Coalescer state: pending decides swap wholesale under pmu; wake
-	// (capacity 1) nudges the dispatcher.
-	pmu     sync.Mutex
-	pending []pendingDecide
-	wake    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-
 	mu     sync.Mutex
 	ln     net.Listener
 	addr   string
 	conns  map[net.Conn]struct{}
 	closed bool
-}
-
-// pendingDecide is one admitted decide waiting in the coalescer.
-type pendingDecide struct {
-	c   *binConn
-	id  uint64
-	req alert.BatchRequest
-	// start is when the frame was decoded, admitted when it cleared the
-	// gate; finish turns them into sojourn and service time.
-	start, admitted time.Time
+	wg     sync.WaitGroup // live serveConn goroutines; Add under mu
 }
 
 // NewBinary attaches a binary listener to the front end over an
@@ -102,9 +88,6 @@ func NewBinary(front *Server, ln net.Listener, _ BinaryConfig) *BinaryServer {
 	bs := &BinaryServer{
 		front: front,
 		bin:   metrics.NewBinCounters(),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 		ln:    ln,
 		addr:  ln.Addr().String(),
 		conns: make(map[net.Conn]struct{}),
@@ -112,7 +95,6 @@ func NewBinary(front *Server, ln net.Listener, _ BinaryConfig) *BinaryServer {
 	front.mu.Lock()
 	front.binary = bs
 	front.mu.Unlock()
-	go bs.dispatch()
 	return bs
 }
 
@@ -136,41 +118,33 @@ func (bs *BinaryServer) Serve() error {
 			}
 			return err
 		}
+		if !bs.track(conn) {
+			conn.Close()
+			return nil
+		}
 		go bs.serveConn(conn)
 	}
 }
 
-// Close stops accepting, closes every connection, and stops the
-// dispatcher after a final flush (releasing any admission tokens still
-// held by pending decides). Call it after the front end's Drain so
-// already-admitted requests got their replies first. Idempotent.
+// Close stops accepting, closes every connection, and waits for each
+// connection's goroutine, which first serves the burst it holds — so when
+// Close returns no binwire request holds an admission slot. Call it after
+// the front end's Drain so already-admitted requests got their replies
+// first. Idempotent.
 func (bs *BinaryServer) Close() error {
 	bs.mu.Lock()
-	if bs.closed {
-		bs.mu.Unlock()
-		<-bs.done
-		return nil
-	}
 	bs.closed = true
-	ln := bs.ln
-	conns := make([]net.Conn, 0, len(bs.conns))
+	bs.ln.Close()
 	for c := range bs.conns {
-		conns = append(conns, c)
-	}
-	bs.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
 		c.Close()
 	}
-	close(bs.stop)
-	<-bs.done
+	bs.mu.Unlock()
+	bs.wg.Wait()
 	return nil
 }
 
-// track registers a live connection; it reports false when the server is
-// already closed (the caller must drop the connection).
+// track registers a live connection and its goroutine-to-be; it reports
+// false when the server is already closed (the caller drops the connection).
 func (bs *BinaryServer) track(c net.Conn) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -178,6 +152,7 @@ func (bs *BinaryServer) track(c net.Conn) bool {
 		return false
 	}
 	bs.conns[c] = struct{}{}
+	bs.wg.Add(1)
 	return true
 }
 
@@ -187,48 +162,66 @@ func (bs *BinaryServer) untrack(c net.Conn) {
 	bs.mu.Unlock()
 }
 
-// binConn is the server side of one connection: a read loop feeding the
-// dispatcher, and a mutex-serialized writer with a reused encode buffer
-// (responses to one connection may come from the dispatcher and the read
-// goroutine concurrently).
+// binConn is the server side of one connection. Its goroutine owns all of
+// it, so nothing here is locked.
 type binConn struct {
 	srv  *BinaryServer
 	conn net.Conn
 
-	wmu  sync.Mutex
-	wbuf []byte
+	// The burst being assembled: every decide and observe admitted since
+	// the last run, in arrival order, and the same calls as the engine will
+	// see them. decides counts the held decides.
+	held    []heldOp
+	engine  *alert.ServerBurst
+	decides int
 
-	// fwbuf accumulates this connection's decide responses during one
-	// dispatcher flush so a coalesced batch costs one write syscall per
-	// connection, not one per response. Only the dispatcher touches
-	// fwbuf/fdirty, so they need no lock; the final write still takes wmu
-	// to serialize with the read goroutine's acks.
-	fwbuf  []byte
-	fdirty bool
+	// wbuf is every frame encoded since the last flush; frames counts them.
+	wbuf   []byte
+	frames int
+
+	batchBuf []alert.BatchRequest // batch frames decode into it
+}
+
+// heldOp is one admitted decide or observe waiting for its burst to run.
+type heldOp struct {
+	id uint64
+	// req is the op as begin and finish read it (an array, so slicing it
+	// allocates nothing); an observe carries only the stream.
+	req [1]alert.BatchRequest
+	res int // a decide's index in the engine burst, -1 for an observe
+	// start is when a decide's frame was decoded, admitted when the op
+	// cleared the gate; finish turns them into sojourn and service time.
+	start, admitted time.Time
 }
 
 func (bs *BinaryServer) serveConn(conn net.Conn) {
-	if !bs.track(conn) {
-		conn.Close()
-		return
-	}
 	bs.bin.RecordConnOpen()
+	c := &binConn{srv: bs, conn: conn, engine: bs.front.alert.NewBurst()}
 	defer func() {
+		// Whatever ends the connection, what it was admitted for is served.
+		c.run()
 		bs.untrack(conn)
 		conn.Close()
 		bs.bin.RecordConnClose()
+		bs.wg.Done()
 	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
-		// Response frames are small; waiting for a full segment would
+		// Response bursts are small; waiting for a full segment would
 		// serialize the pipeline on the delayed-ACK timer.
 		tc.SetNoDelay(true)
 	}
-	c := &binConn{srv: bs, conn: conn, wbuf: make([]byte, 0, 512)}
 	// The buffered reader turns a pipelined burst of small frames into one
 	// read syscall; binwire.Reader alone would pay two per frame.
-	rd := binwire.NewReader(bufio.NewReaderSize(conn, 64<<10))
-	var batchBuf []alert.BatchRequest
+	br := bufio.NewReaderSize(conn, 64<<10)
+	rd := binwire.NewReader(br)
 	for {
+		if !frameBuffered(br) {
+			// The next read can block, so the burst ends here.
+			c.run()
+			if !c.flush() {
+				return
+			}
+		}
 		f, err := rd.Next()
 		if err != nil {
 			// EOF between frames is a clean hangup; everything else —
@@ -239,54 +232,74 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 		}
 		bs.bin.RecordFrameIn()
 		if f.Version != binwire.Version {
-			c.sendReject(f.ID, badInput(bs.tc(), "unsupported binwire version (server speaks 1)"))
+			c.run()
+			c.reject(f.ID, badInput(bs.tc(), "unsupported binwire version (server speaks 1)"))
+			c.flush()
 			return
 		}
-		batchBuf = bs.serveFrame(c, f, batchBuf[:0])
+		c.serveFrame(f)
 	}
 }
 
-// tc is the counter set the op core moves for requests that arrived over
-// binwire.
+// frameBuffered reports whether br already holds a complete frame, so that
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint32(br.Buffered()-4) >= binary.LittleEndian.Uint32(hdr)
+}
+
+// tc is the counter set the op core moves for binwire requests.
 func (bs *BinaryServer) tc() *metrics.TransportCounters { return &bs.bin.TransportCounters }
 
 // serveFrame is the binwire codec over the op core: decode the frame body,
-// call the op with the binwire counters, encode its result or its reject.
-// Everything but a decide runs synchronously on the read goroutine, so
-// frames on one connection are served in arrival order. It returns the
-// batch decode buffer for reuse.
-func (bs *BinaryServer) serveFrame(c *binConn, f binwire.Frame, batchBuf []alert.BatchRequest) []alert.BatchRequest {
-	front, tc, ctx := bs.front, bs.tc(), context.Background()
+// then hold a decide or observe for the burst, or — for every other op,
+// after running what is held so arrival order survives — call the op and
+// encode its result. A reject is encoded at once.
+func (c *binConn) serveFrame(f binwire.Frame) {
+	front, tc, ctx := c.srv.front, c.srv.tc(), context.Background()
+	if f.Type != binwire.MsgDecide && f.Type != binwire.MsgObserve {
+		c.run()
+	}
 	var rej reject
 	switch f.Type {
 	case binwire.MsgDecide:
-		start := time.Now()
+		h := heldOp{id: f.ID, start: time.Now()}
 		stream, spec, err := binwire.DecodeDecide(f.Body)
 		if err != nil {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		// The response is written by the dispatcher.
-		rej = bs.enqueue(c, f.ID, start, stream, spec)
+		h.req[0] = alert.BatchRequest{Stream: stream, Spec: spec}
+		if rej = c.admit(metrics.OpDecide, &h); !rej.refused() {
+			h.res = c.engine.Decide(stream, spec)
+			c.held = append(c.held, h)
+			c.decides++
+		}
 	case binwire.MsgObserve:
+		h := heldOp{id: f.ID, res: -1}
 		stream, fb, err := binwire.DecodeObserve(f.Body)
 		if err != nil {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		if rej = front.observe(ctx, tc, stream, fb); !rej.refused() {
-			c.send(func(b []byte) []byte { return binwire.AppendObserveResp(b, f.ID) })
+		h.req[0].Stream = stream
+		if rej = c.admit(metrics.OpObserve, &h); !rej.refused() {
+			c.engine.Observe(stream, fb)
+			c.held = append(c.held, h)
 		}
 	case binwire.MsgBatch:
 		start := time.Now()
 		var err error
-		if batchBuf, err = binwire.DecodeBatch(f.Body, batchBuf); err != nil {
+		if c.batchBuf, err = binwire.DecodeBatch(f.Body, c.batchBuf[:0]); err != nil {
 			rej = badInput(tc, err.Error())
 			break
 		}
 		var results []alert.BatchResult
-		if results, rej = front.decideBatch(ctx, tc, start, batchBuf); !rej.refused() {
-			c.send(func(b []byte) []byte { return binwire.AppendBatchResp(b, f.ID, results) })
+		if results, rej = front.decideBatch(ctx, tc, start, c.batchBuf); !rej.refused() {
+			c.reply(binwire.AppendBatchResp(c.wbuf, f.ID, results))
 		}
 	case binwire.MsgExport, binwire.MsgCheckpoint:
 		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
@@ -300,7 +313,7 @@ func (bs *BinaryServer) serveFrame(c *binConn, f binwire.Frame, batchBuf []alert
 		}
 		var blob []byte
 		if blob, _, rej = front.snapshot(ctx, tc, op, stream); !rej.refused() {
-			c.send(func(b []byte) []byte { return binwire.AppendSnapshot(b, binwire.MsgSnapshotResp, f.ID, stream, blob) })
+			c.reply(binwire.AppendSnapshot(c.wbuf, binwire.MsgSnapshotResp, f.ID, stream, blob))
 		}
 	case binwire.MsgEvict:
 		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
@@ -309,7 +322,7 @@ func (bs *BinaryServer) serveFrame(c *binConn, f binwire.Frame, batchBuf []alert
 			break
 		}
 		if rej = front.evict(ctx, tc, stream); !rej.refused() {
-			c.send(func(b []byte) []byte { return binwire.AppendStreamReq(b, binwire.MsgEvictResp, f.ID, stream) })
+			c.reply(binwire.AppendStreamReq(c.wbuf, binwire.MsgEvictResp, f.ID, stream))
 		}
 	case binwire.MsgImport:
 		stream, blob, err := binwire.DecodeSnapshot(f.Type, f.Body)
@@ -318,121 +331,83 @@ func (bs *BinaryServer) serveFrame(c *binConn, f binwire.Frame, batchBuf []alert
 			break
 		}
 		if rej = front.importStream(ctx, tc, stream, blob); !rej.refused() {
-			c.send(func(b []byte) []byte { return binwire.AppendStreamReq(b, binwire.MsgImportResp, f.ID, stream) })
+			c.reply(binwire.AppendStreamReq(c.wbuf, binwire.MsgImportResp, f.ID, stream))
 		}
 	default:
 		rej = badInput(tc, "unexpected frame type")
 	}
 	if rej.refused() {
-		c.sendReject(f.ID, rej)
+		c.reject(f.ID, rej)
 	}
-	return batchBuf
 }
 
-// enqueue runs a decide's admission half and hands it to the coalescer.
-func (bs *BinaryServer) enqueue(c *binConn, id uint64, start time.Time, stream int, spec alert.Spec) reject {
-	one := [1]alert.BatchRequest{{Stream: stream, Spec: spec}}
-	if rej := bs.front.begin(context.Background(), bs.tc(), metrics.OpDecide, one[:]); rej.refused() {
-		return rej
+// admit runs the admission half of a decide or observe. The connection must
+// not wait at the gate for slots its own un-run burst holds — nobody else
+// would run it — so when the gate is saturated (the next admission would
+// queue) the held burst is served first. Another connection can still take
+// the last slot between this check and begin, and this one then queues
+// holding a burst; but whoever holds that slot is not queued and runs its
+// own burst the same way, so slots keep coming back.
+func (c *binConn) admit(op metrics.Op, h *heldOp) reject {
+	front := c.srv.front
+	if len(c.held) > 0 && front.gate.Saturated() {
+		c.run()
 	}
-	p := pendingDecide{c: c, id: id, req: one[0], start: start, admitted: time.Now()}
-	bs.pmu.Lock()
-	bs.pending = append(bs.pending, p)
-	bs.pmu.Unlock()
-	select {
-	case bs.wake <- struct{}{}:
-	default:
-	}
-	return reject{}
+	rej := front.begin(context.Background(), c.srv.tc(), op, h.req[:])
+	h.admitted = time.Now()
+	return rej
 }
 
-// dispatch is the coalescing flush loop: on each wake it swaps out
-// everything pending and serves it as one unit (group commit: batches form
-// from what arrives while the previous flush is in the engine). It exits
-// after Close, flushing one last time so no admitted request is left
-// holding a token.
-func (bs *BinaryServer) dispatch() {
-	defer close(bs.done)
-	var batch []pendingDecide
-	var reqs []alert.BatchRequest
-	var dirty []*binConn
-	for stopping := false; !stopping; {
-		select {
-		case <-bs.wake:
-		case <-bs.stop:
-			stopping = true
+// run serves the held burst to completion: one engine crossing — a group
+// task per shard, ops applied in arrival order — then, per op, the
+// accounting half (which returns the slot) and the reply or ack encoded
+// into the output buffer. Nothing is written here; flush does that.
+func (c *binConn) run() {
+	if len(c.held) == 0 {
+		return
+	}
+	front, tc := c.srv.front, c.srv.tc()
+	if c.decides > 0 {
+		front.sleepServiceDelay()
+	}
+	c.engine.Run()
+	for i := range c.held {
+		h := &c.held[i]
+		if h.res < 0 {
+			tc.RecordOp(metrics.OpObserve)
+			front.release()
+			c.reply(binwire.AppendObserveResp(c.wbuf, h.id))
+			continue
 		}
-		// Exchange the shared pending queue for the recycled one.
-		bs.pmu.Lock()
-		batch, bs.pending = bs.pending, batch[:0]
-		bs.pmu.Unlock()
-		reqs, dirty = bs.flush(batch, reqs[:0], dirty[:0])
+		front.finish(tc, metrics.OpDecide, h.req[:], h.start, h.admitted)
+		d, est := c.engine.Result(h.res)
+		c.reply(binwire.AppendDecideResp(c.wbuf, h.id, d, est, front.nodeID))
 	}
+	if c.decides > 1 {
+		c.srv.bin.RecordCoalesce(c.decides)
+	}
+	c.held, c.decides = c.held[:0], 0
+	c.engine.Reset()
 }
 
-// flush serves one swapped-out set of decides. A singleton takes the
-// engine's pooled single-decide path (zero allocations); anything larger
-// becomes one DecideBatch, amortizing per-shard task dispatch across
-// every connection that contributed. Each decide is accounted (finish)
-// and its response encoded into its connection's flush buffer; the buffers
-// are then written, one syscall per contributing connection rather than
-// one per decision. reqs and dirty are the dispatcher's scratch slices,
-// returned for reuse.
-func (bs *BinaryServer) flush(batch []pendingDecide, reqs []alert.BatchRequest, dirty []*binConn) ([]alert.BatchRequest, []*binConn) {
-	if len(batch) == 0 {
-		return reqs, dirty
-	}
-	front, tc := bs.front, bs.tc()
-	for i := range batch {
-		reqs = append(reqs, batch[i].req)
-	}
-	front.sleepServiceDelay()
-	var results []alert.BatchResult
-	var one [1]alert.BatchResult
-	if len(reqs) == 1 {
-		one[0].Decision, one[0].Estimate = front.alert.Decide(reqs[0].Stream, reqs[0].Spec)
-		results = one[:]
-	} else {
-		results = front.alert.DecideBatch(reqs)
-		bs.bin.RecordCoalesce(len(batch))
-	}
-	for i := range batch {
-		p := &batch[i]
-		front.finish(tc, metrics.OpDecide, reqs[i:i+1], p.start, p.admitted)
-		if !p.c.fdirty {
-			p.c.fdirty = true
-			dirty = append(dirty, p.c)
-		}
-		p.c.fwbuf = binwire.AppendDecideResp(p.c.fwbuf, p.id, results[i].Decision, results[i].Estimate, front.nodeID)
-		bs.bin.RecordFrameOut()
-	}
-	for _, c := range dirty {
-		c.wmu.Lock()
-		c.conn.Write(c.fwbuf) // on error the read loop tears down
-		c.wmu.Unlock()
-		c.fwbuf = c.fwbuf[:0]
-		c.fdirty = false
-	}
-	return reqs, dirty
+// reply takes the output buffer back with one more frame encoded onto it.
+func (c *binConn) reply(wbuf []byte) { c.wbuf, c.frames = wbuf, c.frames+1 }
+
+// reject puts a reject on the binwire: an error frame whose code is the
+// reject's status and whose retry_after_ms is its hint.
+func (c *binConn) reject(id uint64, rej reject) {
+	c.reply(binwire.AppendError(c.wbuf, id, uint16(rej.status), rej.retryAfterMs(), rej.msg))
 }
 
-// send encodes one frame into the connection's reused buffer and writes
-// it, under the write mutex. Write errors are dropped: the read loop
-// observes the dead connection and tears everything down.
-func (c *binConn) send(appendFrame func([]byte) []byte) {
-	c.wmu.Lock()
-	c.wbuf = appendFrame(c.wbuf[:0])
+// flush writes every frame encoded since the last flush with one Write —
+// the one place frames_out is counted, before the write so a client that
+// has its reply also finds it counted. False means the connection is dead.
+func (c *binConn) flush() bool {
+	if c.frames == 0 {
+		return true
+	}
+	c.srv.bin.RecordFramesOut(c.frames)
 	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err == nil {
-		c.srv.bin.RecordFrameOut()
-	}
-}
-
-// sendReject puts a reject on the binwire: an error frame whose code is
-// the reject's status and whose retry_after_ms is its hint.
-func (c *binConn) sendReject(id uint64, rej reject) {
-	c.send(func(b []byte) []byte {
-		return binwire.AppendError(b, id, uint16(rej.status), rej.retryAfterMs(), rej.msg)
-	})
+	c.wbuf, c.frames = c.wbuf[:0], 0
+	return err == nil
 }

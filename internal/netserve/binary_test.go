@@ -291,10 +291,11 @@ func TestBinaryUnknownTypeKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestBinaryCoalesce pipelines a burst of decides on one connection at a
-// server whose flushes take 30ms each, and checks the dispatcher served
-// the arrivals that piled up behind a flush as a shared DecideBatch rather
-// than one engine crossing each — group commit, the mode production runs.
+// TestBinaryCoalesce pipelines eight decides on one connection in one write
+// (at a server whose engine crossings take 30ms each, so eight separate
+// ones would be unmissable) and checks the connection served them as a
+// shared burst rather than one engine crossing each — and that the
+// coalescing counters, whose names predate the burst, count it.
 func TestBinaryCoalesce(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{ServiceDelay: 30 * time.Millisecond})
 	bs := startBinary(t, front, BinaryConfig{})

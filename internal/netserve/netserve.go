@@ -19,9 +19,9 @@
 // frame whose code is that status and whose retry_after_ms is that hint.
 // What an op counts, and when its SLO clock starts and stops, is therefore
 // the same on both wires; each codec only says whose counters to move.
-// binwire adds one thing of its own, the cross-connection decide
-// coalescer, and even that enters and leaves through the pipeline's two
-// halves (begin, finish).
+// binwire adds one thing of its own — a connection serves the decides and
+// observes it has read as one burst — and even that enters and leaves
+// through the pipeline's two halves (begin, finish).
 //
 // HTTP endpoints (see wire.go for the exact JSON shapes):
 //

@@ -197,8 +197,9 @@ func (s *Server) sleepServiceDelay() {
 }
 
 // decide serves one decision. start is when the transport decoded the
-// request. (The binwire coalescer does not call this: it runs begin on the
-// read goroutine and finish in its flush, around a shared engine call.)
+// request. (A binwire connection does not call this: it runs begin as it
+// decodes each frame of a burst and finish after the burst's one engine
+// crossing, before it writes anything — see binConn.run.)
 func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, start time.Time, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, reject) {
 	one := [1]alert.BatchRequest{{Stream: stream, Spec: spec}}
 	if rej := s.begin(ctx, tc, metrics.OpDecide, one[:]); rej.refused() {
@@ -224,11 +225,13 @@ func (s *Server) decideBatch(ctx context.Context, tc *metrics.TransportCounters,
 	return results, reject{}
 }
 
-// observe folds one feedback into its stream. Observes are deadline-free,
-// so they are never SLO-shed; the enqueue happens before this returns — so
-// before any transport acks — which is what makes a client that
-// round-trips observe → decide on one stream FIFO-ordered exactly like the
-// in-process path.
+// observe folds one feedback into its stream (the HTTP path; a binwire
+// connection holds its observes for the burst, the same begin → serve →
+// release around a shared engine crossing). Observes are deadline-free, so
+// they are never SLO-shed; the enqueue happens before this returns — so
+// before the transport acks — which is what makes a client that round-trips
+// observe → decide on one stream FIFO-ordered exactly like the in-process
+// path.
 func (s *Server) observe(ctx context.Context, tc *metrics.TransportCounters, stream int, fb alert.Feedback) reject {
 	one := [1]alert.BatchRequest{{Stream: stream}}
 	if rej := s.begin(ctx, tc, metrics.OpObserve, one[:]); rej.refused() {

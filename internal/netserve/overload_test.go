@@ -3,6 +3,7 @@ package netserve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -20,16 +21,10 @@ import (
 // sleeping.
 func waitQueued(t *testing.T, s *Server, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, depth := s.gate.Occupancy(); depth >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never reached %d", want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("queue depth %d", want), func() bool {
+		_, depth := s.gate.Occupancy()
+		return depth >= want
+	})
 }
 
 // TestRetryHintClamp pins the Retry-After table: the hint a 429 carries

@@ -43,11 +43,13 @@
 //     export/checkpoint/import — is a closure enqueued like any task (on,
 //     everyShard), so it observes a prefix-consistent session state and
 //     never races with mutations.
-//   - Batched dispatch is shard-atomic: DecideBatch hands each shard one
-//     group task carrying all of that shard's requests in batch order (one
-//     channel operation per shard per batch), so a concurrent Observe
-//     orders before or after the whole group, never inside it. Results
-//     still come back in request order.
+//   - Grouped dispatch is shard-atomic and arrival-ordered: Run hands each
+//     shard one group task carrying all of that shard's ops — decides and
+//     observes — in the burst's order (one channel operation per shard per
+//     burst), so a stream's ops apply exactly as if submitted one by one,
+//     and a concurrent submission orders before or after the whole group,
+//     never inside it. Results are written in place. DecideBatch is a burst
+//     of decides.
 //   - Backpressure, not shedding: a full queue blocks the submitter; the
 //     pool never drops or reorders work.
 //
@@ -101,7 +103,7 @@ type taskKind int
 
 const (
 	taskDecide taskKind = iota
-	taskDecideGroup
+	taskGroup
 	taskObserve
 	taskRun
 )
@@ -118,20 +120,35 @@ type decideReply struct {
 // buffered reply before returning it.
 var replyPool = sync.Pool{New: func() any { return make(chan decideReply, 1) }}
 
-// batchGroup is one shard's slice of a DecideBatch dispatch: the shard's
-// requests in batch order (stream + spec), plus where each result lands in
-// the caller's request-ordered output. One group is one channel operation
-// per shard per batch — the worker scores the whole group before touching
-// the channel again, and writes results directly into the shared out slice
-// (indices are disjoint across shards; wg.Wait gives the reader its
-// happens-before).
-type batchGroup struct {
-	streams []int
-	specs   []core.Spec
-	idx     []int32
-	out     []Result
-	wg      *sync.WaitGroup
-	start   time.Time
+// Op is one element of a Burst: a decide of Spec whose Result is written in
+// place, or — when Observe is set — an observe of Out.
+type Op struct {
+	Request
+	Observe bool
+	Out     sim.Outcome
+	Result
+}
+
+// Burst is a group of decides and observes that Run applies in slice order,
+// as one task per shard. Fill Ops, Run, read the results out of Ops. The
+// zero value is ready; reuse one (truncate Ops) and its scratch is allocated
+// once. Not for concurrent Runs.
+type Burst struct {
+	Ops []Op
+
+	// groups[si] lists, in order, the indices into Ops of shard si's ops:
+	// one counting sort over idx per Run, no per-shard allocation. Shards
+	// write disjoint Ops; wg.Wait is the reader's happens-before.
+	groups []group
+	idx    []int32
+	wg     sync.WaitGroup
+	start  time.Time
+}
+
+type group struct {
+	b   *Burst
+	idx []int32
+	n   int // Run's count pass; zero between passes
 }
 
 // task is what travels a shard channel, by value, on every decide and
@@ -143,7 +160,7 @@ type task struct {
 	spec   core.Spec
 	out    sim.Outcome
 	reply  chan decideReply // decide: buffered 1, worker never blocks
-	group  *batchGroup      // decide group: one per shard per batch
+	group  *group           // group: one per shard per burst
 	run    func(*shard)     // taskRun: executed on the owning worker
 	// start is the submission timestamp of traffic tasks (decide/observe):
 	// it feeds the latency counters and the session's last-use time.
@@ -237,16 +254,22 @@ func (p *Pool) work(s *shard) {
 			p.counters.RecordDecide(time.Since(t.start))
 			p.counters.RecordScan(s.sc.TakeScanCounts())
 			t.reply <- decideReply{d: d, est: est}
-		case taskDecideGroup:
-			g := t.group
-			p.counters.RecordQueueWait(time.Since(g.start))
-			for j, spec := range g.specs {
-				d, est := s.session(g.streams[j], g.start, p.counters).Decide(spec)
-				p.counters.RecordDecide(time.Since(g.start))
-				g.out[g.idx[j]] = Result{Decision: d, Estimate: est}
+		case taskGroup:
+			b := t.group.b
+			p.counters.RecordQueueWait(time.Since(b.start))
+			for _, i := range t.group.idx {
+				op := &b.Ops[i]
+				sess := s.session(op.Stream, b.start, p.counters)
+				if op.Observe {
+					sess.Observe(op.Out)
+					p.counters.RecordObserve()
+					continue
+				}
+				op.Decision, op.Estimate = sess.Decide(op.Spec)
+				p.counters.RecordDecide(time.Since(b.start))
 			}
 			p.counters.RecordScan(s.sc.TakeScanCounts())
-			g.wg.Done()
+			b.wg.Done()
 		case taskObserve:
 			s.session(t.stream, t.start, p.counters).Observe(t.out)
 			p.counters.RecordObserve()
@@ -411,61 +434,62 @@ type Result struct {
 	Estimate core.Estimate
 }
 
-// DecideBatch dispatches the whole batch across shards and blocks until
-// every decision is in. Requests that share a stream are served in batch
-// order; requests on different streams run concurrently across shards.
-// Results are returned in request order.
-//
-// The batch is grouped by shard before dispatch: each shard receives one
-// task carrying all of its requests (one channel operation per shard per
-// batch, not per request), scores them back-to-back on its worker — each
-// against its own stream's session — and writes results straight into the
-// shared request-ordered output. Within a shard the batch is atomic with
-// respect to other submissions — an Observe submitted concurrently lands
-// before or after the shard's whole group, never between two of its
-// decisions.
+// Run applies the burst's ops, results written into b.Ops in place, and
+// blocks until every one is done. Each shard receives one task carrying all
+// of its ops (one channel operation per shard per burst, not per op) and
+// applies them in slice order on its worker — atomically with respect to
+// other submissions to that shard; shards run concurrently.
+func (p *Pool) Run(b *Burst) {
+	if len(b.Ops) == 0 {
+		return
+	}
+	p.counters.RecordBatch()
+	if b.groups == nil {
+		b.groups = make([]group, len(p.shards))
+	}
+	if cap(b.idx) < len(b.Ops) {
+		b.idx = make([]int32, cap(b.Ops))
+	}
+	// Counting sort by shard: size each group, carve b.idx, fill in order.
+	for i := range b.Ops {
+		b.groups[p.shardIndex(b.Ops[i].Stream)].n++
+	}
+	off := 0
+	for si := range b.groups {
+		g := &b.groups[si]
+		g.b, g.idx = b, b.idx[off:off:off+g.n]
+		off, g.n = off+g.n, 0
+	}
+	for i := range b.Ops {
+		g := &b.groups[p.shardIndex(b.Ops[i].Stream)]
+		g.idx = append(g.idx, int32(i))
+	}
+	b.start = p.clock()
+	for si := range b.groups {
+		if g := &b.groups[si]; len(g.idx) > 0 {
+			b.wg.Add(1)
+			p.shards[si].ch <- task{kind: taskGroup, group: g}
+		}
+	}
+	b.wg.Wait()
+}
+
+// DecideBatch is Run for a caller that has only decides and wants its own
+// result slice: requests that share a stream are served in batch order,
+// distinct shards run concurrently, results come back in request order.
 func (p *Pool) DecideBatch(reqs []Request) []Result {
 	if len(reqs) == 0 {
 		return nil
 	}
-	p.counters.RecordBatch()
-	n := len(p.shards)
-	out := make([]Result, len(reqs))
-
-	// Size each shard's group first so the stream/spec/index slices are
-	// exact.
-	counts := make([]int, n)
+	b := Burst{Ops: make([]Op, len(reqs))}
 	for i := range reqs {
-		counts[p.shardIndex(reqs[i].Stream)]++
+		b.Ops[i].Request = reqs[i]
 	}
-	start := p.clock()
-	var wg sync.WaitGroup
-	groups := make([]*batchGroup, n)
-	for si, cnt := range counts {
-		if cnt > 0 {
-			groups[si] = &batchGroup{
-				streams: make([]int, 0, cnt),
-				specs:   make([]core.Spec, 0, cnt),
-				idx:     make([]int32, 0, cnt),
-				out:     out,
-				wg:      &wg,
-				start:   start,
-			}
-		}
+	p.Run(&b)
+	out := make([]Result, len(reqs))
+	for i := range b.Ops {
+		out[i] = b.Ops[i].Result
 	}
-	for i, r := range reqs {
-		g := groups[p.shardIndex(r.Stream)]
-		g.streams = append(g.streams, r.Stream)
-		g.specs = append(g.specs, r.Spec)
-		g.idx = append(g.idx, int32(i))
-	}
-	for si, g := range groups {
-		if g != nil {
-			wg.Add(1)
-			p.shards[si].ch <- task{kind: taskDecideGroup, group: g}
-		}
-	}
-	wg.Wait()
 	return out
 }
 

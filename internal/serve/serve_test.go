@@ -269,6 +269,77 @@ func TestDecideBatchFIFOWithObserves(t *testing.T) {
 	}
 }
 
+// TestBurstMatchesSerial runs whole scripts — every stream's decide AND the
+// observe that answers it — as bursts, several rounds deep, on fewer shards
+// than streams: the observe of round r and the decide of round r+1 sit in
+// the same burst, so the group task must apply a stream's ops in slice
+// order, not decides first. One Burst is reused throughout, which also
+// covers the scratch carried from run to run.
+func TestBurstMatchesSerial(t *testing.T) {
+	prof := testProfile(t)
+	const streams, rounds, depth = 5, 24, 3
+	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	defer pool.Close()
+
+	scripts := make([][]step, streams)
+	want := make([][]sim.Decision, streams)
+	for s := range scripts {
+		scripts[s] = script(s, rounds)
+		want[s] = serialRun(prof, scripts[s])
+	}
+	var b Burst
+	for r0 := 0; r0 < rounds; r0 += depth {
+		b.Ops = b.Ops[:0]
+		for r := r0; r < r0+depth; r++ {
+			for s := 0; s < streams; s++ {
+				// The feedback is the serial run's: it is what this decide
+				// must produce for the sequences to stay equal.
+				b.Ops = append(b.Ops,
+					Op{Request: Request{Stream: s, Spec: scripts[s][r].spec}},
+					Op{Request: Request{Stream: s}, Observe: true, Out: outcomeFor(prof, want[s][r], scripts[s][r].xi)})
+			}
+		}
+		pool.Run(&b)
+		for i := 0; i < len(b.Ops); i += 2 {
+			s, r := b.Ops[i].Stream, r0+i/2/streams
+			if b.Ops[i].Decision != want[s][r] {
+				t.Fatalf("stream %d round %d: burst decision %+v, serial %+v", s, r, b.Ops[i].Decision, want[s][r])
+			}
+		}
+	}
+	snap := pool.Counters().Snapshot()
+	if snap.Decisions != streams*rounds || snap.Observes != streams*rounds || snap.Batches != rounds/depth {
+		t.Errorf("counters = %d decisions, %d observes, %d batches; want %d/%d/%d",
+			snap.Decisions, snap.Observes, snap.Batches, streams*rounds, streams*rounds, rounds/depth)
+	}
+	pool.Run(&Burst{}) // an empty burst is a no-op, not a hang
+}
+
+// TestBurstSteadyStateAllocs pins what lets a connection run a burst per
+// wake-up for free: a reused Burst allocates nothing once its scratch has
+// grown to the burst's size, singleton or not.
+func TestBurstSteadyStateAllocs(t *testing.T) {
+	prof := testProfile(t)
+	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	defer pool.Close()
+	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
+	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: prof.Caps[3]}
+	var b Burst
+	for _, n := range []int{16, 1} {
+		run := func() {
+			b.Ops = b.Ops[:0]
+			for i := 0; i < n; i++ {
+				b.Ops = append(b.Ops, Op{Request: Request{Stream: i, Spec: spec}}, Op{Request: Request{Stream: i}, Observe: true, Out: out})
+			}
+			pool.Run(&b)
+		}
+		run() // sessions, scratch
+		if a := testing.AllocsPerRun(200, run); a >= 1 {
+			t.Errorf("reused burst of %d loops allocates %.2f/run, want ~0", n, a)
+		}
+	}
+}
+
 // TestDecideBatchStress races batched dispatch, single decides, and
 // observes over more streams than shards; under -race this pins the grouped
 // path's memory safety (disjoint result writes, wg-published reads).

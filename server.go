@@ -9,6 +9,7 @@ import (
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/metrics"
 	"github.com/alert-project/alert/internal/serve"
+	"github.com/alert-project/alert/internal/sim"
 )
 
 // Server is the concurrent front-end over the ALERT runtime: one shared
@@ -137,13 +138,19 @@ func (s *Server) PowerCaps() []float64 { return s.prof.Caps }
 // the stream's shard serves it.
 func (s *Server) Decide(stream int, spec Spec) (Decision, Estimate) {
 	d, est := s.pool.Decide(stream, spec)
+	return s.decision(d), est
+}
+
+// decision is the engine's decision as the public API reports it: with the
+// cap's wattage resolved.
+func (s *Server) decision(d sim.Decision) Decision {
 	return Decision{
 		Model:       d.Model,
 		Cap:         d.Cap,
 		CapW:        s.prof.Caps[d.Cap],
 		PlannedStop: d.PlannedStop,
 		Overhead:    d.Overhead,
-	}, est
+	}
 }
 
 // Observe feeds a stream's measurement back into its shard's estimators.
@@ -178,20 +185,51 @@ func (s *Server) DecideBatch(reqs []BatchRequest) []BatchResult {
 	res := s.pool.DecideBatch(reqs)
 	out := make([]BatchResult, len(res))
 	for i, r := range res {
-		out[i] = BatchResult{
-			Stream: reqs[i].Stream,
-			Decision: Decision{
-				Model:       r.Decision.Model,
-				Cap:         r.Decision.Cap,
-				CapW:        s.prof.Caps[r.Decision.Cap],
-				PlannedStop: r.Decision.PlannedStop,
-				Overhead:    r.Decision.Overhead,
-			},
-			Estimate: r.Estimate,
-		}
+		out[i] = BatchResult{Stream: reqs[i].Stream, Decision: s.decision(r.Decision), Estimate: r.Estimate}
 	}
 	return out
 }
+
+// ServerBurst is a reusable arrival-ordered group of Decide and Observe
+// calls that Run applies as one task per shard instead of one per call —
+// what a transport that has already read several pipelined requests uses to
+// cross into the engine once. Calls on one stream apply in the order they
+// were added, exactly as if made one by one on the Server. Not safe for
+// concurrent use; build one per goroutine with Server.NewBurst.
+type ServerBurst struct {
+	s *Server
+	b serve.Burst
+}
+
+// NewBurst returns an empty burst bound to the server.
+func (s *Server) NewBurst() *ServerBurst { return &ServerBurst{s: s} }
+
+// Decide adds a Decide call and returns the index Result will answer to
+// once Run has returned.
+func (b *ServerBurst) Decide(stream int, spec Spec) int {
+	b.b.Ops = append(b.b.Ops, serve.Op{Request: serve.Request{Stream: stream, Spec: spec}})
+	return len(b.b.Ops) - 1
+}
+
+// Observe adds an Observe call (dropped, like Server.Observe, when the
+// measurement carries no signal).
+func (b *ServerBurst) Observe(stream int, fb Feedback) {
+	if out, ok := feedbackOutcome(b.s.prof, fb); ok {
+		b.b.Ops = append(b.b.Ops, serve.Op{Request: serve.Request{Stream: stream}, Observe: true, Out: out})
+	}
+}
+
+// Run applies every added call and blocks until all are done.
+func (b *ServerBurst) Run() { b.s.pool.Run(&b.b) }
+
+// Result is the answer to the Decide call that returned index i.
+func (b *ServerBurst) Result(i int) (Decision, Estimate) {
+	op := &b.b.Ops[i]
+	return b.s.decision(op.Decision), op.Estimate
+}
+
+// Reset empties the burst, keeping its memory for the next one.
+func (b *ServerBurst) Reset() { b.b.Ops = b.b.Ops[:0] }
 
 // XiEstimate reports the (mean, std) of the slowdown filter serving the
 // stream, after draining that shard's queued work.

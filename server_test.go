@@ -42,6 +42,58 @@ func TestServerMatchesScheduler(t *testing.T) {
 	}
 }
 
+// TestServerBurstMatchesScheduler pipelines decide, observe, decide, … for
+// two streams through one reused ServerBurst, several rounds per Run, and
+// requires each stream's decisions to equal a dedicated Scheduler's: the
+// burst applies calls in the order they were added, drops a signal-free
+// measurement like Observe does, and Result indexes survive the drop.
+func TestServerBurstMatchesScheduler(t *testing.T) {
+	srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := testSpec()
+	const streams, runs, depth = 2, 8, 4
+	var want [streams][]Decision
+	var fbs [streams][]Feedback
+	for s := 0; s < streams; s++ {
+		sched, err := NewScheduler(CPU1(), ImageCandidates(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < runs*depth; i++ {
+			d, _ := sched.Decide(spec)
+			fb := Feedback{Decision: d, Latency: (1 + 0.1*float64((i+s)%4)) * srv.prof.At(d.Model, d.Cap), CompletedStage: -1, IdlePowerW: 5}
+			sched.Observe(fb)
+			want[s], fbs[s] = append(want[s], d), append(fbs[s], fb)
+		}
+	}
+	b := srv.NewBurst()
+	for r := 0; r < runs; r++ {
+		b.Reset()
+		var at [streams][depth]int
+		for k := 0; k < depth; k++ {
+			for s := 0; s < streams; s++ {
+				b.Observe(s, Feedback{Decision: want[s][0]}) // no latency: carries no signal
+				at[s][k] = b.Decide(s, spec)
+				b.Observe(s, fbs[s][r*depth+k])
+			}
+		}
+		b.Run()
+		for s := 0; s < streams; s++ {
+			for k := 0; k < depth; k++ {
+				if got, _ := b.Result(at[s][k]); got != want[s][r*depth+k] {
+					t.Fatalf("stream %d input %d: burst decision %+v, scheduler %+v", s, r*depth+k, got, want[s][r*depth+k])
+				}
+			}
+		}
+	}
+	if st := srv.Stats(); st.Observes != streams*runs*depth {
+		t.Errorf("%d observes applied, want %d (signal-free ones dropped)", st.Observes, streams*runs*depth)
+	}
+}
+
 // TestServerConcurrentStreams hammers a multi-shard server from many
 // goroutines; run under -race this is the data-race regression test.
 func TestServerConcurrentStreams(t *testing.T) {
