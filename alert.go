@@ -154,20 +154,31 @@ type Feedback struct {
 	IdlePowerW float64
 }
 
-// Observe feeds a measurement back into the estimators (§3.2 step 1).
-func (s *Scheduler) Observe(fb Feedback) {
-	if out, ok := feedbackOutcome(s.prof, fb); ok {
+// Observe feeds a measurement back into the estimators (§3.2 step 1). The
+// error reports a feedback whose decision this scheduler cannot have made;
+// nothing is folded in then.
+func (s *Scheduler) Observe(fb Feedback) error {
+	out, ok, err := feedbackOutcome(s.prof, fb)
+	if ok {
 		s.ctl.Observe(out)
 	}
+	return err
 }
 
 // feedbackOutcome converts a public Feedback into the controller's
 // observation, scaling the profiled latency by the executed anytime
-// fraction. ok is false when the measurement carries no signal (non-positive
-// latency or nominal time) and must be dropped.
-func feedbackOutcome(prof *dnn.ProfileTable, fb Feedback) (out sim.Outcome, ok bool) {
+// fraction. A feedback whose decision names a model or cap outside the
+// profiled set is an error — feedback crosses the wire, so the indices are
+// input, not invariants. ok is false, with no error, when the measurement
+// carries no signal (non-positive latency or nominal time) and must be
+// dropped.
+func feedbackOutcome(prof *dnn.ProfileTable, fb Feedback) (out sim.Outcome, ok bool, err error) {
+	if d := fb.Decision; d.Model < 0 || d.Model >= len(prof.Models) || d.Cap < 0 || d.Cap >= len(prof.Caps) {
+		return out, false, fmt.Errorf("alert: feedback for model %d at cap %d: the candidate set has %d models and %d caps",
+			d.Model, d.Cap, len(prof.Models), len(prof.Caps))
+	}
 	if fb.Latency <= 0 {
-		return out, false
+		return out, false, nil
 	}
 	m := prof.Models[fb.Decision.Model]
 	frac := 1.0
@@ -176,9 +187,9 @@ func feedbackOutcome(prof *dnn.ProfileTable, fb Feedback) (out sim.Outcome, ok b
 	}
 	nominal := prof.At(fb.Decision.Model, fb.Decision.Cap) * frac
 	if nominal <= 0 {
-		return out, false
+		return out, false, nil
 	}
-	return outcomeForFeedback(fb, nominal), true
+	return outcomeForFeedback(fb, nominal), true, nil
 }
 
 // XiEstimate returns the current (mean, std) of the global slowdown factor.

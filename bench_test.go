@@ -261,7 +261,7 @@ func BenchmarkControllerDecisionZoo(b *testing.B) {
 func BenchmarkServeThroughput(b *testing.B) {
 	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
 	bench := func(b *testing.B, shards int) {
-		srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{Shards: shards, QueueDepth: 256})
+		srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func BenchmarkServerUnderScenario(b *testing.B) {
 
 // BenchmarkServeBatch measures batched dispatch through the public API.
 func BenchmarkServeBatch(b *testing.B) {
-	srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{QueueDepth: 256})
+	srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -231,7 +231,8 @@ func (s *scriptedFrontEnd) serveBinary(conn net.Conn) {
 			for i, q := range reqs {
 				streams[i] = q.Stream
 			}
-			out = binwire.AppendBatchResp(nil, f.ID, scriptedResults(streams, short))
+			res := scriptedResults(streams, short)
+			out = binwire.AppendBatchResp(nil, f.ID, len(res), func(i int) alert.BatchResult { return res[i] })
 		case f.Type == binwire.MsgExport, f.Type == binwire.MsgCheckpoint:
 			out = binwire.AppendSnapshot(nil, binwire.MsgSnapshotResp, f.ID, 1, scriptedSnapshot())
 		case f.Type == binwire.MsgImport:

@@ -481,30 +481,6 @@ func (c *Client) ImportStream(ctx context.Context, stream int, snap alert.Sessio
 	})
 }
 
-// Batch accumulates decide requests for one DecideBatch dispatch — the
-// helper for callers that collect work across many streams before cutting
-// a batch.
-type Batch struct {
-	reqs []alert.BatchRequest
-}
-
-// Add appends one request and returns its index in the eventual results.
-func (b *Batch) Add(stream int, spec alert.Spec) int {
-	b.reqs = append(b.reqs, alert.BatchRequest{Stream: stream, Spec: spec})
-	return len(b.reqs) - 1
-}
-
-// Len reports the pending request count.
-func (b *Batch) Len() int { return len(b.reqs) }
-
-// Flush dispatches the accumulated batch and resets the builder. A nil
-// result with nil error means the batch was empty.
-func (b *Batch) Flush(ctx context.Context, c *Client) ([]alert.BatchResult, error) {
-	reqs := b.reqs
-	b.reqs = nil
-	return c.DecideBatch(ctx, reqs)
-}
-
 // withRetry runs fn under the overload retry loop — the single place both
 // codecs get their backoff behavior from. Hintless rejections walk a
 // capped exponential schedule; a usable Retry-After hint overrides the

@@ -56,25 +56,17 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var b Batch
-	b.Add(5, testSpec())
-	b.Add(6, testSpec())
-	b.Add(5, testSpec())
-	if b.Len() != 3 {
-		t.Fatalf("batch len %d, want 3", b.Len())
-	}
-	res, err := b.Flush(ctx, c)
+	res, err := c.DecideBatch(ctx, []alert.BatchRequest{
+		{Stream: 5, Spec: testSpec()}, {Stream: 6, Spec: testSpec()}, {Stream: 5, Spec: testSpec()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 3 || res[0].Stream != 5 || res[1].Stream != 6 || res[2].Stream != 5 {
 		t.Fatalf("batch results wrong: %+v", res)
 	}
-	if b.Len() != 0 {
-		t.Errorf("batch not reset after Flush")
-	}
-	if res, err := b.Flush(ctx, c); err != nil || res != nil {
-		t.Errorf("empty flush = %v, %v; want nil, nil", res, err)
+	if res, err := c.DecideBatch(ctx, nil); err != nil || res != nil {
+		t.Errorf("empty batch = %v, %v; want nil, nil", res, err)
 	}
 
 	ids, err := c.Streams(ctx)

@@ -15,10 +15,10 @@
 // by three nodes in sequence makes byte-identical decisions to one served
 // by a single process.
 //
-// Membership is static at construction and refreshable at runtime:
-// Refresh unions the peer lists advertised by reachable members (the
-// -peers soft state in /v1/stats), so a cluster bootstrapped from one seed
-// address discovers the rest.
+// Membership is static at construction and follows the cluster at runtime:
+// SyncMembership/StartSync (sync.go) subscribe to the members' merged
+// GET /v1/membership views, so a cluster bootstrapped from one seed address
+// discovers the rest and routes around the dead.
 package cluster
 
 import (
@@ -60,7 +60,7 @@ type Cluster struct {
 
 // New builds a cluster over the given member addresses (host:port or full
 // URLs, as accepted by client.New). The member list may be refreshed later
-// with Refresh or SetMembers; it must be non-empty here.
+// with SetMembers or a membership subscription; it must be non-empty here.
 func New(addrs []string, opts Options) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no members")
@@ -252,44 +252,6 @@ func (c *Cluster) Health(ctx context.Context) map[string]error {
 	}
 	wg.Wait()
 	return out
-}
-
-// Refresh unions the peer lists advertised by every reachable member into
-// the member set and rebuilds the ring. It returns an error only if no
-// member was reachable; a partially reachable cluster refreshes from the
-// members that answered.
-func (c *Cluster) Refresh(ctx context.Context) error {
-	members := c.Members()
-	seen := make(map[string]bool, len(members))
-	for _, addr := range members {
-		seen[addr] = true
-	}
-	reached := 0
-	var firstErr error
-	for _, addr := range members {
-		cl, ok := c.Node(addr)
-		if !ok {
-			continue
-		}
-		stats, err := cl.Stats(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: refresh via %s: %w", addr, err)
-			}
-			continue
-		}
-		reached++
-		for _, peer := range stats.Peers {
-			if peer != "" && !seen[peer] {
-				seen[peer] = true
-				members = append(members, peer)
-			}
-		}
-	}
-	if reached == 0 {
-		return firstErr
-	}
-	return c.SetMembers(members)
 }
 
 // ErrMigrationInFlight reports that another Migrate for the same stream is

@@ -20,14 +20,14 @@ import (
 
 // startNode stands up one cluster member: a real alert.Server behind a
 // netserve front end on a loopback listener. Returns its base URL.
-func startNode(t testing.TB, nodeID string, peers []string, shards int) string {
+func startNode(t testing.TB, nodeID string, shards int) string {
 	t.Helper()
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(netserve.New(srv, netserve.Config{NodeID: nodeID, Peers: peers}))
+	ts := httptest.NewServer(netserve.New(srv, netserve.Config{NodeID: nodeID}))
 	t.Cleanup(ts.Close)
 	return ts.URL
 }
@@ -40,9 +40,9 @@ func startNode(t testing.TB, nodeID string, peers []string, shards int) string {
 // traffic + migration against shared cluster state.
 func TestClusterMigrationMatchesSolo(t *testing.T) {
 	addrs := []string{
-		startNode(t, "a", nil, 2),
-		startNode(t, "b", nil, 3),
-		startNode(t, "c", nil, 1),
+		startNode(t, "a", 2),
+		startNode(t, "b", 3),
+		startNode(t, "c", 1),
 	}
 	cl, err := New(addrs, Options{})
 	if err != nil {
@@ -187,40 +187,11 @@ func nextMember(addrs []string, addr string) string {
 	return addrs[0]
 }
 
-// TestRefreshDiscoversPeers: a cluster seeded with one address unions in
-// the peers that node advertises in /v1/stats.
-func TestRefreshDiscoversPeers(t *testing.T) {
-	b := startNode(t, "b", nil, 1)
-	c := startNode(t, "c", nil, 1)
-	a := startNode(t, "a", []string{b, c}, 1)
-
-	cl, err := New([]string{a}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if n := len(cl.Members()); n != 1 {
-		t.Fatalf("seed members = %d, want 1", n)
-	}
-	if err := cl.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got := cl.Members()
-	if len(got) != 3 {
-		t.Fatalf("members after refresh = %v, want 3", got)
-	}
-	for _, want := range []string{a, b, c} {
-		if _, ok := cl.Node(want); !ok {
-			t.Errorf("member %s missing after refresh", want)
-		}
-	}
-}
-
 // TestHealthReportsDeadMembers: probes return per-member errors, healthy
 // members nil, unreachable members non-nil — and probing never errors the
 // call itself.
 func TestHealthReportsDeadMembers(t *testing.T) {
-	live := startNode(t, "a", nil, 1)
+	live := startNode(t, "a", 1)
 	dead := "http://127.0.0.1:1" // reserved port: connection refused fast
 
 	cl, err := New([]string{live, dead}, Options{})
@@ -244,8 +215,8 @@ func TestHealthReportsDeadMembers(t *testing.T) {
 // TestMigrateEdgeCases: no-session migrations pin and succeed (idempotent
 // plans), same-node migrations are no-ops, and unknown members fail fast.
 func TestMigrateEdgeCases(t *testing.T) {
-	a := startNode(t, "a", nil, 1)
-	b := startNode(t, "b", nil, 1)
+	a := startNode(t, "a", 1)
+	b := startNode(t, "b", 1)
 	cl, err := New([]string{a, b}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -296,8 +267,8 @@ func TestMigrateEdgeCases(t *testing.T) {
 // pin so the stream falls back to its hash-home instead of routing into a
 // closed client.
 func TestSetMembersDropsOrphanedPins(t *testing.T) {
-	a := startNode(t, "a", nil, 1)
-	b := startNode(t, "b", nil, 1)
+	a := startNode(t, "a", 1)
+	b := startNode(t, "b", 1)
 	cl, err := New([]string{a, b}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -326,9 +297,9 @@ func TestSetMembersDropsOrphanedPins(t *testing.T) {
 // session ends up on exactly one node with every decision intact. Run under
 // -race this also exercises the guard's locking against routed traffic.
 func TestConcurrentMigrateSameStream(t *testing.T) {
-	a := startNode(t, "a", nil, 1)
-	b := startNode(t, "b", nil, 1)
-	c := startNode(t, "c", nil, 1)
+	a := startNode(t, "a", 1)
+	b := startNode(t, "b", 1)
+	c := startNode(t, "c", 1)
 
 	// slowB fronts b, stalling the first import (PUT /v1/streams/{id})
 	// until released so the overlap window is a certainty, not a sleep.

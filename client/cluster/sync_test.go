@@ -200,8 +200,8 @@ func TestSyncStaticNodeGrace(t *testing.T) {
 // the ring.
 func TestSyncKeepsSetWhenBlind(t *testing.T) {
 	// Plain nodes: /v1/membership answers 404 everywhere.
-	a := startNode(t, "a", nil, 1)
-	b := startNode(t, "b", nil, 1)
+	a := startNode(t, "a", 1)
+	b := startNode(t, "b", 1)
 	cl, err := New([]string{a, b}, Options{})
 	if err != nil {
 		t.Fatal(err)

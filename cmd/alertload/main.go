@@ -24,13 +24,13 @@
 //	alertload -chaos -fleet fleet.json                       # replay a chaos schedule
 //
 // With -addr the same load is driven over the network against a running
-// cmd/alertserve instead of an in-process server, through the typed client
-// (client/) with per-stream connection reuse. The wire carries every
-// float64 exactly, so -addr replays produce byte-identical per-stream
-// decision sequences to the in-process path (pinned in main_test.go; the
-// target streams are evicted first so the replay starts from fresh
-// sessions). -decisions-out writes the per-stream sequences to a file,
-// which is how CI diffs the two paths.
+// cmd/alertserve instead of an in-process server, through the routing
+// client (client/cluster; -addr X is -addrs X with one member). The wire
+// carries every float64 exactly, so -addr replays produce byte-identical
+// per-stream decision sequences to the in-process path (pinned in
+// main_test.go; the target streams are evicted first so the replay starts
+// from fresh sessions). -decisions-out writes the per-stream sequences to a
+// file, which is how CI diffs the two paths.
 //
 // -wire selects the remote transport: json (default) drives the HTTP API,
 // binary upgrades the data plane onto the server's binwire listener
@@ -369,82 +369,45 @@ func parseFlags(args []string) (loadConfig, error) {
 }
 
 // backend abstracts the server under load: the in-process alert.Server, or
-// a remote alertserve reached through the typed client (-addr). Both
-// expose the same per-stream decide/observe semantics, which is what makes
-// the two paths' decision sequences byte-identical.
+// one or more remote alertserves reached through the routing client
+// (-addr/-addrs). Both expose the same per-stream decide/observe semantics,
+// which is what makes the paths' decision sequences byte-identical. The
+// drive loops are error-free against the in-process server; over the
+// network any request can fail, and the first error ends its stream.
 type backend interface {
-	Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate)
-	Observe(stream int, fb alert.Feedback)
-	Stats() alert.ServerStats
+	Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate, error)
+	Observe(stream int, fb alert.Feedback) error
+	Stats() (alert.ServerStats, error)
 }
 
-// remoteBackend adapts the typed client to the backend interface. The
-// drive loops are error-free by construction against the in-process
-// server; over the network any request can fail, so the first error is
-// latched and fails the whole run after the streams finish.
-type remoteBackend struct {
-	c   *client.Client
-	ctx context.Context
+// inProcess adapts alert.Server to the backend interface.
+type inProcess struct{ *alert.Server }
 
-	mu  sync.Mutex
-	err error
+func (s inProcess) Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate, error) {
+	d, est := s.Server.Decide(stream, spec)
+	return d, est, nil
 }
 
-func (r *remoteBackend) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
+func (s inProcess) Stats() (alert.ServerStats, error) { return s.Server.Stats(), nil }
 
-func (r *remoteBackend) firstErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-func (r *remoteBackend) Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate) {
-	d, est, err := r.c.Decide(r.ctx, stream, spec)
-	if err != nil {
-		r.fail(fmt.Errorf("decide stream %d: %w", stream, err))
-	}
-	return d, est
-}
-
-func (r *remoteBackend) Observe(stream int, fb alert.Feedback) {
-	if err := r.c.Observe(r.ctx, stream, fb); err != nil {
-		r.fail(fmt.Errorf("observe stream %d: %w", stream, err))
-	}
-}
-
-func (r *remoteBackend) Stats() alert.ServerStats {
-	stats, err := r.c.Stats(r.ctx)
-	if err != nil {
-		r.fail(fmt.Errorf("stats: %w", err))
-	}
-	return stats.Serve
-}
-
-// clusterBackend drives a whole alertserve cluster (-addrs): requests are
-// routed to each stream's consistent-hash home, and with -migrate-every N
-// every stream is live-migrated to the next member every N inputs — the
-// decision sequences must stay byte-identical through every move, which is
-// what TestAddrsModeMatchesInProcess pins.
+// clusterBackend drives alertserves over the network: requests are routed
+// to each stream's consistent-hash home (-addr is a cluster of one), and
+// with -migrate-every N the driver live-migrates every stream to the next
+// member every N inputs — the decision sequences must stay byte-identical
+// through every move, which is what TestAddrsModeMatchesInProcess pins.
 type clusterBackend struct {
-	cl           *cluster.Cluster
-	members      []string
-	ctx          context.Context
-	migrateEvery int
-
-	mu    sync.Mutex
-	err   error
-	steps map[int]int // per-stream decide count, for the migration cadence
+	cl      *cluster.Cluster
+	members []string
+	ctx     context.Context
 }
 
 func newClusterBackend(cfg loadConfig, plat *alert.Platform, models []*dnn.Model) (*clusterBackend, error) {
+	addrs := cfg.addrs
+	if cfg.addr != "" {
+		addrs = cfg.addr
+	}
 	var members []string
-	for _, a := range strings.Split(cfg.addrs, ",") {
+	for _, a := range strings.Split(addrs, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
 			continue
@@ -457,109 +420,89 @@ func newClusterBackend(cfg loadConfig, plat *alert.Platform, models []*dnn.Model
 	if len(members) == 0 {
 		return nil, fmt.Errorf("-addrs lists no members")
 	}
-	// As with -addr: overload retries are safe (shed before state), and a
-	// replay needs every request served.
+	// Overload 429s are retried by the client itself (they are shed before
+	// any state is touched, so retries cannot double-apply); a replay needs
+	// every request served, not load shed.
 	cl, err := cluster.New(members, cluster.Options{Client: client.Options{MaxRetries: 100, PreferBinary: cfg.wire == "binary"}})
 	if err != nil {
 		return nil, err
 	}
-	cb := &clusterBackend{
-		cl:           cl,
-		members:      members,
-		ctx:          context.Background(),
-		migrateEvery: cfg.migrateEvery,
-		steps:        make(map[int]int),
-	}
-	// Preflight every member: one mis-profiled node would silently corrupt
-	// whichever streams hash onto it. Then evict the driven streams
-	// everywhere — a stream's session may live on any member after earlier
-	// migrations.
-	for _, addr := range members {
-		node, _ := cl.Node(addr)
-		stats, err := node.Stats(cb.ctx)
-		if err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("probing %s: %w", addr, err)
-		}
-		if cfg.wire == "binary" && stats.BinaryAddr == "" {
-			cl.Close()
-			return nil, fmt.Errorf("cluster member %s has no binary listener (start alertserve with -binary-addr)", addr)
-		}
-		if !strings.EqualFold(stats.Platform, plat.Name) {
-			cl.Close()
-			return nil, fmt.Errorf("cluster member %s serves platform %s, this run simulates %s (start alertserve with -platform %s)",
-				addr, stats.Platform, plat.Name, plat.Name)
-		}
-		if stats.Models != len(models) {
-			cl.Close()
-			return nil, fmt.Errorf("cluster member %s serves %d candidate models, this run simulates %d (start alertserve with -task %s)",
-				addr, stats.Models, len(models), cfg.task)
-		}
-		for s := 0; s < cfg.streams; s++ {
-			if err := node.EvictStream(cb.ctx, s); err != nil {
-				cl.Close()
-				return nil, fmt.Errorf("evicting stream %d on %s: %w", s, addr, err)
-			}
-		}
+	cb := &clusterBackend{cl: cl, members: members, ctx: context.Background()}
+	if err := cb.preflight(cfg, plat, models); err != nil {
+		cl.Close()
+		return nil, err
 	}
 	return cb, nil
 }
 
-func (b *clusterBackend) fail(err error) {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.mu.Unlock()
-}
-
-func (b *clusterBackend) firstErr() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-func (b *clusterBackend) Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate) {
-	if b.migrateEvery > 0 {
-		b.mu.Lock()
-		n := b.steps[stream]
-		b.steps[stream] = n + 1
-		b.mu.Unlock()
-		if n > 0 && n%b.migrateEvery == 0 {
-			from := b.cl.Route(stream)
-			to := b.nextMember(from)
-			if err := b.cl.Migrate(b.ctx, stream, from, to); err != nil {
-				b.fail(fmt.Errorf("migrating stream %d %s -> %s: %w", stream, from, to, err))
+// preflight checks every member is profiled like this run — or its
+// decisions answer a different question and every comparison (and the
+// byte-identical replay property) is silently garbage; one mis-profiled node
+// would corrupt whichever streams hash onto it. Then it evicts the driven
+// streams everywhere, so the replay starts from fresh sessions regardless of
+// prior traffic: a stream's session may live on any member after earlier
+// migrations.
+func (b *clusterBackend) preflight(cfg loadConfig, plat *alert.Platform, models []*dnn.Model) error {
+	for _, addr := range b.members {
+		node, _ := b.cl.Node(addr)
+		stats, err := node.Stats(b.ctx)
+		if err != nil {
+			return fmt.Errorf("probing %s: %w", addr, err)
+		}
+		if cfg.wire == "binary" && stats.BinaryAddr == "" {
+			return fmt.Errorf("server at %s has no binary listener (start alertserve with -binary-addr)", addr)
+		}
+		if !strings.EqualFold(stats.Platform, plat.Name) {
+			return fmt.Errorf("server at %s serves platform %s, this run simulates %s (start alertserve with -platform %s)",
+				addr, stats.Platform, plat.Name, plat.Name)
+		}
+		if stats.Models != len(models) {
+			return fmt.Errorf("server at %s serves %d candidate models, this run simulates %d (start alertserve with -task %s)",
+				addr, stats.Models, len(models), cfg.task)
+		}
+		for s := 0; s < cfg.streams; s++ {
+			if err := node.EvictStream(b.ctx, s); err != nil {
+				return fmt.Errorf("evicting stream %d on %s: %w", s, addr, err)
 			}
 		}
 	}
-	d, est, err := b.cl.Decide(b.ctx, stream, spec)
-	if err != nil {
-		b.fail(fmt.Errorf("decide stream %d: %w", stream, err))
-	}
-	return d, est
+	return nil
 }
 
-func (b *clusterBackend) Observe(stream int, fb alert.Feedback) {
-	if err := b.cl.Observe(b.ctx, stream, fb); err != nil {
-		b.fail(fmt.Errorf("observe stream %d: %w", stream, err))
+func (b *clusterBackend) Decide(stream int, spec alert.Spec) (alert.Decision, alert.Estimate, error) {
+	return b.cl.Decide(b.ctx, stream, spec)
+}
+
+func (b *clusterBackend) Observe(stream int, fb alert.Feedback) error {
+	return b.cl.Observe(b.ctx, stream, fb)
+}
+
+// migrate moves the stream to the member after its current one in -addrs
+// order, wrapping.
+func (b *clusterBackend) migrate(stream int) error {
+	from := b.cl.Route(stream)
+	to := b.members[0]
+	for i, a := range b.members {
+		if a == from {
+			to = b.members[(i+1)%len(b.members)]
+		}
 	}
+	if err := b.cl.Migrate(b.ctx, stream, from, to); err != nil {
+		return fmt.Errorf("migrating stream %d %s -> %s: %w", stream, from, to, err)
+	}
+	return nil
 }
 
 // Stats sums the members' serving counters; the latency columns take the
 // cluster-wide max and the decision-weighted average.
-func (b *clusterBackend) Stats() alert.ServerStats {
+func (b *clusterBackend) Stats() (alert.ServerStats, error) {
 	var sum alert.ServerStats
 	var weightedAvg time.Duration
 	for _, addr := range b.members {
-		node, ok := b.cl.Node(addr)
-		if !ok {
-			continue
-		}
+		node, _ := b.cl.Node(addr)
 		stats, err := node.Stats(b.ctx)
 		if err != nil {
-			b.fail(fmt.Errorf("stats from %s: %w", addr, err))
-			continue
+			return sum, fmt.Errorf("stats from %s: %w", addr, err)
 		}
 		s := stats.Serve
 		sum.Decisions += s.Decisions
@@ -581,17 +524,7 @@ func (b *clusterBackend) Stats() alert.ServerStats {
 	if sum.Decisions > 0 {
 		sum.AvgDecideLatency = weightedAvg / time.Duration(sum.Decisions)
 	}
-	return sum
-}
-
-// nextMember returns the member after addr in -addrs order, wrapping.
-func (b *clusterBackend) nextMember(addr string) string {
-	for i, a := range b.members {
-		if a == addr {
-			return b.members[(i+1)%len(b.members)]
-		}
-	}
-	return b.members[0]
+	return sum, nil
 }
 
 // runLoad executes the load test and returns the aggregate report.
@@ -635,62 +568,20 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 		open = false
 	}
 
-	// The server under load: in-process by default, a live alertserve over
-	// the network with -addr. Shards bound only worker concurrency; every
-	// stream gets its own session either way, so the shard count never
+	// The server under load: in-process by default, live alertserves over
+	// the network with -addr/-addrs. Shards bound only worker concurrency;
+	// every stream gets its own session either way, so the shard count never
 	// changes decisions and 0 can safely mean "one per CPU" (the
 	// alert.NewServer default).
-	var (
-		bk     backend
-		remote interface{ firstErr() error }
-	)
-	if cfg.addrs != "" {
+	var bk backend
+	drive := driveConfig{inputs: cfg.inputs, open: open}
+	if cfg.addr != "" || cfg.addrs != "" {
 		cb, err := newClusterBackend(cfg, plat, models)
 		if err != nil {
 			return nil, err
 		}
 		defer cb.cl.Close()
-		bk, remote = cb, cb
-	} else if cfg.addr != "" {
-		base := cfg.addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		// Overload 429s are retried by the client itself (they are shed
-		// before any state is touched, so retries cannot double-apply);
-		// replays need every request served, not load shed.
-		cl, err := client.New(base, client.Options{MaxRetries: 100, PreferBinary: cfg.wire == "binary"})
-		if err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-		rb := &remoteBackend{c: cl, ctx: context.Background()}
-		// Preflight: the remote server must be profiled like this run, or
-		// its decisions answer a different question and every comparison
-		// (and the byte-identical replay property) is silently garbage.
-		stats, err := cl.Stats(rb.ctx)
-		if err != nil {
-			return nil, fmt.Errorf("probing %s: %w", cfg.addr, err)
-		}
-		if cfg.wire == "binary" && stats.BinaryAddr == "" {
-			return nil, fmt.Errorf("remote server at %s has no binary listener (start alertserve with -binary-addr)", cfg.addr)
-		}
-		if !strings.EqualFold(stats.Platform, plat.Name) {
-			return nil, fmt.Errorf("remote server at %s serves platform %s, this run simulates %s (start alertserve with -platform %s)",
-				cfg.addr, stats.Platform, plat.Name, plat.Name)
-		}
-		if stats.Models != len(models) {
-			return nil, fmt.Errorf("remote server at %s serves %d candidate models, this run simulates %d (start alertserve with -task %s)",
-				cfg.addr, stats.Models, len(models), cfg.task)
-		}
-		// Fresh sessions for the streams this run drives, so the replay is
-		// reproducible regardless of the server's prior traffic.
-		for s := 0; s < cfg.streams; s++ {
-			if err := cl.EvictStream(rb.ctx, s); err != nil {
-				return nil, fmt.Errorf("evicting stream %d on %s: %w", s, cfg.addr, err)
-			}
-		}
-		bk, remote = rb, rb
+		bk, drive.migrateEvery, drive.migrate = cb, cfg.migrateEvery, cb.migrate
 	} else {
 		srv, err := alert.NewServer(plat, models, alert.ServerOptions{
 			Shards:  cfg.shards,
@@ -700,7 +591,7 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 			return nil, err
 		}
 		defer srv.Close()
-		bk = srv
+		bk = inProcess{srv}
 	}
 
 	// The streams replay the same trace but draw independent input streams
@@ -712,22 +603,20 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 	}
 
 	results := make([]streamResult, cfg.streams)
+	errs := make([]error, cfg.streams)
 	var wg sync.WaitGroup
 	for s := 0; s < cfg.streams; s++ {
 		wg.Add(1)
+		dc := drive
+		dc.stream, dc.seed = s, cfg.seed+int64(s)*7919
 		go func(s int) {
 			defer wg.Done()
-			results[s] = driveStream(bk, prof, tr, spec, task, driveConfig{
-				stream: s,
-				inputs: cfg.inputs,
-				seed:   cfg.seed + int64(s)*7919,
-				open:   open,
-			})
+			results[s], errs[s] = driveStream(bk, prof, tr, spec, task, dc)
 		}(s)
 	}
 	wg.Wait()
-	if remote != nil {
-		if err := remote.firstErr(); err != nil {
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -752,11 +641,8 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 	rep.P99 = all.LatencyPercentile(99)
 	rep.AvgEnergy = all.AvgEnergy()
 	rep.AvgQuality = all.AvgQuality()
-	rep.ServerStats = bk.Stats()
-	if remote != nil {
-		if err := remote.firstErr(); err != nil {
-			return nil, err
-		}
+	if rep.ServerStats, err = bk.Stats(); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -880,15 +766,19 @@ type driveConfig struct {
 	inputs int
 	seed   int64
 	open   bool
+	// migrateEvery > 0 calls migrate(stream) before every migrateEvery-th
+	// input after the first (-migrate-every).
+	migrateEvery int
+	migrate      func(stream int) error
 }
 
 // driveStream runs one inference stream against the server: the paper's
 // decide → execute → observe loop, with execution simulated by a
 // virtual-time environment replaying the scenario trace, and arrivals
 // paced by the trace's arrival process (open loop) or by completion
-// (closed loop).
+// (closed loop). The first failed request ends the stream.
 func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
-	base alert.Spec, task dnn.Task, dc driveConfig) streamResult {
+	base alert.Spec, task dnn.Task, dc driveConfig) (streamResult, error) {
 
 	env := sim.NewEnv(prof, tr.Source(), dc.seed*3+2)
 	stream := workload.NewStream(task, dc.inputs, dc.seed*3+1)
@@ -898,10 +788,15 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 
 	cur := base
 	var arrive, free float64 // virtual clocks: last arrival, server free
-	for {
+	for n := 0; ; n++ {
 		in, ok := stream.Next()
 		if !ok {
 			break
+		}
+		if dc.migrateEvery > 0 && n > 0 && n%dc.migrateEvery == 0 {
+			if err := dc.migrate(dc.stream); err != nil {
+				return streamResult{}, err
+			}
 		}
 		tick := tr.At(in.ID)
 		if next := tr.SpecFor(in.ID, base); next != cur {
@@ -922,7 +817,10 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 		goal := tracker.GoalFor(in)
 		dspec := cur
 		dspec.Deadline = goal
-		d, _ := srv.Decide(dc.stream, dspec)
+		d, _, err := srv.Decide(dc.stream, dspec)
+		if err != nil {
+			return streamResult{}, fmt.Errorf("decide stream %d: %w", dc.stream, err)
+		}
 		out := env.Step(sim.Decision{
 			Model:       d.Model,
 			Cap:         d.Cap,
@@ -930,12 +828,14 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 			Overhead:    d.Overhead,
 		}, in, goal, cur.Deadline)
 		tracker.Observe(in, out.Latency)
-		srv.Observe(dc.stream, alert.Feedback{
+		if err := srv.Observe(dc.stream, alert.Feedback{
 			Decision:       d,
 			Latency:        out.Latency,
 			CompletedStage: out.Stage,
 			IdlePowerW:     out.IdlePower,
-		})
+		}); err != nil {
+			return streamResult{}, fmt.Errorf("observe stream %d: %w", dc.stream, err)
+		}
 		free = start + out.Latency
 		response := wait + out.Latency
 
@@ -958,7 +858,7 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 		rec.Add(s)
 		fmt.Fprintf(&seq, "%d,%d,%.17g,%.17g;", d.Model, d.Cap, d.PlannedStop, d.Overhead)
 	}
-	return streamResult{rec: rec, decisions: seq.String()}
+	return streamResult{rec: rec, decisions: seq.String()}, nil
 }
 
 // writeDecisions persists the per-stream decision sequences, one line per

@@ -8,17 +8,17 @@
 //	alertserve -addr 127.0.0.1:8372 -platform CPU1 -task image
 //	alertserve -addr :8372 -max-inflight 256 -max-queue 1024 -idle-evict 10m
 //	alertserve -addr 127.0.0.1:8372 -binary-addr 127.0.0.1:8373
-//	alertserve -addr :8372 -node-id n1 -peers host2:8372,host3:8372
+//	alertserve -addr :8372 -node-id n1
 //	alertserve -addr 127.0.0.1:8372 -node-id n1 -membership -peers host2:8372,host3:8372
 //
-// -node-id and -peers give the node a cluster identity, advertised as soft
-// state in GET /v1/stats: routing clients (client/cluster) discover the
-// member set from any one node and route streams by consistent hashing,
-// migrating live sessions between nodes with GET /v1/streams/{id}/snapshot
-// and PUT /v1/streams/{id}. cmd/alertload -addrs drives such a cluster.
+// -node-id gives the node a cluster identity, echoed in GET /v1/stats and
+// in every decide reply: routing clients (client/cluster) are told the
+// member set, route streams by consistent hashing, and migrate live
+// sessions between nodes with GET /v1/streams/{id}/snapshot and
+// PUT /v1/streams/{id}. cmd/alertload -addrs drives such a cluster.
 //
 // -membership additionally runs the self-healing layer: the node
-// heartbeats its peers (lease-based failure detection, view served on
+// heartbeats its -peers seeds (lease-based failure detection, view served on
 // GET /v1/membership), replicates each stream's checkpoint to its ring
 // successor every -replicate-every, and when a peer's lease expires
 // restores the streams it owned from the freshest replicated checkpoint —
@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	platName := fs.String("platform", "CPU1", "Embedded | CPU1 | CPU2 | GPU")
 	task := fs.String("task", "image", "image | sentence")
 	shards := fs.Int("shards", 0, "stream-table shards (0 = one per CPU)")
-	queueDepth := fs.Int("queue-depth", 0, "per-shard FIFO capacity (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "admission gate: concurrent requests (0 = default 64)")
 	maxQueue := fs.Int("max-queue", 0, "admission gate: waiting requests before 429 (0 = 2x max-inflight)")
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 (0 = 50ms)")
@@ -86,10 +85,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	sloShed := fs.Bool("slo-shed", false, "shed requests whose deadline is predicted unmeetable at admission (429 + drain-estimate Retry-After)")
 	binaryAddr := fs.String("binary-addr", "", "binwire listen address (host:port; empty = HTTP/JSON only)")
 	nodeID := fs.String("node-id", "", "cluster identity advertised in /v1/stats (empty = standalone)")
-	peers := fs.String("peers", "", "comma-separated peer addresses advertised in /v1/stats for client-side member discovery")
+	peers := fs.String("peers", "", "comma-separated peer addresses the membership layer heartbeats first (requires -membership)")
 	idleEvict := fs.Duration("idle-evict", 0, "evict sessions idle longer than this, swept at the same period (0 = never)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
-	memberOn := fs.Bool("membership", false, "run the membership + self-healing layer (requires -node-id; -peers become heartbeat seeds)")
+	memberOn := fs.Bool("membership", false, "run the membership + self-healing layer (requires -node-id; -peers are its heartbeat seeds)")
 	advertise := fs.String("advertise", "", "address peers and clients dial to reach this node (default: the bound listen address)")
 	heartbeat := fs.Duration("heartbeat", 0, "membership heartbeat period (0 = 250ms)")
 	suspectAfter := fs.Duration("suspect-after", 0, "silence before a peer is suspected (0 = 4x heartbeat)")
@@ -101,6 +100,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	if *memberOn && *nodeID == "" {
 		return errors.New("-membership requires -node-id")
 	}
+	if *peers != "" && !*memberOn {
+		return errors.New("-peers are the membership seeds and require -membership")
+	}
 
 	plat, err := alert.PlatformByName(*platName)
 	if err != nil {
@@ -111,10 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		models = alert.SentenceCandidates()
 	}
 
-	srv, err := alert.NewServer(plat, models, alert.ServerOptions{
-		Shards:     *shards,
-		QueueDepth: *queueDepth,
-	})
+	srv, err := alert.NewServer(plat, models, alert.ServerOptions{Shards: *shards})
 	if err != nil {
 		return err
 	}
@@ -138,7 +137,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		Adaptive:    *adaptive,
 		SLOShed:     *sloShed,
 		NodeID:      *nodeID,
-		Peers:       peerList,
 	}
 	var agent *membership.Agent
 	var heal *selfheal.Manager
@@ -222,7 +220,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		fmt.Fprintf(stdout, "alertserve: binary listener on %s\n", bserver.Addr())
 	}
 	if *nodeID != "" {
-		fmt.Fprintf(stdout, "alertserve: cluster node %q peers=%d\n", *nodeID, len(peerList))
+		fmt.Fprintf(stdout, "alertserve: cluster node %q\n", *nodeID)
 	}
 	if *memberOn {
 		fmt.Fprintf(stdout, "alertserve: membership on, advertising %s, %d seeds\n", agent.Addr(), len(peerList))

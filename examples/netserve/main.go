@@ -68,11 +68,11 @@ func main() {
 
 	// A batched dispatch across many streams: one HTTP request, one
 	// decision per (stream, spec), results in request order.
-	var b client.Batch
+	var reqs []alert.BatchRequest
 	for stream := 2; stream < 10; stream++ {
-		b.Add(stream, spec)
+		reqs = append(reqs, alert.BatchRequest{Stream: stream, Spec: spec})
 	}
-	res, err := b.Flush(ctx, c)
+	res, err := c.DecideBatch(ctx, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -318,12 +318,15 @@ func AppendBatch(dst []byte, id uint64, reqs []alert.BatchRequest) []byte {
 	return endFrame(b, start)
 }
 
-// AppendBatchResp appends a MsgBatchResp frame.
-func AppendBatchResp(dst []byte, id uint64, res []alert.BatchResult) []byte {
+// AppendBatchResp appends a MsgBatchResp frame of n results, reading result
+// i from wherever the caller holds it (a server encodes straight out of the
+// burst that served the batch).
+func AppendBatchResp(dst []byte, id uint64, n int, result func(i int) alert.BatchResult) []byte {
 	start := len(dst)
 	b := beginFrame(dst, MsgBatchResp, id)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(res)))
-	for _, r := range res {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for i := 0; i < n; i++ {
+		r := result(i)
 		b = appendI64(b, int64(r.Stream))
 		b = appendDecision(b, r.Decision)
 		b = appendEstimate(b, r.Estimate)

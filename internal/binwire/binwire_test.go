@@ -162,13 +162,13 @@ func TestBatchRoundTrip(t *testing.T) {
 	res := []alert.BatchResult{
 		{Stream: 1, Decision: sampleDecision(), Estimate: sampleEstimate()},
 	}
-	rraw := AppendBatchResp(nil, 3, res)
+	rraw := appendBatchResp(nil, 3, res)
 	rf := parseOne(t, rraw)
 	rgot, err := DecodeBatchResp(rf.Body, nil)
 	if err != nil {
 		t.Fatalf("DecodeBatchResp: %v", err)
 	}
-	if re := AppendBatchResp(nil, 3, rgot); !bytes.Equal(re, rraw) {
+	if re := appendBatchResp(nil, 3, rgot); !bytes.Equal(re, rraw) {
 		t.Fatal("batch-resp re-encode is not byte-identical")
 	}
 }
@@ -373,4 +373,10 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, l.data[l.off:])
 	l.off += n
 	return n, nil
+}
+
+// appendBatchResp encodes a batch reply from a result slice, the form a
+// decoder hands back.
+func appendBatchResp(dst []byte, id uint64, res []alert.BatchResult) []byte {
+	return AppendBatchResp(dst, id, len(res), func(i int) alert.BatchResult { return res[i] })
 }

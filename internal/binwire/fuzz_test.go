@@ -31,7 +31,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(AppendObserve(nil, 3, 5, fb))
 	f.Add(AppendObserveResp(nil, 4))
 	f.Add(AppendBatch(nil, 5, []alert.BatchRequest{{Stream: 1, Spec: spec}, {Stream: 2, Spec: spec}}))
-	f.Add(AppendBatchResp(nil, 6, []alert.BatchResult{{Stream: 1, Decision: d, Estimate: e}}))
+	f.Add(appendBatchResp(nil, 6, []alert.BatchResult{{Stream: 1, Decision: d, Estimate: e}}))
 	f.Add(AppendStreamReq(nil, MsgExport, 7, 9))
 	f.Add(AppendSnapshot(nil, MsgImport, 8, 9, []byte("blob")))
 	f.Add(AppendError(nil, 9, CodeOverloaded, 50, "queue full"))
@@ -90,7 +90,7 @@ func FuzzBinaryFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re = AppendBatchResp(nil, fr.ID, res)
+			re = appendBatchResp(nil, fr.ID, res)
 		case MsgExport, MsgCheckpoint, MsgEvict, MsgImportResp, MsgEvictResp:
 			stream, err := DecodeStreamReq(fr.Type, fr.Body)
 			if err != nil {

@@ -21,9 +21,10 @@
 //     stops reading blocks only its own connection's Write, holding no gate
 //     slot.
 //
-// The steady-state path allocates nothing: frame decode aliases the reader's
-// buffer, and the held ops, the engine burst and the output buffer are the
-// connection's own, grown on demand and reused.
+// The steady-state path allocates nothing, batch frames included: frame
+// decode aliases the reader's buffer, the held ops, the engine burst and the
+// output buffer are the connection's own, grown on demand and reused, and
+// every reply is encoded straight out of the engine burst.
 //
 // # Ordering and admission
 //
@@ -169,10 +170,12 @@ type binConn struct {
 	conn net.Conn
 
 	// The burst being assembled: every decide and observe admitted since
-	// the last run, in arrival order, and the same calls as the engine will
-	// see them. decides counts the held decides.
+	// the last run, in arrival order, as the pipeline sees them (held) and as
+	// the engine will (engine.burst). decides counts the held decides. A
+	// batch frame runs alone (what is held runs first), so it borrows the
+	// engine burst and is the only user of engine.slots.
 	held    []heldOp
-	engine  *alert.ServerBurst
+	engine  batch
 	decides int
 
 	// wbuf is every frame encoded since the last flush; frames counts them.
@@ -182,12 +185,13 @@ type binConn struct {
 	batchBuf []alert.BatchRequest // batch frames decode into it
 }
 
-// heldOp is one admitted decide or observe waiting for its burst to run.
+// heldOp is one admitted decide or observe waiting for its burst to run; the
+// request itself is in the engine burst.
 type heldOp struct {
 	id uint64
-	// req is the op as begin and finish read it (an array, so slicing it
-	// allocates nothing); an observe carries only the stream.
-	req [1]alert.BatchRequest
+	// key is the op as begin and finish read it (an array, so slicing it
+	// allocates nothing).
+	key [1]slot
 	res int // a decide's index in the engine burst, -1 for an observe
 	// start is when a decide's frame was decoded, admitted when the op
 	// cleared the gate; finish turns them into sojourn and service time.
@@ -196,7 +200,7 @@ type heldOp struct {
 
 func (bs *BinaryServer) serveConn(conn net.Conn) {
 	bs.bin.RecordConnOpen()
-	c := &binConn{srv: bs, conn: conn, engine: bs.front.alert.NewBurst()}
+	c := &binConn{srv: bs, conn: conn, engine: batch{burst: bs.front.alert.NewBurst()}}
 	defer func() {
 		// Whatever ends the connection, what it was admitted for is served.
 		c.run()
@@ -272,9 +276,9 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		h.req[0] = alert.BatchRequest{Stream: stream, Spec: spec}
+		h.key[0] = slot{stream, spec.Deadline}
 		if rej = c.admit(metrics.OpDecide, &h); !rej.refused() {
-			h.res = c.engine.Decide(stream, spec)
+			h.res = c.engine.burst.Decide(stream, spec)
 			c.held = append(c.held, h)
 			c.decides++
 		}
@@ -285,9 +289,16 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		h.req[0].Stream = stream
+		if rej = front.checkFeedback(tc, fb); rej.refused() {
+			break
+		}
+		h.key[0].stream = stream
 		if rej = c.admit(metrics.OpObserve, &h); !rej.refused() {
-			c.engine.Observe(stream, fb)
+			if err := c.engine.burst.Observe(stream, fb); err != nil {
+				front.release()
+				rej = badInput(tc, err.Error())
+				break
+			}
 			c.held = append(c.held, h)
 		}
 	case binwire.MsgBatch:
@@ -297,10 +308,13 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		var results []alert.BatchResult
-		if results, rej = front.decideBatch(ctx, tc, start, c.batchBuf); !rej.refused() {
-			c.reply(binwire.AppendBatchResp(c.wbuf, f.ID, results))
+		for _, r := range c.batchBuf {
+			c.engine.add(r.Stream, r.Spec)
 		}
+		if rej = front.decideBatch(ctx, tc, start, &c.engine); !rej.refused() {
+			c.reply(binwire.AppendBatchResp(c.wbuf, f.ID, len(c.batchBuf), c.engine.burst.Result))
+		}
+		c.engine.reset()
 	case binwire.MsgExport, binwire.MsgCheckpoint:
 		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
 		if err != nil {
@@ -353,7 +367,7 @@ func (c *binConn) admit(op metrics.Op, h *heldOp) reject {
 	if len(c.held) > 0 && front.gate.Saturated() {
 		c.run()
 	}
-	rej := front.begin(context.Background(), c.srv.tc(), op, h.req[:])
+	rej := front.begin(context.Background(), c.srv.tc(), op, h.key[:])
 	h.admitted = time.Now()
 	return rej
 }
@@ -370,7 +384,7 @@ func (c *binConn) run() {
 	if c.decides > 0 {
 		front.sleepServiceDelay()
 	}
-	c.engine.Run()
+	c.engine.burst.Run()
 	for i := range c.held {
 		h := &c.held[i]
 		if h.res < 0 {
@@ -379,15 +393,15 @@ func (c *binConn) run() {
 			c.reply(binwire.AppendObserveResp(c.wbuf, h.id))
 			continue
 		}
-		front.finish(tc, metrics.OpDecide, h.req[:], h.start, h.admitted)
-		d, est := c.engine.Result(h.res)
-		c.reply(binwire.AppendDecideResp(c.wbuf, h.id, d, est, front.nodeID))
+		front.finish(tc, metrics.OpDecide, h.key[:], h.start, h.admitted)
+		r := c.engine.burst.Result(h.res)
+		c.reply(binwire.AppendDecideResp(c.wbuf, h.id, r.Decision, r.Estimate, front.nodeID))
 	}
 	if c.decides > 1 {
 		c.srv.bin.RecordCoalesce(c.decides)
 	}
 	c.held, c.decides = c.held[:0], 0
-	c.engine.Reset()
+	c.engine.reset()
 }
 
 // reply takes the output buffer back with one more frame encoded onto it.

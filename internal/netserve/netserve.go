@@ -115,11 +115,6 @@ type Config struct {
 	// routing clients can verify they reached the member they meant to.
 	// Empty means a standalone node.
 	NodeID string
-	// Peers lists the other cluster members' addresses, also echoed in
-	// /v1/stats. Purely advisory soft state: clients treat it as a
-	// bootstrap hint and re-probe members directly, so a stale list
-	// degrades discovery, never correctness.
-	Peers []string
 	// Membership, if set, serves the node's live membership view on
 	// GET /v1/membership and accepts peer heartbeats on POST
 	// /v1/membership. Nil keeps both endpoints 404 (a static-membership
@@ -181,9 +176,14 @@ type Server struct {
 	net        *metrics.NetCounters
 	retryAfter time.Duration
 	nodeID     string
-	peers      []string
 	agent      *membership.Agent
 	recovery   Recovery
+	// models and caps size the served candidate set: the bounds of the
+	// indices a feedback carries.
+	models, caps int
+	// batches recycles the bursts HTTP decide-batch requests run as (a
+	// binwire connection uses its own).
+	batches sync.Pool
 
 	// gate is the admission gate shared by both transports: a resizable
 	// FIFO semaphore whose effective limits the overload controller owns.
@@ -216,9 +216,11 @@ func New(srv *alert.Server, cfg Config) *Server {
 		net:        metrics.NewNetCounters(),
 		retryAfter: cfg.retryAfter(),
 		nodeID:     cfg.NodeID,
-		peers:      cfg.Peers,
 		agent:      cfg.Membership,
 		recovery:   cfg.Recovery,
+		models:     len(srv.Models()),
+		caps:       len(srv.PowerCaps()),
+		batches:    sync.Pool{New: func() any { return &batch{burst: srv.NewBurst()} }},
 		gate: overload.NewGate(overload.NewController(overload.Config{
 			Inflight:   cfg.maxInflight(),
 			Queue:      cfg.maxQueue(),
@@ -378,22 +380,26 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeReject(w, badInput(s.tc(), "empty batch"))
 		return
 	}
-	reqs := make([]alert.BatchRequest, len(req.Requests))
+	b := s.batches.Get().(*batch)
+	defer func() {
+		b.reset()
+		s.batches.Put(b)
+	}()
 	for i, br := range req.Requests {
 		spec, err := br.Spec.ToSpec()
 		if err != nil {
 			s.writeReject(w, badInput(s.tc(), fmt.Sprintf("request %d: %v", i, err)))
 			return
 		}
-		reqs[i] = alert.BatchRequest{Stream: br.Stream, Spec: spec}
+		b.add(br.Stream, spec)
 	}
-	results, rej := s.decideBatch(r.Context(), s.tc(), start, reqs)
-	if rej.refused() {
+	if rej := s.decideBatch(r.Context(), s.tc(), start, b); rej.refused() {
 		s.writeReject(w, rej)
 		return
 	}
-	out := BatchResponse{Results: make([]BatchResult, len(results))}
-	for i, res := range results {
+	out := BatchResponse{Results: make([]BatchResult, len(b.slots))}
+	for i := range out.Results {
+		res := b.burst.Result(i)
 		out.Results[i] = BatchResult{
 			Stream:   res.Stream,
 			Decision: FromDecision(res.Decision),
@@ -413,7 +419,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:   s.alert.Shards(),
 		Streams:  s.alert.Streams(),
 		NodeID:   s.nodeID,
-		Peers:    s.peers,
 	}
 	ov := s.gate.Snapshot()
 	resp.Overload = &ov

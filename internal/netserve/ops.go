@@ -53,15 +53,23 @@ func badInput(tc *metrics.TransportCounters, msg string) reject {
 	return reject{status: http.StatusBadRequest, msg: msg}
 }
 
+// slot is what admission and accounting read of one request — whose it is
+// and the deadline it must meet (0: none). The request itself lives in the
+// engine burst; this is the pipeline's view of it.
+type slot struct {
+	stream   int
+	deadline float64
+}
+
 // begin is the admission half of every gated op: the restoring hold and
-// the tightest deadline over reqs (the streams and specs the op touches;
-// nil for stream ops, which carry neither), then the SLO shedder and the
-// gate. On a zero reject the op holds a gate slot and MUST end in release
-// (finish, for decides) — from that point it is accepted and will be
-// served no matter what. ctx bounds the wait at the gate together with the
-// deadline; it is only consulted, and a deadline context only built, when
-// the request actually queues.
-func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, reqs []alert.BatchRequest) reject {
+// the tightest deadline over reqs (the requests the op carries; nil for
+// stream ops, which have neither stream hold nor deadline), then the SLO
+// shedder and the gate. On a zero reject the op holds a gate slot and MUST
+// end in release (finish, for decides) — from that point it is accepted and
+// will be served no matter what. ctx bounds the wait at the gate together
+// with the deadline; it is only consulted, and a deadline context only
+// built, when the request actually queues.
+func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, reqs []slot) reject {
 	// The op's admission deadline is its tightest member's: if that one
 	// can no longer be served in time, the whole batch is late.
 	deadline := 0.0
@@ -70,12 +78,12 @@ func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op me
 		// client retries onto the finished restore. A batch touching a
 		// restoring stream sheds whole: serving the rest while skipping one
 		// slot would break the "results in request order" contract.
-		if s.recovery != nil && s.recovery.Restoring(reqs[i].Stream) {
+		if s.recovery != nil && s.recovery.Restoring(reqs[i].stream) {
 			tc.RecordReject(metrics.RejectRestoring)
 			return reject{http.StatusServiceUnavailable, s.retryAfter,
-				fmt.Sprintf("stream %d is restoring after failover", reqs[i].Stream)}
+				fmt.Sprintf("stream %d is restoring after failover", reqs[i].stream)}
 		}
-		if d := reqs[i].Spec.Deadline; d > 0 && (deadline == 0 || d < deadline) {
+		if d := reqs[i].deadline; d > 0 && (deadline == 0 || d < deadline) {
 			deadline = d
 		}
 	}
@@ -89,7 +97,7 @@ func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op me
 	if op == metrics.OpDecide || op == metrics.OpBatch {
 		// To the caller a shed decide is a deadline miss.
 		for i := range reqs {
-			s.slo.RecordShed(reqs[i].Stream)
+			s.slo.RecordShed(reqs[i].stream)
 		}
 	}
 	tc.RecordReject(class)
@@ -176,13 +184,13 @@ func (s *Server) release() {
 // → now) is the latency both the SLO tracker and the counters see — met
 // when a request had no deadline or its sojourn fit it — and the slot goes
 // back.
-func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, reqs []alert.BatchRequest, start, admitted time.Time) {
+func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, reqs []slot, start, admitted time.Time) {
 	now := time.Now()
 	s.gate.Controller().ObserveService(now.Sub(admitted))
 	sojourn := now.Sub(start)
 	for i := range reqs {
-		d := reqs[i].Spec.Deadline
-		s.slo.RecordServed(reqs[i].Stream, d <= 0 || sojourn.Seconds() <= d)
+		d := reqs[i].deadline
+		s.slo.RecordServed(reqs[i].stream, d <= 0 || sojourn.Seconds() <= d)
 	}
 	tc.RecordDecides(op, len(reqs), sojourn)
 	s.release()
@@ -201,7 +209,7 @@ func (s *Server) sleepServiceDelay() {
 // decodes each frame of a burst and finish after the burst's one engine
 // crossing, before it writes anything — see binConn.run.)
 func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, start time.Time, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, reject) {
-	one := [1]alert.BatchRequest{{Stream: stream, Spec: spec}}
+	one := [1]slot{{stream, spec.Deadline}}
 	if rej := s.begin(ctx, tc, metrics.OpDecide, one[:]); rej.refused() {
 		return alert.Decision{}, alert.Estimate{}, rej
 	}
@@ -212,33 +220,69 @@ func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, star
 	return d, est, reject{}
 }
 
-// decideBatch serves a client-sent batch whole: one admission, one
-// DecideBatch, all-or-nothing, results in request order.
-func (s *Server) decideBatch(ctx context.Context, tc *metrics.TransportCounters, start time.Time, reqs []alert.BatchRequest) ([]alert.BatchResult, reject) {
-	if rej := s.begin(ctx, tc, metrics.OpBatch, reqs); rej.refused() {
-		return nil, rej
+// batch is a client-sent batch on its way through the pipeline: the decides
+// in request order in an engine burst, and their slots.
+type batch struct {
+	burst *alert.ServerBurst
+	slots []slot
+}
+
+// add appends one decide to the batch.
+func (b *batch) add(stream int, spec alert.Spec) {
+	b.burst.Decide(stream, spec)
+	b.slots = append(b.slots, slot{stream, spec.Deadline})
+}
+
+// reset empties the batch, keeping its memory.
+func (b *batch) reset() {
+	b.burst.Reset()
+	b.slots = b.slots[:0]
+}
+
+// decideBatch serves a client-sent batch whole: one admission, one burst,
+// all-or-nothing. On a zero reject b.burst holds the results in request
+// order, for the codec to encode in place.
+func (s *Server) decideBatch(ctx context.Context, tc *metrics.TransportCounters, start time.Time, b *batch) reject {
+	if rej := s.begin(ctx, tc, metrics.OpBatch, b.slots); rej.refused() {
+		return rej
 	}
 	admitted := time.Now()
 	s.sleepServiceDelay()
-	results := s.alert.DecideBatch(reqs)
-	s.finish(tc, metrics.OpBatch, reqs, start, admitted)
-	return results, reject{}
+	b.burst.Run()
+	s.finish(tc, metrics.OpBatch, b.slots, start, admitted)
+	return reject{}
+}
+
+// checkFeedback refuses, before admission, an observe whose decision names a
+// model or cap outside the served candidate set: the indices come off the
+// wire and index the profile table.
+func (s *Server) checkFeedback(tc *metrics.TransportCounters, fb alert.Feedback) reject {
+	if d := fb.Decision; d.Model < 0 || d.Model >= s.models || d.Cap < 0 || d.Cap >= s.caps {
+		return badInput(tc, fmt.Sprintf("feedback for model %d at cap %d: the server has %d models and %d caps",
+			d.Model, d.Cap, s.models, s.caps))
+	}
+	return reject{}
 }
 
 // observe folds one feedback into its stream (the HTTP path; a binwire
-// connection holds its observes for the burst, the same begin → serve →
-// release around a shared engine crossing). Observes are deadline-free, so
-// they are never SLO-shed; the enqueue happens before this returns — so
-// before the transport acks — which is what makes a client that round-trips
-// observe → decide on one stream FIFO-ordered exactly like the in-process
-// path.
+// connection holds its observes for the burst, the same check → begin →
+// serve → release around a shared engine crossing). Observes are
+// deadline-free, so they are never SLO-shed; the enqueue happens before
+// this returns — so before the transport acks — which is what makes a
+// client that round-trips observe → decide on one stream FIFO-ordered
+// exactly like the in-process path.
 func (s *Server) observe(ctx context.Context, tc *metrics.TransportCounters, stream int, fb alert.Feedback) reject {
-	one := [1]alert.BatchRequest{{Stream: stream}}
+	if rej := s.checkFeedback(tc, fb); rej.refused() {
+		return rej
+	}
+	one := [1]slot{{stream: stream}}
 	if rej := s.begin(ctx, tc, metrics.OpObserve, one[:]); rej.refused() {
 		return rej
 	}
 	defer s.release()
-	s.alert.Observe(stream, fb)
+	if err := s.alert.Observe(stream, fb); err != nil {
+		return badInput(tc, err.Error())
+	}
 	tc.RecordOp(metrics.OpObserve)
 	return reject{}
 }

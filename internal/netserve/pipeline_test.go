@@ -30,7 +30,15 @@ type call struct {
 	// deadlineS is the Spec deadline of a decide, and of the first member
 	// of a batch (a batch is {stream, deadlineS} + {stream+1, 30s}).
 	deadlineS float64
-	blob      []byte // import
+	blob      []byte          // import
+	fb        *alert.Feedback // observe; nil sends a plain 10ms measurement
+}
+
+func (c call) feedback() alert.Feedback {
+	if c.fb != nil {
+		return *c.fb
+	}
+	return alert.Feedback{Latency: 0.01, CompletedStage: -1}
 }
 
 func (c call) reqs() []alert.BatchRequest {
@@ -73,7 +81,7 @@ func (h httpWire) do(t *testing.T, c call) (int, int64, string) {
 		}
 		method, path, body = http.MethodPost, "/v1/decide-batch", br
 	case metrics.OpObserve:
-		method, path, body = http.MethodPost, "/v1/observe", ObserveRequest{Stream: c.stream, Feedback: Feedback{LatencyS: 0.01, CompletedStage: -1}}
+		method, path, body = http.MethodPost, "/v1/observe", ObserveRequest{Stream: c.stream, Feedback: FromFeedback(c.feedback())}
 	case metrics.OpEvict:
 		method = http.MethodDelete
 	case metrics.OpExport:
@@ -132,7 +140,7 @@ func (b binWire) do(t *testing.T, c call) (int, int64, string) {
 	case metrics.OpBatch:
 		frame, want = binwire.AppendBatch(nil, rc.id, c.reqs()), binwire.MsgBatchResp
 	case metrics.OpObserve:
-		frame, want = binwire.AppendObserve(nil, rc.id, c.stream, alert.Feedback{Latency: 0.01, CompletedStage: -1}), binwire.MsgObserveResp
+		frame, want = binwire.AppendObserve(nil, rc.id, c.stream, c.feedback()), binwire.MsgObserveResp
 	case metrics.OpEvict:
 		frame, want = binwire.AppendStreamReq(nil, binwire.MsgEvict, rc.id, c.stream), binwire.MsgEvictResp
 	case metrics.OpExport:
@@ -171,6 +179,42 @@ func bothWires(t *testing.T, cfg Config, fn func(t *testing.T, front *Server, w 
 		front := New(testAlertServer(t, 1), cfg)
 		bs := startBinary(t, front, BinaryConfig{})
 		fn(t, front, binWire{bs, dialBinary(t, bs.Addr())})
+	})
+}
+
+// TestBadFeedbackRefused: the model and cap a feedback names come off the
+// wire and index the profile table, so an out-of-range one is bad input —
+// refused with 400 before admission, on both codecs, never an index panic
+// (on binwire that is a panic on the connection's goroutine: the process
+// dies). The server then keeps serving, on a new connection too.
+func TestBadFeedbackRefused(t *testing.T) {
+	bothWires(t, Config{}, func(t *testing.T, front *Server, w wire) {
+		_, bad0 := w.counters()
+		decisions := []alert.Decision{{Model: 9999}, {Model: -1}, {Cap: 9999}, {Cap: -1}}
+		for _, d := range decisions {
+			status, hint, msg := w.do(t, call{op: metrics.OpObserve, stream: 7, fb: &alert.Feedback{Decision: d, Latency: 0.1}})
+			if status != http.StatusBadRequest || hint != 0 || !strings.Contains(msg, "feedback for model") {
+				t.Errorf("observe of %+v = %d (hint %d) %q, want a 400 naming the bad indices", d, status, hint, msg)
+			}
+		}
+		snap, bad := w.counters()
+		if bad-bad0 != int64(len(decisions)) || snap.Observes != 0 {
+			t.Errorf("bad_input moved by %d with %d observes served, want %d and 0", bad-bad0, snap.Observes, len(decisions))
+		}
+		if ov := front.OverloadStats(); ov.Inflight != 0 || ov.Queued != 0 {
+			t.Errorf("gate holds %d inflight, %d queued after refused observes, want 0", ov.Inflight, ov.Queued)
+		}
+		if front.alert.Streams() != 0 {
+			t.Errorf("a refused observe created a session")
+		}
+		if bw, ok := w.(binWire); ok {
+			w = binWire{bw.bs, dialBinary(t, bw.bs.Addr())}
+		}
+		for _, op := range []metrics.Op{metrics.OpDecide, metrics.OpObserve} {
+			if status, _, msg := w.do(t, call{op: op, stream: 7, deadlineS: 0.2}); status != 0 {
+				t.Errorf("op %d after the refused observes = %d %q, want served", op, status, msg)
+			}
+		}
 	})
 }
 

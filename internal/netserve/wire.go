@@ -236,12 +236,11 @@ type StatsResponse struct {
 	Models   int    `json:"models"`
 	Shards   int    `json:"shards"`
 	Streams  int    `json:"streams"`
-	// NodeID and Peers are the node's cluster identity as configured at
-	// startup (cmd/alertserve -node-id/-peers): soft state that routing
-	// clients use for discovery and sanity checks. Empty for a standalone
+	// NodeID is the node's cluster identity as configured at startup
+	// (cmd/alertserve -node-id), which routing clients use for sanity
+	// checks; member discovery is GET /v1/membership. Empty for a standalone
 	// node.
-	NodeID string   `json:"node_id,omitempty"`
-	Peers  []string `json:"peers,omitempty"`
+	NodeID string `json:"node_id,omitempty"`
 	// BinaryAddr is the binary wire listener's address, advertised when
 	// cmd/alertserve runs with -binary-addr; clients built with
 	// PreferBinary discover the faster transport here and fall back to

@@ -127,24 +127,25 @@ func BenchmarkPoolManyStreams(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolDecideBatch measures grouped dispatch of a 64-request batch
-// over 8 shards (8 channel operations per batch instead of 64).
+// BenchmarkPoolDecideBatch measures grouped dispatch of a 64-decide burst
+// over 8 shards (8 channel operations per burst instead of 64), the Burst
+// reused the way every caller above the pool reuses its own.
 func BenchmarkPoolDecideBatch(b *testing.B) {
 	pool := NewPool(testProfile(b), core.DefaultOptions(), Config{Shards: 8, QueueDepth: 256})
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
-	reqs := make([]Request, 64)
-	for i := range reqs {
-		reqs[i] = Request{Stream: i, Spec: spec}
+	burst := Burst{Ops: make([]Op, 64)}
+	for i := range burst.Ops {
+		burst.Ops[i] = Op{Stream: i, Spec: spec}
 	}
-	pool.DecideBatch(reqs)
+	pool.Run(&burst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.DecideBatch(reqs)
+		pool.Run(&burst)
 	}
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N*len(reqs))/sec, "decisions/s")
+		b.ReportMetric(float64(b.N*len(burst.Ops))/sec, "decisions/s")
 	}
 }

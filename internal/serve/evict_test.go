@@ -130,10 +130,10 @@ func TestEvictStreamConcurrentWithDecideBatch(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		reqs := []Request{{Stream: hot, Spec: spec}, {Stream: 1, Spec: spec},
+		reqs := []Op{{Stream: hot, Spec: spec}, {Stream: 1, Spec: spec},
 			{Stream: hot, Spec: spec}, {Stream: 3, Spec: spec}}
 		for i := 0; i < batches; i++ {
-			res := pool.DecideBatch(reqs)
+			res := runBurst(pool, reqs)
 			if len(res) != len(reqs) {
 				t.Errorf("batch %d: %d results for %d requests", i, len(res), len(reqs))
 				return

@@ -179,9 +179,9 @@ func TestExportImportConcurrentWithTraffic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reqs := []Request{{Stream: hot, Spec: spec}, {Stream: 1, Spec: spec}, {Stream: hot, Spec: spec}}
+			reqs := []Op{{Stream: hot, Spec: spec}, {Stream: 1, Spec: spec}, {Stream: hot, Spec: spec}}
 			for i := 0; i < rounds; i++ {
-				for j, r := range pool.DecideBatch(reqs) {
+				for j, r := range runBurst(pool, reqs) {
 					if r.Estimate.LatMean <= 0 {
 						t.Errorf("round %d result %d lost: %+v", i, j, r)
 						return

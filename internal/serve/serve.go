@@ -43,19 +43,28 @@
 //     export/checkpoint/import — is a closure enqueued like any task (on,
 //     everyShard), so it observes a prefix-consistent session state and
 //     never races with mutations.
-//   - Grouped dispatch is shard-atomic and arrival-ordered: Run hands each
-//     shard one group task carrying all of that shard's ops — decides and
-//     observes — in the burst's order (one channel operation per shard per
-//     burst), so a stream's ops apply exactly as if submitted one by one,
-//     and a concurrent submission orders before or after the whole group,
-//     never inside it. Results are written in place. DecideBatch is a burst
-//     of decides.
+//   - One decide path: a decide reaches a shard only inside a Burst. Run
+//     hands each shard one group task carrying all of that shard's ops —
+//     decides and observes — in the burst's order (one channel operation
+//     per shard per burst), so a stream's ops apply exactly as if submitted
+//     one by one, and a concurrent submission orders before or after the
+//     whole group, never inside it. Op is the only record: the caller fills
+//     it, the worker writes the decision into it in place, every layer above
+//     reads it there. Decide is a burst of one drawn from the pool's free
+//     list.
+//   - Observe is the other path, and stays asynchronous on purpose: nobody
+//     waits for an observe's result, so a lone one is a fire-and-forget
+//     task. Making it a synchronous burst of one was measured and rejected —
+//     on the repository benchmark's loop-json-batch workload it cost 6.6 %
+//     loops_per_s (32.1–32.5k → 30.0–30.3k) and ~15 % decide_p95_us over
+//     four alternating 10 s pairs, while routing lone decides through the
+//     burst measured neutral (32.7–33.0k on both sides).
 //   - Backpressure, not shedding: a full queue blocks the submitter; the
 //     pool never drops or reorders work.
 //
-// Steady-state Decide is allocation-free: reply channels are pooled, tasks
-// travel the shard channels by value, and a live stream's session is a map
-// hit, so the only per-request work is the session's own (also
+// Steady-state Decide is allocation-free: its burst of one is recycled,
+// tasks travel the shard channels by value, and a live stream's session is
+// a map hit, so the only per-request work is the session's own (also
 // allocation-free) decision. Only a stream's first request allocates — its
 // session.
 package serve
@@ -102,31 +111,22 @@ func (c Config) depth() int {
 type taskKind int
 
 const (
-	taskDecide taskKind = iota
-	taskGroup
+	taskGroup taskKind = iota
 	taskObserve
 	taskRun
 )
 
-type decideReply struct {
-	d   sim.Decision
-	est core.Estimate
-}
-
-// replyPool recycles the buffered-1 reply channels of the single-decide
-// path. A fresh channel per Decide was the steady state's only allocation;
-// pooling makes the whole submit→decide→reply round allocation-free. A
-// pooled channel is always empty when Put back: the caller receives the one
-// buffered reply before returning it.
-var replyPool = sync.Pool{New: func() any { return make(chan decideReply, 1) }}
-
-// Op is one element of a Burst: a decide of Spec whose Result is written in
-// place, or — when Observe is set — an observe of Out.
+// Op is one element of a Burst and the one record of a request from the
+// wire to the shard: a decide of Spec for Stream, whose Decision and
+// Estimate the worker writes in place, or — when Observe is set — an
+// observe of Out.
 type Op struct {
-	Request
-	Observe bool
-	Out     sim.Outcome
-	Result
+	Stream   int
+	Spec     core.Spec
+	Observe  bool
+	Out      sim.Outcome
+	Decision sim.Decision
+	Estimate core.Estimate
 }
 
 // Burst is a group of decides and observes that Run applies in slice order,
@@ -151,19 +151,17 @@ type group struct {
 	n   int // Run's count pass; zero between passes
 }
 
-// task is what travels a shard channel, by value, on every decide and
+// task is what travels a shard channel, by value, on every burst and lone
 // observe — so it carries only what those need. Every other operation is a
 // taskRun whose closure holds its own arguments and results.
 type task struct {
 	kind   taskKind
-	stream int
-	spec   core.Spec
+	group  *group       // group: one per shard per burst
+	run    func(*shard) // taskRun: executed on the owning worker
+	stream int          // observe
 	out    sim.Outcome
-	reply  chan decideReply // decide: buffered 1, worker never blocks
-	group  *group           // group: one per shard per burst
-	run    func(*shard)     // taskRun: executed on the owning worker
-	// start is the submission timestamp of traffic tasks (decide/observe):
-	// it feeds the latency counters and the session's last-use time.
+	// start is an observe's submission timestamp, its session's last-use
+	// time (a group reads its burst's).
 	start time.Time
 }
 
@@ -213,6 +211,9 @@ type Pool struct {
 	// be set before any traffic and never changed afterwards.
 	clock func() time.Time
 
+	// bursts is Decide's free list of bursts of one.
+	bursts sync.Pool
+
 	closeOnce sync.Once
 }
 
@@ -225,6 +226,7 @@ func NewPool(prof *dnn.ProfileTable, opts core.Options, cfg Config) *Pool {
 		shards:   make([]*shard, cfg.shards()),
 		counters: metrics.NewServeCounters(),
 		clock:    time.Now,
+		bursts:   sync.Pool{New: func() any { return new(Burst) }},
 	}
 	for i := range p.shards {
 		s := &shard{
@@ -244,18 +246,10 @@ func (p *Pool) work(s *shard) {
 	defer close(s.exited)
 	for t := range s.ch {
 		switch t.kind {
-		case taskDecide:
-			// Queue delay — submit to pickup — is the pool's share of the
-			// decide latency; the admission controller reads it off stats.
-			p.counters.RecordQueueWait(time.Since(t.start))
-			d, est := s.session(t.stream, t.start, p.counters).Decide(t.spec)
-			// Counters record before the reply unblocks the client, so a
-			// Stats read that follows a completed Decide always sees it.
-			p.counters.RecordDecide(time.Since(t.start))
-			p.counters.RecordScan(s.sc.TakeScanCounts())
-			t.reply <- decideReply{d: d, est: est}
 		case taskGroup:
 			b := t.group.b
+			// Queue delay — submit to pickup — is the pool's share of the
+			// decide latency; the admission controller reads it off stats.
 			p.counters.RecordQueueWait(time.Since(b.start))
 			for _, i := range t.group.idx {
 				op := &b.Ops[i]
@@ -269,6 +263,8 @@ func (p *Pool) work(s *shard) {
 				p.counters.RecordDecide(time.Since(b.start))
 			}
 			p.counters.RecordScan(s.sc.TakeScanCounts())
+			// Counters record before Done unblocks the caller, so a Stats
+			// read that follows a completed Decide always sees it.
 			b.wg.Done()
 		case taskObserve:
 			s.session(t.stream, t.start, p.counters).Observe(t.out)
@@ -344,15 +340,16 @@ func (p *Pool) shardFor(stream int) *shard {
 
 // Decide routes the spec to the stream's shard and blocks for the decision,
 // creating the stream's session on first use. Requests submitted to one
-// shard are served in submission order. The steady-state round trip is
-// allocation-free: the reply channel comes from a pool and the task rides
-// the shard channel by value.
+// shard are served in submission order. It is a burst of one; the burst
+// comes from the pool's free list, so the steady-state round trip is
+// allocation-free.
 func (p *Pool) Decide(stream int, spec core.Spec) (sim.Decision, core.Estimate) {
-	reply := replyPool.Get().(chan decideReply)
-	p.shardFor(stream).ch <- task{kind: taskDecide, stream: stream, spec: spec, reply: reply, start: p.clock()}
-	r := <-reply
-	replyPool.Put(reply)
-	return r.d, r.est
+	b := p.bursts.Get().(*Burst)
+	b.Ops = append(b.Ops[:0], Op{Stream: stream, Spec: spec})
+	p.dispatch(b)
+	d, est := b.Ops[0].Decision, b.Ops[0].Estimate
+	p.bursts.Put(b)
+	return d, est
 }
 
 // Observe enqueues a measurement for the stream's session and returns
@@ -420,20 +417,6 @@ func (p *Pool) StreamIDs() []int {
 	return all
 }
 
-// Request is one element of a batched dispatch.
-type Request struct {
-	// Stream selects the session (and the shard that owns it) serving this
-	// request.
-	Stream int
-	Spec   core.Spec
-}
-
-// Result is the pool's answer to one batched Request, in request order.
-type Result struct {
-	Decision sim.Decision
-	Estimate core.Estimate
-}
-
 // Run applies the burst's ops, results written into b.Ops in place, and
 // blocks until every one is done. Each shard receives one task carrying all
 // of its ops (one channel operation per shard per burst, not per op) and
@@ -444,6 +427,12 @@ func (p *Pool) Run(b *Burst) {
 		return
 	}
 	p.counters.RecordBatch()
+	p.dispatch(b)
+}
+
+// dispatch is Run without the batch count (Decide's burst of one is not a
+// grouped dispatch to anyone watching the counters).
+func (p *Pool) dispatch(b *Burst) {
 	if b.groups == nil {
 		b.groups = make([]group, len(p.shards))
 	}
@@ -472,25 +461,6 @@ func (p *Pool) Run(b *Burst) {
 		}
 	}
 	b.wg.Wait()
-}
-
-// DecideBatch is Run for a caller that has only decides and wants its own
-// result slice: requests that share a stream are served in batch order,
-// distinct shards run concurrently, results come back in request order.
-func (p *Pool) DecideBatch(reqs []Request) []Result {
-	if len(reqs) == 0 {
-		return nil
-	}
-	b := Burst{Ops: make([]Op, len(reqs))}
-	for i := range reqs {
-		b.Ops[i].Request = reqs[i]
-	}
-	p.Run(&b)
-	out := make([]Result, len(reqs))
-	for i := range b.Ops {
-		out[i] = b.Ops[i].Result
-	}
-	return out
 }
 
 // ExportStream drains the stream's pending traffic, snapshots its session,

@@ -50,6 +50,14 @@ func outcomeFor(prof *dnn.ProfileTable, d sim.Decision, xi float64) sim.Outcome 
 	return sim.Outcome{ObservedXi: xi, IdlePower: 5, CapApplied: prof.Caps[d.Cap]}
 }
 
+// runBurst applies ops as one fresh burst and returns them, results in
+// place.
+func runBurst(p *Pool, ops []Op) []Op {
+	b := Burst{Ops: ops}
+	p.Run(&b)
+	return b.Ops
+}
+
 // serialRun replays a stream's script against a lone Controller — the
 // paper's one-stream-per-controller deployment the shards must match.
 func serialRun(prof *dnn.ProfileTable, steps []step) []sim.Decision {
@@ -164,11 +172,11 @@ func TestDecideBatch(t *testing.T) {
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.15, AccuracyGoal: 0.9}
-	reqs := make([]Request, 30)
+	reqs := make([]Op, 30)
 	for i := range reqs {
-		reqs[i] = Request{Stream: i % 5, Spec: spec}
+		reqs[i] = Op{Stream: i % 5, Spec: spec}
 	}
-	res := pool.DecideBatch(reqs)
+	res := runBurst(pool, reqs)
 	if len(res) != len(reqs) {
 		t.Fatalf("got %d results, want %d", len(res), len(reqs))
 	}
@@ -176,9 +184,6 @@ func TestDecideBatch(t *testing.T) {
 		if r.Decision.Model < 0 || r.Decision.Model >= prof.NumModels() {
 			t.Fatalf("result %d: model %d out of range", i, r.Decision.Model)
 		}
-	}
-	if pool.DecideBatch(nil) != nil {
-		t.Error("empty batch should return nil")
 	}
 
 	snap := pool.Counters().Snapshot()
@@ -203,9 +208,9 @@ func TestDecideBatchRequestOrder(t *testing.T) {
 
 	// Mixed streams in a deliberately non-contiguous shard pattern, each
 	// with its own deadline so expected decisions differ across requests.
-	reqs := make([]Request, 41)
+	reqs := make([]Op, 41)
 	for i := range reqs {
-		reqs[i] = Request{
+		reqs[i] = Op{
 			Stream: (i * 7) % 13,
 			Spec: core.Spec{
 				Objective:    core.MinimizeEnergy,
@@ -214,7 +219,7 @@ func TestDecideBatchRequestOrder(t *testing.T) {
 			},
 		}
 	}
-	got := pool.DecideBatch(reqs)
+	got := runBurst(pool, reqs)
 
 	// The oracle: one lone controller per *stream* replaying that stream's
 	// requests in batch order — streams share nothing, even when they share
@@ -251,11 +256,11 @@ func TestDecideBatchFIFOWithObserves(t *testing.T) {
 	}
 	got := make([][]sim.Decision, streams)
 	for r := 0; r < rounds; r++ {
-		reqs := make([]Request, streams)
+		reqs := make([]Op, streams)
 		for s := 0; s < streams; s++ {
-			reqs[s] = Request{Stream: s, Spec: scripts[s][r].spec}
+			reqs[s] = Op{Stream: s, Spec: scripts[s][r].spec}
 		}
-		res := pool.DecideBatch(reqs)
+		res := runBurst(pool, reqs)
 		for s := 0; s < streams; s++ {
 			got[s] = append(got[s], res[s].Decision)
 			pool.Observe(s, outcomeFor(prof, res[s].Decision, scripts[s][r].xi))
@@ -295,8 +300,8 @@ func TestBurstMatchesSerial(t *testing.T) {
 				// The feedback is the serial run's: it is what this decide
 				// must produce for the sequences to stay equal.
 				b.Ops = append(b.Ops,
-					Op{Request: Request{Stream: s, Spec: scripts[s][r].spec}},
-					Op{Request: Request{Stream: s}, Observe: true, Out: outcomeFor(prof, want[s][r], scripts[s][r].xi)})
+					Op{Stream: s, Spec: scripts[s][r].spec},
+					Op{Stream: s, Observe: true, Out: outcomeFor(prof, want[s][r], scripts[s][r].xi)})
 			}
 		}
 		pool.Run(&b)
@@ -329,7 +334,7 @@ func TestBurstSteadyStateAllocs(t *testing.T) {
 		run := func() {
 			b.Ops = b.Ops[:0]
 			for i := 0; i < n; i++ {
-				b.Ops = append(b.Ops, Op{Request: Request{Stream: i, Spec: spec}}, Op{Request: Request{Stream: i}, Observe: true, Out: out})
+				b.Ops = append(b.Ops, Op{Stream: i, Spec: spec}, Op{Stream: i, Observe: true, Out: out})
 			}
 			pool.Run(&b)
 		}
@@ -356,11 +361,11 @@ func TestDecideBatchStress(t *testing.T) {
 			defer wg.Done()
 			spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.15, AccuracyGoal: 0.9}
 			for i := 0; i < 30; i++ {
-				reqs := make([]Request, 11)
+				reqs := make([]Op, 11)
 				for j := range reqs {
-					reqs[j] = Request{Stream: g*31 + j, Spec: spec}
+					reqs[j] = Op{Stream: g*31 + j, Spec: spec}
 				}
-				res := pool.DecideBatch(reqs)
+				res := runBurst(pool, reqs)
 				for j, r := range res {
 					if r.Decision.Model < 0 || r.Decision.Model >= prof.NumModels() {
 						t.Errorf("bad model %d", r.Decision.Model)
@@ -386,11 +391,11 @@ func TestDecideBatchStress(t *testing.T) {
 }
 
 // TestPoolDecideSteadyStateAllocs asserts the serve-layer allocation
-// contract: with the reply channel pooled and the controller's
-// allocation-free scan, a steady-state Decide round trip allocates nothing. The worker
-// goroutine's allocations count too (AllocsPerRun reads the global
-// counter), so an occasional sync.Pool refill after GC is tolerated but
-// systematic per-call allocation is not.
+// contract: with its burst of one recycled and the controller's
+// allocation-free scan, a steady-state Decide round trip allocates nothing.
+// The worker goroutine's allocations count too (AllocsPerRun reads the
+// global counter), so an occasional sync.Pool refill after GC is tolerated
+// but systematic per-call allocation is not.
 func TestPoolDecideSteadyStateAllocs(t *testing.T) {
 	prof := testProfile(t)
 	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
@@ -419,11 +424,11 @@ func TestScanCountersMove(t *testing.T) {
 		d, _ := pool.Decide(i%4, spec)
 		pool.Observe(i%4, outcomeFor(prof, d, 1.05))
 	}
-	reqs := make([]Request, batch)
+	reqs := make([]Op, batch)
 	for i := range reqs {
-		reqs[i] = Request{Stream: i, Spec: spec}
+		reqs[i] = Op{Stream: i, Spec: spec}
 	}
-	pool.DecideBatch(reqs)
+	runBurst(pool, reqs)
 
 	snap := pool.Counters().Snapshot()
 	decisions := int64(singles + batch)
@@ -440,7 +445,7 @@ func TestScanCountersMove(t *testing.T) {
 
 	impossible := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9999}
 	pool.Decide(0, impossible)
-	pool.DecideBatch([]Request{{Stream: 1, Spec: impossible}, {Stream: 2, Spec: spec}})
+	runBurst(pool, []Op{{Stream: 1, Spec: impossible}, {Stream: 2, Spec: spec}})
 	after := pool.Counters().Snapshot()
 	if after.InfeasibleFallbacks != 2 {
 		t.Errorf("infeasible_fallbacks = %d after two infeasible decisions, want 2", after.InfeasibleFallbacks)
@@ -619,12 +624,13 @@ func TestConfigDefaults(t *testing.T) {
 	pool.Close() // double Close must be safe
 }
 
-// TestTaskFootprint pins the size of the value every Decide and Observe
-// copies through a shard channel: the three hot kinds' fields plus one
-// closure pointer. A control operation that needs more state captures it
-// in its closure rather than widening the task.
+// TestTaskFootprint pins the size of the value every burst and lone Observe
+// copies through a shard channel: a group pointer, an observe's stream,
+// outcome and timestamp, and one closure pointer. A decide's spec and result
+// live in its burst's Op, and a control operation that needs more state
+// captures it in its closure, rather than widening the task.
 func TestTaskFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(task{}); sz > 208 {
-		t.Errorf("task struct is %d bytes, want <= 208", sz)
+	if sz := unsafe.Sizeof(task{}); sz > 152 {
+		t.Errorf("task struct is %d bytes, want <= 152", sz)
 	}
 }

@@ -3,6 +3,7 @@ package alert
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/alert-project/alert/internal/core"
@@ -31,6 +32,8 @@ import (
 type Server struct {
 	prof *dnn.ProfileTable
 	pool *serve.Pool
+	// bursts recycles the bursts DecideBatch runs its batches as.
+	bursts sync.Pool
 }
 
 // ServerOptions configure a Server. The zero value profiles with the
@@ -39,9 +42,6 @@ type ServerOptions struct {
 	// Shards is the number of stream-table shards (worker goroutines);
 	// 0 means GOMAXPROCS. Shards bound concurrency, not stream capacity.
 	Shards int
-	// QueueDepth is the per-shard FIFO capacity before submissions block;
-	// 0 selects a small default.
-	QueueDepth int
 	// Scheduler options, resolved once into the server's shared decision
 	// engine (every stream's session decides against the same engine).
 	Options Options
@@ -62,8 +62,9 @@ func NewServer(p *Platform, models []*Model, opts ServerOptions) (*Server, error
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	pool := serve.NewPool(prof, o, serve.Config{Shards: shards, QueueDepth: opts.QueueDepth})
-	return &Server{prof: prof, pool: pool}, nil
+	s := &Server{prof: prof, pool: serve.NewPool(prof, o, serve.Config{Shards: shards})}
+	s.bursts.New = func() any { return s.NewBurst() }
+	return s, nil
 }
 
 // Shards returns the stream-table shard count.
@@ -155,21 +156,27 @@ func (s *Server) decision(d sim.Decision) Decision {
 
 // Observe feeds a stream's measurement back into its shard's estimators.
 // It returns without waiting for the update to be applied, but the update
-// is ordered before any later Decide on the same stream.
-func (s *Server) Observe(stream int, fb Feedback) {
-	if out, ok := feedbackOutcome(s.prof, fb); ok {
+// is ordered before any later Decide on the same stream. The error reports
+// a feedback whose decision names a model or cap the server does not have;
+// nothing is enqueued then.
+func (s *Server) Observe(stream int, fb Feedback) error {
+	out, ok, err := feedbackOutcome(s.prof, fb)
+	if ok {
 		s.pool.Observe(stream, out)
 	}
+	return err
 }
 
 // BatchRequest is one element of a batched decision dispatch: Stream
 // routes the request (requests sharing a stream are served in batch order
 // by that stream's shard; distinct streams run concurrently) and Spec is
-// its goal. It is the pool's own request type, so a batch crosses into
-// the pool without a copy.
-type BatchRequest = serve.Request
+// its goal.
+type BatchRequest struct {
+	Stream int
+	Spec   Spec
+}
 
-// BatchResult pairs a BatchRequest with its decision, in request order.
+// BatchResult is the decision for one BatchRequest, in request order.
 type BatchResult struct {
 	Stream   int
 	Decision Decision
@@ -177,16 +184,23 @@ type BatchResult struct {
 }
 
 // DecideBatch dispatches the batch across shards and blocks until every
-// decision is in, returning results in request order.
+// decision is in, returning results in request order. It is one burst of
+// decides; the result slice is its only allocation.
 func (s *Server) DecideBatch(reqs []BatchRequest) []BatchResult {
 	if len(reqs) == 0 {
 		return nil
 	}
-	res := s.pool.DecideBatch(reqs)
-	out := make([]BatchResult, len(res))
-	for i, r := range res {
-		out[i] = BatchResult{Stream: reqs[i].Stream, Decision: s.decision(r.Decision), Estimate: r.Estimate}
+	b := s.bursts.Get().(*ServerBurst)
+	for _, r := range reqs {
+		b.Decide(r.Stream, r.Spec)
 	}
+	b.Run()
+	out := make([]BatchResult, len(reqs))
+	for i := range out {
+		out[i] = b.Result(i)
+	}
+	b.Reset()
+	s.bursts.Put(b)
 	return out
 }
 
@@ -207,25 +221,28 @@ func (s *Server) NewBurst() *ServerBurst { return &ServerBurst{s: s} }
 // Decide adds a Decide call and returns the index Result will answer to
 // once Run has returned.
 func (b *ServerBurst) Decide(stream int, spec Spec) int {
-	b.b.Ops = append(b.b.Ops, serve.Op{Request: serve.Request{Stream: stream, Spec: spec}})
+	b.b.Ops = append(b.b.Ops, serve.Op{Stream: stream, Spec: spec})
 	return len(b.b.Ops) - 1
 }
 
 // Observe adds an Observe call (dropped, like Server.Observe, when the
-// measurement carries no signal).
-func (b *ServerBurst) Observe(stream int, fb Feedback) {
-	if out, ok := feedbackOutcome(b.s.prof, fb); ok {
-		b.b.Ops = append(b.b.Ops, serve.Op{Request: serve.Request{Stream: stream}, Observe: true, Out: out})
+// measurement carries no signal, and refused with the same error).
+func (b *ServerBurst) Observe(stream int, fb Feedback) error {
+	out, ok, err := feedbackOutcome(b.s.prof, fb)
+	if ok {
+		b.b.Ops = append(b.b.Ops, serve.Op{Stream: stream, Observe: true, Out: out})
 	}
+	return err
 }
 
 // Run applies every added call and blocks until all are done.
 func (b *ServerBurst) Run() { b.s.pool.Run(&b.b) }
 
-// Result is the answer to the Decide call that returned index i.
-func (b *ServerBurst) Result(i int) (Decision, Estimate) {
+// Result is the answer to the Decide call that returned index i, read
+// straight out of the burst.
+func (b *ServerBurst) Result(i int) BatchResult {
 	op := &b.b.Ops[i]
-	return b.s.decision(op.Decision), op.Estimate
+	return BatchResult{Stream: op.Stream, Decision: b.s.decision(op.Decision), Estimate: op.Estimate}
 }
 
 // Reset empties the burst, keeping its memory for the next one.

@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -83,7 +84,7 @@ func TestServerBurstMatchesScheduler(t *testing.T) {
 		b.Run()
 		for s := 0; s < streams; s++ {
 			for k := 0; k < depth; k++ {
-				if got, _ := b.Result(at[s][k]); got != want[s][r*depth+k] {
+				if got := b.Result(at[s][k]).Decision; got != want[s][r*depth+k] {
 					t.Fatalf("stream %d input %d: burst decision %+v, scheduler %+v", s, r*depth+k, got, want[s][r*depth+k])
 				}
 			}
@@ -91,6 +92,37 @@ func TestServerBurstMatchesScheduler(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Observes != streams*runs*depth {
 		t.Errorf("%d observes applied, want %d (signal-free ones dropped)", st.Observes, streams*runs*depth)
+	}
+}
+
+// TestObserveRefusesForeignDecision: a feedback's model and cap index the
+// profile table and can arrive off a wire, so every Observe door reports one
+// outside the candidate set as an error — distinct from the silent drop of a
+// measurement without signal — and applies nothing.
+func TestObserveRefusesForeignDecision(t *testing.T) {
+	sched, err := NewScheduler(CPU1(), ImageCandidates(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(CPU1(), ImageCandidates(), ServerOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	b := srv.NewBurst()
+	for _, d := range []Decision{{Model: len(srv.Models())}, {Model: -1}, {Cap: len(srv.PowerCaps())}, {Cap: -1}} {
+		fb := Feedback{Decision: d, Latency: 0.1}
+		if sched.Observe(fb) == nil || srv.Observe(3, fb) == nil || b.Observe(3, fb) == nil {
+			t.Errorf("feedback for decision %+v accepted, want an error from every Observe", d)
+		}
+	}
+	noSignal := Feedback{Latency: 0}
+	if err := errors.Join(sched.Observe(noSignal), srv.Observe(3, noSignal), b.Observe(3, noSignal)); err != nil {
+		t.Errorf("signal-free feedback = %v, want a silent drop", err)
+	}
+	b.Run()
+	if st := srv.Stats(); st.Observes != 0 || srv.Streams() != 0 {
+		t.Errorf("%d observes applied, %d sessions created by refused and dropped feedback, want 0", st.Observes, srv.Streams())
 	}
 }
 
