@@ -381,8 +381,9 @@ func (c *Client) Stats(ctx context.Context) (netserve.StatsResponse, error) {
 // Membership fetches the node's live membership view — the addresses and
 // lease states of every member the node knows, as maintained by its
 // membership agent. Nodes running without membership (no -membership flag)
-// answer 404, surfaced as *APIError; callers fall back to the static
-// -peers soft state in Stats. The reply is decoded with the membership
+// answer 404, surfaced as *APIError; a routing client then keeps the member
+// set it has (cluster.SyncMembership leaves it untouched when no member
+// serves a view). The reply is decoded with the membership
 // package's strict decoder, so a malformed view is an error here, never a
 // silently partial member set.
 func (c *Client) Membership(ctx context.Context) (membership.View, error) {

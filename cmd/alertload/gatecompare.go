@@ -40,8 +40,7 @@ import (
 // attainment falls below the static gate's.
 
 // gateTrialConfig parameterizes one trial (and is reused by the
-// BenchmarkGateCompare harness, which is how BENCH_8.json gets its
-// numbers).
+// BenchmarkGateCompare harness).
 type gateTrialConfig struct {
 	trace        *scenario.Trace
 	base         alert.Spec

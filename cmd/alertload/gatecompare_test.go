@@ -129,11 +129,10 @@ func TestGateCompareFlagErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkGateCompare is the CI perf artifact behind the
-// -min-adaptive-slo-gain bench gate: one sub-benchmark per gate at the same
+// BenchmarkGateCompare runs one sub-benchmark per gate at the same
 // 2x-overload schedule the overload-smoke job drives, each reporting SLO
-// attainment as the "slo%" metric. benchreport subtracts static from
-// adaptive to derive the adaptive-slo-gain series.
+// attainment as the "slo%" metric. The gate on adaptive >= static is the
+// overload-smoke job's -gate-compare exit status, not this benchmark.
 func BenchmarkGateCompare(b *testing.B) {
 	tc, err := gateTrialConfigFrom(gateCompareConfig(b, "-streams", "32", "-inputs", "40"))
 	if err != nil {
@@ -157,7 +156,7 @@ func BenchmarkGateCompare(b *testing.B) {
 				slo = 100 * res.slo()
 			}
 			// ns/op is left at the default (the schedule's wall time);
-			// benchreport keys on the slo% column.
+			// slo% is the column to read.
 			b.ReportMetric(slo, "slo%")
 		})
 	}

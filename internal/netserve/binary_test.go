@@ -191,32 +191,45 @@ func TestBinaryBatch(t *testing.T) {
 	}
 }
 
-// TestBinaryBatchSteadyStateAllocs: a batch frame is served out of the
-// connection's own buffers — decoded into its scratch, run as its engine
+// TestBinaryBatchSteadyStateAllocs: every data-plane frame is served out of
+// the connection's own buffers — decoded into its scratch, run as its engine
 // burst, the reply encoded straight from the burst's results — so once
-// those have grown a round trip allocates nothing on the server. The client
-// side here is a pre-encoded frame and a reused reader, so every allocation
-// AllocsPerRun sees is the server's.
+// those have grown a decide, observe or batch round trip allocates nothing
+// on the server. The client side here is a pre-encoded frame and a reused
+// reader, so every allocation AllocsPerRun sees is the server's.
 func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
 	bs := startBinary(t, front, BinaryConfig{})
-	rc := dialBinary(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	d, est := dialBinary(t, bs.Addr()).decide(1, spec)
+	fb := alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1}
 	reqs := make([]alert.BatchRequest, 16)
 	for i := range reqs {
 		reqs[i] = alert.BatchRequest{Stream: i % 5, Spec: spec}
 	}
-	frame := binwire.AppendBatch(nil, 1, reqs)
-	roundTrip := func() {
-		rc.send(frame)
-		rc.expect(binwire.MsgBatchResp, 1)
-	}
-	for i := 0; i < 20; i++ { // sessions, buffers, scratch
-		roundTrip()
-	}
-	if n := testing.AllocsPerRun(200, roundTrip); n >= 1 {
-		t.Errorf("a binwire batch round trip allocates %.2f/op on the server, want ~0", n)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		resp  binwire.MsgType
+	}{
+		{"decide", binwire.AppendDecide(nil, 1, 1, spec), binwire.MsgDecideResp},
+		{"observe", binwire.AppendObserve(nil, 1, 1, fb), binwire.MsgObserveResp},
+		{"batch", binwire.AppendBatch(nil, 1, reqs), binwire.MsgBatchResp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := dialBinary(t, bs.Addr())
+			roundTrip := func() {
+				rc.send(tc.frame)
+				rc.expect(tc.resp, 1)
+			}
+			for i := 0; i < 20; i++ { // sessions, buffers, scratch
+				roundTrip()
+			}
+			if n := testing.AllocsPerRun(200, roundTrip); n >= 1 {
+				t.Errorf("a binwire %s round trip allocates %.2f/op on the server, want ~0", tc.name, n)
+			}
+		})
 	}
 }
 

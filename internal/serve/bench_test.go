@@ -9,9 +9,9 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
-// Pool-level benchmarks for cmd/benchreport's BENCH trajectory: the
-// single-decide round trip (pooled reply channel + the engine's scan) and
-// the grouped batch dispatch (one channel operation per shard per batch).
+// Pool-level benchmarks: the single-decide round trip (a recycled burst of
+// one + the engine's scan) and the grouped batch dispatch (one channel
+// operation per shard per batch).
 
 // BenchmarkPoolDecide measures the submit→decide→reply round trip on one
 // shard with the same spec and no feedback: a real scan of the candidate
@@ -66,9 +66,9 @@ func liveHeap() uint64 {
 // one full core.Controller per stream, each carrying its own copy of the
 // candidate space. Both sides report the measured marginal heap cost per
 // stream ("bytes/stream", engine amortized in), the stream creation rate
-// ("streams/s"), and decide throughput across the stream population;
-// cmd/benchreport derives the memory-reduction factor from the pair and
-// -check gates it at ≥ 10x.
+// ("streams/s"), and decide throughput across the stream population; the
+// memory-reduction factor is the ratio of the two bytes/stream columns.
+// The session's size is held by core.TestSessionFootprint.
 func BenchmarkPoolManyStreams(b *testing.B) {
 	const streams = 10000
 	prof := testProfile(b)

@@ -397,6 +397,9 @@ func TestDecideBatchStress(t *testing.T) {
 // global counter), so an occasional sync.Pool refill after GC is tolerated
 // but systematic per-call allocation is not.
 func TestPoolDecideSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop recycled bursts")
+	}
 	prof := testProfile(t)
 	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
 	defer pool.Close()
