@@ -165,17 +165,25 @@ func (s *Scheduler) Observe(fb Feedback) error {
 	return err
 }
 
+// checkFeedback reports a feedback whose decision names a model or cap
+// outside the profiled set — feedback crosses the wire, so the indices are
+// input, not invariants.
+func checkFeedback(prof *dnn.ProfileTable, fb Feedback) error {
+	if d := fb.Decision; d.Model < 0 || d.Model >= len(prof.Models) || d.Cap < 0 || d.Cap >= len(prof.Caps) {
+		return fmt.Errorf("alert: feedback for model %d at cap %d: the candidate set has %d models and %d caps",
+			d.Model, d.Cap, len(prof.Models), len(prof.Caps))
+	}
+	return nil
+}
+
 // feedbackOutcome converts a public Feedback into the controller's
 // observation, scaling the profiled latency by the executed anytime
-// fraction. A feedback whose decision names a model or cap outside the
-// profiled set is an error — feedback crosses the wire, so the indices are
-// input, not invariants. ok is false, with no error, when the measurement
-// carries no signal (non-positive latency or nominal time) and must be
-// dropped.
+// fraction. It fails checkFeedback's way on out-of-range indices. ok is
+// false, with no error, when the measurement carries no signal
+// (non-positive latency or nominal time) and must be dropped.
 func feedbackOutcome(prof *dnn.ProfileTable, fb Feedback) (out sim.Outcome, ok bool, err error) {
-	if d := fb.Decision; d.Model < 0 || d.Model >= len(prof.Models) || d.Cap < 0 || d.Cap >= len(prof.Caps) {
-		return out, false, fmt.Errorf("alert: feedback for model %d at cap %d: the candidate set has %d models and %d caps",
-			d.Model, d.Cap, len(prof.Models), len(prof.Caps))
+	if err := checkFeedback(prof, fb); err != nil {
+		return out, false, err
 	}
 	if fb.Latency <= 0 {
 		return out, false, nil

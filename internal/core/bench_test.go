@@ -94,32 +94,6 @@ func BenchmarkDecideZoo(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideAtCap measures the rung-restricted primitive the multi-job
-// coordinator calls in its greedy loop; the fast path scans the rung's
-// precomputed index list instead of filtering the whole space.
-func BenchmarkDecideAtCap(b *testing.B) {
-	prof := benchProfile(b)
-	spec := benchSpec()
-	for _, ref := range []struct {
-		name string
-		on   bool
-	}{{"naive", true}, {"fast", false}} {
-		b.Run(ref.name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.ReferenceScorer = ref.on
-			ctl := New(prof, opts)
-			ctl.Observe(sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctl.DecideAtCap(spec, i%prof.NumCaps())
-			}
-			b.StopTimer()
-			reportRate(b)
-		})
-	}
-}
-
 // BenchmarkSnapshotRoundTrip measures the migration hot loop — snapshot a
 // live session, encode it to the canonical binary form, decode, and restore
 // — reporting bytes/snapshot (the wire cost of shipping one stream) and

@@ -20,9 +20,9 @@
 //     Under 200 bytes per stream, one goroutine at a time.
 //
 // Controller is the paper's one-stream deployment (§3.6) preserved as a
-// thin facade: a private Engine serving exactly one Session. Multi-stream
-// layers (internal/serve, internal/multi) share one Engine and hold one
-// Session per stream or job.
+// thin facade: a private Engine serving exactly one Session. The serving
+// layer (internal/serve) shares one Engine and holds one Session per
+// stream.
 package core
 
 import (
@@ -108,7 +108,7 @@ type Options struct {
 	// decision and pre-subtracted from the goal (§3.2 step 2, §4 measures
 	// 0.6–1.7 %).
 	OverheadFrac float64
-	// ReferenceScorer makes Decide/DecideAtCap score every candidate with
+	// ReferenceScorer makes Decide score every candidate with
 	// the naive per-candidate estimator (estimate), no pruning — the
 	// pre-optimization hot path retained as the differential-testing
 	// oracle. Decisions and estimates are identical either way; that

@@ -142,27 +142,6 @@ func TestDecideMatchesReferenceUnderChurn(t *testing.T) {
 	}
 }
 
-// TestDecideAtCapMatchesReference checks the rung-restricted scan against
-// the reference scorer on every cap, including the ok flag.
-func TestDecideAtCapMatchesReference(t *testing.T) {
-	for _, prof := range diffProfiles(t) {
-		pair := newPair(prof, DefaultOptions())
-		rng := mathx.NewRand(99)
-		for trial := 0; trial < 40; trial++ {
-			pair.observe(sim.Outcome{ObservedXi: 0.8 + 0.8*rng.Float64(), IdlePower: 5, CapApplied: 30})
-			spec := specGen(rng)
-			for cap := 0; cap < prof.NumCaps(); cap++ {
-				dF, eF, okF := pair.fast.DecideAtCap(spec, cap)
-				dR, eR, okR := pair.ref.DecideAtCap(spec, cap)
-				if dF != dR || eF != eR || okF != okR {
-					t.Fatalf("cap %d spec %+v: fast (%+v, %v) != ref (%+v, %v)",
-						cap, spec, dF, okF, dR, okR)
-				}
-			}
-		}
-	}
-}
-
 // TestEstimateAllMatchesFastScan pins EstimateAll (the exported oracle) to
 // the fast per-candidate scorer over random states, so external consumers
 // of EstimateAll see exactly what Decide scored.
@@ -183,22 +162,8 @@ func TestEstimateAllMatchesFastScan(t *testing.T) {
 	}
 }
 
-// TestDecideAtCapCountsDecisions is the regression test for the multi-job
-// coordinator undercount: DecideAtCap must increment the decision counter
-// like Decide does.
-func TestDecideAtCapCountsDecisions(t *testing.T) {
-	c := New(diffProfiles(t)[0], DefaultOptions())
-	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
-	c.Decide(spec)
-	c.DecideAtCap(spec, 0)
-	c.DecideAtCap(spec, 1)
-	if got := c.Decisions(); got != 3 {
-		t.Fatalf("Decisions() = %d after Decide + 2×DecideAtCap, want 3", got)
-	}
-}
-
 // TestDecideAllocFree asserts the steady-state allocation contract: the
-// scan allocates nothing, over the whole space or a single rung.
+// scan allocates nothing.
 func TestDecideAllocFree(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	c := New(prof, DefaultOptions())
@@ -213,14 +178,11 @@ func TestDecideAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Decide allocates %.1f/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.DecideAtCap(spec, 2) }); n != 0 {
-		t.Errorf("DecideAtCap allocates %.1f/op, want 0", n)
-	}
 }
 
 // TestAdjustedGoalFallback pins the shared goal-adjustment helper,
 // including the degenerate deadline ≤ overhead branch that used to be
-// copy-pasted across Decide, DecideAtCap, and EstimateAll.
+// copy-pasted across every scan entry point and EstimateAll.
 func TestAdjustedGoalFallback(t *testing.T) {
 	c := New(diffProfiles(t)[0], DefaultOptions())
 	if c.Overhead() <= 0 {
@@ -248,8 +210,7 @@ func TestAdjustedGoalFallback(t *testing.T) {
 // tests below aim paired fast/reference controllers at every place that
 // certainty could be off by one: exact ties, step-function CDFs, infinite
 // and NaN quantiles, an energy budget sitting on a candidate's Energy,
-// scans where nothing (or only the very last candidate) is feasible — each
-// through Decide and through every DecideAtCap rung including the ok flag.
+// scans where nothing (or only the very last candidate) is feasible.
 
 // sameFloat is == that also equates NaN with NaN: an Estimate scored from a
 // NaN deadline carries NaN fields on both sides.
@@ -268,22 +229,13 @@ func sameDecision(a, b sim.Decision) bool {
 }
 
 // checkSpec requires the fast and reference sessions to agree on one spec
-// through Decide and through every DecideAtCap rung (plus the two
-// out-of-range rungs), and returns the full-space decision.
+// through Decide, and returns the decision.
 func checkSpec(t testing.TB, fast, ref *Session, spec Spec) (sim.Decision, Estimate) {
 	t.Helper()
 	dF, eF := fast.Decide(spec)
 	dR, eR := ref.Decide(spec)
 	if !sameDecision(dF, dR) || !sameEstimate(eF, eR) {
 		t.Fatalf("spec %+v: fast (%+v, %+v) != ref (%+v, %+v)", spec, dF, eF, dR, eR)
-	}
-	for cap := -1; cap <= len(fast.eng.space.byCap); cap++ {
-		dF, eF, okF := fast.DecideAtCap(spec, cap)
-		dR, eR, okR := ref.DecideAtCap(spec, cap)
-		if !sameDecision(dF, dR) || !sameEstimate(eF, eR) || okF != okR {
-			t.Fatalf("cap %d spec %+v: fast (%+v, %+v, %v) != ref (%+v, %+v, %v)",
-				cap, spec, dF, eF, okF, dR, eR, okR)
-		}
 	}
 	return dF, eF
 }
@@ -322,7 +274,7 @@ func duplicatedProfile(t testing.TB) (prof *dnn.ProfileTable, originals int) {
 // TestPruningKeepsFirstOfExactTies: with every model duplicated, each
 // winner has an exact twin the scan meets later. consider replaces only on
 // a strict improvement, so the original must win — under either objective,
-// feasible or fallback, on the full space and on every rung.
+// feasible or fallback.
 func TestPruningKeepsFirstOfExactTies(t *testing.T) {
 	prof, originals := duplicatedProfile(t)
 	for _, variance := range []bool{true, false} {
@@ -430,8 +382,8 @@ func feasibleSet(c *Controller, spec Spec) []int {
 
 // TestPruningWhenNothingOrOnlyTheLastIsFeasible covers the two scans where
 // the fallback matters to the end: no feasible candidate at all (the
-// fallback is the answer, ok is false on every rung), and a best that only
-// appears at the very last candidate (every earlier one must have been
+// fallback is the answer, and the scan books it as one), and a best that
+// only appears at the very last candidate (every earlier one must have been
 // scored in full for the fallback, none skipped).
 func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 	for _, prof := range diffProfiles(t) {
@@ -447,7 +399,11 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 				if f := feasibleSet(pair.ref, spec); len(f) != 0 {
 					t.Fatalf("spec %+v: expected nothing feasible, got %v", spec, f)
 				}
+				pair.fast.sc.TakeScanCounts()
 				checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+				if _, fallbacks := pair.fast.sc.TakeScanCounts(); fallbacks != 1 {
+					t.Fatalf("spec %+v: %d fallbacks booked, want 1", spec, fallbacks)
+				}
 			}
 		}
 	}
@@ -546,7 +502,7 @@ var fuzzEngines struct {
 // FuzzDecideMatchesReference lets the fuzzer pick the spec's raw float64s
 // and the observations before it — any bit pattern, including NaN, ±Inf,
 // negatives and denormals — and requires the pruned scan to agree with the
-// reference scorer on the full space and on every rung.
+// reference scorer.
 func FuzzDecideMatchesReference(f *testing.F) {
 	rng := mathx.NewRand(3)
 	for i := 0; i < 24; i++ {

@@ -8,11 +8,10 @@ package core
 //
 //  1. Structure-of-arrays candidate space (candSpace): everything about a
 //     candidate that depends only on the profile table — t_prof, p_{i,j},
-//     the anytime stage ladders as nominal latencies, the per-cap index
-//     lists DecideAtCap scans — is precomputed once at NewEngine and laid
-//     out in flat parallel slices, so the scan loop touches no *dnn.Model
-//     pointers and recomputes no products. The space lives on the shared
-//     Engine: every Session scans the same arrays.
+//     the anytime stage ladders as nominal latencies — is precomputed once
+//     at NewEngine and laid out in flat parallel slices, so the scan loop
+//     touches no *dnn.Model pointers and recomputes no products. The space
+//     lives on the shared Engine: every Session scans the same arrays.
 //  2. Loop-invariant hoisting (scoreParams): the standard-normal quantiles
 //     behind the Eq. 12 energy estimate and the §3.5 anytime stop plan
 //     depend only on (spec, filter state), not on the candidate, yet the
@@ -65,12 +64,6 @@ type candSpace struct {
 	// backing slice.
 	stageNom [][]float64
 	stageAcc [][]float64
-	// all is the identity index list (scan order = enumeration order);
-	// byCap[j] lists the candidates at cap rung j in enumeration order, so
-	// DecideAtCap scans only its rung yet breaks ties exactly like a scan
-	// of the full space filtered to the rung.
-	byCap [][]int32
-	all   []int32
 	// maxStages sizes the Scratch buffer for ladder CDFs.
 	maxStages int
 }
@@ -88,8 +81,6 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 		qualUB:   make([]float64, n),
 		stageNom: make([][]float64, n),
 		stageAcc: make([][]float64, n),
-		byCap:    make([][]int32, prof.NumCaps()),
-		all:      make([]int32, n),
 	}
 	// Shared stage ladders per (model, cap): LatencyFrac·t_prof is the same
 	// two-operand product the naive scorer computes, so sharing the
@@ -107,8 +98,6 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 		s.acc[i] = m.Accuracy
 		s.qFail[i] = m.QFail
 		s.qualUB[i] = qualityBound(m.QFail, m.Accuracy)
-		s.all[i] = int32(i)
-		s.byCap[cand.Cap] = append(s.byCap[cand.Cap], int32(i))
 		if !m.IsAnytime() {
 			continue
 		}
@@ -451,7 +440,7 @@ func (s *Session) newSelector(spec Spec) selector {
 }
 
 // consider folds one candidate's estimate into the running selection,
-// reproducing the pre-optimization Decide/DecideAtCap semantics exactly
+// reproducing the pre-optimization Decide semantics exactly
 // (candidates must arrive in enumeration order for identical tie breaks).
 // The fallback is served only when no candidate is feasible, so it stops
 // being maintained the moment a best exists.
@@ -506,38 +495,35 @@ func (s *selector) cannotWin(space *candSpace, i int32, energy float64) bool {
 }
 
 // settle ends a scan: it books the scan's work on the workspace counters
-// and returns the feasible optimum, or — ok false — the infeasibility
-// fallback.
-func (s *Session) settle(sel *selector, scored int) (est Estimate, ok bool) {
+// and returns the feasible optimum, or the infeasibility fallback when
+// nothing was feasible.
+func (s *Session) settle(sel *selector, scored int) Estimate {
 	s.sc.scored += scored
 	if !sel.bestSet {
 		s.sc.fallbacks++
-		return sel.fb, false
+		return sel.fb
 	}
-	return sel.best, true
+	return sel.best
 }
 
-// scan selects among the candidates in idxs (which must be in enumeration
-// order) and returns what scanReference returns, bit for bit, while paying
-// for the CDF ladder only where it can matter. Per candidate:
+// scan selects among the engine's candidates in enumeration order and
+// returns what scanReference returns, bit for bit, while paying for the CDF
+// ladder only where it can matter. Per candidate:
 //
 //  1. cost: Energy, planned stop and mean latency, none of which needs a
 //     CDF.
 //  2. Once a best is held, cannotWin: if the candidate provably cannot
-//     replace it, move on. The fallback is dead from the same moment (both
-//     callers read it only when nothing is feasible), so nothing else
-//     wanted the skipped estimate.
+//     replace it, move on. The fallback is dead from the same moment (it
+//     is read only when nothing is feasible), so nothing else wanted the
+//     skipped estimate.
 //  3. Survivors get the full estimateFast ladder and go through consider
 //     like every candidate of the reference scan.
-//
-// ok is false when no candidate is feasible (the fallback is returned and
-// still serves). DecideAtCap reuses it over a single rung's index list.
-func (s *Session) scan(idxs []int32, goal float64, spec Spec) (Estimate, bool) {
+func (s *Session) scan(goal float64, spec Spec) Estimate {
 	p := s.scoreParamsFor(spec)
 	sel := s.newSelector(spec)
 	space := &s.eng.space
 	scored := 0
-	for _, i := range idxs {
+	for i := int32(0); i < int32(len(space.stop)); i++ {
 		c := space.cost(i, goal, &p)
 		if sel.bestSet && sel.cannotWin(space, i, c.energy) {
 			continue
@@ -553,11 +539,11 @@ func (s *Session) scan(idxs []int32, goal float64, spec Spec) (Estimate, bool) {
 // pruning — the pre-optimization scorer retained as the
 // differential-testing oracle and selectable at runtime via
 // Options.ReferenceScorer.
-func (s *Session) scanReference(idxs []int32, goal float64, spec Spec) (Estimate, bool) {
+func (s *Session) scanReference(goal float64, spec Spec) Estimate {
 	sel := s.newSelector(spec)
-	for _, i := range idxs {
-		est := s.estimate(s.eng.candidates[i], goal, spec)
+	for _, cand := range s.eng.candidates {
+		est := s.estimate(cand, goal, spec)
 		sel.consider(&est)
 	}
-	return s.settle(&sel, len(idxs))
+	return s.settle(&sel, len(s.eng.candidates))
 }

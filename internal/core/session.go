@@ -58,7 +58,7 @@ func (s *Session) XiStd() float64 { return s.xi.Std() }
 // IdleRatio returns the current idle-power ratio estimate φ.
 func (s *Session) IdleRatio() float64 { return s.idle.Ratio() }
 
-// Decisions returns how many Decide and DecideAtCap calls have been served.
+// Decisions returns how many Decide calls have been served.
 func (s *Session) Decisions() int { return s.decisions }
 
 // FilterEpoch returns the filter epoch: 1 on a fresh session, advancing on
@@ -255,19 +255,15 @@ func energyAt(power, lat, goal, phi float64) float64 {
 // deadline-meeting (missing collapses quality to QFail), so the fallback is
 // the quality-maximal candidate with energy as the tiebreaker.
 func (s *Session) Decide(spec Spec) (sim.Decision, Estimate) {
-	est, _ := s.choose(s.eng.space.all, spec)
-	return s.decisionFor(est), est
-}
-
-// choose serves one decision over the candidates in idxs with the engine's
-// configured scorer. ok is false when est is the infeasibility fallback.
-func (s *Session) choose(idxs []int32, spec Spec) (est Estimate, ok bool) {
 	s.decisions++
 	goal := s.adjustedGoal(spec.Deadline)
+	var est Estimate
 	if s.eng.opts.ReferenceScorer {
-		return s.scanReference(idxs, goal, spec)
+		est = s.scanReference(goal, spec)
+	} else {
+		est = s.scan(goal, spec)
 	}
-	return s.scan(idxs, goal, spec)
+	return s.decisionFor(est), est
 }
 
 // decisionFor projects the winning estimate onto the executor's decision.
@@ -278,23 +274,6 @@ func (s *Session) decisionFor(best Estimate) sim.Decision {
 		PlannedStop: best.PlannedStop,
 		Overhead:    s.eng.overhead,
 	}
-}
-
-// DecideAtCap is Decide restricted to a single power-cap rung. It is the
-// primitive the multi-job coordinator (internal/multi) builds on: when
-// several inference jobs share one power envelope, each job's session
-// answers "what is the best you can do with exactly this much power", and
-// the coordinator searches over the split. ok is false when no candidate at
-// this cap satisfies the constraints (the returned fallback still serves).
-// It counts toward Decisions() like any served decision, and scans only
-// its rung's precomputed index list rather than filtering the whole space.
-func (s *Session) DecideAtCap(spec Spec, cap int) (d sim.Decision, est Estimate, ok bool) {
-	var idxs []int32
-	if cap >= 0 && cap < len(s.eng.space.byCap) {
-		idxs = s.eng.space.byCap[cap]
-	}
-	est, ok = s.choose(idxs, spec)
-	return s.decisionFor(est), est, ok
 }
 
 // EstimateAll returns estimates for the full candidate space under the

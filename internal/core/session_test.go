@@ -173,8 +173,8 @@ func TestSessionFootprint(t *testing.T) {
 }
 
 // TestSessionDecideAllocFree extends the controller's steady-state
-// allocation contract to a bare session on a shared engine: Decide and
-// DecideAtCap allocate nothing.
+// allocation contract to a bare session on a shared engine: Decide
+// allocates nothing.
 func TestSessionDecideAllocFree(t *testing.T) {
 	eng := NewEngine(diffProfiles(t)[0], DefaultOptions())
 	s := eng.NewSessionWith(eng.NewScratch())
@@ -188,9 +188,6 @@ func TestSessionDecideAllocFree(t *testing.T) {
 		s.Decide(spec)
 	}); n != 0 {
 		t.Errorf("session Decide allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { s.DecideAtCap(spec, 2) }); n != 0 {
-		t.Errorf("session DecideAtCap allocates %.1f/op, want 0", n)
 	}
 }
 

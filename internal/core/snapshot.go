@@ -54,7 +54,7 @@ type SessionSnapshot struct {
 	// Epoch is the filter epoch: the Observe count plus one (no session
 	// ever carries epoch 0, so Validate treats it as corruption).
 	Epoch uint64
-	// Decisions is how many Decide/DecideAtCap calls the session has served.
+	// Decisions is how many Decide calls the session has served.
 	Decisions int64
 	// Xi and Idle are the two Kalman filter states.
 	Xi   kalman.XiState

@@ -178,9 +178,6 @@ type Server struct {
 	nodeID     string
 	agent      *membership.Agent
 	recovery   Recovery
-	// models and caps size the served candidate set: the bounds of the
-	// indices a feedback carries.
-	models, caps int
 	// batches recycles the bursts HTTP decide-batch requests run as (a
 	// binwire connection uses its own).
 	batches sync.Pool
@@ -218,8 +215,6 @@ func New(srv *alert.Server, cfg Config) *Server {
 		nodeID:     cfg.NodeID,
 		agent:      cfg.Membership,
 		recovery:   cfg.Recovery,
-		models:     len(srv.Models()),
-		caps:       len(srv.PowerCaps()),
 		batches:    sync.Pool{New: func() any { return &batch{burst: srv.NewBurst()} }},
 		gate: overload.NewGate(overload.NewController(overload.Config{
 			Inflight:   cfg.maxInflight(),

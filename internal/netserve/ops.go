@@ -257,9 +257,8 @@ func (s *Server) decideBatch(ctx context.Context, tc *metrics.TransportCounters,
 // model or cap outside the served candidate set: the indices come off the
 // wire and index the profile table.
 func (s *Server) checkFeedback(tc *metrics.TransportCounters, fb alert.Feedback) reject {
-	if d := fb.Decision; d.Model < 0 || d.Model >= s.models || d.Cap < 0 || d.Cap >= s.caps {
-		return badInput(tc, fmt.Sprintf("feedback for model %d at cap %d: the server has %d models and %d caps",
-			d.Model, d.Cap, s.models, s.caps))
+	if err := s.alert.CheckFeedback(fb); err != nil {
+		return badInput(tc, err.Error())
 	}
 	return reject{}
 }

@@ -43,8 +43,8 @@ func (k Kind) String() string {
 }
 
 // Platform describes one machine from Table 1 together with its calibrated
-// simulation parameters. Platforms are immutable after construction; all
-// mutable actuation state lives in PowerActuator.
+// simulation parameters. Platforms are immutable; the cap a decision
+// applies is the simulator's to enforce (internal/sim).
 type Platform struct {
 	// Name is the paper's identifier: "Embedded", "CPU1", "CPU2", "GPU".
 	Name string
@@ -155,9 +155,10 @@ func CPU2() *Platform {
 	}
 }
 
-// GPUPlatform returns the RTX 2080 machine. Caps map to frequency steps via
-// FreqTable; the quieter noise floor reflects the paper's observation that
-// the GPU sees far less run-to-run variance.
+// GPUPlatform returns the RTX 2080 machine. Its caps stand for the power
+// levels of the paper's power–frequency table; the quieter noise floor
+// reflects the paper's observation that the GPU sees far less run-to-run
+// variance.
 func GPUPlatform() *Platform {
 	return &Platform{
 		Name:          "GPU",
@@ -206,17 +207,10 @@ func (p *Platform) Caps() []float64 {
 
 // Speed returns the relative compute speed at the given cap, normalized so
 // Speed(PMax) == SpeedScore. Caps below PMin are treated as PMin; the
-// actuator never requests them, but defensive clamping keeps the math total.
+// cap ladder never holds them, but defensive clamping keeps the math total.
 func (p *Platform) Speed(cap float64) float64 {
 	cap = clamp(cap, p.PMin, p.PMax)
 	return p.SpeedScore * math.Cbrt((cap-p.PStatic)/(p.PMax-p.PStatic))
-}
-
-// LatencyScale returns the multiplier applied to a model's reference latency
-// (profiled on CPU2 at PMax) when run on this platform at the given cap.
-func (p *Platform) LatencyScale(cap float64) float64 {
-	ref := CPU2()
-	return ref.SpeedScore / p.Speed(cap) * 1.0 // reference speed is 1.0 by construction
 }
 
 // InferencePower returns the power actually drawn while inferring under the

@@ -3,7 +3,6 @@ package platform
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestByName(t *testing.T) {
@@ -90,103 +89,6 @@ func TestFits(t *testing.T) {
 	}
 	if !e.Fits(0.4) {
 		t.Error("RNN should fit the embedded board")
-	}
-}
-
-func TestActuatorSnapAndClamp(t *testing.T) {
-	a := NewActuator(CPU1())
-	if got := a.Snap(11.2); got != 10 {
-		t.Errorf("Snap(11.2) = %g, want 10", got)
-	}
-	if got := a.Snap(11.3); got != 12.5 {
-		t.Errorf("Snap(11.3) = %g, want 12.5", got)
-	}
-	if got := a.Snap(1000); got != 45 {
-		t.Errorf("Snap(1000) = %g, want 45", got)
-	}
-	if got := a.Snap(0); got != 10 {
-		t.Errorf("Snap(0) = %g, want 10", got)
-	}
-}
-
-func TestActuatorSetCap(t *testing.T) {
-	a := NewActuator(CPU1())
-	if a.Cap() != 45 {
-		t.Errorf("initial cap %g, want PMax", a.Cap())
-	}
-	if err := a.SetCap(20); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cap() != 20 {
-		t.Errorf("cap = %g", a.Cap())
-	}
-	if err := a.SetCap(5); err == nil {
-		t.Error("expected error for cap below range")
-	}
-	if err := a.SetCap(100); err == nil {
-		t.Error("expected error for cap above range")
-	}
-}
-
-func TestActuatorCountsSwitches(t *testing.T) {
-	a := NewActuator(CPU1())
-	_ = a.SetCap(20)
-	_ = a.SetCap(20) // no transition
-	_ = a.SetCap(25)
-	if a.Switches() != 2 {
-		t.Errorf("switches = %d, want 2", a.Switches())
-	}
-}
-
-func TestActuatorSnapProperty(t *testing.T) {
-	a := NewActuator(CPU2())
-	f := func(w float64) bool {
-		w = math.Mod(math.Abs(w), 200)
-		snapped := a.Snap(w)
-		// Snapped value must be a ladder rung and no other rung may be
-		// strictly closer.
-		found := false
-		for _, c := range a.Caps() {
-			if c == snapped {
-				found = true
-			}
-			if math.Abs(c-w) < math.Abs(snapped-w)-1e-9 {
-				return false
-			}
-		}
-		return found
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFreqTable(t *testing.T) {
-	p := GPUPlatform()
-	ft := BuildFreqTable(p, 26)
-	if ft.Len() != 26 {
-		t.Fatalf("len = %d", ft.Len())
-	}
-	// Ascending power, ascending frequency.
-	for i := 1; i < ft.Len(); i++ {
-		if ft.Entry(i).Power < ft.Entry(i-1).Power {
-			t.Error("power not ascending")
-		}
-		if ft.Entry(i).Freq < ft.Entry(i-1).Freq {
-			t.Error("frequency not ascending with power")
-		}
-	}
-	// ClockForCap returns the fastest clock under the cap.
-	e := ft.ClockForCap(150)
-	if e.Power > 150 {
-		t.Errorf("clock draws %gW over the 150W cap", e.Power)
-	}
-	if next := ft.PowerForClock(e.Freq + 100); next.Power <= 150 && next.Freq > e.Freq {
-		t.Error("a faster clock fits the cap, ClockForCap was not maximal")
-	}
-	// A cap below the whole table returns the slowest clock.
-	if got := ft.ClockForCap(1); got != ft.Entry(0) {
-		t.Error("tiny cap should return the floor clock")
 	}
 }
 

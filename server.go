@@ -167,6 +167,11 @@ func (s *Server) Observe(stream int, fb Feedback) error {
 	return err
 }
 
+// CheckFeedback returns the error Observe would return for fb — a decision
+// naming a model or cap the server does not have — without enqueueing
+// anything, so a front end can refuse bad feedback before admitting it.
+func (s *Server) CheckFeedback(fb Feedback) error { return checkFeedback(s.prof, fb) }
+
 // BatchRequest is one element of a batched decision dispatch: Stream
 // routes the request (requests sharing a stream are served in batch order
 // by that stream's shard; distinct streams run concurrently) and Spec is
