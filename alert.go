@@ -46,7 +46,7 @@ import (
 // Scheduler, which is the paper's deployment model (§3.6).
 type Scheduler struct {
 	prof *dnn.ProfileTable
-	ctl  *core.Controller
+	ctl  *core.Session
 }
 
 // NewScheduler profiles the candidate models on the platform and returns a
@@ -60,7 +60,7 @@ func NewScheduler(p *Platform, models []*Model, opts Options) (*Scheduler, error
 	if err != nil {
 		return nil, err
 	}
-	return &Scheduler{prof: prof, ctl: core.New(prof, o)}, nil
+	return &Scheduler{prof: prof, ctl: core.NewEngine(prof, o).NewSession()}, nil
 }
 
 // coreOptions translates the public Options into the controller's, applying

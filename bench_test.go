@@ -226,7 +226,7 @@ func BenchmarkControllerDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl := core.New(prof, core.DefaultOptions())
+	ctl := core.NewEngine(prof, core.DefaultOptions()).NewSession()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,7 +243,7 @@ func BenchmarkControllerDecisionZoo(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl := core.New(prof, core.DefaultOptions())
+	ctl := core.NewEngine(prof, core.DefaultOptions()).NewSession()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -400,7 +400,7 @@ func BenchmarkServeBatch(b *testing.B) {
 // BenchmarkKalmanObserve measures the estimator update alone.
 func BenchmarkKalmanObserve(b *testing.B) {
 	prof, _ := dnn.Profile(platform.CPU1(), dnn.ImageCandidates())
-	ctl := core.New(prof, core.DefaultOptions())
+	ctl := core.NewEngine(prof, core.DefaultOptions()).NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctl.Observe(sim.Outcome{ObservedXi: 1.0 + float64(i%7)*0.01, IdlePower: 6, CapApplied: 30})

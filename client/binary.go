@@ -14,13 +14,14 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// binaryTransport is the binwire codec: the binwire protocol over a small
-// pool of persistent TCP connections. Requests are pipelined: each is
-// stamped with a connection-unique id and its caller parks on a channel
-// until the reader goroutine routes the matching response frame back, so
-// any number of goroutines share a connection without head-of-line
-// blocking in the client. Every op is one call: encode a request frame,
-// round-trip it, check the reply frame's type.
+// binaryTransport is the binwire codec — decide, observe and batch, the
+// per-input loop — over a small pool of persistent TCP connections.
+// Requests are pipelined: each is stamped with a connection-unique id and
+// its caller parks on a channel until the reader goroutine routes the
+// matching response frame back, so any number of goroutines share a
+// connection without head-of-line blocking in the client. Every op is one
+// call: encode a request frame, round-trip it, check the reply frame's
+// type.
 type binaryTransport struct {
 	addr string
 	next atomic.Uint32
@@ -328,15 +329,6 @@ func (t *binaryTransport) call(ctx context.Context, want binwire.MsgType, enc fu
 	return binReply{}, err
 }
 
-// ack is call for the ops whose reply frame carries nothing to decode.
-func (t *binaryTransport) ack(ctx context.Context, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) error {
-	r, err := t.call(ctx, want, enc)
-	if err == nil {
-		binwire.PutBuf(r.buf)
-	}
-	return err
-}
-
 func (t *binaryTransport) decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
 	r, err := t.call(ctx, binwire.MsgDecideResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendDecide(dst, id, stream, spec)
@@ -353,9 +345,13 @@ func (t *binaryTransport) decide(ctx context.Context, stream int, spec alert.Spe
 }
 
 func (t *binaryTransport) observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	return t.ack(ctx, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
+	r, err := t.call(ctx, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendObserve(dst, id, stream, fb)
 	})
+	if err == nil {
+		binwire.PutBuf(r.buf)
+	}
+	return err
 }
 
 func (t *binaryTransport) batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
@@ -371,36 +367,4 @@ func (t *binaryTransport) batch(ctx context.Context, reqs []alert.BatchRequest) 
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	return res, nil
-}
-
-func (t *binaryTransport) evict(ctx context.Context, stream int) error {
-	return t.ack(ctx, binwire.MsgEvictResp, func(dst []byte, id uint64) []byte {
-		return binwire.AppendStreamReq(dst, binwire.MsgEvict, id, stream)
-	})
-}
-
-func (t *binaryTransport) snapshot(ctx context.Context, stream int, remove bool) ([]byte, error) {
-	op := binwire.MsgCheckpoint
-	if remove {
-		op = binwire.MsgExport
-	}
-	r, err := t.call(ctx, binwire.MsgSnapshotResp, func(dst []byte, id uint64) []byte {
-		return binwire.AppendStreamReq(dst, op, id, stream)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer binwire.PutBuf(r.buf)
-	_, blob, err := binwire.DecodeSnapshot(r.frame.Type, r.frame.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	// blob aliases the pooled frame buffer; the caller gets its own copy.
-	return append([]byte(nil), blob...), nil
-}
-
-func (t *binaryTransport) restore(ctx context.Context, stream int, blob []byte) error {
-	return t.ack(ctx, binwire.MsgImportResp, func(dst []byte, id uint64) []byte {
-		return binwire.AppendSnapshot(dst, binwire.MsgImport, id, stream, blob)
-	})
 }

@@ -5,25 +5,27 @@
 //	d, est, err := c.Decide(ctx, streamID, spec)
 //	err = c.Observe(ctx, streamID, alert.Feedback{Decision: d, Latency: measured})
 //
-// One call path, two codecs. Every data-plane method (Decide, Observe,
-// DecideBatch, EvictStream, ExportStream, CheckpointStream, ImportStream)
-// has one body: pick the wire, run the op under the overload retry loop.
-// The wire is one of two codecs behind an unexported interface:
+// One call path, two codecs. Every method of the per-input loop (Decide,
+// Observe, DecideBatch) has one body: pick the wire, run the op under the
+// overload retry loop. The wire is one of two codecs behind an unexported
+// interface:
 //
 //   - HTTP/JSON (the default): the /v1 API over one pooled http.Transport
 //     with keep-alive, so the steady-state cost per decision is one
 //     loopback round trip and a DecideBatch amortizes even that.
 //   - binwire: when the server also listens on a binwire port (alertserve
 //     -binary-addr), set Options.BinaryAddr — or Options.PreferBinary to
-//     discover it from /v1/stats — and the data plane rides a small pool
-//     of persistent, pipelined TCP connections instead. The control-plane
-//     reads (Stats, Streams, Membership) always use HTTP.
+//     discover it from /v1/stats — and the loop rides a small pool of
+//     persistent, pipelined TCP connections instead.
+//
+// Everything else has one wire, HTTP, whatever the options: the stream
+// ops (EvictStream, ExportStream, CheckpointStream, ImportStream) and the
+// control-plane reads (Stats, Streams, Membership).
 //
 // A codec only encodes one attempt and decodes its reply. Everything the
 // wires must agree on is written once above them: which statuses are
 // overload (*OverloadError) and which are not (*APIError), what counts as
-// a usable Retry-After hint, 404 on a snapshot read meaning ErrNoSession,
-// the batch result count, and the snapshot blob decode. Both wires carry
+// a usable Retry-After hint, and the batch result count. Both wires carry
 // every float64 bit-exactly, so a stream driven through this client makes
 // byte-identical decisions to one driven against alert.Server in-process,
 // over either codec (cmd/alertload -addr pins this).
@@ -81,11 +83,11 @@ type Options struct {
 	// stampeding the server in lockstep; tests pick a seed to make retry
 	// timing reproducible. 0 selects a fixed default seed.
 	BackoffSeed int64
-	// BinaryAddr, when set, routes the data-plane calls (Decide, Observe,
-	// DecideBatch, and the stream migration ops) over the binwire TCP
-	// transport at this host:port instead of HTTP/JSON. Overload and
-	// retry semantics are identical on both transports; the control-plane
-	// reads (Stats, Streams, Membership) always use HTTP.
+	// BinaryAddr, when set, routes the per-input loop (Decide, Observe,
+	// DecideBatch) over the binwire TCP transport at this host:port
+	// instead of HTTP/JSON. Overload and retry semantics are identical on
+	// both transports; the stream ops and the control-plane reads always
+	// use HTTP.
 	BinaryAddr string
 	// PreferBinary discovers the server's advertised binary listener from
 	// GET /v1/stats on first use and upgrades the data plane to it,
@@ -96,21 +98,15 @@ type Options struct {
 	PreferBinary bool
 }
 
-// codec is one wire format for the data plane. Each method is ONE attempt
-// of one op: encode the request, exchange it, decode the reply. A reply
-// that is not the op's success is returned through statusError, so both
-// implementations produce the same error values; retrying, ErrNoSession,
-// the batch count check and the snapshot decode live in the Client methods
-// above it. Snapshots cross it as their canonical binary blob.
+// codec is one wire format for the per-input loop. Each method is ONE
+// attempt of one op: encode the request, exchange it, decode the reply. A
+// reply that is not the op's success is returned through statusError, so
+// both implementations produce the same error values; retrying and the
+// batch count check live in the Client methods above it.
 type codec interface {
 	decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error)
 	observe(ctx context.Context, stream int, fb alert.Feedback) error
 	batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error)
-	evict(ctx context.Context, stream int) error
-	// snapshot is export (remove) and checkpoint (!remove); the caller owns
-	// the returned blob.
-	snapshot(ctx context.Context, stream int, remove bool) ([]byte, error)
-	restore(ctx context.Context, stream int, blob []byte) error
 }
 
 // Client talks to one front end. It is safe for concurrent use; all
@@ -127,7 +123,7 @@ type Client struct {
 	mu  sync.Mutex
 	rng *mathx.Rand
 
-	// data is the data-plane codec: &c.http or a *binaryTransport, fixed
+	// data is the per-input loop's codec: &c.http or a *binaryTransport, fixed
 	// for the client's lifetime once known. It is set at construction
 	// unless PreferBinary leaves it to discovery, when it stays nil until
 	// the first successful stats probe (see wire).
@@ -193,7 +189,7 @@ func (c *Client) Close() {
 	}
 }
 
-// wire returns the codec for the data-plane calls. Under PreferBinary the
+// wire returns the codec for the per-input loop. Under PreferBinary the
 // first calls probe GET /v1/stats for an advertised binary listener; the
 // outcome of a successful probe is kept for the client's lifetime (a
 // server's transports are fixed at startup), while a failed probe — server
@@ -417,9 +413,8 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 // EvictStream releases the stream's server-side session. Evicting an
 // unknown stream succeeds (it is a no-op server-side).
 func (c *Client) EvictStream(ctx context.Context, stream int) error {
-	w := c.wire(ctx)
 	return c.withRetry(ctx, func(ctx context.Context) error {
-		return w.evict(ctx, stream)
+		return c.http.evict(ctx, stream)
 	})
 }
 
@@ -448,10 +443,9 @@ func (c *Client) CheckpointStream(ctx context.Context, stream int) (alert.Sessio
 
 // snapshot is export (remove) and checkpoint (!remove).
 func (c *Client) snapshot(ctx context.Context, stream int, remove bool) (snap alert.SessionSnapshot, err error) {
-	w := c.wire(ctx)
 	var blob []byte
 	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
-		blob, err = w.snapshot(ctx, stream, remove)
+		blob, err = c.http.snapshot(ctx, stream, remove)
 		return err
 	})
 	var ae *APIError
@@ -476,9 +470,8 @@ func (c *Client) ImportStream(ctx context.Context, stream int, snap alert.Sessio
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	w := c.wire(ctx)
 	return c.withRetry(ctx, func(ctx context.Context) error {
-		return w.restore(ctx, stream, blob)
+		return c.http.restore(ctx, stream, blob)
 	})
 }
 

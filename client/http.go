@@ -15,8 +15,9 @@ import (
 )
 
 // httpCodec is the HTTP/JSON codec: the /v1 API over a pooled, keep-alive
-// http.Client. It also carries the control-plane reads, which have no
-// binwire form.
+// http.Client. Besides the per-input loop it carries everything that has no
+// binwire form: the stream ops (evict, snapshot, restore) and the
+// control-plane reads.
 type httpCodec struct {
 	base string
 	hc   *http.Client
@@ -104,6 +105,8 @@ func (h *httpCodec) evict(ctx context.Context, stream int) error {
 	return h.once(ctx, http.MethodDelete, streamPath(stream), nil, nil)
 }
 
+// snapshot is export (remove) and checkpoint (!remove); the caller owns the
+// returned blob.
 func (h *httpCodec) snapshot(ctx context.Context, stream int, remove bool) ([]byte, error) {
 	path := streamPath(stream) + "/checkpoint"
 	if remove {

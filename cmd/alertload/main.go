@@ -33,9 +33,10 @@
 // file, which is how CI diffs the two paths.
 //
 // -wire selects the remote transport: json (default) drives the HTTP API,
-// binary upgrades the data plane onto the server's binwire listener
-// (alertserve -binary-addr; preflight fails if the server does not
-// advertise one). Decision sequences are byte-identical across wires —
+// binary upgrades the per-input loop (decide, observe, batch) onto the
+// server's binwire listener (alertserve -binary-addr; preflight fails if
+// the server does not advertise one); evictions and migrations ride HTTP
+// on either wire. Decision sequences are byte-identical across wires —
 // the same -decisions-out diff CI runs for -addr covers -wire=binary.
 // With -chaos, -wire=binary gives every fleet node a binary listener and
 // runs the whole failure drill over the binary transport.

@@ -26,7 +26,8 @@
 // (client/cluster.StartSync) follow the cluster through the failover.
 //
 // -binary-addr adds a second listener speaking the internal/binwire
-// framed protocol: persistent pipelined connections, each serving
+// framed protocol for the per-input loop (decide, observe, decide-batch;
+// the stream ops stay on HTTP): persistent pipelined connections, each serving
 // everything it has read as one burst and answering it with one write, out
 // of buffers it owns. Its address is advertised
 // in GET /v1/stats, so clients built with PreferBinary upgrade to it

@@ -1,8 +1,9 @@
-// Package binwire is the binary wire protocol of the serving layer: a
-// versioned, length-prefixed framing for the same logical messages the
-// HTTP/JSON API carries (decide, observe, decide-batch, the stream
-// snapshot ops, and errors), designed for persistent TCP connections and
-// a zero-allocation steady state.
+// Package binwire is the binary wire protocol of the serving layer's
+// per-input loop: a versioned, length-prefixed framing for the decide,
+// observe and decide-batch messages the HTTP/JSON API also carries, plus
+// errors, designed for persistent TCP connections and a zero-allocation
+// steady state. The stream ops (evict, export, checkpoint, import) are
+// HTTP-only.
 //
 // Every frame is
 //
@@ -53,22 +54,17 @@ const MaxFrame = 8 << 20
 type MsgType byte
 
 // Message types. Requests and responses are distinct types so a decoder
-// never guesses a direction.
+// never guesses a direction. Types 7–13 are retired (the stream ops they
+// carried are HTTP-only) and must not be reassigned: an older peer's frame
+// of those types has to meet a 400, not a misparse.
 const (
-	MsgDecide       MsgType = 1  // int64 stream + spec
-	MsgDecideResp   MsgType = 2  // decision + estimate + node id string
-	MsgObserve      MsgType = 3  // int64 stream + feedback
-	MsgObserveResp  MsgType = 4  // empty
-	MsgBatch        MsgType = 5  // uint32 count + count x (int64 stream + spec)
-	MsgBatchResp    MsgType = 6  // uint32 count + count x (int64 stream + decision + estimate)
-	MsgExport       MsgType = 7  // int64 stream
-	MsgCheckpoint   MsgType = 8  // int64 stream
-	MsgSnapshotResp MsgType = 9  // int64 stream + uint32 len + snapshot blob
-	MsgImport       MsgType = 10 // int64 stream + uint32 len + snapshot blob
-	MsgImportResp   MsgType = 11 // int64 stream
-	MsgEvict        MsgType = 12 // int64 stream
-	MsgEvictResp    MsgType = 13 // int64 stream
-	MsgError        MsgType = 14 // uint16 code + int64 retry_after_ms + uint16 len + message
+	MsgDecide      MsgType = 1  // int64 stream + spec
+	MsgDecideResp  MsgType = 2  // decision + estimate + node id string
+	MsgObserve     MsgType = 3  // int64 stream + feedback
+	MsgObserveResp MsgType = 4  // empty
+	MsgBatch       MsgType = 5  // uint32 count + count x (int64 stream + spec)
+	MsgBatchResp   MsgType = 6  // uint32 count + count x (int64 stream + decision + estimate)
+	MsgError       MsgType = 14 // uint16 code + int64 retry_after_ms + uint16 len + message
 )
 
 // Error codes carried by MsgError frames. They reuse the HTTP status
@@ -334,27 +330,6 @@ func AppendBatchResp(dst []byte, id uint64, n int, result func(i int) alert.Batc
 	return endFrame(b, start)
 }
 
-// AppendStreamReq appends a stream-addressed request frame (MsgExport,
-// MsgCheckpoint, or MsgEvict) or echo response (MsgImportResp,
-// MsgEvictResp): the body is just the stream id.
-func AppendStreamReq(dst []byte, t MsgType, id uint64, stream int) []byte {
-	start := len(dst)
-	b := beginFrame(dst, t, id)
-	b = appendI64(b, int64(stream))
-	return endFrame(b, start)
-}
-
-// AppendSnapshot appends a snapshot-carrying frame (MsgSnapshotResp or
-// MsgImport): stream id plus the canonical binary session blob.
-func AppendSnapshot(dst []byte, t MsgType, id uint64, stream int, blob []byte) []byte {
-	start := len(dst)
-	b := beginFrame(dst, t, id)
-	b = appendI64(b, int64(stream))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-	b = append(b, blob...)
-	return endFrame(b, start)
-}
-
 // AppendError appends a MsgError frame. retryAfterMs > 0 is the backoff
 // hint that rides 429/503 rejections, the binary twin of the HTTP
 // Retry-After header and retry_after_ms body field.
@@ -386,20 +361,6 @@ func typeName(t MsgType) string {
 		return "batch"
 	case MsgBatchResp:
 		return "batch-resp"
-	case MsgExport:
-		return "export"
-	case MsgCheckpoint:
-		return "checkpoint"
-	case MsgSnapshotResp:
-		return "snapshot-resp"
-	case MsgImport:
-		return "import"
-	case MsgImportResp:
-		return "import-resp"
-	case MsgEvict:
-		return "evict"
-	case MsgEvictResp:
-		return "evict-resp"
 	case MsgError:
 		return "error"
 	default:
@@ -563,34 +524,12 @@ func DecodeBatchResp(body []byte, into []alert.BatchResult) ([]alert.BatchResult
 	return into, nil
 }
 
-// DecodeStreamReq decodes a stream-id-only body (MsgExport,
-// MsgCheckpoint, MsgEvict, MsgImportResp, MsgEvictResp).
-func DecodeStreamReq(t MsgType, body []byte) (int, error) {
-	if len(body) != 8 {
-		return 0, errLen(t, len(body), 8)
-	}
-	return int(getI64(body)), nil
-}
-
 // DecodeObserveResp validates a MsgObserveResp body (it carries nothing).
 func DecodeObserveResp(body []byte) error {
 	if len(body) != 0 {
 		return errLen(MsgObserveResp, len(body), 0)
 	}
 	return nil
-}
-
-// DecodeSnapshot decodes a snapshot-carrying body (MsgSnapshotResp or
-// MsgImport). The blob aliases body.
-func DecodeSnapshot(t MsgType, body []byte) (int, []byte, error) {
-	if len(body) < 12 {
-		return 0, nil, errLen(t, len(body), 12)
-	}
-	n := binary.LittleEndian.Uint32(body[8:])
-	if uint64(len(body)-12) != uint64(n) {
-		return 0, nil, fmt.Errorf("binwire: %s declares a %d-byte snapshot, %d remain", typeName(t), n, len(body)-12)
-	}
-	return int(getI64(body)), body[12:], nil
 }
 
 // DecodeError decodes a MsgError body.

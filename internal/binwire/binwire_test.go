@@ -173,29 +173,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamAndSnapshotRoundTrip(t *testing.T) {
-	for _, mt := range []MsgType{MsgExport, MsgCheckpoint, MsgEvict, MsgImportResp, MsgEvictResp} {
-		raw := AppendStreamReq(nil, mt, 11, 42)
-		f := parseOne(t, raw)
-		if f.Type != mt {
-			t.Fatalf("type = %v, want %v", f.Type, mt)
-		}
-		stream, err := DecodeStreamReq(mt, f.Body)
-		if err != nil || stream != 42 {
-			t.Fatalf("DecodeStreamReq(%v) = %d, %v", mt, stream, err)
-		}
-	}
-	blob := []byte("canonical session bytes \x00\x01\x02")
-	for _, mt := range []MsgType{MsgSnapshotResp, MsgImport} {
-		raw := AppendSnapshot(nil, mt, 8, 6, blob)
-		f := parseOne(t, raw)
-		stream, got, err := DecodeSnapshot(mt, f.Body)
-		if err != nil || stream != 6 || !bytes.Equal(got, blob) {
-			t.Fatalf("DecodeSnapshot(%v) = %d, %q, %v", mt, stream, got, err)
-		}
-	}
-}
-
 func TestObserveRespAndErrorRoundTrip(t *testing.T) {
 	f := parseOne(t, AppendObserveResp(nil, 2))
 	if f.Type != MsgObserveResp || DecodeObserveResp(f.Body) != nil {
@@ -286,22 +263,12 @@ func TestStrictness(t *testing.T) {
 	if _, err := DecodeBatch(ef.Body, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	// Snapshot blob length overrunning the body.
-	sraw := AppendSnapshot(nil, MsgImport, 1, 1, []byte("xy"))
-	binary.LittleEndian.PutUint32(sraw[4+frameRest+8:], 3)
-	sf := parseOne(t, sraw)
-	if _, _, err := DecodeSnapshot(MsgImport, sf.Body); err == nil {
-		t.Fatal("overrunning blob length accepted")
-	}
 	// Wrong body lengths for the fixed layouts.
 	if _, _, err := DecodeDecide(make([]byte, decideLen-1)); err == nil {
 		t.Fatal("short decide body accepted")
 	}
 	if _, _, err := DecodeObserve(make([]byte, observeLen+1)); err == nil {
 		t.Fatal("long observe body accepted")
-	}
-	if _, err := DecodeStreamReq(MsgEvict, nil); err == nil {
-		t.Fatal("empty evict body accepted")
 	}
 	if DecodeObserveResp([]byte{0}) == nil {
 		t.Fatal("non-empty observe-resp body accepted")

@@ -2,6 +2,7 @@ package binwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -32,8 +33,12 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(AppendObserveResp(nil, 4))
 	f.Add(AppendBatch(nil, 5, []alert.BatchRequest{{Stream: 1, Spec: spec}, {Stream: 2, Spec: spec}}))
 	f.Add(appendBatchResp(nil, 6, []alert.BatchResult{{Stream: 1, Decision: d, Estimate: e}}))
-	f.Add(AppendStreamReq(nil, MsgExport, 7, 9))
-	f.Add(AppendSnapshot(nil, MsgImport, 8, 9, []byte("blob")))
+	// Envelopes the strict decoders must refuse: an unknown objective byte
+	// and an empty batch.
+	badObjective := AppendDecide(nil, 7, 5, spec)
+	badObjective[len(badObjective)-specLen] = 9
+	f.Add(badObjective)
+	f.Add(endFrame(binary.LittleEndian.AppendUint32(beginFrame(nil, MsgBatch, 8), 0), 0))
 	f.Add(AppendError(nil, 9, CodeOverloaded, 50, "queue full"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -91,18 +96,6 @@ func FuzzBinaryFrame(f *testing.F) {
 				return
 			}
 			re = appendBatchResp(nil, fr.ID, res)
-		case MsgExport, MsgCheckpoint, MsgEvict, MsgImportResp, MsgEvictResp:
-			stream, err := DecodeStreamReq(fr.Type, fr.Body)
-			if err != nil {
-				return
-			}
-			re = AppendStreamReq(nil, fr.Type, fr.ID, stream)
-		case MsgSnapshotResp, MsgImport:
-			stream, blob, err := DecodeSnapshot(fr.Type, fr.Body)
-			if err != nil {
-				return
-			}
-			re = AppendSnapshot(nil, fr.Type, fr.ID, stream, blob)
 		case MsgError:
 			code, ms, msg, err := DecodeError(fr.Body)
 			if err != nil {

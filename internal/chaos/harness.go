@@ -54,7 +54,8 @@ type Options struct {
 	Seed int64
 	// Binary gives every node a binwire listener next to its HTTP one and
 	// upgrades the cluster clients onto it (PreferBinary): the same
-	// failure drill, but with the data plane riding the binary transport.
+	// failure drill, but with the per-input loop riding the binary
+	// transport (checkpoint taps and migrations stay on HTTP).
 	// Kills sever binary connections exactly like HTTP ones, and restarts
 	// rebind the same remembered binary address.
 	Binary bool

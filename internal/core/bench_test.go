@@ -45,7 +45,7 @@ func BenchmarkDecide(b *testing.B) {
 	run := func(b *testing.B, reference bool) {
 		opts := DefaultOptions()
 		opts.ReferenceScorer = reference
-		ctl := New(prof, opts)
+		ctl := NewEngine(prof, opts).NewSession()
 		ctl.Observe(out)
 		ctl.Decide(spec) // warm scratch
 		b.ReportAllocs()
@@ -80,7 +80,7 @@ func BenchmarkDecideZoo(b *testing.B) {
 		b.Run(ref.name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.ReferenceScorer = ref.on
-			ctl := New(prof, opts)
+			ctl := NewEngine(prof, opts).NewSession()
 			ctl.Observe(out)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -19,16 +19,14 @@
 //     idle-power Kalman filters, the filter epoch, and the decision count.
 //     Under 200 bytes per stream, one goroutine at a time.
 //
-// Controller is the paper's one-stream deployment (§3.6) preserved as a
-// thin facade: a private Engine serving exactly one Session. The serving
-// layer (internal/serve) shares one Engine and holds one Session per
-// stream.
+// The paper's one-stream deployment (§3.6) is an Engine serving exactly
+// one Session (alert.Scheduler); the serving layer (internal/serve) shares
+// one Engine and holds one Session per stream.
 package core
 
 import (
 	"fmt"
 
-	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/kalman"
 )
 
@@ -164,20 +162,4 @@ type Estimate struct {
 	// PlannedStop is the wall-clock budget handed to the executor for
 	// anytime candidates (0 for traditional).
 	PlannedStop float64
-}
-
-// Controller is the ALERT runtime for one task on one platform: a private
-// Engine serving exactly one Session, the paper's one-stream-per-controller
-// deployment (§3.6) kept as a thin facade over the Engine/Session split.
-// Layers serving many streams should build one Engine and one Session per
-// stream instead (see Engine); the facade exists so single-stream callers
-// (alert.Scheduler, baselines, examples) need not see the split at all.
-type Controller struct {
-	*Session
-}
-
-// New builds a controller — a fresh single-session engine — over a profiled
-// candidate set.
-func New(prof *dnn.ProfileTable, opts Options) *Controller {
-	return &Controller{Session: NewEngine(prof, opts).NewSession()}
 }

@@ -10,17 +10,17 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
-func newTestController(t *testing.T, opts Options) (*Controller, *dnn.ProfileTable) {
+func newTestController(t *testing.T, opts Options) (*Session, *dnn.ProfileTable) {
 	t.Helper()
 	prof, err := dnn.Profile(platform.CPU1(), dnn.ImageCandidates())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(prof, opts), prof
+	return NewEngine(prof, opts).NewSession(), prof
 }
 
 // feed drives the filter to a steady slowdown level.
-func feed(c *Controller, xi float64, n int) {
+func feed(c *Session, xi float64, n int) {
 	for i := 0; i < n; i++ {
 		c.Observe(sim.Outcome{ObservedXi: xi, IdlePower: 6, CapApplied: 30})
 	}

@@ -62,7 +62,7 @@ func TestEstimateFastMatchesReference(t *testing.T) {
 		for _, variance := range []bool{true, false} {
 			opts := DefaultOptions()
 			opts.UseVariance = variance
-			c := New(prof, opts)
+			c := NewEngine(prof, opts).NewSession()
 			rng := mathx.NewRand(42)
 			for trial := 0; trial < 60; trial++ {
 				// Random walk the filters between trials so mu/sigma sweep
@@ -92,13 +92,13 @@ func TestEstimateFastMatchesReference(t *testing.T) {
 
 // refDecide replays one Decide on a ReferenceScorer twin.
 type pairedControllers struct {
-	fast, ref *Controller
+	fast, ref *Session
 }
 
 func newPair(prof *dnn.ProfileTable, opts Options) pairedControllers {
 	refOpts := opts
 	refOpts.ReferenceScorer = true
-	return pairedControllers{fast: New(prof, opts), ref: New(prof, refOpts)}
+	return pairedControllers{fast: NewEngine(prof, opts).NewSession(), ref: NewEngine(prof, refOpts).NewSession()}
 }
 
 func (p pairedControllers) observe(out sim.Outcome) {
@@ -147,7 +147,7 @@ func TestDecideMatchesReferenceUnderChurn(t *testing.T) {
 // of EstimateAll see exactly what Decide scored.
 func TestEstimateAllMatchesFastScan(t *testing.T) {
 	prof := diffProfiles(t)[0]
-	c := New(prof, DefaultOptions())
+	c := NewEngine(prof, DefaultOptions()).NewSession()
 	rng := mathx.NewRand(5)
 	for trial := 0; trial < 30; trial++ {
 		c.Observe(sim.Outcome{ObservedXi: 0.9 + 0.5*rng.Float64(), IdlePower: 6, CapApplied: 30})
@@ -166,7 +166,7 @@ func TestEstimateAllMatchesFastScan(t *testing.T) {
 // scan allocates nothing.
 func TestDecideAllocFree(t *testing.T) {
 	prof := diffProfiles(t)[0]
-	c := New(prof, DefaultOptions())
+	c := NewEngine(prof, DefaultOptions()).NewSession()
 	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
 	c.Observe(out)
@@ -184,7 +184,7 @@ func TestDecideAllocFree(t *testing.T) {
 // including the degenerate deadline ≤ overhead branch that used to be
 // copy-pasted across every scan entry point and EstimateAll.
 func TestAdjustedGoalFallback(t *testing.T) {
-	c := New(diffProfiles(t)[0], DefaultOptions())
+	c := NewEngine(diffProfiles(t)[0], DefaultOptions()).NewSession()
 	if c.Overhead() <= 0 {
 		t.Fatal("overhead model missing")
 	}
@@ -285,7 +285,7 @@ func TestPruningKeepsFirstOfExactTies(t *testing.T) {
 		for trial := 0; trial < 150; trial++ {
 			pair.walk(rng, 2)
 			spec := specGen(rng)
-			d, _ := checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+			d, _ := checkSpec(t, pair.fast, pair.ref, spec)
 			if d.Model >= originals {
 				t.Fatalf("trial %d spec %+v: twin model %d beat its original", trial, spec, d.Model)
 			}
@@ -305,7 +305,7 @@ func TestPruningWithStepCDFs(t *testing.T) {
 		rng := mathx.NewRand(29)
 		for trial := 0; trial < 200; trial++ {
 			pair.walk(rng, 1)
-			checkSpec(t, pair.fast.Session, pair.ref.Session, specGen(rng))
+			checkSpec(t, pair.fast, pair.ref, specGen(rng))
 		}
 	}
 }
@@ -338,7 +338,7 @@ func TestPruningWithExtremeSpecs(t *testing.T) {
 						{Objective: MaximizeAccuracy, Deadline: dl, EnergyBudget: nan, Prth: prth},
 						{Objective: MaximizeAccuracy, Deadline: dl, Prth: prth},
 					} {
-						checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+						checkSpec(t, pair.fast, pair.ref, spec)
 					}
 				}
 			}
@@ -361,14 +361,14 @@ func TestPruningAtExactEnergyBudget(t *testing.T) {
 			// the budgeted scan will compare against.
 			for _, est := range pair.ref.EstimateAll(spec) {
 				spec.EnergyBudget = est.Energy
-				checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+				checkSpec(t, pair.fast, pair.ref, spec)
 			}
 		}
 	}
 }
 
 // feasibleSet lists the candidates consider would accept on their own.
-func feasibleSet(c *Controller, spec Spec) []int {
+func feasibleSet(c *Session, spec Spec) []int {
 	var out []int
 	for i, est := range c.EstimateAll(spec) {
 		sel := c.newSelector(spec)
@@ -400,7 +400,7 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 					t.Fatalf("spec %+v: expected nothing feasible, got %v", spec, f)
 				}
 				pair.fast.sc.TakeScanCounts()
-				checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+				checkSpec(t, pair.fast, pair.ref, spec)
 				if _, fallbacks := pair.fast.sc.TakeScanCounts(); fallbacks != 1 {
 					t.Fatalf("spec %+v: %d fallbacks booked, want 1", spec, fallbacks)
 				}
@@ -437,7 +437,7 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 		t.Fatalf("scored %d of %d candidates with %d fallbacks; nothing may be skipped before a best exists",
 			scored, last+1, fallbacks)
 	}
-	_, est := checkSpec(t, pair.fast.Session, pair.ref.Session, spec)
+	_, est := checkSpec(t, pair.fast, pair.ref, spec)
 	if est.Candidate != pair.ref.Candidates()[last] {
 		t.Fatalf("winner %+v, want the last candidate", est.Candidate)
 	}
@@ -454,7 +454,7 @@ func TestScanWorkBound(t *testing.T) {
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
 	var first []int
 	for run := 0; run < 3; run++ {
-		c := New(prof, DefaultOptions())
+		c := NewEngine(prof, DefaultOptions()).NewSession()
 		if n := len(c.Candidates()); n != 210 {
 			t.Fatalf("candidate space is %d, want 210", n)
 		}
@@ -484,7 +484,7 @@ func TestScanWorkBound(t *testing.T) {
 	// counted as a fallback.
 	refOpts := DefaultOptions()
 	refOpts.ReferenceScorer = true
-	ref := New(prof, refOpts)
+	ref := NewEngine(prof, refOpts).NewSession()
 	ref.Decide(benchSpec())
 	ref.Decide(Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9999})
 	if scored, fallbacks := ref.sc.TakeScanCounts(); scored != 420 || fallbacks != 1 {

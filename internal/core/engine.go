@@ -19,7 +19,7 @@ import (
 // filter epoch, the decision count) lives in Session, so a deployment
 // serving N inference streams on one platform pays for the candidate space
 // once and per-stream only for a Session — under 200 bytes — instead of N
-// full Controller copies. That is the layer split that lets the
+// Engine copies. That is the layer split that lets the
 // serving pool (internal/serve) scale its stream table to millions of
 // streams.
 type Engine struct {

@@ -11,7 +11,7 @@ import (
 
 // These tests pin the Engine/Session contract: sessions over one shared
 // engine are byte-for-byte independent of each other (any interleaving of N
-// sessions reproduces each stream's solo Controller sequence), the scan
+// sessions reproduces each stream's solo sequence), the scan
 // workspace may be shared without changing a single bit, and a Session
 // stays small and allocation-free on the steady-state decide path.
 
@@ -32,11 +32,11 @@ func makeScript(stream, n int) sessionScript {
 	return sc
 }
 
-// soloRun replays a script against a dedicated Controller — the paper's
+// soloRun replays a script against a session on its own engine — the paper's
 // one-stream deployment every multi-session interleaving must reproduce.
 func soloRun(t *testing.T, script sessionScript) ([]sim.Decision, []Estimate) {
 	t.Helper()
-	ctl := New(diffProfiles(t)[0], DefaultOptions())
+	ctl := NewEngine(diffProfiles(t)[0], DefaultOptions()).NewSession()
 	ds := make([]sim.Decision, len(script.specs))
 	es := make([]Estimate, len(script.specs))
 	for i, spec := range script.specs {
@@ -51,7 +51,7 @@ func soloRun(t *testing.T, script sessionScript) ([]sim.Decision, []Estimate) {
 // and one Scratch, exactly the serving shard's configuration — are driven
 // in an adversarial interleaving (round-robin, bursts, stragglers), and
 // every session's decision sequence must equal running its stream alone
-// against a dedicated Controller, compared with == (bit-for-bit).
+// against a session on its own engine, compared with == (bit-for-bit).
 func TestSessionsIndependentUnderInterleaving(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	eng := NewEngine(prof, DefaultOptions())
@@ -229,28 +229,28 @@ func TestEngineXiPrior(t *testing.T) {
 	}
 }
 
-// TestControllerIsEngineSessionFacade pins the facade relationship the
-// compatibility layer rests on: a Controller is exactly one Engine plus one
-// Session, and its engine is fully shareable — a second session on it
-// decides identically to a second Controller.
+// TestControllerIsEngineSessionFacade pins what the paper's one-stream
+// controller is now: one Engine plus one Session, whose engine is fully
+// shareable — a second session on it decides identically to a session on
+// a fresh engine.
 func TestControllerIsEngineSessionFacade(t *testing.T) {
 	prof := diffProfiles(t)[0]
-	ctl := New(prof, DefaultOptions())
+	ctl := NewEngine(prof, DefaultOptions()).NewSession()
 	if ctl.Engine() == nil {
-		t.Fatal("controller has no engine")
+		t.Fatal("session has no engine")
 	}
 	if got, want := len(ctl.Candidates()), len(ctl.Engine().Candidates()); got != want {
-		t.Fatalf("facade candidates %d != engine candidates %d", got, want)
+		t.Fatalf("session candidates %d != engine candidates %d", got, want)
 	}
 
 	twinA := ctl.Engine().NewSession()
-	twinB := New(prof, DefaultOptions())
+	twinB := NewEngine(prof, DefaultOptions()).NewSession()
 	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
 	for i := 0; i < 20; i++ {
 		da, ea := twinA.Decide(spec)
 		db, eb := twinB.Decide(spec)
 		if da != db || ea != eb {
-			t.Fatalf("step %d: engine-shared session != fresh controller", i)
+			t.Fatalf("step %d: engine-shared session != session on a fresh engine", i)
 		}
 		out := sim.Outcome{ObservedXi: 1.0 + 0.02*float64(i), IdlePower: 6, CapApplied: 30}
 		twinA.Observe(out)

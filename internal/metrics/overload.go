@@ -40,7 +40,8 @@ type OverloadSnapshot struct {
 	LimitDecreases int64 `json:"limit_decreases"`
 	// Shed-by-class counters: Hopeless is the SLO shedder (deadline could
 	// not have been met), Overload the full queue, Deadline expiry while
-	// queued, Draining shutdown refusals.
+	// queued, Draining shutdown refusals. Each is the sum of the
+	// transports' Rejected* counter of the same class.
 	ShedHopeless int64 `json:"shed_hopeless"`
 	ShedOverload int64 `json:"shed_overload"`
 	ShedDeadline int64 `json:"shed_deadline"`

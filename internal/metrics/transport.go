@@ -103,7 +103,8 @@ type TransportSnapshot struct {
 	Batches        int64 `json:"batches"`
 	BatchDecisions int64 `json:"batch_decisions"`
 	// Stream ops served: evictions, exports (snapshot + remove),
-	// checkpoints (snapshot, keep serving), imports.
+	// checkpoints (snapshot, keep serving), imports. They ride HTTP only,
+	// so a BinSnapshot's read 0.
 	Evictions   int64 `json:"evictions"`
 	Exports     int64 `json:"exports"`
 	Checkpoints int64 `json:"checkpoints"`

@@ -1,5 +1,7 @@
 // Binary wire listener: the binwire protocol served over persistent TCP.
-// Like the HTTP handlers it is a codec over the op core (ops.go) — decode a
+// It carries the per-input loop only — decide, observe, decide-batch — and
+// leaves the stream ops (evict, export, checkpoint, import) to HTTP. Like
+// the HTTP handlers it is a codec over the op core (ops.go) — decode a
 // frame into an op, encode the result or the reject — so the gate, drain
 // state, recovery holds and SLO accounting are the same code, not a copy.
 // What it adds is that a connection's goroutine serves its input in bursts.
@@ -38,12 +40,12 @@
 // Rejections are error frames whose code is the HTTP status and whose
 // retry_after_ms is the HTTP body's.
 //
-// Frames on one connection are served in arrival order, whatever their
-// type: the burst applies a stream's observes and decides in the order they
-// arrived, an observe is acked after it was APPLIED, and any other frame
-// first runs what is held. A pipelining client therefore sees exactly the
-// in-process semantics without awaiting anything (byte-identical decision
-// sequences, pinned by TestBinaryBurstOrder and cmd/alertload's wire tests).
+// Frames on one connection are served in arrival order: the burst applies a
+// stream's observes and decides in the order they arrived, an observe is
+// acked after it was APPLIED, and a batch frame first runs what is held. A
+// pipelining client therefore sees exactly the in-process semantics without
+// awaiting anything (byte-identical decision sequences, pinned by
+// TestBinaryBurstOrder and cmd/alertload's wire tests).
 package netserve
 
 import (
@@ -259,14 +261,11 @@ func frameBuffered(br *bufio.Reader) bool {
 func (bs *BinaryServer) tc() *metrics.TransportCounters { return &bs.bin.TransportCounters }
 
 // serveFrame is the binwire codec over the op core: decode the frame body,
-// then hold a decide or observe for the burst, or — for every other op,
-// after running what is held so arrival order survives — call the op and
-// encode its result. A reject is encoded at once.
+// then hold a decide or observe for the burst, or serve a batch whole after
+// running what is held, so arrival order survives. A reject — an unknown or
+// retired frame type included — is encoded at once.
 func (c *binConn) serveFrame(f binwire.Frame) {
-	front, tc, ctx := c.srv.front, c.srv.tc(), context.Background()
-	if f.Type != binwire.MsgDecide && f.Type != binwire.MsgObserve {
-		c.run()
-	}
+	front, tc := c.srv.front, c.srv.tc()
 	var rej reject
 	switch f.Type {
 	case binwire.MsgDecide:
@@ -302,6 +301,7 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 			c.held = append(c.held, h)
 		}
 	case binwire.MsgBatch:
+		c.run()
 		start := time.Now()
 		var err error
 		if c.batchBuf, err = binwire.DecodeBatch(f.Body, c.batchBuf[:0]); err != nil {
@@ -311,42 +311,10 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 		for _, r := range c.batchBuf {
 			c.engine.add(r.Stream, r.Spec)
 		}
-		if rej = front.decideBatch(ctx, tc, start, &c.engine); !rej.refused() {
+		if rej = front.decideBatch(context.Background(), tc, start, &c.engine); !rej.refused() {
 			c.reply(binwire.AppendBatchResp(c.wbuf, f.ID, len(c.batchBuf), c.engine.burst.Result))
 		}
 		c.engine.reset()
-	case binwire.MsgExport, binwire.MsgCheckpoint:
-		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
-		if err != nil {
-			rej = badInput(tc, err.Error())
-			break
-		}
-		op := metrics.OpExport
-		if f.Type == binwire.MsgCheckpoint {
-			op = metrics.OpCheckpoint
-		}
-		var blob []byte
-		if blob, _, rej = front.snapshot(ctx, tc, op, stream); !rej.refused() {
-			c.reply(binwire.AppendSnapshot(c.wbuf, binwire.MsgSnapshotResp, f.ID, stream, blob))
-		}
-	case binwire.MsgEvict:
-		stream, err := binwire.DecodeStreamReq(f.Type, f.Body)
-		if err != nil {
-			rej = badInput(tc, err.Error())
-			break
-		}
-		if rej = front.evict(ctx, tc, stream); !rej.refused() {
-			c.reply(binwire.AppendStreamReq(c.wbuf, binwire.MsgEvictResp, f.ID, stream))
-		}
-	case binwire.MsgImport:
-		stream, blob, err := binwire.DecodeSnapshot(f.Type, f.Body)
-		if err != nil {
-			rej = badInput(tc, err.Error())
-			break
-		}
-		if rej = front.importStream(ctx, tc, stream, blob); !rej.refused() {
-			c.reply(binwire.AppendStreamReq(c.wbuf, binwire.MsgImportResp, f.ID, stream))
-		}
 	default:
 		rej = badInput(tc, "unexpected frame type")
 	}

@@ -1,7 +1,8 @@
 package netserve
 
 import (
-	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -233,65 +234,6 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBinaryMigration exports a warmed session over the wire, imports it
-// into a second node, and checks the restored session is bit-identical: a
-// checkpoint on the source before the export, and one on the target after
-// the import, both carry the exported bytes. (The not-found and conflict
-// refusals are rows of TestRejectMatrix.)
-func TestBinaryMigration(t *testing.T) {
-	frontA := New(testAlertServer(t, 1), Config{})
-	frontB := New(testAlertServer(t, 1), Config{})
-	bsA := startBinary(t, frontA, BinaryConfig{})
-	bsB := startBinary(t, frontB, BinaryConfig{})
-	a := dialBinary(t, bsA.Addr())
-	b := dialBinary(t, bsB.Addr())
-
-	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
-	const stream = 21
-	for i := 0; i < 5; i++ {
-		d, est := a.decide(stream, spec)
-		a.observe(stream, alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1})
-	}
-
-	// Checkpoint, then export from A: the same session, the same bytes.
-	a.id++
-	a.send(binwire.AppendStreamReq(nil, binwire.MsgCheckpoint, a.id, stream))
-	f := a.expect(binwire.MsgSnapshotResp, a.id)
-	_, blob, err := binwire.DecodeSnapshot(f.Type, f.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkpointed := append([]byte(nil), blob...)
-	a.id++
-	a.send(binwire.AppendStreamReq(nil, binwire.MsgExport, a.id, stream))
-	f = a.expect(binwire.MsgSnapshotResp, a.id)
-	if _, blob, err = binwire.DecodeSnapshot(f.Type, f.Body); err != nil {
-		t.Fatal(err)
-	}
-	exported := append([]byte(nil), blob...)
-	if !bytes.Equal(checkpointed, exported) {
-		t.Error("checkpoint and export of the same session produced different blobs")
-	}
-
-	// Import into B and read it back: byte-identical session state.
-	b.id++
-	b.send(binwire.AppendSnapshot(nil, binwire.MsgImport, b.id, stream, exported))
-	b.expect(binwire.MsgImportResp, b.id)
-	b.id++
-	b.send(binwire.AppendStreamReq(nil, binwire.MsgCheckpoint, b.id, stream))
-	f = b.expect(binwire.MsgSnapshotResp, b.id)
-	_, blob, err = binwire.DecodeSnapshot(f.Type, f.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, exported) {
-		t.Error("imported session re-marshals to different bytes than the export")
-	}
-	if snap := bsA.BinStats(); snap.Exports != 1 || snap.Checkpoints != 1 {
-		t.Errorf("source counters = %+v, want one export and one checkpoint", snap)
-	}
-}
-
 // TestBinaryVersionRejected sends a frame stamped with a future version:
 // the server answers one error frame naming the version it speaks and
 // hangs up (it cannot trust the rest of the byte stream).
@@ -300,7 +242,7 @@ func TestBinaryVersionRejected(t *testing.T) {
 	bs := startBinary(t, front, BinaryConfig{})
 	rc := dialBinary(t, bs.Addr())
 
-	frame := binwire.AppendStreamReq(nil, binwire.MsgEvict, 9, 1)
+	frame := binwire.AppendDecide(nil, 9, 1, alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 	frame[4] = 2 // version byte
 	rc.send(frame)
 	f := rc.expect(binwire.MsgError, 9)
@@ -316,20 +258,32 @@ func TestBinaryVersionRejected(t *testing.T) {
 	}
 }
 
-// TestBinaryUnknownTypeKeepsConnection sends a frame with an unassigned
-// type: the server answers an error frame but keeps the connection — the
-// framing is intact, so later frames are still trustworthy.
+// TestBinaryUnknownTypeKeepsConnection sends a frame of a type the server
+// does not serve — an unassigned one, and each retired stream-op type (7–13,
+// whose ops are HTTP-only) — and requires a 400 error frame, one bad_input,
+// and a connection that stays: the framing is intact, so later frames are
+// still trustworthy.
 func TestBinaryUnknownTypeKeepsConnection(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
 	bs := startBinary(t, front, BinaryConfig{})
-	rc := dialBinary(t, bs.Addr())
-
-	rc.send(binwire.AppendStreamReq(nil, binwire.MsgType(99), 1, 1))
-	rc.expectError(1, binwire.CodeBadRequest)
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
-	rc.decide(2, spec) // still served
-	if snap := bs.BinStats(); snap.BadFrames != 1 {
-		t.Errorf("bad_frames = %d, want 1", snap.BadFrames)
+
+	for _, mt := range []binwire.MsgType{99, 7, 8, 9, 10, 11, 12, 13} {
+		t.Run(fmt.Sprintf("type %d", mt), func(t *testing.T) {
+			rc := dialBinary(t, bs.Addr())
+			bad := bs.BinStats().BadFrames
+			// A stream id for a body, as the retired request types carried.
+			frame := binary.LittleEndian.AppendUint32(nil, 1+1+8+8)
+			frame = append(frame, binwire.Version, byte(mt))
+			frame = binary.LittleEndian.AppendUint64(frame, 1)
+			frame = binary.LittleEndian.AppendUint64(frame, 1)
+			rc.send(frame)
+			rc.expectError(1, binwire.CodeBadRequest)
+			rc.decide(2, spec) // still served
+			if got := bs.BinStats().BadFrames - bad; got != 1 {
+				t.Errorf("bad_frames moved by %d, want 1", got)
+			}
+		})
 	}
 }
 

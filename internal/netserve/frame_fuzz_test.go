@@ -10,8 +10,8 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// FuzzServeFrame throws arbitrary decide, observe, batch and import frame
-// bodies at a live op core through the binwire codec, one connection (a
+// FuzzServeFrame throws arbitrary decide, observe and batch frame bodies at
+// a live op core through the binwire codec, one connection (a
 // net.Pipe) per input. The connection's goroutine runs decode → check →
 // admit → engine → encode on whatever the socket delivered, and a panic
 // there kills the process, so every body — well-formed with hostile values
@@ -28,13 +28,13 @@ func FuzzServeFrame(f *testing.F) {
 	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the fuzzer hands it pipes
 	f.Cleanup(func() { bs.Close() })
 
-	// ops maps the fuzzed selector onto the four request types and the
-	// reply each is served with.
+	// ops maps the fuzzed selector onto the three request types and the
+	// reply each is served with. (Import bodies are HTTP's, fuzzed by
+	// FuzzImportStreamBody.)
 	ops := []struct{ req, resp binwire.MsgType }{
 		{binwire.MsgDecide, binwire.MsgDecideResp},
 		{binwire.MsgObserve, binwire.MsgObserveResp},
 		{binwire.MsgBatch, binwire.MsgBatchResp},
-		{binwire.MsgImport, binwire.MsgImportResp},
 	}
 	// body strips the 14-byte frame header (length, version, type, id) off
 	// an encoded frame.
@@ -42,20 +42,16 @@ func FuzzServeFrame(f *testing.F) {
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	d, _ := srv.Decide(1, spec)
-	snap, _ := srv.ExportStream(1)
-	blob, err := snap.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
+	srv.EvictStream(1)
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: alert.Decision{Model: 9999}, Latency: 0.1})))
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: alert.Decision{Cap: -3}, Latency: 0.1})))
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: d, Latency: 0.1, CompletedStage: 99, IdlePowerW: 5})))
 	f.Add(uint8(0), body(binwire.AppendDecide(nil, 1, 7, spec)))
 	f.Add(uint8(0), body(binwire.AppendDecide(nil, 1, -7, alert.Spec{Objective: alert.MaximizeAccuracy, Deadline: -1})))
 	f.Add(uint8(2), body(binwire.AppendBatch(nil, 1, []alert.BatchRequest{{Stream: 1, Spec: spec}, {Stream: 2, Spec: spec}, {Stream: 1, Spec: spec}})))
-	f.Add(uint8(2), []byte{2, 0, 0, 0, 1}) // declares two requests, carries one byte
-	f.Add(uint8(3), body(binwire.AppendSnapshot(nil, binwire.MsgImport, 1, 9, blob)))
-	f.Add(uint8(3), body(binwire.AppendSnapshot(nil, binwire.MsgImport, 1, 9, []byte("junk binary"))))
+	f.Add(uint8(2), []byte{2, 0, 0, 0, 1})                                                                 // declares two requests, carries one byte
+	f.Add(uint8(2), []byte{0xff, 0xff, 0xff, 0xff})                                                        // declares 2^32-1 requests
+	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: d, Latency: 0.1}))[1:]) // one byte short
 	f.Add(uint8(0), []byte{})
 
 	const id = 0x1234

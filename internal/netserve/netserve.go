@@ -17,6 +17,8 @@
 // status line + Retry-After header + JSON error body; the binwire read
 // loop in binary.go maps frames to the same calls and a reject to an error
 // frame whose code is that status and whose retry_after_ms is that hint.
+// binwire carries only the per-input loop (decide, observe, decide-batch);
+// the stream ops have one wire, HTTP.
 // What an op counts, and when its SLO clock starts and stops, is therefore
 // the same on both wires; each codec only says whose counters to move.
 // binwire adds one thing of its own — a connection serves the decides and
@@ -231,7 +233,32 @@ func New(srv *alert.Server, cfg Config) *Server {
 }
 
 // OverloadStats snapshots the admission gate's live state.
-func (s *Server) OverloadStats() metrics.OverloadSnapshot { return s.gate.Snapshot() }
+func (s *Server) OverloadStats() metrics.OverloadSnapshot {
+	_, _, ov := s.snapshots()
+	return ov
+}
+
+// snapshots reads the HTTP counters, the binwire counters (nil without a
+// binary listener) and the gate. The gate's shed-by-class counters are the
+// two transports' reject counters of those classes: every shed is exactly
+// one reject, counted once, on the wire it arrived by.
+func (s *Server) snapshots() (metrics.NetSnapshot, *metrics.BinSnapshot, metrics.OverloadSnapshot) {
+	net, ov := s.net.Snapshot(), s.gate.Snapshot()
+	wires := []metrics.TransportSnapshot{net.TransportSnapshot}
+	var bin *metrics.BinSnapshot
+	if bs := s.binaryServer(); bs != nil {
+		snap := bs.bin.Snapshot()
+		bin = &snap
+		wires = append(wires, snap.TransportSnapshot)
+	}
+	for _, t := range wires {
+		ov.ShedHopeless += t.RejectedHopeless
+		ov.ShedOverload += t.RejectedOverload
+		ov.ShedDeadline += t.RejectedDeadline
+		ov.ShedDraining += t.RejectedDraining
+	}
+	return net, bin, ov
+}
 
 // NetStats snapshots the front end's request/latency/overload counters.
 func (s *Server) NetStats() metrics.NetSnapshot { return s.net.Snapshot() }
@@ -406,22 +433,21 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.net.RecordRead()
+	net, bin, ov := s.snapshots()
 	resp := StatsResponse{
 		Serve:    s.alert.Stats(),
-		Net:      s.net.Snapshot(),
+		Net:      net,
+		Bin:      bin,
+		Overload: &ov,
+		SLO:      s.slo.Snapshot(),
 		Platform: s.alert.Platform().Name,
 		Models:   len(s.alert.Models()),
 		Shards:   s.alert.Shards(),
 		Streams:  s.alert.Streams(),
 		NodeID:   s.nodeID,
 	}
-	ov := s.gate.Snapshot()
-	resp.Overload = &ov
-	resp.SLO = s.slo.Snapshot()
 	if bs := s.binaryServer(); bs != nil {
 		resp.BinaryAddr = bs.Addr()
-		snap := bs.bin.Snapshot()
-		resp.Bin = &snap
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -438,15 +464,10 @@ func (s *Server) binaryServer() *BinaryServer {
 // scrapers must keep answering while the server is saturated or draining.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.net.RecordRead()
-	var bin *metrics.BinSnapshot
-	if bs := s.binaryServer(); bs != nil {
-		snap := bs.bin.Snapshot()
-		bin = &snap
-	}
-	ov := s.gate.Snapshot()
+	net, bin, ov := s.snapshots()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	metrics.WritePrometheus(w, s.alert.Stats(), s.net.Snapshot(), bin, &ov)
+	metrics.WritePrometheus(w, s.alert.Stats(), net, bin, &ov)
 }
 
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {

@@ -18,9 +18,10 @@ import (
 //	restoring hold → SLO shed → admit → serve → account → release
 //
 // here, exactly once, and comes back as a typed result or a reject. The
-// HTTP handlers (netserve.go) and the binwire read loop (binary.go) only
-// decode a request into a call and encode what it returns; the counters an
-// op moves are the calling transport's, passed in as tc.
+// HTTP handlers (netserve.go) and the binwire read loop (binary.go, which
+// carries decide, observe and batch) only decode a request into a call and
+// encode what it returns; the counters an op moves are the calling
+// transport's, passed in as tc.
 
 // reject is why an op was refused; the zero value means it was served.
 type reject struct {
@@ -97,27 +98,24 @@ func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op me
 	if op == metrics.OpDecide || op == metrics.OpBatch {
 		// To the caller a shed decide is a deadline miss.
 		for i := range reqs {
-			s.slo.RecordShed(reqs[i].stream)
+			s.slo.RecordRefused(reqs[i].stream)
 		}
 	}
+	// The transport's reject counter is the one ledger of a shed: the
+	// gate's shed-by-class view is read off it (Server.snapshots).
 	tc.RecordReject(class)
-	ctrl := s.gate.Controller()
 	switch class {
 	case metrics.RejectHopeless:
 		// The drain estimate, deliberately not clamped to the request's
 		// headroom: this deadline is already lost, the hint is for the
 		// next one.
-		ctrl.RecordShed(overload.ShedHopeless)
 		return reject{http.StatusTooManyRequests, s.gate.RetryAfter(), "deadline cannot be met at current load"}
 	case metrics.RejectOverload:
-		ctrl.RecordShed(overload.ShedOverload)
 		return reject{http.StatusTooManyRequests, s.retryHint(deadline), "admission queue full"}
 	case metrics.RejectDeadline:
 		// The deadline is spent, so there is nothing to clamp to.
-		ctrl.RecordShed(overload.ShedDeadline)
 		return reject{http.StatusTooManyRequests, s.retryHint(0), "deadline expired before admission"}
 	default:
-		ctrl.RecordShed(overload.ShedDraining)
 		return reject{http.StatusServiceUnavailable, s.retryAfter, "server draining"}
 	}
 }
@@ -327,7 +325,7 @@ func (s *Server) snapshot(ctx context.Context, tc *metrics.TransportCounters, op
 }
 
 // decodeSnapshot parses a session snapshot's canonical binary encoding as
-// it arrives off either wire.
+// it arrives in an import or replica body.
 func decodeSnapshot(tc *metrics.TransportCounters, blob []byte) (alert.SessionSnapshot, reject) {
 	var snap alert.SessionSnapshot
 	if err := snap.UnmarshalBinary(blob); err != nil {

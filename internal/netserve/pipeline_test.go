@@ -21,7 +21,8 @@ import (
 // The tests in this file pin the op pipeline through BOTH codecs from one
 // table each: an op refused or served for a given server condition must
 // come back with the same status, the same hint, and move the same ledgers
-// whether it arrived as JSON or as a binwire frame.
+// whether it arrived as JSON or as a binwire frame. The stream ops (evict,
+// export, checkpoint, import) have no binwire form and run over HTTP only.
 
 // call is one data-plane op as a test describes it.
 type call struct {
@@ -141,14 +142,8 @@ func (b binWire) do(t *testing.T, c call) (int, int64, string) {
 		frame, want = binwire.AppendBatch(nil, rc.id, c.reqs()), binwire.MsgBatchResp
 	case metrics.OpObserve:
 		frame, want = binwire.AppendObserve(nil, rc.id, c.stream, c.feedback()), binwire.MsgObserveResp
-	case metrics.OpEvict:
-		frame, want = binwire.AppendStreamReq(nil, binwire.MsgEvict, rc.id, c.stream), binwire.MsgEvictResp
-	case metrics.OpExport:
-		frame, want = binwire.AppendStreamReq(nil, binwire.MsgExport, rc.id, c.stream), binwire.MsgSnapshotResp
-	case metrics.OpCheckpoint:
-		frame, want = binwire.AppendStreamReq(nil, binwire.MsgCheckpoint, rc.id, c.stream), binwire.MsgSnapshotResp
-	case metrics.OpImport:
-		frame, want = binwire.AppendSnapshot(nil, binwire.MsgImport, rc.id, c.stream, c.blob), binwire.MsgImportResp
+	default:
+		t.Fatalf("op %d has no binwire form", c.op)
 	}
 	rc.send(frame)
 	f := rc.next()
@@ -237,7 +232,8 @@ func sloOf(front *Server, stream int) metrics.StreamSLO {
 }
 
 // TestRejectMatrix is the one table of (server condition × op) → (status,
-// hint, counter delta, SLO delta), run through both codecs. Every row
+// hint, counter delta, SLO delta), run through both codecs — the stream-op
+// rows through HTTP only, the one wire those ops have. Every row
 // checks the op's whole ledger: exactly one shared counter moves (the op's
 // when served, the reject class's when refused — on the transport the op
 // arrived on), the gate's shed-by-class counter moves with it, and the SLO
@@ -409,10 +405,14 @@ func TestRejectMatrix(t *testing.T) {
 			bothWires(t, cond.cfg, func(t *testing.T, front *Server, w wire) {
 				defer cond.arrange(t, front)()
 				other := wire(httpWire{front})
-				if _, isHTTP := w.(httpWire); isHTTP {
+				_, isHTTP := w.(httpWire)
+				if isHTTP {
 					other = nil // no binary listener attached to this server
 				}
 				for _, r := range cond.rows {
+					if !isHTTP && r.op != decide && r.op != observe && r.op != batch {
+						continue // a stream op: HTTP is its one wire
+					}
 					name := fmt.Sprintf("op %d stream %d", r.op, r.stream)
 					want, wantBad := w.counters()
 					var otherBefore metrics.TransportSnapshot

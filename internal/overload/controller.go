@@ -5,8 +5,9 @@
 // tracker (SLOTracker) recording per-stream deadline attainment.
 //
 // The controller always measures — queue-delay EWMA/percentiles, service
-// and headroom EWMAs, shed-by-class counters — so observability is on even
-// when adaptation is off and the gate runs its static configuration.
+// and headroom EWMAs — so observability is on even when adaptation is off
+// and the gate runs its static configuration. What it sheds is counted by
+// the front end's transports, which refuse the request.
 package overload
 
 import (
@@ -76,21 +77,6 @@ const (
 	histBuckets = 40
 )
 
-// ShedClass labels why the gate refused a request.
-type ShedClass int
-
-const (
-	// ShedHopeless: the SLO shedder predicted the deadline could not be met.
-	ShedHopeless ShedClass = iota
-	// ShedOverload: the admission queue was full.
-	ShedOverload
-	// ShedDeadline: the deadline expired while the request was queued.
-	ShedDeadline
-	// ShedDraining: the server was draining for shutdown.
-	ShedDraining
-	shedClasses
-)
-
 // Controller is the measured-delay control loop. Two coupled AIMD loops
 // tune the gate's effective limits around the static configuration:
 //
@@ -130,7 +116,6 @@ type Controller struct {
 
 	increases int64
 	decreases int64
-	shed      [shedClasses]int64
 }
 
 // NewController builds a controller at cfg's static operating point.
@@ -322,16 +307,6 @@ func (c *Controller) DrainEstimate(queued int) time.Duration {
 	return est
 }
 
-// RecordShed counts one refused request by class.
-func (c *Controller) RecordShed(class ShedClass) {
-	if class < 0 || class >= shedClasses {
-		return
-	}
-	c.mu.Lock()
-	c.shed[class]++
-	c.mu.Unlock()
-}
-
 // Adaptive reports whether the control loop may move the limits.
 func (c *Controller) Adaptive() bool { return c.cfg.Adaptive }
 
@@ -353,10 +328,6 @@ func (c *Controller) snapshotLocked(s *metrics.OverloadSnapshot) {
 	s.HeadroomEWMA = secsDur(c.headroomEWMA)
 	s.LimitIncreases = c.increases
 	s.LimitDecreases = c.decreases
-	s.ShedHopeless = c.shed[ShedHopeless]
-	s.ShedOverload = c.shed[ShedOverload]
-	s.ShedDeadline = c.shed[ShedDeadline]
-	s.ShedDraining = c.shed[ShedDraining]
 }
 
 // percentileLocked reads percentile p (0..1) off the log-bucketed delay

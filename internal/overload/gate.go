@@ -185,8 +185,9 @@ func (g *Gate) Occupancy() (inflight, queued int) {
 	return g.inflight, g.queued
 }
 
-// Snapshot assembles the full observability view: occupancy plus the
-// controller's limits, signal estimates, and shed counters.
+// Snapshot assembles the gate's observability view: occupancy plus the
+// controller's limits and signal estimates. The shed counters are left to
+// the caller, which counts the refusals.
 func (g *Gate) Snapshot() metrics.OverloadSnapshot {
 	var s metrics.OverloadSnapshot
 	g.mu.Lock()

@@ -320,8 +320,6 @@ func TestGateSnapshot(t *testing.T) {
 	g.ForceAcquire()
 	ctrl.ObserveService(4 * time.Millisecond)
 	ctrl.ObserveAdmission(2*time.Millisecond, 0.020)
-	ctrl.RecordShed(ShedHopeless)
-	ctrl.RecordShed(ShedOverload)
 	s := g.Snapshot()
 	if !s.Adaptive || !s.SLOShed {
 		t.Fatalf("mode flags lost: %+v", s)
@@ -329,8 +327,8 @@ func TestGateSnapshot(t *testing.T) {
 	if s.Inflight != 1 || s.InflightLimit != 2 || s.QueueLimit != 4 {
 		t.Fatalf("occupancy/limits wrong: %+v", s)
 	}
-	if s.ShedHopeless != 1 || s.ShedOverload != 1 {
-		t.Fatalf("shed counters wrong: %+v", s)
+	if s.ShedHopeless != 0 || s.ShedOverload != 0 || s.ShedDeadline != 0 || s.ShedDraining != 0 {
+		t.Fatalf("the gate filled shed counters it does not keep: %+v", s)
 	}
 	if s.QueueDelayP95 <= 0 || s.ServiceEWMA <= 0 || s.HeadroomEWMA <= 0 {
 		t.Fatalf("signal estimates empty: %+v", s)
@@ -345,11 +343,11 @@ func TestSLOTracker(t *testing.T) {
 	tr.RecordServed(7, true)
 	tr.RecordServed(7, true)
 	tr.RecordServed(7, false)
-	tr.RecordShed(7)
+	tr.RecordRefused(7)
 	tr.RecordServed(3, true)
 	// Past the cap: streams 9 and 10 share the overflow bucket.
 	tr.RecordServed(9, true)
-	tr.RecordShed(10)
+	tr.RecordRefused(10)
 
 	rows := tr.Snapshot()
 	if len(rows) != 3 {

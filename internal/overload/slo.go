@@ -60,9 +60,9 @@ func (t *SLOTracker) RecordServed(stream int, met bool) {
 	t.mu.Unlock()
 }
 
-// RecordShed folds in one request the gate refused — a deadline miss from
-// the stream's point of view.
-func (t *SLOTracker) RecordShed(stream int) {
+// RecordRefused folds in one decide the gate refused — a deadline miss
+// from the stream's point of view.
+func (t *SLOTracker) RecordRefused(stream int) {
 	t.mu.Lock()
 	t.cell(stream).shed++
 	t.mu.Unlock()

@@ -63,7 +63,7 @@ func liveHeap() uint64 {
 // BenchmarkPoolManyStreams is the stream-table scaling benchmark: 10k
 // streams served by one pool (one shared core.Engine, one core.Session per
 // stream) versus the naive construction the Engine/Session split replaced —
-// one full core.Controller per stream, each carrying its own copy of the
+// one core.Engine per stream, each carrying its own copy of the
 // candidate space. Both sides report the measured marginal heap cost per
 // stream ("bytes/stream", engine amortized in), the stream creation rate
 // ("streams/s"), and decide throughput across the stream population; the
@@ -104,9 +104,9 @@ func BenchmarkPoolManyStreams(b *testing.B) {
 	b.Run("naive-controllers", func(b *testing.B) {
 		before := liveHeap()
 		start := time.Now()
-		ctls := make([]*core.Controller, streams)
+		ctls := make([]*core.Session, streams)
 		for s := range ctls {
-			ctls[s] = core.New(prof, core.DefaultOptions())
+			ctls[s] = core.NewEngine(prof, core.DefaultOptions()).NewSession()
 			ctls[s].Observe(out)
 		}
 		created := time.Since(start)

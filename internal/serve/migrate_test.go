@@ -11,7 +11,7 @@ import (
 // stream-table layer: replay a stream's script half on pool A, migrate the
 // session (ExportStream → ImportStream) to pool B, replay the second half
 // there — the stitched decision sequence must be byte-identical to a lone
-// Controller serving the whole script, i.e. the hand-off is invisible.
+// session serving the whole script, i.e. the hand-off is invisible.
 func TestExportImportMatchesSerial(t *testing.T) {
 	prof := testProfile(t)
 	const stream, n = 7, 120

@@ -13,7 +13,7 @@
 // A stream is pinned to a shard (stream mod N), its Decide/Observe requests
 // are applied in submission order to its own session, and no session state
 // is ever shared across streams — so every stream's decision sequence is
-// byte-identical to running that stream against a lone Controller serially,
+// byte-identical to running that stream against a lone session serially,
 // no matter how many streams share its shard or how their traffic
 // interleaves. Cross-shard throughput scales with cores because shards
 // never contend on anything but the counters, which are atomic.

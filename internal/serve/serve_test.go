@@ -58,10 +58,10 @@ func runBurst(p *Pool, ops []Op) []Op {
 	return b.Ops
 }
 
-// serialRun replays a stream's script against a lone Controller — the
+// serialRun replays a stream's script against a lone session — the
 // paper's one-stream-per-controller deployment the shards must match.
 func serialRun(prof *dnn.ProfileTable, steps []step) []sim.Decision {
-	ctl := core.New(prof, core.DefaultOptions())
+	ctl := core.NewEngine(prof, core.DefaultOptions()).NewSession()
 	out := make([]sim.Decision, len(steps))
 	for i, st := range steps {
 		d, _ := ctl.Decide(st.spec)
@@ -224,11 +224,11 @@ func TestDecideBatchRequestOrder(t *testing.T) {
 	// The oracle: one lone controller per *stream* replaying that stream's
 	// requests in batch order — streams share nothing, even when they share
 	// a shard, so per-stream replay is the exact semantics.
-	ctls := map[int]*core.Controller{}
+	ctls := map[int]*core.Session{}
 	for i, r := range reqs {
 		ctl, ok := ctls[r.Stream]
 		if !ok {
-			ctl = core.New(prof, core.DefaultOptions())
+			ctl = core.NewEngine(prof, core.DefaultOptions()).NewSession()
 			ctls[r.Stream] = ctl
 		}
 		d, est := ctl.Decide(r.Spec)
