@@ -348,10 +348,14 @@ func (t *binaryTransport) observe(ctx context.Context, stream int, fb alert.Feed
 	r, err := t.call(ctx, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendObserve(dst, id, stream, fb)
 	})
-	if err == nil {
-		binwire.PutBuf(r.buf)
+	if err != nil {
+		return err
 	}
-	return err
+	defer binwire.PutBuf(r.buf)
+	if err := binwire.DecodeObserveResp(r.frame.Body); err != nil {
+		return fmt.Errorf("client: %w", err)
+	}
+	return nil
 }
 
 func (t *binaryTransport) batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -692,5 +693,45 @@ func TestBinaryTransportSurvivesConnLoss(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("transport never recovered from severed connections")
 		}
+	}
+}
+
+// TestBinaryObserveRejectsMalformedAck: an observe ack is an empty
+// MsgObserveResp body; one that carries bytes is a broken server, and the
+// client reports it instead of taking it for an ack, as it already does
+// for a malformed decide or batch reply.
+func TestBinaryObserveRejectsMalformedAck(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		rd := binwire.NewReader(conn)
+		for {
+			f, err := rd.Next()
+			if err != nil {
+				return
+			}
+			ack := append(binwire.AppendObserveResp(nil, f.ID), 0xEE)
+			binary.LittleEndian.PutUint32(ack, uint32(len(ack)-4))
+			if _, err := conn.Write(ack); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := New(startScriptedFrontEnd(t).url, Options{BinaryAddr: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	err = c.Observe(context.Background(), 1, alert.Feedback{Decision: scriptedDecision, Latency: 0.05, CompletedStage: -1})
+	if err == nil || !strings.Contains(err.Error(), "binwire") {
+		t.Fatalf("observe acked by a 1-byte MsgObserveResp body = %v, want the decode error", err)
 	}
 }

@@ -23,10 +23,9 @@ import (
 // for the adaptive admission controller. The same trace-shaped request
 // schedule is driven at -overload × the static gate's capacity through two
 // identical in-process servers — one behind the static gate, one behind
-// the adaptive gate with SLO shedding — and both runs report wall-clock
-// SLO attainment (sheds count as misses). Service time is pinned with
-// Config.ServiceDelay so "capacity" is a known quantity instead of an
-// artifact of host speed.
+// the adaptive gate — and both runs report wall-clock SLO attainment
+// (sheds count as misses). Service time is pinned with Config.ServiceDelay
+// so "capacity" is a known quantity instead of an artifact of host speed.
 //
 // Two invariants are machine-checked on every run, per gate:
 //
@@ -107,7 +106,6 @@ func runGateTrial(cfg gateTrialConfig, adaptive bool) (*gateTrialResult, error) 
 		MaxInflight:  cfg.gateInflight,
 		MaxQueue:     cfg.gateQueue,
 		Adaptive:     adaptive,
-		SLOShed:      adaptive,
 		ServiceDelay: cfg.serviceDelay,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -189,8 +187,7 @@ func runGateTrial(cfg gateTrialConfig, adaptive bool) (*gateTrialResult, error) 
 
 				// The trace's churn sets this input's spec; its deadline
 				// ratio scales the nominal wall deadline, so tight trace
-				// deadlines are tight wall deadlines the shedder can
-				// recognize as hopeless under load.
+				// deadlines are tight wall deadlines under load.
 				dspec := cfg.trace.SpecFor(j, cfg.base)
 				dspec.Deadline = cfg.wallDeadline.Seconds() * (dspec.Deadline / cfg.base.Deadline)
 
@@ -328,9 +325,9 @@ func runGateCompare(cfg loadConfig, stdout io.Writer) error {
 		tc.overload, tc.overload*capacity, tc.serviceDelay, tc.gateInflight, tc.gateQueue, tc.wallDeadline)
 
 	report := func(name string, r *gateTrialResult) {
-		fmt.Fprintf(stdout, "%-9s slo %5.1f%% | served %d/%d (met %d) shed %d (hopeless %d, overload %d, deadline %d) | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
+		fmt.Fprintf(stdout, "%-9s slo %5.1f%% | served %d/%d (met %d) shed %d (overload %d, deadline %d) | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
 			name+":", 100*r.slo(), r.served, r.issued, r.met, r.shed,
-			r.gate.ShedHopeless, r.gate.ShedOverload, r.gate.ShedDeadline,
+			r.gate.ShedOverload, r.gate.ShedDeadline,
 			r.gate.InflightLimit, r.gate.QueueLimit, r.gate.LimitIncreases, r.gate.LimitDecreases,
 			r.gate.ServiceEWMA.Round(time.Microsecond*10), r.gate.QueueDelayP95)
 	}

@@ -54,9 +54,8 @@ func TestGateTrialInvariants(t *testing.T) {
 			if err := verifyGateDecisions(tc, res); err != nil {
 				t.Errorf("determinism oracle: %v", err)
 			}
-			if res.gate.Adaptive != adaptive || res.gate.SLOShed != adaptive {
-				t.Errorf("gate snapshot adaptive=%v slo_shed=%v, want %v",
-					res.gate.Adaptive, res.gate.SLOShed, adaptive)
+			if res.gate.Adaptive != adaptive {
+				t.Errorf("gate snapshot adaptive=%v, want %v", res.gate.Adaptive, adaptive)
 			}
 			if !adaptive && (res.gate.InflightLimit != tc.gateInflight || res.gate.QueueLimit != tc.gateQueue) {
 				t.Errorf("static gate moved its limits to %d/%d",
@@ -68,7 +67,7 @@ func TestGateTrialInvariants(t *testing.T) {
 
 // TestGateCompareRun drives the full -gate-compare mode through run() below
 // capacity (-overload 0.5) with a roomy wall deadline: no queue can fill (4
-// streams vs a 16-slot queue), no deadline is ever hopeless (500ms vs
+// streams vs a 16-slot queue), no deadline can expire in it (500ms vs
 // millisecond-scale delays), so neither gate sheds, both serve everything
 // in time, and the adaptive-loses exit path cannot trip — the report's
 // shape is stable enough to pin.

@@ -122,7 +122,7 @@ type loadConfig struct {
 	unmanaged    bool   // hard kills only, absorbed by the cluster itself
 	fleetPath    string // replay a recorded FleetTrace instead of compiling
 	fleetRecord  string // record the compiled FleetTrace here
-	adaptive     bool   // with -chaos: every node's gate adaptive + SLO-shedding
+	adaptive     bool   // with -chaos: every node's gate adaptive
 
 	// gate-compare mode: static vs adaptive admission head to head at
 	// -overload × gate capacity (see gatecompare.go).
@@ -268,7 +268,7 @@ func parseFlags(args []string) (loadConfig, error) {
 	fs.StringVar(&cfg.fleetRecord, "fleet-record", "",
 		"with -chaos: record the compiled fleet trace to this path")
 	fs.BoolVar(&cfg.adaptive, "adaptive", false,
-		"with -chaos: run every fleet node's admission gate with the measured-delay controller and SLO shedder on")
+		"with -chaos: run every fleet node's admission gate with the measured-delay controller on")
 	fs.BoolVar(&cfg.gateCompare, "gate-compare", false,
 		"drive the same overload schedule through a static and an adaptive admission gate and compare SLO attainment (exit non-zero if adaptive loses)")
 	fs.Float64Var(&cfg.overload, "overload", 2.0,
@@ -735,7 +735,7 @@ func runChaos(cfg loadConfig, stdout io.Writer) error {
 	}
 	// Seed 0: a replayed trace reproduces with its own recorded seed.
 	if cfg.adaptive {
-		fmt.Fprintln(stdout, "chaos fleet admission gates running adaptive with SLO shedding")
+		fmt.Fprintln(stdout, "chaos fleet admission gates running adaptive")
 	}
 	h, err := chaos.New(chaos.Options{
 		Fleet:    ft,

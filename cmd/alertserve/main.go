@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	maxQueue := fs.Int("max-queue", 0, "admission gate: waiting requests before 429 (0 = 2x max-inflight)")
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 (0 = 50ms)")
 	adaptive := fs.Bool("adaptive", false, "let the measured-delay controller move the admission limits; -max-inflight/-max-queue become initial bounds")
-	sloShed := fs.Bool("slo-shed", false, "shed requests whose deadline is predicted unmeetable at admission (429 + drain-estimate Retry-After)")
 	binaryAddr := fs.String("binary-addr", "", "binwire listen address (host:port; empty = HTTP/JSON only)")
 	nodeID := fs.String("node-id", "", "cluster identity advertised in /v1/stats (empty = standalone)")
 	peers := fs.String("peers", "", "comma-separated peer addresses the membership layer heartbeats first (requires -membership)")
@@ -137,7 +136,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		MaxQueue:    *maxQueue,
 		RetryAfter:  *retryAfter,
 		Adaptive:    *adaptive,
-		SLOShed:     *sloShed,
 		NodeID:      *nodeID,
 	}
 	var agent *membership.Agent

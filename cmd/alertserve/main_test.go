@@ -232,9 +232,9 @@ func TestClusterIdentityFlags(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFlags: -adaptive and -slo-shed reach the admission gate and
-// surface in the /v1/stats overload snapshot, with the static flags-off
-// escape hatch staying the default.
+// TestAdaptiveFlags: -adaptive and the static bounds reach the admission
+// gate and surface in the /v1/stats overload snapshot, with the static
+// flags-off escape hatch staying the default.
 func TestAdaptiveFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -245,7 +245,7 @@ func TestAdaptiveFlags(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-shards", "1",
-			"-adaptive", "-slo-shed", "-max-inflight", "4", "-max-queue", "8",
+			"-adaptive", "-max-inflight", "4", "-max-queue", "8",
 		}, &out, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -269,9 +269,8 @@ func TestAdaptiveFlags(t *testing.T) {
 	if stats.Overload == nil {
 		t.Fatal("stats.overload missing")
 	}
-	if !stats.Overload.Adaptive || !stats.Overload.SLOShed {
-		t.Errorf("overload flags = adaptive %v slo_shed %v, want both true",
-			stats.Overload.Adaptive, stats.Overload.SLOShed)
+	if !stats.Overload.Adaptive {
+		t.Error("overload snapshot says the gate is static, want adaptive")
 	}
 	if stats.Overload.InflightLimit != 4 || stats.Overload.QueueLimit != 8 {
 		t.Errorf("initial limits = %d/%d, want 4/8",

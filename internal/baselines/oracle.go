@@ -19,7 +19,6 @@ type Oracle struct {
 	// fixedModel / fixedCap, when >= 0, restrict the search to one layer —
 	// the App-level and Sys-level oracles of §2.3's Figure 6 study.
 	fixedModel, fixedCap int
-	lastFeasible         bool
 }
 
 // NewOracle builds the dynamic oracle for a constraint spec.
@@ -46,11 +45,6 @@ func (o *Oracle) Name() string { return o.name }
 // SetSpec implements runner.SpecSetter (scenario spec churn): the oracle is
 // clairvoyant about the environment and always optimizes the live spec.
 func (o *Oracle) SetSpec(spec core.Spec) { o.spec = spec }
-
-// FoundFeasible reports whether the last Decide found any configuration
-// meeting all constraints; Figure 6 renders ∞ when a single-layer oracle
-// cannot meet a setting at all.
-func (o *Oracle) FoundFeasible() bool { return o.lastFeasible }
 
 // Decide implements runner.Scheduler by exhaustive clairvoyant search.
 func (o *Oracle) Decide(env *sim.Env, in workload.Input, goal float64) sim.Decision {
@@ -103,7 +97,6 @@ func (o *Oracle) Decide(env *sim.Env, in workload.Input, goal float64) sim.Decis
 		}
 	}
 
-	o.lastFeasible = bestSet
 	if !bestSet {
 		// Nothing feasible (e.g. an NLP word whose residual budget no
 		// model can meet — the paper notes "There the Oracle fails, too").

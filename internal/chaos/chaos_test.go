@@ -266,10 +266,10 @@ func TestHarnessUnmanagedKill(t *testing.T) {
 }
 
 // TestHarnessUnmanagedKillAdaptive reruns the unmanaged drill with every
-// node's adaptive gate and SLO shedder on: the moving admission limits
-// must not disturb a single harness invariant — no lost accepted work, no
-// divergence, byte-identical decisions — because admission policy decides
-// whether a request runs, never what it computes.
+// node's adaptive gate on: the moving admission limits must not disturb a
+// single harness invariant — no lost accepted work, no divergence,
+// byte-identical decisions — because admission policy decides whether a
+// request runs, never what it computes.
 func TestHarnessUnmanagedKillAdaptive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node harness run")

@@ -60,10 +60,10 @@ type Options struct {
 	// rebind the same remembered binary address.
 	Binary bool
 	// Adaptive runs every node's admission gate with the measured-delay
-	// controller and SLO shedder on (internal/overload): the same failure
-	// drill, but with the limits moving under load. The harness invariants
-	// must hold either way — admission policy decides whether a request
-	// runs, never what it computes.
+	// controller on (internal/overload): the same failure drill, but with
+	// the limits moving under load. The harness invariants must hold either
+	// way — admission policy decides whether a request runs, never what it
+	// computes.
 	Adaptive bool
 	// Logf, when set, receives progress lines (round, events) as the run
 	// unfolds; nil is silent.
@@ -87,8 +87,8 @@ type node struct {
 	// advertised address after a restart.
 	binary      bool
 	binHostport string
-	// adaptive turns on the measured-delay controller + SLO shedder for
-	// the node's admission gate (survives restarts like the addresses).
+	// adaptive turns on the measured-delay controller for the node's
+	// admission gate (survives restarts like the addresses).
 	adaptive bool
 	// selfHealing wires a membership agent and selfheal manager into the
 	// node (unmanaged fleets); managed fleets leave both nil and the
@@ -132,7 +132,7 @@ func (n *node) serve(ln net.Listener, peers []string) error {
 		return fmt.Errorf("chaos: node %s: %w", n.id, err)
 	}
 	n.srv = srv
-	cfg := netserve.Config{NodeID: n.id, Adaptive: n.adaptive, SLOShed: n.adaptive}
+	cfg := netserve.Config{NodeID: n.id, Adaptive: n.adaptive}
 	if n.selfHealing {
 		agent, err := membership.New(membership.Config{
 			ID:             n.id,

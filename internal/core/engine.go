@@ -115,13 +115,12 @@ func (e *Engine) Candidates() []Candidate { return e.candidates }
 // Overhead returns the per-decision cost the engine charges each decision.
 func (e *Engine) Overhead() float64 { return e.overhead }
 
-// NewScratch allocates a scan workspace sized for this engine's candidate
-// space. A Scratch may be shared by any number of Sessions that are driven
-// from the same goroutine (e.g. all sessions of one serving shard); sharing
-// across goroutines races.
+// NewScratch allocates a scan workspace sized for this engine's longest
+// stage ladder. A Scratch may be shared by any number of Sessions that are
+// driven from the same goroutine (e.g. all sessions of one serving shard);
+// sharing across goroutines races.
 func (e *Engine) NewScratch() *Scratch {
-	n := len(e.candidates)
-	return &Scratch{buf: make([]float64, e.space.maxStages), full: make([]bool, n), qual: make([]float64, n)}
+	return &Scratch{buf: make([]float64, e.space.maxStages)}
 }
 
 // NewSession creates a fresh per-stream session with its own private scan
@@ -135,15 +134,12 @@ func (e *Engine) NewSession() *Session {
 // Sessions sharing one Scratch must all be driven from the same goroutine;
 // the serving layer uses this to amortize the workspace across every
 // stream of a shard. A workspace sized for a different engine's shorter
-// stage ladders or smaller candidate space is grown (and its memo
-// invalidated) rather than left to overflow mid-scan.
+// stage ladders is grown (and its memo invalidated) rather than left to
+// overflow mid-scan.
 func (e *Engine) NewSessionWith(sc *Scratch) *Session {
 	if len(sc.buf) < e.space.maxStages {
 		sc.buf = make([]float64, e.space.maxStages)
 		sc.ladderNom, sc.ladderN = nil, 0
-	}
-	if n := len(e.candidates); len(sc.full) < n {
-		sc.full, sc.qual = make([]bool, n), make([]float64, n)
 	}
 	return &Session{
 		eng:  e,

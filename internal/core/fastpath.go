@@ -179,8 +179,7 @@ func qualityBound(qFail float64, accs ...float64) float64 {
 // stage ladder so the hot path never allocates, plus the memo of which
 // (ladder, cut, µ, σ) the buffer's prefix of length ladderN currently
 // holds, letting consecutive stop-stage candidates reuse it (see
-// estimateFast), and which candidates the scan in progress scored, with
-// their Quality (full and qual, read back by its fallback pass).
+// estimateFast).
 //
 // A Scratch is pure workspace, not state: every value read from it during
 // a scan is fully determined by the memo key or was written earlier in the
@@ -195,8 +194,6 @@ type Scratch struct {
 	ladderMu    float64
 	ladderSigma float64
 	ladderN     int
-	full        []bool
-	qual        []float64
 
 	// scored counts candidates that got past the CDF-free bounds and had
 	// CDFs evaluated; fallbacks counts scans that found nothing feasible
@@ -495,17 +492,12 @@ func (s *selector) consider(e *Estimate) {
 // offerFallback folds one candidate's estimate into the infeasibility
 // fallback. Decide reads the fallback only when no candidate is feasible,
 // and then it is the fold of every candidate in enumeration order.
+// A candidate replaces the held fallback on a higher Quality, or an equal
+// Quality and a lower Energy, so a full tie keeps the first-enumerated.
 func (s *selector) offerFallback(e *Estimate) {
-	if !s.fbSet || fallbackBeats(e.Quality, e.Energy, s.fb.Quality, s.fb.Energy) {
+	if !s.fbSet || e.Quality > s.fb.Quality || (e.Quality == s.fb.Quality && e.Energy < s.fb.Energy) {
 		s.fb, s.fbSet = *e, true
 	}
-}
-
-// fallbackBeats is the fallback fold's rule: a candidate replaces the held
-// fallback on a higher Quality, or an equal Quality and a lower Energy, so
-// a full tie keeps the first-enumerated.
-func fallbackBeats(quality, energy, heldQuality, heldEnergy float64) bool {
-	return quality > heldQuality || (quality == heldQuality && energy < heldEnergy)
 }
 
 // prune reports, from CDF-free facts alone, that consider would reject
@@ -556,9 +548,7 @@ func (s *Session) settle(sel *selector, scored int) Estimate {
 //     replace the held best, move on. Nothing else wants the skipped
 //     estimate: the fallback is computed by its own pass (fallback).
 //  2. Survivors get the full estimateFast ladder and go through consider
-//     like every candidate of the reference scan. The workspace keeps
-//     which candidates were scored, and their Quality, for the fallback
-//     pass.
+//     like every candidate of the reference scan.
 //
 // If nothing was feasible, the fallback pass picks the answer.
 func (s *Session) scan(goal float64, spec Spec) Estimate {
@@ -569,12 +559,10 @@ func (s *Session) scan(goal float64, spec Spec) Estimate {
 	var est Estimate
 	for i := int32(0); i < int32(len(space.stop)); i++ {
 		c, skip := sel.prune(space, i, goal, &p)
-		s.sc.full[i] = !skip
 		if skip {
 			continue
 		}
 		s.estimateFast(&est, i, goal, spec, &p, c)
-		s.sc.qual[i] = est.Quality
 		scored++
 		sel.consider(&est)
 	}
@@ -586,35 +574,23 @@ func (s *Session) scan(goal float64, spec Spec) Estimate {
 
 // fallback is the scan's second pass, run only when the first found
 // nothing feasible. It folds every candidate into the fallback in
-// enumeration order by fallbackBeats, as the reference scan does, and
-// returns how many it scored. The first pass marked every candidate it
-// scored and kept its Quality. The rest are
-// scored now, unless their quality bound lies strictly below the held
-// fallback's Quality, so they can neither beat nor tie it. The fold reads
-// only Quality and Energy; the winner alone is scored into the selector's
-// full Estimate at the end.
+// enumeration order, as the reference scan does, and returns how many it
+// scored. A candidate whose quality bound lies strictly below the held
+// fallback's Quality can neither beat nor tie it, so it is skipped
+// unscored. Nothing is carried over from the first pass, so a candidate
+// both passes keep is scored twice; the pass runs on at most 0.02 % of
+// the decides of any bench/ workload.
 func (s *Session) fallback(goal float64, spec Spec, p *scoreParams, sel *selector) int {
 	space := &s.eng.space
-	scored, fb := 0, int32(-1)
-	var quality, energy float64 // the held fallback's
+	scored := 0
 	var est Estimate
 	for i := int32(0); i < int32(len(space.stop)); i++ {
-		kept := s.sc.full[i]
-		if !kept && fb >= 0 && space.qualUB[i] < quality {
+		if sel.fbSet && space.qualUB[i] < sel.fb.Quality {
 			continue
 		}
-		c, q := space.cost(i, goal, p), s.sc.qual[i]
-		if !kept {
-			s.estimateFast(&est, i, goal, spec, p, c)
-			q = est.Quality
-			scored++
-		}
-		if fb < 0 || fallbackBeats(q, c.energy, quality, energy) {
-			fb, quality, energy = i, q, c.energy
-		}
-	}
-	if fb >= 0 {
-		s.estimateFast(&sel.fb, fb, goal, spec, p, space.cost(fb, goal, p))
+		s.estimateFast(&est, i, goal, spec, p, space.cost(i, goal, p))
+		scored++
+		sel.offerFallback(&est)
 	}
 	return scored
 }

@@ -193,10 +193,9 @@ func TestSessionDecideAllocFree(t *testing.T) {
 
 // TestNewSessionWithUndersizedScratch pins the cross-engine workspace
 // guard: a Scratch sized for an engine with shorter (or no) anytime stage
-// ladders, or with fewer candidates, is grown by NewSessionWith instead of
-// overflowing mid-scan, and decisions still match a private-workspace twin
-// bit-for-bit. Both directions between the two engines are covered: each
-// is undersized for the other in one of the two dimensions.
+// ladders is grown by NewSessionWith instead of overflowing mid-scan, a
+// larger one is used as it is, and either way decisions match a
+// private-workspace twin bit-for-bit.
 func TestNewSessionWithUndersizedScratch(t *testing.T) {
 	profs := diffProfiles(t)
 	mixed := NewEngine(profs[0], DefaultOptions()) // anytime ladders, 210 candidates
@@ -209,7 +208,7 @@ func TestNewSessionWithUndersizedScratch(t *testing.T) {
 		{"zoo scratch in mixed session", zoo, mixed},
 		{"mixed scratch in zoo session", mixed, zoo},
 	} {
-		a := tc.use.NewSessionWith(tc.from.NewScratch()) // must grow the workspace
+		a := tc.use.NewSessionWith(tc.from.NewScratch())
 		b := tc.use.NewSession()
 		rng := mathx.NewRand(31)
 		for i := 0; i < 40; i++ {

@@ -57,14 +57,8 @@ func BuildProfiles(p *platform.Platform, task dnn.Task) (*Profiles, error) {
 	return &Profiles{Full: fullProf, Any: anyProf, Trad: tradProf}, nil
 }
 
-// NewScheme constructs a scheduler by name together with the profile table
-// it runs over.
-func NewScheme(id string, profs *Profiles, spec core.Spec) (runner.Scheduler, *dnn.ProfileTable, error) {
-	return newScheme(id, profs, spec, false)
-}
-
-// newScheme is NewScheme with the differential-testing knob: reference
-// routes every ALERT-variant controller through the naive scorer
+// newScheme constructs a scheduler by name together with the profile table
+// it runs over. reference is the differential-testing knob: it routes every ALERT-variant controller through the naive scorer
 // (core.Options.ReferenceScorer), which must not change any grid number.
 func newScheme(id string, profs *Profiles, spec core.Spec, reference bool) (runner.Scheduler, *dnn.ProfileTable, error) {
 	opts := core.DefaultOptions()

@@ -68,28 +68,6 @@ func Fig6CSV(w io.Writer, r *experiment.Fig6Result) error {
 	return writeCSV(w, rows)
 }
 
-// Table4CSV emits one row per (cell, scheme, objective) with the normalized
-// value and violated-setting count.
-func Table4CSV(w io.Writer, t *experiment.Table4) error {
-	rows := [][]string{{"platform", "family", "workload", "objective", "scheme",
-		"norm_value", "violated_settings", "settings"}}
-	for _, row := range t.Rows {
-		for _, id := range t.Schemes {
-			for objName, cell := range map[string]*experiment.Cell{
-				"minimize_energy": row.Energy,
-				"minimize_error":  row.Error,
-			} {
-				c := cell.Norm[id]
-				rows = append(rows, []string{
-					row.Key.Platform, row.Key.Family(), row.Key.Workload(), objName, id,
-					f(c.NormValue), fmt.Sprint(c.ViolatedSettings), fmt.Sprint(c.Settings),
-				})
-			}
-		}
-	}
-	return writeCSV(w, rows)
-}
-
 // Fig9CSV emits one row per (scheme, input).
 func Fig9CSV(w io.Writer, r *experiment.Fig9Result) error {
 	rows := [][]string{{"scheme", "input", "latency_s", "cap_w", "quality", "model", "anytime", "contention"}}

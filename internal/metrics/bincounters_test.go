@@ -129,7 +129,7 @@ func TestWritePrometheus(t *testing.T) {
 	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Checkpoints: 1}}
 	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Checkpoints: 2}, Coalesced: 6}
 
-	ov := OverloadSnapshot{Adaptive: true, InflightLimit: 8, QueueLimit: 16, ShedHopeless: 3}
+	ov := OverloadSnapshot{Adaptive: true, InflightLimit: 8, QueueLimit: 16, ShedOverload: 3}
 
 	var sb strings.Builder
 	WritePrometheus(&sb, serve, net, &bin, &ov)
@@ -149,7 +149,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE alert_overload_adaptive gauge\nalert_overload_adaptive 1\n",
 		"alert_overload_inflight_limit 8\n",
 		"alert_overload_queue_limit 16\n",
-		"alert_overload_shed_hopeless_total 3\n",
+		"alert_overload_shed_overload_total 3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -53,7 +53,6 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 			return 0
 		}
 		gauge("alert_overload_adaptive", "1 when the measured-delay controller may move the limits.", b2i(ov.Adaptive))
-		gauge("alert_overload_slo_shed", "1 when hopeless-deadline shedding is enabled.", b2i(ov.SLOShed))
 		gauge("alert_overload_inflight_limit", "Effective inflight limit right now.", float64(ov.InflightLimit))
 		gauge("alert_overload_queue_limit", "Effective admission queue limit right now.", float64(ov.QueueLimit))
 		gauge("alert_overload_inflight", "Requests holding a gate slot.", float64(ov.Inflight))
@@ -67,7 +66,6 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 		gauge("alert_overload_retry_after_seconds", "Current drain estimate hinted on rejections.", secs(ov.RetryAfterHint))
 		counter("alert_overload_limit_increases_total", "Control-loop limit increases.", ov.LimitIncreases)
 		counter("alert_overload_limit_decreases_total", "Control-loop limit decreases.", ov.LimitDecreases)
-		counter("alert_overload_shed_hopeless_total", "Requests shed because their deadline was predicted unmeetable.", ov.ShedHopeless)
 		counter("alert_overload_shed_overload_total", "Requests shed because the admission queue was full.", ov.ShedOverload)
 		counter("alert_overload_shed_deadline_total", "Requests whose deadline expired while queued.", ov.ShedDeadline)
 		counter("alert_overload_shed_draining_total", "Requests refused during shutdown drain.", ov.ShedDraining)

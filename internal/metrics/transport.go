@@ -36,9 +36,6 @@ const (
 	// bounded, Retry-After-hinted shed window the self-healing path is
 	// allowed.
 	RejectRestoring
-	// RejectHopeless: the SLO shedder predicted the deadline unmeetable at
-	// the saturated gate and shed the request before it queued.
-	RejectHopeless
 	numRejects
 )
 
@@ -114,7 +111,10 @@ type TransportSnapshot struct {
 	RejectedDeadline  int64 `json:"rejected_deadline"`
 	RejectedDraining  int64 `json:"rejected_draining"`
 	RejectedRestoring int64 `json:"rejected_restoring,omitempty"`
-	RejectedHopeless  int64 `json:"rejected_hopeless,omitempty"`
+	// RejectedHopeless is always 0: no reject class feeds it. The field
+	// remains only because bench/alertbench sums it and the benchmark's
+	// files are frozen.
+	RejectedHopeless int64 `json:"-"`
 }
 
 // snapshot reads the shared counters: each field atomically, though the
@@ -133,7 +133,6 @@ func (c *TransportCounters) snapshot() TransportSnapshot {
 		RejectedDeadline:  c.rejected[RejectDeadline].Load(),
 		RejectedDraining:  c.rejected[RejectDraining].Load(),
 		RejectedRestoring: c.rejected[RejectRestoring].Load(),
-		RejectedHopeless:  c.rejected[RejectHopeless].Load(),
 	}
 }
 
@@ -165,7 +164,6 @@ func (s *TransportSnapshot) writePrometheus(w io.Writer, prefix string) {
 		{"rejected_deadline_total", "Requests expired while queued at admission.", s.RejectedDeadline},
 		{"rejected_draining_total", "Requests refused during shutdown drain.", s.RejectedDraining},
 		{"rejected_restoring_total", "Requests shed while their stream restored after failover.", s.RejectedRestoring},
-		{"rejected_hopeless_total", "Requests shed by the SLO shedder: deadline predicted unmeetable.", s.RejectedHopeless},
 	} {
 		promCounter(w, prefix+"_"+row.name, row.help, row.v)
 	}

@@ -9,7 +9,7 @@
 // stream ops export, checkpoint, import, evict — is implemented once, in
 // ops.go, as
 //
-//	restoring hold → SLO shed → admit → serve → account → release
+//	restoring hold → admit → serve → account → release
 //
 // and returns a typed result or a reject (status, Retry-After hint,
 // message). Two codecs sit on top and do nothing but translate: the HTTP
@@ -19,8 +19,9 @@
 // frame whose code is that status and whose retry_after_ms is that hint.
 // binwire carries only the per-input loop (decide, observe, decide-batch);
 // the stream ops have one wire, HTTP.
-// What an op counts, and when its SLO clock starts and stops, is therefore
-// the same on both wires; each codec only says whose counters to move.
+// What an op counts, and when its latency clock starts and stops, is
+// therefore the same on both wires; each codec only says whose counters to
+// move.
 // binwire adds one thing of its own — a connection serves the decides and
 // observes it has read as one burst — and even that enters and leaves
 // through the pipeline's two halves (begin, finish).
@@ -134,12 +135,6 @@ type Config struct {
 	// controller still measures, so the overload observability is live
 	// either way.
 	Adaptive bool
-	// SLOShed enables hopeless-deadline shedding: at admission, a request
-	// whose Spec deadline is predicted unmeetable (current queue-delay p95
-	// plus expected decide latency already exceeds it) is shed first, with
-	// a drain-estimate Retry-After, so every shed request is one that
-	// would have missed anyway.
-	SLOShed bool
 	// ServiceDelay, when positive, adds an artificial per-decide service
 	// latency. It exists for overload rehearsal — cmd/alertload's
 	// gate-compare mode and the CI overload smoke use it to drive real
@@ -188,10 +183,8 @@ type Server struct {
 	// FIFO semaphore whose effective limits the overload controller owns.
 	// A request must acquire a slot to run and releases it when done;
 	// beyond the queue limit it is rejected, which is what bounds this
-	// server's total exposure. slo records per-stream deadline attainment.
+	// server's total exposure.
 	gate         *overload.Gate
-	slo          *overload.SLOTracker
-	adaptive     bool
 	serviceDelay time.Duration
 
 	// Drain bookkeeping: draining refuses new admissions; inflight counts
@@ -222,11 +215,8 @@ func New(srv *alert.Server, cfg Config) *Server {
 			Inflight:   cfg.maxInflight(),
 			Queue:      cfg.maxQueue(),
 			Adaptive:   cfg.Adaptive,
-			SLOShed:    cfg.SLOShed,
 			RetryAfter: cfg.retryAfter(),
 		})),
-		slo:          overload.NewSLOTracker(0),
-		adaptive:     cfg.Adaptive,
 		serviceDelay: cfg.ServiceDelay,
 		drained:      make(chan struct{}),
 	}
@@ -252,7 +242,6 @@ func (s *Server) snapshots() (metrics.NetSnapshot, *metrics.BinSnapshot, metrics
 		wires = append(wires, snap.TransportSnapshot)
 	}
 	for _, t := range wires {
-		ov.ShedHopeless += t.RejectedHopeless
 		ov.ShedOverload += t.RejectedOverload
 		ov.ShedDeadline += t.RejectedDeadline
 		ov.ShedDraining += t.RejectedDraining
@@ -439,7 +428,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Net:      net,
 		Bin:      bin,
 		Overload: &ov,
-		SLO:      s.slo.Snapshot(),
 		Platform: s.alert.Platform().Name,
 		Models:   len(s.alert.Models()),
 		Shards:   s.alert.Shards(),

@@ -15,7 +15,7 @@ import (
 // This file is the transport-neutral operation core. Every data-plane op —
 // decide, observe, batch, export, checkpoint, import, evict — runs
 //
-//	restoring hold → SLO shed → admit → serve → account → release
+//	restoring hold → admit → serve → account → release
 //
 // here, exactly once, and comes back as a typed result or a reject. The
 // HTTP handlers (netserve.go) and the binwire read loop (binary.go, which
@@ -64,10 +64,10 @@ type slot struct {
 
 // begin is the admission half of every gated op: the restoring hold and
 // the tightest deadline over reqs (the requests the op carries; nil for
-// stream ops, which have neither stream hold nor deadline), then the SLO
-// shedder and the gate. On a zero reject the op holds a gate slot and MUST
-// end in release (finish, for decides) — from that point it is accepted and
-// will be served no matter what. ctx bounds the wait at the gate together
+// stream ops, which have neither stream hold nor deadline), then the gate.
+// On a zero reject the op holds a gate slot and MUST end in release
+// (finish, for decides) — from that point it is accepted and will be
+// served no matter what. ctx bounds the wait at the gate together
 // with the deadline; it is only consulted, and a deadline context only
 // built, when the request actually queues.
 func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, reqs []slot) reject {
@@ -95,21 +95,10 @@ func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op me
 	if ok {
 		return reject{}
 	}
-	if op == metrics.OpDecide || op == metrics.OpBatch {
-		// To the caller a shed decide is a deadline miss.
-		for i := range reqs {
-			s.slo.RecordRefused(reqs[i].stream)
-		}
-	}
 	// The transport's reject counter is the one ledger of a shed: the
 	// gate's shed-by-class view is read off it (Server.snapshots).
 	tc.RecordReject(class)
 	switch class {
-	case metrics.RejectHopeless:
-		// The drain estimate, deliberately not clamped to the request's
-		// headroom: this deadline is already lost, the hint is for the
-		// next one.
-		return reject{http.StatusTooManyRequests, s.gate.RetryAfter(), "deadline cannot be met at current load"}
 	case metrics.RejectOverload:
 		return reject{http.StatusTooManyRequests, s.retryHint(deadline), "admission queue full"}
 	case metrics.RejectDeadline:
@@ -120,14 +109,9 @@ func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op me
 	}
 }
 
-// admit passes one request through the SLO shedder and the gate. On ok the
-// caller holds a slot; otherwise class says why not.
+// admit passes one request through the gate. On ok the caller holds a
+// slot; otherwise class says why not.
 func (s *Server) admit(ctx context.Context, deadlineS float64, drainExempt bool) (class metrics.Reject, ok bool) {
-	// Shed a deadline predicted unmeetable before it joins the queue, so
-	// every shed request is one that would have missed anyway.
-	if s.gate.ShouldShed(deadlineS) {
-		return metrics.RejectHopeless, false
-	}
 	// Cheap pre-check so a draining server refuses without queueing; the
 	// authoritative check is below, after the slot is held.
 	if !drainExempt && s.isDraining() {
@@ -179,18 +163,11 @@ func (s *Server) release() {
 // the response is written so a slow reader cannot inflate what the
 // controller believes the engine costs: service time (admitted → now)
 // feeds the controller, sojourn (start, the moment the request was decoded
-// → now) is the latency both the SLO tracker and the counters see — met
-// when a request had no deadline or its sojourn fit it — and the slot goes
-// back.
+// → now) is the latency the counters see, and the slot goes back.
 func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, reqs []slot, start, admitted time.Time) {
 	now := time.Now()
 	s.gate.Controller().ObserveService(now.Sub(admitted))
-	sojourn := now.Sub(start)
-	for i := range reqs {
-		d := reqs[i].deadline
-		s.slo.RecordServed(reqs[i].stream, d <= 0 || sojourn.Seconds() <= d)
-	}
-	tc.RecordDecides(op, len(reqs), sojourn)
+	tc.RecordDecides(op, len(reqs), now.Sub(start))
 	s.release()
 }
 
@@ -263,10 +240,9 @@ func (s *Server) checkFeedback(tc *metrics.TransportCounters, fb alert.Feedback)
 
 // observe folds one feedback into its stream (the HTTP path; a binwire
 // connection holds its observes for the burst, the same check → begin →
-// serve → release around a shared engine crossing). Observes are
-// deadline-free, so they are never SLO-shed; the enqueue happens before
-// this returns — so before the transport acks — which is what makes a
-// client that round-trips observe → decide on one stream FIFO-ordered
+// serve → release around a shared engine crossing). The enqueue happens
+// before this returns — so before the transport acks — which is what makes
+// a client that round-trips observe → decide on one stream FIFO-ordered
 // exactly like the in-process path.
 func (s *Server) observe(ctx context.Context, tc *metrics.TransportCounters, stream int, fb alert.Feedback) reject {
 	if rej := s.checkFeedback(tc, fb); rej.refused() {
@@ -365,16 +341,11 @@ func (s *Server) importStream(ctx context.Context, tc *metrics.TransportCounters
 }
 
 // retryHint resolves the Retry-After an overload rejection carries: the
-// controller's live drain estimate when the gate is adaptive, the
-// configured static hint otherwise — clamped in both cases to the
-// request's remaining deadline headroom when it has one, because hinting a
-// retry after the deadline has passed is useless. Floor 1ms so the hint
-// stays a hint.
+// gate's hint (Gate.RetryAfter), clamped to the request's remaining
+// deadline headroom when it has one, because hinting a retry after the
+// deadline has passed is useless. Floor 1ms so the hint stays a hint.
 func (s *Server) retryHint(deadlineS float64) time.Duration {
-	hint := s.retryAfter
-	if s.adaptive {
-		hint = s.gate.RetryAfter()
-	}
+	hint := s.gate.RetryAfter()
 	if d, ok := admissionTimeout(deadlineS); ok && d < hint {
 		hint = d
 		if hint < time.Millisecond {

@@ -275,10 +275,11 @@ func TestDynamicRetryAfterHTTP(t *testing.T) {
 }
 
 // TestStatsAndMetricsOverload checks the observability surface: GET
-// /v1/stats carries the gate snapshot and per-stream SLO table, and GET
-// /metrics renders the alert_overload_* families.
+// /v1/stats carries the gate snapshot, and GET /metrics renders the
+// alert_overload_* families. The always-zero hopeless fields the benchmark
+// reads reach neither.
 func TestStatsAndMetricsOverload(t *testing.T) {
-	s := New(testAlertServer(t, 1), Config{MaxInflight: 3, MaxQueue: 6, SLOShed: true})
+	s := New(testAlertServer(t, 1), Config{MaxInflight: 3, MaxQueue: 6})
 
 	var dec DecideResponse
 	if code := doJSON(t, s, http.MethodPost, "/v1/decide", DecideRequest{Stream: 11, Spec: testSpec()}, &dec); code != http.StatusOK {
@@ -295,44 +296,46 @@ func TestStatsAndMetricsOverload(t *testing.T) {
 	if stats.Overload.InflightLimit != 3 || stats.Overload.QueueLimit != 6 {
 		t.Errorf("limits = %d/%d, want 3/6", stats.Overload.InflightLimit, stats.Overload.QueueLimit)
 	}
-	if !stats.Overload.SLOShed || stats.Overload.Adaptive {
-		t.Errorf("flags = %+v, want slo_shed only", stats.Overload)
+	if stats.Overload.Adaptive {
+		t.Errorf("flags = %+v, want static", stats.Overload)
 	}
 	if stats.Overload.ServiceEWMA <= 0 {
 		t.Errorf("service_ewma = %v, want > 0 after a served decide", stats.Overload.ServiceEWMA)
 	}
-	if len(stats.SLO) != 1 || stats.SLO[0].Stream != 11 || stats.SLO[0].Served != 1 ||
-		stats.SLO[0].Met != 1 || stats.SLO[0].Attainment != 1 {
-		t.Errorf("slo = %+v, want stream 11 served=met=1", stats.SLO)
-	}
 
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("metrics status %d", rec.Code)
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s status %d", path, rec.Code)
+		}
+		return rec.Body.String()
 	}
-	bodyStr := rec.Body.String()
+	bodyStr := get("/metrics")
 	for _, want := range []string{
-		"alert_overload_slo_shed 1\n",
 		"alert_overload_adaptive 0\n",
 		"alert_overload_inflight_limit 3\n",
 		"alert_overload_queue_limit 6\n",
-		"alert_overload_shed_hopeless_total 0\n",
+		"alert_overload_shed_overload_total 0\n",
 	} {
 		if !strings.Contains(bodyStr, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+	for path, body := range map[string]string{"/metrics": bodyStr, "/v1/stats": get("/v1/stats")} {
+		if strings.Contains(body, "hopeless") {
+			t.Errorf("%s carries a hopeless field:\n%s", path, body)
+		}
+	}
 }
 
-// TestAdaptiveServesIdenticalDecisions: turning the adaptive gate and SLO
-// shedder on must not change a single served decision — admission decides
+// TestAdaptiveServesIdenticalDecisions: turning the adaptive gate on must
+// not change a single served decision — admission decides
 // *whether* a request runs, never *what* it computes. Same script, static
 // vs adaptive server, bit-identical decision sequence.
 func TestAdaptiveServesIdenticalDecisions(t *testing.T) {
 	static := New(testAlertServer(t, 1), Config{})
-	adaptive := New(testAlertServer(t, 1), Config{Adaptive: true, SLOShed: true})
+	adaptive := New(testAlertServer(t, 1), Config{Adaptive: true})
 
 	spec := testSpec()
 	for i := 0; i < 20; i++ {

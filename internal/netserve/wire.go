@@ -249,11 +249,8 @@ type StatsResponse struct {
 	Bin        *metrics.BinSnapshot `json:"bin,omitempty"`
 	// Overload is the admission gate's live state: effective limits,
 	// queue-delay signal, shed-by-class counters. Always present — the
-	// controller measures even when adaptation is off. SLO is per-stream
-	// deadline attainment, absent until a deadline-carrying request has
-	// been served or shed.
+	// controller measures even when adaptation is off.
 	Overload *metrics.OverloadSnapshot `json:"overload,omitempty"`
-	SLO      []metrics.StreamSLO       `json:"slo,omitempty"`
 }
 
 // StreamsResponse is the GET /v1/streams reply.

@@ -1,8 +1,7 @@
 // Package overload is the adaptive admission subsystem: a resizable gate
-// (Gate) shared by the JSON and binary transports, a measured-delay
+// (Gate) shared by the JSON and binary transports, and a measured-delay
 // controller (Controller) that tunes the gate's effective limits from
-// observed queue delay vs. per-request deadline headroom, and an SLO
-// tracker (SLOTracker) recording per-stream deadline attainment.
+// observed queue delay vs. per-request deadline headroom.
 //
 // The controller always measures — queue-delay EWMA/percentiles, service
 // and headroom EWMAs — so observability is on even when adaptation is off
@@ -18,8 +17,8 @@ import (
 	"github.com/alert-project/alert/internal/metrics"
 )
 
-// Config sets the gate's static bounds and the controller's policy knobs.
-// Zero-valued knobs take the documented defaults.
+// Config sets the gate's static bounds and whether the controller may move
+// them. Zero values take the documented defaults.
 type Config struct {
 	// Inflight and Queue are the static gate bounds — the controller's
 	// initial operating point, and its fixed limits when Adaptive is off.
@@ -28,31 +27,28 @@ type Config struct {
 	// Adaptive lets the control loop move the effective limits. Off, the
 	// limits stay pinned at Inflight/Queue and the loop is a no-op.
 	Adaptive bool
-	// SLOShed enables hopeless-deadline shedding at admission.
-	SLOShed bool
-	// AdjustEvery is the control-loop cadence (default 10ms). The loop also
-	// waits for at least a handful of fresh queue-delay samples per step.
-	AdjustEvery time.Duration
-	// TargetFrac sets the queue-delay target as a fraction of the observed
-	// deadline headroom EWMA (default 0.5): the gate aims to spend at most
-	// half a typical request's headroom on waiting.
-	TargetFrac float64
-	// FallbackTarget is the queue-delay target before any deadline-carrying
-	// request has been observed (default 5ms).
-	FallbackTarget time.Duration
-	// RetryAfter is the drain-estimate fallback before any service-latency
-	// samples exist (default 50ms) — the static hint the server was
-	// configured with.
+	// RetryAfter is the static hint the server was configured with
+	// (default 50ms): the hint of every rejection when Adaptive is off, and
+	// the drain estimate's fallback before any service-latency samples
+	// exist when it is on.
 	RetryAfter time.Duration
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 }
 
 const (
-	defaultAdjustEvery    = 10 * time.Millisecond
-	defaultTargetFrac     = 0.5
-	defaultFallbackTarget = 5 * time.Millisecond
-	defaultRetryAfter     = 50 * time.Millisecond
+	defaultRetryAfter = 50 * time.Millisecond
+
+	// adjustEvery is the control-loop cadence. The loop also waits for at
+	// least minAdjustSamples fresh queue-delay samples per step.
+	adjustEvery = 10 * time.Millisecond
+	// targetFrac sets the queue-delay target as a fraction of the observed
+	// deadline headroom EWMA: the gate aims to spend at most half a typical
+	// request's headroom on waiting.
+	targetFrac = 0.5
+	// fallbackTarget is the queue-delay target before any deadline-carrying
+	// request has been observed.
+	fallbackTarget = 5 * time.Millisecond
 
 	// minAdjustSamples is the fewest fresh queue-delay samples a control
 	// step needs; below it the loop would be steering on noise.
@@ -88,7 +84,7 @@ const (
 //     system discover capacity a conservative static bound left unused.
 //
 //   - The queue limit steers on observed queue delay: p95 above the target
-//     (TargetFrac of the deadline-headroom EWMA) once capacity is maxed or
+//     (targetFrac of the deadline-headroom EWMA) once capacity is maxed or
 //     contended shrinks it multiplicatively — shedding starts earlier,
 //     bounding how long an admitted request can wait — and delay
 //     comfortably under the target re-grows it additively.
@@ -125,15 +121,6 @@ func NewController(cfg Config) *Controller {
 	}
 	if cfg.Queue < 1 {
 		cfg.Queue = 1
-	}
-	if cfg.AdjustEvery <= 0 {
-		cfg.AdjustEvery = defaultAdjustEvery
-	}
-	if cfg.TargetFrac <= 0 {
-		cfg.TargetFrac = defaultTargetFrac
-	}
-	if cfg.FallbackTarget <= 0 {
-		cfg.FallbackTarget = defaultFallbackTarget
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = defaultRetryAfter
@@ -201,12 +188,12 @@ func (c *Controller) maybeAdjustLocked(now time.Time) {
 	if !c.cfg.Adaptive {
 		return
 	}
-	if now.Sub(c.lastAdjust) < c.cfg.AdjustEvery || c.samples < minAdjustSamples {
+	if now.Sub(c.lastAdjust) < adjustEvery || c.samples < minAdjustSamples {
 		return
 	}
-	target := c.cfg.TargetFrac * c.headroomEWMA
+	target := targetFrac * c.headroomEWMA
 	if target <= 0 {
-		target = c.cfg.FallbackTarget.Seconds()
+		target = fallbackTarget.Seconds()
 	}
 	p95 := c.percentileLocked(0.95).Seconds()
 	contended := c.svcFloor > 0 && c.svcEWMA > svcInflation*c.svcFloor
@@ -266,22 +253,6 @@ func (c *Controller) shrink(limit, floor int) int {
 	return next
 }
 
-// Hopeless predicts whether a request with the given deadline headroom
-// (seconds) would miss it even if admitted now: expected queue delay (p95)
-// plus expected service time already exceeds the headroom. Cold start —
-// no service samples yet — never predicts hopeless.
-func (c *Controller) Hopeless(deadlineS float64) bool {
-	if deadlineS <= 0 || math.IsInf(deadlineS, 1) {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.svcEWMA <= 0 {
-		return false
-	}
-	return c.percentileLocked(0.95).Seconds()+c.svcEWMA > deadlineS
-}
-
 // DrainEstimate is the controller's current guess at how long the gate
 // needs to drain the given backlog: (queued+1) requests through
 // limInflight servers at the observed service time, clamped to
@@ -307,17 +278,10 @@ func (c *Controller) DrainEstimate(queued int) time.Duration {
 	return est
 }
 
-// Adaptive reports whether the control loop may move the limits.
-func (c *Controller) Adaptive() bool { return c.cfg.Adaptive }
-
-// SLOShed reports whether hopeless-deadline shedding is enabled.
-func (c *Controller) SLOShed() bool { return c.cfg.SLOShed }
-
 // snapshotLocked fills the controller half of an OverloadSnapshot.
 // Caller holds c.mu.
 func (c *Controller) snapshotLocked(s *metrics.OverloadSnapshot) {
 	s.Adaptive = c.cfg.Adaptive
-	s.SLOShed = c.cfg.SLOShed
 	s.InflightLimit = c.limInflight
 	s.QueueLimit = c.limQueue
 	s.QueueDelayEWMA = secsDur(c.qdEWMA)

@@ -150,8 +150,7 @@ func (g *Gate) popLocked() *Waiter {
 }
 
 // Saturated reports whether the gate is at or past its inflight limit or
-// has anyone queued — the precondition for SLO shedding: an unsaturated
-// gate never sheds.
+// has anyone queued: whether the next TryAcquire would queue or refuse.
 func (g *Gate) Saturated() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -159,19 +158,13 @@ func (g *Gate) Saturated() bool {
 	return g.inflight >= limI || g.queued > 0
 }
 
-// ShouldShed is the SLO shedder's admission-time predicate: shed when
-// shedding is enabled, the gate is saturated, and the controller predicts
-// the deadline cannot be met.
-func (g *Gate) ShouldShed(deadlineS float64) bool {
-	if !g.ctrl.SLOShed() || deadlineS <= 0 {
-		return false
-	}
-	return g.Saturated() && g.ctrl.Hopeless(deadlineS)
-}
-
-// RetryAfter is the honest hint a rejection should carry right now: the
-// controller's drain estimate for the current backlog.
+// RetryAfter is the hint a rejection should carry right now: the
+// configured static hint when the limits are fixed, and the controller's
+// drain estimate for the current backlog when they adapt.
 func (g *Gate) RetryAfter() time.Duration {
+	if !g.ctrl.cfg.Adaptive {
+		return g.ctrl.cfg.RetryAfter
+	}
 	g.mu.Lock()
 	queued := g.queued
 	g.mu.Unlock()

@@ -127,29 +127,6 @@ func TestControllerShrinksInflightOnServiceInflation(t *testing.T) {
 	}
 }
 
-func TestControllerHopeless(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Inflight: 2, Queue: 4, SLOShed: true, Clock: clk.now})
-	// Cold start never sheds, whatever the deadline.
-	if c.Hopeless(0.0001) {
-		t.Fatal("cold controller predicted hopeless")
-	}
-	for i := 0; i < 50; i++ {
-		c.ObserveService(5 * time.Millisecond)
-		c.ObserveAdmission(10*time.Millisecond, 0.050)
-	}
-	// Expected cost ~ p95(>=10ms bucket upper ~16ms) + 5ms service.
-	if !c.Hopeless(0.008) {
-		t.Fatal("8ms deadline should be hopeless against ~20ms expected cost")
-	}
-	if c.Hopeless(0.500) {
-		t.Fatal("500ms deadline should not be hopeless")
-	}
-	if c.Hopeless(0) || c.Hopeless(-1) {
-		t.Fatal("no-deadline requests can never be hopeless")
-	}
-}
-
 func TestControllerDrainEstimate(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{Inflight: 2, Queue: 8, RetryAfter: 70 * time.Millisecond, Clock: clk.now})
@@ -284,50 +261,45 @@ func TestGateResizeWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestGateShouldShed(t *testing.T) {
+// TestGateRetryAfter: the hint a rejection carries is the configured
+// static one on a fixed gate, whatever the controller has measured, and
+// the drain estimate on an adaptive gate.
+func TestGateRetryAfter(t *testing.T) {
 	clk := newFakeClock()
-	ctrl := NewController(Config{Inflight: 1, Queue: 4, SLOShed: true, Clock: clk.now})
-	g := NewGate(ctrl)
-	for i := 0; i < 50; i++ {
-		ctrl.ObserveService(5 * time.Millisecond)
-		ctrl.ObserveAdmission(10*time.Millisecond, 0.050)
-	}
-	if g.ShouldShed(0.001) {
-		t.Fatal("unsaturated gate must never shed")
-	}
-	g.ForceAcquire()
-	if !g.ShouldShed(0.001) {
-		t.Fatal("saturated gate should shed a 1ms deadline")
-	}
-	if g.ShouldShed(1.0) {
-		t.Fatal("serveable deadline shed")
-	}
-	if g.ShouldShed(0) {
-		t.Fatal("no-deadline request shed")
-	}
-
-	off := NewGate(NewController(Config{Inflight: 1, Queue: 4, Clock: clk.now}))
-	off.ForceAcquire()
-	if off.ShouldShed(0.000001) {
-		t.Fatal("shedding disabled but ShouldShed fired")
+	for _, adaptive := range []bool{false, true} {
+		ctrl := NewController(Config{Inflight: 2, Queue: 8, Adaptive: adaptive, RetryAfter: 70 * time.Millisecond, Clock: clk.now})
+		g := NewGate(ctrl)
+		if got := g.RetryAfter(); got != 70*time.Millisecond {
+			t.Fatalf("adaptive=%v: cold hint = %v, want the static 70ms", adaptive, got)
+		}
+		for i := 0; i < 200; i++ {
+			ctrl.ObserveService(10 * time.Millisecond)
+		}
+		want := 70 * time.Millisecond
+		if adaptive {
+			want = ctrl.DrainEstimate(0)
+		}
+		if got := g.RetryAfter(); got != want || adaptive && got == 70*time.Millisecond {
+			t.Fatalf("adaptive=%v: warm hint = %v, want %v", adaptive, got, want)
+		}
 	}
 }
 
 func TestGateSnapshot(t *testing.T) {
 	clk := newFakeClock()
-	ctrl := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, SLOShed: true, Clock: clk.now})
+	ctrl := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
 	g := NewGate(ctrl)
 	g.ForceAcquire()
 	ctrl.ObserveService(4 * time.Millisecond)
 	ctrl.ObserveAdmission(2*time.Millisecond, 0.020)
 	s := g.Snapshot()
-	if !s.Adaptive || !s.SLOShed {
-		t.Fatalf("mode flags lost: %+v", s)
+	if !s.Adaptive {
+		t.Fatalf("mode flag lost: %+v", s)
 	}
 	if s.Inflight != 1 || s.InflightLimit != 2 || s.QueueLimit != 4 {
 		t.Fatalf("occupancy/limits wrong: %+v", s)
 	}
-	if s.ShedHopeless != 0 || s.ShedOverload != 0 || s.ShedDeadline != 0 || s.ShedDraining != 0 {
+	if s.ShedOverload != 0 || s.ShedDeadline != 0 || s.ShedDraining != 0 {
 		t.Fatalf("the gate filled shed counters it does not keep: %+v", s)
 	}
 	if s.QueueDelayP95 <= 0 || s.ServiceEWMA <= 0 || s.HeadroomEWMA <= 0 {
@@ -335,40 +307,6 @@ func TestGateSnapshot(t *testing.T) {
 	}
 	if s.RetryAfterHint <= 0 {
 		t.Fatalf("no retry hint: %+v", s)
-	}
-}
-
-func TestSLOTracker(t *testing.T) {
-	tr := NewSLOTracker(2)
-	tr.RecordServed(7, true)
-	tr.RecordServed(7, true)
-	tr.RecordServed(7, false)
-	tr.RecordRefused(7)
-	tr.RecordServed(3, true)
-	// Past the cap: streams 9 and 10 share the overflow bucket.
-	tr.RecordServed(9, true)
-	tr.RecordRefused(10)
-
-	rows := tr.Snapshot()
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (two streams + overflow)", len(rows))
-	}
-	if rows[0].Stream != 3 || rows[1].Stream != 7 || rows[2].Stream != -1 {
-		t.Fatalf("row order wrong: %+v", rows)
-	}
-	s7 := rows[1]
-	if s7.Served != 3 || s7.Met != 2 || s7.Shed != 1 {
-		t.Fatalf("stream 7 tallies wrong: %+v", s7)
-	}
-	if s7.Attainment != 0.5 {
-		t.Fatalf("stream 7 attainment = %v, want 0.5 (2 met of 4 offered)", s7.Attainment)
-	}
-	ov := rows[2]
-	if ov.Served != 1 || ov.Shed != 1 {
-		t.Fatalf("overflow tallies wrong: %+v", ov)
-	}
-	if empty := NewSLOTracker(0).Snapshot(); empty != nil {
-		t.Fatalf("empty tracker snapshot = %+v, want nil", empty)
 	}
 }
 
