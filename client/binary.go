@@ -28,8 +28,20 @@ type binaryTransport struct {
 
 	mu     sync.Mutex
 	conns  []*binConn
+	dials  []*binDial // dials[slot] is the dial in flight for that slot, if any
 	closed bool
 }
+
+// binDial is one in-flight dial of a pool slot. Callers that find the slot
+// empty while it runs wait on done instead of dialing their own connection;
+// err is the dial's failure, set before done is closed.
+type binDial struct {
+	done chan struct{}
+	err  error
+}
+
+// errTransportClosed fails every call on a closed transport.
+var errTransportClosed = errors.New("client: binary transport closed")
 
 // binPoolSize is the persistent connections per transport. Pipelining
 // makes one connection enough to saturate a small host — and fewer
@@ -50,7 +62,7 @@ var binPoolSize = func() int {
 // newBinaryTransport returns a transport for the given host:port. Dialing
 // is lazy — a server that is down fails per request, like HTTP.
 func newBinaryTransport(addr string) *binaryTransport {
-	return &binaryTransport{addr: addr, conns: make([]*binConn, binPoolSize)}
+	return &binaryTransport{addr: addr, conns: make([]*binConn, binPoolSize), dials: make([]*binDial, binPoolSize)}
 }
 
 // Close tears down every connection; in-flight requests fail. The
@@ -63,28 +75,70 @@ func (t *binaryTransport) Close() {
 	t.mu.Unlock()
 	for _, cc := range conns {
 		if cc != nil {
-			cc.fail(errors.New("client: binary transport closed"))
+			cc.fail(errTransportClosed)
 		}
 	}
 }
 
 // conn returns a live pooled connection, dialing a replacement for a dead
 // slot. Slots rotate round-robin so concurrent streams spread across the
-// pool.
-func (t *binaryTransport) conn() (*binConn, error) {
+// pool. A slot has at most one dial in flight: callers that find it
+// dialing wait for that dial (or for ctx), then re-check the slot, and
+// share its error if it failed.
+func (t *binaryTransport) conn(ctx context.Context) (*binConn, error) {
 	slot := int(t.next.Add(1)) % binPoolSize
 	t.mu.Lock()
-	if t.closed {
+	for {
+		if t.closed {
+			t.mu.Unlock()
+			return nil, errTransportClosed
+		}
+		if cc := t.conns[slot]; cc != nil && !cc.broken() {
+			t.mu.Unlock()
+			return cc, nil
+		}
+		d := t.dials[slot]
+		if d == nil {
+			break
+		}
 		t.mu.Unlock()
-		return nil, errors.New("client: binary transport closed")
+		select {
+		case <-d.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if d.err != nil {
+			return nil, d.err
+		}
+		t.mu.Lock()
 	}
-	cc := t.conns[slot]
-	if cc != nil && !cc.broken() {
-		t.mu.Unlock()
-		return cc, nil
-	}
+	d := &binDial{done: make(chan struct{})}
+	t.dials[slot] = d
 	t.mu.Unlock()
-	// Dial outside the lock; only the winner is installed.
+
+	fresh, err := t.dial()
+	t.mu.Lock()
+	if err == nil && t.closed {
+		err = errTransportClosed
+	}
+	if err == nil {
+		t.conns[slot] = fresh
+	}
+	t.dials[slot] = nil
+	d.err = err
+	close(d.done)
+	t.mu.Unlock()
+	if err != nil {
+		if fresh != nil {
+			fresh.fail(err)
+		}
+		return nil, err
+	}
+	return fresh, nil
+}
+
+// dial opens one pipelined connection and starts its reader and writer.
+func (t *binaryTransport) dial() (*binConn, error) {
 	nc, err := net.Dial("tcp", t.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial binary %s: %w", t.addr, err)
@@ -92,28 +146,15 @@ func (t *binaryTransport) conn() (*binConn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	fresh := &binConn{
+	cc := &binConn{
 		conn:    nc,
 		pending: make(map[uint64]chan binReply),
 		wwake:   make(chan struct{}, 1),
 		wstop:   make(chan struct{}),
 	}
-	go fresh.readLoop()
-	go fresh.writeLoop()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		fresh.fail(errors.New("client: binary transport closed"))
-		return nil, errors.New("client: binary transport closed")
-	}
-	if cur := t.conns[slot]; cur != nil && !cur.broken() {
-		t.mu.Unlock()
-		fresh.fail(errors.New("client: duplicate dial discarded"))
-		return cur, nil
-	}
-	t.conns[slot] = fresh
-	t.mu.Unlock()
-	return fresh, nil
+	go cc.readLoop()
+	go cc.writeLoop()
+	return cc, nil
 }
 
 // binConn is one pipelined connection: requesters append frames to a
@@ -309,7 +350,7 @@ func binError(body []byte) error {
 // any other type is a protocol violation. On success the caller returns
 // r.buf with binwire.PutBuf once it has decoded r.frame.Body.
 func (t *binaryTransport) call(ctx context.Context, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) (binReply, error) {
-	cc, err := t.conn()
+	cc, err := t.conn(ctx)
 	if err != nil {
 		return binReply{}, err
 	}

@@ -27,6 +27,17 @@ import (
 // with whatever Options they need.
 func startBinaryFrontEnd(t testing.TB, cfg netserve.Config) (url string, fe *netserve.Server, bs *netserve.BinaryServer) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startBinaryFrontEndOn(t, cfg, ln)
+}
+
+// startBinaryFrontEndOn is startBinaryFrontEnd with the binary listener
+// supplied by the caller.
+func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (url string, fe *netserve.Server, bs *netserve.BinaryServer) {
+	t.Helper()
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +46,6 @@ func startBinaryFrontEnd(t testing.TB, cfg netserve.Config) (url string, fe *net
 	fe = netserve.New(srv, cfg)
 	ts := httptest.NewServer(fe)
 	t.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	bs = netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
 	go bs.Serve()
 	t.Cleanup(func() { bs.Close() })
@@ -693,6 +700,94 @@ func TestBinaryTransportSurvivesConnLoss(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("transport never recovered from severed connections")
 		}
+	}
+}
+
+// peerLog is a listener that records the remote address of every
+// connection it accepts.
+type peerLog struct {
+	net.Listener
+	mu    sync.Mutex
+	peers []string
+}
+
+func (l *peerLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.peers = append(l.peers, c.RemoteAddr().String())
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// accepted returns how many connections were accepted before the one from
+// peer, or -1 if that one has not been accepted yet.
+func (l *peerLog) accepted(peer string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, p := range l.peers {
+		if p == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestBinaryDialIsSingleFlight: 64 goroutines call Decide on a fresh
+// client at once, so every pool slot is found empty by many callers before
+// its first dial completes. Each slot must be dialed exactly once — the
+// callers that find it mid-dial wait for that dial instead of opening a
+// duplicate connection that is then thrown away.
+func TestBinaryDialIsSingleFlight(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &peerLog{Listener: inner}
+	url, _, bs := startBinaryFrontEndOn(t, netserve.Config{}, ln)
+	c, err := New(url, Options{BinaryAddr: bs.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	const callers = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(stream int) {
+			defer wg.Done()
+			if _, _, err := c.Decide(context.Background(), stream, testSpec()); err != nil {
+				errs <- err
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Every client dial returned before its Decide did, so each of those
+	// connections is queued for accept ahead of one more dialed now; once
+	// that one is accepted, the count before it is final.
+	probe, err := net.Dial("tcp", bs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	n := ln.accepted(probe.LocalAddr().String())
+	for ; n < 0; n = ln.accepted(probe.LocalAddr().String()) {
+		if time.Now().After(deadline) {
+			t.Fatal("probe connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n != binPoolSize {
+		t.Fatalf("%d concurrent first calls dialed %d connections, want %d (one per pool slot)", callers, n, binPoolSize)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -347,6 +348,36 @@ func TestPruningKeepsFirstOfExactTies(t *testing.T) {
 	}
 }
 
+// TestSelectorBreaksEnergyTiesByIndex: the nominal-energy order may visit
+// two candidates of exactly equal Energy out of enumeration order, so under
+// MinimizeEnergy consider and prune must let the earlier-enumerated one
+// displace an equal-Energy best. Under MaximizeAccuracy, scanned in
+// enumeration order, the first arrival keeps a tie as before.
+func TestSelectorBreaksEnergyTiesByIndex(t *testing.T) {
+	c := NewEngine(diffProfiles(t)[0], DefaultOptions()).NewSession()
+	feed(c, 1.05, 5)
+	space := &c.eng.space
+	spec := benchSpec()
+	_, e := c.Decide(spec)
+	sel := c.newSelector(spec)
+	sel.consider(&e, 7)
+	sel.consider(&e, 3)
+	sel.consider(&e, 5)
+	if !sel.bestSet || sel.bestIdx != 3 {
+		t.Fatalf("MinimizeEnergy tie: best index %d (set %v), want 3", sel.bestIdx, sel.bestSet)
+	}
+	tie := candCost{energy: e.Energy}
+	if sel.prune(space, 2, tie) || !sel.prune(space, 3, tie) || !sel.prune(space, 4, tie) {
+		t.Fatal("prune on an Energy tie must keep exactly the earlier-enumerated candidates")
+	}
+	sel = c.newSelector(Spec{Objective: MaximizeAccuracy, Deadline: spec.Deadline})
+	sel.consider(&e, 7)
+	sel.consider(&e, 3)
+	if !sel.bestSet || sel.bestIdx != 7 {
+		t.Fatalf("MaximizeAccuracy tie: best index %d (set %v), want 7", sel.bestIdx, sel.bestSet)
+	}
+}
+
 // TestPruningWithStepCDFs runs the ALERT* ablation (σ = 0): every
 // completion probability is exactly 0 or 1, so Quality collapses onto the
 // raw accuracies and candidates tie with each other and with the pruning
@@ -426,7 +457,7 @@ func feasibleSet(c *Session, spec Spec) []int {
 	var out []int
 	for i, est := range c.EstimateAll(spec) {
 		sel := c.newSelector(spec)
-		sel.consider(&est)
+		sel.consider(&est, int32(i))
 		if sel.bestSet {
 			out = append(out, i)
 		}
@@ -511,32 +542,39 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 	}
 }
 
-// TestScanWorkBound pins the work the pruning leaves: on the benchmark
-// configuration (CPU1 × image candidates, benchSpec, a filter that has seen
-// a few inputs) the scan scores at most 3 of the 210 candidates, and the
-// count — a pure function of (spec, filter state) — repeats exactly from run
-// to run. The 30 candidates of the two models below the accuracy goal cost
-// no CDF even before the first feasible candidate appears, because the
-// fallback is computed only when nothing is feasible.
+// TestScanWorkBound pins the work the pruning and the visit order leave: on
+// the benchmark configuration (CPU1 × image candidates, benchSpec, a filter
+// that has seen a few inputs) the scan scores at most 3 of the 210
+// candidates and computes at most 4 CDF-free costs, and both counts — pure
+// functions of (spec, filter state) — repeat exactly from run to run. The
+// candidates that cannot reach the accuracy goal cost nothing even before
+// the first feasible candidate appears, because the fallback is computed
+// only when nothing is feasible; the nominal-energy order meets a feasible
+// candidate right after them, and the energy floor ends the scan there.
 func TestScanWorkBound(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
-	var first []int
+	type work struct{ scored, costed int }
+	var first []work
 	for run := 0; run < 3; run++ {
 		c := NewEngine(prof, DefaultOptions()).NewSession()
 		if n := len(c.Candidates()); n != 210 {
 			t.Fatalf("candidate space is %d, want 210", n)
 		}
 		feed(c, 1.05, 5) // leave the wide prior, as any live stream has
-		var counts []int
+		var counts []work
 		for i := 0; i < 50; i++ {
 			c.Observe(out)
 			c.Decide(benchSpec())
+			costed := c.sc.costed
 			scored, fallbacks := c.sc.TakeScanCounts()
 			if scored > 3 || scored < 1 || fallbacks != 0 {
 				t.Fatalf("run %d decide %d: scored %d of 210 (want 1..3), %d fallbacks", run, i, scored, fallbacks)
 			}
-			counts = append(counts, scored)
+			if costed > 4 || costed < scored {
+				t.Fatalf("run %d decide %d: %d cost evaluations (want %d..4)", run, i, costed, scored)
+			}
+			counts = append(counts, work{scored, costed})
 		}
 		if run == 0 {
 			first = counts
@@ -544,7 +582,7 @@ func TestScanWorkBound(t *testing.T) {
 		}
 		for i := range counts {
 			if counts[i] != first[i] {
-				t.Fatalf("run %d decide %d scored %d candidates, run 0 scored %d", run, i, counts[i], first[i])
+				t.Fatalf("run %d decide %d did %+v, run 0 did %+v", run, i, counts[i], first[i])
 			}
 		}
 	}
@@ -561,44 +599,166 @@ func TestScanWorkBound(t *testing.T) {
 	}
 }
 
+// TestEnergyFloorBoundsEveryCandidate checks energyFloor against cost
+// directly: at every visit position r of the nominal-energy order the floor
+// lies at or below the Energy of every candidate from r on — the fact the
+// scan's early exit rests on — across idle ratios from 0 to 1, step CDFs
+// (σ = 0), Prth near 1, and tiny and huge deadlines. Every input outside
+// the floor's argument must select enumeration order with no early exit.
+func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
+	// bounds requires the floor at every position to lie at or below the
+	// suffix minimum of cost's Energy in that visit order.
+	bounds := func(what string, space *candSpace, goal float64, p scoreParams) {
+		t.Helper()
+		order, floor, early := space.visitOrder(goal, &p, true)
+		if !early {
+			t.Fatalf("%s: no early exit", what)
+		}
+		low := math.Inf(1)
+		for r := len(order) - 1; r >= 0; r-- {
+			low = min(low, space.cost(order[r], goal, &p).energy)
+			if f := floor.at(r); !(f <= low) {
+				t.Fatalf("%s position %d: floor %g above energy %g", what, r, f, low)
+			}
+		}
+	}
+	dup, _ := duplicatedProfile(t)
+	for _, prof := range append(diffProfiles(t), dup) {
+		for _, variance := range []bool{true, false} {
+			// A stop quantile below the energy quantile makes κ = zStop.
+			for _, stopQ := range []float64{0.9, 0.6} {
+				opts := DefaultOptions()
+				opts.UseVariance, opts.StopQuantile = variance, stopQ
+				c := NewEngine(prof, opts).NewSession()
+				feed(c, 1.05, 5)
+				for _, prth := range []float64{0, 0.9, 0.999, 1 - 1e-12} {
+					for _, dl := range []float64{1e-9, 1e-3, 0.2, 5, 1e6} {
+						spec := Spec{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.9, Prth: prth}
+						goal := c.adjustedGoal(dl)
+						for _, phi := range []float64{0, 0x1p-1070, 0x1.7p-1069, 0x1p-50, 0.15, 0.5, 1} {
+							p := c.scoreParamsFor(spec)
+							p.phi = phi
+							what := fmt.Sprintf("%s variance %v stop %g spec %+v φ %g",
+								prof.Platform.Name, variance, stopQ, spec, phi)
+							bounds(what, &c.eng.space, goal, p)
+							// Latencies in the subnormal range, where only the
+							// floor's absolute term covers the rounding.
+							p.mu, p.zEnergy, p.zStop = 0x1p-1060, 0x1p-1060, 0x1p-1060
+							bounds(what+" κ 2⁻¹⁰⁶⁰", &c.eng.space, goal, p)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	c := NewEngine(diffProfiles(t)[0], DefaultOptions()).NewSession()
+	feed(c, 1.05, 5)
+	space := &c.eng.space
+	spec := benchSpec()
+	goal := c.adjustedGoal(spec.Deadline)
+	nan, inf := math.NaN(), math.Inf(1)
+	enumOrder := func(what string, goal float64, p scoreParams, minimize bool) {
+		t.Helper()
+		order, _, early := space.visitOrder(goal, &p, minimize)
+		if early || &order[0] != &space.enum[0] {
+			t.Fatalf("%s: early exit %v, enumeration order %v; want enumeration order only",
+				what, early, &order[0] == &space.enum[0])
+		}
+	}
+	base := c.scoreParamsFor(spec)
+	if _, _, early := space.visitOrder(goal, &base, true); !early {
+		t.Fatal("benchSpec: no early exit")
+	}
+	enumOrder("MaximizeAccuracy", goal, base, false)
+	for _, phi := range []float64{1 + 0x1p-52, 1.5, -0x1p-1074, -0.1, nan, inf} {
+		p := base
+		p.phi = phi
+		enumOrder(fmt.Sprintf("φ %g", phi), goal, p, true)
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		for name, set := range map[string]func(*scoreParams){
+			"µ":       func(p *scoreParams) { p.mu = v },
+			"zEnergy": func(p *scoreParams) { p.zEnergy = v },
+			"zStop":   func(p *scoreParams) { p.zStop = v },
+		} {
+			p := base
+			set(&p)
+			enumOrder(fmt.Sprintf("%s %g", name, v), goal, p, true)
+		}
+	}
+	for _, g := range []float64{nan, inf, -inf, 0, -1, 1e305} {
+		enumOrder(fmt.Sprintf("goal %g", g), g, base, true)
+	}
+	neg := base
+	neg.mu, neg.zEnergy = -1, -0.5
+	enumOrder("κ < 0", goal, neg, true)
+
+	// A profile with a zero or non-finite power, or an infinite latency, has
+	// no nominal-energy order at all: a zero power times an infinite
+	// latency quantile is a NaN Energy.
+	for _, bad := range []struct {
+		name          string
+		power, nomLat float64
+	}{{"zero power", 0, 0.01}, {"NaN power", nan, 0.01}, {"infinite latency", 10, inf}} {
+		prof := *diffProfiles(t)[0]
+		prof.Power = append([][]float64(nil), prof.Power...)
+		prof.Power[0] = append([]float64{bad.power}, prof.Power[0][1:]...)
+		prof.Latency = append([][]float64(nil), prof.Latency...)
+		prof.Latency[0] = append([]float64{bad.nomLat}, prof.Latency[0][1:]...)
+		if NewEngine(&prof, DefaultOptions()).space.byNom != nil {
+			t.Fatalf("%s: the space still has a nominal-energy order", bad.name)
+		}
+	}
+}
+
 // fuzzEngines are the paired engines FuzzDecideMatchesReference draws
 // sessions from, built once: engines are immutable and sessions are cheap.
 var fuzzEngines struct {
 	once      sync.Once
-	fast, ref [2]*Engine // indexed by UseVariance
+	fast, ref [2][2]*Engine // indexed by [duplicated profile][UseVariance]
 }
 
 // FuzzDecideMatchesReference lets the fuzzer pick the spec's raw float64s
 // and the observations before it — any bit pattern, including NaN, ±Inf,
 // negatives and denormals — and requires the pruned scan to agree with the
-// reference scorer.
+// reference scorer. The engine is the image candidates or their
+// duplicatedProfile, whose exact-tie twins meet out of enumeration order in
+// the nominal-energy visit order; the observed cap is fuzzed too, so the
+// idle ratio φ crosses 1 and the visit order's guard is exercised.
 func FuzzDecideMatchesReference(f *testing.F) {
 	rng := mathx.NewRand(3)
 	for i := 0; i < 24; i++ {
 		s := specGen(rng)
 		f.Add(s.Objective == MinimizeEnergy, s.Deadline, s.EnergyBudget, s.AccuracyGoal, s.Prth,
-			0.6+1.8*rng.Float64(), 0.6+1.8*rng.Float64(), 10*rng.Float64(), i%2 == 0)
+			0.6+1.8*rng.Float64(), 0.6+1.8*rng.Float64(), 10*rng.Float64(), 30.0, i%2 == 0, i%3 == 0)
 	}
-	f.Add(false, math.Inf(1), math.NaN(), 0.0, 1.0, 1.0, 1e6, 0.0, false)
+	f.Add(false, math.Inf(1), math.NaN(), 0.0, 1.0, 1.0, 1e6, 0.0, 30.0, false, false)
+	f.Add(true, 0.2, 0.0, 0.9, 0.0, 1.05, 1.05, 6.0, 3.0, true, true)
 
-	f.Fuzz(func(t *testing.T, minimize bool, deadline, budget, accGoal, prth, xi1, xi2, idle float64, variance bool) {
+	f.Fuzz(func(t *testing.T, minimize bool, deadline, budget, accGoal, prth, xi1, xi2, idle, capApplied float64, variance, duplicated bool) {
 		fuzzEngines.once.Do(func() {
-			prof := diffProfiles(t)[0]
-			for v, on := range []bool{false, true} {
-				opts := DefaultOptions()
-				opts.UseVariance = on
-				fuzzEngines.fast[v] = NewEngine(prof, opts)
-				opts.ReferenceScorer = true
-				fuzzEngines.ref[v] = NewEngine(prof, opts)
+			dup, _ := duplicatedProfile(t)
+			for d, prof := range []*dnn.ProfileTable{diffProfiles(t)[0], dup} {
+				for v, on := range []bool{false, true} {
+					opts := DefaultOptions()
+					opts.UseVariance = on
+					fuzzEngines.fast[d][v] = NewEngine(prof, opts)
+					opts.ReferenceScorer = true
+					fuzzEngines.ref[d][v] = NewEngine(prof, opts)
+				}
 			}
 		})
-		v := 0
+		d, v := 0, 0
+		if duplicated {
+			d = 1
+		}
 		if variance {
 			v = 1
 		}
-		fast, ref := fuzzEngines.fast[v].NewSession(), fuzzEngines.ref[v].NewSession()
+		fast, ref := fuzzEngines.fast[d][v].NewSession(), fuzzEngines.ref[d][v].NewSession()
 		for _, xi := range []float64{xi1, xi2} {
-			out := sim.Outcome{ObservedXi: xi, IdlePower: idle, CapApplied: 30}
+			out := sim.Outcome{ObservedXi: xi, IdlePower: idle, CapApplied: capApplied}
 			fast.Observe(out)
 			ref.Observe(out)
 		}

@@ -29,13 +29,20 @@ package core
 //  4. Bound-and-prune (scan): most candidates cannot be feasible or cannot
 //     displace the running best, and a CDF-free test — the literal negation
 //     of the selector's own acceptance test, on the candidate's exact
-//     Energy — proves it for each of them before any erf is evaluated. The
+//     Energy — proves it for each of them before any erf is evaluated.
+//     Under MinimizeEnergy the scan visits candidates in ascending nominal
+//     energy power·execNom and stops at the first position whose energy
+//     floor (energyFloor) lies strictly above the running best, so most
+//     candidates are not even costed; ties on Energy go to the lower
+//     enumeration index, which keeps the winner order-independent. The
 //     infeasibility fallback is computed lazily, by a second pass that runs
 //     only when nothing was feasible, so no candidate is scored just to
 //     keep it current.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/mathx"
@@ -74,6 +81,20 @@ type candSpace struct {
 	stageAcc [][]float64
 	// maxStages sizes the Scratch buffer for ladder CDFs.
 	maxStages int
+
+	// enum is the identity visit order, 0..n−1. byNom is the
+	// MinimizeEnergy visit order: candidate indices in ascending nominal
+	// energy power·execNom, ties in enumeration order, with nomAt[r] the
+	// nominal energy of byNom[r]. pMin and pMax are the extreme powers.
+	// byNom is nil unless every power is positive and finite and every
+	// nominal latency and nominal energy finite and non-negative: only then
+	// is every Energy cost computes from finite scoreParams free of NaN (a
+	// zero power times an infinite latency is NaN), which energyFloor's
+	// argument and the order-independent tie break need. A space without
+	// the order is scanned in enumeration order.
+	enum, byNom []int32
+	nomAt       []float64
+	pMin, pMax  float64
 }
 
 // newCandSpace precomputes the SoA layout from the enumerated candidates.
@@ -142,8 +163,43 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 			s.maxStages = len(m.Stages)
 		}
 	}
+	s.enum = make([]int32, n)
+	for i := range s.enum {
+		s.enum[i] = int32(i)
+	}
+	s.byNom, s.nomAt, s.pMin, s.pMax = nominalEnergyOrder(s.power, s.execNom)
 	return s
 }
+
+// nominalEnergyOrder sorts the candidate indices by nominal energy
+// power[i]·execNom[i], stably, and returns the sorted nominal energies and
+// the extreme powers; the order is nil when the space does not qualify (see
+// candSpace.byNom).
+func nominalEnergyOrder(power, execNom []float64) (byNom []int32, nomAt []float64, pMin, pMax float64) {
+	n := len(power)
+	nom := make([]float64, n)
+	pMin, pMax = math.Inf(1), 0
+	for i := range nom {
+		nom[i] = power[i] * execNom[i]
+		if !(power[i] > 0 && finiteNonNeg(power[i]) && finiteNonNeg(execNom[i]) && finiteNonNeg(nom[i])) {
+			return nil, nil, 0, 0
+		}
+		pMin, pMax = min(pMin, power[i]), max(pMax, power[i])
+	}
+	byNom = make([]int32, n)
+	for i := range byNom {
+		byNom[i] = int32(i)
+	}
+	slices.SortStableFunc(byNom, func(a, b int32) int { return cmp.Compare(nom[a], nom[b]) })
+	nomAt = make([]float64, n)
+	for r, i := range byNom {
+		nomAt[r] = nom[i]
+	}
+	return byNom, nomAt, pMin, pMax
+}
+
+// finiteNonNeg reports 0 ≤ x < +Inf.
+func finiteNonNeg(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // qualitySlack is the relative head-room qualityBound leaves for float64
 // rounding.
@@ -196,10 +252,13 @@ type Scratch struct {
 	ladderN     int
 
 	// scored counts candidates that got past the CDF-free bounds and had
-	// CDFs evaluated; fallbacks counts scans that found nothing feasible
-	// and served the infeasibility fallback. Both accumulate until
-	// TakeScanCounts.
+	// CDFs evaluated; costed counts cost evaluations, the CDF-free work the
+	// visit order and the goal-reach test did not avoid; fallbacks counts
+	// scans that found nothing feasible and served the infeasibility
+	// fallback. All three accumulate until TakeScanCounts; costed is read
+	// only by tests.
 	scored    int
+	costed    int
 	fallbacks int
 }
 
@@ -210,7 +269,7 @@ type Scratch struct {
 // them into its counters.
 func (sc *Scratch) TakeScanCounts() (scored, fallbacks int) {
 	scored, fallbacks = sc.scored, sc.fallbacks
-	sc.scored, sc.fallbacks = 0, 0
+	sc.scored, sc.costed, sc.fallbacks = 0, 0, 0
 	return scored, fallbacks
 }
 
@@ -399,8 +458,9 @@ func (s *Session) estimateFast(est *Estimate, i int32, goal float64, spec Spec, 
 	// (nom, cut, µ, σ). The memo keys on exactly those, so a K-stage
 	// ladder's scan degrades from O(K²) CDF evaluations to O(K) when cuts
 	// coincide, with zero effect otherwise — including when the workspace
-	// is shared with other sessions of the serving shard, and when pruning
-	// skips candidates in between.
+	// is shared with other sessions of the serving shard, when pruning
+	// skips candidates in between, and when the nominal-energy visit order
+	// interleaves ladders.
 	sc := s.sc
 	raws := sc.buf[:k+1]
 	start := 0
@@ -451,6 +511,7 @@ type selector struct {
 	conf           float64
 	minimizeEnergy bool
 	best, fb       Estimate
+	bestIdx        int32 // best's candidate index
 	bestSet, fbSet bool
 }
 
@@ -463,10 +524,14 @@ func (s *Session) newSelector(spec Spec) selector {
 	return sel
 }
 
-// consider folds one candidate's estimate into the running best,
-// reproducing the pre-optimization Decide semantics exactly (candidates
-// must arrive in enumeration order for identical tie breaks).
-func (s *selector) consider(e *Estimate) {
+// consider folds candidate i's estimate into the running best, reproducing
+// the pre-optimization Decide semantics exactly: the winner is the
+// first-enumerated of the best, whatever order the candidates arrive in.
+// Under MaximizeAccuracy that needs enumeration order (a tie on Quality
+// keeps the held best); under MinimizeEnergy the index breaks ties on
+// Energy, so any order gives the same winner as long as no Energy is NaN
+// (see visitOrder).
+func (s *selector) consider(e *Estimate, i int32) {
 	if s.spec.Prth > 0 && e.PrDeadline < s.spec.Prth {
 		return
 	}
@@ -483,10 +548,17 @@ func (s *selector) consider(e *Estimate) {
 		return
 	}
 	if !s.bestSet ||
-		(s.minimizeEnergy && e.Energy < s.best.Energy) ||
+		(s.minimizeEnergy && s.lowerEnergy(e.Energy, i)) ||
 		(!s.minimizeEnergy && e.Quality > s.best.Quality) {
-		s.best, s.bestSet = *e, true
+		s.best, s.bestIdx, s.bestSet = *e, i, true
 	}
+}
+
+// lowerEnergy reports that candidate i, at the given Energy, would displace
+// the held best under MinimizeEnergy: a strictly lower Energy, or an equal
+// one and an earlier enumeration index.
+func (s *selector) lowerEnergy(energy float64, i int32) bool {
+	return energy < s.best.Energy || (energy == s.best.Energy && i < s.bestIdx)
 }
 
 // offerFallback folds one candidate's estimate into the infeasibility
@@ -500,39 +572,104 @@ func (s *selector) offerFallback(e *Estimate) {
 	}
 }
 
-// prune reports, from CDF-free facts alone, that consider would reject
-// candidate i: it cannot be feasible, or a best is held that it cannot
-// replace. Otherwise it returns the candidate's cost for scoring. Each
-// clause is the literal negation of a test consider applies, on the very
-// values consider would see, so a skipped candidate is one consider would
-// have dropped — ties included, which keep the first-enumerated winner
-// because acceptance needs a strict improvement:
+// unreachable reports, before any cost is computed, that consider would
+// reject candidate i: MinimizeEnergy accepts only when e.PrQuality ≥
+// conf > 0, which a PrQuality of exactly 0 (missesGoal: no reachable
+// output meets the goal) cannot satisfy.
+func (s *selector) unreachable(space *candSpace, i int32) bool {
+	return s.minimizeEnergy && space.missesGoal(i, s.spec.AccuracyGoal)
+}
+
+// prune reports, from candidate i's CDF-free cost c alone, that consider
+// would reject it: it cannot be feasible, or a best is held that it cannot
+// replace. Each clause is the literal negation of a test consider applies,
+// on the very values consider would see, so a skipped candidate is one
+// consider would have dropped — ties included:
 //
-//   - MinimizeEnergy accepts only when e.PrQuality ≥ conf > 0, which a
-//     PrQuality of exactly 0 (missesGoal: no reachable output meets the
-//     goal) cannot satisfy — known before the cost is computed — and, once
-//     a best is held, only on e.Energy < best.Energy.
+//   - MinimizeEnergy, once a best is held, accepts only on lowerEnergy.
 //   - MaximizeAccuracy rejects e.Energy > EnergyBudget, and once a best is
 //     held accepts only on e.Quality > best.Quality, impossible when even
 //     the candidate's Quality bound (qualityBound) lies strictly below
 //     best.Quality.
-func (s *selector) prune(space *candSpace, i int32, goal float64, p *scoreParams) (candCost, bool) {
-	if s.minimizeEnergy && space.missesGoal(i, s.spec.AccuracyGoal) {
-		return candCost{}, true
-	}
-	c := space.cost(i, goal, p)
+func (s *selector) prune(space *candSpace, i int32, c candCost) bool {
 	if s.minimizeEnergy {
-		return c, s.bestSet && !(c.energy < s.best.Energy)
+		return s.bestSet && !s.lowerEnergy(c.energy, i)
 	}
-	return c, (s.spec.EnergyBudget > 0 && c.energy > s.spec.EnergyBudget) ||
+	return (s.spec.EnergyBudget > 0 && c.energy > s.spec.EnergyBudget) ||
 		(s.bestSet && space.qualUB[i] < s.best.Quality)
 }
+
+// energyFloor bounds from below the Energy cost computes for every
+// candidate at visit position r or later of the nominal-energy order, so
+// the scan stops at the first position whose floor lies strictly above the
+// held best's Energy: nothing from there on can beat or tie it.
+//
+// With p a candidate's power, w its nominal work, lat the latency its
+// energy is taken at and κ = min(max(zEnergy, µ), zStop if zStop > 0):
+//
+//   - lat ≥ κ·w for a traditional candidate (lat = max(zEnergy, µ)·w), and
+//     lat ≥ min(κ·w, goal) for an anytime one (its cut is the goal or a
+//     positive zStop·w capped at the goal);
+//   - Eq. 9 energy is p·(φ·goal + (1−φ)·lat) for lat ≤ goal and p·lat ≥
+//     p·goal beyond it, so for φ ∈ [0, 1] it is at least
+//     p·(φ·goal + (1−φ)·min(lat, goal));
+//   - p ≥ pMin, and p·w is nomAt[r] or more from position r on.
+//
+// Hence Energy ≥ φ·goal·pMin + (1−φ)·min(κ·nomAt[r], goal·pMin). Every
+// term is non-negative, so float64 rounding moves each side by a relative
+// few 2⁻⁵³, which the 2⁻⁴⁰ slack covers as in qualityBound; tiny covers
+// what relative error cannot, a product rounded in the subnormal range and
+// then scaled by at most goal, κ or pMax.
+type energyFloor struct {
+	nomAt                           []float64
+	kappa, goalP, base, slope, tiny float64
+}
+
+// at returns the floor for visit position r.
+func (f *energyFloor) at(r int) float64 {
+	return (f.base+f.slope*min(f.kappa*f.nomAt[r], f.goalP))*(1-qualitySlack) - f.tiny
+}
+
+// visitOrder returns the order scan visits the candidates in, and whether
+// it may stop at energyFloor. MinimizeEnergy visits them in ascending
+// nominal energy when the floor's argument holds: µ, the quantiles and the
+// goal finite, goal > 0, φ ∈ [0, 1], κ ≥ 0, and goal·pMin at most 2¹⁰⁰⁰ so
+// the floor cannot overflow. Finite inputs keep every Energy finite, so
+// the lowest Energy with ties to the lowest index — what consider selects
+// — does not depend on the order. Anything else is visited in enumeration
+// order, with no early exit.
+func (space *candSpace) visitOrder(goal float64, p *scoreParams, minimizeEnergy bool) ([]int32, energyFloor, bool) {
+	if !minimizeEnergy || space.byNom == nil {
+		return space.enum, energyFloor{}, false
+	}
+	kappa := max(p.zEnergy, p.mu)
+	if p.zStop > 0 {
+		kappa = min(kappa, p.zStop)
+	}
+	goalP := goal * space.pMin
+	if !(finite(p.mu) && finite(p.zEnergy) && finite(p.zStop) && finite(goal) &&
+		goal > 0 && p.phi >= 0 && p.phi <= 1 && kappa >= 0 && goalP <= 0x1p1000) {
+		return space.enum, energyFloor{}, false
+	}
+	return space.byNom, energyFloor{
+		nomAt: space.nomAt,
+		kappa: kappa,
+		goalP: goalP,
+		base:  p.phi * goalP,
+		slope: 1 - p.phi,
+		tiny:  0x1p-1000 * (1 + goal + kappa + space.pMax),
+	}, true
+}
+
+// finite reports that x is neither NaN nor ±Inf.
+func finite(x float64) bool { return x-x == 0 }
 
 // settle ends a scan: it books the scan's work on the workspace counters
 // and returns the feasible optimum, or the infeasibility fallback when
 // nothing was feasible.
-func (s *Session) settle(sel *selector, scored int) Estimate {
+func (s *Session) settle(sel *selector, scored, costed int) Estimate {
 	s.sc.scored += scored
+	s.sc.costed += costed
 	if !sel.bestSet {
 		s.sc.fallbacks++
 		return sel.fb
@@ -540,14 +677,20 @@ func (s *Session) settle(sel *selector, scored int) Estimate {
 	return sel.best
 }
 
-// scan selects among the engine's candidates in enumeration order and
-// returns what scanReference returns, bit for bit, while paying for CDFs
-// only where they can matter. Per candidate:
+// scan selects among the engine's candidates and returns what
+// scanReference returns, bit for bit, while paying for CDFs only where they
+// can matter. It visits the candidates in visitOrder: ascending nominal
+// energy under MinimizeEnergy, enumeration order otherwise. At each visit
+// position:
 //
-//  1. prune: if the candidate provably cannot be feasible, or cannot
-//     replace the held best, move on. Nothing else wants the skipped
-//     estimate: the fallback is computed by its own pass (fallback).
-//  2. Survivors get the full estimateFast ladder and go through consider
+//  1. Under MinimizeEnergy with a best held, if the energy floor of this
+//     position lies strictly above the best's Energy, no candidate left
+//     can beat or tie it: stop.
+//  2. unreachable, then prune on the CDF-free cost: if the candidate
+//     provably cannot be feasible, or cannot replace the held best, move
+//     on. Nothing else wants the skipped estimate: the fallback is
+//     computed by its own pass (fallback).
+//  3. Survivors get the full estimateFast ladder and go through consider
 //     like every candidate of the reference scan.
 //
 // If nothing was feasible, the fallback pass picks the answer.
@@ -555,21 +698,31 @@ func (s *Session) scan(goal float64, spec Spec) Estimate {
 	p := s.scoreParamsFor(spec)
 	sel := s.newSelector(spec)
 	space := &s.eng.space
-	scored := 0
+	order, floor, early := space.visitOrder(goal, &p, sel.minimizeEnergy)
+	scored, costed := 0, 0
 	var est Estimate
-	for i := int32(0); i < int32(len(space.stop)); i++ {
-		c, skip := sel.prune(space, i, goal, &p)
-		if skip {
+	for r, i := range order {
+		if early && sel.bestSet && floor.at(r) > sel.best.Energy {
+			break
+		}
+		if sel.unreachable(space, i) {
+			continue
+		}
+		c := space.cost(i, goal, &p)
+		costed++
+		if sel.prune(space, i, c) {
 			continue
 		}
 		s.estimateFast(&est, i, goal, spec, &p, c)
 		scored++
-		sel.consider(&est)
+		sel.consider(&est, i)
 	}
 	if !sel.bestSet {
-		scored += s.fallback(goal, spec, &p, &sel)
+		n := s.fallback(goal, spec, &p, &sel)
+		scored += n
+		costed += n
 	}
-	return s.settle(&sel, scored)
+	return s.settle(&sel, scored, costed)
 }
 
 // fallback is the scan's second pass, run only when the first found
@@ -601,10 +754,10 @@ func (s *Session) fallback(goal float64, spec Spec, p *scoreParams, sel *selecto
 // Options.ReferenceScorer.
 func (s *Session) scanReference(goal float64, spec Spec) Estimate {
 	sel := s.newSelector(spec)
-	for _, cand := range s.eng.candidates {
+	for i, cand := range s.eng.candidates {
 		est := s.estimate(cand, goal, spec)
 		sel.offerFallback(&est)
-		sel.consider(&est)
+		sel.consider(&est, int32(i))
 	}
-	return s.settle(&sel, len(s.eng.candidates))
+	return s.settle(&sel, len(s.eng.candidates), 0)
 }
