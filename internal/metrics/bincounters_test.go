@@ -71,6 +71,31 @@ func TestBinCountersAggregate(t *testing.T) {
 // TestBinSnapshotJSONRoundTrip pins the binary listener's counter snapshot
 // wire contract (it rides inside GET /v1/stats) the same way the serve and
 // net snapshots are pinned.
+// TestRecordDecidesCounted: one RecordDecides call settles n single decides
+// of one latency (a binwire burst) as n requests, each weighing in the
+// latency mean, while a batch of n stays one request; the serve layer's
+// counted form does the same for a shard group.
+func TestRecordDecidesCounted(t *testing.T) {
+	c := NewBinCounters()
+	c.RecordDecides(OpDecide, 3, 10*time.Millisecond)
+	c.RecordDecides(OpBatch, 64, 30*time.Millisecond)
+	s := c.Snapshot()
+	if s.Decides != 3 || s.Batches != 1 || s.BatchDecisions != 64 {
+		t.Errorf("ops = %d decides, %d batches of %d decisions; want 3, 1, 64", s.Decides, s.Batches, s.BatchDecisions)
+	}
+	if s.AvgDecideLatency != 15*time.Millisecond || s.MaxDecideLatency != 30*time.Millisecond {
+		t.Errorf("latency avg %v max %v, want 15ms and 30ms", s.AvgDecideLatency, s.MaxDecideLatency)
+	}
+
+	sc := NewServeCounters()
+	sc.RecordDecides(4, 2*time.Millisecond)
+	sc.RecordDecides(1, 6*time.Millisecond)
+	ss := sc.Snapshot()
+	if ss.Decisions != 5 || ss.AvgDecideLatency != 2800*time.Microsecond || ss.MaxDecideLatency != 6*time.Millisecond {
+		t.Errorf("serve: %d decisions, avg %v, max %v; want 5, 2.8ms, 6ms", ss.Decisions, ss.AvgDecideLatency, ss.MaxDecideLatency)
+	}
+}
+
 func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 	in := BinSnapshot{
 		ConnsOpened: 10,

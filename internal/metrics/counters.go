@@ -58,10 +58,11 @@ func NewServeCounters() *ServeCounters {
 	return &ServeCounters{start: time.Now()}
 }
 
-// RecordDecide folds in one served decision and its end-to-end latency.
-func (c *ServeCounters) RecordDecide(d time.Duration) {
-	c.decisions.Add(1)
-	c.decideNanos.Add(int64(d))
+// RecordDecides folds in n served decisions that each took d end to end,
+// with one update per counter: a shard settles a group's decides at once.
+func (c *ServeCounters) RecordDecides(n int, d time.Duration) {
+	c.decisions.Add(int64(n))
+	c.decideNanos.Add(int64(n) * int64(d))
 	for {
 		cur := c.maxNanos.Load()
 		if int64(d) <= cur || c.maxNanos.CompareAndSwap(cur, int64(d)) {

@@ -17,7 +17,7 @@
 //   - A Sample's violation flags are judged against the requirement that
 //     was in force for that input; under scenario spec churn the goal
 //     moves mid-stream and the flags follow it.
-//   - ServeCounters record completed work: RecordDecide runs before the
+//   - ServeCounters record completed work: RecordDecides runs before the
 //     reply unblocks the caller, so any Stats read that follows a
 //     completed Decide observes it; Snapshot reads each counter atomically
 //     but is not a single atomic cut across counters.

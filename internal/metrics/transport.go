@@ -64,15 +64,19 @@ type TransportCounters struct {
 // export, checkpoint, import.
 func (c *TransportCounters) RecordOp(op Op) { c.ops[op].Add(1) }
 
-// RecordDecides folds in one served decide request and its latency:
-// OpDecide with n = 1, or OpBatch with the n decisions the batch carried.
+// RecordDecides folds in served decide requests and their latency d, with
+// one update per counter: n single decides that each took d (OpDecide — a
+// binwire burst settles all of its decides at once), or one batch of n
+// decisions that took d (OpBatch).
 func (c *TransportCounters) RecordDecides(op Op, n int, d time.Duration) {
-	c.ops[op].Add(1)
+	reqs := n
 	if op == OpBatch {
+		reqs = 1
 		c.batchDecisions.Add(int64(n))
 	}
-	c.reqNanos.Add(int64(d))
-	c.reqCount.Add(1)
+	c.ops[op].Add(int64(reqs))
+	c.reqNanos.Add(int64(reqs) * int64(d))
+	c.reqCount.Add(int64(reqs))
 	for {
 		cur := c.maxNanos.Load()
 		if int64(d) <= cur || c.maxNanos.CompareAndSwap(cur, int64(d)) {

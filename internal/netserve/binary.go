@@ -14,35 +14,51 @@
 //     request with an id and may keep many in flight.
 //  3. Each wake-up runs a burst to completion (per-connection group commit):
 //     one read brings in every frame the client has pipelined; every
-//     complete frame is decoded and admitted; the burst's decides AND
-//     observes cross into the engine as one group task per shard; every
-//     reply, ack and reject is encoded into one buffer and leaves in one
-//     Write. 64 pipelined requests cost one read, one task per shard and one
-//     write, not 64 of each — and a lone request is a burst of one, served
-//     at once. No goroutine is shared between connections, so a client that
-//     stops reading blocks only its own connection's Write, holding no gate
-//     slot.
+//     complete frame is decoded and checked; the burst is admitted as one
+//     unit; its decides AND observes cross into the engine as one group
+//     task per shard; it is settled as one unit; every reply, ack and
+//     reject is encoded into one buffer and leaves in one Write. 64
+//     pipelined requests cost one read, one admission, one task per shard,
+//     one settlement and one write, not 64 of each — and a lone request is
+//     a burst of one, served at once. No goroutine is shared between
+//     connections, so a client that stops reading blocks only its own
+//     connection's Write, holding no gate slot.
 //
 // The steady-state path allocates nothing, batch frames included: frame
-// decode aliases the reader's buffer, the held ops, the engine burst and the
-// output buffer are the connection's own, grown on demand and reused, and
-// every reply is encoded straight out of the engine burst.
+// decode aliases the reader's buffer, the pending and held ops, the engine
+// burst and the output buffer are the connection's own, grown on demand and
+// reused, and every reply is encoded straight out of the engine burst.
 //
 // # Ordering and admission
 //
-// Every decide and observe passes the op core's admission half (begin) as
-// it is decoded and its accounting half (finish, or release) after the
-// burst ran and BEFORE anything is written, so MaxInflight/MaxQueue bound
+// Every decide and observe is decoded and checked (malformed body, feedback
+// outside the candidate set, restoring hold) into a pending list. At the
+// burst boundary — before a read that could block, a batch frame or a
+// version reject — the list passes the op core's admission half (admit) in
+// arrival order: one gate call, one drain check and one s.mu section for
+// the whole list, granting the longest prefix that fits without queueing.
+// After the burst ran, and BEFORE anything is written, it passes the
+// accounting half (finish, release) as one unit: one clock read, one
+// controller update for its service samples, one counter update for its
+// sojourns, one release of all its slots. So MaxInflight/MaxQueue bound
 // both transports together, an accepted request is always served — drain
 // waits for it — and a slow reader holds no slot. A connection never waits
-// at the gate on slots its own un-run burst holds: a saturated gate runs
-// what is held first, so a client may pipeline more than the gate admits.
-// Rejections are error frames whose code is the HTTP status and whose
-// retry_after_ms is the HTTP body's.
+// at the gate on slots its own un-run ops hold: what the gate cannot take
+// at once waits until the granted prefix ran, and only then may queue, so a
+// client may pipeline more than the gate admits. Rejections are error
+// frames whose code is the HTTP status and whose retry_after_ms is the
+// HTTP body's.
+//
+// The clock is read once per stage per burst: the burst's start when its
+// first decide or observe is decoded — every op of the burst counts its
+// sojourn from there — and the settlement instant after the engine
+// crossing. An op admitted at once counts as admitted at the start; only
+// one that queued at the gate reads the clock again.
 //
 // Frames on one connection are served in arrival order: the burst applies a
 // stream's observes and decides in the order they arrived, an observe is
-// acked after it was APPLIED, and a batch frame first runs what is held. A
+// acked after it was APPLIED, and a batch frame first serves what is
+// pending. A
 // pipelining client therefore sees exactly the in-process semantics without
 // awaiting anything (byte-identical decision sequences, pinned by
 // TestBinaryBurstOrder and cmd/alertload's wire tests).
@@ -171,14 +187,23 @@ type binConn struct {
 	srv  *BinaryServer
 	conn net.Conn
 
-	// The burst being assembled: every decide and observe admitted since
-	// the last run, in arrival order, as the pipeline sees them (held) and as
-	// the engine will (engine.burst). decides counts the held decides. A
-	// batch frame runs alone (what is held runs first), so it borrows the
-	// engine burst and is the only user of engine.slots.
-	held    []heldOp
-	engine  batch
-	decides int
+	// The burst being assembled. pending is every decide and observe
+	// decoded and checked since the last admission, in arrival order, and
+	// deadlines[i] is pending[i]'s admission deadline (0 for an observe).
+	// admit moves them into held — the pipeline's view — and engine.burst —
+	// the engine's. decides counts the held decides. A batch frame runs
+	// alone (what is pending is served first), so it borrows the engine
+	// burst and is the only user of engine.slots.
+	pending   []pendingOp
+	deadlines []float64
+	held      []heldOp
+	engine    batch
+	decides   int
+	// start is when the burst's first decide or observe was decoded (zero
+	// while nothing is pending or held); admitted is an instant no held op
+	// was admitted before — start, unless one queued at the gate or a run
+	// settled since. run turns them into sojourn and service time.
+	start, admitted time.Time
 
 	// wbuf is every frame encoded since the last flush; frames counts them.
 	wbuf   []byte
@@ -187,25 +212,29 @@ type binConn struct {
 	batchBuf []alert.BatchRequest // batch frames decode into it
 }
 
+// pendingOp is one decoded decide or observe waiting for the burst's
+// admission.
+type pendingOp struct {
+	id      uint64
+	stream  int
+	observe bool
+	spec    alert.Spec
+	fb      alert.Feedback
+}
+
 // heldOp is one admitted decide or observe waiting for its burst to run; the
 // request itself is in the engine burst.
 type heldOp struct {
-	id uint64
-	// key is the op as begin and finish read it (an array, so slicing it
-	// allocates nothing).
-	key [1]slot
+	id  uint64
 	res int // a decide's index in the engine burst, -1 for an observe
-	// start is when a decide's frame was decoded, admitted when the op
-	// cleared the gate; finish turns them into sojourn and service time.
-	start, admitted time.Time
 }
 
 func (bs *BinaryServer) serveConn(conn net.Conn) {
 	bs.bin.RecordConnOpen()
 	c := &binConn{srv: bs, conn: conn, engine: batch{burst: bs.front.alert.NewBurst()}}
 	defer func() {
-		// Whatever ends the connection, what it was admitted for is served.
-		c.run()
+		// Whatever ends the connection, what it decoded is served.
+		c.serve()
 		bs.untrack(conn)
 		conn.Close()
 		bs.bin.RecordConnClose()
@@ -223,7 +252,7 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 	for {
 		if !frameBuffered(br) {
 			// The next read can block, so the burst ends here.
-			c.run()
+			c.serve()
 			if !c.flush() {
 				return
 			}
@@ -238,7 +267,7 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 		}
 		bs.bin.RecordFrameIn()
 		if f.Version != binwire.Version {
-			c.run()
+			c.serve()
 			c.reject(f.ID, badInput(bs.tc(), "unsupported binwire version (server speaks 1)"))
 			c.flush()
 			return
@@ -261,28 +290,21 @@ func frameBuffered(br *bufio.Reader) bool {
 func (bs *BinaryServer) tc() *metrics.TransportCounters { return &bs.bin.TransportCounters }
 
 // serveFrame is the binwire codec over the op core: decode the frame body,
-// then hold a decide or observe for the burst, or serve a batch whole after
-// running what is held, so arrival order survives. A reject — an unknown or
-// retired frame type included — is encoded at once.
+// then queue a decide or observe for the burst's admission, or serve a
+// batch whole after serving what is pending, so arrival order survives. A
+// reject — an unknown or retired frame type included — is encoded at once.
 func (c *binConn) serveFrame(f binwire.Frame) {
 	front, tc := c.srv.front, c.srv.tc()
 	var rej reject
 	switch f.Type {
 	case binwire.MsgDecide:
-		h := heldOp{id: f.ID, start: time.Now()}
 		stream, spec, err := binwire.DecodeDecide(f.Body)
 		if err != nil {
 			rej = badInput(tc, err.Error())
 			break
 		}
-		h.key[0] = slot{stream, spec.Deadline}
-		if rej = c.admit(metrics.OpDecide, &h); !rej.refused() {
-			h.res = c.engine.burst.Decide(stream, spec)
-			c.held = append(c.held, h)
-			c.decides++
-		}
+		rej = c.pend(pendingOp{id: f.ID, stream: stream, spec: spec}, spec.Deadline)
 	case binwire.MsgObserve:
-		h := heldOp{id: f.ID, res: -1}
 		stream, fb, err := binwire.DecodeObserve(f.Body)
 		if err != nil {
 			rej = badInput(tc, err.Error())
@@ -291,17 +313,9 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 		if rej = front.checkFeedback(tc, fb); rej.refused() {
 			break
 		}
-		h.key[0].stream = stream
-		if rej = c.admit(metrics.OpObserve, &h); !rej.refused() {
-			if err := c.engine.burst.Observe(stream, fb); err != nil {
-				front.release()
-				rej = badInput(tc, err.Error())
-				break
-			}
-			c.held = append(c.held, h)
-		}
+		rej = c.pend(pendingOp{id: f.ID, stream: stream, observe: true, fb: fb}, 0)
 	case binwire.MsgBatch:
-		c.run()
+		c.serve()
 		start := time.Now()
 		var err error
 		if c.batchBuf, err = binwire.DecodeBatch(f.Body, c.batchBuf[:0]); err != nil {
@@ -323,27 +337,87 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 	}
 }
 
-// admit runs the admission half of a decide or observe. The connection must
-// not wait at the gate for slots its own un-run burst holds — nobody else
-// would run it — so when the gate is saturated (the next admission would
-// queue) the held burst is served first. Another connection can still take
-// the last slot between this check and begin, and this one then queues
-// holding a burst; but whoever holds that slot is not queued and runs its
-// own burst the same way, so slots keep coming back.
-func (c *binConn) admit(op metrics.Op, h *heldOp) reject {
-	front := c.srv.front
-	if len(c.held) > 0 && front.gate.Saturated() {
-		c.run()
+// pend queues a decoded, checked decide or observe for the burst's
+// admission after its restoring hold. The first one of a burst reads the
+// clock: the burst's start.
+func (c *binConn) pend(op pendingOp, deadline float64) reject {
+	one := [1]slot{{op.stream, deadline}}
+	if _, rej := c.srv.front.hold(c.srv.tc(), one[:]); rej.refused() {
+		return rej
 	}
-	rej := front.begin(context.Background(), c.srv.tc(), op, h.key[:])
-	h.admitted = time.Now()
-	return rej
+	if c.start.IsZero() {
+		c.start = time.Now()
+		c.admitted = c.start
+	}
+	c.pending = append(c.pending, op)
+	c.deadlines = append(c.deadlines, deadline)
+	return reject{}
 }
 
-// run serves the held burst to completion: one engine crossing — a group
-// task per shard, ops applied in arrival order — then, per op, the
-// accounting half (which returns the slot) and the reply or ack encoded
-// into the output buffer. Nothing is written here; flush does that.
+// serve ends the burst: everything pending is admitted and everything held
+// is run, so the next burst starts empty.
+func (c *binConn) serve() {
+	c.admit()
+	c.run()
+	c.start = time.Time{}
+}
+
+// admit admits the pending ops in arrival order and holds them for the
+// run. On an unsaturated gate that is one pass: the whole list in one gate
+// call, one drain check and one s.mu section, with no clock read — each op
+// counts as admitted at the burst's start. An op the gate cannot take at
+// once starts the next pass, so what a saturated gate admits runs in
+// prefixes. The connection must not wait at the gate for slots its own
+// un-run ops hold — nobody else would run them — so a pass that finds held
+// ops and a saturated gate (the next admission would queue) runs them
+// first. Another connection can still take the last slot between that check
+// and the gate call, and this one then queues holding a burst; but whoever
+// holds that slot is not queued and runs its own burst the same way, so
+// slots keep coming back. An op that queued is the one admitted with a
+// fresh clock read.
+func (c *binConn) admit() {
+	front, tc := c.srv.front, c.srv.tc()
+	for i := 0; i < len(c.pending); {
+		if len(c.held) > 0 && front.gate.Saturated() {
+			c.run()
+		}
+		n, waited, rej := front.admit(context.Background(), tc, false, c.deadlines[i:])
+		if n == 0 {
+			c.reject(c.pending[i].id, rej)
+			i++
+			continue
+		}
+		if waited {
+			c.admitted = time.Now()
+		}
+		for _, op := range c.pending[i : i+n] {
+			c.push(op)
+		}
+		i += n
+	}
+	c.pending, c.deadlines = c.pending[:0], c.deadlines[:0]
+}
+
+// push puts an admitted op into the engine burst.
+func (c *binConn) push(op pendingOp) {
+	if !op.observe {
+		c.held = append(c.held, heldOp{id: op.id, res: c.engine.burst.Decide(op.stream, op.spec)})
+		c.decides++
+		return
+	}
+	if err := c.engine.burst.Observe(op.stream, op.fb); err != nil {
+		c.srv.front.release(1)
+		c.reject(op.id, badInput(c.srv.tc(), err.Error()))
+		return
+	}
+	c.held = append(c.held, heldOp{id: op.id, res: -1})
+}
+
+// run serves the held ops to completion: one engine crossing — a group
+// task per shard, ops applied in arrival order — then the accounting half
+// for all of them at once (one clock read, one release), and every reply or
+// ack encoded into the output buffer. Nothing is written here; flush does
+// that.
 func (c *binConn) run() {
 	if len(c.held) == 0 {
 		return
@@ -353,15 +427,19 @@ func (c *binConn) run() {
 		front.sleepServiceDelay()
 	}
 	c.engine.burst.Run()
+	if c.decides > 0 {
+		// Ops admitted after this run cannot have been admitted before its
+		// accounting instant.
+		c.admitted = front.finish(tc, metrics.OpDecide, c.decides, c.start, c.admitted)
+	}
+	front.release(len(c.held))
 	for i := range c.held {
 		h := &c.held[i]
 		if h.res < 0 {
 			tc.RecordOp(metrics.OpObserve)
-			front.release()
 			c.reply(binwire.AppendObserveResp(c.wbuf, h.id))
 			continue
 		}
-		front.finish(tc, metrics.OpDecide, h.key[:], h.start, h.admitted)
 		r := c.engine.burst.Result(h.res)
 		c.reply(binwire.AppendDecideResp(c.wbuf, h.id, r.Decision, r.Estimate, front.nodeID))
 	}

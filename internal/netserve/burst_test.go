@@ -2,8 +2,10 @@ package netserve
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,6 +139,181 @@ func TestBinaryBurstLargerThanGate(t *testing.T) {
 	if inflight := front.OverloadStats().Inflight; inflight != 0 {
 		t.Errorf("%d slots still held after every reply", inflight)
 	}
+}
+
+// TestBinaryBurstPartlyAdmitted pins a burst's admission when it cannot all
+// be admitted at once: by a gate smaller than the burst, and by a drain that
+// starts between the burst's decode and its admission.
+func TestBinaryBurstPartlyAdmitted(t *testing.T) {
+	t.Run("gate smaller than the burst", testBurstGateSmallerThanBurst)
+	t.Run("drain before admission", testBurstDrainBeforeAdmission)
+}
+
+// testBurstGateSmallerThanBurst pipelines one 64-frame burst — decides and
+// observes over six streams, one observe whose feedback names no model and
+// one malformed decide — at a gate that admits 5: the burst's admission
+// grants a prefix and the rest follows in further passes. Every id must be
+// answered exactly once, every decision must equal an in-process replay of
+// the valid ops in arrival order, every slot must come back, and the
+// counters must account for every frame.
+func testBurstGateSmallerThanBurst(t *testing.T) {
+	front := New(testAlertServer(t, 2), Config{MaxInflight: 5})
+	bs := startBinary(t, front, BinaryConfig{})
+	rc := dialBinary(t, bs.Addr())
+	replay := testAlertServer(t, 2)
+
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	const ops, badObserve, badDecide = 64, 21, 42
+	type expected struct {
+		d   alert.Decision
+		est alert.Estimate
+	}
+	want := make(map[uint64]expected)
+	var burst []byte
+	for i := 1; i <= ops; i++ {
+		id, stream := uint64(i), i%6
+		switch {
+		case i == badObserve:
+			burst = binwire.AppendObserve(burst, id, stream, alert.Feedback{Decision: alert.Decision{Model: 9999}, Latency: 0.1})
+		case i == badDecide:
+			burst = append(burst, malformedFrame(binwire.MsgDecide, id)...)
+		case i%3 == 0:
+			fb := alert.Feedback{Decision: alert.Decision{Model: 1, Cap: 2}, Latency: 0.03 + 0.01*float64(i%4), CompletedStage: -1}
+			burst = binwire.AppendObserve(burst, id, stream, fb)
+			if err := replay.Observe(stream, fb); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			burst = binwire.AppendDecide(burst, id, stream, spec)
+			d, est := replay.Decide(stream, spec)
+			want[id] = expected{d, est}
+		}
+	}
+	rc.send(burst)
+
+	rc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	seen := make(map[uint64]int)
+	for i := 0; i < ops; i++ {
+		f := rc.next()
+		seen[f.ID]++
+		switch f.Type {
+		case binwire.MsgDecideResp:
+			d, est, _, err := binwire.DecodeDecideResp(f.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, ok := want[f.ID]
+			if !ok {
+				t.Fatalf("decision for id %d, which was not a valid decide", f.ID)
+			}
+			if !sameDecision(d, w.d) || math.Float64bits(est.LatMean) != math.Float64bits(w.est.LatMean) ||
+				math.Float64bits(est.Energy) != math.Float64bits(w.est.Energy) {
+				t.Fatalf("id %d: decision %+v != in-process replay %+v", f.ID, d, w.d)
+			}
+		case binwire.MsgObserveResp:
+			if f.ID%3 != 0 || f.ID == badObserve {
+				t.Fatalf("ack for id %d, which was not a valid observe", f.ID)
+			}
+		case binwire.MsgError:
+			code, _, msg, _ := binwire.DecodeError(f.Body)
+			if (f.ID != badObserve && f.ID != badDecide) || code != 400 {
+				t.Fatalf("id %d: error %d %q", f.ID, code, msg)
+			}
+		default:
+			t.Fatalf("id %d: frame type %d", f.ID, f.Type)
+		}
+	}
+	for id := uint64(1); id <= ops; id++ {
+		if seen[id] != 1 {
+			t.Fatalf("id %d answered %d times, want once", id, seen[id])
+		}
+	}
+	if in, q := front.gate.Occupancy(); in != 0 || q != 0 {
+		t.Errorf("gate occupancy %d/%d after every reply, want 0/0", in, q)
+	}
+	front.mu.Lock()
+	inflight := front.inflight
+	front.mu.Unlock()
+	if inflight != 0 {
+		t.Errorf("front end inflight %d after every reply, want 0", inflight)
+	}
+	if snap := bs.BinStats(); snap.Decides+snap.Observes+snap.BadFrames != ops || snap.BadFrames != 2 {
+		t.Errorf("counters: %d decides + %d observes + %d bad = %d, want %d with 2 bad",
+			snap.Decides, snap.Observes, snap.BadFrames, snap.Decides+snap.Observes+snap.BadFrames, ops)
+	}
+}
+
+// testBurstDrainBeforeAdmission flips Drain after a burst was decoded and
+// before it is admitted, by driving a connection's serve loop by hand:
+// every pending op must be refused 503 "draining" and hold no slot.
+func testBurstDrainBeforeAdmission(t *testing.T) {
+	front := New(testAlertServer(t, 2), Config{MaxInflight: 5})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the test is the connection's goroutine
+	t.Cleanup(func() { bs.Close() })
+	c := &binConn{srv: bs, engine: batch{burst: front.alert.NewBurst()}}
+
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	fb := alert.Feedback{Decision: alert.Decision{Model: 1, Cap: 2}, Latency: 0.05, CompletedStage: -1}
+	const ops = 8
+	for i := 1; i <= ops; i++ {
+		frame := binwire.AppendDecide(nil, uint64(i), i, spec)
+		if i%2 == 0 {
+			frame = binwire.AppendObserve(nil, uint64(i), i, fb)
+		}
+		f, _, err := binwire.ParseFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.serveFrame(f)
+	}
+	if len(c.pending) != ops || c.frames != 0 {
+		t.Fatalf("%d ops pending and %d replies after decode, want %d and 0", len(c.pending), c.frames, ops)
+	}
+	if in, _ := front.gate.Occupancy(); in != 0 {
+		t.Fatalf("%d slots taken at decode, want 0", in)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := front.Drain(ctx); err != nil {
+		t.Fatalf("Drain with nothing admitted: %v", err)
+	}
+	c.serve()
+
+	seen := make(map[uint64]bool)
+	for rest := c.wbuf; len(rest) > 0; {
+		f, n, err := binwire.ParseFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+		code, _, msg, _ := binwire.DecodeError(f.Body)
+		if f.Type != binwire.MsgError || code != 503 || !strings.Contains(msg, "draining") {
+			t.Fatalf("id %d: frame type %d code %d %q, want a 503 draining error", f.ID, f.Type, code, msg)
+		}
+		seen[f.ID] = true
+	}
+	if len(seen) != ops || c.frames != ops {
+		t.Fatalf("%d distinct rejects in %d frames, want %d", len(seen), c.frames, ops)
+	}
+	if in, q := front.gate.Occupancy(); in != 0 || q != 0 {
+		t.Errorf("gate occupancy %d/%d after the refusals, want 0/0", in, q)
+	}
+	if snap := bs.BinStats(); snap.RejectedDraining != ops || snap.Decides+snap.Observes != 0 {
+		t.Errorf("counters: %d draining rejects, %d served; want %d and 0", snap.RejectedDraining, snap.Decides+snap.Observes, ops)
+	}
+}
+
+// malformedFrame is a well-framed request of the given type whose one-byte
+// body no decoder accepts.
+func malformedFrame(typ binwire.MsgType, id uint64) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, 11)
+	frame = append(frame, binwire.Version, byte(typ))
+	frame = binary.LittleEndian.AppendUint64(frame, id)
+	return append(frame, 0)
 }
 
 // TestBinaryCloseMidBurst closes the listener while a connection is inside

@@ -92,6 +92,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/alert-project/alert"
@@ -190,8 +191,10 @@ type Server struct {
 	// Drain bookkeeping: draining refuses new admissions; inflight counts
 	// admitted-but-unfinished requests; drained closes when draining is on
 	// and inflight reaches zero.
+	// draining is written under mu and read there by the authoritative
+	// admission check; the lock-free read is admission's cheap pre-check.
 	mu        sync.Mutex
-	draining  bool
+	draining  atomic.Bool
 	inflight  int
 	drained   chan struct{}
 	drainOnce sync.Once
@@ -264,7 +267,7 @@ func (s *Server) tc() *metrics.TransportCounters { return &s.net.TransportCounte
 // is idempotent; the front end stays in draining mode afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	if s.inflight == 0 {
 		s.drainOnce.Do(func() { close(s.drained) })
 	}
@@ -275,12 +278,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // HoldTokenForTest occupies one admission slot with no request attached,

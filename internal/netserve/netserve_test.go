@@ -407,7 +407,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// The parked request finishes; Drain must now complete.
-	s.release()
+	s.release(1)
 	if err := <-drainErr; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}

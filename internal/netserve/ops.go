@@ -54,121 +54,152 @@ func badInput(tc *metrics.TransportCounters, msg string) reject {
 	return reject{status: http.StatusBadRequest, msg: msg}
 }
 
-// slot is what admission and accounting read of one request — whose it is
-// and the deadline it must meet (0: none). The request itself lives in the
-// engine burst; this is the pipeline's view of it.
+// slot is what the restoring hold and admission read of one request —
+// whose it is and the deadline it must meet (0: none). The request itself
+// lives in the engine burst; this is the pipeline's view of it.
 type slot struct {
 	stream   int
 	deadline float64
 }
 
-// begin is the admission half of every gated op: the restoring hold and
-// the tightest deadline over reqs (the requests the op carries; nil for
-// stream ops, which have neither stream hold nor deadline), then the gate.
-// On a zero reject the op holds a gate slot and MUST end in release
-// (finish, for decides) — from that point it is accepted and will be
-// served no matter what. ctx bounds the wait at the gate together
-// with the deadline; it is only consulted, and a deadline context only
-// built, when the request actually queues.
-func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, reqs []slot) reject {
-	// The op's admission deadline is its tightest member's: if that one
-	// can no longer be served in time, the whole batch is late.
-	deadline := 0.0
+// hold is the restoring hold of one op over reqs, the requests it carries
+// (nil for stream ops, which have neither stream hold nor deadline). It
+// sheds the op before any state is touched if a request's stream is
+// restoring after a failover, so nothing is lost — the client retries onto
+// the finished restore — and otherwise returns the op's admission
+// deadline: its tightest member's, because if that one can no longer be
+// served in time the whole batch is late. A batch touching a restoring
+// stream sheds whole: serving the rest while skipping one slot would break
+// the "results in request order" contract.
+func (s *Server) hold(tc *metrics.TransportCounters, reqs []slot) (deadline float64, rej reject) {
 	for i := range reqs {
-		// Shed before any state is touched, so nothing is lost — the
-		// client retries onto the finished restore. A batch touching a
-		// restoring stream sheds whole: serving the rest while skipping one
-		// slot would break the "results in request order" contract.
 		if s.recovery != nil && s.recovery.Restoring(reqs[i].stream) {
 			tc.RecordReject(metrics.RejectRestoring)
-			return reject{http.StatusServiceUnavailable, s.retryAfter,
+			return 0, reject{http.StatusServiceUnavailable, s.retryAfter,
 				fmt.Sprintf("stream %d is restoring after failover", reqs[i].stream)}
 		}
 		if d := reqs[i].deadline; d > 0 && (deadline == 0 || d < deadline) {
 			deadline = d
 		}
 	}
+	return deadline, reject{}
+}
+
+// begin is the admission half of one gated op: the restoring hold, then
+// admit with n = 1. On a zero reject the op holds a gate slot and MUST end
+// in release — from that point it is accepted and will be served no matter
+// what. ctx bounds the wait at the gate together with the deadline; it is
+// only consulted, and a deadline context only built, when the request
+// actually queues.
+func (s *Server) begin(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, reqs []slot) reject {
+	deadline, rej := s.hold(tc, reqs)
+	if rej.refused() {
+		return rej
+	}
 	// Export is how sessions leave a draining node, so refusing it would
 	// deadlock a graceful hand-off (imports stay refused — a draining node
 	// must shed state, not accept it).
-	class, ok := s.admit(ctx, deadline, op == metrics.OpExport)
-	if ok {
-		return reject{}
+	one := [1]float64{deadline}
+	_, _, rej = s.admit(ctx, tc, op == metrics.OpExport, one[:])
+	return rej
+}
+
+// admit passes requests through the gate in arrival order, one per entry
+// of deadlines (each request's admission deadline, 0 for none), with one
+// gate call, one drain check and one s.mu section for all of them. It
+// admits the longest prefix that fits without queueing and returns its
+// length n: the caller holds n slots, each of which MUST end in release.
+// When nothing fits, the first request alone queues: n is 1 with waited set
+// if it got its slot. n = 0 comes with the first request's reject, counted
+// on tc; the rest were not looked at.
+func (s *Server) admit(ctx context.Context, tc *metrics.TransportCounters, drainExempt bool, deadlines []float64) (n int, waited bool, rej reject) {
+	n, waited, class := s.acquire(ctx, drainExempt, deadlines)
+	if n > 0 {
+		return n, waited, reject{}
 	}
 	// The transport's reject counter is the one ledger of a shed: the
 	// gate's shed-by-class view is read off it (Server.snapshots).
 	tc.RecordReject(class)
 	switch class {
 	case metrics.RejectOverload:
-		return reject{http.StatusTooManyRequests, s.retryHint(deadline), "admission queue full"}
+		return 0, false, reject{http.StatusTooManyRequests, s.retryHint(deadlines[0]), "admission queue full"}
 	case metrics.RejectDeadline:
 		// The deadline is spent, so there is nothing to clamp to.
-		return reject{http.StatusTooManyRequests, s.retryHint(0), "deadline expired before admission"}
+		return 0, false, reject{http.StatusTooManyRequests, s.retryHint(0), "deadline expired before admission"}
 	default:
-		return reject{http.StatusServiceUnavailable, s.retryAfter, "server draining"}
+		return 0, false, reject{http.StatusServiceUnavailable, s.retryAfter, "server draining"}
 	}
 }
 
-// admit passes one request through the gate. On ok the caller holds a
-// slot; otherwise class says why not.
-func (s *Server) admit(ctx context.Context, deadlineS float64, drainExempt bool) (class metrics.Reject, ok bool) {
-	// Cheap pre-check so a draining server refuses without queueing; the
-	// authoritative check is below, after the slot is held.
-	if !drainExempt && s.isDraining() {
-		return metrics.RejectDraining, false
+// acquire is admit's gate and drain half. n > 0 means the caller holds n
+// slots; otherwise class says why the first request was refused.
+func (s *Server) acquire(ctx context.Context, drainExempt bool, deadlines []float64) (n int, waited bool, class metrics.Reject) {
+	// Lock-free pre-check so a draining server refuses without queueing;
+	// the authoritative check is below, after the slots are held.
+	if !drainExempt && s.draining.Load() {
+		return 0, false, metrics.RejectDraining
 	}
-	switch v, w := s.gate.TryAcquire(deadlineS); v {
+	n, v, w := s.gate.TryAcquireN(deadlines...)
+	switch v {
 	case overload.GateFull:
-		return metrics.RejectOverload, false
+		return 0, false, metrics.RejectOverload
 	case overload.GateQueued:
 		// A decision still queued when the input's deadline has passed
 		// serves nobody.
-		if d, bounded := admissionTimeout(deadlineS); bounded {
+		if d, bounded := admissionTimeout(deadlines[0]); bounded {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()
 		}
 		if !s.gate.Wait(ctx, w) {
-			return metrics.RejectDeadline, false
+			return 0, false, metrics.RejectDeadline
 		}
+		n, waited = 1, true
 	}
 	// The drain recheck and the inflight bookkeeping run under one lock,
 	// so Drain's "no new work after the flip" promise holds even for
-	// requests that acquired their slot while the flip happened — they
-	// give it back and refuse.
+	// requests that acquired their slots while the flip happened — they
+	// give them back and refuse.
 	s.mu.Lock()
-	if s.draining && !drainExempt {
+	if !drainExempt && s.draining.Load() {
 		s.mu.Unlock()
-		s.gate.Release()
-		return metrics.RejectDraining, false
+		s.gate.ReleaseN(n)
+		return 0, false, metrics.RejectDraining
 	}
-	s.inflight++
+	s.inflight += n
 	s.mu.Unlock()
-	return 0, true
+	return n, waited, 0
 }
 
-// release returns an admitted op's gate slot and settles the drain
-// bookkeeping.
-func (s *Server) release() {
-	s.gate.Release()
+// release returns n admitted ops' gate slots and settles the drain
+// bookkeeping, with one gate call and one s.mu section.
+func (s *Server) release(n int) {
+	s.gate.ReleaseN(n)
 	s.mu.Lock()
-	s.inflight--
-	if s.draining && s.inflight == 0 {
+	s.inflight -= n
+	if s.draining.Load() && s.inflight == 0 {
 		s.drainOnce.Do(func() { close(s.drained) })
 	}
 	s.mu.Unlock()
 }
 
-// finish is the accounting half of a served decide or batch, run before
-// the response is written so a slow reader cannot inflate what the
-// controller believes the engine costs: service time (admitted → now)
-// feeds the controller, sojourn (start, the moment the request was decoded
-// → now) is the latency the counters see, and the slot goes back.
-func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, reqs []slot, start, admitted time.Time) {
+// finish is the accounting half of served decides, run before the
+// responses are written so a slow reader cannot inflate what the
+// controller believes the engine costs. It covers n decides served by one
+// engine crossing (op OpDecide) or one batch of n (OpBatch), with one
+// clock read: service time (admitted → now; one sample per request) feeds
+// the controller, and sojourn (start, when the request — or the burst it
+// arrived in — was decoded → now) is the latency the counters see. It
+// returns the instant it read. The slots go back with release.
+func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, n int, start, admitted time.Time) time.Time {
 	now := time.Now()
-	s.gate.Controller().ObserveService(now.Sub(admitted))
-	tc.RecordDecides(op, len(reqs), now.Sub(start))
-	s.release()
+	reqs := n
+	if op == metrics.OpBatch {
+		reqs = 1
+	}
+	s.gate.Controller().ObserveService(now.Sub(admitted), reqs)
+	tc.RecordDecides(op, n, now.Sub(start))
+	return now
 }
 
 // sleepServiceDelay applies the configured artificial service latency
@@ -180,9 +211,10 @@ func (s *Server) sleepServiceDelay() {
 }
 
 // decide serves one decision. start is when the transport decoded the
-// request. (A binwire connection does not call this: it runs begin as it
-// decodes each frame of a burst and finish after the burst's one engine
-// crossing, before it writes anything — see binConn.run.)
+// request. (A binwire connection does not call this: it admits a burst's
+// decides and observes together at the burst boundary and settles them
+// after the burst's one engine crossing, before it writes anything — see
+// binConn.admit and binConn.run.)
 func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, start time.Time, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, reject) {
 	one := [1]slot{{stream, spec.Deadline}}
 	if rej := s.begin(ctx, tc, metrics.OpDecide, one[:]); rej.refused() {
@@ -191,7 +223,8 @@ func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, star
 	admitted := time.Now()
 	s.sleepServiceDelay()
 	d, est := s.alert.Decide(stream, spec)
-	s.finish(tc, metrics.OpDecide, one[:], start, admitted)
+	s.finish(tc, metrics.OpDecide, 1, start, admitted)
+	s.release(1)
 	return d, est, reject{}
 }
 
@@ -224,7 +257,8 @@ func (s *Server) decideBatch(ctx context.Context, tc *metrics.TransportCounters,
 	admitted := time.Now()
 	s.sleepServiceDelay()
 	b.burst.Run()
-	s.finish(tc, metrics.OpBatch, b.slots, start, admitted)
+	s.finish(tc, metrics.OpBatch, len(b.slots), start, admitted)
+	s.release(1)
 	return reject{}
 }
 
@@ -239,11 +273,11 @@ func (s *Server) checkFeedback(tc *metrics.TransportCounters, fb alert.Feedback)
 }
 
 // observe folds one feedback into its stream (the HTTP path; a binwire
-// connection holds its observes for the burst, the same check → begin →
-// serve → release around a shared engine crossing). The enqueue happens
-// before this returns — so before the transport acks — which is what makes
-// a client that round-trips observe → decide on one stream FIFO-ordered
-// exactly like the in-process path.
+// connection holds its observes for the burst, the same check → hold →
+// admit → serve → release around a shared engine crossing). The enqueue
+// happens before this returns — so before the transport acks — which is
+// what makes a client that round-trips observe → decide on one stream
+// FIFO-ordered exactly like the in-process path.
 func (s *Server) observe(ctx context.Context, tc *metrics.TransportCounters, stream int, fb alert.Feedback) reject {
 	if rej := s.checkFeedback(tc, fb); rej.refused() {
 		return rej
@@ -252,7 +286,7 @@ func (s *Server) observe(ctx context.Context, tc *metrics.TransportCounters, str
 	if rej := s.begin(ctx, tc, metrics.OpObserve, one[:]); rej.refused() {
 		return rej
 	}
-	defer s.release()
+	defer s.release(1)
 	if err := s.alert.Observe(stream, fb); err != nil {
 		return badInput(tc, err.Error())
 	}
@@ -265,7 +299,7 @@ func (s *Server) evict(ctx context.Context, tc *metrics.TransportCounters, strea
 	if rej := s.begin(ctx, tc, metrics.OpEvict, nil); rej.refused() {
 		return rej
 	}
-	defer s.release()
+	defer s.release(1)
 	s.alert.EvictStream(stream)
 	tc.RecordOp(metrics.OpEvict)
 	return reject{}
@@ -284,7 +318,7 @@ func (s *Server) snapshot(ctx context.Context, tc *metrics.TransportCounters, op
 		if rej := s.begin(ctx, tc, op, nil); rej.refused() {
 			return nil, 0, rej
 		}
-		defer s.release()
+		defer s.release(1)
 		snap, ok = s.alert.ExportStream(stream)
 	} else {
 		snap, ok = s.alert.SnapshotStream(stream)
@@ -320,7 +354,7 @@ func (s *Server) importStream(ctx context.Context, tc *metrics.TransportCounters
 	if rej := s.begin(ctx, tc, metrics.OpImport, nil); rej.refused() {
 		return rej
 	}
-	defer s.release()
+	defer s.release(1)
 	if err := s.alert.ImportStream(stream, snap); err != nil {
 		// A live target session is the caller racing itself (or another
 		// migrator); the conflict tells it the stream is already served

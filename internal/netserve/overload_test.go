@@ -232,7 +232,7 @@ func TestDynamicRetryAfterHTTP(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	s.gate.Controller().ObserveService(10 * time.Millisecond)
+	s.gate.Controller().ObserveService(10*time.Millisecond, 1)
 	s.HoldTokenForTest()
 
 	parked, _ := json.Marshal(DecideRequest{Stream: 1, Spec: Spec{

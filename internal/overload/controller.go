@@ -138,7 +138,9 @@ func NewController(cfg Config) *Controller {
 		limInflight: cfg.Inflight,
 		limQueue:    cfg.Queue,
 	}
-	c.lastAdjust = now()
+	if cfg.Adaptive {
+		c.lastAdjust = now()
+	}
 	return c
 }
 
@@ -149,45 +151,50 @@ func (c *Controller) Limits() (inflight, queue int) {
 	return c.limInflight, c.limQueue
 }
 
-// ObserveAdmission folds in one admitted request: how long it waited at
-// the gate and, when positive, its deadline headroom. Called by the Gate
-// on every grant; it is also the control loop's clock tick.
-func (c *Controller) ObserveAdmission(wait time.Duration, deadlineS float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// ObserveAdmission folds in admitted requests, one per entry of deadlines:
+// each waited wait at the gate and, when positive, deadlines[i] is its
+// deadline headroom. Called by the Gate on every grant, once for a prefix
+// granted together; on an adaptive gate it is also the control loop's clock
+// tick, and a static one reads no clock here.
+func (c *Controller) ObserveAdmission(wait time.Duration, deadlines ...float64) {
 	ws := wait.Seconds()
 	if ws < 0 {
 		ws = 0
 	}
-	c.qdEWMA = ewma(c.qdEWMA, ws)
-	c.hist[bucketOf(wait)]++
-	c.samples++
-	if deadlineS > 0 && !math.IsInf(deadlineS, 1) {
-		c.headroomEWMA = ewma(c.headroomEWMA, deadlineS)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range deadlines {
+		c.qdEWMA = ewma(c.qdEWMA, ws)
+		if d > 0 && !math.IsInf(d, 1) {
+			c.headroomEWMA = ewma(c.headroomEWMA, d)
+		}
 	}
-	c.maybeAdjustLocked(c.now())
+	c.hist[bucketOf(wait)] += float64(len(deadlines))
+	c.samples += len(deadlines)
+	if c.cfg.Adaptive {
+		c.maybeAdjustLocked(c.now())
+	}
 }
 
-// ObserveService folds in one completed decide's service time — the
-// engine-latency half of the serveability prediction.
-func (c *Controller) ObserveService(d time.Duration) {
+// ObserveService folds in n completed decides that each took d to serve —
+// the engine-latency half of the serveability prediction.
+func (c *Controller) ObserveService(d time.Duration, n int) {
 	if d < 0 {
 		d = 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.svcEWMA = ewma(c.svcEWMA, d.Seconds())
-	if c.svcFloor == 0 || c.svcEWMA < c.svcFloor {
-		c.svcFloor = c.svcEWMA
+	for ; n > 0; n-- {
+		c.svcEWMA = ewma(c.svcEWMA, d.Seconds())
+		if c.svcFloor == 0 || c.svcEWMA < c.svcFloor {
+			c.svcFloor = c.svcEWMA
+		}
 	}
 }
 
 // maybeAdjustLocked runs one control step if the cadence and sample
-// thresholds are met. Caller holds c.mu.
+// thresholds are met. Caller holds c.mu and has checked cfg.Adaptive.
 func (c *Controller) maybeAdjustLocked(now time.Time) {
-	if !c.cfg.Adaptive {
-		return
-	}
 	if now.Sub(c.lastAdjust) < adjustEvery || c.samples < minAdjustSamples {
 		return
 	}

@@ -56,28 +56,41 @@ func NewGate(ctrl *Controller) *Gate {
 // Controller returns the gate's governing controller.
 func (g *Gate) Controller() *Controller { return g.ctrl }
 
-// TryAcquire attempts admission without waiting. GateAdmitted means a slot
-// is held; GateQueued returns a Waiter to Wait on; GateFull means shed.
-// deadlineS is the request's deadline headroom in seconds (0 = none); it
-// feeds the controller's headroom estimate.
+// TryAcquire attempts admission of one request without waiting: n = 1 of
+// TryAcquireN, kept in this form because bench/alertbench times it and the
+// benchmark's files are frozen.
 func (g *Gate) TryAcquire(deadlineS float64) (Verdict, *Waiter) {
+	_, v, w := g.TryAcquireN(deadlineS)
+	return v, w
+}
+
+// TryAcquireN attempts admission of len(deadlines) requests, in arrival
+// order, without waiting; deadlines[i] is request i's deadline headroom in
+// seconds (0 = none), which feeds the controller's headroom estimate. It
+// grants the longest prefix that fits under the inflight limit with nobody
+// queued — one lock and one controller update for all of it — and returns
+// its length n with GateAdmitted; the caller holds n slots. When nothing
+// fits, the first request alone joins the wait queue (GateQueued: Wait on
+// the Waiter) or is refused (GateFull: shed it); the rest are not looked at.
+func (g *Gate) TryAcquireN(deadlines ...float64) (n int, v Verdict, w *Waiter) {
 	g.mu.Lock()
 	limI, limQ := g.ctrl.Limits()
 	if g.queued == 0 && g.inflight < limI {
-		g.inflight++
+		n = min(len(deadlines), limI-g.inflight)
+		g.inflight += n
 		g.mu.Unlock()
-		g.ctrl.ObserveAdmission(0, deadlineS)
-		return GateAdmitted, nil
+		g.ctrl.ObserveAdmission(0, deadlines[:n]...)
+		return n, GateAdmitted, nil
 	}
 	if g.queued >= limQ {
 		g.mu.Unlock()
-		return GateFull, nil
+		return 0, GateFull, nil
 	}
-	w := &Waiter{c: make(chan struct{}), enq: g.ctrl.now(), deadline: deadlineS, pos: len(g.waiters)}
+	w = &Waiter{c: make(chan struct{}), enq: g.ctrl.now(), deadline: deadlines[0], pos: len(g.waiters)}
 	g.waiters = append(g.waiters, w)
 	g.queued++
 	g.mu.Unlock()
-	return GateQueued, w
+	return 0, GateQueued, w
 }
 
 // Wait blocks until the waiter is granted a slot (true — the caller now
@@ -103,12 +116,16 @@ func (g *Gate) Wait(ctx context.Context, w *Waiter) bool {
 	return false
 }
 
-// Release returns a slot and hands it to the longest-waiting waiter, if
-// any. It also re-reads the limits, so a grown inflight limit admits more
-// than one waiter here.
-func (g *Gate) Release() {
+// Release returns one slot: n = 1 of ReleaseN, kept in this form because
+// bench/alertbench times it and the benchmark's files are frozen.
+func (g *Gate) Release() { g.ReleaseN(1) }
+
+// ReleaseN returns n slots under one lock and hands them to the
+// longest-waiting waiters, if any. It also re-reads the limits, so a grown
+// inflight limit admits more waiters than slots came back.
+func (g *Gate) ReleaseN(n int) {
 	g.mu.Lock()
-	g.inflight--
+	g.inflight -= n
 	g.grantLocked()
 	g.mu.Unlock()
 }

@@ -3,8 +3,11 @@ package overload
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/alert-project/alert/internal/metrics"
 )
 
 // fakeClock is an injectable, manually-advanced clock.
@@ -42,7 +45,7 @@ func TestControllerStaticLimitsPinned(t *testing.T) {
 func TestControllerShrinksQueueOnDelay(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{Inflight: 4, Queue: 16, Adaptive: true, Clock: clk.now})
-	c.ObserveService(2 * time.Millisecond) // stable service
+	c.ObserveService(2*time.Millisecond, 1) // stable service
 	// Queue delay (20ms) far above target (half of 10ms headroom): the
 	// controller first spends the inflight headroom (capacity discovery),
 	// then — capacity maxed, delay still hot — shrinks the queue so
@@ -66,7 +69,7 @@ func TestControllerShrinksQueueOnDelay(t *testing.T) {
 func TestControllerGrowsQueueUnderComfort(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
-	c.ObserveService(3 * time.Millisecond) // stable service
+	c.ObserveService(3*time.Millisecond, 1) // stable service
 	// Negligible delay against 100ms headroom: the queue probes up, but
 	// the inflight limit holds — growth needs demand (requests waiting),
 	// and an idle gate learns nothing by growing.
@@ -89,7 +92,7 @@ func TestControllerGrowsQueueUnderComfort(t *testing.T) {
 func TestControllerGrowsInflightUnderDemand(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
-	c.ObserveService(2 * time.Millisecond) // stable service
+	c.ObserveService(2*time.Millisecond, 1) // stable service
 	// Delay past half the target (10ms headroom -> 5ms target) with stable
 	// service: demand without contention, so concurrency probes up to the
 	// cap to absorb the load.
@@ -108,10 +111,10 @@ func TestControllerShrinksInflightOnServiceInflation(t *testing.T) {
 	c := NewController(Config{Inflight: 8, Queue: 16, Adaptive: true, Clock: clk.now})
 	// Establish a low service floor, then inflate it well past 2x.
 	for i := 0; i < 50; i++ {
-		c.ObserveService(2 * time.Millisecond)
+		c.ObserveService(2*time.Millisecond, 1)
 	}
 	for i := 0; i < 200; i++ {
-		c.ObserveService(50 * time.Millisecond)
+		c.ObserveService(50*time.Millisecond, 1)
 	}
 	// Tick the loop with moderate delay so the grow branch stays off.
 	for i := 0; i < 100; i++ {
@@ -135,7 +138,7 @@ func TestControllerDrainEstimate(t *testing.T) {
 		t.Fatalf("cold drain estimate = %v, want static 70ms", got)
 	}
 	for i := 0; i < 200; i++ {
-		c.ObserveService(10 * time.Millisecond)
+		c.ObserveService(10*time.Millisecond, 1)
 	}
 	// 4 queued + 1 through 2 servers at 10ms each: ~25ms.
 	got := c.DrainEstimate(4)
@@ -190,6 +193,70 @@ func TestGateFIFOAndLimits(t *testing.T) {
 	}
 	if in, q := g.Occupancy(); in != 0 || q != 0 {
 		t.Fatalf("occupancy after drain = %d/%d, want 0/0", in, q)
+	}
+}
+
+// TestGateGrantsLongestPrefix: TryAcquireN grants as many requests as fit
+// under the inflight limit, in one step, and queues nothing while it grants;
+// with nothing free its first request alone queues (or is refused), and
+// ReleaseN hands the returned slots to the queue front-first.
+func TestGateGrantsLongestPrefix(t *testing.T) {
+	clk := newFakeClock()
+	ctrl := NewController(Config{Inflight: 5, Queue: 1, Clock: clk.now})
+	g := NewGate(ctrl)
+	if n, v, w := g.TryAcquireN(0.1, 0.2, 0.3); n != 3 || v != GateAdmitted || w != nil {
+		t.Fatalf("3 of 5 free: granted %d (%v), want all 3 admitted", n, v)
+	}
+	if n, v, _ := g.TryAcquireN(0.1, 0.1, 0.1, 0.1); n != 2 || v != GateAdmitted {
+		t.Fatalf("2 of 5 free: granted %d (%v), want a prefix of 2", n, v)
+	}
+	if in, q := g.Occupancy(); in != 5 || q != 0 {
+		t.Fatalf("occupancy = %d/%d, want 5/0", in, q)
+	}
+	n, v, w := g.TryAcquireN(0.1, 0.1)
+	if n != 0 || v != GateQueued || w == nil {
+		t.Fatalf("full gate: granted %d (%v), want the first request queued", n, v)
+	}
+	if n, v, _ := g.TryAcquireN(0.1); n != 0 || v != GateFull {
+		t.Fatalf("full queue: granted %d (%v), want refused", n, v)
+	}
+	g.ReleaseN(3)
+	if !g.Wait(context.Background(), w) {
+		t.Fatal("queued request not granted by ReleaseN")
+	}
+	if in, q := g.Occupancy(); in != 3 || q != 0 {
+		t.Fatalf("occupancy after ReleaseN(3) and one grant = %d/%d, want 3/0", in, q)
+	}
+	g.ReleaseN(3)
+	// Six grants at zero wait, one headroom sample per request.
+	var s metrics.OverloadSnapshot
+	ctrl.mu.Lock()
+	ctrl.snapshotLocked(&s)
+	hist0 := ctrl.hist[0]
+	ctrl.mu.Unlock()
+	if hist0 != 6 || s.HeadroomEWMA <= 0 {
+		t.Fatalf("zero-wait samples = %v, headroom %v; want 6 and > 0", hist0, s.HeadroomEWMA)
+	}
+}
+
+// TestStaticControllerReadsNoClock: a static gate's grants and releases
+// never consult the clock — the control loop that needs it is off — so
+// neither construction nor an uncontended acquire/release reads it.
+func TestStaticControllerReadsNoClock(t *testing.T) {
+	var reads atomic.Int64
+	ctrl := NewController(Config{Inflight: 4, Queue: 4, Clock: func() time.Time {
+		reads.Add(1)
+		return time.Unix(1000, 0)
+	}})
+	g := NewGate(ctrl)
+	for i := 0; i < 1000; i++ {
+		if v, _ := g.TryAcquire(0.2); v != GateAdmitted {
+			t.Fatalf("pair %d: acquire = %v", i, v)
+		}
+		g.Release()
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("%d clock reads over 1000 static acquire/release pairs, want 0", n)
 	}
 }
 
@@ -273,7 +340,7 @@ func TestGateRetryAfter(t *testing.T) {
 			t.Fatalf("adaptive=%v: cold hint = %v, want the static 70ms", adaptive, got)
 		}
 		for i := 0; i < 200; i++ {
-			ctrl.ObserveService(10 * time.Millisecond)
+			ctrl.ObserveService(10*time.Millisecond, 1)
 		}
 		want := 70 * time.Millisecond
 		if adaptive {
@@ -290,7 +357,7 @@ func TestGateSnapshot(t *testing.T) {
 	ctrl := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
 	g := NewGate(ctrl)
 	g.ForceAcquire()
-	ctrl.ObserveService(4 * time.Millisecond)
+	ctrl.ObserveService(4*time.Millisecond, 1)
 	ctrl.ObserveAdmission(2*time.Millisecond, 0.020)
 	s := g.Snapshot()
 	if !s.Adaptive {

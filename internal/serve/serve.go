@@ -251,6 +251,7 @@ func (p *Pool) work(s *shard) {
 			// Queue delay — submit to pickup — is the pool's share of the
 			// decide latency; the admission controller reads it off stats.
 			p.counters.RecordQueueWait(time.Since(b.start))
+			decides := 0
 			for _, i := range t.group.idx {
 				op := &b.Ops[i]
 				sess := s.session(op.Stream, b.start, p.counters)
@@ -260,7 +261,12 @@ func (p *Pool) work(s *shard) {
 					continue
 				}
 				op.Decision, op.Estimate = sess.Decide(op.Spec)
-				p.counters.RecordDecide(time.Since(b.start))
+				decides++
+			}
+			// One clock read per group: its decides reach the caller
+			// together, when the burst completes.
+			if decides > 0 {
+				p.counters.RecordDecides(decides, time.Since(b.start))
 			}
 			p.counters.RecordScan(s.sc.TakeScanCounts())
 			// Counters record before Done unblocks the caller, so a Stats

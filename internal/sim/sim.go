@@ -49,15 +49,19 @@ type Env struct {
 	rng *mathx.Rand
 	now float64
 
-	// pending is the contention effect drawn for the upcoming input; it is
-	// drawn lazily and cached so PeekXi and Step agree.
-	pending    *contention.Effect
-	pendingIn  *pendingDraw
+	// pending is the draw for the upcoming input; it is drawn lazily and
+	// cached so PeekXi and Step agree. It is held by value, so a step
+	// allocates nothing.
+	pending    pendingDraw
 	inputCount int
 }
 
+// pendingDraw is one input's stochastic multipliers; valid is false until
+// the next input is drawn.
 type pendingDraw struct {
+	valid     bool
 	id        int
+	eff       contention.Effect
 	baseNoise float64
 }
 
@@ -121,15 +125,14 @@ type Outcome struct {
 
 // draw fixes the stochastic multipliers for the next input if not yet done.
 func (e *Env) draw(in workload.Input) (contention.Effect, float64) {
-	if e.pendingIn == nil || e.pendingIn.id != in.ID {
-		eff := e.Cont.Next()
-		e.pending = &eff
-		e.pendingIn = &pendingDraw{
-			id:        in.ID,
-			baseNoise: e.rng.LogNormal(0, e.Plat.BaselineNoise),
-		}
+	if p := &e.pending; !p.valid || p.id != in.ID {
+		// Contention first, then platform noise: the order both
+		// generators have always been consumed in.
+		p.eff = e.Cont.Next()
+		p.baseNoise = e.rng.LogNormal(0, e.Plat.BaselineNoise)
+		p.valid, p.id = true, in.ID
 	}
-	return *e.pending, e.pendingIn.baseNoise
+	return e.pending.eff, e.pending.baseNoise
 }
 
 // PeekXi returns the true slowdown multiplier the upcoming input will
@@ -161,7 +164,7 @@ func (e *Env) EvaluateAt(d Decision, in workload.Input, goal, period float64) Ou
 // period == goal). Step advances the virtual clock by max(period, latency).
 func (e *Env) Step(d Decision, in workload.Input, goal, period float64) Outcome {
 	eff, noise := e.draw(in)
-	e.pending, e.pendingIn = nil, nil
+	e.pending.valid = false
 	e.inputCount++
 	out := e.outcome(d, in, goal, period, eff, noise)
 	e.now += math.Max(period, out.Latency)

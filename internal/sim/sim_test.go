@@ -196,3 +196,24 @@ func TestDeterministicReplayAcrossDecisions(t *testing.T) {
 		}
 	}
 }
+
+// TestStepAllocFree: peeking and stepping an input allocates nothing — the
+// pending draw is held by value — so a load generator driving millions of
+// simulated inputs adds no garbage of its own.
+func TestStepAllocFree(t *testing.T) {
+	prof, err := dnn.Profile(platform.CPU1(), dnn.ImageCandidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(prof, contention.NewSource(contention.Memory, platform.CPU, 9), 42)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		in := workload.Input{ID: i, SizeFactor: 1}
+		env.PeekXi(in)
+		env.Step(Decision{Model: 1, Cap: 2}, in, 0.1, 0.1)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per peek+step, want 0", allocs)
+	}
+}
