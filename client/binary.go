@@ -14,8 +14,8 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// binaryTransport is the binwire codec — decide, observe and batch, the
-// per-input loop — over a small pool of persistent TCP connections.
+// binaryTransport is the binwire codec — decide and observe, the per-input
+// loop — over a small pool of persistent TCP connections.
 // Requests are pipelined: each is stamped with a connection-unique id and
 // its caller parks on a channel until the reader goroutine routes the
 // matching response frame back, so any number of goroutines share a
@@ -397,19 +397,4 @@ func (t *binaryTransport) observe(ctx context.Context, stream int, fb alert.Feed
 		return fmt.Errorf("client: %w", err)
 	}
 	return nil
-}
-
-func (t *binaryTransport) batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
-	r, err := t.call(ctx, binwire.MsgBatchResp, func(dst []byte, id uint64) []byte {
-		return binwire.AppendBatch(dst, id, reqs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer binwire.PutBuf(r.buf)
-	res, err := binwire.DecodeBatchResp(r.frame.Body, make([]alert.BatchResult, 0, len(reqs)))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	return res, nil
 }

@@ -54,7 +54,7 @@ func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (
 
 // dataOps is the data plane: the seven ops of a Client, each as a call
 // returning its success value. The parity tests below run this one table
-// over both codecs; a binwire client sends the last four over HTTP.
+// over both codecs; a binwire client sends the last five over HTTP.
 var dataOps = []struct {
 	name string
 	run  func(ctx context.Context, c *Client) (any, error)
@@ -225,7 +225,7 @@ func (s *scriptedFrontEnd) serveBinary(conn net.Conn) {
 			return
 		}
 		var out []byte
-		status, hintMs, short := s.next()
+		status, hintMs, _ := s.next()
 		switch {
 		case status != 0:
 			out = binwire.AppendError(nil, f.ID, uint16(status), hintMs, "scripted")
@@ -233,14 +233,6 @@ func (s *scriptedFrontEnd) serveBinary(conn net.Conn) {
 			out = binwire.AppendDecideResp(nil, f.ID, scriptedDecision, scriptedEstimate, "n1")
 		case f.Type == binwire.MsgObserve:
 			out = binwire.AppendObserveResp(nil, f.ID)
-		case f.Type == binwire.MsgBatch:
-			reqs, _ := binwire.DecodeBatch(f.Body, nil)
-			streams := make([]int, len(reqs))
-			for i, q := range reqs {
-				streams[i] = q.Stream
-			}
-			res := scriptedResults(streams, short)
-			out = binwire.AppendBatchResp(nil, f.ID, len(res), func(i int) alert.BatchResult { return res[i] })
 		}
 		if _, err := conn.Write(out); err != nil {
 			return
@@ -391,10 +383,11 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 // TestBinaryTransportBatchAndMigration walks the rest of the data plane —
 // DecideBatch, checkpoint, export (with ErrNoSession on a missing stream),
 // import (with the conflict on a live one), evict — through a real front
-// end over each codec, and checks the ops were counted on the transport
-// that carried them: the batch on the client's codec, the four stream ops
-// on HTTP whatever the codec.
+// end over each codec, and checks the ops were counted on HTTP, the one
+// wire they have, whatever the codec — and that the batch results are the
+// same on both.
 func TestBinaryTransportBatchAndMigration(t *testing.T) {
+	var jsonRes []alert.BatchResult
 	for _, wire := range []string{"json", "binwire"} {
 		wire := wire
 		t.Run(wire, func(t *testing.T) {
@@ -419,6 +412,11 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 			}
 			if len(res) != 2 || res[0].Stream != 1 || res[1].Stream != 2 || res[0].Estimate.LatMean <= 0 {
 				t.Fatalf("batch results: %+v", res)
+			}
+			if wire == "json" {
+				jsonRes = res
+			} else if !reflect.DeepEqual(res, jsonRes) {
+				t.Errorf("binwire client's batch %+v != JSON client's %+v", res, jsonRes)
 			}
 
 			if _, err := c.CheckpointStream(ctx, 1); err != nil {
@@ -445,12 +443,8 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 				t.Fatal(err)
 			}
 			httpOps, binOps := fe.NetStats().TransportSnapshot, bs.BinStats().TransportSnapshot
-			batched, idle := httpOps, binOps
-			if wire == "binwire" {
-				batched, idle = idle, batched
-			}
-			if batched.Batches != 1 || idle.Batches != 0 {
-				t.Errorf("batch counted %d on the %s codec, %d on the other, want 1/0", batched.Batches, wire, idle.Batches)
+			if httpOps.Batches != 1 || binOps.Batches != 0 {
+				t.Errorf("batch counted %d on HTTP, %d on binwire, want 1/0", httpOps.Batches, binOps.Batches)
 			}
 			if httpOps.Checkpoints != 1 || httpOps.Exports != 1 || httpOps.Imports != 1 || httpOps.Evictions != 1 {
 				t.Errorf("stream-op counters on HTTP: %+v", httpOps)
@@ -794,7 +788,7 @@ func TestBinaryDialIsSingleFlight(t *testing.T) {
 // TestBinaryObserveRejectsMalformedAck: an observe ack is an empty
 // MsgObserveResp body; one that carries bytes is a broken server, and the
 // client reports it instead of taking it for an ack, as it already does
-// for a malformed decide or batch reply.
+// for a malformed decide reply.
 func TestBinaryObserveRejectsMalformedAck(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

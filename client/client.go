@@ -6,26 +6,26 @@
 //	err = c.Observe(ctx, streamID, alert.Feedback{Decision: d, Latency: measured})
 //
 // One call path, two codecs. Every method of the per-input loop (Decide,
-// Observe, DecideBatch) has one body: pick the wire, run the op under the
-// overload retry loop. The wire is one of two codecs behind an unexported
-// interface:
+// Observe) has one body: pick the wire, run the op under the overload retry
+// loop. The wire is one of two codecs behind an unexported interface:
 //
 //   - HTTP/JSON (the default): the /v1 API over one pooled http.Transport
 //     with keep-alive, so the steady-state cost per decision is one
-//     loopback round trip and a DecideBatch amortizes even that.
+//     loopback round trip.
 //   - binwire: when the server also listens on a binwire port (alertserve
 //     -binary-addr), set Options.BinaryAddr — or Options.PreferBinary to
 //     discover it from /v1/stats — and the loop rides a small pool of
-//     persistent, pipelined TCP connections instead.
+//     persistent, pipelined TCP connections instead: concurrent Decides
+//     share a connection and reach the server as one burst.
 //
-// Everything else has one wire, HTTP, whatever the options: the stream
-// ops (EvictStream, ExportStream, CheckpointStream, ImportStream) and the
-// control-plane reads (Stats, Streams, Membership).
+// Everything else has one wire, HTTP, whatever the options: DecideBatch,
+// the stream ops (EvictStream, ExportStream, CheckpointStream,
+// ImportStream) and the control-plane reads (Stats, Streams, Membership).
 //
 // A codec only encodes one attempt and decodes its reply. Everything the
 // wires must agree on is written once above them: which statuses are
-// overload (*OverloadError) and which are not (*APIError), what counts as
-// a usable Retry-After hint, and the batch result count. Both wires carry
+// overload (*OverloadError) and which are not (*APIError), and what counts
+// as a usable Retry-After hint. Both wires carry
 // every float64 bit-exactly, so a stream driven through this client makes
 // byte-identical decisions to one driven against alert.Server in-process,
 // over either codec (cmd/alertload -addr pins this).
@@ -83,11 +83,11 @@ type Options struct {
 	// stampeding the server in lockstep; tests pick a seed to make retry
 	// timing reproducible. 0 selects a fixed default seed.
 	BackoffSeed int64
-	// BinaryAddr, when set, routes the per-input loop (Decide, Observe,
-	// DecideBatch) over the binwire TCP transport at this host:port
-	// instead of HTTP/JSON. Overload and retry semantics are identical on
-	// both transports; the stream ops and the control-plane reads always
-	// use HTTP.
+	// BinaryAddr, when set, routes the per-input loop (Decide, Observe)
+	// over the binwire TCP transport at this host:port instead of
+	// HTTP/JSON. Overload and retry semantics are identical on both
+	// transports; DecideBatch, the stream ops and the control-plane reads
+	// always use HTTP.
 	BinaryAddr string
 	// PreferBinary discovers the server's advertised binary listener from
 	// GET /v1/stats on first use and upgrades the data plane to it,
@@ -101,12 +101,11 @@ type Options struct {
 // codec is one wire format for the per-input loop. Each method is ONE
 // attempt of one op: encode the request, exchange it, decode the reply. A
 // reply that is not the op's success is returned through statusError, so
-// both implementations produce the same error values; retrying and the
-// batch count check live in the Client methods above it.
+// both implementations produce the same error values; retrying lives in
+// the Client methods above it.
 type codec interface {
 	decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error)
 	observe(ctx context.Context, stream int, fb alert.Feedback) error
-	batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error)
 }
 
 // Client talks to one front end. It is safe for concurrent use; all
@@ -347,15 +346,15 @@ func (c *Client) Observe(ctx context.Context, stream int, fb alert.Feedback) err
 	})
 }
 
-// DecideBatch dispatches the whole batch in one request; results come back
-// in request order. Requests sharing a stream are served in batch order.
+// DecideBatch dispatches the whole batch in one HTTP request, whatever
+// the options; results come back in request order. Requests sharing a
+// stream are served in batch order.
 func (c *Client) DecideBatch(ctx context.Context, reqs []alert.BatchRequest) (res []alert.BatchResult, err error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	w := c.wire(ctx)
 	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
-		res, err = w.batch(ctx, reqs)
+		res, err = c.http.batch(ctx, reqs)
 		return err
 	})
 	if err != nil {

@@ -33,7 +33,7 @@
 // file, which is how CI diffs the two paths.
 //
 // -wire selects the remote transport: json (default) drives the HTTP API,
-// binary upgrades the per-input loop (decide, observe, batch) onto the
+// binary upgrades the per-input loop (decide, observe) onto the
 // server's binwire listener (alertserve -binary-addr; preflight fails if
 // the server does not advertise one); evictions and migrations ride HTTP
 // on either wire. Decision sequences are byte-identical across wires —

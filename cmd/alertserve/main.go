@@ -26,11 +26,11 @@
 // (client/cluster.StartSync) follow the cluster through the failover.
 //
 // -binary-addr adds a second listener speaking the internal/binwire
-// framed protocol for the per-input loop (decide, observe, decide-batch;
-// the stream ops stay on HTTP): persistent pipelined connections, each serving
-// everything it has read as one burst and answering it with one write, out
-// of buffers it owns. Its address is advertised
-// in GET /v1/stats, so clients built with PreferBinary upgrade to it
+// framed protocol for the per-input loop (decide, observe; decide-batch and
+// the stream ops stay on HTTP): persistent pipelined connections, each
+// serving everything it has read as one burst and answering it with one
+// write, out of buffers it owns. Its address is advertised in GET
+// /v1/stats, so clients built with PreferBinary upgrade to it
 // automatically; cmd/alertload -wire=binary drives it directly. Overload
 // and drain produce error frames carrying the same retry_after_ms hint
 // the HTTP path sends as a Retry-After header.

@@ -1,9 +1,9 @@
 // Package binwire is the binary wire protocol of the serving layer's
-// per-input loop: a versioned, length-prefixed framing for the decide,
-// observe and decide-batch messages the HTTP/JSON API also carries, plus
-// errors, designed for persistent TCP connections and a zero-allocation
-// steady state. The stream ops (evict, export, checkpoint, import) are
-// HTTP-only.
+// per-input loop: a versioned, length-prefixed framing for the decide and
+// observe messages the HTTP/JSON API also carries, plus errors, designed
+// for persistent TCP connections and a zero-allocation steady state. Many
+// decides travel as pipelined decide frames; batches and the stream ops
+// (evict, export, checkpoint, import) are HTTP-only.
 //
 // Every frame is
 //
@@ -54,16 +54,14 @@ const MaxFrame = 8 << 20
 type MsgType byte
 
 // Message types. Requests and responses are distinct types so a decoder
-// never guesses a direction. Types 7–13 are retired (the stream ops they
-// carried are HTTP-only) and must not be reassigned: an older peer's frame
-// of those types has to meet a 400, not a misparse.
+// never guesses a direction. Types 5–13 are retired (the batch and stream
+// ops they carried are HTTP-only) and must not be reassigned: an older
+// peer's frame of those types has to meet a 400, not a misparse.
 const (
 	MsgDecide      MsgType = 1  // int64 stream + spec
 	MsgDecideResp  MsgType = 2  // decision + estimate + node id string
 	MsgObserve     MsgType = 3  // int64 stream + feedback
 	MsgObserveResp MsgType = 4  // empty
-	MsgBatch       MsgType = 5  // uint32 count + count x (int64 stream + spec)
-	MsgBatchResp   MsgType = 6  // uint32 count + count x (int64 stream + decision + estimate)
 	MsgError       MsgType = 14 // uint16 code + int64 retry_after_ms + uint16 len + message
 )
 
@@ -89,7 +87,6 @@ const (
 	feedbackLen  = decisionLen + 8 + 4 + 8
 	decideLen    = 8 + specLen
 	observeLen   = 8 + feedbackLen
-	respItemLen  = 8 + decisionLen + estimateLen
 	errHeaderLen = 2 + 8 + 2
 )
 
@@ -302,34 +299,6 @@ func AppendObserveResp(dst []byte, id uint64) []byte {
 	return endFrame(beginFrame(dst, MsgObserveResp, id), start)
 }
 
-// AppendBatch appends a MsgBatch frame; reqs must be non-empty.
-func AppendBatch(dst []byte, id uint64, reqs []alert.BatchRequest) []byte {
-	start := len(dst)
-	b := beginFrame(dst, MsgBatch, id)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(reqs)))
-	for _, r := range reqs {
-		b = appendI64(b, int64(r.Stream))
-		b = appendSpec(b, r.Spec)
-	}
-	return endFrame(b, start)
-}
-
-// AppendBatchResp appends a MsgBatchResp frame of n results, reading result
-// i from wherever the caller holds it (a server encodes straight out of the
-// burst that served the batch).
-func AppendBatchResp(dst []byte, id uint64, n int, result func(i int) alert.BatchResult) []byte {
-	start := len(dst)
-	b := beginFrame(dst, MsgBatchResp, id)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	for i := 0; i < n; i++ {
-		r := result(i)
-		b = appendI64(b, int64(r.Stream))
-		b = appendDecision(b, r.Decision)
-		b = appendEstimate(b, r.Estimate)
-	}
-	return endFrame(b, start)
-}
-
 // AppendError appends a MsgError frame. retryAfterMs > 0 is the backoff
 // hint that rides 429/503 rejections, the binary twin of the HTTP
 // Retry-After header and retry_after_ms body field.
@@ -357,10 +326,6 @@ func typeName(t MsgType) string {
 		return "observe"
 	case MsgObserveResp:
 		return "observe-resp"
-	case MsgBatch:
-		return "batch"
-	case MsgBatchResp:
-		return "batch-resp"
 	case MsgError:
 		return "error"
 	default:
@@ -471,57 +436,6 @@ func DecodeObserve(body []byte) (int, alert.Feedback, error) {
 		return 0, alert.Feedback{}, errLen(MsgObserve, len(body), observeLen)
 	}
 	return int(getI64(body)), decodeFeedback(body[8:]), nil
-}
-
-// DecodeBatch decodes a MsgBatch body, appending the requests to into
-// (pass a reused into[:0] for an allocation-free steady state once it
-// has grown).
-func DecodeBatch(body []byte, into []alert.BatchRequest) ([]alert.BatchRequest, error) {
-	if len(body) < 4 {
-		return into, errLen(MsgBatch, len(body), 4)
-	}
-	count := binary.LittleEndian.Uint32(body)
-	if count == 0 {
-		return into, errors.New("binwire: empty batch")
-	}
-	if uint64(len(body)-4) != uint64(count)*decideLen {
-		return into, fmt.Errorf("binwire: batch declares %d requests, body carries %d bytes", count, len(body)-4)
-	}
-	b := body[4:]
-	for i := uint32(0); i < count; i++ {
-		spec, err := decodeSpec(b[8:])
-		if err != nil {
-			return into, fmt.Errorf("binwire: batch request %d: %w", i, err)
-		}
-		into = append(into, alert.BatchRequest{Stream: int(getI64(b)), Spec: spec})
-		b = b[decideLen:]
-	}
-	return into, nil
-}
-
-// DecodeBatchResp decodes a MsgBatchResp body, appending results to into.
-func DecodeBatchResp(body []byte, into []alert.BatchResult) ([]alert.BatchResult, error) {
-	if len(body) < 4 {
-		return into, errLen(MsgBatchResp, len(body), 4)
-	}
-	count := binary.LittleEndian.Uint32(body)
-	if uint64(len(body)-4) != uint64(count)*respItemLen {
-		return into, fmt.Errorf("binwire: batch-resp declares %d results, body carries %d bytes", count, len(body)-4)
-	}
-	b := body[4:]
-	for i := uint32(0); i < count; i++ {
-		est, err := decodeEstimate(b[8+decisionLen:])
-		if err != nil {
-			return into, fmt.Errorf("binwire: batch-resp result %d: %w", i, err)
-		}
-		into = append(into, alert.BatchResult{
-			Stream:   int(getI64(b)),
-			Decision: decodeDecision(b[8:]),
-			Estimate: est,
-		})
-		b = b[respItemLen:]
-	}
-	return into, nil
 }
 
 // DecodeObserveResp validates a MsgObserveResp body (it carries nothing).

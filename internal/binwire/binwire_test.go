@@ -141,38 +141,6 @@ func TestObserveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	reqs := []alert.BatchRequest{
-		{Stream: 1, Spec: alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.1, AccuracyGoal: 0.8}},
-		{Stream: 2, Spec: sampleSpec()},
-	}
-	raw := AppendBatch(nil, 3, reqs)
-	f := parseOne(t, raw)
-	got, err := DecodeBatch(f.Body, nil)
-	if err != nil {
-		t.Fatalf("DecodeBatch: %v", err)
-	}
-	if len(got) != 2 || got[0] != reqs[0] || got[1].Stream != 2 {
-		t.Fatalf("batch = %+v", got)
-	}
-	if re := AppendBatch(nil, 3, got); !bytes.Equal(re, raw) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-
-	res := []alert.BatchResult{
-		{Stream: 1, Decision: sampleDecision(), Estimate: sampleEstimate()},
-	}
-	rraw := appendBatchResp(nil, 3, res)
-	rf := parseOne(t, rraw)
-	rgot, err := DecodeBatchResp(rf.Body, nil)
-	if err != nil {
-		t.Fatalf("DecodeBatchResp: %v", err)
-	}
-	if re := appendBatchResp(nil, 3, rgot); !bytes.Equal(re, rraw) {
-		t.Fatal("batch-resp re-encode is not byte-identical")
-	}
-}
-
 func TestObserveRespAndErrorRoundTrip(t *testing.T) {
 	f := parseOne(t, AppendObserveResp(nil, 2))
 	if f.Type != MsgObserveResp || DecodeObserveResp(f.Body) != nil {
@@ -246,22 +214,6 @@ func TestStrictness(t *testing.T) {
 	rf := parseOne(t, rraw)
 	if _, _, _, err := DecodeDecideResp(rf.Body); err == nil {
 		t.Fatal("bad run-to-deadline byte accepted")
-	}
-	// Batch whose count does not match its body.
-	braw := AppendBatch(nil, 1, []alert.BatchRequest{{Stream: 1}})
-	binary.LittleEndian.PutUint32(braw[4+frameRest:], 2)
-	bf := parseOne(t, braw)
-	if _, err := DecodeBatch(bf.Body, nil); err == nil {
-		t.Fatal("count/body mismatch accepted")
-	}
-	// Empty batch.
-	var empty []byte
-	empty = beginFrame(empty, MsgBatch, 1)
-	empty = binary.LittleEndian.AppendUint32(empty, 0)
-	empty = endFrame(empty, 0)
-	ef := parseOne(t, empty)
-	if _, err := DecodeBatch(ef.Body, nil); err == nil {
-		t.Fatal("empty batch accepted")
 	}
 	// Wrong body lengths for the fixed layouts.
 	if _, _, err := DecodeDecide(make([]byte, decideLen-1)); err == nil {
@@ -340,10 +292,4 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, l.data[l.off:])
 	l.off += n
 	return n, nil
-}
-
-// appendBatchResp encodes a batch reply from a result slice, the form a
-// decoder hands back.
-func appendBatchResp(dst []byte, id uint64, res []alert.BatchResult) []byte {
-	return AppendBatchResp(dst, id, len(res), func(i int) alert.BatchResult { return res[i] })
 }

@@ -31,14 +31,17 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(AppendDecideResp(nil, 2, d, e, "n1"))
 	f.Add(AppendObserve(nil, 3, 5, fb))
 	f.Add(AppendObserveResp(nil, 4))
-	f.Add(AppendBatch(nil, 5, []alert.BatchRequest{{Stream: 1, Spec: spec}, {Stream: 2, Spec: spec}}))
-	f.Add(appendBatchResp(nil, 6, []alert.BatchResult{{Stream: 1, Decision: d, Estimate: e}}))
+	// Retired types 5 and 6 (the old batch pair): a parseable envelope
+	// with no typed layout.
+	f.Add(endFrame(binary.LittleEndian.AppendUint32(beginFrame(nil, 5, 5), 1), 0))
+	f.Add(endFrame(binary.LittleEndian.AppendUint32(beginFrame(nil, 6, 6), 0), 0))
 	// Envelopes the strict decoders must refuse: an unknown objective byte
-	// and an empty batch.
+	// and a decide body one byte short.
 	badObjective := AppendDecide(nil, 7, 5, spec)
 	badObjective[len(badObjective)-specLen] = 9
 	f.Add(badObjective)
-	f.Add(endFrame(binary.LittleEndian.AppendUint32(beginFrame(nil, MsgBatch, 8), 0), 0))
+	short := AppendDecide(nil, 8, 5, spec)
+	f.Add(endFrame(short[:len(short)-1], 0))
 	f.Add(AppendError(nil, 9, CodeOverloaded, 50, "queue full"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -84,18 +87,6 @@ func FuzzBinaryFrame(f *testing.F) {
 				return
 			}
 			re = AppendObserveResp(nil, fr.ID)
-		case MsgBatch:
-			reqs, err := DecodeBatch(fr.Body, nil)
-			if err != nil {
-				return
-			}
-			re = AppendBatch(nil, fr.ID, reqs)
-		case MsgBatchResp:
-			res, err := DecodeBatchResp(fr.Body, nil)
-			if err != nil {
-				return
-			}
-			re = appendBatchResp(nil, fr.ID, res)
 		case MsgError:
 			code, ms, msg, err := DecodeError(fr.Body)
 			if err != nil {

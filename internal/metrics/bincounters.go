@@ -71,9 +71,9 @@ type BinSnapshot struct {
 	// BadFrames counts frames that parsed but could not be served (unknown
 	// type, malformed body, unsupported version).
 	BadFrames int64 `json:"bad_frames"`
-	// AvgDecideLatency and MaxDecideLatency cover decide and batch frames
-	// from frame decode to accounting, admission wait and the rest of the
-	// frame's burst included.
+	// AvgDecideLatency and MaxDecideLatency cover decide frames from frame
+	// decode to accounting, admission wait and the rest of the frame's
+	// burst included.
 	AvgDecideLatency time.Duration `json:"avg_decide_latency_ns"`
 	MaxDecideLatency time.Duration `json:"max_decide_latency_ns"`
 	// Uptime is the time since the counters were created.

@@ -53,7 +53,7 @@ func TestBinCountersAggregate(t *testing.T) {
 	if s.Exports != 1 || s.Checkpoints != 1 || s.Imports != 1 || s.Evictions != 1 {
 		t.Errorf("stream ops = %+v", s)
 	}
-	// Batch frames fold into the latency pair exactly like HTTP's.
+	// A batch folds into the latency pair exactly as on HTTP.
 	if s.AvgDecideLatency != 20*time.Millisecond {
 		t.Errorf("avg latency = %v, want 20ms", s.AvgDecideLatency)
 	}

@@ -30,8 +30,9 @@ type OverloadSnapshot struct {
 	// expected per-request deadline headroom.
 	ServiceEWMA  time.Duration `json:"service_ewma_ns"`
 	HeadroomEWMA time.Duration `json:"headroom_ewma_ns"`
-	// RetryAfterHint is the controller's current drain estimate — the
-	// honest Retry-After a rejection carries right now.
+	// RetryAfterHint is the hint a rejection carries right now: the static
+	// Retry-After on a fixed gate, the controller's drain estimate on an
+	// adaptive one.
 	RetryAfterHint time.Duration `json:"retry_after_hint_ns"`
 	// LimitIncreases and LimitDecreases count control-loop moves.
 	LimitIncreases int64 `json:"limit_increases"`

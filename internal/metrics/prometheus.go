@@ -63,7 +63,7 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 		gauge("alert_overload_queue_delay_p99_seconds", "99th-percentile observed admission queue delay.", secs(ov.QueueDelayP99))
 		gauge("alert_overload_service_ewma_seconds", "EWMA of engine decide service time.", secs(ov.ServiceEWMA))
 		gauge("alert_overload_headroom_ewma_seconds", "EWMA of per-request deadline headroom.", secs(ov.HeadroomEWMA))
-		gauge("alert_overload_retry_after_seconds", "Current drain estimate hinted on rejections.", secs(ov.RetryAfterHint))
+		gauge("alert_overload_retry_after_seconds", "The hint a rejection carries right now.", secs(ov.RetryAfterHint))
 		counter("alert_overload_limit_increases_total", "Control-loop limit increases.", ov.LimitIncreases)
 		counter("alert_overload_limit_decreases_total", "Control-loop limit decreases.", ov.LimitDecreases)
 		counter("alert_overload_shed_overload_total", "Requests shed because the admission queue was full.", ov.ShedOverload)
@@ -85,8 +85,8 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	counter("alert_binwire_coalesce_flushes_total", "Per-connection bursts that served more than one decide.", bin.CoalesceFlushes)
 	counter("alert_binwire_coalesced_total", "Decide frames served inside multi-decide bursts.", bin.Coalesced)
 	counter("alert_binwire_bad_frames_total", "Frames that parsed but could not be served.", bin.BadFrames)
-	gauge("alert_binwire_decide_latency_avg_seconds", "Mean decide/batch latency, frame decode to accounting.", secs(bin.AvgDecideLatency))
-	gauge("alert_binwire_decide_latency_max_seconds", "Max decide/batch latency, frame decode to accounting.", secs(bin.MaxDecideLatency))
+	gauge("alert_binwire_decide_latency_avg_seconds", "Mean decide latency, frame decode to accounting.", secs(bin.AvgDecideLatency))
+	gauge("alert_binwire_decide_latency_max_seconds", "Max decide latency, frame decode to accounting.", secs(bin.MaxDecideLatency))
 }
 
 func promCounter(w io.Writer, name, help string, v int64) {

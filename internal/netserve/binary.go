@@ -1,6 +1,7 @@
 // Binary wire listener: the binwire protocol served over persistent TCP.
-// It carries the per-input loop only — decide, observe, decide-batch — and
-// leaves the stream ops (evict, export, checkpoint, import) to HTTP. Like
+// It carries the per-input loop only — decide and observe — and leaves
+// batches and the stream ops (evict, export, checkpoint, import) to HTTP:
+// many decides travel as pipelined decide frames, served as one burst. Like
 // the HTTP handlers it is a codec over the op core (ops.go) — decode a
 // frame into an op, encode the result or the reject — so the gate, drain
 // state, recovery holds and SLO accounting are the same code, not a copy.
@@ -24,19 +25,19 @@
 //     connections, so a client that stops reading blocks only its own
 //     connection's Write, holding no gate slot.
 //
-// The steady-state path allocates nothing, batch frames included: frame
-// decode aliases the reader's buffer, the pending and held ops, the engine
-// burst and the output buffer are the connection's own, grown on demand and
-// reused, and every reply is encoded straight out of the engine burst.
+// The steady-state path allocates nothing: frame decode aliases the reader's
+// buffer, the pending and held ops, the engine burst and the output buffer
+// are the connection's own, grown on demand and reused, and every reply is
+// encoded straight out of the engine burst.
 //
 // # Ordering and admission
 //
 // Every decide and observe is decoded and checked (malformed body, feedback
 // outside the candidate set, restoring hold) into a pending list. At the
-// burst boundary — before a read that could block, a batch frame or a
-// version reject — the list passes the op core's admission half (admit) in
-// arrival order: one gate call, one drain check and one s.mu section for
-// the whole list, granting the longest prefix that fits without queueing.
+// burst boundary — before a read that could block or a version reject —
+// the list passes the op core's admission half (admit) in arrival order:
+// one gate call, one drain check and one s.mu section for the whole list,
+// granting the longest prefix that fits without queueing.
 // After the burst ran, and BEFORE anything is written, it passes the
 // accounting half (finish, release) as one unit: one clock read, one
 // controller update for its service samples, one counter update for its
@@ -56,12 +57,10 @@
 // one that queued at the gate reads the clock again.
 //
 // Frames on one connection are served in arrival order: the burst applies a
-// stream's observes and decides in the order they arrived, an observe is
-// acked after it was APPLIED, and a batch frame first serves what is
-// pending. A
-// pipelining client therefore sees exactly the in-process semantics without
-// awaiting anything (byte-identical decision sequences, pinned by
-// TestBinaryBurstOrder and cmd/alertload's wire tests).
+// stream's observes and decides in the order they arrived, and an observe is
+// acked after it was APPLIED. A pipelining client therefore sees exactly the
+// in-process semantics without awaiting anything (byte-identical decision
+// sequences, pinned by TestBinaryBurstOrder and cmd/alertload's wire tests).
 package netserve
 
 import (
@@ -190,14 +189,12 @@ type binConn struct {
 	// The burst being assembled. pending is every decide and observe
 	// decoded and checked since the last admission, in arrival order, and
 	// deadlines[i] is pending[i]'s admission deadline (0 for an observe).
-	// admit moves them into held — the pipeline's view — and engine.burst —
-	// the engine's. decides counts the held decides. A batch frame runs
-	// alone (what is pending is served first), so it borrows the engine
-	// burst and is the only user of engine.slots.
+	// admit moves them into held — the pipeline's view — and engine — the
+	// engine's. decides counts the held decides.
 	pending   []pendingOp
 	deadlines []float64
 	held      []heldOp
-	engine    batch
+	engine    *alert.ServerBurst
 	decides   int
 	// start is when the burst's first decide or observe was decoded (zero
 	// while nothing is pending or held); admitted is an instant no held op
@@ -208,8 +205,6 @@ type binConn struct {
 	// wbuf is every frame encoded since the last flush; frames counts them.
 	wbuf   []byte
 	frames int
-
-	batchBuf []alert.BatchRequest // batch frames decode into it
 }
 
 // pendingOp is one decoded decide or observe waiting for the burst's
@@ -231,7 +226,7 @@ type heldOp struct {
 
 func (bs *BinaryServer) serveConn(conn net.Conn) {
 	bs.bin.RecordConnOpen()
-	c := &binConn{srv: bs, conn: conn, engine: batch{burst: bs.front.alert.NewBurst()}}
+	c := &binConn{srv: bs, conn: conn, engine: bs.front.alert.NewBurst()}
 	defer func() {
 		// Whatever ends the connection, what it decoded is served.
 		c.serve()
@@ -290,9 +285,8 @@ func frameBuffered(br *bufio.Reader) bool {
 func (bs *BinaryServer) tc() *metrics.TransportCounters { return &bs.bin.TransportCounters }
 
 // serveFrame is the binwire codec over the op core: decode the frame body,
-// then queue a decide or observe for the burst's admission, or serve a
-// batch whole after serving what is pending, so arrival order survives. A
-// reject — an unknown or retired frame type included — is encoded at once.
+// then queue a decide or observe for the burst's admission. A reject — an
+// unknown or retired frame type included — is encoded at once.
 func (c *binConn) serveFrame(f binwire.Frame) {
 	front, tc := c.srv.front, c.srv.tc()
 	var rej reject
@@ -314,21 +308,6 @@ func (c *binConn) serveFrame(f binwire.Frame) {
 			break
 		}
 		rej = c.pend(pendingOp{id: f.ID, stream: stream, observe: true, fb: fb}, 0)
-	case binwire.MsgBatch:
-		c.serve()
-		start := time.Now()
-		var err error
-		if c.batchBuf, err = binwire.DecodeBatch(f.Body, c.batchBuf[:0]); err != nil {
-			rej = badInput(tc, err.Error())
-			break
-		}
-		for _, r := range c.batchBuf {
-			c.engine.add(r.Stream, r.Spec)
-		}
-		if rej = front.decideBatch(context.Background(), tc, start, &c.engine); !rej.refused() {
-			c.reply(binwire.AppendBatchResp(c.wbuf, f.ID, len(c.batchBuf), c.engine.burst.Result))
-		}
-		c.engine.reset()
 	default:
 		rej = badInput(tc, "unexpected frame type")
 	}
@@ -401,11 +380,11 @@ func (c *binConn) admit() {
 // push puts an admitted op into the engine burst.
 func (c *binConn) push(op pendingOp) {
 	if !op.observe {
-		c.held = append(c.held, heldOp{id: op.id, res: c.engine.burst.Decide(op.stream, op.spec)})
+		c.held = append(c.held, heldOp{id: op.id, res: c.engine.Decide(op.stream, op.spec)})
 		c.decides++
 		return
 	}
-	if err := c.engine.burst.Observe(op.stream, op.fb); err != nil {
+	if err := c.engine.Observe(op.stream, op.fb); err != nil {
 		c.srv.front.release(1)
 		c.reject(op.id, badInput(c.srv.tc(), err.Error()))
 		return
@@ -426,7 +405,7 @@ func (c *binConn) run() {
 	if c.decides > 0 {
 		front.sleepServiceDelay()
 	}
-	c.engine.burst.Run()
+	c.engine.Run()
 	if c.decides > 0 {
 		// Ops admitted after this run cannot have been admitted before its
 		// accounting instant.
@@ -440,14 +419,14 @@ func (c *binConn) run() {
 			c.reply(binwire.AppendObserveResp(c.wbuf, h.id))
 			continue
 		}
-		r := c.engine.burst.Result(h.res)
+		r := c.engine.Result(h.res)
 		c.reply(binwire.AppendDecideResp(c.wbuf, h.id, r.Decision, r.Estimate, front.nodeID))
 	}
 	if c.decides > 1 {
 		c.srv.bin.RecordCoalesce(c.decides)
 	}
 	c.held, c.decides = c.held[:0], 0
-	c.engine.reset()
+	c.engine.Reset()
 }
 
 // reply takes the output buffer back with one more frame encoded onto it.

@@ -157,45 +157,10 @@ func TestBinaryDecideMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestBinaryBatch checks the client-sent batch frame: results come back in
-// request order and match what the engine computes in-process.
-func TestBinaryBatch(t *testing.T) {
-	front := New(testAlertServer(t, 2), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
-	rc := dialBinary(t, bs.Addr())
-	ref := testAlertServer(t, 2)
-
-	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
-	reqs := []alert.BatchRequest{
-		{Stream: 1, Spec: spec},
-		{Stream: 2, Spec: spec},
-		{Stream: 1, Spec: spec},
-	}
-	rc.id++
-	rc.send(binwire.AppendBatch(nil, rc.id, reqs))
-	f := rc.expect(binwire.MsgBatchResp, rc.id)
-	res, err := binwire.DecodeBatchResp(f.Body, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.DecideBatch(reqs)
-	if len(res) != len(want) {
-		t.Fatalf("%d results, want %d", len(res), len(want))
-	}
-	for i := range res {
-		if res[i].Stream != want[i].Stream || !sameDecision(res[i].Decision, want[i].Decision) {
-			t.Fatalf("result %d: %+v != in-process %+v", i, res[i], want[i])
-		}
-	}
-	if snap := bs.BinStats(); snap.Batches != 1 || snap.BatchDecisions != 3 {
-		t.Errorf("batch counters = %d/%d, want 1/3", snap.Batches, snap.BatchDecisions)
-	}
-}
-
 // TestBinaryBatchSteadyStateAllocs: every data-plane frame is served out of
 // the connection's own buffers — decoded into its scratch, run as its engine
 // burst, the reply encoded straight from the burst's results — so once
-// those have grown a decide, observe or batch round trip allocates nothing
+// those have grown a decide or observe round trip allocates nothing
 // on the server. The client side here is a pre-encoded frame and a reused
 // reader, so every allocation AllocsPerRun sees is the server's.
 func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
@@ -205,10 +170,6 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	d, est := dialBinary(t, bs.Addr()).decide(1, spec)
 	fb := alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1}
-	reqs := make([]alert.BatchRequest, 16)
-	for i := range reqs {
-		reqs[i] = alert.BatchRequest{Stream: i % 5, Spec: spec}
-	}
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -216,7 +177,6 @@ func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	}{
 		{"decide", binwire.AppendDecide(nil, 1, 1, spec), binwire.MsgDecideResp},
 		{"observe", binwire.AppendObserve(nil, 1, 1, fb), binwire.MsgObserveResp},
-		{"batch", binwire.AppendBatch(nil, 1, reqs), binwire.MsgBatchResp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rc := dialBinary(t, bs.Addr())
@@ -259,16 +219,16 @@ func TestBinaryVersionRejected(t *testing.T) {
 }
 
 // TestBinaryUnknownTypeKeepsConnection sends a frame of a type the server
-// does not serve — an unassigned one, and each retired stream-op type (7–13,
-// whose ops are HTTP-only) — and requires a 400 error frame, one bad_input,
-// and a connection that stays: the framing is intact, so later frames are
-// still trustworthy.
+// does not serve — an unassigned one, and each retired type (5–6, the batch
+// pair, and 7–13, the stream ops; all HTTP-only) — and requires a 400 error
+// frame, one bad_input, and a connection that stays: the framing is intact,
+// so later frames are still trustworthy.
 func TestBinaryUnknownTypeKeepsConnection(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
 	bs := startBinary(t, front, BinaryConfig{})
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 
-	for _, mt := range []binwire.MsgType{99, 7, 8, 9, 10, 11, 12, 13} {
+	for _, mt := range []binwire.MsgType{99, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
 		t.Run(fmt.Sprintf("type %d", mt), func(t *testing.T) {
 			rc := dialBinary(t, bs.Addr())
 			bad := bs.BinStats().BadFrames

@@ -254,7 +254,7 @@ func testBurstDrainBeforeAdmission(t *testing.T) {
 	}
 	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the test is the connection's goroutine
 	t.Cleanup(func() { bs.Close() })
-	c := &binConn{srv: bs, engine: batch{burst: front.alert.NewBurst()}}
+	c := &binConn{srv: bs, engine: front.alert.NewBurst()}
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	fb := alert.Feedback{Decision: alert.Decision{Model: 1, Cap: 2}, Latency: 0.05, CompletedStage: -1}

@@ -20,8 +20,9 @@ type observed struct {
 // leads to it. The same script — rounds of "apply last round's feedback,
 // then decide for a rotating, sometimes repeating, set of streams" — is
 // played through the three public entries (a Server.Decide loop,
-// Server.DecideBatch, a reused ServerBurst) and through both wires' batch
-// ops, each against its own fresh server, and every stream's decision
+// Server.DecideBatch, a reused ServerBurst), through HTTP decide-batch and
+// through binwire's pipelined decide frames, each against its own fresh
+// server, and every stream's decision
 // tokens must come out byte-identical. Feedback is computed from the
 // decisions a door returned, so a door that diverged once keeps diverging.
 func TestEveryDoorSameDecisions(t *testing.T) {
@@ -102,27 +103,49 @@ func TestEveryDoorSameDecisions(t *testing.T) {
 				return res
 			}
 		}},
-		{"binwire batch", func(t *testing.T, srv *alert.Server) func([]observed, []alert.BatchRequest) []alert.BatchResult {
+		{"binwire pipelined burst", func(t *testing.T, srv *alert.Server) func([]observed, []alert.BatchRequest) []alert.BatchResult {
 			bs := startBinary(t, New(srv, Config{}), BinaryConfig{})
 			rc := dialBinary(t, bs.Addr())
 			return func(fbs []observed, reqs []alert.BatchRequest) []alert.BatchResult {
 				// One write, nothing awaited in between: the connection's
-				// arrival order is the only thing ordering the batch behind
-				// the observes.
+				// arrival order is the only thing ordering the decides
+				// behind the observes and each other.
 				var frames []byte
 				first := rc.id + 1
 				for _, o := range fbs {
 					rc.id++
 					frames = binwire.AppendObserve(frames, rc.id, o.stream, o.fb)
 				}
-				rc.id++
-				rc.send(binwire.AppendBatch(frames, rc.id, reqs))
-				for id := first; id < rc.id; id++ {
-					rc.expect(binwire.MsgObserveResp, id)
+				firstDecide := rc.id + 1
+				for _, r := range reqs {
+					rc.id++
+					frames = binwire.AppendDecide(frames, rc.id, r.Stream, r.Spec)
 				}
-				res, err := binwire.DecodeBatchResp(rc.expect(binwire.MsgBatchResp, rc.id).Body, nil)
-				if err != nil {
-					t.Fatal(err)
+				rc.send(frames)
+				res := make([]alert.BatchResult, len(reqs))
+				seen := make(map[uint64]bool)
+				for n := first; n <= rc.id; n++ {
+					f := rc.next()
+					if f.ID < first || f.ID > rc.id || seen[f.ID] {
+						t.Fatalf("reply id %d outside the burst or repeated", f.ID)
+					}
+					seen[f.ID] = true
+					want := binwire.MsgObserveResp
+					if f.ID >= firstDecide {
+						want = binwire.MsgDecideResp
+					}
+					if f.Type != want {
+						t.Fatalf("reply %d: type %d, want %d", f.ID, f.Type, want)
+					}
+					if want == binwire.MsgObserveResp {
+						continue
+					}
+					i := f.ID - firstDecide
+					d, e, _, err := binwire.DecodeDecideResp(f.Body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res[i] = alert.BatchResult{Stream: reqs[i].Stream, Decision: d, Estimate: e}
 				}
 				return res
 			}
@@ -145,7 +168,7 @@ func TestEveryDoorSameDecisions(t *testing.T) {
 						AccuracyGoal: 0.88 + 0.01*float64(r%4),
 					}})
 				}
-				if r%3 == 2 { // a stream twice in one batch: served in batch order
+				if r%3 == 2 { // a stream twice in one round: served in request order
 					reqs = append(reqs, reqs[0])
 				}
 				res := round(fbs, reqs)

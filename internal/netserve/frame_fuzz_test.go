@@ -10,14 +10,14 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// FuzzServeFrame throws arbitrary decide, observe and batch frame bodies at
-// a live op core through the binwire codec, one connection (a
+// FuzzServeFrame throws arbitrary decide, observe and retired-type frame
+// bodies at a live op core through the binwire codec, one connection (a
 // net.Pipe) per input. The connection's goroutine runs decode → check →
 // admit → engine → encode on whatever the socket delivered, and a panic
 // there kills the process, so every body — well-formed with hostile values
 // included, like the observe whose feedback names model 9999 — must be
-// answered by its reply type or an error frame, and must leave no gate slot
-// held.
+// answered by its reply type or an error frame — a retired type by an error
+// frame only — and must leave no gate slot held.
 func FuzzServeFrame(f *testing.F) {
 	srv := testAlertServer(f, 2)
 	front := New(srv, Config{})
@@ -28,13 +28,13 @@ func FuzzServeFrame(f *testing.F) {
 	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the fuzzer hands it pipes
 	f.Cleanup(func() { bs.Close() })
 
-	// ops maps the fuzzed selector onto the three request types and the
-	// reply each is served with. (Import bodies are HTTP's, fuzzed by
-	// FuzzImportStreamBody.)
+	// ops maps the fuzzed selector onto the two request types and a retired
+	// one (5, the old batch frame), and the reply each is served with.
+	// (Import bodies are HTTP's, fuzzed by FuzzImportStreamBody.)
 	ops := []struct{ req, resp binwire.MsgType }{
 		{binwire.MsgDecide, binwire.MsgDecideResp},
 		{binwire.MsgObserve, binwire.MsgObserveResp},
-		{binwire.MsgBatch, binwire.MsgBatchResp},
+		{5, binwire.MsgError},
 	}
 	// body strips the 14-byte frame header (length, version, type, id) off
 	// an encoded frame.
@@ -48,7 +48,11 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: d, Latency: 0.1, CompletedStage: 99, IdlePowerW: 5})))
 	f.Add(uint8(0), body(binwire.AppendDecide(nil, 1, 7, spec)))
 	f.Add(uint8(0), body(binwire.AppendDecide(nil, 1, -7, alert.Spec{Objective: alert.MaximizeAccuracy, Deadline: -1})))
-	f.Add(uint8(2), body(binwire.AppendBatch(nil, 1, []alert.BatchRequest{{Stream: 1, Spec: spec}, {Stream: 2, Spec: spec}, {Stream: 1, Spec: spec}})))
+	oldBatch := []byte{3, 0, 0, 0} // what an old peer's batch frame of three decides carried
+	for _, s := range []int{1, 2, 1} {
+		oldBatch = append(oldBatch, body(binwire.AppendDecide(nil, 1, s, spec))...)
+	}
+	f.Add(uint8(2), oldBatch)
 	f.Add(uint8(2), []byte{2, 0, 0, 0, 1})                                                                 // declares two requests, carries one byte
 	f.Add(uint8(2), []byte{0xff, 0xff, 0xff, 0xff})                                                        // declares 2^32-1 requests
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: d, Latency: 0.1}))[1:]) // one byte short

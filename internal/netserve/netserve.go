@@ -17,8 +17,9 @@
 // status line + Retry-After header + JSON error body; the binwire read
 // loop in binary.go maps frames to the same calls and a reject to an error
 // frame whose code is that status and whose retry_after_ms is that hint.
-// binwire carries only the per-input loop (decide, observe, decide-batch);
-// the stream ops have one wire, HTTP.
+// binwire carries only the per-input loop (decide, observe; many decides
+// travel as pipelined decide frames); decide-batch and the stream ops have
+// one wire, HTTP.
 // What an op counts, and when its latency clock starts and stops, is
 // therefore the same on both wires; each codec only says whose counters to
 // move.
@@ -176,8 +177,8 @@ type Server struct {
 	nodeID     string
 	agent      *membership.Agent
 	recovery   Recovery
-	// batches recycles the bursts HTTP decide-batch requests run as (a
-	// binwire connection uses its own).
+	// batches recycles the bursts decide-batch requests run as (a binwire
+	// connection runs its decides in a burst of its own).
 	batches sync.Pool
 
 	// gate is the admission gate shared by both transports: a resizable

@@ -19,7 +19,7 @@ import (
 //
 // here, exactly once, and comes back as a typed result or a reject. The
 // HTTP handlers (netserve.go) and the binwire read loop (binary.go, which
-// carries decide, observe and batch) only decode a request into a call and
+// carries decide and observe) only decode a request into a call and
 // encode what it returns; the counters an op moves are the calling
 // transport's, passed in as tc.
 
@@ -228,7 +228,7 @@ func (s *Server) decide(ctx context.Context, tc *metrics.TransportCounters, star
 	return d, est, reject{}
 }
 
-// batch is a client-sent batch on its way through the pipeline: the decides
+// batch is an HTTP decide-batch on its way through the pipeline: the decides
 // in request order in an engine burst, and their slots.
 type batch struct {
 	burst *alert.ServerBurst

@@ -21,8 +21,9 @@ import (
 // The tests in this file pin the op pipeline through BOTH codecs from one
 // table each: an op refused or served for a given server condition must
 // come back with the same status, the same hint, and move the same ledgers
-// whether it arrived as JSON or as a binwire frame. The stream ops (evict,
-// export, checkpoint, import) have no binwire form and run over HTTP only.
+// whether it arrived as JSON or as a binwire frame. Batches and the stream
+// ops (evict, export, checkpoint, import) have no binwire form and run over
+// HTTP only.
 
 // call is one data-plane op as a test describes it.
 type call struct {
@@ -138,8 +139,6 @@ func (b binWire) do(t *testing.T, c call) (int, int64, string) {
 	switch c.op {
 	case metrics.OpDecide:
 		frame, want = binwire.AppendDecide(nil, rc.id, c.stream, c.reqs()[0].Spec), binwire.MsgDecideResp
-	case metrics.OpBatch:
-		frame, want = binwire.AppendBatch(nil, rc.id, c.reqs()), binwire.MsgBatchResp
 	case metrics.OpObserve:
 		frame, want = binwire.AppendObserve(nil, rc.id, c.stream, c.feedback()), binwire.MsgObserveResp
 	default:
@@ -163,13 +162,19 @@ func (b binWire) do(t *testing.T, c call) (int, int64, string) {
 	return int(code), ms, msg
 }
 
-// bothWires runs fn once per codec, each against its own fresh server
-// built from cfg.
-func bothWires(t *testing.T, cfg Config, fn func(t *testing.T, front *Server, w wire)) {
+// httpOnly runs fn over HTTP against a fresh server built from cfg, for
+// the ops binwire does not carry.
+func httpOnly(t *testing.T, cfg Config, fn func(t *testing.T, front *Server, w wire)) {
 	t.Run("http", func(t *testing.T) {
 		front := New(testAlertServer(t, 1), cfg)
 		fn(t, front, httpWire{front})
 	})
+}
+
+// bothWires runs fn once per codec, each against its own fresh server
+// built from cfg.
+func bothWires(t *testing.T, cfg Config, fn func(t *testing.T, front *Server, w wire)) {
+	httpOnly(t, cfg, fn)
 	t.Run("binwire", func(t *testing.T) {
 		front := New(testAlertServer(t, 1), cfg)
 		bs := startBinary(t, front, BinaryConfig{})
@@ -222,8 +227,8 @@ type holdRecovery struct {
 func (h holdRecovery) Restoring(stream int) bool { return stream == h.stream }
 
 // TestRejectMatrix is the one table of (server condition × op) → (status,
-// hint, counter delta), run through both codecs — the stream-op rows
-// through HTTP only, the one wire those ops have. Every row checks the
+// hint, counter delta), run through both codecs — the batch and stream-op
+// rows through HTTP only, the one wire those ops have. Every row checks the
 // op's whole ledger: exactly one shared counter moves (the op's when
 // served, the reject class's when refused — on the transport the op
 // arrived on), and the gate's shed-by-class counter moves with it.
@@ -383,8 +388,8 @@ func TestRejectMatrix(t *testing.T) {
 					other = nil // no binary listener attached to this server
 				}
 				for _, r := range cond.rows {
-					if !isHTTP && r.op != decide && r.op != observe && r.op != batch {
-						continue // a stream op: HTTP is its one wire
+					if !isHTTP && r.op != decide && r.op != observe {
+						continue // a batch or a stream op: HTTP is its one wire
 					}
 					name := fmt.Sprintf("op %d stream %d", r.op, r.stream)
 					want, wantBad := w.counters()
@@ -472,8 +477,9 @@ func rejectCounter(s *metrics.TransportSnapshot, class metrics.Reject) *int64 {
 
 // TestGateWaitCountsAgainstSLO: the latency a transport records for a
 // decide or batch — the time a client's deadline is measured against —
-// includes its wait at the gate, on both transports: the clock starts when
-// the request is decoded, not when it clears the gate.
+// includes its wait at the gate, on every transport that carries it (a
+// batch has one, HTTP): the clock starts when the request is decoded, not
+// when it clears the gate.
 func TestGateWaitCountsAgainstSLO(t *testing.T) {
 	const (
 		deadlineS = 0.6
@@ -482,8 +488,12 @@ func TestGateWaitCountsAgainstSLO(t *testing.T) {
 	)
 	for _, op := range []metrics.Op{metrics.OpDecide, metrics.OpBatch} {
 		op := op
+		wires := bothWires
+		if op == metrics.OpBatch {
+			wires = httpOnly
+		}
 		t.Run(fmt.Sprintf("op %d", op), func(t *testing.T) {
-			bothWires(t, Config{MaxInflight: 1, MaxQueue: 4, ServiceDelay: service}, func(t *testing.T, front *Server, w wire) {
+			wires(t, Config{MaxInflight: 1, MaxQueue: 4, ServiceDelay: service}, func(t *testing.T, front *Server, w wire) {
 				t.Parallel()
 				front.HoldTokenForTest()
 				go func() {

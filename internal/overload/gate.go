@@ -179,12 +179,16 @@ func (g *Gate) Saturated() bool {
 // configured static hint when the limits are fixed, and the controller's
 // drain estimate for the current backlog when they adapt.
 func (g *Gate) RetryAfter() time.Duration {
+	_, queued := g.Occupancy()
+	return g.retryAfter(queued)
+}
+
+// retryAfter is RetryAfter's rule for a backlog of queued waiters. The
+// caller holds no lock: the drain estimate takes the controller's.
+func (g *Gate) retryAfter(queued int) time.Duration {
 	if !g.ctrl.cfg.Adaptive {
 		return g.ctrl.cfg.RetryAfter
 	}
-	g.mu.Lock()
-	queued := g.queued
-	g.mu.Unlock()
 	return g.ctrl.DrainEstimate(queued)
 }
 
@@ -203,12 +207,11 @@ func (g *Gate) Snapshot() metrics.OverloadSnapshot {
 	g.mu.Lock()
 	s.Inflight = g.inflight
 	s.Queued = g.queued
-	queued := g.queued
 	g.mu.Unlock()
 	g.ctrl.mu.Lock()
 	g.ctrl.snapshotLocked(&s)
 	g.ctrl.mu.Unlock()
-	s.RetryAfterHint = g.ctrl.DrainEstimate(queued)
+	s.RetryAfterHint = g.retryAfter(s.Queued)
 	return s
 }
 

@@ -352,6 +352,29 @@ func TestGateRetryAfter(t *testing.T) {
 	}
 }
 
+// TestSnapshotRetryHintMatchesRejection: the hint /v1/stats and /metrics
+// report is the one a rejection carries at that moment — on a fixed and an
+// adaptive gate, cold and after service samples, with a waiter queued.
+func TestSnapshotRetryHintMatchesRejection(t *testing.T) {
+	clk := newFakeClock()
+	for _, adaptive := range []bool{false, true} {
+		ctrl := NewController(Config{Inflight: 1, Queue: 8, Adaptive: adaptive, Clock: clk.now})
+		g := NewGate(ctrl)
+		g.ForceAcquire()
+		if _, w := g.TryAcquire(0); w == nil {
+			t.Fatalf("adaptive=%v: could not queue a waiter", adaptive)
+		}
+		for _, samples := range []int{0, 1} {
+			for i := 0; i < samples; i++ {
+				ctrl.ObserveService(20*time.Millisecond, 1)
+			}
+			if got, want := g.Snapshot().RetryAfterHint, g.RetryAfter(); got != want {
+				t.Errorf("adaptive=%v, %d service samples: snapshot hint %v, rejections carry %v", adaptive, samples, got, want)
+			}
+		}
+	}
+}
+
 func TestGateSnapshot(t *testing.T) {
 	clk := newFakeClock()
 	ctrl := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
