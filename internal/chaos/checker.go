@@ -17,7 +17,7 @@
 //     pairwise disjoint and jointly complete.
 //   - Gauges balance: on every poll, each node's Streams gauge equals the
 //     length of its stream-id listing and SessionBytes equals
-//     Streams × SessionBytes() — sessions are neither leaked nor double-
+//     Streams × serve.StreamBytes() — sessions are neither leaked nor double-
 //     counted across exports, imports, kills, and restarts.
 //   - Conservation across migration: a stream's final session must have
 //     folded in exactly the decisions the driver issued, minus the ones a
@@ -44,7 +44,7 @@ import (
 	"sync"
 
 	"github.com/alert-project/alert/client"
-	"github.com/alert-project/alert/internal/core"
+	"github.com/alert-project/alert/internal/serve"
 )
 
 // maxViolations bounds the violation log: a broken invariant usually fires
@@ -275,9 +275,9 @@ func (c *Checker) Poll(ctx context.Context, nodes map[string]*client.Client, exp
 			c.Violate("gauge: node %q Streams gauge %d != %d listed sessions",
 				name, stats.Serve.Streams, len(ids))
 		}
-		if want := stats.Serve.Streams * int64(core.SessionBytes()); stats.Serve.SessionBytes != want {
+		if want := stats.Serve.Streams * int64(serve.StreamBytes()); stats.Serve.SessionBytes != want {
 			c.Violate("gauge: node %q SessionBytes %d != %d sessions × %d bytes",
-				name, stats.Serve.SessionBytes, stats.Serve.Streams, core.SessionBytes())
+				name, stats.Serve.SessionBytes, stats.Serve.Streams, serve.StreamBytes())
 		}
 		states = append(states, nodeState{name: name, ids: ids})
 	}

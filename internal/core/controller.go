@@ -17,7 +17,7 @@
 //     use, shared by every stream on a platform.
 //   - Session — the lightweight mutable per-stream half: the ξ and
 //     idle-power Kalman filters, the filter epoch, and the decision count.
-//     Under 200 bytes per stream, one goroutine at a time.
+//     120 bytes per stream, one goroutine at a time.
 //
 // The paper's one-stream deployment (§3.6) is an Engine serving exactly
 // one Session (alert.Scheduler); the serving layer (internal/serve) shares

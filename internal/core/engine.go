@@ -18,8 +18,8 @@ import (
 // All mutable per-stream state (the ξ and idle-power Kalman filters, the
 // filter epoch, the decision count) lives in Session, so a deployment
 // serving N inference streams on one platform pays for the candidate space
-// once and per-stream only for a Session — under 200 bytes — instead of N
-// Engine copies. That is the layer split that lets the
+// and the filter constants once and per-stream only for a Session — 120
+// bytes — instead of N Engine copies. That is the layer split that lets the
 // serving pool (internal/serve) scale its stream table to millions of
 // streams.
 type Engine struct {
@@ -137,15 +137,24 @@ func (e *Engine) NewSession() *Session {
 // stage ladders is grown (and its memo invalidated) rather than left to
 // overflow mid-scan.
 func (e *Engine) NewSessionWith(sc *Scratch) *Session {
+	s := e.MakeSessionWith(sc)
+	return &s
+}
+
+// MakeSessionWith is NewSessionWith by value, for embedding a session in a
+// larger per-stream struct (the serving layer's stream-table entry) without
+// a separate heap allocation. The session's filters read their constants
+// from the engine's options, so it costs only its own state.
+func (e *Engine) MakeSessionWith(sc *Scratch) Session {
 	if len(sc.buf) < e.space.maxStages {
 		sc.buf = make([]float64, e.space.maxStages)
 		sc.ladderNom, sc.ladderN = nil, 0
 	}
-	return &Session{
+	return Session{
 		eng:  e,
 		sc:   sc,
-		xi:   kalman.MakeXiFilter(e.opts.Xi),
-		idle: kalman.MakeIdlePowerFilter(e.opts.Idle),
+		xi:   kalman.MakeXiFilter(&e.opts.Xi),
+		idle: kalman.MakeIdlePowerFilter(&e.opts.Idle),
 		// Epoch 0 is reserved: no session ever carries it, so a snapshot
 		// that does is rejected as corrupt.
 		epoch: 1,
@@ -161,6 +170,7 @@ func (e *Engine) XiPrior() (mu, sigma float64) {
 
 // SessionBytes is the in-memory footprint of one Session struct, the
 // per-stream marginal cost of a deployment sharing one Engine (the shared
-// Scratch and stream-table bookkeeping are amortized across a shard). The
-// serving layer's session-bytes gauge and the memory-bound tests read it.
+// Scratch is amortized across a shard, and the filter constants live in
+// the engine). The memory-bound tests read it; the serving layer's
+// stream-table entry embeds one Session.
 func SessionBytes() int { return int(unsafe.Sizeof(Session{})) }

@@ -11,10 +11,11 @@ import (
 // Session is the mutable per-stream half of the ALERT controller: the
 // Kalman belief about the stream's environment (ξ and idle power) and two
 // counters. Everything a decision needs beyond that — the candidate space,
-// profile invariants, options — is read from the shared immutable Engine,
-// so a Session stays under 200 bytes no matter how large the configuration
-// space is. It memoizes nothing: every Decide rescans (in the serving loop
-// every Decide follows an Observe, so there was never anything to reuse).
+// profile invariants, options, the filters' constants — is read from the
+// shared immutable Engine, so a Session is 120 bytes no matter how large
+// the configuration space is. It memoizes nothing: every Decide rescans
+// (in the serving loop every Decide follows an Observe, so there was never
+// anything to reuse).
 //
 // A Session serves one inference stream and is not safe for concurrent
 // use; drive it from one goroutine at a time. Its decision sequence
@@ -29,7 +30,8 @@ type Session struct {
 	sc *Scratch
 
 	// xi and idle are embedded by value: one allocation per session, not
-	// three.
+	// three. Each points at its constants in the engine's options rather
+	// than carrying a copy.
 	xi   kalman.XiFilter
 	idle kalman.IdlePowerFilter
 

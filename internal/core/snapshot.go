@@ -89,12 +89,23 @@ func (e *Engine) RestoreSession(snap SessionSnapshot) (*Session, error) {
 // the restore-side companion of NewSessionWith (the serving layer restores
 // imported sessions onto the owning shard's shared Scratch).
 func (e *Engine) RestoreSessionWith(sc *Scratch, snap SessionSnapshot) (*Session, error) {
-	if err := snap.Validate(); err != nil {
+	s, err := e.MakeSessionFromSnapshot(sc, snap)
+	if err != nil {
 		return nil, err
 	}
-	s := e.NewSessionWith(sc)
-	s.xi = kalman.MakeXiFilterFromState(e.opts.Xi, snap.Xi)
-	s.idle = kalman.MakeIdlePowerFilterFromState(e.opts.Idle, snap.Idle)
+	return &s, nil
+}
+
+// MakeSessionFromSnapshot is RestoreSessionWith by value, the restore-side
+// companion of MakeSessionWith: the serving layer restores an imported
+// stream straight into its stream-table entry.
+func (e *Engine) MakeSessionFromSnapshot(sc *Scratch, snap SessionSnapshot) (Session, error) {
+	if err := snap.Validate(); err != nil {
+		return Session{}, err
+	}
+	s := e.MakeSessionWith(sc)
+	s.xi = kalman.MakeXiFilterFromState(&e.opts.Xi, snap.Xi)
+	s.idle = kalman.MakeIdlePowerFilterFromState(&e.opts.Idle, snap.Idle)
 	s.epoch = snap.Epoch
 	s.decisions = int(snap.Decisions)
 	return s, nil

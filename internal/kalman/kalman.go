@@ -64,8 +64,13 @@ func PaperLiteralXiParams() XiParams {
 // XiFilter tracks the global slowdown factor. It is deliberately scalar:
 // ALERT's key design bet is that one number (plus its variance) suffices to
 // re-rank the entire DNN × power-cap configuration space.
+//
+// The filter reads its constants through a pointer it never writes, so
+// every filter built from one XiParams (e.g. every session of a
+// core.Engine) shares it, and a filter costs its six state words plus one
+// pointer.
 type XiFilter struct {
-	p XiParams
+	p *XiParams
 
 	k      float64 // Kalman gain K(n)
 	q      float64 // adaptive process noise Q(n)
@@ -75,16 +80,17 @@ type XiFilter struct {
 	n      int     // observations folded in so far
 }
 
-// NewXiFilter constructs a filter with the given parameters.
+// NewXiFilter constructs a filter with its own copy of the parameters.
 func NewXiFilter(p XiParams) *XiFilter {
-	f := MakeXiFilter(p)
+	f := MakeXiFilter(&p)
 	return &f
 }
 
 // MakeXiFilter returns an initialized filter by value, for embedding in a
 // larger per-stream struct (e.g. a core.Session) without a separate heap
-// allocation per filter.
-func MakeXiFilter(p XiParams) XiFilter {
+// allocation per filter. The filter keeps p, which must not change while
+// the filter is in use.
+func MakeXiFilter(p *XiParams) XiFilter {
 	return XiFilter{
 		p:      p,
 		k:      p.K0,
@@ -194,8 +200,9 @@ func (f *XiFilter) State() XiState {
 
 // MakeXiFilterFromState rebuilds a filter from a captured state, by value
 // for embedding. It is the inverse of State: the restored filter and the
-// original produce bit-identical observation sequences from here on.
-func MakeXiFilterFromState(p XiParams, st XiState) XiFilter {
+// original produce bit-identical observation sequences from here on. Like
+// MakeXiFilter, it keeps p.
+func MakeXiFilterFromState(p *XiParams, st XiState) XiFilter {
 	return XiFilter{
 		p:      p,
 		k:      st.K,
@@ -225,22 +232,24 @@ func DefaultIdleParams() IdleParams {
 // inference power cap (Eq. 8). Unlike XiFilter its gain schedule is the
 // classic fixed-noise recursion — idle power drifts slowly, so adaptivity
 // buys nothing there.
+// Like XiFilter it shares its constants through a read-only pointer.
 type IdlePowerFilter struct {
-	p   IdleParams
+	p   *IdleParams
 	m   float64 // process variance M(n)
 	phi float64 // posterior estimate φ(n)
 	n   int
 }
 
-// NewIdlePowerFilter constructs the filter.
+// NewIdlePowerFilter constructs the filter with its own copy of the
+// parameters.
 func NewIdlePowerFilter(p IdleParams) *IdlePowerFilter {
-	f := MakeIdlePowerFilter(p)
+	f := MakeIdlePowerFilter(&p)
 	return &f
 }
 
 // MakeIdlePowerFilter returns an initialized filter by value, the embedding
-// companion of MakeXiFilter.
-func MakeIdlePowerFilter(p IdleParams) IdlePowerFilter {
+// companion of MakeXiFilter; like it, the filter keeps p.
+func MakeIdlePowerFilter(p *IdleParams) IdlePowerFilter {
 	return IdlePowerFilter{p: p, m: p.M0, phi: p.Phi0}
 }
 
@@ -287,6 +296,6 @@ func (f *IdlePowerFilter) State() IdleState {
 
 // MakeIdlePowerFilterFromState rebuilds a filter from a captured state, by
 // value for embedding; the inverse of State.
-func MakeIdlePowerFilterFromState(p IdleParams, st IdleState) IdlePowerFilter {
+func MakeIdlePowerFilterFromState(p *IdleParams, st IdleState) IdlePowerFilter {
 	return IdlePowerFilter{p: p, m: st.M, phi: st.Phi, n: int(st.N)}
 }

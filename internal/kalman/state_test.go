@@ -18,7 +18,7 @@ func TestXiFilterStateRoundTrip(t *testing.T) {
 		orig.Observe(xi)
 	}
 
-	restored := MakeXiFilterFromState(p, orig.State())
+	restored := MakeXiFilterFromState(&p, orig.State())
 	if restored.State() != orig.State() {
 		t.Fatalf("restored state %+v != original %+v", restored.State(), orig.State())
 	}
@@ -44,8 +44,8 @@ func TestXiFilterStateRoundTrip(t *testing.T) {
 // filter — snapshotting a stream that never observed anything is exact too.
 func TestXiFilterStateFresh(t *testing.T) {
 	p := DefaultXiParams()
-	fresh := MakeXiFilter(p)
-	restored := MakeXiFilterFromState(p, fresh.State())
+	fresh := MakeXiFilter(&p)
+	restored := MakeXiFilterFromState(&p, fresh.State())
 	if restored != fresh {
 		t.Fatalf("restored fresh filter %+v != %+v", restored, fresh)
 	}
@@ -60,7 +60,7 @@ func TestIdlePowerFilterStateRoundTrip(t *testing.T) {
 		orig.Observe(r)
 	}
 
-	restored := MakeIdlePowerFilterFromState(p, orig.State())
+	restored := MakeIdlePowerFilterFromState(&p, orig.State())
 	if restored.State() != orig.State() {
 		t.Fatalf("restored state %+v != original %+v", restored.State(), orig.State())
 	}
@@ -78,7 +78,8 @@ func TestIdlePowerFilterStateRoundTrip(t *testing.T) {
 // a corrupted snapshot might carry, leaving policy to the restore layer.
 func TestStateCarriesNonFiniteBits(t *testing.T) {
 	st := XiState{K: math.NaN(), Q: math.Inf(1), Y: -0.0, Mu: 1, Sigma2: 2, N: 3}
-	f := MakeXiFilterFromState(DefaultXiParams(), st)
+	p := DefaultXiParams()
+	f := MakeXiFilterFromState(&p, st)
 	got := f.State()
 	if math.Float64bits(got.K) != math.Float64bits(st.K) ||
 		math.Float64bits(got.Q) != math.Float64bits(st.Q) ||

@@ -157,13 +157,13 @@ func TestBinaryDecideMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestBinaryBatchSteadyStateAllocs: every data-plane frame is served out of
+// TestBinaryDecideObserveAllocFree: every data-plane frame is served out of
 // the connection's own buffers — decoded into its scratch, run as its engine
 // burst, the reply encoded straight from the burst's results — so once
 // those have grown a decide or observe round trip allocates nothing
 // on the server. The client side here is a pre-encoded frame and a reused
 // reader, so every allocation AllocsPerRun sees is the server's.
-func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
+func TestBinaryDecideObserveAllocFree(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
 	bs := startBinary(t, front, BinaryConfig{})
 

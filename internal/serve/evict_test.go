@@ -58,7 +58,7 @@ func TestEvictIdle(t *testing.T) {
 	if snap.Streams != 2 {
 		t.Errorf("Streams gauge = %d after sweep, want 2", snap.Streams)
 	}
-	if want := snap.Streams * int64(core.SessionBytes()); snap.SessionBytes != want {
+	if want := snap.Streams * int64(StreamBytes()); snap.SessionBytes != want {
 		t.Errorf("SessionBytes gauge = %d, want %d (streams × session size)", snap.SessionBytes, want)
 	}
 
@@ -179,7 +179,7 @@ func TestEvictStreamConcurrentWithDecideBatch(t *testing.T) {
 	if want := int64(len(pool.StreamIDs())); snap.Streams != want {
 		t.Errorf("Streams gauge = %d, want %d (live table entries)", snap.Streams, want)
 	}
-	if want := snap.Streams * int64(core.SessionBytes()); snap.SessionBytes != want {
+	if want := snap.Streams * int64(StreamBytes()); snap.SessionBytes != want {
 		t.Errorf("SessionBytes gauge = %d, want %d", snap.SessionBytes, want)
 	}
 	if snap.Decisions != int64(batches*4) {

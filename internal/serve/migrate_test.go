@@ -203,7 +203,7 @@ func TestExportImportConcurrentWithTraffic(t *testing.T) {
 		if want := int64(len(pool.StreamIDs())); s.Streams != want {
 			t.Errorf("pool %s: Streams gauge = %d, want %d", name, s.Streams, want)
 		}
-		if want := s.Streams * int64(core.SessionBytes()); s.SessionBytes != want {
+		if want := s.Streams * int64(StreamBytes()); s.SessionBytes != want {
 			t.Errorf("pool %s: SessionBytes gauge = %d, want %d", name, s.SessionBytes, want)
 		}
 	}

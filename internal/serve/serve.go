@@ -6,8 +6,9 @@
 // and one lightweight core.Session per stream, held in a sharded stream
 // table. Each shard is owned by exactly one worker goroutine that drains a
 // private FIFO queue and multiplexes every session pinned to it; per-stream
-// cost is one Session (a few hundred bytes), so the stream table scales to
-// millions of streams on one engine.
+// cost is one allocation, a 128-byte table entry embedding the stream's
+// 120-byte Session (about 155 bytes with its map slot), so the stream table
+// scales to millions of streams on one engine.
 //
 // The sharding preserves the paper's semantics exactly, for every stream.
 // A stream is pinned to a shard (stream mod N), its Decide/Observe requests
@@ -59,6 +60,15 @@
 //     loops_per_s (32.1–32.5k → 30.0–30.3k) and ~15 % decide_p95_us over
 //     four alternating 10 s pairs, while routing lone decides through the
 //     burst measured neutral (32.7–33.0k on both sides).
+//   - Shards are workers, not locks, also on purpose. Two prototypes that
+//     ran burst groups on the calling goroutine were measured and rejected
+//     over 10 s alternating pairs on the repository benchmark. Making each
+//     shard a mutex and running every group of the burst inline raised
+//     loop-binwire's cpu_us_per_loop in 4 of 4 pairs, by a median of
+//     19.7 % (6.0–6.6 → 7.1–7.8 µs); it cut serial-binwire-small's by a
+//     median of 6 % (3 of 4 pairs better). Running only the burst's last
+//     group inline, and the rest on the workers, moved loop-binwire's
+//     cpu_us_per_loop by a median of −2.5 % over 10 pairs: noise.
 //   - Backpressure, not shedding: a full queue blocks the submitter; the
 //     pool never drops or reorders work.
 //
@@ -66,7 +76,7 @@
 // tasks travel the shard channels by value, and a live stream's session is
 // a map hit, so the only per-request work is the session's own (also
 // allocation-free) decision. Only a stream's first request allocates — its
-// session.
+// table entry, session embedded.
 package serve
 
 import (
@@ -74,6 +84,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/alert-project/alert/internal/core"
 	"github.com/alert-project/alert/internal/dnn"
@@ -160,24 +171,30 @@ type task struct {
 	run    func(*shard) // taskRun: executed on the owning worker
 	stream int          // observe
 	out    sim.Outcome
-	// start is an observe's submission timestamp, its session's last-use
-	// time (a group reads its burst's).
-	start time.Time
+	// at is an observe's submission time on the pool's clock, its
+	// session's last-use time (a group reads its burst's).
+	at time.Duration
 }
 
-// entry is one stream's slot in a shard's table: its session plus the
-// submission time of the stream's latest traffic (Decide/Observe), the
-// idle-eviction signal. Reads (XiEstimate) deliberately do not refresh
-// lastUse — monitoring polls must not keep an abandoned stream alive.
+// entry is one stream's slot in a shard's table: its session, embedded so
+// a stream is one allocation, plus the submission time of the stream's
+// latest traffic (Decide/Observe) on the pool's clock, the idle-eviction
+// signal. Reads (XiEstimate) deliberately do not refresh lastUse —
+// monitoring polls must not keep an abandoned stream alive.
 type entry struct {
-	sess    *core.Session
-	lastUse time.Time
+	sess    core.Session
+	lastUse time.Duration
 }
+
+// StreamBytes is the heap object one live stream costs its shard: the
+// table entry embedding its session, the value the pool's SessionBytes
+// gauge adds per stream. The table's map slot comes on top.
+func StreamBytes() int { return int(unsafe.Sizeof(entry{})) }
 
 // shard is one stream-table partition: the sessions of every stream pinned
 // here, all driven by the one worker goroutine that owns this struct. The
 // sessions share one scan workspace — they are only ever used from this
-// goroutine — so a shard's marginal cost per stream is just the Session.
+// goroutine — so a shard's marginal cost per stream is just its entry.
 type shard struct {
 	eng      *core.Engine
 	sessions map[int]*entry
@@ -188,15 +205,15 @@ type shard struct {
 
 // session returns the stream's session, creating it on first use, and
 // stamps the stream's last-use time with the task's submission time.
-func (s *shard) session(stream int, at time.Time, counters *metrics.ServeCounters) *core.Session {
+func (s *shard) session(stream int, at time.Duration, counters *metrics.ServeCounters) *core.Session {
 	e, ok := s.sessions[stream]
 	if !ok {
-		e = &entry{sess: s.eng.NewSessionWith(s.sc)}
+		e = &entry{sess: s.eng.MakeSessionWith(s.sc)}
 		s.sessions[stream] = e
-		counters.RecordSessionCreate(int64(core.SessionBytes()))
+		counters.RecordSessionCreate(int64(StreamBytes()))
 	}
 	e.lastUse = at
-	return e.sess
+	return &e.sess
 }
 
 // Pool is a sharded stream table over one shared engine.
@@ -210,6 +227,9 @@ type Pool struct {
 	// production and swapped for a fake in the idle-eviction tests; it must
 	// be set before any traffic and never changed afterwards.
 	clock func() time.Time
+	// epoch is the origin of the last-use times: an entry stores its
+	// offset from here (see since), 8 bytes where a time.Time is 24.
+	epoch time.Time
 
 	// bursts is Decide's free list of bursts of one.
 	bursts sync.Pool
@@ -226,6 +246,7 @@ func NewPool(prof *dnn.ProfileTable, opts core.Options, cfg Config) *Pool {
 		shards:   make([]*shard, cfg.shards()),
 		counters: metrics.NewServeCounters(),
 		clock:    time.Now,
+		epoch:    time.Now(),
 		bursts:   sync.Pool{New: func() any { return new(Burst) }},
 	}
 	for i := range p.shards {
@@ -242,6 +263,11 @@ func NewPool(prof *dnn.ProfileTable, opts core.Options, cfg Config) *Pool {
 	return p
 }
 
+// since maps a clock reading onto the last-use timeline. Two readings
+// compare by their offsets exactly as by Time.Before: both go through
+// Time.Sub, which uses the monotonic clock when both carry it.
+func (p *Pool) since(t time.Time) time.Duration { return t.Sub(p.epoch) }
+
 func (p *Pool) work(s *shard) {
 	defer close(s.exited)
 	for t := range s.ch {
@@ -251,10 +277,11 @@ func (p *Pool) work(s *shard) {
 			// Queue delay — submit to pickup — is the pool's share of the
 			// decide latency; the admission controller reads it off stats.
 			p.counters.RecordQueueWait(time.Since(b.start))
+			at := p.since(b.start)
 			decides := 0
 			for _, i := range t.group.idx {
 				op := &b.Ops[i]
-				sess := s.session(op.Stream, b.start, p.counters)
+				sess := s.session(op.Stream, at, p.counters)
 				if op.Observe {
 					sess.Observe(op.Out)
 					p.counters.RecordObserve()
@@ -273,7 +300,7 @@ func (p *Pool) work(s *shard) {
 			// read that follows a completed Decide always sees it.
 			b.wg.Done()
 		case taskObserve:
-			s.session(t.stream, t.start, p.counters).Observe(t.out)
+			s.session(t.stream, t.at, p.counters).Observe(t.out)
 			p.counters.RecordObserve()
 		case taskRun:
 			t.run(s)
@@ -312,7 +339,7 @@ func (p *Pool) everyShard(fn func(i int, s *shard)) {
 func (p *Pool) drop(s *shard, stream int) {
 	if _, ok := s.sessions[stream]; ok {
 		delete(s.sessions, stream)
-		p.counters.RecordSessionEvict(int64(core.SessionBytes()))
+		p.counters.RecordSessionEvict(int64(StreamBytes()))
 	}
 }
 
@@ -363,7 +390,7 @@ func (p *Pool) Decide(stream int, spec core.Spec) (sim.Decision, core.Estimate) 
 // every earlier submission for that shard, so a subsequent Decide on the
 // same stream sees the updated filter state.
 func (p *Pool) Observe(stream int, out sim.Outcome) {
-	p.shardFor(stream).ch <- task{kind: taskObserve, stream: stream, out: out, start: p.clock()}
+	p.shardFor(stream).ch <- task{kind: taskObserve, stream: stream, out: out, at: p.since(p.clock())}
 }
 
 // EvictStream removes the stream's session from the table, releasing its
@@ -385,11 +412,11 @@ func (p *Pool) EvictStream(stream int) {
 // one whose last use is within maxAge — is never touched. It blocks until
 // every shard has swept.
 func (p *Pool) EvictIdle(maxAge time.Duration) int {
-	cutoff := p.clock().Add(-maxAge)
+	cutoff := p.since(p.clock().Add(-maxAge))
 	evicted := make([]int, len(p.shards))
 	p.everyShard(func(i int, s *shard) {
 		for stream, e := range s.sessions {
-			if e.lastUse.Before(cutoff) {
+			if e.lastUse < cutoff {
 				p.drop(s, stream)
 				evicted[i]++
 			}
@@ -525,7 +552,7 @@ func (p *Pool) snapshot(stream int, remove bool) (snap core.SessionSnapshot, ok 
 // refuses a stream that already has a live session (the caller is
 // migrating onto a stale target) and snapshots that fail validation.
 func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) (err error) {
-	at := p.clock()
+	at := p.since(p.clock())
 	<-on(p.shardFor(stream), func(s *shard) {
 		// An already-live stream refuses the import: silently replacing a
 		// session that is actively deciding would fork its decision
@@ -534,12 +561,12 @@ func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) (err error) {
 			err = fmt.Errorf("serve: stream %d already live, refusing import", stream)
 			return
 		}
-		var sess *core.Session
-		if sess, err = s.eng.RestoreSessionWith(s.sc, snap); err != nil {
+		e := &entry{lastUse: at}
+		if e.sess, err = s.eng.MakeSessionFromSnapshot(s.sc, snap); err != nil {
 			return
 		}
-		s.sessions[stream] = &entry{sess: sess, lastUse: at}
-		p.counters.RecordSessionCreate(int64(core.SessionBytes()))
+		s.sessions[stream] = e
+		p.counters.RecordSessionCreate(int64(StreamBytes()))
 		p.counters.RecordStreamImport()
 	})
 	return err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -481,7 +482,7 @@ func TestEvictStream(t *testing.T) {
 		t.Fatalf("NumStreams = %d before eviction, want 1", n)
 	}
 	snap := pool.Counters().Snapshot()
-	if want := snap.Streams * int64(core.SessionBytes()); snap.SessionBytes != want {
+	if want := snap.Streams * int64(StreamBytes()); snap.SessionBytes != want {
 		t.Errorf("SessionBytes gauge = %d, want %d (streams × session size)", snap.SessionBytes, want)
 	}
 
@@ -586,7 +587,7 @@ func TestStreamChurn100k(t *testing.T) {
 	if snap.Streams != steady {
 		t.Errorf("Streams gauge = %d after churn, want %d (every churned session evicted)", snap.Streams, steady)
 	}
-	if want := snap.Streams * int64(core.SessionBytes()); snap.SessionBytes != want {
+	if want := snap.Streams * int64(StreamBytes()); snap.SessionBytes != want {
 		t.Errorf("SessionBytes gauge = %d, want %d", snap.SessionBytes, want)
 	}
 	if snap.Observes != churners*perChurner+steady*steadySteps {
@@ -630,11 +631,49 @@ func TestConfigDefaults(t *testing.T) {
 
 // TestTaskFootprint pins the size of the value every burst and lone Observe
 // copies through a shard channel: a group pointer, an observe's stream,
-// outcome and timestamp, and one closure pointer. A decide's spec and result
-// live in its burst's Op, and a control operation that needs more state
-// captures it in its closure, rather than widening the task.
+// outcome and last-use offset, and one closure pointer. A decide's spec and
+// result live in its burst's Op, and a control operation that needs more
+// state captures it in its closure, rather than widening the task.
 func TestTaskFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(task{}); sz > 152 {
-		t.Errorf("task struct is %d bytes, want <= 152", sz)
+	if sz := unsafe.Sizeof(task{}); sz > 136 {
+		t.Errorf("task struct is %d bytes, want <= 136", sz)
+	}
+}
+
+// TestStreamTableFootprint measures what a stream costs the table it lives
+// in, map slot included: one allocation (the entry, its session embedded)
+// and the entry's 128-byte size class plus the map's share. The bounds hold
+// for both the bucket maps of Go before 1.24 (≈ 30 B of map per stream at
+// this count) and the swiss maps after. A second allocation per stream, or
+// a session that outgrows its size class, fails it.
+func TestStreamTableFootprint(t *testing.T) {
+	if sz := StreamBytes(); sz > 128 {
+		t.Errorf("stream-table entry is %d bytes, want <= 128", sz)
+	}
+	pool := NewPool(testProfile(t), core.DefaultOptions(), Config{Shards: 1})
+	defer pool.Close()
+	const n = 20000
+	out := sim.Outcome{ObservedXi: 1.1, IdlePower: 6, CapApplied: 30}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		pool.Observe(i, out)
+	}
+	pool.Drain()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if got := pool.NumStreams(); got != n {
+		t.Fatalf("streams = %d, want %d", got, n)
+	}
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	heap := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if mallocs > 1.05 {
+		t.Errorf("%.3f allocations per new stream, want <= 1.05", mallocs)
+	}
+	if heap > 176 {
+		t.Errorf("%.1f heap bytes per stream, want <= 176", heap)
 	}
 }
