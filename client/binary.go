@@ -17,17 +17,25 @@ import (
 // binaryTransport is the binwire codec — decide and observe, the per-input
 // loop — over a small pool of persistent TCP connections.
 // Requests are pipelined: each is stamped with a connection-unique id and
-// its caller parks on a channel until the reader goroutine routes the
+// its caller parks on its waiter until the reader goroutine routes the
 // matching response frame back, so any number of goroutines share a
 // connection without head-of-line blocking in the client. Every op is one
 // call: encode a request frame, round-trip it, check the reply frame's
 // type.
+//
+// The steady-state call — live connection, free waiter slot,
+// context.Background() — takes no mutex but the writer queue's wmu, touches
+// no map and runs no select: the stream id picks the pool slot, an atomic
+// load finds its connection, one CAS publishes the waiter and a plain
+// channel receive parks the caller. What callers on different cores still
+// share per connection is the id counter, the writer queue and the reader's
+// wake-ups; everything under t.mu or binConn.mu is the slow path (dialing,
+// Close, a failed connection, table overflow, cancellation).
 type binaryTransport struct {
-	addr string
-	next atomic.Uint32
+	addr  string
+	conns []atomic.Pointer[binConn] // conns[slot] is the slot's connection, dead or alive
 
 	mu     sync.Mutex
-	conns  []*binConn
 	dials  []*binDial // dials[slot] is the dial in flight for that slot, if any
 	closed bool
 }
@@ -62,7 +70,7 @@ var binPoolSize = func() int {
 // newBinaryTransport returns a transport for the given host:port. Dialing
 // is lazy — a server that is down fails per request, like HTTP.
 func newBinaryTransport(addr string) *binaryTransport {
-	return &binaryTransport{addr: addr, conns: make([]*binConn, binPoolSize), dials: make([]*binDial, binPoolSize)}
+	return &binaryTransport{addr: addr, conns: make([]atomic.Pointer[binConn], binPoolSize), dials: make([]*binDial, binPoolSize)}
 }
 
 // Close tears down every connection; in-flight requests fail. The
@@ -70,30 +78,32 @@ func newBinaryTransport(addr string) *binaryTransport {
 func (t *binaryTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
-	conns := t.conns
-	t.conns = make([]*binConn, binPoolSize)
-	t.mu.Unlock()
-	for _, cc := range conns {
-		if cc != nil {
+	for i := range t.conns {
+		if cc := t.conns[i].Swap(nil); cc != nil {
 			cc.fail(errTransportClosed)
 		}
 	}
+	t.mu.Unlock()
 }
 
-// conn returns a live pooled connection, dialing a replacement for a dead
-// slot. Slots rotate round-robin so concurrent streams spread across the
-// pool. A slot has at most one dial in flight: callers that find it
-// dialing wait for that dial (or for ctx), then re-check the slot, and
-// share its error if it failed.
-func (t *binaryTransport) conn(ctx context.Context) (*binConn, error) {
-	slot := int(t.next.Add(1)) % binPoolSize
+// conn returns the stream's pooled connection. The stream id picks the
+// slot, so one stream's requests share a connection and the pick writes
+// nothing shared; a live connection is one atomic load and one flag away.
+// A dead or empty slot is redialed under t.mu, with at most one dial in
+// flight per slot: callers that find it dialing wait for that dial (or for
+// ctx), then re-check the slot, and share its error if it failed.
+func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error) {
+	slot := int(uint(stream) % uint(len(t.conns)))
+	if cc := t.conns[slot].Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil
+	}
 	t.mu.Lock()
 	for {
 		if t.closed {
 			t.mu.Unlock()
 			return nil, errTransportClosed
 		}
-		if cc := t.conns[slot]; cc != nil && !cc.broken() {
+		if cc := t.conns[slot].Load(); cc != nil && !cc.dead.Load() {
 			t.mu.Unlock()
 			return cc, nil
 		}
@@ -122,7 +132,7 @@ func (t *binaryTransport) conn(ctx context.Context) (*binConn, error) {
 		err = errTransportClosed
 	}
 	if err == nil {
-		t.conns[slot] = fresh
+		t.conns[slot].Store(fresh)
 	}
 	t.dials[slot] = nil
 	d.err = err
@@ -146,72 +156,127 @@ func (t *binaryTransport) dial() (*binConn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	cc := &binConn{
-		conn:    nc,
-		pending: make(map[uint64]chan binReply),
-		wwake:   make(chan struct{}, 1),
-		wstop:   make(chan struct{}),
-	}
+	cc := &binConn{conn: nc, wwake: make(chan struct{}, 1), wstop: make(chan struct{})}
 	go cc.readLoop()
 	go cc.writeLoop()
 	return cc, nil
 }
+
+// binSlots is the waiter table's size: 256 pointers, 2 KiB per connection.
+// A connection may carry more requests in flight; the surplus waits in the
+// overflow map.
+const binSlots = 256
 
 // binConn is one pipelined connection: requesters append frames to a
 // shared queue and nudge a dedicated writer goroutine, which swaps the
 // whole queue out and writes it in one syscall (group commit — every
 // queued request rides the same write), while a reader goroutine routes
 // response frames to waiters by request id.
+//
+// Waiters are found through a fixed table indexed by id % binSlots. A
+// caller publishes its waiter with a CAS from nil; the reader, a
+// cancelling caller and fail each take it out with an atomic op, so exactly
+// one of them owns it next. A request whose slot is still held (more than
+// binSlots in flight, or a slow straggler) registers in the mutex-guarded
+// overflow map instead; the reader looks there only when the table has no
+// match. fail sets dead before it sweeps the table, and a registering
+// caller re-checks dead after it publishes, so a waiter is never left
+// behind on a dead connection.
 type binConn struct {
 	conn   net.Conn
 	nextID atomic.Uint64
+	dead   atomic.Bool // set once by fail, before the sweep; err is set before it
+	table  [binSlots]atomic.Pointer[waiter]
 
 	wmu   sync.Mutex
 	wbuf  []byte        // frames queued for the writer
 	wwake chan struct{} // capacity 1: nudges the writer
 
-	mu      sync.Mutex
-	pending map[uint64]chan binReply
-	dead    error
-	wstop   chan struct{} // closed by fail: stops the writer
+	mu    sync.Mutex
+	ovf   map[uint64]*waiter // waiters whose table slot was taken
+	err   error              // why the connection died; read only once dead is seen
+	wstop chan struct{}      // closed by fail: stops the writer
 }
 
-// replyPool recycles roundTrip's buffered-1 reply channels, the hot path's
-// one remaining allocation pair (a channel of a pointerful element is two).
-// Only a waiter that RECEIVED its reply may put its channel back: that
-// channel is provably empty and unreferenced by the read loop. A waiter that
-// gave up (context) or was failed (closed channel) drops its channel, because
-// a late reply may still be sent on it.
-var replyPool = sync.Pool{New: func() any { return make(chan binReply, 1) }}
-
-// binReply hands a response frame to its waiter. buf is the pooled buffer
-// Body aliases; the waiter returns it with binwire.PutBuf after decoding.
-type binReply struct {
-	frame binwire.Frame
-	buf   *[]byte
+// waiter is one request's rendezvous with the reader: the reader copies
+// the reply into body, sets typ and sends on done (capacity 1, so the
+// reader never blocks); fail closes done instead. Waiters are pooled, and
+// two rules keep a recycled waiter from receiving someone else's reply:
+//   - only the goroutine that received a wake-up on done puts the waiter
+//     back, because only then is done empty and the waiter out of every
+//     table, map and goroutine;
+//   - a cancelled or failed waiter is dropped, never pooled: the reader may
+//     have claimed it already and still write its body and wake it.
+type waiter struct {
+	id   uint64
+	done chan struct{}
+	typ  binwire.MsgType
+	body []byte
 }
 
-func (cc *binConn) broken() bool {
+var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
+
+// register publishes w under its id: its table slot if free, the overflow
+// map otherwise.
+func (cc *binConn) register(w *waiter) {
+	if cc.table[w.id%binSlots].CompareAndSwap(nil, w) {
+		return
+	}
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.dead != nil
+	if cc.ovf == nil {
+		cc.ovf = make(map[uint64]*waiter)
+	}
+	cc.ovf[w.id] = w
+	cc.mu.Unlock()
+}
+
+// claim takes the waiter for id out of the table or the overflow map, or
+// returns nil if it is gone (cancelled, or failed).
+func (cc *binConn) claim(id uint64) *waiter {
+	s := &cc.table[id%binSlots]
+	if w := s.Load(); w != nil && w.id == id && s.CompareAndSwap(w, nil) {
+		return w
+	}
+	cc.mu.Lock()
+	w := cc.ovf[id]
+	delete(cc.ovf, id)
+	cc.mu.Unlock()
+	return w
+}
+
+// forget withdraws w if nobody has claimed it yet. The caller drops w
+// either way: a claimant may still be about to wake it.
+func (cc *binConn) forget(w *waiter) {
+	if !cc.table[w.id%binSlots].CompareAndSwap(w, nil) {
+		cc.mu.Lock()
+		if cc.ovf[w.id] == w {
+			delete(cc.ovf, w.id)
+		}
+		cc.mu.Unlock()
+	}
 }
 
 // fail kills the connection: every current and future waiter gets err.
 func (cc *binConn) fail(err error) {
 	cc.mu.Lock()
-	if cc.dead != nil {
+	if cc.err != nil {
 		cc.mu.Unlock()
 		return
 	}
-	cc.dead = err
-	pending := cc.pending
-	cc.pending = nil
+	cc.err = err
+	cc.dead.Store(true)
+	ovf := cc.ovf
+	cc.ovf = nil
 	close(cc.wstop)
 	cc.mu.Unlock()
 	cc.conn.Close()
-	for _, ch := range pending {
-		close(ch) // a closed channel signals "connection died, see dead"
+	for i := range cc.table {
+		if w := cc.table[i].Swap(nil); w != nil {
+			close(w.done) // a closed done signals "connection died, see err"
+		}
+	}
+	for _, w := range ovf {
+		close(w.done)
 	}
 }
 
@@ -228,24 +293,13 @@ func (cc *binConn) readLoop() {
 			cc.fail(fmt.Errorf("client: server speaks binwire version %d, want %d", f.Version, binwire.Version))
 			return
 		}
-		// The frame body aliases the reader's buffer; copy it into a
-		// pooled buffer that travels to the waiter.
-		bp := binwire.GetBuf()
-		*bp = append((*bp)[:0], f.Body...)
-		f.Body = *bp
-		cc.mu.Lock()
-		ch, ok := cc.pending[f.ID]
-		if ok {
-			delete(cc.pending, f.ID)
+		// A missing waiter gave up (context cancellation): the late
+		// response is dropped. Otherwise the body, which aliases the
+		// reader's buffer, is copied into the waiter's own.
+		if w := cc.claim(f.ID); w != nil {
+			w.typ, w.body = f.Type, append(w.body[:0], f.Body...)
+			w.done <- struct{}{}
 		}
-		cc.mu.Unlock()
-		if !ok {
-			// The waiter gave up (context cancellation); drop the late
-			// response.
-			binwire.PutBuf(bp)
-			continue
-		}
-		ch <- binReply{frame: f, buf: bp}
 	}
 }
 
@@ -294,45 +348,35 @@ func (cc *binConn) send(enc func(dst []byte, id uint64) []byte, id uint64) {
 
 // roundTrip sends one request frame (encoded by enc, stamped with a fresh
 // id) and parks until the matching response arrives, the context ends, or
-// the connection dies.
-func (cc *binConn) roundTrip(ctx context.Context, enc func(dst []byte, id uint64) []byte) (binReply, error) {
-	id := cc.nextID.Add(1)
-	ch := replyPool.Get().(chan binReply)
-	cc.mu.Lock()
-	if cc.dead != nil {
-		err := cc.dead
-		cc.mu.Unlock()
-		return binReply{}, err
+// the connection dies. A context that can never end parks on a plain
+// receive; only a cancellable one pays for a select. On success the caller
+// owns the returned waiter and puts it back in waiters once it has decoded
+// w.body.
+func (cc *binConn) roundTrip(ctx context.Context, enc func(dst []byte, id uint64) []byte) (*waiter, error) {
+	w := waiters.Get().(*waiter)
+	w.id = cc.nextID.Add(1)
+	cc.register(w)
+	if cc.dead.Load() { // fail may have swept before w was published
+		cc.forget(w)
+		return nil, cc.err
 	}
-	cc.pending[id] = ch
-	cc.mu.Unlock()
+	cc.send(enc, w.id)
 
-	cc.send(enc, id)
-
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			cc.mu.Lock()
-			err := cc.dead
-			cc.mu.Unlock()
-			return binReply{}, err
+	ok := false
+	if done := ctx.Done(); done == nil {
+		_, ok = <-w.done
+	} else {
+		select {
+		case _, ok = <-w.done:
+		case <-done:
+			cc.forget(w)
+			return nil, ctx.Err()
 		}
-		replyPool.Put(ch)
-		return r, nil
-	case <-ctx.Done():
-		cc.forget(id)
-		return binReply{}, ctx.Err()
 	}
-}
-
-// forget abandons a pending id (the response, if it ever comes, is
-// dropped by the read loop).
-func (cc *binConn) forget(id uint64) {
-	cc.mu.Lock()
-	if cc.pending != nil {
-		delete(cc.pending, id)
+	if !ok {
+		return nil, cc.err
 	}
-	cc.mu.Unlock()
+	return w, nil
 }
 
 // binError maps an error frame to the error the HTTP codec produces for
@@ -345,40 +389,40 @@ func binError(body []byte) error {
 	return statusError(int(code), msg, ms, "")
 }
 
-// call sends one request frame (encoded by enc) and returns the reply
-// frame, which must be of type want: an error frame becomes its binError,
-// any other type is a protocol violation. On success the caller returns
-// r.buf with binwire.PutBuf once it has decoded r.frame.Body.
-func (t *binaryTransport) call(ctx context.Context, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) (binReply, error) {
-	cc, err := t.conn(ctx)
+// call sends one request frame (encoded by enc) for the stream and returns
+// the reply's waiter, whose frame must be of type want: an error frame
+// becomes its binError, any other type is a protocol violation. On success
+// the caller puts the waiter back in waiters once it has decoded w.body.
+func (t *binaryTransport) call(ctx context.Context, stream int, want binwire.MsgType, enc func(dst []byte, id uint64) []byte) (*waiter, error) {
+	cc, err := t.conn(ctx, stream)
 	if err != nil {
-		return binReply{}, err
+		return nil, err
 	}
-	r, err := cc.roundTrip(ctx, enc)
+	w, err := cc.roundTrip(ctx, enc)
 	if err != nil {
-		return binReply{}, err
+		return nil, err
 	}
-	switch r.frame.Type {
+	switch w.typ {
 	case want:
-		return r, nil
+		return w, nil
 	case binwire.MsgError:
-		err = binError(r.frame.Body)
+		err = binError(w.body)
 	default:
-		err = fmt.Errorf("client: unexpected response frame type %d", byte(r.frame.Type))
+		err = fmt.Errorf("client: unexpected response frame type %d", byte(w.typ))
 	}
-	binwire.PutBuf(r.buf)
-	return binReply{}, err
+	waiters.Put(w)
+	return nil, err
 }
 
 func (t *binaryTransport) decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
-	r, err := t.call(ctx, binwire.MsgDecideResp, func(dst []byte, id uint64) []byte {
+	w, err := t.call(ctx, stream, binwire.MsgDecideResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendDecide(dst, id, stream, spec)
 	})
 	if err != nil {
 		return alert.Decision{}, alert.Estimate{}, "", err
 	}
-	defer binwire.PutBuf(r.buf)
-	d, est, node, err := binwire.DecodeDecideResp(r.frame.Body)
+	defer waiters.Put(w)
+	d, est, node, err := binwire.DecodeDecideResp(w.body)
 	if err != nil {
 		return alert.Decision{}, alert.Estimate{}, "", fmt.Errorf("client: %w", err)
 	}
@@ -386,14 +430,14 @@ func (t *binaryTransport) decide(ctx context.Context, stream int, spec alert.Spe
 }
 
 func (t *binaryTransport) observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	r, err := t.call(ctx, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
+	w, err := t.call(ctx, stream, binwire.MsgObserveResp, func(dst []byte, id uint64) []byte {
 		return binwire.AppendObserve(dst, id, stream, fb)
 	})
 	if err != nil {
 		return err
 	}
-	defer binwire.PutBuf(r.buf)
-	if err := binwire.DecodeObserveResp(r.frame.Body); err != nil {
+	defer waiters.Put(w)
+	if err := binwire.DecodeObserveResp(w.body); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -577,12 +578,13 @@ func TestPreferBinaryProbeStallsNobody(t *testing.T) {
 }
 
 // TestBinaryHotPathAllocs keeps a binwire Decide and Observe allocation-free
-// end to end: the retry and encode closures stay on the stack, the reply
-// channel comes from replyPool, the retry loop declares its *OverloadError
-// target only once there is an error, and the server — which shares the
-// process, so its allocations count too — serves bursts out of reused
-// per-connection scratch. Measured 0 per call (3 before the pool); the bound
-// of 1 is what -race needs, where sync.Pool drops a quarter of all Puts.
+// end to end: the retry and encode closures stay on the stack, the waiter
+// (its wake-up channel and reply buffer) comes from the waiters pool, the
+// retry loop declares its *OverloadError target only once there is an
+// error, and the server — which shares the process, so its allocations
+// count too — serves bursts out of reused per-connection scratch. Measured
+// 0 per call; the bound of 1 is what -race needs, where sync.Pool drops a
+// quarter of all Puts.
 func TestBinaryHotPathAllocs(t *testing.T) {
 	url, _, bs := startBinaryFrontEnd(t, netserve.Config{})
 	c, err := New(url, Options{BinaryAddr: bs.Addr()})
@@ -604,32 +606,199 @@ func TestBinaryHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestReplyChannelNotRecycledOnCancel pins the one rule of replyPool: a
-// waiter that gave up must not put its channel back, because the reply it
-// abandoned can still be sent on it — and would then be received by whoever
-// drew the channel next, as the answer to a different request. The window is
-// the read loop having claimed the waiter (pending entry deleted) but not
-// yet sent; the encoder hook below opens exactly that window.
-func TestReplyChannelNotRecycledOnCancel(t *testing.T) {
-	cc := &binConn{pending: make(map[uint64]chan binReply), wwake: make(chan struct{}, 1), wstop: make(chan struct{})}
+// TestWaiterNotRecycledOnCancel pins the cancellation rule of the waiter
+// pool: a waiter that gave up must not go back to the pool, because the
+// reader may already have claimed it and can still wake it — and would then
+// wake whoever drew the waiter next, with the answer to a different
+// request. The window is the reader having taken the waiter out of the
+// table but not yet woken it; the encoder hook below opens exactly that
+// window.
+func TestWaiterNotRecycledOnCancel(t *testing.T) {
+	cc := &binConn{wwake: make(chan struct{}, 1), wstop: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	var claimed chan binReply
+	var claimed *waiter
 	_, err := cc.roundTrip(ctx, func(dst []byte, id uint64) []byte {
-		cc.mu.Lock()
-		claimed = cc.pending[id] // the read loop claims the waiter...
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		cancel() // ...and the waiter gives up before the reply is sent
+		claimed = cc.claim(id) // the reader claims the waiter...
+		cancel()               // ...and the waiter gives up before it is woken
 		return dst
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("roundTrip = %v, want context.Canceled", err)
 	}
-	claimed <- binReply{} // the late reply
+	if claimed == nil {
+		t.Fatal("the waiter was not in the table while its request was in flight")
+	}
+	claimed.done <- struct{}{} // the late wake-up
 	for i := 0; i < 64; i++ {
-		if ch := replyPool.Get().(chan binReply); ch == claimed || len(ch) != 0 {
-			t.Fatal("a cancelled waiter's channel went back to the pool with a late reply in it")
+		if w := waiters.Get().(*waiter); w == claimed || len(w.done) != 0 {
+			t.Fatal("a cancelled waiter went back to the pool with a late wake-up in it")
 		}
+	}
+}
+
+// tableEmpty reports whether no waiter is left in cc's table or overflow map.
+func tableEmpty(cc *binConn) bool {
+	for i := range cc.table {
+		if cc.table[i].Load() != nil {
+			return false
+		}
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.ovf) == 0
+}
+
+// TestWaiterTableOverflow puts more requests in flight on one connection
+// than the waiter table has slots, against a server that holds every reply
+// until it has read all the requests and then answers in reverse order.
+// The surplus must wait in the overflow map, and every caller must get its
+// own reply: the server echoes each request's stream as the decision's
+// model.
+func TestWaiterTableOverflow(t *testing.T) {
+	const inFlight = 2*binSlots + 44
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	full, answer := make(chan struct{}), make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		rd := binwire.NewReader(conn)
+		var replies [][]byte
+		for len(replies) < inFlight {
+			f, err := rd.Next()
+			if err != nil {
+				return
+			}
+			stream, _, err := binwire.DecodeDecide(f.Body)
+			if err != nil {
+				return
+			}
+			replies = append(replies, binwire.AppendDecideResp(nil, f.ID, alert.Decision{Model: stream}, scriptedEstimate, "n1"))
+		}
+		close(full)
+		<-answer
+		for i := len(replies) - 1; i >= 0; i-- {
+			if _, err := conn.Write(replies[i]); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := New(startScriptedFrontEnd(t).url, Options{BinaryAddr: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	// Streams that are multiples of the pool size all ride pool slot 0.
+	var wg sync.WaitGroup
+	errs := make(chan error, inFlight)
+	for i := 0; i < inFlight; i++ {
+		wg.Add(1)
+		go func(stream int) {
+			defer wg.Done()
+			d, _, err := c.Decide(context.Background(), stream, testSpec())
+			if err == nil && d.Model != stream {
+				err = fmt.Errorf("stream %d got the reply for stream %d", stream, d.Model)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}(i * binPoolSize)
+	}
+	select {
+	case <-full:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never saw every request")
+	}
+	cc := c.wire(context.Background()).(*binaryTransport).conns[0].Load()
+	cc.mu.Lock()
+	overflowed := len(cc.ovf)
+	cc.mu.Unlock()
+	if overflowed != inFlight-binSlots {
+		t.Errorf("%d of %d in-flight requests waited in the overflow map, want %d", overflowed, inFlight, inFlight-binSlots)
+	}
+	close(answer)
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a caller never got its reply")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !tableEmpty(cc) {
+		t.Error("a waiter was left behind after every reply arrived")
+	}
+}
+
+// TestWaiterTableConnKilled kills a connection while callers are still
+// registering on it: the server hangs up after reading a few requests and
+// never answers any. Every caller — already parked, mid-registration, or
+// arriving after the death — must return the connection's error within a
+// deadline, and no waiter may be left in the table or the overflow map.
+func TestWaiterTableConnKilled(t *testing.T) {
+	const callers, hangUpAfter = binSlots + 200, 64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				rd := binwire.NewReader(conn)
+				for n := 0; n < hangUpAfter; n++ {
+					if _, err := rd.Next(); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	for round := 0; round < 10; round++ {
+		bt := newBinaryTransport(ln.Addr().String())
+		cc, err := bt.conn(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, callers)
+		for i := 0; i < callers; i++ {
+			go func(stream int) {
+				_, err := cc.roundTrip(context.Background(), func(dst []byte, id uint64) []byte {
+					return binwire.AppendObserve(dst, id, stream, alert.Feedback{Latency: 0.05, CompletedStage: -1})
+				})
+				errs <- err
+			}(i)
+		}
+		deadline := time.After(10 * time.Second)
+		for i := 0; i < callers; i++ {
+			select {
+			case err := <-errs:
+				if err == nil || err != cc.err {
+					t.Fatalf("round %d: a caller on the killed connection returned %v, want the connection's error", round, err)
+				}
+			case <-deadline:
+				t.Fatalf("round %d: %d of %d callers still parked on a dead connection", round, callers-i, callers)
+			}
+		}
+		if !tableEmpty(cc) {
+			t.Fatalf("round %d: a waiter was left in the table of a dead connection", round)
+		}
+		bt.Close()
 	}
 }
 
@@ -678,13 +847,11 @@ func TestBinaryTransportSurvivesConnLoss(t *testing.T) {
 	}
 	// Reach into the transport and sever every pooled connection.
 	bt := c.wire(ctx).(*binaryTransport)
-	bt.mu.Lock()
-	for _, cc := range bt.conns {
-		if cc != nil {
+	for i := range bt.conns {
+		if cc := bt.conns[i].Load(); cc != nil {
 			cc.conn.Close()
 		}
 	}
-	bt.mu.Unlock()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

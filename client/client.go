@@ -50,6 +50,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/alert-project/alert"
@@ -125,9 +126,10 @@ type Client struct {
 	// data is the per-input loop's codec: &c.http or a *binaryTransport, fixed
 	// for the client's lifetime once known. It is set at construction
 	// unless PreferBinary leaves it to discovery, when it stays nil until
-	// the first successful stats probe (see wire).
+	// the first successful stats probe (see wire). settle publishes it once,
+	// under dataMu; every call reads it with one atomic load.
 	dataMu sync.Mutex
-	data   codec
+	data   atomic.Pointer[codec]
 }
 
 // New validates the base URL (e.g. "http://127.0.0.1:8372") and returns a
@@ -180,11 +182,10 @@ func (c *Client) Close() {
 	if c.ownedHC {
 		c.http.hc.CloseIdleConnections()
 	}
-	c.dataMu.Lock()
-	data := c.data
-	c.dataMu.Unlock()
-	if bt, ok := data.(*binaryTransport); ok {
-		bt.Close()
+	if data := c.data.Load(); data != nil {
+		if bt, ok := (*data).(*binaryTransport); ok {
+			bt.Close()
+		}
 	}
 }
 
@@ -198,11 +199,8 @@ func (c *Client) Close() {
 // answers stalls nobody past their deadline (and never Close); concurrent
 // first callers may each probe, and the first to finish settles it.
 func (c *Client) wire(ctx context.Context) codec {
-	c.dataMu.Lock()
-	data := c.data
-	c.dataMu.Unlock()
-	if data != nil {
-		return data
+	if data := c.data.Load(); data != nil {
+		return *data
 	}
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -217,13 +215,14 @@ func (c *Client) wire(ctx context.Context) codec {
 func (c *Client) settle(binAddr string) codec {
 	c.dataMu.Lock()
 	defer c.dataMu.Unlock()
-	if c.data == nil {
-		c.data = &c.http
+	if c.data.Load() == nil {
+		var data codec = &c.http
 		if binAddr != "" {
-			c.data = newBinaryTransport(binAddr)
+			data = newBinaryTransport(binAddr)
 		}
+		c.data.Store(&data)
 	}
-	return c.data
+	return *c.data.Load()
 }
 
 // resolveBinaryAddr fixes up an advertised binary address whose host part

@@ -19,8 +19,8 @@
 // wire is bit-identical to the one the client held, so decision sequences
 // over this transport are byte-identical to the in-process path.
 //
-// Encoding is append-style into caller-owned buffers (GetBuf/PutBuf pool
-// them); decoding aliases the input and never copies. The decoder is
+// Encoding is append-style into caller-owned buffers, which callers keep
+// and reuse; decoding aliases the input and never copies. The decoder is
 // strict: it never panics, never reads past the declared payload, and
 // rejects any body whose length or enum bytes deviate from the canonical
 // encoding — an accepted frame always re-encodes to the exact same bytes
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"github.com/alert-project/alert"
 )
@@ -177,21 +176,6 @@ func (rd *Reader) Next() (Frame, error) {
 	f.ID = binary.LittleEndian.Uint64(buf[2:])
 	f.Body = buf[frameRest:]
 	return f, nil
-}
-
-// bufPool recycles frame-assembly buffers; encode into (*GetBuf())[:0]
-// and PutBuf when the frame has been written.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// GetBuf returns a pooled frame-assembly buffer (length 0). Store the
-// appended result back through the pointer before PutBuf so the pool
-// keeps the grown capacity.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf returns a buffer to the pool.
-func PutBuf(p *[]byte) {
-	*p = (*p)[:0]
-	bufPool.Put(p)
 }
 
 // beginFrame appends the frame header with a length placeholder; the

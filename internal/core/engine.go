@@ -6,6 +6,7 @@ import (
 
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/kalman"
+	"github.com/alert-project/alert/internal/mathx"
 )
 
 // Engine is the immutable, shareable half of the ALERT controller: the
@@ -41,6 +42,11 @@ type Engine struct {
 	// space is the structure-of-arrays view of candidates with the
 	// per-candidate profile invariants precomputed (see fastpath.go).
 	space candSpace
+
+	// zEnergy and zStop are mathx.PhiInv of opts.EnergyConfidence and
+	// opts.StopQuantile: the standard-normal quantiles every Decide whose
+	// spec sets no Prth scores with.
+	zEnergy, zStop float64
 }
 
 // NewEngine builds the shared engine over a profiled candidate set,
@@ -71,6 +77,8 @@ func NewEngine(prof *dnn.ProfileTable, opts Options) *Engine {
 	e.overhead = opts.OverheadFrac * e.meanProfLat
 	e.candidates = enumerateCandidates(prof)
 	e.space = newCandSpace(prof, e.candidates)
+	e.zEnergy = mathx.PhiInv(opts.EnergyConfidence)
+	e.zStop = mathx.PhiInv(opts.StopQuantile)
 	return e
 }
 

@@ -16,9 +16,11 @@ package core
 //     behind the Eq. 12 energy estimate and the §3.5 anytime stop plan
 //     depend only on (spec, filter state), not on the candidate, yet the
 //     naive scorer paid one mathx.NormQuantile per candidate. They are now
-//     computed once per Decide. The anytime quality ladder likewise
-//     evaluates each stage's completion probability once instead of twice
-//     (the naive ladder recomputes stage si+1's CDF as it advances).
+//     computed once per Decide, from standard-normal quantiles the Engine
+//     computed once (a spec's own Prth costs one PhiInv per Decide). The
+//     anytime quality ladder likewise evaluates each stage's completion
+//     probability once instead of twice (the naive ladder recomputes stage
+//     si+1's CDF as it advances).
 //  3. Bit-exactness over micro-tricks: the scan must stay byte-identical to
 //     the naive estimate/EstimateAll oracle (the differential tests compare
 //     Estimates with ==), so only transformations that reproduce the exact
@@ -288,22 +290,20 @@ type scoreParams struct {
 	zStop float64
 }
 
-// scoreParamsFor computes the per-Decide invariants once.
+// scoreParamsFor computes the per-Decide invariants once. The
+// standard-normal quantiles of the engine's own levels were computed at
+// NewEngine; only a spec that sets Prth pays for a PhiInv here. Scaling
+// through mathx.NormQuantileZ is the very expression the naive scorer's
+// NormQuantile evaluates, so the result is the same bits.
 func (s *Session) scoreParamsFor(spec Spec) scoreParams {
 	p := scoreParams{mu: s.xi.Mean(), sigma: s.sigmaForPrediction(), phi: s.idle.Ratio()}
-	eq := s.energyQuantile(spec)
-	p.zEnergy = mathx.NormQuantile(eq, p.mu, p.sigma)
-	q := s.eng.opts.StopQuantile
+	zEnergy, zStop := s.eng.zEnergy, s.eng.zStop
 	if spec.Prth > 0 {
-		q = spec.Prth
+		zEnergy = mathx.PhiInv(spec.Prth)
+		zStop = zEnergy
 	}
-	// The two quantile levels coincide whenever the spec sets Prth and under
-	// the default options; NormQuantile is a pure function, so reusing its
-	// result is the same bits.
-	p.zStop = p.zEnergy
-	if q != eq {
-		p.zStop = mathx.NormQuantile(q, p.mu, p.sigma)
-	}
+	p.zEnergy = mathx.NormQuantileZ(zEnergy, p.mu, p.sigma)
+	p.zStop = mathx.NormQuantileZ(zStop, p.mu, p.sigma)
 	return p
 }
 

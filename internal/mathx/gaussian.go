@@ -93,10 +93,18 @@ func PhiInv(p float64) float64 {
 // NormQuantile returns the q-th quantile of N(mu, sigma^2).
 // It is the inverse of NormCDF and backs the Prth energy estimate (Eq. 12).
 func NormQuantile(p, mu, sigma float64) float64 {
+	return NormQuantileZ(PhiInv(p), mu, sigma)
+}
+
+// NormQuantileZ is NormQuantile with the standard-normal quantile
+// z = PhiInv(p) already computed, so a caller that knows p in advance pays
+// for PhiInv once. Both evaluate the same expression, so they agree to the
+// bit.
+func NormQuantileZ(z, mu, sigma float64) float64 {
 	if sigma <= 0 {
 		return mu
 	}
-	return mu + sigma*PhiInv(p)
+	return mu + sigma*z
 }
 
 // NormPDF returns the density of N(mu, sigma^2) at x.
