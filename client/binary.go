@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -280,9 +279,11 @@ func (cc *binConn) fail(err error) {
 	}
 }
 
+// readLoop routes response frames to their waiters. Its binwire.Reader
+// reads into one 16 KiB buffer, so a burst of pipelined responses drains in
+// one read syscall, and parses each frame where it lies.
 func (cc *binConn) readLoop() {
-	// Buffered: a burst of pipelined responses drains in one read syscall.
-	rd := binwire.NewReader(bufio.NewReaderSize(cc.conn, 64<<10))
+	rd := binwire.NewReader(cc.conn)
 	for {
 		f, err := rd.Next()
 		if err != nil {
@@ -295,7 +296,8 @@ func (cc *binConn) readLoop() {
 		}
 		// A missing waiter gave up (context cancellation): the late
 		// response is dropped. Otherwise the body, which aliases the
-		// reader's buffer, is copied into the waiter's own.
+		// reader's buffer, is copied into the waiter's own — at most
+		// binwire.MaxFrame bytes, so a pooled waiter stays small.
 		if w := cc.claim(f.ID); w != nil {
 			w.typ, w.body = f.Type, append(w.body[:0], f.Body...)
 			w.done <- struct{}{}

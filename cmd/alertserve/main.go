@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"github.com/alert-project/alert"
+	"github.com/alert-project/alert/internal/binwire"
 	"github.com/alert-project/alert/internal/membership"
 	"github.com/alert-project/alert/internal/netserve"
 	"github.com/alert-project/alert/internal/selfheal"
@@ -103,6 +104,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	}
 	if *peers != "" && !*memberOn {
 		return errors.New("-peers are the membership seeds and require -membership")
+	}
+	if len(*nodeID) > binwire.MaxNodeID {
+		return fmt.Errorf("-node-id is %d bytes; a binwire decide reply carries at most %d", len(*nodeID), binwire.MaxNodeID)
 	}
 
 	plat, err := alert.PlatformByName(*platName)
@@ -194,6 +198,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 			ln.Close()
 			return err
 		}
+		// Deferred after srv.Close, so it runs first: the manager's
+		// failover passes use the stream table.
+		defer heal.Close()
 		cfg.Membership = agent
 		cfg.Recovery = heal
 	}

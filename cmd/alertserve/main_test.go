@@ -8,6 +8,7 @@ import (
 
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/client"
+	"github.com/alert-project/alert/internal/binwire"
 )
 
 // TestServeAndDrain boots the server on a free loopback port, drives it
@@ -178,6 +179,9 @@ func TestFlagAndConfigErrors(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-node-id", "n1", "-peers", "10.0.0.2:8372"}, &out, nil); err == nil {
 		t.Error("-peers without -membership must error: they are only the membership seeds")
+	}
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-node-id", strings.Repeat("n", binwire.MaxNodeID+1)}, &out, nil); err == nil {
+		t.Error("a -node-id too long for a binwire decide reply must error")
 	}
 }
 

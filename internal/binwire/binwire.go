@@ -20,7 +20,10 @@
 // over this transport are byte-identical to the in-process path.
 //
 // Encoding is append-style into caller-owned buffers, which callers keep
-// and reuse; decoding aliases the input and never copies. The decoder is
+// and reuse, and never emits a frame the decoder rejects: a node id or an
+// error message too long for MaxFrame is cut. Decoding aliases the input
+// and never copies; a Reader parses each frame where it lies in its one
+// fixed buffer. The decoder is
 // strict: it never panics, never reads past the declared payload, and
 // rejects any body whose length or enum bytes deviate from the canonical
 // encoding — an accepted frame always re-encodes to the exact same bytes
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unicode/utf8"
 
 	"github.com/alert-project/alert"
 )
@@ -44,10 +48,28 @@ import (
 // naming its own version — that reply is the whole version negotiation.
 const Version byte = 1
 
-// MaxFrame bounds a frame's payload (version byte through body end),
-// mirroring the HTTP front end's request-body cap so neither transport
-// can be ballooned by one peer.
-const MaxFrame = 8 << 20
+// MaxFrame bounds a frame's payload (version byte through body end). The
+// largest frame the protocol sends is a decide-resp (105 bytes plus the
+// node id) or an error frame (22 bytes plus the message), so 4 KiB holds
+// every legal frame, and a length prefix declaring more fails before
+// anything is allocated or read.
+const MaxFrame = 4 << 10
+
+// ReadBuffer is the size of a Reader's one buffer. It holds a few hundred
+// frames of the per-input loop, so one read brings in a pipelined burst,
+// and more than the largest frame, so every frame is parsed where it lies.
+const ReadBuffer = 16 << 10
+
+// MaxNodeID is the longest node id a decide-resp frame carries within
+// MaxFrame; AppendDecideResp cuts a longer one.
+const MaxNodeID = MaxFrame - (frameRest + decisionLen + estimateLen + 2)
+
+// maxErrorMsg is the longest message an error frame carries within
+// MaxFrame; AppendError cuts a longer one.
+const maxErrorMsg = MaxFrame - (frameRest + errHeaderLen)
+
+// A frame and its length prefix always fit in a Reader's buffer.
+var _ [ReadBuffer - 4 - MaxFrame]struct{}
 
 // MsgType identifies a frame's body layout.
 type MsgType byte
@@ -113,69 +135,117 @@ var ErrShortFrame = errors.New("binwire: short frame")
 // a prefix of a valid frame, and a fatal error for anything malformed;
 // it never panics and never reads past the declared payload.
 func ParseFrame(data []byte) (Frame, int, error) {
-	var f Frame
 	if len(data) < 4 {
-		return f, 0, fmt.Errorf("%w: %d header bytes", ErrShortFrame, len(data))
+		return Frame{}, 0, fmt.Errorf("%w: %d header bytes", ErrShortFrame, len(data))
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if n < frameRest {
-		return f, 0, fmt.Errorf("binwire: payload length %d below the %d-byte frame header", n, frameRest)
+	n, err := payloadLen(data)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if n > MaxFrame {
-		return f, 0, fmt.Errorf("binwire: payload length %d exceeds the %d-byte frame cap", n, MaxFrame)
+	if len(data)-4 < n {
+		return Frame{}, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrShortFrame, len(data)-4, n)
 	}
-	if uint32(len(data)-4) < n {
-		return f, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrShortFrame, len(data)-4, n)
-	}
-	f.Version = data[4]
-	f.Type = MsgType(data[5])
-	f.ID = binary.LittleEndian.Uint64(data[6:])
-	f.Body = data[4+frameRest : 4+n]
-	return f, int(4 + n), nil
+	return frameAt(data[4 : 4+n]), 4 + n, nil
 }
 
-// Reader reads frames from a stream, reusing one internal payload buffer:
-// after the first few frames grow it, Next allocates nothing. The
-// returned Frame's Body is valid only until the next call.
+// payloadLen checks the length prefix at the front of hdr (at least 4
+// bytes) and returns the payload length it declares.
+func payloadLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n < frameRest {
+		return 0, fmt.Errorf("binwire: payload length %d below the %d-byte frame header", n, frameRest)
+	}
+	if n > MaxFrame {
+		return 0, fmt.Errorf("binwire: payload length %d exceeds the %d-byte frame cap", n, MaxFrame)
+	}
+	return int(n), nil
+}
+
+// frameAt parses a payload whose length payloadLen accepted. Body's
+// capacity ends with the frame, so appending to it never overwrites the
+// next one.
+func frameAt(p []byte) Frame {
+	return Frame{Version: p[0], Type: MsgType(p[1]), ID: binary.LittleEndian.Uint64(p[2:]), Body: p[frameRest:len(p):len(p)]}
+}
+
+// Reader reads frames from a stream into one ReadBuffer-sized buffer and
+// parses them where they lie: Next returns a frame whose Body aliases the
+// buffer and is valid only until the next call. After NewReader nothing
+// is allocated, and a pipelined burst costs one Read.
 type Reader struct {
-	r   io.Reader
-	hdr [4]byte
-	buf []byte
+	src  io.Reader
+	buf  []byte // len ReadBuffer; buf[r:w] is read but not yet returned
+	r, w int
+	err  error // the source's error, returned once the bytes before it are used
 }
 
 // NewReader wraps a stream (typically a net.Conn).
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{src: r, buf: make([]byte, ReadBuffer)} }
+
+// Buffered reports whether a whole, well-formed frame is already buffered,
+// so that Next returns it without reading.
+func (rd *Reader) Buffered() bool {
+	if rd.w-rd.r < 4 {
+		return false
+	}
+	n, err := payloadLen(rd.buf[rd.r:])
+	return err == nil && rd.w-rd.r-4 >= n
+}
 
 // Next reads one frame. io.EOF means a clean end between frames; any
 // other error (including a frame exceeding MaxFrame) is fatal to the
 // stream.
 func (rd *Reader) Next() (Frame, error) {
-	var f Frame
-	if _, err := io.ReadFull(rd.r, rd.hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return f, fmt.Errorf("binwire: truncated frame header: %w", err)
+	for rd.w-rd.r < 4 {
+		if err := rd.fill(); err != nil {
+			if err == io.EOF && rd.w > rd.r {
+				err = fmt.Errorf("binwire: truncated frame header: %w", io.ErrUnexpectedEOF)
+			}
+			return Frame{}, err
 		}
-		return f, err
 	}
-	n := binary.LittleEndian.Uint32(rd.hdr[:])
-	if n < frameRest {
-		return f, fmt.Errorf("binwire: payload length %d below the %d-byte frame header", n, frameRest)
+	n, err := payloadLen(rd.buf[rd.r:])
+	if err != nil {
+		return Frame{}, err
 	}
-	if n > MaxFrame {
-		return f, fmt.Errorf("binwire: payload length %d exceeds the %d-byte frame cap", n, MaxFrame)
+	for rd.w-rd.r-4 < n {
+		if err := rd.fill(); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, fmt.Errorf("binwire: truncated frame payload: %w", err)
+		}
 	}
-	if uint32(cap(rd.buf)) < n {
-		rd.buf = make([]byte, n)
-	}
-	buf := rd.buf[:n]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return f, fmt.Errorf("binwire: truncated frame payload: %w", err)
-	}
-	f.Version = buf[0]
-	f.Type = MsgType(buf[1])
-	f.ID = binary.LittleEndian.Uint64(buf[2:])
-	f.Body = buf[frameRest:]
+	f := frameAt(rd.buf[rd.r+4 : rd.r+4+n])
+	rd.r += 4 + n
 	return f, nil
+}
+
+// fill moves the unread bytes to the front of the buffer, as bufio's fill
+// does, and reads once into the space behind them. Since the unread bytes
+// are less than one frame, that space always holds the rest of it.
+func (rd *Reader) fill() error {
+	if rd.err != nil {
+		return rd.err
+	}
+	if rd.r > 0 {
+		rd.w = copy(rd.buf, rd.buf[rd.r:rd.w])
+		rd.r = 0
+	}
+	for empty := 0; ; empty++ {
+		n, err := rd.src.Read(rd.buf[rd.w:])
+		rd.w += n
+		rd.err = err
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if empty == 100 { // bufio's limit on a source that returns nothing
+			return io.ErrNoProgress
+		}
+	}
 }
 
 // beginFrame appends the frame header with a length placeholder; the
@@ -257,8 +327,10 @@ func AppendDecide(dst []byte, id uint64, stream int, spec alert.Spec) []byte {
 	return endFrame(b, start)
 }
 
-// AppendDecideResp appends a MsgDecideResp frame.
+// AppendDecideResp appends a MsgDecideResp frame. A node id longer than
+// MaxNodeID is cut to fit.
 func AppendDecideResp(dst []byte, id uint64, d alert.Decision, e alert.Estimate, nodeID string) []byte {
+	nodeID = clip(nodeID, MaxNodeID)
 	start := len(dst)
 	b := beginFrame(dst, MsgDecideResp, id)
 	b = appendDecision(b, d)
@@ -285,8 +357,10 @@ func AppendObserveResp(dst []byte, id uint64) []byte {
 
 // AppendError appends a MsgError frame. retryAfterMs > 0 is the backoff
 // hint that rides 429/503 rejections, the binary twin of the HTTP
-// Retry-After header and retry_after_ms body field.
+// Retry-After header and retry_after_ms body field. A message that would
+// not fit in MaxFrame is cut to fit.
 func AppendError(dst []byte, id uint64, code uint16, retryAfterMs int64, msg string) []byte {
+	msg = clip(msg, maxErrorMsg)
 	start := len(dst)
 	b := beginFrame(dst, MsgError, id)
 	b = binary.LittleEndian.AppendUint16(b, code)
@@ -294,6 +368,20 @@ func AppendError(dst []byte, id uint64, code uint16, retryAfterMs int64, msg str
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
 	b = append(b, msg...)
 	return endFrame(b, start)
+}
+
+// clip cuts s to at most n bytes; a cut through a UTF-8 sequence moves to
+// its start, so valid UTF-8 stays valid.
+func clip(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for i := n; i > 0 && i > n-utf8.UTFMax; i-- {
+		if utf8.RuneStart(s[i]) {
+			return s[:i]
+		}
+	}
+	return s[:n]
 }
 
 func errLen(t MsgType, got, want int) error {

@@ -176,10 +176,13 @@ func (n *node) serve(ln net.Listener, peers []string) error {
 		bln, err := net.Listen("tcp", listenOn)
 		if err != nil {
 			ln.Close()
-			srv.Close()
 			if n.cancel != nil {
 				n.cancel()
 			}
+			if n.heal != nil {
+				n.heal.Close()
+			}
+			srv.Close()
 			return fmt.Errorf("chaos: node %s: binary listen %s: %w", n.id, listenOn, err)
 		}
 		n.binHostport = bln.Addr().String()
@@ -219,6 +222,10 @@ func (n *node) stop() {
 		n.bsrv = nil
 	}
 	n.hsrv.Close()
+	if n.heal != nil {
+		// Its failover passes use the stream table: stop them first.
+		n.heal.Close()
+	}
 	n.srv.Close()
 	n.srv, n.front, n.hsrv = nil, nil, nil
 	n.agent, n.heal, n.cancel = nil, nil, nil

@@ -14,8 +14,9 @@
 //  2. Connections are persistent and pipelined: a client stamps each
 //     request with an id and may keep many in flight.
 //  3. Each wake-up runs a burst to completion (per-connection group commit):
-//     one read brings in every frame the client has pipelined; every
-//     complete frame is decoded and checked; the burst is admitted as one
+//     one read brings in what the client has pipelined, up to one
+//     binwire.ReadBuffer (16 KiB, about 300 decide frames); every complete
+//     frame in it is decoded and checked; the burst is admitted as one
 //     unit; its decides AND observes cross into the engine as one group
 //     task per shard; it is settled as one unit; every reply, ack and
 //     reject is encoded into one buffer and leaves in one Write. 64
@@ -25,10 +26,16 @@
 //     connections, so a client that stops reading blocks only its own
 //     connection's Write, holding no gate slot.
 //
-// The steady-state path allocates nothing: frame decode aliases the reader's
-// buffer, the pending and held ops, the engine burst and the output buffer
-// are the connection's own, grown on demand and reused, and every reply is
-// encoded straight out of the engine burst.
+// A burst is never more than one buffer's frames, however deep the client
+// pipelines — the rest waits in the socket for the next burst — so the
+// pending and held ops, the engine burst and the output buffer are bounded
+// by it too (TestBinaryBurstBoundedByReadBuffer).
+//
+// The steady-state path allocates nothing: frames are parsed where they
+// lie in the connection's one read buffer, the pending and held ops, the
+// engine burst and the output buffer are the connection's own, grown on
+// demand and reused, and every reply is encoded straight out of the engine
+// burst.
 //
 // # Ordering and admission
 //
@@ -64,9 +71,7 @@
 package netserve
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -240,12 +245,9 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 		// serialize the pipeline on the delayed-ACK timer.
 		tc.SetNoDelay(true)
 	}
-	// The buffered reader turns a pipelined burst of small frames into one
-	// read syscall; binwire.Reader alone would pay two per frame.
-	br := bufio.NewReaderSize(conn, 64<<10)
-	rd := binwire.NewReader(br)
+	rd := binwire.NewReader(conn)
 	for {
-		if !frameBuffered(br) {
+		if !rd.Buffered() {
 			// The next read can block, so the burst ends here.
 			c.serve()
 			if !c.flush() {
@@ -269,16 +271,6 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 		}
 		c.serveFrame(f)
 	}
-}
-
-// frameBuffered reports whether br already holds a complete frame, so that
-// reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4)
-	return uint32(br.Buffered()-4) >= binary.LittleEndian.Uint32(hdr)
 }
 
 // tc is the counter set the op core moves for binwire requests.

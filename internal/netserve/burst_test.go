@@ -403,3 +403,92 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 	}
 }
+
+// TestBinaryBurstBoundedByReadBuffer writes 2,000 pipelined decide frames
+// in one Write — several read buffers' worth — at a gate wide enough for
+// all of them, so nothing but the connection's read buffer bounds a burst.
+// Every decide must be answered, no burst may serve more frames than one
+// binwire.ReadBuffer holds (a burst's replies leave in one Write, so the
+// server's Writes are counted), and every gate slot must come back.
+func TestBinaryBurstBoundedByReadBuffer(t *testing.T) {
+	front := New(testAlertServer(t, 2), Config{MaxInflight: 4096})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBinary(front, ln, BinaryConfig{})
+	t.Cleanup(func() { bs.Close() })
+	counter := &replyCounter{t: t}
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil || !bs.track(conn) {
+			return
+		}
+		counter.Conn = conn
+		bs.serveConn(counter)
+	}()
+	rc := dialBinary(t, bs.Addr())
+
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	const ops = 2000
+	var burst []byte
+	for i := 1; i <= ops; i++ {
+		burst = binwire.AppendDecide(burst, uint64(i), i%64, spec)
+	}
+	perBuffer := binwire.ReadBuffer / (len(burst) / ops)
+	if ops <= 2*perBuffer {
+		t.Fatalf("%d frames do not span several %d-frame buffers", ops, perBuffer)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := rc.conn.Write(burst)
+		wrote <- err
+	}()
+	rc.conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	seen := make(map[uint64]bool)
+	for i := 0; i < ops; i++ {
+		f := rc.next()
+		if f.Type != binwire.MsgDecideResp {
+			t.Fatalf("reply %d: frame type %d for id %d", i, f.Type, f.ID)
+		}
+		seen[f.ID] = true
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != ops {
+		t.Fatalf("%d distinct replies, want %d", len(seen), ops)
+	}
+	if got := counter.most.Load(); got > int64(perBuffer) || got < 2 {
+		t.Errorf("largest burst answered %d frames in one Write, want 2..%d (one read buffer)", got, perBuffer)
+	}
+	if in, q := front.gate.Occupancy(); in != 0 || q != 0 {
+		t.Errorf("gate occupancy %d/%d after every reply, want 0/0", in, q)
+	}
+}
+
+// replyCounter is a server-side connection that keeps the most frames it
+// was handed in one Write.
+type replyCounter struct {
+	net.Conn
+	t    *testing.T
+	most atomic.Int64
+}
+
+func (c *replyCounter) Write(p []byte) (int, error) {
+	frames := int64(0)
+	for rest := p; len(rest) > 0; frames++ {
+		_, n, err := binwire.ParseFrame(rest)
+		if err != nil {
+			c.t.Errorf("server wrote a broken frame: %v", err)
+			break
+		}
+		rest = rest[n:]
+	}
+	for {
+		if old := c.most.Load(); frames <= old || c.most.CompareAndSwap(old, frames) {
+			break
+		}
+	}
+	return c.Conn.Write(p)
+}

@@ -17,7 +17,8 @@ import (
 // there kills the process, so every body — well-formed with hostile values
 // included, like the observe whose feedback names model 9999 — must be
 // answered by its reply type or an error frame — a retired type by an error
-// frame only — and must leave no gate slot held.
+// frame only; a body over binwire.MaxFrame by a dropped connection — and
+// must leave no gate slot held.
 func FuzzServeFrame(f *testing.F) {
 	srv := testAlertServer(f, 2)
 	front := New(srv, Config{})
@@ -57,6 +58,7 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(uint8(2), []byte{0xff, 0xff, 0xff, 0xff})                                                        // declares 2^32-1 requests
 	f.Add(uint8(1), body(binwire.AppendObserve(nil, 1, 7, alert.Feedback{Decision: d, Latency: 0.1}))[1:]) // one byte short
 	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), make([]byte, binwire.MaxFrame)) // 10 bytes over the frame cap
 
 	const id = 0x1234
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
@@ -79,14 +81,21 @@ func FuzzServeFrame(f *testing.F) {
 		// server does before it replies; the deadline turns a hang into a
 		// failure.
 		client.SetDeadline(time.Now().Add(10 * time.Second))
-		if _, err := client.Write(frame); err != nil {
+		// A frame over the cap is a framing error: the server drops the
+		// connection unanswered, possibly before it read the whole frame.
+		oversized := 10+len(payload) > binwire.MaxFrame
+		if _, err := client.Write(frame); err != nil && !oversized {
 			t.Fatalf("write: %v", err)
 		}
 		reply, err := binwire.NewReader(client).Next()
-		if err != nil {
+		switch {
+		case oversized:
+			if err == nil {
+				t.Fatalf("type %d: a %d-byte body over the frame cap was answered by type %d", op.req, len(payload), reply.Type)
+			}
+		case err != nil:
 			t.Fatalf("type %d body %x: no reply: %v", op.req, payload, err)
-		}
-		if reply.ID != id || (reply.Type != op.resp && reply.Type != binwire.MsgError) {
+		case reply.ID != id || (reply.Type != op.resp && reply.Type != binwire.MsgError):
 			t.Fatalf("type %d body %x: answered by type %d id %d", op.req, payload, reply.Type, reply.ID)
 		}
 		client.Close()

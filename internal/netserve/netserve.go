@@ -118,7 +118,8 @@ type Config struct {
 	RetryAfter time.Duration
 	// NodeID names this node in a cluster; it is echoed in GET /v1/stats so
 	// routing clients can verify they reached the member they meant to.
-	// Empty means a standalone node.
+	// Empty means a standalone node. Keep it within binwire.MaxNodeID
+	// (3,991) bytes: every binwire decide reply carries it, cut to that.
 	NodeID string
 	// Membership, if set, serves the node's live membership view on
 	// GET /v1/membership and accepts peer heartbeats on POST

@@ -91,7 +91,14 @@ type Manager struct {
 	cfg  Config
 	http *http.Client
 
+	// ctx is cancelled by Close; failover passes and Run's replication run
+	// under it, and wg counts them. wg.Add happens under mu while !closed.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
 	mu        sync.Mutex
+	closed    bool
 	replicas  map[int]replica // stream -> freshest replicated checkpoint
 	restoring map[int]bool    // streams mid-restore (front end sheds these)
 	acquired  map[int]string  // stream -> claim kind of the last local import/restore
@@ -122,15 +129,40 @@ func New(cfg Config) (*Manager, error) {
 		restoring: make(map[int]bool),
 		acquired:  make(map[int]string),
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.lastView = cfg.Agent.View()
 	return m, nil
+}
+
+// Close stops Run and every failover pass, waits for them to return, and
+// starts no more. Call it before closing the node's alert.Server, which
+// they use. Idempotent.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.cancel()
+	m.wg.Wait()
+}
+
+// start counts one more goroutine for Close to wait for, unless the
+// Manager is closed.
+func (m *Manager) start() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return false
+	}
+	m.wg.Add(1)
+	return true
 }
 
 // OnViewChange is the membership subscription hook: wire it to the
 // agent's OnChange. It diffs against the previously seen view and spawns
 // a failover pass for every member newly declared dead. The pass runs in
 // its own goroutine — the agent calls OnChange from its heartbeat loop,
-// which must not block on cluster-wide restore traffic.
+// which must not block on cluster-wide restore traffic — until it is done
+// or Close cancels it.
 func (m *Manager) OnViewChange(v membership.View) {
 	m.mu.Lock()
 	prev := m.lastView
@@ -143,16 +175,30 @@ func (m *Manager) OnViewChange(v membership.View) {
 		if pe, ok := prev.Entry(e.ID); ok && pe.State == membership.StateDead {
 			continue // already knew
 		}
+		if !m.start() {
+			return
+		}
 		dead := e
 		m.logf("selfheal %s: %s (%s) declared dead, starting failover", m.cfg.NodeID, dead.ID, dead.Addr)
-		go m.failover(context.Background(), dead)
+		go func() {
+			defer m.wg.Done()
+			m.failover(m.ctx, dead)
+		}()
 	}
 }
 
-// Run replicates on the configured cadence until ctx is cancelled. With
-// ReplicateEvery zero it just blocks until cancel (failovers are driven
-// entirely by OnViewChange; replication by explicit ReplicateOnce).
+// Run replicates on the configured cadence until ctx is cancelled or the
+// Manager is closed. With ReplicateEvery zero it just blocks until then
+// (failovers are driven entirely by OnViewChange; replication by explicit
+// ReplicateOnce).
 func (m *Manager) Run(ctx context.Context) {
+	if !m.start() {
+		return
+	}
+	defer m.wg.Done()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(m.ctx, cancel)()
 	if m.cfg.ReplicateEvery <= 0 {
 		<-ctx.Done()
 		return
@@ -238,6 +284,9 @@ func (m *Manager) failover(ctx context.Context, dead membership.Entry) {
 	live := m.liveStreams(ctx, members)
 
 	for stream, r := range orphans {
+		if ctx.Err() != nil {
+			return // closing: the node's table goes with it
+		}
 		if ring.Owner(stream) != m.cfg.Addr {
 			continue // another survivor's responsibility
 		}

@@ -63,6 +63,7 @@ func startHealNode(t *testing.T, id string) *healNode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(mgr.Close) // before srv.Close: cleanups run last-registered first
 	handler = netserve.New(srv, netserve.Config{NodeID: id, Membership: agent, Recovery: mgr})
 	return &healNode{id: id, url: ts.URL, srv: srv, agent: agent, mgr: mgr}
 }
@@ -498,5 +499,32 @@ func TestRestoringShedsWith503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restore decide: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestCloseWaitsForFailover closes a node the way its owners do — the
+// Manager, then the stream table — while a failover pass is in flight: the
+// second of two nodes holds 64 replicas owned by the first, which is
+// declared dead, so the pass is probing and restoring streams on the table
+// being closed. Close must cancel the pass and wait for it; a pass left
+// running met the closed table with a send on a closed channel.
+func TestCloseWaitsForFailover(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			n1, n2 := startHealNode(t, "n1"), startHealNode(t, "n2")
+			nodes := []*healNode{n1, n2}
+			connect(t, nodes)
+			for stream := 0; stream < 64; stream++ {
+				driveStream(n1, stream, 1)
+				snap, ok := n1.srv.SnapshotStream(stream)
+				if !ok {
+					t.Fatalf("stream %d has no session", stream)
+				}
+				n2.mgr.StoreReplica(stream, n1.id, snap.Decisions, snap)
+			}
+			declareDead(nodes, n1)
+			n2.mgr.Close()
+			n2.srv.Close()
+		})
 	}
 }
