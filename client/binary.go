@@ -1,20 +1,27 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/internal/binwire"
+	"github.com/alert-project/alert/internal/netserve"
 )
 
 // binaryTransport is the binwire codec — decide and observe, the per-input
-// loop — over a small pool of persistent TCP connections.
+// loop — over a small pool of persistent TCP connections, each upgraded
+// from HTTP on the server's port (GET /v1/binwire) unless it dials a raw
+// binwire listener.
 // Requests are pipelined: each is stamped with a connection-unique id and
 // its caller parks on its waiter until the reader goroutine routes the
 // matching response frame back, so any number of goroutines share a
@@ -31,8 +38,9 @@ import (
 // wake-ups; everything under t.mu or binConn.mu is the slow path (dialing,
 // Close, a failed connection, table overflow, cancellation).
 type binaryTransport struct {
-	addr  string
-	conns []atomic.Pointer[binConn] // conns[slot] is the slot's connection, dead or alive
+	addr    string
+	upgrade bool                      // false: addr is a raw binwire listener (Options.BinaryAddr)
+	conns   []atomic.Pointer[binConn] // conns[slot] is the slot's connection, dead or alive
 
 	mu     sync.Mutex
 	dials  []*binDial // dials[slot] is the dial in flight for that slot, if any
@@ -41,10 +49,13 @@ type binaryTransport struct {
 
 // binDial is one in-flight dial of a pool slot. Callers that find the slot
 // empty while it runs wait on done instead of dialing their own connection;
-// err is the dial's failure, set before done is closed.
+// err is the dial's failure, set before done is closed, and abandoned
+// that the dialing caller's context ended first — its error then says
+// nothing about the server, so the waiters dial again.
 type binDial struct {
-	done chan struct{}
-	err  error
+	done      chan struct{}
+	err       error
+	abandoned bool
 }
 
 // errTransportClosed fails every call on a closed transport.
@@ -66,10 +77,11 @@ var binPoolSize = func() int {
 	return n
 }()
 
-// newBinaryTransport returns a transport for the given host:port. Dialing
-// is lazy — a server that is down fails per request, like HTTP.
-func newBinaryTransport(addr string) *binaryTransport {
-	return &binaryTransport{addr: addr, conns: make([]atomic.Pointer[binConn], binPoolSize), dials: make([]*binDial, binPoolSize)}
+// newBinaryTransport returns a transport for the given host:port, upgrading
+// each connection from HTTP when upgrade is set. Dialing is lazy — a server
+// that is down fails per request, like HTTP.
+func newBinaryTransport(addr string, upgrade bool) *binaryTransport {
+	return &binaryTransport{addr: addr, upgrade: upgrade, conns: make([]atomic.Pointer[binConn], binPoolSize), dials: make([]*binDial, binPoolSize)}
 }
 
 // Close tears down every connection; in-flight requests fail. The
@@ -90,7 +102,9 @@ func (t *binaryTransport) Close() {
 // nothing shared; a live connection is one atomic load and one flag away.
 // A dead or empty slot is redialed under t.mu, with at most one dial in
 // flight per slot: callers that find it dialing wait for that dial (or for
-// ctx), then re-check the slot, and share its error if it failed.
+// ctx), then re-check the slot, and share its error if it failed. The dial
+// runs under the dialing caller's ctx; if that ends first, the waiters
+// re-check the slot instead of sharing the error.
 func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error) {
 	slot := int(uint(stream) % uint(len(t.conns)))
 	if cc := t.conns[slot].Load(); cc != nil && !cc.dead.Load() {
@@ -116,7 +130,7 @@ func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if d.err != nil {
+		if d.err != nil && !d.abandoned {
 			return nil, d.err
 		}
 		t.mu.Lock()
@@ -125,7 +139,7 @@ func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error
 	t.dials[slot] = d
 	t.mu.Unlock()
 
-	fresh, err := t.dial()
+	fresh, err := t.dial(ctx)
 	t.mu.Lock()
 	if err == nil && t.closed {
 		err = errTransportClosed
@@ -134,7 +148,7 @@ func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error
 		t.conns[slot].Store(fresh)
 	}
 	t.dials[slot] = nil
-	d.err = err
+	d.err, d.abandoned = err, ctx.Err() != nil
 	close(d.done)
 	t.mu.Unlock()
 	if err != nil {
@@ -146,11 +160,19 @@ func (t *binaryTransport) conn(ctx context.Context, stream int) (*binConn, error
 	return fresh, nil
 }
 
-// dial opens one pipelined connection and starts its reader and writer.
-func (t *binaryTransport) dial() (*binConn, error) {
-	nc, err := net.Dial("tcp", t.addr)
+// dial opens one pipelined connection, upgrades it if the transport
+// upgrades, and starts its reader and writer. Both the dial and the
+// upgrade end when ctx does.
+func (t *binaryTransport) dial(ctx context.Context) (*binConn, error) {
+	nc, err := (&net.Dialer{}).DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial binary %s: %w", t.addr, err)
+	}
+	if t.upgrade {
+		if err := upgrade(ctx, nc, t.addr); err != nil {
+			nc.Close()
+			return nil, fmt.Errorf("client: binwire upgrade at %s: %w", t.addr, err)
+		}
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -159,6 +181,35 @@ func (t *binaryTransport) dial() (*binConn, error) {
 	go cc.readLoop()
 	go cc.writeLoop()
 	return cc, nil
+}
+
+// upgrade switches a fresh connection from HTTP to binwire: it sends GET
+// /v1/binwire with "Upgrade: alert-binwire" and requires 101 Switching
+// Protocols. If ctx ends first, the connection's deadline cuts the
+// exchange short and ctx's error is returned.
+func upgrade(ctx context.Context, nc net.Conn, host string) (err error) {
+	stop := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Unix(1, 0)) })
+	defer func() {
+		if !stop() {
+			err = ctx.Err()
+		}
+	}()
+	if _, err = io.WriteString(nc, "GET "+netserve.BinwirePath+" HTTP/1.1\r\nHost: "+host+
+		"\r\nConnection: Upgrade\r\nUpgrade: "+netserve.BinwireProtocol+"\r\n\r\n"); err != nil {
+		return err
+	}
+	br := bufio.NewReader(nc)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return fmt.Errorf("server answered %s, not 101 Switching Protocols", resp.Status)
+	}
+	if br.Buffered() > 0 { // the server speaks only when asked; nothing may trail the 101
+		return errors.New("server sent bytes after the 101")
+	}
+	return nil
 }
 
 // binSlots is the waiter table's size: 256 pointers, 2 KiB per connection.

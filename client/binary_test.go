@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -22,11 +23,11 @@ import (
 	"github.com/alert-project/alert/internal/netserve"
 )
 
-// startBinaryFrontEnd stands up a front end serving both transports: the
-// HTTP listener (for control-plane reads and discovery) plus a binary
-// listener, and returns the front end's pieces so tests can build clients
-// with whatever Options they need.
-func startBinaryFrontEnd(t testing.TB, cfg netserve.Config) (url string, fe *netserve.Server, bs *netserve.BinaryServer) {
+// startBinaryFrontEnd stands up a front end on a loopback HTTP port, where
+// a PreferBinary client reaches its binwire codec by upgrading, and returns
+// the base URL and the front end so tests can build clients with whatever
+// Options they need.
+func startBinaryFrontEnd(t testing.TB, cfg netserve.Config) (url string, fe *netserve.Server) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,9 +36,9 @@ func startBinaryFrontEnd(t testing.TB, cfg netserve.Config) (url string, fe *net
 	return startBinaryFrontEndOn(t, cfg, ln)
 }
 
-// startBinaryFrontEndOn is startBinaryFrontEnd with the binary listener
-// supplied by the caller.
-func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (url string, fe *netserve.Server, bs *netserve.BinaryServer) {
+// startBinaryFrontEndOn is startBinaryFrontEnd with the listener supplied
+// by the caller.
+func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (url string, fe *netserve.Server) {
 	t.Helper()
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 2})
 	if err != nil {
@@ -45,12 +46,15 @@ func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (
 	}
 	t.Cleanup(srv.Close)
 	fe = netserve.New(srv, cfg)
-	ts := httptest.NewServer(fe)
-	t.Cleanup(ts.Close)
-	bs = netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
-	go bs.Serve()
-	t.Cleanup(func() { bs.Close() })
-	return ts.URL, fe, bs
+	ts := httptest.NewUnstartedServer(fe)
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(func() {
+		fe.Close()
+		ts.Close()
+	})
+	return ts.URL, fe
 }
 
 // dataOps is the data plane: the seven ops of a Client, each as a call
@@ -119,7 +123,7 @@ type script struct {
 // so a parity test can put the two codecs in front of the identical server
 // behavior — including replies a real front end never sends on demand.
 type scriptedFrontEnd struct {
-	url, binAddr string
+	url string
 
 	mu       sync.Mutex
 	script   script
@@ -131,21 +135,7 @@ func startScriptedFrontEnd(t *testing.T) *scriptedFrontEnd {
 	s := &scriptedFrontEnd{}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go s.serveBinary(conn)
-		}
-	}()
-	s.url, s.binAddr = ts.URL, ln.Addr().String()
+	s.url = ts.URL
 	return s
 }
 
@@ -187,6 +177,15 @@ func scriptedResults(streams []int, short bool) []alert.BatchResult {
 }
 
 func (s *scriptedFrontEnd) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == netserve.BinwirePath { // the upgrade is no data-plane attempt
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			return
+		}
+		io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: alert-binwire\r\n\r\n")
+		s.serveBinary(conn)
+		return
+	}
 	status, hintMs, short := s.next()
 	var reply any
 	switch {
@@ -249,8 +248,8 @@ func (s *scriptedFrontEnd) serveBinary(conn net.Conn) {
 // for every reply a server can give, both codecs must return the same
 // value, the same error, and have tried the same number of times.
 func TestBinaryTransportMatchesJSON(t *testing.T) {
-	binURL, _, bs := startBinaryFrontEnd(t, netserve.Config{})
-	bc, err := New(binURL, Options{BinaryAddr: bs.Addr()})
+	binURL, binFE := startBinaryFrontEnd(t, netserve.Config{})
+	bc, err := New(binURL, Options{PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +281,8 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap := bs.BinStats(); snap.Decides != 30 || snap.Observes != 30 {
-		t.Errorf("binary listener saw %d decides %d observes, want 30/30", snap.Decides, snap.Observes)
+	if snap := binFE.BinStats(); snap.Decides != 30 || snap.Observes != 30 {
+		t.Errorf("binwire saw %d decides %d observes, want 30/30", snap.Decides, snap.Observes)
 	}
 
 	fe := startScriptedFrontEnd(t)
@@ -298,13 +297,13 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 	}
 	retrying := Options{MaxRetries: retries, BackoffBase: time.Millisecond, BackoffSeed: 5}
 	binRetrying := retrying
-	binRetrying.BinaryAddr = fe.binAddr
+	binRetrying.PreferBinary = true
 	wires := []struct {
 		name          string
 		once, retrier *Client
 	}{
 		{"json", mk(Options{}), mk(retrying)},
-		{"binwire", mk(Options{BinaryAddr: fe.binAddr}), mk(binRetrying)},
+		{"binwire", mk(Options{PreferBinary: true}), mk(binRetrying)},
 	}
 	type outcome struct {
 		Value    any
@@ -392,12 +391,8 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 	for _, wire := range []string{"json", "binwire"} {
 		wire := wire
 		t.Run(wire, func(t *testing.T) {
-			url, fe, bs := startBinaryFrontEnd(t, netserve.Config{})
-			opts := Options{}
-			if wire == "binwire" {
-				opts.BinaryAddr = bs.Addr()
-			}
-			c, err := New(url, opts)
+			url, fe := startBinaryFrontEnd(t, netserve.Config{})
+			c, err := New(url, Options{PreferBinary: wire == "binwire"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +438,7 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 			if err := c.EvictStream(ctx, 1); err != nil {
 				t.Fatal(err)
 			}
-			httpOps, binOps := fe.NetStats().TransportSnapshot, bs.BinStats().TransportSnapshot
+			httpOps, binOps := fe.NetStats().TransportSnapshot, fe.BinStats().TransportSnapshot
 			if httpOps.Batches != 1 || binOps.Batches != 0 {
 				t.Errorf("batch counted %d on HTTP, %d on binwire, want 1/0", httpOps.Batches, binOps.Batches)
 			}
@@ -457,126 +452,6 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 	}
 }
 
-// TestPreferBinaryDiscovery checks the upgrade path cluster clients use: a
-// client given only the HTTP address probes /v1/stats, finds the
-// advertised binary listener, and moves the data plane onto it — including
-// when the server advertises a wildcard host, which the client replaces
-// with the host it already reaches the server by.
-func TestPreferBinaryDiscovery(t *testing.T) {
-	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	fe := netserve.New(srv, netserve.Config{})
-	ts := httptest.NewServer(fe)
-	t.Cleanup(ts.Close)
-	// A wildcard bind advertises an unspecified host (e.g. "[::]:p"); the
-	// client must substitute the HTTP host rather than dial the wildcard.
-	ln, err := net.Listen("tcp", ":0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
-	go bs.Serve()
-	t.Cleanup(func() { bs.Close() })
-
-	c, err := New(ts.URL, Options{PreferBinary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	ctx := context.Background()
-	if _, _, err := c.Decide(ctx, 7, testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if snap := bs.BinStats(); snap.Decides != 1 {
-		t.Fatalf("binary listener saw %d decides, want 1 (discovery failed)", snap.Decides)
-	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Net.Decides != 0 {
-		t.Errorf("HTTP served %d decides, want 0 (data plane should ride binary)", st.Net.Decides)
-	}
-}
-
-// TestPreferBinaryFallsBackToJSON: against a server with no binary
-// listener the same Options keep working — the probe concludes "JSON only"
-// and the client never dials anything.
-func TestPreferBinaryFallsBackToJSON(t *testing.T) {
-	plain, fe := startFrontEnd(t, netserve.Config{})
-	jc, err := New(plain.http.base, Options{PreferBinary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(jc.Close)
-
-	ctx := context.Background()
-	if _, _, err := jc.Decide(ctx, 3, testSpec()); err != nil {
-		t.Fatal(err)
-	}
-	st, err := jc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Net.Decides != 1 {
-		t.Errorf("HTTP decides = %d, want 1 (fallback to JSON)", st.Net.Decides)
-	}
-	_ = fe
-}
-
-// TestPreferBinaryProbeStallsNobody: against a server that accepts the
-// /v1/stats discovery probe and never answers it, the probing call is stuck
-// (it brought no deadline) — but nobody else is: a second call returns at
-// its own deadline, and Close returns.
-func TestPreferBinaryProbeStallsNobody(t *testing.T) {
-	parked, release := make(chan struct{}, 16), make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stats" {
-			parked <- struct{}{}
-			<-release
-		}
-		http.Error(w, `{"error":"scripted"}`, http.StatusInternalServerError)
-	}))
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { close(release) }) // first, or ts.Close waits on the parked handlers
-	c, err := New(ts.URL, Options{PreferBinary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go c.Decide(context.Background(), 1, testSpec())
-	<-parked
-
-	second := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		_, _, err := c.Decide(ctx, 2, testSpec())
-		second <- err
-	}()
-	select {
-	case err := <-second:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("second Decide = %v, want context.DeadlineExceeded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a Decide with a 50ms deadline is stuck behind another caller's parked discovery probe")
-	}
-	closed := make(chan struct{})
-	go func() {
-		c.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close is stuck behind a parked discovery probe")
-	}
-}
-
 // TestBinaryHotPathAllocs keeps a binwire Decide and Observe allocation-free
 // end to end: the retry and encode closures stay on the stack, the waiter
 // (its wake-up channel and reply buffer) comes from the waiters pool, the
@@ -586,8 +461,8 @@ func TestPreferBinaryProbeStallsNobody(t *testing.T) {
 // 0 per call; the bound of 1 is what -race needs, where sync.Pool drops a
 // quarter of all Puts.
 func TestBinaryHotPathAllocs(t *testing.T) {
-	url, _, bs := startBinaryFrontEnd(t, netserve.Config{})
-	c, err := New(url, Options{BinaryAddr: bs.Addr()})
+	url, _ := startBinaryFrontEnd(t, netserve.Config{})
+	c, err := New(url, Options{PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +591,7 @@ func TestWaiterTableOverflow(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the server never saw every request")
 	}
-	cc := c.wire(context.Background()).(*binaryTransport).conns[0].Load()
+	cc := c.data.(*binaryTransport).conns[0].Load()
 	cc.mu.Lock()
 	overflowed := len(cc.ovf)
 	cc.mu.Unlock()
@@ -770,7 +645,7 @@ func TestWaiterTableConnKilled(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 10; round++ {
-		bt := newBinaryTransport(ln.Addr().String())
+		bt := newBinaryTransport(ln.Addr().String(), false)
 		cc, err := bt.conn(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -807,11 +682,11 @@ func TestWaiterTableConnKilled(t *testing.T) {
 // retries MaxRetries times after the hint, and the terminal error is the
 // same *OverloadError the HTTP path yields.
 func TestBinaryOverloadRetries(t *testing.T) {
-	url, fe, bs := startBinaryFrontEnd(t, netserve.Config{RetryAfter: time.Millisecond})
+	url, fe := startBinaryFrontEnd(t, netserve.Config{RetryAfter: time.Millisecond})
 	if err := fe.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(url, Options{BinaryAddr: bs.Addr(), MaxRetries: 3, BackoffBase: time.Millisecond, BackoffSeed: 42})
+	c, err := New(url, Options{PreferBinary: true, MaxRetries: 3, BackoffBase: time.Millisecond, BackoffSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,7 +700,7 @@ func TestBinaryOverloadRetries(t *testing.T) {
 	if oe.RetryAfter != time.Millisecond {
 		t.Errorf("RetryAfter hint = %v, want 1ms", oe.RetryAfter)
 	}
-	if snap := bs.BinStats(); snap.RejectedDraining != 4 {
+	if snap := fe.BinStats(); snap.RejectedDraining != 4 {
 		t.Errorf("server saw %d rejected attempts, want 4 (1 + 3 retries)", snap.RejectedDraining)
 	}
 }
@@ -834,8 +709,8 @@ func TestBinaryOverloadRetries(t *testing.T) {
 // connections out from under it and checks the next call redials instead
 // of failing forever.
 func TestBinaryTransportSurvivesConnLoss(t *testing.T) {
-	url, _, bs := startBinaryFrontEnd(t, netserve.Config{})
-	c, err := New(url, Options{BinaryAddr: bs.Addr()})
+	url, _ := startBinaryFrontEnd(t, netserve.Config{})
+	c, err := New(url, Options{PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -846,7 +721,7 @@ func TestBinaryTransportSurvivesConnLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reach into the transport and sever every pooled connection.
-	bt := c.wire(ctx).(*binaryTransport)
+	bt := c.data.(*binaryTransport)
 	for i := range bt.conns {
 		if cc := bt.conns[i].Load(); cc != nil {
 			cc.conn.Close()
@@ -906,8 +781,8 @@ func TestBinaryDialIsSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln := &peerLog{Listener: inner}
-	url, _, bs := startBinaryFrontEndOn(t, netserve.Config{}, ln)
-	c, err := New(url, Options{BinaryAddr: bs.Addr()})
+	url, _ := startBinaryFrontEndOn(t, netserve.Config{}, ln)
+	c, err := New(url, Options{PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -934,7 +809,7 @@ func TestBinaryDialIsSingleFlight(t *testing.T) {
 	// Every client dial returned before its Decide did, so each of those
 	// connections is queued for accept ahead of one more dialed now; once
 	// that one is accepted, the count before it is final.
-	probe, err := net.Dial("tcp", bs.Addr())
+	probe, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -949,6 +824,43 @@ func TestBinaryDialIsSingleFlight(t *testing.T) {
 	}
 	if n != binPoolSize {
 		t.Fatalf("%d concurrent first calls dialed %d connections, want %d (one per pool slot)", callers, n, binPoolSize)
+	}
+}
+
+// TestBinaryDialOutlivesItsCaller: a pool slot's dial runs under the
+// context of the caller that started it. When that caller gives up, a
+// caller waiting on the same slot with time to spare dials again instead of
+// inheriting the first caller's deadline.
+func TestBinaryDialOutlivesItsCaller(t *testing.T) {
+	s := &scriptedFrontEnd{}
+	upgrades := make(chan struct{}, 4)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		upgrades <- struct{}{}
+		time.Sleep(200 * time.Millisecond) // a slow upgrade
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL, Options{PreferBinary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	first := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		_, _, err := c.Decide(ctx, 0, testSpec())
+		first <- err
+	}()
+	<-upgrades // the first caller's dial is in flight
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, _, err := c.Decide(ctx, 0, testSpec()); err != nil {
+		t.Fatalf("a caller with 5s to spare, waiting on an abandoned dial: %v", err)
+	}
+	if err := <-first; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("the caller that gave up got %v, want its own deadline", err)
 	}
 }
 
@@ -989,5 +901,63 @@ func TestBinaryObserveRejectsMalformedAck(t *testing.T) {
 	err = c.Observe(context.Background(), 1, alert.Feedback{Decision: scriptedDecision, Latency: 0.05, CompletedStage: -1})
 	if err == nil || !strings.Contains(err.Error(), "binwire") {
 		t.Fatalf("observe acked by a 1-byte MsgObserveResp body = %v, want the decode error", err)
+	}
+}
+
+// TestBinwireUpgradeFailures: a PreferBinary call against a port that does
+// not upgrade fails within the caller's deadline and never falls back to
+// JSON. A listener that accepts and never answers the upgrade holds the
+// call exactly until its context ends; a plain HTTP server answers 404, and
+// the error names the failed upgrade and that status.
+func TestBinwireUpgradeFailures(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { silent.Close() })
+	go func() {
+		var held []net.Conn
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				for _, c := range held {
+					c.Close()
+				}
+				return
+			}
+			held = append(held, conn)
+		}
+	}()
+	plain := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(plain.Close)
+
+	for _, tc := range []struct {
+		name, url string
+		want      func(error) bool
+	}{
+		{"silent listener", "http://" + silent.Addr().String(), func(err error) bool {
+			return errors.Is(err, context.DeadlineExceeded)
+		}},
+		{"plain HTTP server", plain.URL, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "binwire upgrade") && strings.Contains(err.Error(), "404")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.url, Options{PreferBinary: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, _, err = c.Decide(ctx, 1, testSpec())
+			if !tc.want(err) {
+				t.Errorf("Decide = %v", err)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("Decide took %s past a 200ms deadline", took)
+			}
+		})
 	}
 }

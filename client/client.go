@@ -6,17 +6,20 @@
 //	err = c.Observe(ctx, streamID, alert.Feedback{Decision: d, Latency: measured})
 //
 // One call path, two codecs. Every method of the per-input loop (Decide,
-// Observe) has one body: pick the wire, run the op under the overload retry
-// loop. The wire is one of two codecs behind an unexported interface:
+// Observe) has one body: run the op on the client's codec under the
+// overload retry loop. The codec, fixed by New, is one of two behind an
+// unexported interface:
 //
 //   - HTTP/JSON (the default): the /v1 API over one pooled http.Transport
 //     with keep-alive, so the steady-state cost per decision is one
 //     loopback round trip.
-//   - binwire: when the server also listens on a binwire port (alertserve
-//     -binary-addr), set Options.BinaryAddr — or Options.PreferBinary to
-//     discover it from /v1/stats — and the loop rides a small pool of
-//     persistent, pipelined TCP connections instead: concurrent Decides
-//     share a connection and reach the server as one burst.
+//   - binwire (Options.PreferBinary): the loop rides a small pool of
+//     persistent, pipelined TCP connections to the same host:port, each
+//     switched from HTTP to binwire by GET /v1/binwire with "Upgrade:
+//     alert-binwire": concurrent Decides share a connection and reach the
+//     server as one burst. A server that refuses the upgrade fails the
+//     call with an error naming the status it answered; the client never
+//     falls back to JSON on its own.
 //
 // Everything else has one wire, HTTP, whatever the options: DecideBatch,
 // the stream ops (EvictStream, ExportStream, CheckpointStream,
@@ -50,7 +53,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/alert-project/alert"
@@ -84,18 +86,18 @@ type Options struct {
 	// stampeding the server in lockstep; tests pick a seed to make retry
 	// timing reproducible. 0 selects a fixed default seed.
 	BackoffSeed int64
-	// BinaryAddr, when set, routes the per-input loop (Decide, Observe)
-	// over the binwire TCP transport at this host:port instead of
-	// HTTP/JSON. Overload and retry semantics are identical on both
-	// transports; DecideBatch, the stream ops and the control-plane reads
-	// always use HTTP.
+	// BinaryAddr, when set, routes the per-input loop over binwire to a
+	// raw binwire listener at this host:port (netserve.NewBinary), with no
+	// HTTP upgrade. It exists for bench/alertbench, which serves binwire on
+	// a listener of its own; servers reach binwire through PreferBinary.
 	BinaryAddr string
-	// PreferBinary discovers the server's advertised binary listener from
-	// GET /v1/stats on first use and upgrades the data plane to it,
-	// falling back to JSON silently when the server does not advertise
-	// one. It lets cluster clients (client/cluster), which only know
-	// members' HTTP addresses, find each member's binary listener on
-	// their own. Ignored when BinaryAddr is set explicitly.
+	// PreferBinary routes the per-input loop (Decide, Observe) over binwire
+	// on the base URL's own host:port (port 80 when the URL names none),
+	// each connection upgraded from HTTP with GET /v1/binwire. Overload and
+	// retry semantics are identical on both codecs; DecideBatch, the stream
+	// ops and the control-plane reads always use HTTP. binwire does not run
+	// over TLS, so New rejects PreferBinary with an https URL. Ignored when
+	// BinaryAddr is set.
 	PreferBinary bool
 }
 
@@ -123,13 +125,9 @@ type Client struct {
 	mu  sync.Mutex
 	rng *mathx.Rand
 
-	// data is the per-input loop's codec: &c.http or a *binaryTransport, fixed
-	// for the client's lifetime once known. It is set at construction
-	// unless PreferBinary leaves it to discovery, when it stays nil until
-	// the first successful stats probe (see wire). settle publishes it once,
-	// under dataMu; every call reads it with one atomic load.
-	dataMu sync.Mutex
-	data   atomic.Pointer[codec]
+	// data is the per-input loop's codec, &c.http or a *binaryTransport,
+	// fixed by New.
+	data codec
 }
 
 // New validates the base URL (e.g. "http://127.0.0.1:8372") and returns a
@@ -171,8 +169,19 @@ func New(baseURL string, opts Options) (*Client, error) {
 		}}
 		c.ownedHC = true
 	}
-	if opts.BinaryAddr != "" || !opts.PreferBinary {
-		c.settle(opts.BinaryAddr)
+	switch {
+	case opts.BinaryAddr != "":
+		c.data = newBinaryTransport(opts.BinaryAddr, false)
+	case opts.PreferBinary && u.Scheme == "https":
+		return nil, fmt.Errorf("client: PreferBinary needs an http base URL, not %q: binwire does not run over TLS", baseURL)
+	case opts.PreferBinary:
+		addr := u.Host
+		if u.Port() == "" {
+			addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+		c.data = newBinaryTransport(addr, true)
+	default:
+		c.data = &c.http
 	}
 	return c, nil
 }
@@ -182,72 +191,9 @@ func (c *Client) Close() {
 	if c.ownedHC {
 		c.http.hc.CloseIdleConnections()
 	}
-	if data := c.data.Load(); data != nil {
-		if bt, ok := (*data).(*binaryTransport); ok {
-			bt.Close()
-		}
+	if bt, ok := c.data.(*binaryTransport); ok {
+		bt.Close()
 	}
-}
-
-// wire returns the codec for the per-input loop. Under PreferBinary the
-// first calls probe GET /v1/stats for an advertised binary listener; the
-// outcome of a successful probe is kept for the client's lifetime (a
-// server's transports are fixed at startup), while a failed probe — server
-// unreachable — leaves discovery open so a client built before its server
-// came up still upgrades. The probe runs outside the lock and under the
-// calling goroutine's own context, so a server that accepts and never
-// answers stalls nobody past their deadline (and never Close); concurrent
-// first callers may each probe, and the first to finish settles it.
-func (c *Client) wire(ctx context.Context) codec {
-	if data := c.data.Load(); data != nil {
-		return *data
-	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		return &c.http // transient; the JSON path will surface the error
-	}
-	return c.settle(c.resolveBinaryAddr(st.BinaryAddr))
-}
-
-// settle fixes the data-plane codec — binwire at binAddr, or HTTP/JSON when
-// binAddr is empty — unless an earlier caller already has, and returns the
-// one in force.
-func (c *Client) settle(binAddr string) codec {
-	c.dataMu.Lock()
-	defer c.dataMu.Unlock()
-	if c.data.Load() == nil {
-		var data codec = &c.http
-		if binAddr != "" {
-			data = newBinaryTransport(binAddr)
-		}
-		c.data.Store(&data)
-	}
-	return *c.data.Load()
-}
-
-// resolveBinaryAddr fixes up an advertised binary address whose host part
-// is unspecified (a server listening on ":9001" advertises exactly that):
-// the client substitutes the host it already reaches over HTTP.
-func (c *Client) resolveBinaryAddr(addr string) string {
-	if addr == "" {
-		return ""
-	}
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return addr
-	}
-	unspecified := host == ""
-	if ip := net.ParseIP(host); ip != nil && ip.IsUnspecified() {
-		unspecified = true
-	}
-	if !unspecified {
-		return addr
-	}
-	u, err := url.Parse(c.http.base)
-	if err != nil || u.Hostname() == "" {
-		return addr
-	}
-	return net.JoinHostPort(u.Hostname(), port)
 }
 
 // OverloadError is a 429/503 admission rejection: the server's queue was
@@ -327,9 +273,8 @@ func (c *Client) Decide(ctx context.Context, stream int, spec alert.Spec) (alert
 // node). The chaos harness's single-ownership checker uses it to attribute
 // every decision to a member without a second round trip.
 func (c *Client) DecideServed(ctx context.Context, stream int, spec alert.Spec) (d alert.Decision, est alert.Estimate, node string, err error) {
-	w := c.wire(ctx)
 	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
-		d, est, node, err = w.decide(ctx, stream, spec)
+		d, est, node, err = c.data.decide(ctx, stream, spec)
 		return err
 	})
 	return d, est, node, err
@@ -339,9 +284,8 @@ func (c *Client) DecideServed(ctx context.Context, stream int, spec alert.Spec) 
 // before replying, so a subsequent Decide on the same stream (over this or
 // any connection) sees the updated filter state.
 func (c *Client) Observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	w := c.wire(ctx)
 	return c.withRetry(ctx, func(ctx context.Context) error {
-		return w.observe(ctx, stream, fb)
+		return c.data.observe(ctx, stream, fb)
 	})
 }
 

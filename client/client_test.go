@@ -243,6 +243,19 @@ func TestNewValidation(t *testing.T) {
 	if c.http.base != "http://host:1234" {
 		t.Errorf("base = %q, want trailing slash trimmed", c.http.base)
 	}
+	if _, err := New("https://host", Options{PreferBinary: true}); err == nil {
+		t.Error("PreferBinary with an https URL must error: binwire does not run over TLS")
+	}
+	// PreferBinary dials the base URL's own host:port, port 80 when it names none.
+	for url, want := range map[string]string{"http://host": "host:80", "http://[::1]:9/": "[::1]:9"} {
+		c, err := New(url, Options{PreferBinary: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt, ok := c.data.(*binaryTransport); !ok || bt.addr != want || !bt.upgrade {
+			t.Errorf("PreferBinary on %s: codec %#v, want an upgrading binwire transport to %s", url, c.data, want)
+		}
+	}
 }
 
 // TestClientExportImport: the typed snapshot methods round-trip a session

@@ -33,13 +33,13 @@
 // file, which is how CI diffs the two paths.
 //
 // -wire selects the remote transport: json (default) drives the HTTP API,
-// binary upgrades the per-input loop (decide, observe) onto the
-// server's binwire listener (alertserve -binary-addr; preflight fails if
-// the server does not advertise one); evictions and migrations ride HTTP
-// on either wire. Decision sequences are byte-identical across wires —
-// the same -decisions-out diff CI runs for -addr covers -wire=binary.
-// With -chaos, -wire=binary gives every fleet node a binary listener and
-// runs the whole failure drill over the binary transport.
+// binary moves the per-input loop (decide, observe) onto binwire on the
+// same address, each connection upgraded from HTTP (GET /v1/binwire); a
+// server that refuses the upgrade fails the run rather than letting it
+// drive JSON. Evictions and migrations ride HTTP on either wire. Decision
+// sequences are byte-identical across wires — the same -decisions-out diff
+// CI runs for -addr covers -wire=binary. With -chaos, -wire=binary runs the
+// whole failure drill with the fleet's data plane on binwire.
 //
 // With -addrs the load is spread across a cluster of alertserves: streams
 // route to members by consistent hashing (client/cluster), and
@@ -243,7 +243,7 @@ func parseFlags(args []string) (loadConfig, error) {
 	fs.StringVar(&cfg.addrs, "addrs", "",
 		"comma-separated alertserve members; streams are routed across the cluster by consistent hashing (streams [0,streams) evicted on every member first)")
 	fs.StringVar(&cfg.wire, "wire", "json",
-		"json | binary: transport for the remote data plane (-addr/-addrs/-chaos); binary requires alertserve -binary-addr")
+		"json | binary: transport for the remote data plane (-addr/-addrs/-chaos); binary upgrades HTTP connections to binwire")
 	fs.IntVar(&cfg.migrateEvery, "migrate-every", 0,
 		"with -addrs: live-migrate each stream to the next member every N inputs (0 = never)")
 	fs.StringVar(&cfg.decisionsOut, "decisions-out", "",
@@ -449,9 +449,6 @@ func (b *clusterBackend) preflight(cfg loadConfig, plat *alert.Platform, models 
 		stats, err := node.Stats(b.ctx)
 		if err != nil {
 			return fmt.Errorf("probing %s: %w", addr, err)
-		}
-		if cfg.wire == "binary" && stats.BinaryAddr == "" {
-			return fmt.Errorf("server at %s has no binary listener (start alertserve with -binary-addr)", addr)
 		}
 		if !strings.EqualFold(stats.Platform, plat.Name) {
 			return fmt.Errorf("server at %s serves platform %s, this run simulates %s (start alertserve with -platform %s)",

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -156,15 +156,26 @@ func TestShardCountInvariance(t *testing.T) {
 // alert.Server with alertload's default platform/task (CPU1/image), like a
 // running cmd/alertserve.
 func startAlertserve(t *testing.T, cfg netserve.Config) string {
+	url, _ := startFrontEnd(t, cfg)
+	return url
+}
+
+// startFrontEnd is startAlertserve returning the front end too, so tests
+// can assert which wire traffic rode.
+func startFrontEnd(t *testing.T, cfg netserve.Config) (string, *netserve.Server) {
 	t.Helper()
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(netserve.New(srv, cfg))
-	t.Cleanup(ts.Close)
-	return ts.URL
+	fe := netserve.New(srv, cfg)
+	ts := httptest.NewServer(fe)
+	t.Cleanup(func() {
+		fe.Close()
+		ts.Close()
+	})
+	return ts.URL, fe
 }
 
 // TestAddrModeMatchesInProcess is the tentpole acceptance criterion: the
@@ -254,40 +265,17 @@ func TestAddrModeUnderOverload(t *testing.T) {
 	}
 }
 
-// startBinaryAlertserve is startAlertserve plus a binwire listener on the
-// same front end, returning the binary server so tests can assert traffic
-// really rode it.
-func startBinaryAlertserve(t *testing.T, cfg netserve.Config) (string, *netserve.BinaryServer) {
-	t.Helper()
-	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	fe := netserve.New(srv, cfg)
-	ts := httptest.NewServer(fe)
-	t.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
-	go bs.Serve()
-	t.Cleanup(func() { bs.Close() })
-	return ts.URL, bs
-}
-
 // TestWireBinaryMatchesInProcess mirrors TestAddrModeMatchesInProcess over
 // the binary transport: -wire=binary must produce byte-identical decision
 // sequences to the in-process path, with the data plane actually riding
-// the binwire listener rather than quietly falling back to JSON.
+// binwire rather than quietly falling back to JSON.
 func TestWireBinaryMatchesInProcess(t *testing.T) {
 	inProc, err := runLoad(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	url, bs := startBinaryAlertserve(t, netserve.Config{})
+	url, fe := startFrontEnd(t, netserve.Config{})
 	remoteCfg := testConfig()
 	remoteCfg.addr = url
 	remoteCfg.wire = "binary"
@@ -303,8 +291,8 @@ func TestWireBinaryMatchesInProcess(t *testing.T) {
 			t.Errorf("stream %d produced no decisions over the binary wire", s)
 		}
 	}
-	if snap := bs.BinStats(); snap.Decides == 0 || snap.Observes == 0 {
-		t.Errorf("binary listener counters %+v: the run fell back to JSON", snap)
+	if snap := fe.BinStats(); snap.Decides == 0 || snap.Observes == 0 {
+		t.Errorf("binwire counters %+v: the run fell back to JSON", snap)
 	}
 }
 
@@ -317,7 +305,7 @@ func TestWireBinaryUnderOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, bs := startBinaryAlertserve(t, netserve.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: time.Millisecond})
+	url, fe := startFrontEnd(t, netserve.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: time.Millisecond})
 	remoteCfg := testConfig()
 	remoteCfg.addr = url
 	remoteCfg.wire = "binary"
@@ -330,15 +318,14 @@ func TestWireBinaryUnderOverload(t *testing.T) {
 			t.Errorf("stream %d: decisions diverge under admission pressure on the binary wire", s)
 		}
 	}
-	if snap := bs.BinStats(); snap.Decides == 0 {
-		t.Errorf("binary listener counters %+v: the run fell back to JSON", snap)
+	if snap := fe.BinStats(); snap.Decides == 0 {
+		t.Errorf("binwire counters %+v: the run fell back to JSON", snap)
 	}
 }
 
 // TestWireFlagErrors pins -wire validation: unknown wires and wires with
 // nothing to carry fail at parse time, and a binary run against a server
-// with no binary listener fails at preflight instead of silently driving
-// JSON.
+// that is no ALERT front end fails instead of silently driving anything.
 func TestWireFlagErrors(t *testing.T) {
 	if _, err := parseFlags([]string{"-wire", "carrier-pigeon", "-addr", "h:1"}); err == nil {
 		t.Error("unknown -wire must error")
@@ -346,12 +333,13 @@ func TestWireFlagErrors(t *testing.T) {
 	if _, err := parseFlags([]string{"-wire", "binary"}); err == nil {
 		t.Error("-wire=binary without -addr/-addrs/-chaos must error")
 	}
-	url := startAlertserve(t, netserve.Config{})
+	plain := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(plain.Close)
 	cfg := testConfig()
-	cfg.addr = url
+	cfg.addr = plain.URL
 	cfg.wire = "binary"
-	if _, err := runLoad(cfg); err == nil || !strings.Contains(err.Error(), "binary listener") {
-		t.Fatalf("binary wire against a JSON-only server = %v, want a preflight error naming the missing listener", err)
+	if _, err := runLoad(cfg); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("binary wire against a non-ALERT server = %v, want an error naming its 404", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Command alertserve hosts the ALERT network serving front end: an
 // alert.Server (shared decision engine + sharded stream table) behind the
-// internal/netserve HTTP/JSON API, with bounded admission, periodic idle-
-// stream eviction, and graceful drain on SIGINT/SIGTERM.
+// internal/netserve HTTP/JSON API and its binwire codec on the same port,
+// with bounded admission, periodic idle-stream eviction, and graceful drain
+// on SIGINT/SIGTERM.
 //
 // Usage:
 //
 //	alertserve -addr 127.0.0.1:8372 -platform CPU1 -task image
 //	alertserve -addr :8372 -max-inflight 256 -max-queue 1024 -idle-evict 10m
-//	alertserve -addr 127.0.0.1:8372 -binary-addr 127.0.0.1:8373
 //	alertserve -addr :8372 -node-id n1
 //	alertserve -addr 127.0.0.1:8372 -node-id n1 -membership -peers host2:8372,host3:8372
 //
@@ -25,15 +25,15 @@
 // no external orchestrator. Clients subscribed to the membership view
 // (client/cluster.StartSync) follow the cluster through the failover.
 //
-// -binary-addr adds a second listener speaking the internal/binwire
-// framed protocol for the per-input loop (decide, observe; decide-batch and
-// the stream ops stay on HTTP): persistent pipelined connections, each
-// serving everything it has read as one burst and answering it with one
-// write, out of buffers it owns. Its address is advertised in GET
-// /v1/stats, so clients built with PreferBinary upgrade to it
-// automatically; cmd/alertload -wire=binary drives it directly. Overload
-// and drain produce error frames carrying the same retry_after_ms hint
-// the HTTP path sends as a Retry-After header.
+// The one listener also speaks the internal/binwire framed protocol for
+// the per-input loop (decide, observe; decide-batch and the stream ops stay
+// on HTTP): a client upgrades an HTTP connection with GET /v1/binwire and
+// "Upgrade: alert-binwire", and the connection then carries pipelined
+// frames, each burst it has read served at once and answered with one
+// write, out of buffers it owns. Clients built with PreferBinary do this on
+// their own; cmd/alertload -wire=binary drives it. Overload and drain
+// produce error frames carrying the same retry_after_ms hint the HTTP path
+// sends as a Retry-After header.
 //
 // Clients talk to it with the typed client package (client/) or plain
 // HTTP; cmd/alertload -addr drives it with scenario-shaped load. On
@@ -85,7 +85,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	maxQueue := fs.Int("max-queue", 0, "admission gate: waiting requests before 429 (0 = 2x max-inflight)")
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 (0 = 50ms)")
 	adaptive := fs.Bool("adaptive", false, "let the measured-delay controller move the admission limits; -max-inflight/-max-queue become initial bounds")
-	binaryAddr := fs.String("binary-addr", "", "binwire listen address (host:port; empty = HTTP/JSON only)")
 	nodeID := fs.String("node-id", "", "cluster identity advertised in /v1/stats (empty = standalone)")
 	peers := fs.String("peers", "", "comma-separated peer addresses the membership layer heartbeats first (requires -membership)")
 	idleEvict := fs.Duration("idle-evict", 0, "evict sessions idle longer than this, swept at the same period (0 = never)")
@@ -206,26 +205,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	}
 	front := netserve.New(srv, cfg)
 
-	// The binary listener shares the front end's admission gate, stream
-	// table, and drain state — it is a second transport, not a second
-	// server. Its address rides GET /v1/stats so PreferBinary clients
-	// upgrade to it on their own.
-	var bserver *netserve.BinaryServer
-	if *binaryAddr != "" {
-		bln, err := net.Listen("tcp", *binaryAddr)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		bserver = netserve.NewBinary(front, bln, netserve.BinaryConfig{})
-		go bserver.Serve()
-	}
-
-	fmt.Fprintf(stdout, "alertserve: listening on %s platform=%s task=%s shards=%d\n",
-		ln.Addr(), plat.Name, *task, srv.Shards())
-	if bserver != nil {
-		fmt.Fprintf(stdout, "alertserve: binary listener on %s\n", bserver.Addr())
-	}
+	fmt.Fprintf(stdout, "alertserve: listening on %s (HTTP/JSON, binwire via GET %s) platform=%s task=%s shards=%d\n",
+		ln.Addr(), netserve.BinwirePath, plat.Name, *task, srv.Shards())
 	if *nodeID != "" {
 		fmt.Fprintf(stdout, "alertserve: cluster node %q\n", *nodeID)
 	}
@@ -281,12 +262,10 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := front.Drain(dctx)
-	if bserver != nil {
-		// Drain first, close after: between the two, binary callers get 503
-		// error frames with the Retry-After hint instead of a dead socket.
-		bserver.Close()
-		fmt.Fprintf(stdout, "alertserve: binary listener closed; served %s\n", bserver.BinStats())
-	}
+	// Drain first, close after: between the two, binwire callers get 503
+	// error frames with the Retry-After hint instead of a dead socket.
+	front.Close()
+	fmt.Fprintf(stdout, "alertserve: binwire connections closed; served %s\n", front.BinStats())
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}

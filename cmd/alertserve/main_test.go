@@ -9,6 +9,7 @@ import (
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/client"
 	"github.com/alert-project/alert/internal/binwire"
+	"github.com/alert-project/alert/internal/netserve"
 )
 
 // TestServeAndDrain boots the server on a free loopback port, drives it
@@ -93,10 +94,11 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// TestBinaryListenerFlag boots the server with both listeners, upgrades a
-// PreferBinary client onto the advertised binary address, and checks the
-// data plane really rode the binary transport before a clean drain.
-func TestBinaryListenerFlag(t *testing.T) {
+// TestOnePortServesBothWires boots the server on its one port and drives
+// it there twice — an HTTP/JSON client and a PreferBinary client, whose
+// connections upgrade to binwire — and checks each decide was counted on
+// its own wire before a clean drain.
+func TestOnePortServesBothWires(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -105,7 +107,7 @@ func TestBinaryListenerFlag(t *testing.T) {
 	var out strings.Builder
 	go func() {
 		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-binary-addr", "127.0.0.1:0", "-shards", "2",
+			"-addr", "127.0.0.1:0", "-shards", "2",
 		}, &out, func(addr string) { ready <- addr })
 	}()
 
@@ -118,31 +120,30 @@ func TestBinaryListenerFlag(t *testing.T) {
 		t.Fatal("server never became ready")
 	}
 
-	c, err := client.New("http://"+addr, client.Options{PreferBinary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
-	d, est, err := c.Decide(ctx, 1, spec)
-	if err != nil {
-		t.Fatal(err)
+	var stats netserve.StatsResponse
+	for stream, opts := range []client.Options{{}, {PreferBinary: true}} {
+		c, err := client.New("http://"+addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		d, est, err := c.Decide(ctx, stream, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Observe(ctx, stream, alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if stats, err = c.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Observe(ctx, 1, alert.Feedback{Decision: d, Latency: est.LatMean, CompletedStage: -1}); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BinaryAddr == "" {
-		t.Error("stats do not advertise the binary listener")
+	if stats.Net.Decides != 1 || stats.Net.Observes != 1 {
+		t.Errorf("HTTP counters = %+v, want 1 decide / 1 observe", stats.Net.TransportSnapshot)
 	}
 	if stats.Bin == nil || stats.Bin.Decides != 1 || stats.Bin.Observes != 1 {
-		t.Errorf("binary counters = %+v, want 1 decide / 1 observe", stats.Bin)
-	}
-	if stats.Net.Decides != 0 {
-		t.Errorf("HTTP served %d decides, want 0 (data plane should ride binary)", stats.Net.Decides)
+		t.Errorf("binwire counters = %+v, want 1 decide / 1 observe", stats.Bin)
 	}
 
 	cancel()
@@ -155,7 +156,7 @@ func TestBinaryListenerFlag(t *testing.T) {
 		t.Fatal("server did not shut down")
 	}
 	got := out.String()
-	for _, want := range []string{"binary listener on", "binary listener closed", "drained"} {
+	for _, want := range []string{"binwire via GET /v1/binwire", "binwire connections closed", "drained"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
 		}
@@ -173,9 +174,6 @@ func TestFlagAndConfigErrors(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-addr", "256.256.256.256:99999"}, &out, nil); err == nil {
 		t.Error("unlistenable address must error")
-	}
-	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-binary-addr", "256.256.256.256:99999"}, &out, nil); err == nil {
-		t.Error("unlistenable binary address must error")
 	}
 	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-node-id", "n1", "-peers", "10.0.0.2:8372"}, &out, nil); err == nil {
 		t.Error("-peers without -membership must error: they are only the membership seeds")

@@ -2,9 +2,13 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/alert-project/alert"
+	"github.com/alert-project/alert/client"
 	"github.com/alert-project/alert/internal/platform"
 	"github.com/alert-project/alert/internal/scenario"
 )
@@ -405,4 +409,34 @@ func (c *Checker) violationCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.violations) + c.dropped
+}
+
+// TestNodeStopSeversBinwire: a hard kill severs the node's binwire
+// connections exactly like its HTTP ones. They are upgraded on the HTTP
+// port, and http.Server.Close does not track upgraded connections, so
+// without the front end's own Close a client would go on deciding against
+// the dead node's closed stream table.
+func TestNodeStopSeversBinwire(t *testing.T) {
+	n := &node{id: "n0", shards: 1}
+	if err := n.start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.stop()
+	c, err := client.New(n.addr, client.Options{PreferBinary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, _, err := c.Decide(ctx, 1, spec); err != nil {
+		t.Fatal(err)
+	}
+	n.stop()
+	// The severed connection fails the call at once; one that outlived its
+	// node would serve it or leave it hanging until the deadline.
+	if _, _, err := c.Decide(ctx, 1, spec); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a decide after the kill returned %v: the binwire connection outlived its node", err)
+	}
 }

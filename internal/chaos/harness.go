@@ -52,12 +52,11 @@ type Options struct {
 	// Seed drives the per-stream workload/environment randomness; 0 means
 	// the fleet trace's compile seed.
 	Seed int64
-	// Binary gives every node a binwire listener next to its HTTP one and
-	// upgrades the cluster clients onto it (PreferBinary): the same
-	// failure drill, but with the per-input loop riding the binary
-	// transport (checkpoint taps and migrations stay on HTTP).
-	// Kills sever binary connections exactly like HTTP ones, and restarts
-	// rebind the same remembered binary address.
+	// Binary puts the cluster clients' per-input loop on binwire
+	// (PreferBinary: each connection upgraded on the node's HTTP port): the
+	// same failure drill over the binary transport (checkpoint taps and
+	// migrations stay on HTTP). Kills sever binwire connections exactly
+	// like HTTP ones.
 	Binary bool
 	// Adaptive runs every node's admission gate with the measured-delay
 	// controller on (internal/overload): the same failure drill, but with
@@ -82,11 +81,6 @@ type node struct {
 	// (first start binds :0 and records what it got).
 	hostport string
 	addr     string // http://hostport
-	// binary adds a binwire listener; binHostport is remembered across
-	// restarts like hostport, so PreferBinary clients redial the same
-	// advertised address after a restart.
-	binary      bool
-	binHostport string
 	// adaptive turns on the measured-delay controller for the node's
 	// admission gate (survives restarts like the addresses).
 	adaptive bool
@@ -97,7 +91,6 @@ type node struct {
 
 	srv    *alert.Server
 	front  *netserve.Server
-	bsrv   *netserve.BinaryServer
 	hsrv   *http.Server
 	agent  *membership.Agent
 	heal   *selfheal.Manager
@@ -168,27 +161,6 @@ func (n *node) serve(ln net.Listener, peers []string) error {
 		go agent.Run(ctx)
 	}
 	n.front = netserve.New(srv, cfg)
-	if n.binary {
-		listenOn := n.binHostport
-		if listenOn == "" {
-			listenOn = "127.0.0.1:0"
-		}
-		bln, err := net.Listen("tcp", listenOn)
-		if err != nil {
-			ln.Close()
-			if n.cancel != nil {
-				n.cancel()
-			}
-			if n.heal != nil {
-				n.heal.Close()
-			}
-			srv.Close()
-			return fmt.Errorf("chaos: node %s: binary listen %s: %w", n.id, listenOn, err)
-		}
-		n.binHostport = bln.Addr().String()
-		n.bsrv = netserve.NewBinary(n.front, bln, netserve.BinaryConfig{})
-		go n.bsrv.Serve()
-	}
 	n.hsrv = &http.Server{Handler: n.front}
 	go n.hsrv.Serve(ln)
 	n.alive = true
@@ -217,11 +189,8 @@ func (n *node) stop() {
 	if n.cancel != nil {
 		n.cancel()
 	}
-	if n.bsrv != nil {
-		n.bsrv.Close()
-		n.bsrv = nil
-	}
 	n.hsrv.Close()
+	n.front.Close() // the upgraded binwire connections, which hsrv does not track
 	if n.heal != nil {
 		// Its failover passes use the stream table: stop them first.
 		n.heal.Close()
@@ -329,7 +298,7 @@ func New(opts Options) (*Harness, error) {
 		if len(opts.Shards) > 0 {
 			shards = opts.Shards[i%len(opts.Shards)]
 		}
-		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: shards, selfHealing: opts.Fleet.Unmanaged, binary: opts.Binary, adaptive: opts.Adaptive}
+		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: shards, selfHealing: opts.Fleet.Unmanaged, adaptive: opts.Adaptive}
 		ln, err := n.listen()
 		if err != nil {
 			for _, l := range listeners {

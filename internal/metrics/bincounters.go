@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BinCounters are the binary wire listener's counters: the shared
+// BinCounters are the binwire connections' counters: the shared
 // transport set plus what only a persistent framed transport has —
 // connections, frames, and how many decide requests were coalesced into
 // per-connection bursts that crossed the engine together.
@@ -50,7 +50,7 @@ func (c *BinCounters) RecordCoalesce(size int) {
 	c.coalesced.Add(int64(size))
 }
 
-// BinSnapshot is a point-in-time view of the binary listener's counters,
+// BinSnapshot is a point-in-time view of the binwire counters,
 // served inside GET /v1/stats; the JSON field names are a stable wire
 // contract and Duration fields marshal as integer nanoseconds.
 type BinSnapshot struct {

@@ -68,7 +68,7 @@ func TestBinCountersAggregate(t *testing.T) {
 	}
 }
 
-// TestBinSnapshotJSONRoundTrip pins the binary listener's counter snapshot
+// TestBinSnapshotJSONRoundTrip pins the binwire counter snapshot's
 // wire contract (it rides inside GET /v1/stats) the same way the serve and
 // net snapshots are pinned.
 // TestRecordDecidesCounted: one RecordDecides call settles n single decides
@@ -189,7 +189,7 @@ func TestWritePrometheus(t *testing.T) {
 	sb.Reset()
 	WritePrometheus(&sb, serve, net, nil, nil)
 	if strings.Contains(sb.String(), "alert_binwire_") {
-		t.Error("binary families rendered without a binary listener")
+		t.Error("binwire families rendered without a binwire snapshot")
 	}
 	if strings.Contains(sb.String(), "alert_overload_") {
 		t.Error("overload families rendered without a gate snapshot")

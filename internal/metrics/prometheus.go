@@ -9,8 +9,8 @@ import (
 // WritePrometheus renders the serving counters in Prometheus text
 // exposition format (version 0.0.4) — the GET /metrics surface of
 // internal/netserve. serve counts what the stream table served, net what
-// the HTTP surface saw, bin (nil when no binary listener is attached)
-// what the binary wire listener saw, and ov (nil when the server has no
+// the HTTP surface saw, bin (nil omits its families)
+// what the binwire connections saw, and ov (nil when the server has no
 // admission gate) the adaptive gate's live state. Rendered by hand: the
 // format is a few comment lines plus name/value pairs, and the
 // alternative is a client-library dependency for what amounts to

@@ -1,10 +1,12 @@
-// Binary wire listener: the binwire protocol served over persistent TCP.
-// It carries the per-input loop only — decide and observe — and leaves
-// batches and the stream ops (evict, export, checkpoint, import) to HTTP:
-// many decides travel as pipelined decide frames, served as one burst. Like
-// the HTTP handlers it is a codec over the op core (ops.go) — decode a
-// frame into an op, encode the result or the reject — so the gate, drain
-// state, recovery holds and SLO accounting are the same code, not a copy.
+// binwire: the framed binary protocol served over persistent TCP
+// connections, reached by upgrading an HTTP connection on the front end's
+// own port (GET /v1/binwire, see upgrade). It carries the per-input loop
+// only — decide and observe — and leaves batches and the stream ops (evict,
+// export, checkpoint, import) to HTTP: many decides travel as pipelined
+// decide frames, served as one burst. Like the HTTP handlers it is a codec
+// over the op core (ops.go) — decode a frame into an op, encode the result
+// or the reject — so the gate, drain state, recovery holds and SLO
+// accounting are the same code, not a copy.
 // What it adds is that a connection's goroutine serves its input in bursts.
 //
 // # Why it is fast
@@ -72,7 +74,10 @@ package netserve
 
 import (
 	"context"
+	"io"
 	"net"
+	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,54 +86,49 @@ import (
 	"github.com/alert-project/alert/internal/metrics"
 )
 
-// BinaryConfig has no fields: burst serving is the listener's one mode. The
-// type remains only as NewBinary's parameter because bench/alertbench
-// constructs netserve.BinaryConfig{} and the benchmark's files are frozen.
+// BinaryConfig has no fields. The type remains only as NewBinary's
+// parameter because bench/alertbench constructs netserve.BinaryConfig{} and
+// the benchmark's files are frozen.
 type BinaryConfig struct{}
 
-// BinaryServer serves the binwire protocol over TCP on behalf of an HTTP
-// front end. Build it with NewBinary, feed it a listener with Serve, and
-// Close it after the front end has drained.
+// BinaryServer is a front end's binwire codec: it owns the binwire
+// connections — those upgraded from HTTP on GET /v1/binwire, and those a
+// raw listener attached with NewBinary accepts — and their counters.
+// Every Server has exactly one, built by New; Server.Close closes it.
 type BinaryServer struct {
 	front *Server
 	bin   *metrics.BinCounters
 
 	mu     sync.Mutex
-	ln     net.Listener
-	addr   string
+	ln     net.Listener // the raw listener NewBinary attached, if any
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup // live serveConn goroutines; Add under mu
 }
 
-// NewBinary attaches a binary listener to the front end over an
-// already-bound listener; call Serve to start accepting. Taking the bound
-// listener here (rather than in Serve) makes the advertised address part
-// of the front end's state before HTTP can answer a single stats read, so
-// a PreferBinary client can never probe a binary-serving node and
-// conclude it speaks only JSON.
+// NewBinary attaches a raw binwire listener — TCP that speaks binwire from
+// its first byte, with no HTTP upgrade — to the front end's BinaryServer
+// and returns it; call Serve to start accepting. Its connections share the
+// front end's gate, drain state and counters with the upgraded ones.
+// It remains for bench/alertbench, which measures binwire on a listener of
+// its own; everything else reaches binwire through the front end's HTTP
+// port.
 func NewBinary(front *Server, ln net.Listener, _ BinaryConfig) *BinaryServer {
-	bs := &BinaryServer{
-		front: front,
-		bin:   metrics.NewBinCounters(),
-		ln:    ln,
-		addr:  ln.Addr().String(),
-		conns: make(map[net.Conn]struct{}),
-	}
-	front.mu.Lock()
-	front.binary = bs
-	front.mu.Unlock()
+	bs := front.binary
+	bs.mu.Lock()
+	bs.ln = ln
+	bs.mu.Unlock()
 	return bs
 }
 
-// Addr returns the bound listen address.
-func (bs *BinaryServer) Addr() string { return bs.addr }
+// Addr returns the raw listener's address.
+func (bs *BinaryServer) Addr() string { return bs.ln.Addr().String() }
 
-// BinStats snapshots the listener's counters.
+// BinStats snapshots the binwire counters.
 func (bs *BinaryServer) BinStats() metrics.BinSnapshot { return bs.bin.Snapshot() }
 
-// Serve accepts connections until the listener fails or Close is called,
-// returning nil on a clean Close.
+// Serve accepts connections on the raw listener until it fails or Close is
+// called, returning nil on a clean Close.
 func (bs *BinaryServer) Serve() error {
 	for {
 		conn, err := bs.ln.Accept()
@@ -149,15 +149,17 @@ func (bs *BinaryServer) Serve() error {
 	}
 }
 
-// Close stops accepting, closes every connection, and waits for each
-// connection's goroutine, which first serves the burst it holds — so when
-// Close returns no binwire request holds an admission slot. Call it after
-// the front end's Drain so already-admitted requests got their replies
-// first. Idempotent.
+// Close stops the raw listener, closes every binwire connection, and waits
+// for each connection's goroutine, which first serves the burst it holds —
+// so when Close returns no binwire request holds an admission slot. Call it
+// after the front end's Drain so already-admitted requests got their
+// replies first. Idempotent; a later upgrade is refused.
 func (bs *BinaryServer) Close() error {
 	bs.mu.Lock()
 	bs.closed = true
-	bs.ln.Close()
+	if bs.ln != nil {
+		bs.ln.Close()
+	}
 	for c := range bs.conns {
 		c.Close()
 	}
@@ -179,10 +181,48 @@ func (bs *BinaryServer) track(c net.Conn) bool {
 	return true
 }
 
-func (bs *BinaryServer) untrack(c net.Conn) {
-	bs.mu.Lock()
-	delete(bs.conns, c)
-	bs.mu.Unlock()
+// upgrade serves GET /v1/binwire, the way onto binwire through the HTTP
+// port: a request carrying "Connection: Upgrade" and "Upgrade:
+// alert-binwire" is answered 101 Switching Protocols, and the hijacked
+// connection is then served like a raw listener's, on a goroutine of its
+// own: on the handler's, net/http would recover a panic in the binwire loop
+// and leave the connection hung instead of failing. Without those headers
+// the answer is 426. A client must wait
+// for the 101 before it sends a frame: bytes the server already read behind
+// the request close the connection unanswered. Like the control plane the
+// upgrade is ungated — admission applies to each frame, so an upgrade
+// during Drain succeeds and its frames get 503 error frames.
+func (bs *BinaryServer) upgrade(w http.ResponseWriter, r *http.Request) {
+	if !hasToken(r.Header.Get("Connection"), "upgrade") || !hasToken(r.Header.Get("Upgrade"), BinwireProtocol) {
+		bs.front.net.RecordBadInput()
+		w.Header().Set("Upgrade", BinwireProtocol)
+		bs.front.writeError(w, http.StatusUpgradeRequired, "binwire needs Connection: Upgrade and Upgrade: "+BinwireProtocol)
+		return
+	}
+	conn, rw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		bs.front.writeError(w, http.StatusInternalServerError, "cannot take over the connection: "+err.Error())
+		return
+	}
+	if rw.Reader.Buffered() > 0 || !bs.track(conn) {
+		conn.Close()
+		return
+	}
+	// A failed write leaves a dead connection, which serveConn's first read
+	// reports.
+	io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+BinwireProtocol+"\r\n\r\n")
+	go bs.serveConn(conn)
+}
+
+// hasToken reports whether a comma-separated header value lists token,
+// compared case-insensitively.
+func hasToken(value, token string) bool {
+	for _, t := range strings.Split(value, ",") {
+		if strings.EqualFold(strings.TrimSpace(t), token) {
+			return true
+		}
+	}
+	return false
 }
 
 // binConn is the server side of one connection. Its goroutine owns all of
@@ -235,7 +275,9 @@ func (bs *BinaryServer) serveConn(conn net.Conn) {
 	defer func() {
 		// Whatever ends the connection, what it decoded is served.
 		c.serve()
-		bs.untrack(conn)
+		bs.mu.Lock()
+		delete(bs.conns, conn)
+		bs.mu.Unlock()
 		conn.Close()
 		bs.bin.RecordConnClose()
 		bs.wg.Done()

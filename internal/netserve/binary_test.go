@@ -1,6 +1,8 @@
 package netserve
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -15,21 +17,43 @@ import (
 	"github.com/alert-project/alert/internal/binwire"
 )
 
-// startBinary binds a loopback listener, attaches a BinaryServer to the
-// front end, and starts accepting; Close runs at test cleanup.
-func startBinary(t *testing.T, front *Server, cfg BinaryConfig) *BinaryServer {
+// binFront is a front end served on a loopback HTTP port, whose binwire
+// codec tests reach by upgrading connections to that port.
+type binFront struct {
+	*BinaryServer
+	addr string // the HTTP host:port
+}
+
+// Addr returns the front end's HTTP host:port, which dialBinary upgrades.
+func (b binFront) Addr() string { return b.addr }
+
+// startBinary serves the front end on a loopback HTTP port; its binwire
+// connections and the HTTP server close at test cleanup.
+func startBinary(t *testing.T, front *Server) binFront {
+	t.Helper()
+	ts := httptest.NewServer(front)
+	t.Cleanup(func() {
+		front.Close()
+		ts.Close()
+	})
+	return binFront{front.binary, ts.Listener.Addr().String()}
+}
+
+// startRawBinary attaches a raw binwire listener (NewBinary) to the front
+// end and starts accepting; Close runs at test cleanup.
+func startRawBinary(t *testing.T, front *Server) *BinaryServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := NewBinary(front, ln, cfg)
+	bs := NewBinary(front, ln, BinaryConfig{})
 	go bs.Serve()
 	t.Cleanup(func() { bs.Close() })
 	return bs
 }
 
-// rawConn drives the binary listener with hand-built frames — the tests
+// rawConn drives a binwire connection with hand-built frames — the tests
 // below deliberately sit underneath the client's binwire codec so they pin the
 // wire itself, not the client's interpretation of it.
 type rawConn struct {
@@ -39,7 +63,11 @@ type rawConn struct {
 	id   uint64
 }
 
-func dialBinary(t *testing.T, addr string) *rawConn {
+// upgradeRequest asks for the switch to binwire.
+const upgradeRequest = "GET " + BinwirePath + " HTTP/1.1\r\nHost: test\r\nConnection: Upgrade\r\nUpgrade: " + BinwireProtocol + "\r\n\r\n"
+
+// dialRaw connects to a listener that speaks binwire from the first byte.
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -47,6 +75,33 @@ func dialBinary(t *testing.T, addr string) *rawConn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return &rawConn{t: t, conn: conn, rd: binwire.NewReader(conn)}
+}
+
+// dialBinary connects to a front end's HTTP port and upgrades the
+// connection to binwire.
+func dialBinary(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	rc := dialRaw(t, addr)
+	rc.send([]byte(upgradeRequest))
+	if resp := rc.response(); resp == nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %+v, want 101", resp)
+	}
+	return rc
+}
+
+// response reads the HTTP response to a request sent on the connection, or
+// returns nil if the server closed it unanswered. Nothing may trail it.
+func (rc *rawConn) response() *http.Response {
+	rc.t.Helper()
+	br := bufio.NewReader(rc.conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return nil
+	}
+	if resp.StatusCode == http.StatusSwitchingProtocols && br.Buffered() > 0 {
+		rc.t.Fatalf("%d bytes trail the 101", br.Buffered())
+	}
+	return resp
 }
 
 func (rc *rawConn) send(frame []byte) {
@@ -121,13 +176,13 @@ func sameDecision(a, b alert.Decision) bool {
 }
 
 // TestBinaryDecideMatchesInProcess pins the tentpole invariant at the
-// frame level: a stream driven over the binary listener — decide, observe
+// frame level: a stream driven over binwire — decide, observe
 // the measured latency, decide again — produces the exact decision
 // sequence, bit for bit, of the same stream driven against alert.Server
 // in-process.
 func TestBinaryDecideMatchesInProcess(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 	ref := testAlertServer(t, 2)
 
@@ -165,7 +220,7 @@ func TestBinaryDecideMatchesInProcess(t *testing.T) {
 // reader, so every allocation AllocsPerRun sees is the server's.
 func TestBinaryDecideObserveAllocFree(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	d, est := dialBinary(t, bs.Addr()).decide(1, spec)
@@ -199,7 +254,7 @@ func TestBinaryDecideObserveAllocFree(t *testing.T) {
 // hangs up (it cannot trust the rest of the byte stream).
 func TestBinaryVersionRejected(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 
 	frame := binwire.AppendDecide(nil, 9, 1, alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
@@ -225,7 +280,7 @@ func TestBinaryVersionRejected(t *testing.T) {
 // so later frames are still trustworthy.
 func TestBinaryUnknownTypeKeepsConnection(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 
 	for _, mt := range []binwire.MsgType{99, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
@@ -254,7 +309,7 @@ func TestBinaryUnknownTypeKeepsConnection(t *testing.T) {
 // coalescing counters, whose names predate the burst, count it.
 func TestBinaryCoalesce(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{ServiceDelay: 30 * time.Millisecond})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -285,9 +340,9 @@ func TestBinaryCoalesce(t *testing.T) {
 	}
 }
 
-// TestStatsAdvertisesBinary checks GET /v1/stats grows the binary
-// listener's address and counters once one is attached — the discovery
-// hook PreferBinary clients rely on.
+// TestStatsAdvertisesBinary checks GET /v1/stats carries the binwire
+// counters from the start — every front end speaks binwire on its HTTP
+// port — and counts a decide served over an upgraded connection there.
 func TestStatsAdvertisesBinary(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
 
@@ -295,11 +350,11 @@ func TestStatsAdvertisesBinary(t *testing.T) {
 	if code := doJSON(t, front, http.MethodGet, "/v1/stats", nil, &before); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if before.BinaryAddr != "" || before.Bin != nil {
-		t.Fatalf("stats advertise a binary listener before one exists: %+v", before)
+	if before.Bin == nil || before.Bin.Decides != 0 || before.Bin.ConnsOpened != 0 {
+		t.Fatalf("stats before any binwire traffic: bin = %+v, want a zero block", before.Bin)
 	}
 
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 	rc.decide(1, alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 
@@ -307,11 +362,8 @@ func TestStatsAdvertisesBinary(t *testing.T) {
 	if code := doJSON(t, front, http.MethodGet, "/v1/stats", nil, &after); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if after.BinaryAddr != bs.Addr() {
-		t.Errorf("binary_addr = %q, want %q", after.BinaryAddr, bs.Addr())
-	}
-	if after.Bin == nil || after.Bin.Decides != 1 {
-		t.Errorf("bin counters = %+v, want 1 decide", after.Bin)
+	if after.Bin == nil || after.Bin.Decides != 1 || after.Net.Decides != 0 {
+		t.Errorf("bin counters = %+v, net decides %d, want 1 binwire decide and no HTTP one", after.Bin, after.Net.Decides)
 	}
 }
 
@@ -319,7 +371,7 @@ func TestStatsAdvertisesBinary(t *testing.T) {
 // ungated, text-format, and carries serve, HTTP, and binary families.
 func TestMetricsEndpoint(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 	rc.decide(1, alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 	// A checkpoint is a checkpoint on whichever transport served it.
@@ -352,5 +404,86 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestBinwireUpgrade pins the way onto binwire through the HTTP port, GET
+// /v1/binwire with "Connection: Upgrade" and "Upgrade: alert-binwire": the
+// request is answered 101 however it is split across writes, a request
+// without both headers 426 naming the protocol, any other method 405, and
+// bytes sent behind the request before the 101 close the connection
+// unanswered. An upgrade is ungated like the control plane,
+// so during Drain it still succeeds and each frame it carries is refused
+// 503 with the retry hint. No case leaves a gate slot held.
+func TestBinwireUpgrade(t *testing.T) {
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
+	decide := string(binwire.AppendDecide(nil, 1, 1, spec))
+	request := func(method string, headers ...string) string {
+		return method + " " + BinwirePath + " HTTP/1.1\r\nHost: test\r\n" + strings.Join(headers, "") + "Content-Length: 0\r\n\r\n"
+	}
+	cases := []struct {
+		name  string
+		drain bool
+		send  string // written in one Write
+		slow  bool   // written one byte per Write instead
+		want  int    // the status answered; 0 for a connection closed unanswered
+		// served is what a decide frame sent after a 101 gets: a decide
+		// reply (0) or an error frame with this code.
+		served uint16
+	}{
+		{name: "upgraded", send: upgradeRequest, want: http.StatusSwitchingProtocols},
+		{name: "one byte per write", send: upgradeRequest, slow: true, want: http.StatusSwitchingProtocols},
+		{name: "no Upgrade header", send: request("GET"), want: http.StatusUpgradeRequired},
+		{name: "Upgrade without Connection: Upgrade", send: request("GET", "Upgrade: alert-binwire\r\n"), want: http.StatusUpgradeRequired},
+		{name: "another protocol", send: request("GET", "Connection: keep-alive, Upgrade\r\n", "Upgrade: websocket\r\n"), want: http.StatusUpgradeRequired},
+		{name: "wrong method", send: request("POST", "Connection: Upgrade\r\n", "Upgrade: alert-binwire\r\n"), want: http.StatusMethodNotAllowed},
+		{name: "frames before the 101", send: upgradeRequest + decide, want: 0},
+		{name: "upgrade during Drain", drain: true, send: upgradeRequest, want: http.StatusSwitchingProtocols, served: http.StatusServiceUnavailable},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			front := New(testAlertServer(t, 1), Config{})
+			bs := startBinary(t, front)
+			if tc.drain {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				if err := front.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rc := dialRaw(t, bs.Addr())
+			rc.conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if !tc.slow {
+				rc.send([]byte(tc.send))
+			}
+			for i := 0; tc.slow && i < len(tc.send); i++ {
+				rc.send([]byte{tc.send[i]})
+			}
+			resp := rc.response()
+			switch {
+			case tc.want == 0:
+				if resp != nil {
+					t.Fatalf("answered %s, want the connection closed unanswered", resp.Status)
+				}
+			case resp == nil || resp.StatusCode != tc.want:
+				t.Fatalf("answered %+v, want %d", resp, tc.want)
+			case tc.want == http.StatusUpgradeRequired && resp.Header.Get("Upgrade") != BinwireProtocol:
+				t.Errorf("426 names Upgrade %q, want %q", resp.Header.Get("Upgrade"), BinwireProtocol)
+			case tc.want == http.StatusSwitchingProtocols && tc.served == 0:
+				rc.decide(1, spec)
+			case tc.want == http.StatusSwitchingProtocols:
+				rc.id++
+				rc.send(binwire.AppendDecide(nil, rc.id, 1, spec))
+				if ms := rc.expectError(rc.id, tc.served); ms <= 0 {
+					t.Errorf("%d error frame carries retry_after_ms %d, want the hint", tc.served, ms)
+				}
+			}
+			if in, q := front.gate.Occupancy(); in != 0 || q != 0 {
+				t.Errorf("gate occupancy %d/%d, want 0/0", in, q)
+			}
+			if served := front.BinStats().Decides; (tc.want == http.StatusSwitchingProtocols && tc.served == 0) != (served == 1) {
+				t.Errorf("%d binwire decides served", served)
+			}
+		})
 	}
 }

@@ -27,7 +27,7 @@ import (
 // order even though the client gave it no reply to wait on.
 func TestBinaryBurstOrder(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -106,7 +106,7 @@ func TestBinaryBurstOrder(t *testing.T) {
 // never has more than the gate's worth outstanding.
 func TestBinaryBurstLargerThanGate(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{MaxInflight: 2, MaxQueue: 4})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, AccuracyGoal: 0.9} // no deadline: admission may wait forever
@@ -158,7 +158,7 @@ func TestBinaryBurstPartlyAdmitted(t *testing.T) {
 // counters must account for every frame.
 func testBurstGateSmallerThanBurst(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{MaxInflight: 5})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 	replay := testAlertServer(t, 2)
 
@@ -248,13 +248,7 @@ func testBurstGateSmallerThanBurst(t *testing.T) {
 // every pending op must be refused 503 "draining" and hold no slot.
 func testBurstDrainBeforeAdmission(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{MaxInflight: 5})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the test is the connection's goroutine
-	t.Cleanup(func() { bs.Close() })
-	c := &binConn{srv: bs, engine: front.alert.NewBurst()}
+	c := &binConn{srv: front.binary, engine: front.alert.NewBurst()} // the test is the connection's goroutine
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	fb := alert.Feedback{Decision: alert.Decision{Model: 1, Cap: 2}, Latency: 0.05, CompletedStage: -1}
@@ -302,7 +296,7 @@ func testBurstDrainBeforeAdmission(t *testing.T) {
 	if in, q := front.gate.Occupancy(); in != 0 || q != 0 {
 		t.Errorf("gate occupancy %d/%d after the refusals, want 0/0", in, q)
 	}
-	if snap := bs.BinStats(); snap.RejectedDraining != ops || snap.Decides+snap.Observes != 0 {
+	if snap := front.BinStats(); snap.RejectedDraining != ops || snap.Decides+snap.Observes != 0 {
 		t.Errorf("counters: %d draining rejects, %d served; want %d and 0", snap.RejectedDraining, snap.Decides+snap.Observes, ops)
 	}
 }
@@ -321,7 +315,7 @@ func malformedFrame(typ binwire.MsgType, id uint64) []byte {
 // returns every slot is back and Drain has nothing to wait for.
 func TestBinaryCloseMidBurst(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{ServiceDelay: 100 * time.Millisecond})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -353,7 +347,7 @@ func TestBinaryCloseMidBurst(t *testing.T) {
 // froze B and pinned the gate.)
 func TestBinaryStalledReaderStallsNobodyElse(t *testing.T) {
 	front := New(testAlertServer(t, 2), Config{})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 
 	a, err := net.Dial("tcp", bs.Addr())
@@ -427,7 +421,7 @@ func TestBinaryBurstBoundedByReadBuffer(t *testing.T) {
 		counter.Conn = conn
 		bs.serveConn(counter)
 	}()
-	rc := dialBinary(t, bs.Addr())
+	rc := dialRaw(t, bs.Addr())
 
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	const ops = 2000

@@ -21,7 +21,8 @@ type observed struct {
 // then decide for a rotating, sometimes repeating, set of streams" — is
 // played through the three public entries (a Server.Decide loop,
 // Server.DecideBatch, a reused ServerBurst), through HTTP decide-batch and
-// through binwire's pipelined decide frames, each against its own fresh
+// through binwire's pipelined decide frames — on a raw binwire listener and
+// on a connection upgraded from the HTTP port — each against its own fresh
 // server, and every stream's decision
 // tokens must come out byte-identical. Feedback is computed from the
 // decisions a door returned, so a door that diverged once keeps diverging.
@@ -104,51 +105,10 @@ func TestEveryDoorSameDecisions(t *testing.T) {
 			}
 		}},
 		{"binwire pipelined burst", func(t *testing.T, srv *alert.Server) func([]observed, []alert.BatchRequest) []alert.BatchResult {
-			bs := startBinary(t, New(srv, Config{}), BinaryConfig{})
-			rc := dialBinary(t, bs.Addr())
-			return func(fbs []observed, reqs []alert.BatchRequest) []alert.BatchResult {
-				// One write, nothing awaited in between: the connection's
-				// arrival order is the only thing ordering the decides
-				// behind the observes and each other.
-				var frames []byte
-				first := rc.id + 1
-				for _, o := range fbs {
-					rc.id++
-					frames = binwire.AppendObserve(frames, rc.id, o.stream, o.fb)
-				}
-				firstDecide := rc.id + 1
-				for _, r := range reqs {
-					rc.id++
-					frames = binwire.AppendDecide(frames, rc.id, r.Stream, r.Spec)
-				}
-				rc.send(frames)
-				res := make([]alert.BatchResult, len(reqs))
-				seen := make(map[uint64]bool)
-				for n := first; n <= rc.id; n++ {
-					f := rc.next()
-					if f.ID < first || f.ID > rc.id || seen[f.ID] {
-						t.Fatalf("reply id %d outside the burst or repeated", f.ID)
-					}
-					seen[f.ID] = true
-					want := binwire.MsgObserveResp
-					if f.ID >= firstDecide {
-						want = binwire.MsgDecideResp
-					}
-					if f.Type != want {
-						t.Fatalf("reply %d: type %d, want %d", f.ID, f.Type, want)
-					}
-					if want == binwire.MsgObserveResp {
-						continue
-					}
-					i := f.ID - firstDecide
-					d, e, _, err := binwire.DecodeDecideResp(f.Body)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res[i] = alert.BatchResult{Stream: reqs[i].Stream, Decision: d, Estimate: e}
-				}
-				return res
-			}
+			return binwireRound(t, dialRaw(t, startRawBinary(t, New(srv, Config{})).Addr()))
+		}},
+		{"binwire burst over the HTTP upgrade", func(t *testing.T, srv *alert.Server) func([]observed, []alert.BatchRequest) []alert.BatchResult {
+			return binwireRound(t, dialBinary(t, startBinary(t, New(srv, Config{})).Addr()))
 		}},
 	}
 
@@ -201,5 +161,54 @@ func TestEveryDoorSameDecisions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// binwireRound is the doors' round on a binwire connection: every observe
+// and decide of the round pipelined in one write, the replies matched back
+// to the requests by id.
+func binwireRound(t *testing.T, rc *rawConn) func([]observed, []alert.BatchRequest) []alert.BatchResult {
+	return func(fbs []observed, reqs []alert.BatchRequest) []alert.BatchResult {
+		// One write, nothing awaited in between: the connection's
+		// arrival order is the only thing ordering the decides
+		// behind the observes and each other.
+		var frames []byte
+		first := rc.id + 1
+		for _, o := range fbs {
+			rc.id++
+			frames = binwire.AppendObserve(frames, rc.id, o.stream, o.fb)
+		}
+		firstDecide := rc.id + 1
+		for _, r := range reqs {
+			rc.id++
+			frames = binwire.AppendDecide(frames, rc.id, r.Stream, r.Spec)
+		}
+		rc.send(frames)
+		res := make([]alert.BatchResult, len(reqs))
+		seen := make(map[uint64]bool)
+		for n := first; n <= rc.id; n++ {
+			f := rc.next()
+			if f.ID < first || f.ID > rc.id || seen[f.ID] {
+				t.Fatalf("reply id %d outside the burst or repeated", f.ID)
+			}
+			seen[f.ID] = true
+			want := binwire.MsgObserveResp
+			if f.ID >= firstDecide {
+				want = binwire.MsgDecideResp
+			}
+			if f.Type != want {
+				t.Fatalf("reply %d: type %d, want %d", f.ID, f.Type, want)
+			}
+			if want == binwire.MsgObserveResp {
+				continue
+			}
+			i := f.ID - firstDecide
+			d, e, _, err := binwire.DecodeDecideResp(f.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = alert.BatchResult{Stream: reqs[i].Stream, Decision: d, Estimate: e}
+		}
+		return res
 	}
 }

@@ -22,12 +22,8 @@ import (
 func FuzzServeFrame(f *testing.F) {
 	srv := testAlertServer(f, 2)
 	front := New(srv, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Fatal(err)
-	}
-	bs := NewBinary(front, ln, BinaryConfig{}) // never accepts: the fuzzer hands it pipes
-	f.Cleanup(func() { bs.Close() })
+	bs := front.binary // the fuzzer hands it pipes
+	f.Cleanup(func() { front.Close() })
 
 	// ops maps the fuzzed selector onto the two request types and a retired
 	// one (5, the old batch frame), and the reply each is served with.

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,9 +16,9 @@ import (
 	"github.com/alert-project/alert/internal/netserve"
 )
 
-// startNode stands up a front end with both listeners over a fresh
-// alert.Server and returns its HTTP base URL and a client whose per-input
-// loop rides binwire.
+// startNode stands up a front end over a fresh alert.Server and returns its
+// HTTP base URL and a client whose per-input loop rides binwire on that
+// same port.
 func startNode(t *testing.T, shards int, nodeID string) (string, *client.Client) {
 	t.Helper()
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: shards})
@@ -29,15 +28,11 @@ func startNode(t *testing.T, shards int, nodeID string) (string, *client.Client)
 	t.Cleanup(srv.Close)
 	fe := netserve.New(srv, netserve.Config{NodeID: nodeID})
 	ts := httptest.NewServer(fe)
-	t.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := netserve.NewBinary(fe, ln, netserve.BinaryConfig{})
-	go bs.Serve()
-	t.Cleanup(func() { bs.Close() })
-	c, err := client.New(ts.URL, client.Options{BinaryAddr: bs.Addr()})
+	t.Cleanup(func() {
+		fe.Close()
+		ts.Close()
+	})
+	c, err := client.New(ts.URL, client.Options{PreferBinary: true})
 	if err != nil {
 		t.Fatal(err)
 	}

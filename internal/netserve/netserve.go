@@ -25,7 +25,9 @@
 // move.
 // binwire adds one thing of its own — a connection serves the decides and
 // observes it has read as one burst — and even that enters and leaves
-// through the pipeline's two halves (begin, finish).
+// through the pipeline's two halves (begin, finish). Both codecs share one
+// port: a binwire connection starts as an HTTP request for GET /v1/binwire
+// with "Upgrade: alert-binwire" and speaks binwire after the 101.
 //
 // HTTP endpoints (see wire.go for the exact JSON shapes):
 //
@@ -33,6 +35,8 @@
 //	POST   /v1/observe       feedback for one stream (fire-and-forget)
 //	POST   /v1/decide-batch  one decision per request, request order
 //	GET    /v1/stats         serve + front-end counter snapshots, node identity
+//	GET    /v1/binwire       upgrade the connection to binwire (101, or 426
+//	                         without "Connection: Upgrade" and "Upgrade: alert-binwire")
 //	GET    /metrics          the same counters in Prometheus text format
 //	GET    /v1/streams       live stream ids
 //	DELETE /v1/streams/{id}  evict one stream's session
@@ -48,7 +52,8 @@
 // The membership/replica/claim endpoints are the self-healing control
 // plane (see internal/membership and internal/selfheal); they bypass the
 // admission gate because they are what decides who should be taking load,
-// and they 404 on nodes that run without membership.
+// and they 404 on nodes that run without membership. The binwire upgrade
+// bypasses it too: the gate admits each frame the connection carries.
 //
 // # Admission control
 //
@@ -80,7 +85,9 @@
 // Drain flips the server into shutdown mode: new mutating requests are
 // refused with 503 (clients see Retry-After and go elsewhere; reads still
 // answer) while everything already admitted runs to completion.
-// cmd/alertserve wires it to SIGINT/SIGTERM ahead of http.Server.Shutdown.
+// cmd/alertserve wires it to SIGINT/SIGTERM, then closes the binwire
+// connections (Close) — http.Server.Shutdown does not track upgraded
+// connections — and shuts the HTTP server down.
 package netserve
 
 import (
@@ -89,6 +96,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -167,10 +175,11 @@ func (c Config) retryAfter() time.Duration {
 	return c.RetryAfter
 }
 
-// Server is the front end: the op core (ops.go) and its HTTP codec. It
-// implements http.Handler; mount it on any mux or serve it directly, and
-// attach the binwire codec with NewBinary. The underlying alert.Server is
-// owned by the caller and must outlive the front end.
+// Server is the front end: the op core (ops.go), its HTTP codec and its
+// binwire codec, which HTTP connections reach by upgrading. It implements
+// http.Handler; mount it on any mux or serve it directly, and Close it after
+// Drain. The underlying alert.Server is owned by the caller and must
+// outlive the front end.
 type Server struct {
 	alert      *alert.Server
 	net        *metrics.NetCounters
@@ -201,14 +210,12 @@ type Server struct {
 	drained   chan struct{}
 	drainOnce sync.Once
 
-	// binary is the attached binary wire listener, nil until NewBinary;
-	// guarded by mu because stats reads race the attach.
-	binary *BinaryServer
+	binary *BinaryServer // the binwire codec and its connections
 }
 
 // New builds the front end over an alert.Server.
 func New(srv *alert.Server, cfg Config) *Server {
-	return &Server{
+	s := &Server{
 		alert:      srv,
 		net:        metrics.NewNetCounters(),
 		retryAfter: cfg.retryAfter(),
@@ -225,7 +232,14 @@ func New(srv *alert.Server, cfg Config) *Server {
 		serviceDelay: cfg.ServiceDelay,
 		drained:      make(chan struct{}),
 	}
+	s.binary = &BinaryServer{front: s, bin: metrics.NewBinCounters(), conns: make(map[net.Conn]struct{})}
+	return s
 }
+
+// Close closes every binwire connection and waits for their goroutines
+// (BinaryServer.Close); call it after Drain. http.Server.Shutdown cannot do
+// this: it does not track upgraded connections.
+func (s *Server) Close() error { return s.binary.Close() }
 
 // OverloadStats snapshots the admission gate's live state.
 func (s *Server) OverloadStats() metrics.OverloadSnapshot {
@@ -233,29 +247,25 @@ func (s *Server) OverloadStats() metrics.OverloadSnapshot {
 	return ov
 }
 
-// snapshots reads the HTTP counters, the binwire counters (nil without a
-// binary listener) and the gate. The gate's shed-by-class counters are the
-// two transports' reject counters of those classes: every shed is exactly
-// one reject, counted once, on the wire it arrived by.
+// snapshots reads the HTTP counters, the binwire counters and the gate.
+// The gate's shed-by-class counters are the two transports' reject counters
+// of those classes: every shed is exactly one reject, counted once, on the
+// wire it arrived by.
 func (s *Server) snapshots() (metrics.NetSnapshot, *metrics.BinSnapshot, metrics.OverloadSnapshot) {
-	net, ov := s.net.Snapshot(), s.gate.Snapshot()
-	wires := []metrics.TransportSnapshot{net.TransportSnapshot}
-	var bin *metrics.BinSnapshot
-	if bs := s.binaryServer(); bs != nil {
-		snap := bs.bin.Snapshot()
-		bin = &snap
-		wires = append(wires, snap.TransportSnapshot)
-	}
-	for _, t := range wires {
+	net, bin, ov := s.net.Snapshot(), s.binary.bin.Snapshot(), s.gate.Snapshot()
+	for _, t := range []metrics.TransportSnapshot{net.TransportSnapshot, bin.TransportSnapshot} {
 		ov.ShedOverload += t.RejectedOverload
 		ov.ShedDeadline += t.RejectedDeadline
 		ov.ShedDraining += t.RejectedDraining
 	}
-	return net, bin, ov
+	return net, &bin, ov
 }
 
 // NetStats snapshots the front end's request/latency/overload counters.
 func (s *Server) NetStats() metrics.NetSnapshot { return s.net.Snapshot() }
+
+// BinStats snapshots the binwire counters.
+func (s *Server) BinStats() metrics.BinSnapshot { return s.binary.BinStats() }
 
 // tc is the counter set the op core moves for requests that arrived over
 // HTTP.
@@ -265,7 +275,7 @@ func (s *Server) tc() *metrics.TransportCounters { return &s.net.TransportCounte
 // Retry-After; reads still answer) and blocks until every admitted
 // request has been served and accounted, or ctx expires. Writing the
 // replies is the transports' business, which is why shutdown stops them
-// (http.Server.Shutdown, BinaryServer.Close) only after Drain returns. It
+// (Close, http.Server.Shutdown) only after Drain returns. It
 // is idempotent; the front end stays in draining mode afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -306,6 +316,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.method(w, r, http.MethodPost, s.handleDecideBatch)
 	case path == "/v1/stats":
 		s.method(w, r, http.MethodGet, s.handleStats)
+	case path == BinwirePath:
+		s.method(w, r, http.MethodGet, s.binary.upgrade)
 	case path == "/metrics":
 		s.method(w, r, http.MethodGet, s.handleMetrics)
 	case path == "/v1/streams":
@@ -422,7 +434,7 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.net.RecordRead()
 	net, bin, ov := s.snapshots()
-	resp := StatsResponse{
+	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Serve:    s.alert.Stats(),
 		Net:      net,
 		Bin:      bin,
@@ -432,18 +444,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:   s.alert.Shards(),
 		Streams:  s.alert.Streams(),
 		NodeID:   s.nodeID,
-	}
-	if bs := s.binaryServer(); bs != nil {
-		resp.BinaryAddr = bs.Addr()
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// binaryServer returns the attached binary listener, if any.
-func (s *Server) binaryServer() *BinaryServer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.binary
+	})
 }
 
 // handleMetrics serves GET /metrics: the serve/net/binary counters in
@@ -631,7 +632,7 @@ func (s *Server) routeReplica(w http.ResponseWriter, r *http.Request, idStr stri
 		return
 	}
 	s.recovery.StoreReplica(id, req.Owner, snap.Decisions, snap)
-	s.writeJSON(w, http.StatusOK, ReplicaPutResponse{Stream: id, Replicas: len(s.recovery.Replicas())})
+	s.writeJSON(w, http.StatusOK, ReplicaPutResponse{Stream: id})
 }
 
 // handleReplicas lists the replicas held for peers (ops and tests).

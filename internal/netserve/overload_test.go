@@ -185,13 +185,13 @@ func TestSubMillisecondDeadlineHTTP(t *testing.T) {
 }
 
 // TestBinaryDeadlineEdges drives the same degenerate deadlines through the
-// binary listener: +Inf admits once capacity frees (JSON cannot even carry
+// binwire: +Inf admits once capacity frees (JSON cannot even carry
 // it — the binary wire can, and it must mean "infinitely patient", not
 // "already expired"), and a sub-millisecond deadline expires in the queue
 // with a non-zero hint.
 func TestBinaryDeadlineEdges(t *testing.T) {
 	front := New(testAlertServer(t, 1), Config{MaxInflight: 1, MaxQueue: 4})
-	bs := startBinary(t, front, BinaryConfig{})
+	bs := startBinary(t, front)
 
 	// +Inf deadline: queues patiently, served after release.
 	front.HoldTokenForTest()

@@ -121,7 +121,7 @@ func (h httpWire) do(t *testing.T, c call) (int, int64, string) {
 }
 
 type binWire struct {
-	bs *BinaryServer
+	bs binFront
 	rc *rawConn
 }
 
@@ -177,7 +177,7 @@ func bothWires(t *testing.T, cfg Config, fn func(t *testing.T, front *Server, w 
 	httpOnly(t, cfg, fn)
 	t.Run("binwire", func(t *testing.T) {
 		front := New(testAlertServer(t, 1), cfg)
-		bs := startBinary(t, front, BinaryConfig{})
+		bs := startBinary(t, front)
 		fn(t, front, binWire{bs, dialBinary(t, bs.Addr())})
 	})
 }
@@ -385,7 +385,7 @@ func TestRejectMatrix(t *testing.T) {
 				other := wire(httpWire{front})
 				_, isHTTP := w.(httpWire)
 				if isHTTP {
-					other = nil // no binary listener attached to this server
+					other = nil // w is the HTTP wire itself
 				}
 				for _, r := range cond.rows {
 					if !isHTTP && r.op != decide && r.op != observe {
@@ -570,7 +570,7 @@ func TestSlowReaderDoesNotInflateService(t *testing.T) {
 	go bs.Serve()
 	t.Cleanup(func() { bs.Close() })
 
-	rc := dialBinary(t, bs.Addr())
+	rc := dialRaw(t, bs.Addr())
 	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	for i := 0; i < 4; i++ {
 		rc.decide(1, spec)

@@ -16,6 +16,17 @@ import (
 // makes a network replay's decision sequences byte-identical to the
 // in-process path (pinned by cmd/alertload's -addr tests).
 
+// The binwire upgrade: a client sends GET BinwirePath with "Connection:
+// Upgrade" and "Upgrade: " + BinwireProtocol, the server answers 101
+// Switching Protocols, and from then on the connection carries binwire
+// frames (internal/binwire) both ways — the same mechanism WebSocket and
+// h2c use, so binwire and HTTP/JSON share one port. The client sends its
+// first frame only after the 101.
+const (
+	BinwirePath     = "/v1/binwire"
+	BinwireProtocol = "alert-binwire"
+)
+
 // Objective wire values.
 const (
 	ObjectiveMinEnergy   = "min_energy"
@@ -241,12 +252,9 @@ type StatsResponse struct {
 	// checks; member discovery is GET /v1/membership. Empty for a standalone
 	// node.
 	NodeID string `json:"node_id,omitempty"`
-	// BinaryAddr is the binary wire listener's address, advertised when
-	// cmd/alertserve runs with -binary-addr; clients built with
-	// PreferBinary discover the faster transport here and fall back to
-	// JSON when it is absent. Bin is that listener's counter snapshot.
-	BinaryAddr string               `json:"binary_addr,omitempty"`
-	Bin        *metrics.BinSnapshot `json:"bin,omitempty"`
+	// Bin is the binwire counters' snapshot: every front end speaks
+	// binwire on its HTTP port, so it is always present.
+	Bin *metrics.BinSnapshot `json:"bin,omitempty"`
 	// Overload is the admission gate's live state: effective limits,
 	// queue-delay signal, shed-by-class counters. Always present — the
 	// controller measures even when adaptation is off.
@@ -301,8 +309,7 @@ type ReplicaPutRequest struct {
 
 // ReplicaPutResponse is the PUT /v1/replicas/{id} reply.
 type ReplicaPutResponse struct {
-	Stream   int `json:"stream"`
-	Replicas int `json:"replicas"`
+	Stream int `json:"stream"`
 }
 
 // ReplicaWire is one held replica in a ReplicasResponse.

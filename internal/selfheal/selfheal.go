@@ -43,6 +43,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/alert-project/alert"
@@ -101,6 +102,11 @@ type Manager struct {
 	closed    bool
 	replicas  map[int]replica // stream -> freshest replicated checkpoint
 	restoring map[int]bool    // streams mid-restore (front end sheds these)
+	// holds counts restoring's entries. It rises before an entry is added
+	// and falls after one is removed, so a zero read means no stream was
+	// mid-restore at that instant: Restoring, which the front end calls for
+	// every op it serves, takes mu only while a restore is in flight.
+	holds     atomic.Int64
 	acquired  map[int]string  // stream -> claim kind of the last local import/restore
 	lastView  membership.View // previous view, for dead-transition detection
 	failovers int64
@@ -307,14 +313,7 @@ func (m *Manager) restoreOrphan(ctx context.Context, stream int, r replica, live
 		m.logf("selfheal %s: stream %d already live at %s, skipping restore", m.cfg.NodeID, stream, at)
 		return
 	}
-	m.mu.Lock()
-	m.restoring[stream] = true
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.restoring, stream)
-		m.mu.Unlock()
-	}()
+	defer m.hold(stream)()
 
 	if err := m.cfg.Server.ImportStream(stream, r.snap); err != nil {
 		// A live local session: routed traffic beat us here (the fresh
@@ -394,8 +393,25 @@ func (m *Manager) announce(ctx context.Context, stream int, decisions int64, kin
 
 // --- netserve.Recovery implementation ---
 
+// hold marks a stream mid-restore until the returned release runs.
+func (m *Manager) hold(stream int) (release func()) {
+	m.holds.Add(1)
+	m.mu.Lock()
+	m.restoring[stream] = true
+	m.mu.Unlock()
+	return func() {
+		m.mu.Lock()
+		delete(m.restoring, stream)
+		m.mu.Unlock()
+		m.holds.Add(-1)
+	}
+}
+
 // Restoring reports whether a stream is mid-restore (see Config docs).
 func (m *Manager) Restoring(stream int) bool {
+	if m.holds.Load() == 0 {
+		return false
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.restoring[stream]

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -471,9 +472,7 @@ func TestRestoringShedsWith503(t *testing.T) {
 	n := startHealNode(t, "n1")
 	connect(t, []*healNode{n})
 
-	n.mgr.mu.Lock()
-	n.mgr.restoring[3] = true
-	n.mgr.mu.Unlock()
+	release := n.mgr.hold(3)
 
 	body := `{"stream":3,"spec":{"objective":"min_energy","deadline_s":0.5,"accuracy_goal":0.9}}`
 	post := func() *http.Response {
@@ -492,9 +491,7 @@ func TestRestoringShedsWith503(t *testing.T) {
 		t.Fatal("mid-restore 503 missing Retry-After")
 	}
 
-	n.mgr.mu.Lock()
-	delete(n.mgr.restoring, 3)
-	n.mgr.mu.Unlock()
+	release()
 	resp = post()
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -526,5 +523,66 @@ func TestCloseWaitsForFailover(t *testing.T) {
 			n2.mgr.Close()
 			n2.srv.Close()
 		})
+	}
+}
+
+// TestReplicaPutCostIndependentOfHeld: one PUT /v1/replicas/{id} costs the
+// same with 10,000 replicas held as with 10 — its reply carries no count,
+// so nothing lists or sorts the held table. Bytes are compared as well as
+// allocations: a table-sized slice is a single allocation.
+func TestReplicaPutCostIndependentOfHeld(t *testing.T) {
+	n := startHealNode(t, "n1")
+	front := netserve.New(n.srv, netserve.Config{NodeID: "n1", Recovery: n.mgr})
+	driveStream(n, 0, 3)
+	snap, _ := n.srv.SnapshotStream(0)
+	blob, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(netserve.ReplicaPutRequest{Owner: "n2", SnapshotB64: base64.StdEncoding.EncodeToString(blob)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func() {
+		rec := httptest.NewRecorder()
+		front.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/replicas/1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("replica PUT: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	const runs = 50
+	cost := func(held int) (allocs, bytes float64) {
+		for s := len(n.mgr.replicas); s < held; s++ {
+			n.mgr.StoreReplica(1000+s, "n2", 1, snap)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, put) // runs once more to warm up
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	fewA, fewB := cost(10)
+	manyA, manyB := cost(10000)
+	if manyA > fewA || manyB > fewB+1024 {
+		t.Errorf("replica PUT with 10,000 held: %.1f allocs, %.0f B; with 10: %.1f allocs, %.0f B — want no more", manyA, manyB, fewA, fewB)
+	}
+}
+
+// TestRestoringIdleTakesNoLock: with no restore in flight, Restoring — which
+// the front end calls for every op it serves — answers without Manager.mu,
+// so a replication or failover pass holding it stalls no op.
+func TestRestoringIdleTakesNoLock(t *testing.T) {
+	n := startHealNode(t, "n1")
+	n.mgr.mu.Lock()
+	defer n.mgr.mu.Unlock()
+	done := make(chan bool, 1)
+	go func() { done <- n.mgr.Restoring(3) }()
+	select {
+	case restoring := <-done:
+		if restoring {
+			t.Error("Restoring(3) = true with no restore in flight")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Restoring waited on Manager.mu with no restore in flight")
 	}
 }
