@@ -2,6 +2,7 @@ package alert_test
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/alert-project/alert"
 )
@@ -65,6 +66,63 @@ func ExampleServer() {
 	stats := srv.Stats()
 	fmt.Printf("shards=%d decisions=%d\n", srv.Shards(), stats.Decisions)
 	// Output: shards=2 decisions=20
+}
+
+// ExampleServer_streams drives many concurrent inference streams through
+// one Server — one shared decision engine, one private Kalman filter state
+// per stream in a sharded stream table. Stream s pins to shard s mod 4 for
+// FIFO ordering, but every stream learns its own slowdown: even streams run
+// near the profile (ξ ≈ 1.05), odd streams are heavily contended (ξ ≈ 1.6),
+// and each stream's estimate and decisions are what a dedicated Scheduler
+// would produce, however the goroutines interleave. The closing batch
+// decides for every stream in one call, results in request order.
+func ExampleServer_streams() {
+	plat := alert.CPU1()
+	srv, err := alert.NewServer(plat, alert.ImageCandidates(), alert.ServerOptions{Shards: 4})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
+	spec := alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.120, AccuracyGoal: 0.93}
+
+	const streams, inputs = 8, 200
+	var wg sync.WaitGroup
+	for s := 0; s < streams; s++ {
+		wg.Add(1)
+		go func(stream int) {
+			defer wg.Done()
+			xi := 1.05
+			if stream%2 == 1 {
+				xi = 1.6
+			}
+			for i := 0; i < inputs; i++ {
+				d, _ := srv.Decide(stream, spec)
+				// Stand-in for running the model: the profiled time at the
+				// decided cap scaled by the stream's slowdown.
+				measured := xi * srv.Models()[d.Model].RefLatency / plat.Speed(d.CapW)
+				srv.Observe(stream, alert.Feedback{Decision: d, Latency: measured, CompletedStage: -1, IdlePowerW: 5})
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	reqs := make([]alert.BatchRequest, streams)
+	for i := range reqs {
+		reqs[i] = alert.BatchRequest{Stream: i, Spec: spec}
+	}
+	for i, r := range srv.DecideBatch(reqs) {
+		mu, sigma := srv.XiEstimate(i)
+		fmt.Printf("stream %d  xi=%.3f±%.3f  model=%d cap=%.0fW\n", i, mu, sigma, r.Decision.Model, r.Decision.CapW)
+	}
+	// Output:
+	// stream 0  xi=1.050±0.019  model=2 cap=20W
+	// stream 1  xi=1.600±0.019  model=1 cap=18W
+	// stream 2  xi=1.050±0.019  model=2 cap=20W
+	// stream 3  xi=1.600±0.019  model=1 cap=18W
+	// stream 4  xi=1.050±0.019  model=2 cap=20W
+	// stream 5  xi=1.600±0.019  model=1 cap=18W
+	// stream 6  xi=1.050±0.019  model=2 cap=20W
+	// stream 7  xi=1.600±0.019  model=1 cap=18W
 }
 
 // ExampleSimulate exercises the scheduler end-to-end on the simulation

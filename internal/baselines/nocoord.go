@@ -24,8 +24,10 @@ type NoCoord struct {
 
 	// System layer state: Kalman latency tracking against the *current*
 	// cap's profile, like SysOnly.
-	sysXi   *kalman.XiFilter
-	sysIdle *kalman.IdlePowerFilter
+	sysXiP   kalman.XiParams
+	sysXi    kalman.XiState
+	sysIdleP kalman.IdleParams
+	sysIdle  kalman.IdleState
 
 	// Application layer state: an EWMA slowdown estimate computed against
 	// the default-power profile — the app has no idea the cap moved, so
@@ -45,14 +47,16 @@ func NewNoCoord(prof *dnn.ProfileTable, spec core.Spec) *NoCoord {
 	if idx < 0 {
 		idx = prof.ModelIndex(dnn.MostAccurate(prof.Models).Name)
 	}
-	return &NoCoord{
+	n := &NoCoord{
 		prof:        prof,
 		spec:        spec,
 		model:       idx,
-		sysXi:       kalman.NewXiFilter(kalman.DefaultXiParams()),
-		sysIdle:     kalman.NewIdlePowerFilter(kalman.DefaultIdleParams()),
+		sysXiP:      kalman.DefaultXiParams(),
+		sysIdleP:    kalman.DefaultIdleParams(),
 		appSlowdown: 1,
 	}
+	n.sysXi, n.sysIdle = kalman.MakeXiState(&n.sysXiP), kalman.MakeIdleState(&n.sysIdleP)
+	return n
 }
 
 // Name implements runner.Scheduler.
@@ -70,8 +74,8 @@ func (n *NoCoord) Decide(_ *sim.Env, _ workload.Input, goal float64) sim.Decisio
 	// System layer: cheapest cap whose predicted full-ladder latency meets
 	// the goal. It assumes the application will run the network to
 	// completion — it has no channel to learn otherwise.
-	mu := n.sysXi.Mean()
-	phi := n.sysIdle.Ratio()
+	mu := n.sysXi.Mu
+	phi := n.sysIdle.Phi
 	capIdx, capSet := 0, false
 	var bestEnergy float64
 	for j := 0; j < n.prof.NumCaps(); j++ {
@@ -119,9 +123,9 @@ func (n *NoCoord) Decide(_ *sim.Env, _ workload.Input, goal float64) sim.Decisio
 // Observe implements runner.Scheduler. Each layer updates its own model
 // from the same measurement, attributing it differently.
 func (n *NoCoord) Observe(_ workload.Input, d sim.Decision, out sim.Outcome) {
-	n.sysXi.Observe(out.ObservedXi)
+	n.sysXi.Observe(&n.sysXiP, out.ObservedXi)
 	if out.CapApplied > 0 {
-		n.sysIdle.Observe(out.IdlePower / out.CapApplied)
+		n.sysIdle.Observe(&n.sysIdleP, out.IdlePower/out.CapApplied)
 	}
 	// The app compares measured latency against the default-cap profile of
 	// the portion it ran, so the cap's slowdown contaminates its estimate.

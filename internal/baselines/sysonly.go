@@ -24,8 +24,11 @@ type SysOnly struct {
 	spec  core.Spec
 	model int
 
-	xi   *kalman.XiFilter
-	idle *kalman.IdlePowerFilter
+	// The two filters, each next to the constants it observes under.
+	xiP   kalman.XiParams
+	xi    kalman.XiState
+	idleP kalman.IdleParams
+	idle  kalman.IdleState
 }
 
 // NewSysOnly builds the baseline over a profile table. The pinned model is
@@ -39,13 +42,15 @@ func NewSysOnly(prof *dnn.ProfileTable, spec core.Spec) *SysOnly {
 	} else {
 		pin = prof.ModelIndex(dnn.Fastest(prof.Models).Name)
 	}
-	return &SysOnly{
+	s := &SysOnly{
 		prof:  prof,
 		spec:  spec,
 		model: pin,
-		xi:    kalman.NewXiFilter(kalman.DefaultXiParams()),
-		idle:  kalman.NewIdlePowerFilter(kalman.DefaultIdleParams()),
+		xiP:   kalman.DefaultXiParams(),
+		idleP: kalman.DefaultIdleParams(),
 	}
+	s.xi, s.idle = kalman.MakeXiState(&s.xiP), kalman.MakeIdleState(&s.idleP)
+	return s
 }
 
 // Name implements runner.Scheduler.
@@ -59,8 +64,8 @@ func (s *SysOnly) SetSpec(spec core.Spec) { s.spec = spec }
 // fits the goal (and, in the accuracy-maximizing task, whose predicted
 // energy fits the budget); the top cap if nothing fits.
 func (s *SysOnly) Decide(_ *sim.Env, _ workload.Input, goal float64) sim.Decision {
-	mu := s.xi.Mean()
-	phi := s.idle.Ratio()
+	mu := s.xi.Mu
+	phi := s.idle.Phi
 
 	best, bestSet := 0, false
 	var bestEnergy float64
@@ -92,9 +97,9 @@ func (s *SysOnly) Decide(_ *sim.Env, _ workload.Input, goal float64) sim.Decisio
 
 // Observe implements runner.Scheduler.
 func (s *SysOnly) Observe(_ workload.Input, d sim.Decision, out sim.Outcome) {
-	s.xi.Observe(out.ObservedXi)
+	s.xi.Observe(&s.xiP, out.ObservedXi)
 	if out.CapApplied > 0 {
-		s.idle.Observe(out.IdlePower / out.CapApplied)
+		s.idle.Observe(&s.idleP, out.IdlePower/out.CapApplied)
 	}
 }
 

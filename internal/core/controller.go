@@ -15,13 +15,17 @@
 //     space, its SoA fast-path view, the resolved options and overhead
 //     model. Built once per (ProfileTable, Options), safe for concurrent
 //     use, shared by every stream on a platform.
-//   - Session — the lightweight mutable per-stream half: the ξ and
+//   - State — the lightweight mutable per-stream half: the ξ and
 //     idle-power Kalman filters, the filter epoch, and the decision count.
-//     120 bytes per stream, one goroutine at a time.
+//     88 pointer-free bytes per stream, one goroutine at a time, and
+//     byte for byte the body of the stream's snapshot.
 //
-// The paper's one-stream deployment (§3.6) is an Engine serving exactly
-// one Session (alert.Scheduler); the serving layer (internal/serve) shares
-// one Engine and holds one Session per stream.
+// Engine.Decide and Engine.Observe are the one decide/observe
+// implementation; they take the stream's State and, for Decide, a scan
+// workspace. The paper's one-stream deployment (§3.6) is a Session — one
+// State bound to its Engine and workspace (alert.Scheduler); the serving
+// layer (internal/serve) shares one Engine and one workspace per shard and
+// holds a bare State per stream.
 package core
 
 import (

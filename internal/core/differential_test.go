@@ -79,12 +79,12 @@ func TestEstimateFastMatchesReference(t *testing.T) {
 				spec := specGen(rng)
 				for _, prth := range []float64{spec.Prth, 0, math.NaN(), 2} {
 					spec.Prth = prth
-					goal := c.adjustedGoal(spec.Deadline)
-					p := c.scoreParamsFor(spec)
+					goal := c.eng.adjustedGoal(spec.Deadline)
+					p := c.eng.scoreParamsFor(&c.st, spec)
 					for i, cand := range c.Candidates() {
-						want := c.estimate(cand, goal, spec)
+						want := c.eng.estimate(&c.st, cand, goal, spec)
 						var got Estimate
-						c.estimateFast(&got, int32(i), goal, spec, &p, c.eng.space.cost(int32(i), goal, &p))
+						c.eng.estimateFast(c.sc, &got, int32(i), goal, spec, &p, c.eng.space.cost(int32(i), goal, &p))
 						if !sameEstimate(got, want) {
 							t.Fatalf("prof %s candidate %+v spec %+v:\nfast %+v\nref  %+v",
 								prof.Platform.Name, cand, spec, got, want)
@@ -158,11 +158,11 @@ func TestEstimateAllMatchesFastScan(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		c.Observe(sim.Outcome{ObservedXi: 0.9 + 0.5*rng.Float64(), IdlePower: 6, CapApplied: 30})
 		spec := specGen(rng)
-		goal := c.adjustedGoal(spec.Deadline)
-		p := c.scoreParamsFor(spec)
+		goal := c.eng.adjustedGoal(spec.Deadline)
+		p := c.eng.scoreParamsFor(&c.st, spec)
 		for i, want := range c.EstimateAll(spec) {
 			var got Estimate
-			if c.estimateFast(&got, int32(i), goal, spec, &p, c.eng.space.cost(int32(i), goal, &p)); got != want {
+			if c.eng.estimateFast(c.sc, &got, int32(i), goal, spec, &p, c.eng.space.cost(int32(i), goal, &p)); got != want {
 				t.Fatalf("candidate %d: fast %+v != EstimateAll %+v", i, got, want)
 			}
 		}
@@ -244,17 +244,17 @@ func TestAdjustedGoalFallback(t *testing.T) {
 		t.Fatal("overhead model missing")
 	}
 	big := 1.0
-	if got, want := c.adjustedGoal(big), big-c.Overhead(); got != want {
+	if got, want := c.eng.adjustedGoal(big), big-c.Overhead(); got != want {
 		t.Errorf("adjustedGoal(%g) = %g, want %g", big, got, want)
 	}
 	tiny := c.Overhead() * 0.5
-	if got, want := c.adjustedGoal(tiny), tiny*0.5; got != want {
+	if got, want := c.eng.adjustedGoal(tiny), tiny*0.5; got != want {
 		t.Errorf("adjustedGoal(%g) = %g, want %g", tiny, got, want)
 	}
-	if got := c.adjustedGoal(0); got != 0 {
+	if got := c.eng.adjustedGoal(0); got != 0 {
 		t.Errorf("adjustedGoal(0) = %g, want 0", got)
 	}
-	if math.IsNaN(c.adjustedGoal(c.Overhead())) {
+	if math.IsNaN(c.eng.adjustedGoal(c.Overhead())) {
 		t.Error("adjustedGoal(overhead) is NaN")
 	}
 }
@@ -359,7 +359,7 @@ func TestSelectorBreaksEnergyTiesByIndex(t *testing.T) {
 	space := &c.eng.space
 	spec := benchSpec()
 	_, e := c.Decide(spec)
-	sel := c.newSelector(spec)
+	sel := c.eng.newSelector(spec)
 	sel.consider(&e, 7)
 	sel.consider(&e, 3)
 	sel.consider(&e, 5)
@@ -370,7 +370,7 @@ func TestSelectorBreaksEnergyTiesByIndex(t *testing.T) {
 	if sel.prune(space, 2, tie) || !sel.prune(space, 3, tie) || !sel.prune(space, 4, tie) {
 		t.Fatal("prune on an Energy tie must keep exactly the earlier-enumerated candidates")
 	}
-	sel = c.newSelector(Spec{Objective: MaximizeAccuracy, Deadline: spec.Deadline})
+	sel = c.eng.newSelector(Spec{Objective: MaximizeAccuracy, Deadline: spec.Deadline})
 	sel.consider(&e, 7)
 	sel.consider(&e, 3)
 	if !sel.bestSet || sel.bestIdx != 7 {
@@ -456,7 +456,7 @@ func TestPruningAtExactEnergyBudget(t *testing.T) {
 func feasibleSet(c *Session, spec Spec) []int {
 	var out []int
 	for i, est := range c.EstimateAll(spec) {
-		sel := c.newSelector(spec)
+		sel := c.eng.newSelector(spec)
 		sel.consider(&est, int32(i))
 		if sel.bestSet {
 			out = append(out, i)
@@ -634,9 +634,9 @@ func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 				for _, prth := range []float64{0, 0.9, 0.999, 1 - 1e-12} {
 					for _, dl := range []float64{1e-9, 1e-3, 0.2, 5, 1e6} {
 						spec := Spec{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.9, Prth: prth}
-						goal := c.adjustedGoal(dl)
+						goal := c.eng.adjustedGoal(dl)
 						for _, phi := range []float64{0, 0x1p-1070, 0x1.7p-1069, 0x1p-50, 0.15, 0.5, 1} {
-							p := c.scoreParamsFor(spec)
+							p := c.eng.scoreParamsFor(&c.st, spec)
 							p.phi = phi
 							what := fmt.Sprintf("%s variance %v stop %g spec %+v φ %g",
 								prof.Platform.Name, variance, stopQ, spec, phi)
@@ -656,7 +656,7 @@ func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 	feed(c, 1.05, 5)
 	space := &c.eng.space
 	spec := benchSpec()
-	goal := c.adjustedGoal(spec.Deadline)
+	goal := c.eng.adjustedGoal(spec.Deadline)
 	nan, inf := math.NaN(), math.Inf(1)
 	enumOrder := func(what string, goal float64, p scoreParams, minimize bool) {
 		t.Helper()
@@ -666,7 +666,7 @@ func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 				what, early, &order[0] == &space.enum[0])
 		}
 	}
-	base := c.scoreParamsFor(spec)
+	base := c.eng.scoreParamsFor(&c.st, spec)
 	if _, _, early := space.visitOrder(goal, &base, true); !early {
 		t.Fatal("benchSpec: no early exit")
 	}

@@ -17,12 +17,12 @@ import (
 // of goroutines — nothing in it is ever written after NewEngine returns.
 //
 // All mutable per-stream state (the ξ and idle-power Kalman filters, the
-// filter epoch, the decision count) lives in Session, so a deployment
+// filter epoch, the decision count) lives in State, so a deployment
 // serving N inference streams on one platform pays for the candidate space
-// and the filter constants once and per-stream only for a Session — 120
-// bytes — instead of N Engine copies. That is the layer split that lets the
-// serving pool (internal/serve) scale its stream table to millions of
-// streams.
+// and the filter constants once and per-stream only for a State — 88
+// pointer-free bytes — instead of N Engine copies. That is the layer split
+// that lets the serving pool (internal/serve) scale its stream table to
+// millions of streams.
 type Engine struct {
 	prof *dnn.ProfileTable
 	opts Options
@@ -124,8 +124,8 @@ func (e *Engine) Candidates() []Candidate { return e.candidates }
 func (e *Engine) Overhead() float64 { return e.overhead }
 
 // NewScratch allocates a scan workspace sized for this engine's longest
-// stage ladder. A Scratch may be shared by any number of Sessions that are
-// driven from the same goroutine (e.g. all sessions of one serving shard);
+// stage ladder. A Scratch may be shared by any number of streams that are
+// driven from the same goroutine (e.g. all streams of one serving shard);
 // sharing across goroutines races.
 func (e *Engine) NewScratch() *Scratch {
 	return &Scratch{buf: make([]float64, e.space.maxStages)}
@@ -139,34 +139,23 @@ func (e *Engine) NewSession() *Session {
 }
 
 // NewSessionWith creates a session sharing an existing scan workspace.
-// Sessions sharing one Scratch must all be driven from the same goroutine;
-// the serving layer uses this to amortize the workspace across every
-// stream of a shard. A workspace sized for a different engine's shorter
+// Sessions sharing one Scratch must all be driven from the same
+// goroutine. A workspace sized for a different engine's shorter
 // stage ladders is grown (and its memo invalidated) rather than left to
 // overflow mid-scan.
 func (e *Engine) NewSessionWith(sc *Scratch) *Session {
-	s := e.MakeSessionWith(sc)
-	return &s
-}
-
-// MakeSessionWith is NewSessionWith by value, for embedding a session in a
-// larger per-stream struct (the serving layer's stream-table entry) without
-// a separate heap allocation. The session's filters read their constants
-// from the engine's options, so it costs only its own state.
-func (e *Engine) MakeSessionWith(sc *Scratch) Session {
 	if len(sc.buf) < e.space.maxStages {
 		sc.buf = make([]float64, e.space.maxStages)
 		sc.ladderNom, sc.ladderN = nil, 0
 	}
-	return Session{
-		eng:  e,
-		sc:   sc,
-		xi:   kalman.MakeXiFilter(&e.opts.Xi),
-		idle: kalman.MakeIdlePowerFilter(&e.opts.Idle),
-		// Epoch 0 is reserved: no session ever carries it, so a snapshot
-		// that does is rejected as corrupt.
-		epoch: 1,
-	}
+	return &Session{eng: e, sc: sc, st: e.NewState()}
+}
+
+// NewState returns a fresh stream's state: the paper's initial filter
+// state under the engine's constants, at epoch 1 (epoch 0 is reserved: no
+// stream ever carries it, so a snapshot that does is rejected as corrupt).
+func (e *Engine) NewState() State {
+	return State{Epoch: 1, Xi: kalman.MakeXiState(&e.opts.Xi), Idle: kalman.MakeIdleState(&e.opts.Idle)}
 }
 
 // XiPrior returns the (mean, std) of the ξ belief a fresh session starts
@@ -176,9 +165,9 @@ func (e *Engine) XiPrior() (mu, sigma float64) {
 	return e.opts.Xi.Mu0, math.Sqrt(e.opts.Xi.Var0)
 }
 
-// SessionBytes is the in-memory footprint of one Session struct, the
+// SessionBytes is the in-memory footprint of one stream's State, the
 // per-stream marginal cost of a deployment sharing one Engine (the shared
 // Scratch is amortized across a shard, and the filter constants live in
 // the engine). The memory-bound tests read it; the serving layer's
-// stream-table entry embeds one Session.
-func SessionBytes() int { return int(unsafe.Sizeof(Session{})) }
+// stream-table entry embeds one State.
+func SessionBytes() int { return int(unsafe.Sizeof(State{})) }

@@ -11,7 +11,7 @@ package core
 //     the anytime stage ladders as nominal latencies — is precomputed once
 //     at NewEngine and laid out in flat parallel slices, so the scan loop
 //     touches no *dnn.Model pointers and recomputes no products. The space
-//     lives on the shared Engine: every Session scans the same arrays.
+//     lives on the shared Engine: every stream scans the same arrays.
 //  2. Loop-invariant hoisting (scoreParams): the standard-normal quantiles
 //     behind the Eq. 12 energy estimate and the §3.5 anytime stop plan
 //     depend only on (spec, filter state), not on the candidate, yet the
@@ -295,9 +295,9 @@ type scoreParams struct {
 // NewEngine; only a spec that sets Prth pays for a PhiInv here. Scaling
 // through mathx.NormQuantileZ is the very expression the naive scorer's
 // NormQuantile evaluates, so the result is the same bits.
-func (s *Session) scoreParamsFor(spec Spec) scoreParams {
-	p := scoreParams{mu: s.xi.Mean(), sigma: s.sigmaForPrediction(), phi: s.idle.Ratio()}
-	zEnergy, zStop := s.eng.zEnergy, s.eng.zStop
+func (e *Engine) scoreParamsFor(st *State, spec Spec) scoreParams {
+	p := scoreParams{mu: st.Xi.Mu, sigma: e.sigmaForPrediction(st), phi: st.Idle.Phi}
+	zEnergy, zStop := e.zEnergy, e.zStop
 	if spec.Prth > 0 {
 		zEnergy = mathx.PhiInv(spec.Prth)
 		zStop = zEnergy
@@ -422,12 +422,13 @@ const (
 // exact Estimate the naive estimate() produces (the differential tests in
 // differential_test.go pin the equality with ==). goal is the adjusted
 // deadline; p the hoisted per-Decide invariants; c the candidate's
-// space.cost(i, goal, p). The Estimate is written in place, not returned,
-// so neither pass of the scan copies one per scored candidate.
-func (s *Session) estimateFast(est *Estimate, i int32, goal float64, spec Spec, p *scoreParams, c candCost) {
-	space := &s.eng.space
+// space.cost(i, goal, p); sc the scan workspace. The Estimate is written
+// in place, not returned, so neither pass of the scan copies one per
+// scored candidate.
+func (e *Engine) estimateFast(sc *Scratch, est *Estimate, i int32, goal float64, spec Spec, p *scoreParams, c candCost) {
+	space := &e.space
 	*est = Estimate{
-		Candidate:   s.eng.candidates[i],
+		Candidate:   e.candidates[i],
 		LatMean:     c.latMean,
 		Energy:      c.energy,
 		PlannedStop: c.plannedStop,
@@ -461,7 +462,6 @@ func (s *Session) estimateFast(est *Estimate, i int32, goal float64, spec Spec, 
 	// is shared with other sessions of the serving shard, when pruning
 	// skips candidates in between, and when the nominal-energy visit order
 	// interleaves ladders.
-	sc := s.sc
 	raws := sc.buf[:k+1]
 	start := 0
 	if sc.ladderN > 0 && &nom[0] == sc.ladderNom && cut == sc.ladderCut &&
@@ -515,8 +515,8 @@ type selector struct {
 	bestSet, fbSet bool
 }
 
-func (s *Session) newSelector(spec Spec) selector {
-	sel := selector{spec: spec, conf: s.eng.opts.Confidence,
+func (e *Engine) newSelector(spec Spec) selector {
+	sel := selector{spec: spec, conf: e.opts.Confidence,
 		minimizeEnergy: spec.Objective == MinimizeEnergy}
 	if spec.Prth > 0 {
 		sel.conf = spec.Prth
@@ -667,11 +667,11 @@ func finite(x float64) bool { return x-x == 0 }
 // settle ends a scan: it books the scan's work on the workspace counters
 // and returns the feasible optimum, or the infeasibility fallback when
 // nothing was feasible.
-func (s *Session) settle(sel *selector, scored, costed int) Estimate {
-	s.sc.scored += scored
-	s.sc.costed += costed
+func (sc *Scratch) settle(sel *selector, scored, costed int) Estimate {
+	sc.scored += scored
+	sc.costed += costed
 	if !sel.bestSet {
-		s.sc.fallbacks++
+		sc.fallbacks++
 		return sel.fb
 	}
 	return sel.best
@@ -694,10 +694,10 @@ func (s *Session) settle(sel *selector, scored, costed int) Estimate {
 //     like every candidate of the reference scan.
 //
 // If nothing was feasible, the fallback pass picks the answer.
-func (s *Session) scan(goal float64, spec Spec) Estimate {
-	p := s.scoreParamsFor(spec)
-	sel := s.newSelector(spec)
-	space := &s.eng.space
+func (e *Engine) scan(sc *Scratch, st *State, goal float64, spec Spec) Estimate {
+	p := e.scoreParamsFor(st, spec)
+	sel := e.newSelector(spec)
+	space := &e.space
 	order, floor, early := space.visitOrder(goal, &p, sel.minimizeEnergy)
 	scored, costed := 0, 0
 	var est Estimate
@@ -713,16 +713,16 @@ func (s *Session) scan(goal float64, spec Spec) Estimate {
 		if sel.prune(space, i, c) {
 			continue
 		}
-		s.estimateFast(&est, i, goal, spec, &p, c)
+		e.estimateFast(sc, &est, i, goal, spec, &p, c)
 		scored++
 		sel.consider(&est, i)
 	}
 	if !sel.bestSet {
-		n := s.fallback(goal, spec, &p, &sel)
+		n := e.fallback(sc, goal, spec, &p, &sel)
 		scored += n
 		costed += n
 	}
-	return s.settle(&sel, scored, costed)
+	return sc.settle(&sel, scored, costed)
 }
 
 // fallback is the scan's second pass, run only when the first found
@@ -733,15 +733,15 @@ func (s *Session) scan(goal float64, spec Spec) Estimate {
 // unscored. Nothing is carried over from the first pass, so a candidate
 // both passes keep is scored twice; the pass runs on at most 0.02 % of
 // the decides of any bench/ workload.
-func (s *Session) fallback(goal float64, spec Spec, p *scoreParams, sel *selector) int {
-	space := &s.eng.space
+func (e *Engine) fallback(sc *Scratch, goal float64, spec Spec, p *scoreParams, sel *selector) int {
+	space := &e.space
 	scored := 0
 	var est Estimate
 	for i := int32(0); i < int32(len(space.stop)); i++ {
 		if sel.fbSet && space.qualUB[i] < sel.fb.Quality {
 			continue
 		}
-		s.estimateFast(&est, i, goal, spec, p, space.cost(i, goal, p))
+		e.estimateFast(sc, &est, i, goal, spec, p, space.cost(i, goal, p))
 		scored++
 		sel.offerFallback(&est)
 	}
@@ -752,12 +752,12 @@ func (s *Session) fallback(goal float64, spec Spec, p *scoreParams, sel *selecto
 // pruning — the pre-optimization scorer retained as the
 // differential-testing oracle and selectable at runtime via
 // Options.ReferenceScorer.
-func (s *Session) scanReference(goal float64, spec Spec) Estimate {
-	sel := s.newSelector(spec)
-	for i, cand := range s.eng.candidates {
-		est := s.estimate(cand, goal, spec)
+func (e *Engine) scanReference(sc *Scratch, st *State, goal float64, spec Spec) Estimate {
+	sel := e.newSelector(spec)
+	for i, cand := range e.candidates {
+		est := e.estimate(st, cand, goal, spec)
 		sel.offerFallback(&est)
 		sel.consider(&est, int32(i))
 	}
-	return s.settle(&sel, len(s.eng.candidates), 0)
+	return sc.settle(&sel, len(e.candidates), 0)
 }

@@ -8,37 +8,46 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
-// Session is the mutable per-stream half of the ALERT controller: the
-// Kalman belief about the stream's environment (ξ and idle power) and two
+// State is the whole mutable state of one inference stream: the Kalman
+// belief about the stream's environment (ξ and idle power) and two
 // counters. Everything a decision needs beyond that — the candidate space,
 // profile invariants, options, the filters' constants — is read from the
-// shared immutable Engine, so a Session is 120 bytes no matter how large
-// the configuration space is. It memoizes nothing: every Decide rescans
-// (in the serving loop every Decide follows an Observe, so there was never
-// anything to reuse).
+// shared immutable Engine, and the scan workspace is supplied by whoever
+// drives the stream, so a State is 88 pointer-free bytes no matter how
+// large the configuration space is. It is also, field for field, the body
+// of the stream's snapshot (SessionSnapshot): restoring a stream is copying
+// its State. It memoizes nothing: every Decide rescans (in the serving loop
+// every Decide follows an Observe, so there was never anything to reuse).
 //
-// A Session serves one inference stream and is not safe for concurrent
-// use; drive it from one goroutine at a time. Its decision sequence
-// depends only on its own Decide/Observe history — never on sibling
-// sessions of the same engine — so any interleaving of N sessions
-// reproduces each stream's solo sequence bit-for-bit (the differential
-// tests at the core, serve, and alertload levels pin exactly that).
+// A stream's decision sequence depends only on its own Decide/Observe
+// history — never on sibling streams of the same engine — so any
+// interleaving of N streams reproduces each stream's solo sequence
+// bit-for-bit (the differential tests at the core, serve, and alertload
+// levels pin exactly that).
+type State struct {
+	// Epoch is the filter epoch: the Observe count plus one (no stream ever
+	// carries epoch 0, so Validate treats it as corruption).
+	Epoch uint64
+	// Decisions is how many Decide calls the stream has served.
+	Decisions int64
+	// Xi and Idle are the two Kalman filter states.
+	Xi   kalman.XiState
+	Idle kalman.IdleState
+}
+
+// Session is one stream's State bound to the engine it decides against and
+// a scan workspace: the form the paper's one-stream controller
+// (alert.Scheduler) and the baselines drive. The serving layer keeps bare
+// States and supplies the engine and workspace per call instead.
+//
+// A Session is not safe for concurrent use; drive it from one goroutine at
+// a time.
 type Session struct {
 	eng *Engine
 	// sc is the scan workspace, possibly shared with other sessions driven
 	// by the same goroutine (see Engine.NewSessionWith).
 	sc *Scratch
-
-	// xi and idle are embedded by value: one allocation per session, not
-	// three. Each points at its constants in the engine's options rather
-	// than carrying a copy.
-	xi   kalman.XiFilter
-	idle kalman.IdlePowerFilter
-
-	// epoch is the Observe count plus one; the snapshot format carries it.
-	epoch uint64
-
-	decisions int
+	st State
 }
 
 // Engine returns the shared immutable engine this session decides against.
@@ -52,36 +61,44 @@ func (s *Session) Candidates() []Candidate { return s.eng.candidates }
 func (s *Session) Overhead() float64 { return s.eng.overhead }
 
 // XiMean returns the current posterior mean of ξ.
-func (s *Session) XiMean() float64 { return s.xi.Mean() }
+func (s *Session) XiMean() float64 { return s.st.Xi.Mu }
 
 // XiStd returns the current posterior standard deviation of ξ.
-func (s *Session) XiStd() float64 { return s.xi.Std() }
+func (s *Session) XiStd() float64 { return s.st.Xi.Std() }
 
 // IdleRatio returns the current idle-power ratio estimate φ.
-func (s *Session) IdleRatio() float64 { return s.idle.Ratio() }
+func (s *Session) IdleRatio() float64 { return s.st.Idle.Phi }
 
 // Decisions returns how many Decide calls have been served.
-func (s *Session) Decisions() int { return s.decisions }
+func (s *Session) Decisions() int { return int(s.st.Decisions) }
 
 // FilterEpoch returns the filter epoch: 1 on a fresh session, advancing on
 // every Observe.
-func (s *Session) FilterEpoch() uint64 { return s.epoch }
+func (s *Session) FilterEpoch() uint64 { return s.st.Epoch }
 
-// Observe feeds back the measurement of the input just executed (§3.2
-// step 1) and advances the filter epoch.
-func (s *Session) Observe(out sim.Outcome) {
-	s.epoch++
-	s.xi.Observe(out.ObservedXi)
+// Observe feeds back the measurement of the input just executed.
+func (s *Session) Observe(out sim.Outcome) { s.eng.Observe(&s.st, out) }
+
+// Decide selects the configuration for the next input (see Engine.Decide).
+func (s *Session) Decide(spec Spec) (sim.Decision, Estimate) {
+	return s.eng.Decide(s.sc, &s.st, spec)
+}
+
+// Observe folds the measurement of the input just executed into st (§3.2
+// step 1) and advances its filter epoch.
+func (e *Engine) Observe(st *State, out sim.Outcome) {
+	st.Epoch++
+	st.Xi.Observe(&e.opts.Xi, out.ObservedXi)
 	if out.CapApplied > 0 {
-		s.idle.Observe(out.IdlePower / out.CapApplied)
+		st.Idle.Observe(&e.opts.Idle, out.IdlePower/out.CapApplied)
 	}
 }
 
 // adjustedGoal is the shared §3.2-step-2 deadline adjustment: the
 // controller pre-subtracts its own worst-case decision cost, falling back
 // to half the deadline when the overhead would consume it entirely.
-func (s *Session) adjustedGoal(deadline float64) float64 {
-	goal := deadline - s.eng.overhead
+func (e *Engine) adjustedGoal(deadline float64) float64 {
+	goal := deadline - e.overhead
 	if goal <= 0 {
 		goal = deadline * 0.5
 	}
@@ -92,11 +109,11 @@ func (s *Session) adjustedGoal(deadline float64) float64 {
 // the filter's predictive deviation for the next observation (posterior
 // variance of the mean plus measurement noise), or zero for the ALERT*
 // ablation. The posterior alone would under-margin every decision.
-func (s *Session) sigmaForPrediction() float64 {
-	if !s.eng.opts.UseVariance {
+func (e *Engine) sigmaForPrediction(st *State) float64 {
+	if !e.opts.UseVariance {
 		return 0
 	}
-	return s.xi.PredictiveStd()
+	return st.Xi.PredictiveStd(&e.opts.Xi)
 }
 
 // estimate scores a single candidate under the spec. goal is the adjusted
@@ -106,11 +123,11 @@ func (s *Session) sigmaForPrediction() float64 {
 // optimized hot path (fastpath.go) is differentially tested against:
 // estimateFast must reproduce these Estimates bit-for-bit. EstimateAll and
 // Options.ReferenceScorer score with it directly.
-func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
-	m := s.eng.prof.Models[cand.Model]
-	power := s.eng.prof.PowerAt(cand.Model, cand.Cap)
-	tProf := s.eng.prof.At(cand.Model, cand.Cap)
-	mu, sigma := s.xi.Mean(), s.sigmaForPrediction()
+func (e *Engine) estimate(st *State, cand Candidate, goal float64, spec Spec) Estimate {
+	m := e.prof.Models[cand.Model]
+	power := e.prof.PowerAt(cand.Model, cand.Cap)
+	tProf := e.prof.At(cand.Model, cand.Cap)
+	mu, sigma := st.Xi.Mu, e.sigmaForPrediction(st)
 
 	est := Estimate{Candidate: cand}
 
@@ -139,11 +156,11 @@ func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
 		// Latency used for the energy estimate: the Eq. 12 quantile form,
 		// at Prth when the user set one and at the default energy
 		// confidence otherwise.
-		lat := mathx.NormQuantile(s.energyQuantile(spec), mu, sigma) * tProf
+		lat := mathx.NormQuantile(e.energyQuantile(spec), mu, sigma) * tProf
 		if lat < est.LatMean {
 			lat = est.LatMean
 		}
-		est.Energy = energyAt(power, lat, goal, s.idle.Ratio())
+		est.Energy = energyAt(power, lat, goal, st.Idle.Phi)
 		return est
 	}
 
@@ -157,7 +174,7 @@ func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
 	if cand.RunToDeadline {
 		stop = goal
 	} else {
-		q := s.eng.opts.StopQuantile
+		q := e.opts.StopQuantile
 		if spec.Prth > 0 {
 			q = spec.Prth
 		}
@@ -217,20 +234,20 @@ func (s *Session) estimate(cand Candidate, goal float64, spec Spec) Estimate {
 	meanExec := math.Min(mu*stageNominal(k), cut)
 	est.LatMean = meanExec
 	// Energy at the Eq. 12 quantile (the cut bounds it from above).
-	qExec := math.Min(mathx.NormQuantile(s.energyQuantile(spec), mu, sigma)*stageNominal(k), cut)
+	qExec := math.Min(mathx.NormQuantile(e.energyQuantile(spec), mu, sigma)*stageNominal(k), cut)
 	if qExec < meanExec {
 		qExec = meanExec
 	}
-	est.Energy = energyAt(power, qExec, goal, s.idle.Ratio())
+	est.Energy = energyAt(power, qExec, goal, st.Idle.Phi)
 	return est
 }
 
 // energyQuantile resolves the latency quantile for energy estimates.
-func (s *Session) energyQuantile(spec Spec) float64 {
+func (e *Engine) energyQuantile(spec Spec) float64 {
 	if spec.Prth > 0 {
 		return spec.Prth
 	}
-	return s.eng.opts.EnergyConfidence
+	return e.opts.EnergyConfidence
 }
 
 // energyAt is Eq. 9: inference at the configuration's profiled power p_{i,j}
@@ -245,8 +262,10 @@ func energyAt(power, lat, goal, phi float64) float64 {
 	return power*lat + phi*power*idleTime
 }
 
-// Decide selects the configuration for the next input (§3.2 steps 2–4).
-// The returned Estimate describes the chosen candidate's predictions.
+// Decide selects the configuration for st's next input (§3.2 steps 2–4)
+// and counts the decision on st. sc is the scan workspace, from this
+// engine's NewScratch (or grown for it by NewSessionWith). The returned
+// Estimate describes the chosen candidate's predictions.
 //
 // The scan walks the engine's precomputed SoA candidate space with the
 // per-Decide quantile math hoisted, and scores only the candidates that can
@@ -256,25 +275,25 @@ func energyAt(power, lat, goal, phi float64) float64 {
 // power hierarchy: maximizing expected quality already privileges
 // deadline-meeting (missing collapses quality to QFail), so the fallback is
 // the quality-maximal candidate with energy as the tiebreaker.
-func (s *Session) Decide(spec Spec) (sim.Decision, Estimate) {
-	s.decisions++
-	goal := s.adjustedGoal(spec.Deadline)
+func (e *Engine) Decide(sc *Scratch, st *State, spec Spec) (sim.Decision, Estimate) {
+	st.Decisions++
+	goal := e.adjustedGoal(spec.Deadline)
 	var est Estimate
-	if s.eng.opts.ReferenceScorer {
-		est = s.scanReference(goal, spec)
+	if e.opts.ReferenceScorer {
+		est = e.scanReference(sc, st, goal, spec)
 	} else {
-		est = s.scan(goal, spec)
+		est = e.scan(sc, st, goal, spec)
 	}
-	return s.decisionFor(est), est
+	return e.decisionFor(est), est
 }
 
 // decisionFor projects the winning estimate onto the executor's decision.
-func (s *Session) decisionFor(best Estimate) sim.Decision {
+func (e *Engine) decisionFor(best Estimate) sim.Decision {
 	return sim.Decision{
 		Model:       best.Model,
 		Cap:         best.Cap,
 		PlannedStop: best.PlannedStop,
-		Overhead:    s.eng.overhead,
+		Overhead:    e.overhead,
 	}
 }
 
@@ -283,10 +302,10 @@ func (s *Session) decisionFor(best Estimate) sim.Decision {
 // Figure 9 trace tooling, and as the oracle the differential tests compare
 // the optimized scan against.
 func (s *Session) EstimateAll(spec Spec) []Estimate {
-	goal := s.adjustedGoal(spec.Deadline)
+	goal := s.eng.adjustedGoal(spec.Deadline)
 	out := make([]Estimate, len(s.eng.candidates))
 	for i, cand := range s.eng.candidates {
-		out[i] = s.estimate(cand, goal, spec)
+		out[i] = s.eng.estimate(&s.st, cand, goal, spec)
 	}
 	return out
 }

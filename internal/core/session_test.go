@@ -138,17 +138,18 @@ func TestSessionSharedVsPrivateScratch(t *testing.T) {
 }
 
 // TestSessionFootprint enforces the memory contract that makes
-// million-stream serving plausible: the Session struct is the two Kalman
+// million-stream serving plausible: a stream's State is the two Kalman
 // filters' state (their constants stay in the engine) plus two counters —
-// 120 bytes at most — and the *measured* marginal heap cost of a session on
-// a shared engine (the serving shard's configuration: shared Engine, shared
-// Scratch) is that struct's 128-byte size class, nothing more.
+// 88 bytes at most, what SessionBytes reports — and the *measured*
+// marginal heap cost of a Session on a shared engine (shared Engine,
+// shared Scratch) is that State plus the two pointers binding it, in the
+// 112-byte size class.
 func TestSessionFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(Session{}); sz > 120 {
-		t.Errorf("Session struct is %d bytes, want <= 120", sz)
+	if sz := unsafe.Sizeof(State{}); sz > 88 {
+		t.Errorf("State struct is %d bytes, want <= 88", sz)
 	}
-	if sb := SessionBytes(); sb != int(unsafe.Sizeof(Session{})) {
-		t.Errorf("SessionBytes() = %d, want %d", sb, unsafe.Sizeof(Session{}))
+	if sb := SessionBytes(); sb != int(unsafe.Sizeof(State{})) {
+		t.Errorf("SessionBytes() = %d, want %d", sb, unsafe.Sizeof(State{}))
 	}
 
 	prof := diffProfiles(t)[0]
@@ -166,8 +167,8 @@ func TestSessionFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perSession := float64(after.HeapAlloc-before.HeapAlloc) / n
-	if perSession > 136 {
-		t.Errorf("measured %.0f heap bytes/session on a shared engine, want <= 136", perSession)
+	if perSession > 120 {
+		t.Errorf("measured %.0f heap bytes/session on a shared engine, want <= 120", perSession)
 	}
 	runtime.KeepAlive(sessions)
 }

@@ -11,11 +11,12 @@ package core
 // point, under any future Decide/Observe traffic. Two design decisions make
 // that cheap to guarantee:
 //
-//   - The snapshot carries the session's whole state: the two Kalman filter
-//     states (kalman.XiState/IdleState), the filter epoch, and the
-//     served-decision count. A session memoizes nothing — every Decide
+//   - The snapshot's body is the stream's State, byte for byte: the two
+//     Kalman filter states (kalman.XiState/IdleState), the filter epoch, and
+//     the served-decision count. A stream memoizes nothing — every Decide
 //     rescans — and the Scratch workspace is pure workspace that cannot
-//     change a single decision, so there is nothing else to ship.
+//     change a single decision, so there is nothing else to ship, and
+//     restoring is validating and copying.
 //   - The binary encoding is canonical and fixed-width: little-endian
 //     float64 bit patterns (math.Float64bits), no JSON float formatting
 //     anywhere near the hot path, so encode→decode→encode is the identity
@@ -31,8 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"github.com/alert-project/alert/internal/kalman"
 )
 
 // SnapshotVersion is the current SessionSnapshot wire version. Decoders
@@ -44,36 +43,26 @@ const SnapshotVersion = 1
 // SnapshotBinaryLen is the exact encoded length of a version-1 snapshot.
 const SnapshotBinaryLen = 2 + 8 + 8 + 6*8 + 3*8 // version, epoch, decisions, xi, idle
 
-// SessionSnapshot is the flat, versioned, serializable value of a Session's
-// mutable state. It is engine-independent by construction: everything else
-// a decision needs lives on the immutable shared Engine.
+// SessionSnapshot is the versioned, serializable value of a stream's
+// State. It is engine-independent by construction: everything else a
+// decision needs lives on the immutable shared Engine.
 type SessionSnapshot struct {
 	// Version is the snapshot format version (SnapshotVersion when produced
-	// by Session.Snapshot).
+	// by State.Snapshot).
 	Version uint16
-	// Epoch is the filter epoch: the Observe count plus one (no session
-	// ever carries epoch 0, so Validate treats it as corruption).
-	Epoch uint64
-	// Decisions is how many Decide calls the session has served.
-	Decisions int64
-	// Xi and Idle are the two Kalman filter states.
-	Xi   kalman.XiState
-	Idle kalman.IdleState
+	State
+}
+
+// Snapshot captures the state as a current-version snapshot.
+func (st State) Snapshot() SessionSnapshot {
+	return SessionSnapshot{Version: SnapshotVersion, State: st}
 }
 
 // Snapshot captures the session's mutable state. The scan workspace is
 // excluded (see the comment at the top of this file: it is pure
 // recomputation, so dropping it is bit-exact). The session remains usable;
 // Snapshot does not consume it.
-func (s *Session) Snapshot() SessionSnapshot {
-	return SessionSnapshot{
-		Version:   SnapshotVersion,
-		Epoch:     s.epoch,
-		Decisions: int64(s.decisions),
-		Xi:        s.xi.State(),
-		Idle:      s.idle.State(),
-	}
-}
+func (s *Session) Snapshot() SessionSnapshot { return s.st.Snapshot() }
 
 // RestoreSession rebuilds a session from a snapshot with a private scan
 // workspace. The restored session continues the original's decision
@@ -86,28 +75,13 @@ func (e *Engine) RestoreSession(snap SessionSnapshot) (*Session, error) {
 }
 
 // RestoreSessionWith is RestoreSession sharing an existing scan workspace,
-// the restore-side companion of NewSessionWith (the serving layer restores
-// imported sessions onto the owning shard's shared Scratch).
+// the restore-side companion of NewSessionWith.
 func (e *Engine) RestoreSessionWith(sc *Scratch, snap SessionSnapshot) (*Session, error) {
-	s, err := e.MakeSessionFromSnapshot(sc, snap)
-	if err != nil {
+	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
-}
-
-// MakeSessionFromSnapshot is RestoreSessionWith by value, the restore-side
-// companion of MakeSessionWith: the serving layer restores an imported
-// stream straight into its stream-table entry.
-func (e *Engine) MakeSessionFromSnapshot(sc *Scratch, snap SessionSnapshot) (Session, error) {
-	if err := snap.Validate(); err != nil {
-		return Session{}, err
-	}
-	s := e.MakeSessionWith(sc)
-	s.xi = kalman.MakeXiFilterFromState(&e.opts.Xi, snap.Xi)
-	s.idle = kalman.MakeIdlePowerFilterFromState(&e.opts.Idle, snap.Idle)
-	s.epoch = snap.Epoch
-	s.decisions = int(snap.Decisions)
+	s := e.NewSessionWith(sc)
+	s.st = snap.State
 	return s, nil
 }
 

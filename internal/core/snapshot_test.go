@@ -166,7 +166,7 @@ func TestSnapshotBinaryCanonical(t *testing.T) {
 // TestSnapshotUnmarshalRejects: wrong lengths and unknown versions error
 // cleanly instead of decoding garbage.
 func TestSnapshotUnmarshalRejects(t *testing.T) {
-	good, err := (SessionSnapshot{Version: SnapshotVersion, Epoch: 1}).MarshalBinary()
+	good, err := State{Epoch: 1}.Snapshot().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +218,8 @@ func TestRestoreSessionRejects(t *testing.T) {
 	}
 }
 
-// TestRestoreSessionWithSharedScratch: restoring onto a shard's shared
-// workspace (the serving layer's import path) decides identically to a
-// private-workspace restore.
+// TestRestoreSessionWithSharedScratch: restoring onto a shared workspace
+// decides identically to a private-workspace restore.
 func TestRestoreSessionWithSharedScratch(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	eng := NewEngine(prof, DefaultOptions())

@@ -9,12 +9,13 @@ import (
 )
 
 func TestXiFilterConvergesToConstant(t *testing.T) {
-	f := NewXiFilter(DefaultXiParams())
+	p := DefaultXiParams()
+	f := MakeXiState(&p)
 	for i := 0; i < 200; i++ {
-		f.Observe(1.4)
+		f.Observe(&p, 1.4)
 	}
-	if math.Abs(f.Mean()-1.4) > 1e-6 {
-		t.Errorf("mean = %g, want 1.4", f.Mean())
+	if math.Abs(f.Mu-1.4) > 1e-6 {
+		t.Errorf("mean = %g, want 1.4", f.Mu)
 	}
 	if f.Std() > 0.05 {
 		t.Errorf("std = %g, should be small for constant input", f.Std())
@@ -22,29 +23,30 @@ func TestXiFilterConvergesToConstant(t *testing.T) {
 }
 
 func TestXiFilterTracksStep(t *testing.T) {
-	f := NewXiFilter(DefaultXiParams())
+	p := DefaultXiParams()
+	f := MakeXiState(&p)
 	for i := 0; i < 100; i++ {
-		f.Observe(1.0)
+		f.Observe(&p, 1.0)
 	}
 	quietStd := f.Std()
 	// Step to 1.5: the mean must lock within a handful of observations and
 	// the variance must spike on the way (the volatility signal of §3.4).
 	var maxStd float64
 	for i := 0; i < 10; i++ {
-		f.Observe(1.5)
+		f.Observe(&p, 1.5)
 		if f.Std() > maxStd {
 			maxStd = f.Std()
 		}
 	}
-	if math.Abs(f.Mean()-1.5) > 0.05 {
-		t.Errorf("mean after step = %g, want ~1.5", f.Mean())
+	if math.Abs(f.Mu-1.5) > 0.05 {
+		t.Errorf("mean after step = %g, want ~1.5", f.Mu)
 	}
 	if maxStd < 3*quietStd {
 		t.Errorf("variance did not spike on step: quiet %g, max %g", quietStd, maxStd)
 	}
 	// And decay again once the new level is stable.
 	for i := 0; i < 100; i++ {
-		f.Observe(1.5)
+		f.Observe(&p, 1.5)
 	}
 	if f.Std() > 2*quietStd+1e-3 {
 		t.Errorf("variance did not re-converge: %g vs quiet %g", f.Std(), quietStd)
@@ -53,48 +55,51 @@ func TestXiFilterTracksStep(t *testing.T) {
 
 func TestXiFilterNoisyEstimate(t *testing.T) {
 	rng := mathx.NewRand(5)
-	f := NewXiFilter(DefaultXiParams())
+	p := DefaultXiParams()
+	f := MakeXiState(&p)
 	for i := 0; i < 2000; i++ {
-		f.Observe(1.2 + 0.05*rng.NormFloat64())
+		f.Observe(&p, 1.2+0.05*rng.NormFloat64())
 	}
-	if math.Abs(f.Mean()-1.2) > 0.05 {
-		t.Errorf("noisy mean = %g, want ~1.2", f.Mean())
+	if math.Abs(f.Mu-1.2) > 0.05 {
+		t.Errorf("noisy mean = %g, want ~1.2", f.Mu)
 	}
 	// Predictive std must be on the order of the observation noise: large
 	// enough to cover it, not wildly above.
-	if f.PredictiveStd() < 0.02 || f.PredictiveStd() > 0.25 {
-		t.Errorf("predictive std = %g, want around 0.05", f.PredictiveStd())
+	if f.PredictiveStd(&p) < 0.02 || f.PredictiveStd(&p) > 0.25 {
+		t.Errorf("predictive std = %g, want around 0.05", f.PredictiveStd(&p))
 	}
 }
 
 func TestXiFilterRejectsGarbage(t *testing.T) {
-	f := NewXiFilter(DefaultXiParams())
-	f.Observe(1.3)
-	mu, n := f.Mean(), f.N()
-	f.Observe(math.NaN())
-	f.Observe(math.Inf(1))
-	f.Observe(-2)
-	f.Observe(0)
-	if f.Mean() != mu || f.N() != n {
+	p := DefaultXiParams()
+	f := MakeXiState(&p)
+	f.Observe(&p, 1.3)
+	mu, n := f.Mu, f.N
+	f.Observe(&p, math.NaN())
+	f.Observe(&p, math.Inf(1))
+	f.Observe(&p, -2)
+	f.Observe(&p, 0)
+	if f.Mu != mu || f.N != n {
 		t.Error("garbage observation changed filter state")
 	}
 }
 
 func TestXiFilterInvariants(t *testing.T) {
 	f := func(obs []float64) bool {
-		flt := NewXiFilter(DefaultXiParams())
+		p := DefaultXiParams()
+		flt := MakeXiState(&p)
 		for _, o := range obs {
-			flt.Observe(math.Mod(math.Abs(o), 1e5) + 0.01) // positive, credible
-			if math.IsNaN(flt.Mean()) || math.IsInf(flt.Mean(), 0) {
+			flt.Observe(&p, math.Mod(math.Abs(o), 1e5)+0.01) // positive, credible
+			if math.IsNaN(flt.Mu) || math.IsInf(flt.Mu, 0) {
 				return false
 			}
-			if flt.Var() <= 0 || math.IsNaN(flt.Var()) {
+			if flt.Sigma2 <= 0 || math.IsNaN(flt.Sigma2) {
 				return false
 			}
-			if flt.Gain() < 0 || flt.Gain() > 1 {
+			if flt.K < 0 || flt.K > 1 {
 				return false
 			}
-			if flt.ProcessNoise() < DefaultXiParams().Q0 {
+			if flt.Q < p.Q0 {
 				return false
 			}
 		}
@@ -107,11 +112,12 @@ func TestXiFilterInvariants(t *testing.T) {
 
 func TestXiFilterMeanStaysInObservationEnvelope(t *testing.T) {
 	f := func(obs []float64) bool {
-		flt := NewXiFilter(DefaultXiParams())
-		lo, hi := flt.Mean(), flt.Mean()
+		p := DefaultXiParams()
+		flt := MakeXiState(&p)
+		lo, hi := flt.Mu, flt.Mu
 		for _, o := range obs {
 			x := math.Mod(math.Abs(o), 10) + 0.01
-			flt.Observe(x)
+			flt.Observe(&p, x)
 			if x < lo {
 				lo = x
 			}
@@ -121,7 +127,7 @@ func TestXiFilterMeanStaysInObservationEnvelope(t *testing.T) {
 			// The posterior mean is a convex combination of its initial
 			// value and the observations, so it must stay inside the
 			// envelope spanned by them.
-			if flt.Mean() < lo-1e-9 || flt.Mean() > hi+1e-9 {
+			if flt.Mu < lo-1e-9 || flt.Mu > hi+1e-9 {
 				return false
 			}
 		}
@@ -132,86 +138,69 @@ func TestXiFilterMeanStaysInObservationEnvelope(t *testing.T) {
 	}
 }
 
-func TestXiFilterReset(t *testing.T) {
-	p := DefaultXiParams()
-	f := NewXiFilter(p)
-	for i := 0; i < 50; i++ {
-		f.Observe(2.0)
-	}
-	f.Reset()
-	if f.Mean() != p.Mu0 || f.Var() != p.Var0 || f.N() != 0 || f.Gain() != p.K0 {
-		t.Error("reset did not restore initial state")
-	}
-}
-
 func TestPaperLiteralParamsDegenerate(t *testing.T) {
 	// Documents why DefaultXiParams lowers Q0: with the literal constants
 	// the posterior std is pinned near sqrt(Q0) ~= 0.32 and the gain near
 	// 1 no matter how quiet the input is.
-	f := NewXiFilter(PaperLiteralXiParams())
+	p := PaperLiteralXiParams()
+	f := MakeXiState(&p)
 	for i := 0; i < 500; i++ {
-		f.Observe(1.0)
+		f.Observe(&p, 1.0)
 	}
 	if f.Std() < 0.25 {
 		t.Errorf("expected the literal-constant filter to stay pinned at high variance, got std %g", f.Std())
 	}
-	if f.Gain() < 0.95 {
-		t.Errorf("expected saturated gain, got %g", f.Gain())
+	if f.K < 0.95 {
+		t.Errorf("expected saturated gain, got %g", f.K)
 	}
 }
 
 func TestPredictiveVarDominatesPosterior(t *testing.T) {
-	f := NewXiFilter(DefaultXiParams())
+	p := DefaultXiParams()
+	f := MakeXiState(&p)
 	rng := mathx.NewRand(9)
 	for i := 0; i < 300; i++ {
-		f.Observe(1 + 0.1*rng.NormFloat64())
-		if f.PredictiveVar() < f.Var() {
+		f.Observe(&p, 1+0.1*rng.NormFloat64())
+		if f.PredictiveVar(&p) < f.Sigma2 {
 			t.Fatal("predictive variance below posterior variance")
 		}
 	}
 }
 
 func TestIdlePowerFilterConverges(t *testing.T) {
-	f := NewIdlePowerFilter(DefaultIdleParams())
+	p := DefaultIdleParams()
+	f := MakeIdleState(&p)
 	for i := 0; i < 300; i++ {
-		f.Observe(0.22)
+		f.Observe(&p, 0.22)
 	}
-	if math.Abs(f.Ratio()-0.22) > 0.01 {
-		t.Errorf("ratio = %g, want 0.22", f.Ratio())
+	if math.Abs(f.Phi-0.22) > 0.01 {
+		t.Errorf("ratio = %g, want 0.22", f.Phi)
 	}
 }
 
 func TestIdlePowerFilterTracksDrift(t *testing.T) {
-	f := NewIdlePowerFilter(DefaultIdleParams())
+	p := DefaultIdleParams()
+	f := MakeIdleState(&p)
 	for i := 0; i < 100; i++ {
-		f.Observe(0.2)
+		f.Observe(&p, 0.2)
 	}
 	for i := 0; i < 200; i++ {
-		f.Observe(0.5) // co-runner arrives, idle draw rises
+		f.Observe(&p, 0.5) // co-runner arrives, idle draw rises
 	}
-	if math.Abs(f.Ratio()-0.5) > 0.05 {
-		t.Errorf("ratio after drift = %g, want ~0.5", f.Ratio())
+	if math.Abs(f.Phi-0.5) > 0.05 {
+		t.Errorf("ratio after drift = %g, want ~0.5", f.Phi)
 	}
 }
 
 func TestIdlePowerFilterRejectsGarbage(t *testing.T) {
-	f := NewIdlePowerFilter(DefaultIdleParams())
-	f.Observe(0.3)
-	r, n := f.Ratio(), f.N()
-	f.Observe(math.NaN())
-	f.Observe(-1)
-	f.Observe(math.Inf(1))
-	if f.Ratio() != r || f.N() != n {
-		t.Error("garbage observation changed idle filter state")
-	}
-}
-
-func TestIdlePowerFilterReset(t *testing.T) {
 	p := DefaultIdleParams()
-	f := NewIdlePowerFilter(p)
-	f.Observe(0.9)
-	f.Reset()
-	if f.Ratio() != p.Phi0 || f.N() != 0 {
-		t.Error("reset did not restore initial state")
+	f := MakeIdleState(&p)
+	f.Observe(&p, 0.3)
+	r, n := f.Phi, f.N
+	f.Observe(&p, math.NaN())
+	f.Observe(&p, -1)
+	f.Observe(&p, math.Inf(1))
+	if f.Phi != r || f.N != n {
+		t.Error("garbage observation changed idle filter state")
 	}
 }

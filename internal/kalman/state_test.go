@@ -5,49 +5,39 @@ import (
 	"testing"
 )
 
-// TestXiFilterStateRoundTrip: a filter restored from State() under the same
-// parameters must be indistinguishable from the original — identical
-// outputs now, and bit-identical outputs through any shared future
-// observation sequence. This is the bit-exactness contract the session
-// snapshot machinery (core.SessionSnapshot) is built on.
+// TestXiFilterStateRoundTrip: a copy of a filter's state, folding in the
+// same observations under the same parameters, stays bit-identical to the
+// original (== on float64, not a tolerance). Observe reads nothing but its
+// receiver, its parameters and the observation — the contract the session
+// snapshot (core.SessionSnapshot) ships the state on.
 func TestXiFilterStateRoundTrip(t *testing.T) {
 	p := DefaultXiParams()
-	orig := NewXiFilter(p)
-	obs := []float64{1.2, 0.9, 1.7, 1.05, 2.4, 0.8, 1.0}
-	for _, xi := range obs {
-		orig.Observe(xi)
+	orig := MakeXiState(&p)
+	for _, xi := range []float64{1.2, 0.9, 1.7, 1.05, 2.4, 0.8, 1.0} {
+		orig.Observe(&p, xi)
 	}
 
-	restored := MakeXiFilterFromState(&p, orig.State())
-	if restored.State() != orig.State() {
-		t.Fatalf("restored state %+v != original %+v", restored.State(), orig.State())
-	}
-	if restored.Mean() != orig.Mean() || restored.Var() != orig.Var() ||
-		restored.Gain() != orig.Gain() || restored.ProcessNoise() != orig.ProcessNoise() ||
-		restored.PredictiveVar() != orig.PredictiveVar() || restored.N() != orig.N() {
-		t.Fatal("restored filter outputs differ from the original's")
-	}
-
-	// Replay continuation: both filters fold in the same future and must
-	// stay bit-identical at every step (== on float64, not a tolerance).
-	future := []float64{1.5, 1.5, 0.7, 3.0, 1.1, 0.95, 1.3, 2.2}
-	for i, xi := range future {
-		orig.Observe(xi)
-		restored.Observe(xi)
-		if restored.State() != orig.State() {
-			t.Fatalf("step %d: restored filter diverged: %+v vs %+v", i, restored.State(), orig.State())
+	restored := orig
+	for i, xi := range []float64{1.5, 1.5, 0.7, 3.0, 1.1, 0.95, 1.3, 2.2} {
+		orig.Observe(&p, xi)
+		restored.Observe(&p, xi)
+		if restored != orig || restored.PredictiveVar(&p) != orig.PredictiveVar(&p) {
+			t.Fatalf("step %d: restored filter diverged: %+v vs %+v", i, restored, orig)
 		}
 	}
 }
 
-// TestXiFilterStateFresh: the state of a fresh filter restores to a fresh
-// filter — snapshotting a stream that never observed anything is exact too.
+// TestXiFilterStateFresh: a fresh state is exactly the parameters' initial
+// values, with no innovation and no observations.
 func TestXiFilterStateFresh(t *testing.T) {
 	p := DefaultXiParams()
-	fresh := MakeXiFilter(&p)
-	restored := MakeXiFilterFromState(&p, fresh.State())
-	if restored != fresh {
-		t.Fatalf("restored fresh filter %+v != %+v", restored, fresh)
+	want := XiState{K: p.K0, Q: p.Q0, Mu: p.Mu0, Sigma2: p.Var0}
+	if got := MakeXiState(&p); got != want {
+		t.Fatalf("fresh state %+v, want %+v", got, want)
+	}
+	ip := DefaultIdleParams()
+	if got, want := MakeIdleState(&ip), (IdleState{M: ip.M0, Phi: ip.Phi0}); got != want {
+		t.Fatalf("fresh idle state %+v, want %+v", got, want)
 	}
 }
 
@@ -55,36 +45,34 @@ func TestXiFilterStateFresh(t *testing.T) {
 // idle-power filter.
 func TestIdlePowerFilterStateRoundTrip(t *testing.T) {
 	p := DefaultIdleParams()
-	orig := NewIdlePowerFilter(p)
+	orig := MakeIdleState(&p)
 	for _, r := range []float64{0.25, 0.4, 0.31, 0.28, 0.5} {
-		orig.Observe(r)
+		orig.Observe(&p, r)
 	}
 
-	restored := MakeIdlePowerFilterFromState(&p, orig.State())
-	if restored.State() != orig.State() {
-		t.Fatalf("restored state %+v != original %+v", restored.State(), orig.State())
-	}
+	restored := orig
 	for i, r := range []float64{0.33, 0.27, 0.6, 0.45} {
-		orig.Observe(r)
-		restored.Observe(r)
-		if restored.Ratio() != orig.Ratio() || restored.State() != orig.State() {
+		orig.Observe(&p, r)
+		restored.Observe(&p, r)
+		if restored != orig {
 			t.Fatalf("step %d: restored idle filter diverged", i)
 		}
 	}
 }
 
-// TestStateCarriesNonFiniteBits: State/MakeFromState are pure codecs — they
-// must preserve whatever bits the struct holds, including non-finite values
-// a corrupted snapshot might carry, leaving policy to the restore layer.
+// TestStateCarriesNonFiniteBits: a rejected observation leaves every bit of
+// the state untouched, including non-finite values a corrupted snapshot
+// might carry — policy on those belongs to the restore layer.
 func TestStateCarriesNonFiniteBits(t *testing.T) {
-	st := XiState{K: math.NaN(), Q: math.Inf(1), Y: -0.0, Mu: 1, Sigma2: 2, N: 3}
+	st := XiState{K: math.NaN(), Q: math.Inf(1), Y: math.Copysign(0, -1), Mu: 1, Sigma2: 2, N: 3}
 	p := DefaultXiParams()
-	f := MakeXiFilterFromState(&p, st)
-	got := f.State()
+	got := st
+	got.Observe(&p, math.NaN())
+	got.Observe(&p, -1)
 	if math.Float64bits(got.K) != math.Float64bits(st.K) ||
 		math.Float64bits(got.Q) != math.Float64bits(st.Q) ||
 		math.Float64bits(got.Y) != math.Float64bits(st.Y) ||
 		got.Mu != st.Mu || got.Sigma2 != st.Sigma2 || got.N != st.N {
-		t.Fatalf("state round trip altered bits: %+v vs %+v", got, st)
+		t.Fatalf("rejected observation altered bits: %+v vs %+v", got, st)
 	}
 }

@@ -96,8 +96,9 @@ func (c *ServeCounters) RecordQueueWait(d time.Duration) {
 	}
 }
 
-// RecordObserve folds in one applied observation.
-func (c *ServeCounters) RecordObserve() { c.observes.Add(1) }
+// RecordObserves folds in n applied observations with one update: a shard
+// settles a group's observes at once, like its decides.
+func (c *ServeCounters) RecordObserves(n int) { c.observes.Add(int64(n)) }
 
 // RecordSessionCreate moves the stream-table gauges for one session created
 // on first use.

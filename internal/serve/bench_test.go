@@ -61,14 +61,14 @@ func liveHeap() uint64 {
 }
 
 // BenchmarkPoolManyStreams is the stream-table scaling benchmark: 10k
-// streams served by one pool (one shared core.Engine, one core.Session per
+// streams served by one pool (one shared core.Engine, one core.State per
 // stream) versus the naive construction the Engine/Session split replaced —
 // one core.Engine per stream, each carrying its own copy of the
 // candidate space. Both sides report the measured marginal heap cost per
 // stream ("bytes/stream", engine amortized in), the stream creation rate
 // ("streams/s"), and decide throughput across the stream population; the
 // memory-reduction factor is the ratio of the two bytes/stream columns.
-// The session's size is held by core.TestSessionFootprint.
+// The state's size is held by core.TestSessionFootprint.
 func BenchmarkPoolManyStreams(b *testing.B) {
 	const streams = 10000
 	prof := testProfile(b)

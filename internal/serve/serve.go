@@ -3,12 +3,14 @@
 // many independent streams, so the pool splits the controller the way
 // internal/core does: one immutable core.Engine — the candidate space and
 // its precomputed fast-path view, built once and shared by everything —
-// and one lightweight core.Session per stream, held in a sharded stream
-// table. Each shard is owned by exactly one worker goroutine that drains a
-// private FIFO queue and multiplexes every session pinned to it; per-stream
-// cost is one allocation, a 128-byte table entry embedding the stream's
-// 120-byte Session (about 155 bytes with its map slot), so the stream table
-// scales to millions of streams on one engine.
+// and one 88-byte core.State per stream, held in a sharded stream table.
+// Each shard is owned by exactly one worker goroutine that drains a private
+// FIFO queue and multiplexes every stream pinned to it, supplying the
+// engine and its one scan workspace to each call; per-stream cost is one
+// allocation, a 96-byte pointer-free table entry embedding the stream's
+// State (about 120–125 bytes with its map slot) that the garbage collector
+// never scans, so the stream table scales to millions of streams on one
+// engine.
 //
 // The sharding preserves the paper's semantics exactly, for every stream.
 // A stream is pinned to a shard (stream mod N), its Decide/Observe requests
@@ -76,7 +78,7 @@
 // tasks travel the shard channels by value, and a live stream's session is
 // a map hit, so the only per-request work is the session's own (also
 // allocation-free) decision. Only a stream's first request allocates — its
-// table entry, session embedded.
+// table entry, state embedded.
 package serve
 
 import (
@@ -176,25 +178,28 @@ type task struct {
 	at time.Duration
 }
 
-// entry is one stream's slot in a shard's table: its session, embedded so
-// a stream is one allocation, plus the submission time of the stream's
+// entry is one stream's slot in a shard's table: its state, embedded so a
+// stream is one allocation, plus the submission time of the stream's
 // latest traffic (Decide/Observe) on the pool's clock, the idle-eviction
 // signal. Reads (XiEstimate) deliberately do not refresh lastUse —
-// monitoring polls must not keep an abandoned stream alive.
+// monitoring polls must not keep an abandoned stream alive. It holds no
+// pointer (TestStreamEntryHasNoPointers), so the garbage collector places
+// entries in its pointer-free spans and never scans them.
 type entry struct {
-	sess    core.Session
+	state   core.State
 	lastUse time.Duration
 }
 
 // StreamBytes is the heap object one live stream costs its shard: the
-// table entry embedding its session, the value the pool's SessionBytes
-// gauge adds per stream. The table's map slot comes on top.
+// table entry embedding its state, the value the pool's SessionBytes gauge
+// adds per stream. The table's map slot comes on top.
 func StreamBytes() int { return int(unsafe.Sizeof(entry{})) }
 
-// shard is one stream-table partition: the sessions of every stream pinned
-// here, all driven by the one worker goroutine that owns this struct. The
-// sessions share one scan workspace — they are only ever used from this
-// goroutine — so a shard's marginal cost per stream is just its entry.
+// shard is one stream-table partition: the state of every stream pinned
+// here, all driven by the one worker goroutine that owns this struct with
+// the shared engine and one scan workspace — the streams are only ever
+// used from this goroutine — so a shard's marginal cost per stream is just
+// its entry.
 type shard struct {
 	eng      *core.Engine
 	sessions map[int]*entry
@@ -203,17 +208,17 @@ type shard struct {
 	exited   chan struct{}
 }
 
-// session returns the stream's session, creating it on first use, and
-// stamps the stream's last-use time with the task's submission time.
-func (s *shard) session(stream int, at time.Duration, counters *metrics.ServeCounters) *core.Session {
+// state returns the stream's state, creating it on first use, and stamps
+// the stream's last-use time with the task's submission time.
+func (s *shard) state(stream int, at time.Duration, counters *metrics.ServeCounters) *core.State {
 	e, ok := s.sessions[stream]
 	if !ok {
-		e = &entry{sess: s.eng.MakeSessionWith(s.sc)}
+		e = &entry{state: s.eng.NewState()}
 		s.sessions[stream] = e
 		counters.RecordSessionCreate(int64(StreamBytes()))
 	}
 	e.lastUse = at
-	return &e.sess
+	return &e.state
 }
 
 // Pool is a sharded stream table over one shared engine.
@@ -278,30 +283,32 @@ func (p *Pool) work(s *shard) {
 			// decide latency; the admission controller reads it off stats.
 			p.counters.RecordQueueWait(time.Since(b.start))
 			at := p.since(b.start)
-			decides := 0
+			observes := 0
 			for _, i := range t.group.idx {
 				op := &b.Ops[i]
-				sess := s.session(op.Stream, at, p.counters)
+				st := s.state(op.Stream, at, p.counters)
 				if op.Observe {
-					sess.Observe(op.Out)
-					p.counters.RecordObserve()
+					s.eng.Observe(st, op.Out)
+					observes++
 					continue
 				}
-				op.Decision, op.Estimate = sess.Decide(op.Spec)
-				decides++
+				op.Decision, op.Estimate = s.eng.Decide(s.sc, st, op.Spec)
 			}
-			// One clock read per group: its decides reach the caller
-			// together, when the burst completes.
-			if decides > 0 {
+			// One clock read and one update per counter per group: its
+			// decides reach the caller together, when the burst completes.
+			if decides := len(t.group.idx) - observes; decides > 0 {
 				p.counters.RecordDecides(decides, time.Since(b.start))
+			}
+			if observes > 0 {
+				p.counters.RecordObserves(observes)
 			}
 			p.counters.RecordScan(s.sc.TakeScanCounts())
 			// Counters record before Done unblocks the caller, so a Stats
 			// read that follows a completed Decide always sees it.
 			b.wg.Done()
 		case taskObserve:
-			s.session(t.stream, t.at, p.counters).Observe(t.out)
-			p.counters.RecordObserve()
+			s.eng.Observe(s.state(t.stream, t.at, p.counters), t.out)
+			p.counters.RecordObserves(1)
 		case taskRun:
 			t.run(s)
 		}
@@ -535,7 +542,7 @@ func (p *Pool) snapshot(stream int, remove bool) (snap core.SessionSnapshot, ok 
 		if !live {
 			return
 		}
-		snap, ok = e.sess.Snapshot(), true
+		snap, ok = e.state.Snapshot(), true
 		if remove {
 			p.drop(s, stream)
 			p.counters.RecordStreamExport()
@@ -561,11 +568,10 @@ func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) (err error) {
 			err = fmt.Errorf("serve: stream %d already live, refusing import", stream)
 			return
 		}
-		e := &entry{lastUse: at}
-		if e.sess, err = s.eng.MakeSessionFromSnapshot(s.sc, snap); err != nil {
+		if err = snap.Validate(); err != nil {
 			return
 		}
-		s.sessions[stream] = e
+		s.sessions[stream] = &entry{state: snap.State, lastUse: at}
 		p.counters.RecordSessionCreate(int64(StreamBytes()))
 		p.counters.RecordStreamImport()
 	})
@@ -587,7 +593,7 @@ func (p *Pool) Drain() {
 func (p *Pool) XiEstimate(stream int) (mu, sigma float64) {
 	<-on(p.shardFor(stream), func(s *shard) {
 		if e, ok := s.sessions[stream]; ok {
-			mu, sigma = e.sess.XiMean(), e.sess.XiStd()
+			mu, sigma = e.state.Xi.Mu, e.state.Xi.Std()
 		} else {
 			mu, sigma = s.eng.XiPrior()
 		}

@@ -641,14 +641,15 @@ func TestTaskFootprint(t *testing.T) {
 }
 
 // TestStreamTableFootprint measures what a stream costs the table it lives
-// in, map slot included: one allocation (the entry, its session embedded)
-// and the entry's 128-byte size class plus the map's share. The bounds hold
+// in, map slot included: one allocation (the entry, its state embedded)
+// and the entry's 96-byte size class plus the map's share. The bounds hold
 // for both the bucket maps of Go before 1.24 (≈ 30 B of map per stream at
 // this count) and the swiss maps after. A second allocation per stream, or
-// a session that outgrows its size class, fails it.
+// an entry that outgrows its size class (the 128-byte entry that carried a
+// Session's pointers measured 156 B here), fails it.
 func TestStreamTableFootprint(t *testing.T) {
-	if sz := StreamBytes(); sz > 128 {
-		t.Errorf("stream-table entry is %d bytes, want <= 128", sz)
+	if sz := StreamBytes(); sz > 96 {
+		t.Errorf("stream-table entry is %d bytes, want <= 96", sz)
 	}
 	pool := NewPool(testProfile(t), core.DefaultOptions(), Config{Shards: 1})
 	defer pool.Close()
@@ -673,7 +674,31 @@ func TestStreamTableFootprint(t *testing.T) {
 	if mallocs > 1.05 {
 		t.Errorf("%.3f allocations per new stream, want <= 1.05", mallocs)
 	}
-	if heap > 176 {
-		t.Errorf("%.1f heap bytes per stream, want <= 176", heap)
+	if heap > 136 {
+		t.Errorf("%.1f heap bytes per stream, want <= 136", heap)
 	}
+}
+
+// TestStreamEntryHasNoPointers walks the stream-table entry's type and
+// rejects any field the garbage collector would have to scan: a pointer,
+// slice, map, string, interface, func or chan, however deeply nested. A
+// pointer-free entry lives in the collector's noscan spans, so a table of
+// millions of streams adds nothing to its mark work.
+func TestStreamEntryHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: the entry must hold no pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("entry", reflect.TypeOf(entry{}))
 }
