@@ -77,8 +77,9 @@ func (r *gateTrialResult) slo() float64 {
 	return float64(r.met) / float64(r.issued)
 }
 
-// decisionToken formats a decision exactly like driveStream's sequence
-// artifact, so "byte-identical" means the same thing in both modes.
+// decisionToken formats one decision of a per-stream sequence artifact.
+// driveStream and the gate trials both write through it, so
+// "byte-identical" means the same thing in both modes.
 func decisionToken(d alert.Decision) string {
 	return fmt.Sprintf("%d,%d,%.17g,%.17g;", d.Model, d.Cap, d.PlannedStop, d.Overhead)
 }

@@ -83,6 +83,7 @@ import (
 	"github.com/alert-project/alert/internal/chaos"
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/metrics"
+	"github.com/alert-project/alert/internal/runner"
 	"github.com/alert-project/alert/internal/scenario"
 	"github.com/alert-project/alert/internal/sim"
 	"github.com/alert-project/alert/internal/workload"
@@ -771,23 +772,22 @@ type driveConfig struct {
 }
 
 // driveStream runs one inference stream against the server: the paper's
-// decide → execute → observe loop, with execution simulated by a
-// virtual-time environment replaying the scenario trace, and arrivals
-// paced by the trace's arrival process (open loop) or by completion
-// (closed loop). The first failed request ends the stream.
+// decide → execute → observe loop (the runner.Loop runner.Run steps), with
+// execution simulated by a virtual-time environment replaying the scenario
+// trace, and arrivals paced by the trace's arrival process (open loop) or
+// by completion (closed loop). Samples book the response time against the
+// requested deadline. The first failed request ends the stream.
 func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 	base alert.Spec, task dnn.Task, dc driveConfig) (streamResult, error) {
 
-	env := sim.NewEnv(prof, tr.Source(), dc.seed*3+2)
-	stream := workload.NewStream(task, dc.inputs, dc.seed*3+1)
-	tracker := workload.NewDeadlineTracker(task, base.Deadline, 0)
+	loop := runner.NewLoop(sim.NewEnv(prof, tr.Source(), dc.seed*3+2),
+		workload.NewStream(task, dc.inputs, dc.seed*3+1), base, tr)
 	rec := metrics.NewRecord(fmt.Sprintf("stream-%d", dc.stream))
 	var seq strings.Builder
 
-	cur := base
 	var arrive, free float64 // virtual clocks: last arrival, server free
 	for n := 0; ; n++ {
-		in, ok := stream.Next()
+		in, goal, _, ok := loop.Next()
 		if !ok {
 			break
 		}
@@ -796,36 +796,25 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 				return streamResult{}, err
 			}
 		}
-		tick := tr.At(in.ID)
-		if next := tr.SpecFor(in.ID, base); next != cur {
-			cur = next
-			tracker.SetPerInput(cur.Deadline)
-		}
 
 		// Arrival: open loop queues scenario-shaped arrivals behind the
 		// stream's previous work; closed loop issues on completion.
 		if dc.open {
-			arrive += tick.Gap
+			arrive += tr.At(in.ID).Gap
 		} else {
 			arrive = free
 		}
 		start := math.Max(arrive, free)
 		wait := start - arrive
 
-		goal := tracker.GoalFor(in)
-		dspec := cur
+		dspec := loop.Spec
 		dspec.Deadline = goal
 		d, _, err := srv.Decide(dc.stream, dspec)
 		if err != nil {
 			return streamResult{}, fmt.Errorf("decide stream %d: %w", dc.stream, err)
 		}
-		out := env.Step(sim.Decision{
-			Model:       d.Model,
-			Cap:         d.Cap,
-			PlannedStop: d.PlannedStop,
-			Overhead:    d.Overhead,
-		}, in, goal, cur.Deadline)
-		tracker.Observe(in, out.Latency)
+		sd := sim.Decision{Model: d.Model, Cap: d.Cap, PlannedStop: d.PlannedStop, Overhead: d.Overhead}
+		out := loop.Run(in, sd, goal)
 		if err := srv.Observe(dc.stream, alert.Feedback{
 			Decision:       d,
 			Latency:        out.Latency,
@@ -835,26 +824,8 @@ func driveStream(srv backend, prof *dnn.ProfileTable, tr *scenario.Trace,
 			return streamResult{}, fmt.Errorf("observe stream %d: %w", dc.stream, err)
 		}
 		free = start + out.Latency
-		response := wait + out.Latency
-
-		s := metrics.Sample{
-			Latency:         response,
-			Goal:            cur.Deadline,
-			Energy:          out.Energy,
-			Quality:         out.Quality,
-			TrueXi:          out.TrueXi,
-			Model:           d.Model,
-			Cap:             out.CapApplied,
-			LatencyViolated: response > cur.Deadline,
-		}
-		switch cur.Objective {
-		case alert.MinimizeEnergy:
-			s.AccuracyViolated = out.Quality < cur.AccuracyGoal
-		case alert.MaximizeAccuracy:
-			s.EnergyViolated = cur.EnergyBudget > 0 && out.Energy > cur.EnergyBudget
-		}
-		rec.Add(s)
-		fmt.Fprintf(&seq, "%d,%d,%.17g,%.17g;", d.Model, d.Cap, d.PlannedStop, d.Overhead)
+		rec.Add(loop.Sample(sd, out, wait+out.Latency, loop.Spec.Deadline))
+		seq.WriteString(decisionToken(d))
 	}
 	return streamResult{rec: rec, decisions: seq.String()}, nil
 }

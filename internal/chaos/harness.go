@@ -18,6 +18,7 @@ import (
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/membership"
 	"github.com/alert-project/alert/internal/netserve"
+	"github.com/alert-project/alert/internal/runner"
 	"github.com/alert-project/alert/internal/scenario"
 	"github.com/alert-project/alert/internal/selfheal"
 	"github.com/alert-project/alert/internal/sim"
@@ -430,14 +431,11 @@ func (h *Harness) burst(stream, round int) int {
 	return b
 }
 
-// streamState is one driven stream: its private environment simulator,
-// workload, and deadline tracker, advanced in lockstep with the fleet.
+// streamState is one driven stream: its per-input loop, advanced in
+// lockstep with the fleet.
 type streamState struct {
-	env     *sim.Env
-	in      workload.Stream
-	tracker *workload.DeadlineTracker
-	cur     alert.Spec
-	done    bool
+	loop *runner.Loop
+	done bool
 }
 
 // Run drives the whole fleet trace and returns the checker's verdict. The
@@ -468,12 +466,9 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 			total += h.burst(s, r)
 		}
 		seed := h.seed + int64(s)*7919
-		states[s] = &streamState{
-			env:     sim.NewEnv(h.prof, h.fleet.Base.Source(), seed+2),
-			in:      workload.NewStream(h.task, total, seed+1),
-			tracker: workload.NewDeadlineTracker(h.task, h.base.Deadline, 0),
-			cur:     h.base,
-		}
+		states[s] = &streamState{loop: runner.NewLoop(
+			sim.NewEnv(h.prof, h.fleet.Base.Source(), seed+2),
+			workload.NewStream(h.task, total, seed+1), h.base, h.fleet.Base)}
 	}
 
 	for r := 0; r < rounds; r++ {
@@ -901,17 +896,12 @@ func token(d alert.Decision) string {
 // honestly while the solo comparison for that stream is retired.
 func (h *Harness) driveRound(ctx context.Context, s, r int, st *streamState) {
 	for b := h.burst(s, r); b > 0; b-- {
-		input, ok := st.in.Next()
+		input, goal, _, ok := st.loop.Next()
 		if !ok {
 			st.done = true
 			return
 		}
-		if next := h.fleet.Base.SpecFor(input.ID, h.base); next != st.cur {
-			st.cur = next
-			st.tracker.SetPerInput(st.cur.Deadline)
-		}
-		goal := st.tracker.GoalFor(input)
-		dspec := st.cur
+		dspec := st.loop.Spec
 		dspec.Deadline = goal
 
 		want, _ := h.solo.Decide(s, dspec)
@@ -925,11 +915,10 @@ func (h *Harness) driveRound(ctx context.Context, s, r int, st *streamState) {
 		h.markLive(s, true)
 		h.checker.RecordDecide(s, r, servedBy, token(got), token(want))
 
-		out := st.env.Step(sim.Decision{
+		out := st.loop.Run(input, sim.Decision{
 			Model: got.Model, Cap: got.Cap,
 			PlannedStop: got.PlannedStop, Overhead: got.Overhead,
-		}, input, goal, st.cur.Deadline)
-		st.tracker.Observe(input, out.Latency)
+		}, goal)
 		fb := alert.Feedback{
 			Decision:       got,
 			Latency:        out.Latency,

@@ -75,7 +75,6 @@ func RunFig9(sc Scale) (*Fig9Result, error) {
 	run := func(name string, prof *dnn.ProfileTable) error {
 		cfg := runner.Config{
 			Prof:      prof,
-			Scenario:  contention.Memory, // used only for seeding; env overridden below
 			Spec:      spec,
 			NumInputs: inputs,
 			Seed:      sc.Seed,

@@ -3,6 +3,14 @@
 // measures. It is deliberately scheme-agnostic: ALERT, the single-layer
 // baselines, and the oracles all implement the same Scheduler interface, so
 // every number in Tables 4–5 and Figures 6–11 flows through this one loop.
+//
+// The per-input loop itself is Loop, and it is the only copy: cmd/alertload
+// and the chaos harness (internal/chaos) step the same Loop around a served
+// decision. Two accountings ride on it. Run books each input's execution
+// latency against its adjusted goal — the paper's per-input view, in which
+// the deadline tracker's slack redistribution is part of the goal. A served
+// stream books its response time, queueing wait included, against the
+// requested deadline — the caller's view of an SLO.
 package runner
 
 import (
@@ -89,56 +97,97 @@ func Run(cfg Config, sched Scheduler, trace func(in workload.Input, d sim.Decisi
 // RunEnv is Run with a caller-supplied environment, used by scripted-
 // contention experiments (Fig. 9) that need a custom contention source.
 func RunEnv(cfg Config, env *sim.Env, sched Scheduler, trace func(in workload.Input, d sim.Decision, out sim.Outcome)) *metrics.Record {
-	stream := cfg.NewStream()
-	task := cfg.Prof.Models[0].Task
-	tracker := workload.NewDeadlineTracker(task, cfg.Spec.Deadline, 0)
+	loop := NewLoop(env, cfg.NewStream(), cfg.Spec, cfg.Trace)
 	rec := metrics.NewRecord(sched.Name())
-
-	// cur is the requirement in force for the current input; scenario spec
-	// churn moves it mid-stream, and everything downstream — goal
-	// adjustment, the scheduler (when it can listen), and the violation
-	// accounting — follows the same churned spec.
-	cur := cfg.Spec
 	for {
-		in, ok := stream.Next()
+		in, goal, changed, ok := loop.Next()
 		if !ok {
-			break
+			return rec
 		}
-		if cfg.Trace != nil {
-			if next := cfg.Trace.SpecFor(in.ID, cfg.Spec); next != cur {
-				cur = next
-				tracker.SetPerInput(cur.Deadline)
-				if ss, ok := sched.(SpecSetter); ok {
-					ss.SetSpec(cur)
-				}
-			}
+		if ss, isSetter := sched.(SpecSetter); changed && isSetter {
+			ss.SetSpec(loop.Spec)
 		}
-		goal := tracker.GoalFor(in)
 		d := sched.Decide(env, in, goal)
-		out := env.Step(d, in, goal, cur.Deadline)
-		tracker.Observe(in, out.Latency)
+		out := loop.Run(in, d, goal)
 		sched.Observe(in, d, out)
-
-		s := metrics.Sample{
-			Latency:         out.Latency,
-			Goal:            goal,
-			Energy:          out.Energy,
-			Quality:         out.Quality,
-			TrueXi:          out.TrueXi,
-			Model:           d.Model,
-			Cap:             out.CapApplied,
-			LatencyViolated: out.Latency > goal,
-		}
-		switch cur.Objective {
-		case core.MinimizeEnergy:
-			s.AccuracyViolated = out.Quality < cur.AccuracyGoal
-		case core.MaximizeAccuracy:
-			s.EnergyViolated = cur.EnergyBudget > 0 && out.Energy > cur.EnergyBudget
-		}
-		rec.Add(s)
+		rec.Add(loop.Sample(d, out, out.Latency, goal))
 		if trace != nil {
 			trace(in, d, out)
 		}
 	}
-	return rec
+}
+
+// Loop is one stream's per-input loop (§3.2) less the decision itself:
+// spec churn, goal adjustment, execution on the simulated testbed, the
+// latency booking, and the evaluation sample. The runner, cmd/alertload
+// and the chaos harness all step it, each supplying its own decider — a
+// Scheduler here, an alert.Server or a cluster behind the network there.
+type Loop struct {
+	// Spec is the requirement in force for the current input: the base
+	// spec with the churn trace's overrides applied. Goal adjustment, the
+	// simulator's input period and Sample's violation accounting all
+	// follow it.
+	Spec core.Spec
+
+	env     *sim.Env
+	inputs  workload.Stream
+	tracker *workload.DeadlineTracker
+	base    core.Spec
+	churn   *scenario.Trace
+}
+
+// NewLoop builds the loop for one stream. churn may be nil: the base spec
+// then holds for every input.
+func NewLoop(env *sim.Env, inputs workload.Stream, base core.Spec, churn *scenario.Trace) *Loop {
+	return &Loop{Spec: base, env: env, inputs: inputs, base: base, churn: churn,
+		tracker: workload.NewDeadlineTracker(inputs.Task(), base.Deadline, 0)}
+}
+
+// Next advances to the next input and returns it with its adjusted latency
+// goal. changed reports that spec churn moved Spec for this input (the
+// tracker already follows it); ok is false once the stream is exhausted.
+func (l *Loop) Next() (in workload.Input, goal float64, changed, ok bool) {
+	if in, ok = l.inputs.Next(); !ok {
+		return in, 0, false, false
+	}
+	if l.churn != nil {
+		if next := l.churn.SpecFor(in.ID, l.base); next != l.Spec {
+			l.Spec, changed = next, true
+			l.tracker.SetPerInput(next.Deadline)
+		}
+	}
+	return in, l.tracker.GoalFor(in), changed, true
+}
+
+// Run executes decision d on input in and books the measured latency
+// against the stream's deadline budget.
+func (l *Loop) Run(in workload.Input, d sim.Decision, goal float64) sim.Outcome {
+	out := l.env.Step(d, in, goal, l.Spec.Deadline)
+	l.tracker.Observe(in, out.Latency)
+	return out
+}
+
+// Sample is the evaluation record of one executed input: latency is what
+// the caller accounts against goal — the execution latency against the
+// adjusted goal for the runner, the response time (queueing included)
+// against the requested deadline for a served stream — and the objective
+// in force decides which of accuracy or energy can be violated.
+func (l *Loop) Sample(d sim.Decision, out sim.Outcome, latency, goal float64) metrics.Sample {
+	s := metrics.Sample{
+		Latency:         latency,
+		Goal:            goal,
+		Energy:          out.Energy,
+		Quality:         out.Quality,
+		TrueXi:          out.TrueXi,
+		Model:           d.Model,
+		Cap:             out.CapApplied,
+		LatencyViolated: latency > goal,
+	}
+	switch l.Spec.Objective {
+	case core.MinimizeEnergy:
+		s.AccuracyViolated = out.Quality < l.Spec.AccuracyGoal
+	case core.MaximizeAccuracy:
+		s.EnergyViolated = l.Spec.EnergyBudget > 0 && out.Energy > l.Spec.EnergyBudget
+	}
+	return s
 }

@@ -121,3 +121,34 @@ func TestTraceThrottleClampsCap(t *testing.T) {
 		t.Error("cap clamped on every input; throttle duty cycle missing")
 	}
 }
+
+// TestLoopFollowsChurn: Next reports changed on exactly the inputs where
+// the trace's churn moves the spec, Spec is the churned spec from then on,
+// and the goal follows it before the input is decided.
+func TestLoopFollowsChurn(t *testing.T) {
+	cfg := traceConfig(t, "churn", 3)
+	loop := runner.NewLoop(cfg.NewEnv(), cfg.NewStream(), cfg.Spec, cfg.Trace)
+	prev, moves := cfg.Spec, 0
+	for {
+		in, goal, changed, ok := loop.Next()
+		if !ok {
+			break
+		}
+		want := cfg.Trace.SpecFor(in.ID, cfg.Spec)
+		if loop.Spec != want || changed != (want != prev) {
+			t.Fatalf("input %d: spec %+v changed=%v, want %+v changed=%v", in.ID, loop.Spec, changed, want, want != prev)
+		}
+		// An image input's goal is the whole per-input deadline.
+		if goal != want.Deadline {
+			t.Fatalf("input %d: goal %v, want the churned deadline %v", in.ID, goal, want.Deadline)
+		}
+		if changed {
+			moves++
+		}
+		prev = want
+		loop.Run(in, sim.Decision{}, goal)
+	}
+	if moves == 0 {
+		t.Fatal("churn never moved the spec")
+	}
+}

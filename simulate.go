@@ -102,10 +102,12 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		NumInputs: cfg.Inputs,
 		Seed:      cfg.Seed,
 	}
-	env := rcfg.NewEnv()
+	var env *sim.Env
 	if len(cfg.Bursts) > 0 {
 		cont := contention.NewScripted(cfg.Platform.Kind, cfg.Seed*3+2, cfg.Bursts...)
 		env = sim.NewEnv(prof, cont, cfg.Seed*3+3)
+	} else {
+		env = rcfg.NewEnv()
 	}
 
 	sched := baselines.NewAlert("ALERT", prof, cfg.Spec, opts)
