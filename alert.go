@@ -56,22 +56,13 @@ func NewScheduler(p *Platform, models []*Model, opts Options) (*Scheduler, error
 	if err != nil {
 		return nil, fmt.Errorf("alert: %w", err)
 	}
-	o, err := coreOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Scheduler{prof: prof, ctl: core.NewEngine(prof, o).NewSession()}, nil
+	return &Scheduler{prof: prof, ctl: core.NewEngine(prof, coreOptions(opts)).NewSession()}, nil
 }
 
 // coreOptions translates the public Options into the controller's, applying
 // the paper's defaults for zero values.
-func coreOptions(opts Options) (core.Options, error) {
+func coreOptions(opts Options) core.Options {
 	o := core.DefaultOptions()
-	if opts.Prth != 0 {
-		if opts.Prth < 0 || opts.Prth >= 1 {
-			return o, fmt.Errorf("alert: Prth %g outside [0, 1)", opts.Prth)
-		}
-	}
 	if opts.Confidence > 0 {
 		o.Confidence = opts.Confidence
 	}
@@ -80,15 +71,12 @@ func coreOptions(opts Options) (core.Options, error) {
 	}
 	o.UseVariance = !opts.DisableVariance
 	o.ReferenceScorer = opts.ReferenceScorer
-	return o, nil
+	return o
 }
 
 // Options configure a Scheduler. The zero value reproduces the paper's
 // configuration.
 type Options struct {
-	// Prth, when set, is applied to every Spec that does not set its own
-	// probabilistic threshold (Eq. 10/11).
-	Prth float64
 	// Confidence overrides the default 0.98 chance-constraint level used
 	// for deadline and accuracy-goal feasibility.
 	Confidence float64

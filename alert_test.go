@@ -12,9 +12,6 @@ func TestNewSchedulerValidation(t *testing.T) {
 	if _, err := NewScheduler(Embedded(), ImageCandidates(), Options{}); err == nil {
 		t.Error("image candidates should OOM on the embedded board")
 	}
-	if _, err := NewScheduler(CPU1(), ImageCandidates(), Options{Prth: 1.5}); err == nil {
-		t.Error("Prth outside [0,1) should fail")
-	}
 	s, err := NewScheduler(CPU1(), ImageCandidates(), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -57,9 +57,9 @@ func startBinaryFrontEndOn(t testing.TB, cfg netserve.Config, ln net.Listener) (
 	return ts.URL, fe
 }
 
-// dataOps is the data plane: the seven ops of a Client, each as a call
+// dataOps is the data plane: the six ops of a Client, each as a call
 // returning its success value. The parity tests below run this one table
-// over both codecs; a binwire client sends the last five over HTTP.
+// over both codecs; a binwire client sends the last four over HTTP.
 var dataOps = []struct {
 	name string
 	run  func(ctx context.Context, c *Client) (any, error)
@@ -76,7 +76,6 @@ var dataOps = []struct {
 	}},
 	{"evict", func(ctx context.Context, c *Client) (any, error) { return nil, c.EvictStream(ctx, 1) }},
 	{"export", func(ctx context.Context, c *Client) (any, error) { return c.ExportStream(ctx, 1) }},
-	{"checkpoint", func(ctx context.Context, c *Client) (any, error) { return c.CheckpointStream(ctx, 1) }},
 	{"import", func(ctx context.Context, c *Client) (any, error) {
 		var snap alert.SessionSnapshot
 		if err := snap.UnmarshalBinary(scriptedSnapshot()); err != nil {
@@ -349,7 +348,7 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 
 			var ae *APIError
 			o = both(t, script{status: 404, rejects: -1}, true, op.run)
-			if snapshotRead := op.name == "export" || op.name == "checkpoint"; errors.Is(o.Err, ErrNoSession) != snapshotRead {
+			if snapshotRead := op.name == "export"; errors.Is(o.Err, ErrNoSession) != snapshotRead {
 				t.Errorf("404 surfaced as %v (ErrNoSession is for snapshot reads: %v)", o.Err, snapshotRead)
 			} else if !snapshotRead && (!errors.As(o.Err, &ae) || ae.StatusCode != 404) {
 				t.Errorf("404 surfaced as %#v", o.Err)
@@ -381,7 +380,7 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 }
 
 // TestBinaryTransportBatchAndMigration walks the rest of the data plane —
-// DecideBatch, checkpoint, export (with ErrNoSession on a missing stream),
+// DecideBatch, export (with ErrNoSession on a missing stream),
 // import (with the conflict on a live one), evict — through a real front
 // end over each codec, and checks the ops were counted on HTTP, the one
 // wire they have, whatever the codec — and that the batch results are the
@@ -415,18 +414,12 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 				t.Errorf("binwire client's batch %+v != JSON client's %+v", res, jsonRes)
 			}
 
-			if _, err := c.CheckpointStream(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
 			snap, err := c.ExportStream(ctx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.ExportStream(ctx, 1); !errors.Is(err, ErrNoSession) {
 				t.Fatalf("re-export of a moved stream = %v, want ErrNoSession", err)
-			}
-			if _, err := c.CheckpointStream(ctx, 1); !errors.Is(err, ErrNoSession) {
-				t.Fatalf("checkpoint of a moved stream = %v, want ErrNoSession", err)
 			}
 			if err := c.ImportStream(ctx, 1, snap); err != nil {
 				t.Fatal(err)
@@ -442,10 +435,10 @@ func TestBinaryTransportBatchAndMigration(t *testing.T) {
 			if httpOps.Batches != 1 || binOps.Batches != 0 {
 				t.Errorf("batch counted %d on HTTP, %d on binwire, want 1/0", httpOps.Batches, binOps.Batches)
 			}
-			if httpOps.Checkpoints != 1 || httpOps.Exports != 1 || httpOps.Imports != 1 || httpOps.Evictions != 1 {
+			if httpOps.Exports != 1 || httpOps.Imports != 1 || httpOps.Evictions != 1 {
 				t.Errorf("stream-op counters on HTTP: %+v", httpOps)
 			}
-			if binOps.Checkpoints+binOps.Exports+binOps.Imports+binOps.Evictions != 0 {
+			if binOps.Exports+binOps.Imports+binOps.Evictions != 0 {
 				t.Errorf("stream ops counted on binwire: %+v", binOps)
 			}
 		})

@@ -22,8 +22,8 @@
 //     falls back to JSON on its own.
 //
 // Everything else has one wire, HTTP, whatever the options: DecideBatch,
-// the stream ops (EvictStream, ExportStream, CheckpointStream,
-// ImportStream) and the control-plane reads (Stats, Streams, Membership).
+// the stream ops (EvictStream, ExportStream, ImportStream) and the
+// control-plane reads (Stats, Streams, Membership).
 //
 // A codec only encodes one attempt and decodes its reply. Everything the
 // wires must agree on is written once above them: which statuses are
@@ -370,24 +370,10 @@ var ErrNoSession = errors.New("client: stream has no session")
 // when the stream has no session. The snapshot round-trips the wire as
 // canonical binary bytes (base64 in JSON), so the restored session is
 // bit-identical to the exported one.
-func (c *Client) ExportStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	return c.snapshot(ctx, stream, true)
-}
-
-// CheckpointStream snapshots the stream's session on the server WITHOUT
-// removing it — the periodic-backup read behind crash recovery. It returns
-// ErrNoSession (wrapped) when the stream has no session. Unlike
-// ExportStream it is ungated server-side and keeps answering under
-// overload and drain.
-func (c *Client) CheckpointStream(ctx context.Context, stream int) (alert.SessionSnapshot, error) {
-	return c.snapshot(ctx, stream, false)
-}
-
-// snapshot is export (remove) and checkpoint (!remove).
-func (c *Client) snapshot(ctx context.Context, stream int, remove bool) (snap alert.SessionSnapshot, err error) {
+func (c *Client) ExportStream(ctx context.Context, stream int) (snap alert.SessionSnapshot, err error) {
 	var blob []byte
 	err = c.withRetry(ctx, func(ctx context.Context) (err error) {
-		blob, err = c.http.snapshot(ctx, stream, remove)
+		blob, err = c.http.export(ctx, stream)
 		return err
 	})
 	var ae *APIError

@@ -336,31 +336,12 @@ func (c *Cluster) pin(stream int, addr string) {
 	c.pins[stream] = addr
 }
 
-// Pin explicitly routes a stream to a member, overriding the ring — the
-// restart-aware hook chaos harnesses and rebalancers use when they move a
-// session by hand (e.g. import from a crash checkpoint) and must point
-// routing at wherever the session actually lives. Pinning to the stream's
-// hash-home just drops any pin. It refuses a non-member address.
-func (c *Cluster) Pin(stream int, addr string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.nodes[addr]; !ok {
-		return fmt.Errorf("cluster: pin target %q is not a member", addr)
-	}
-	if c.ring.Owner(stream) == addr {
-		delete(c.pins, stream)
-		return nil
-	}
-	c.pins[stream] = addr
-	return nil
-}
-
 // AddMember adds one address to the member set (a node coming back after a
 // restart, or a fresh node joining), rebuilding the ring. Adding an
 // existing member is a no-op. Note that re-adding a member remaps ~1/N of
 // unpinned streams' hash-homes onto it while their sessions still live
-// elsewhere; callers either migrate those streams to the new home or Pin
-// them where they are, or their next request forks a fresh session.
+// elsewhere; callers migrate those streams to the new home, or their next
+// request forks a fresh session.
 func (c *Cluster) AddMember(addr string) error {
 	members := c.Members()
 	for _, m := range members {
@@ -389,16 +370,4 @@ func (c *Cluster) RemoveMember(addr string) error {
 		return errors.New("cluster: cannot remove the last member")
 	}
 	return c.SetMembers(kept)
-}
-
-// Pins returns a copy of the pin table: every stream currently routed away
-// from its hash-home by a migration.
-func (c *Cluster) Pins() map[int]string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[int]string, len(c.pins))
-	for s, a := range c.pins {
-		out[s] = a
-	}
-	return out
 }

@@ -252,14 +252,14 @@ func TestMigrateEdgeCases(t *testing.T) {
 	if err := cl.Migrate(ctx, 42, cl.Route(42), home); err != nil {
 		t.Fatal(err)
 	}
-	if pins := cl.Pins(); len(pins) != 0 {
-		t.Errorf("pin onto hash-home retained: %v", pins)
+	if len(cl.pins) != 0 {
+		t.Errorf("pin onto hash-home retained: %v", cl.pins)
 	}
 	if err := cl.Migrate(ctx, 42, home, other); err != nil {
 		t.Fatal(err)
 	}
-	if pins := cl.Pins(); pins[42] != other {
-		t.Errorf("pins = %v, want stream 42 on %s", pins, other)
+	if cl.pins[42] != other {
+		t.Errorf("pins = %v, want stream 42 on %s", cl.pins, other)
 	}
 }
 
@@ -285,8 +285,8 @@ func TestSetMembersDropsOrphanedPins(t *testing.T) {
 	if got := cl.Route(7); got != a {
 		t.Errorf("route after member removal = %s, want %s", got, a)
 	}
-	if wantPinned && len(cl.Pins()) != 0 {
-		t.Errorf("orphaned pin retained: %v", cl.Pins())
+	if wantPinned && len(cl.pins) != 0 {
+		t.Errorf("orphaned pin retained: %v", cl.pins)
 	}
 }
 

@@ -105,15 +105,11 @@ func (h *httpCodec) evict(ctx context.Context, stream int) error {
 	return h.once(ctx, http.MethodDelete, streamPath(stream), nil, nil)
 }
 
-// snapshot is export (remove) and checkpoint (!remove); the caller owns the
-// returned blob.
-func (h *httpCodec) snapshot(ctx context.Context, stream int, remove bool) ([]byte, error) {
-	path := streamPath(stream) + "/checkpoint"
-	if remove {
-		path = streamPath(stream) + "/snapshot"
-	}
+// export drains, snapshots and removes the stream's session; the caller
+// owns the returned blob.
+func (h *httpCodec) export(ctx context.Context, stream int) ([]byte, error) {
 	var out netserve.SnapshotResponse
-	if err := h.once(ctx, http.MethodGet, path, nil, &out); err != nil {
+	if err := h.once(ctx, http.MethodGet, streamPath(stream)+"/snapshot", nil, &out); err != nil {
 		return nil, err
 	}
 	blob, err := base64.StdEncoding.DecodeString(out.SnapshotB64)

@@ -49,13 +49,16 @@
 //
 // With -chaos the run becomes a fleet-scale failure drill instead of a load
 // test: an in-process cluster of -nodes members is driven through a compiled
-// scenario.FleetTrace — kill/restart cycles every -kill-every inputs, a flash
-// crowd, byzantine clients — while internal/chaos machine-checks the serving
+// scenario.FleetTrace — a kill every -kill-every inputs, a flash crowd,
+// byzantine clients — while internal/chaos machine-checks the serving
 // invariants (no lost accepted requests, balanced gauges, single ownership,
 // determinism vs a solo controller) continuously. -fleet-record writes the
 // compiled FleetTrace; -fleet replays one (same bytes in, same schedule out,
-// which is how CI pins chaos-schedule determinism). The exit status is the
-// verdict: non-zero iff an invariant was violated.
+// which is how CI pins chaos-schedule determinism). A managed drill's kill
+// drains the node first and a restart brings it back; with -unmanaged the
+// node dies where it stands and the cluster's membership and self-healing
+// layer absorbs it. The exit status is the verdict: non-zero iff an
+// invariant was violated.
 //
 // Replays are deterministic: the same trace and seed yield byte-identical
 // per-stream decision sequences (verified in main_test.go) at ANY shard
@@ -259,7 +262,7 @@ func parseFlags(args []string) (loadConfig, error) {
 		"run the chaos harness: an in-process fleet driven through kill/restart cycles, flash crowds, and byzantine clients under the invariant checker")
 	fs.IntVar(&cfg.nodes, "nodes", 3, "with -chaos: fleet size")
 	fs.IntVar(&cfg.killEvery, "kill-every", 0,
-		"with -chaos: kill a node every N inputs, alternating graceful and checkpoint-aligned hard kills (0 = inputs/3)")
+		"with -chaos: kill a node every N inputs, draining it first (with -unmanaged: a hard kill on the replication cadence) (0 = inputs/3)")
 	fs.IntVar(&cfg.restartAfter, "restart-after", 0,
 		"with -chaos: restart each killed node N inputs after its kill (0 = half of -kill-every)")
 	fs.BoolVar(&cfg.unmanaged, "unmanaged", false,

@@ -567,8 +567,7 @@ func TestAddrsFlagErrors(t *testing.T) {
 }
 
 // TestChaosSmoke runs the chaos mode end-to-end through run(): a 3-node
-// fleet with a graceful and a checkpoint-aligned hard kill/restart cycle,
-// recorded to a fleet trace. The run must come back green, the recording
+// fleet with two drain-kill/restart cycles, recorded to a fleet trace. The run must come back green, the recording
 // must be byte-identical across same-seed invocations (the chaos-schedule
 // determinism CI pins), and replaying it must reproduce the schedule.
 func TestChaosSmoke(t *testing.T) {
@@ -585,7 +584,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"all invariants held", "kill", "restart", "fleet trace recorded"} {
+	for _, want := range []string{"all invariants held", "drain and kill", "restart", "fleet trace recorded"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
 		}

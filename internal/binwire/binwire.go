@@ -3,7 +3,7 @@
 // observe messages the HTTP/JSON API also carries, plus errors, designed
 // for persistent TCP connections and a zero-allocation steady state. Many
 // decides travel as pipelined decide frames; batches and the stream ops
-// (evict, export, checkpoint, import) are HTTP-only.
+// (evict, export, import) are HTTP-only.
 //
 // Every frame is
 //

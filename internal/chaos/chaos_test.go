@@ -24,10 +24,10 @@ func compileFleet(t *testing.T, spec scenario.FleetSpec, inputs int, seed int64)
 }
 
 // TestHarnessGracefulCycle is the core acceptance run in miniature: a
-// 3-node fleet with two kill/restart cycles (one graceful, one hard but
-// checkpoint-aligned), a flash crowd, and byzantine phases. Everything is
-// lossless, so the checker must come back green with zero diverged streams
-// and every decision matched against the solo reference.
+// 3-node fleet with two drain-kill/restart cycles, a flash crowd, and
+// byzantine phases. Draining is lossless, so the checker must come back
+// green with zero diverged streams and every decision matched against the
+// solo reference.
 func TestHarnessGracefulCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node harness run")
@@ -75,17 +75,18 @@ func TestHarnessGracefulCycle(t *testing.T) {
 	}
 }
 
-// TestHarnessMisalignedHardKill is the differential satellite: a hard kill
-// OFF the checkpoint cadence restores stale snapshots. Streams whose
-// checkpoint captured everything they had decided replay byte-identically;
-// streams that decided past their checkpoint lose those rounds and MUST be
-// reported as diverged — not hidden, and not counted as violations.
+// TestHarnessMisalignedHardKill is the differential satellite: an
+// unmanaged kill OFF the replication cadence leaves the ring successor
+// holding stale replicas. Streams whose replica captured everything they
+// had decided replay byte-identically; streams that decided past it lose
+// those rounds and MUST be reported as diverged — not hidden, and not
+// counted as violations.
 func TestHarnessMisalignedHardKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node harness run")
 	}
 	// The base steps into a violent memory co-runner phase at round 14 —
-	// inside the window the stale checkpoint loses (10..17) — so the
+	// inside the window the stale replica loses (10..17) — so the
 	// restored filter state genuinely decides differently from solo's.
 	base := scenario.Spec{
 		Name: "step",
@@ -102,11 +103,11 @@ func TestHarnessMisalignedHardKill(t *testing.T) {
 		Nodes:           3,
 		Base:            base,
 		CheckpointEvery: 10,
+		Unmanaged:       true,
 		NodeEvents: []scenario.NodeEvent{
-			// Kill at 17: the round-10 checkpoint is 7 rounds stale for
-			// every stream the victim owned.
+			// Kill at 17: the round-10 replica is 7 rounds stale for every
+			// stream the victim owned.
 			{AtInput: 17, Node: 0, Kind: scenario.EventKill},
-			{AtInput: 24, Node: 0, Kind: scenario.EventRestart},
 		},
 	}
 	ft := compileFleet(t, spec, inputs, 7)
@@ -140,18 +141,22 @@ func TestHarnessMisalignedHardKill(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("expected loss was flagged as violations:\n%s", strings.Join(rep.Violations, "\n"))
 	}
-	// … and the streams the victim owned are REPORTED as diverged, with
-	// the kill spelled out, while everyone else stayed byte-identical.
+	// … and the streams the victim owned are REPORTED as diverged, each
+	// naming the replica it was restored from, while everyone else stayed
+	// byte-identical.
 	if len(rep.Diverged) == 0 {
-		t.Fatal("misaligned hard kill reported no diverged streams")
+		t.Fatal("misaligned kill reported no diverged streams")
 	}
 	if len(rep.Diverged) >= rep.Streams {
 		t.Errorf("all %d streams diverged; the kill should only hit the victim's", rep.Streams)
 	}
+	if rep.Failovers != 1 {
+		t.Errorf("absorbed %d failovers, want 1", rep.Failovers)
+	}
 	sawReal := false
 	for _, d := range rep.Diverged {
-		if !strings.Contains(d.Reason, "hard kill") {
-			t.Errorf("stream %d diverged for %q, want a hard-kill reason", d.Stream, d.Reason)
+		if !strings.Contains(d.Reason, "unmanaged kill of n0 at round 17 restored the round-10 replica") {
+			t.Errorf("stream %d diverged for %q, want the kill of n0 and the round-10 replica", d.Stream, d.Reason)
 		}
 		if d.Round >= 0 {
 			sawReal = true
@@ -168,54 +173,8 @@ func TestHarnessMisalignedHardKill(t *testing.T) {
 	}
 }
 
-// TestHarnessAlignedHardKillIsLossless: the same hard kill ON the
-// checkpoint cadence loses nothing — the checkpoint folded in every
-// decision — so decisions stay byte-identical to solo for every stream.
-func TestHarnessAlignedHardKillIsLossless(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-node harness run")
-	}
-	base, err := scenario.ByName("steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const inputs = 30
-	spec := scenario.FleetSpec{
-		Name:            "aligned",
-		Streams:         5,
-		Nodes:           3,
-		Base:            base,
-		CheckpointEvery: 10,
-		NodeEvents: []scenario.NodeEvent{
-			{AtInput: 20, Node: 1, Kind: scenario.EventKill}, // checkpoint round
-			{AtInput: 26, Node: 1, Kind: scenario.EventRestart},
-		},
-	}
-	ft := compileFleet(t, spec, inputs, 7)
-
-	h, err := New(Options{Fleet: ft})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	rep, err := h.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(rep.Summary())
-	if !rep.OK() {
-		t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	if len(rep.Diverged) != 0 {
-		t.Errorf("checkpoint-aligned hard kill diverged: %+v", rep.Diverged)
-	}
-	if rep.MatchedRounds != rep.Decides {
-		t.Errorf("matched %d of %d decisions; aligned kill must stay byte-identical", rep.MatchedRounds, rep.Decides)
-	}
-}
-
 // TestHarnessUnmanagedKill is the tentpole acceptance run: hard kills with
-// NO harness orchestration — no RemoveMember, no restore, no Pin. The
+// NO harness orchestration — no RemoveMember, no restore. The
 // cluster's own failure detector declares the victims dead, the router
 // ejects them through its membership subscription, and each ring successor
 // restores the orphans from its replicated snapshots. Kills ride the
@@ -314,8 +273,8 @@ func TestHarnessUnmanagedKillAdaptive(t *testing.T) {
 }
 
 // TestHarnessRejectsManagedEventsWhenUnmanaged: an unmanaged trace carrying
-// a restart (or graceful kill) must be refused up front — there is no
-// orchestrator to execute it.
+// a restart must be refused up front — there is no orchestrator to execute
+// it.
 func TestHarnessRejectsManagedEventsWhenUnmanaged(t *testing.T) {
 	base, err := scenario.ByName("steady")
 	if err != nil {

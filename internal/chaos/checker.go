@@ -12,7 +12,7 @@
 //   - Single ownership: at any instant at most one node serves a stream.
 //     Every decision carries the serving node's identity (DecideResponse
 //     node_id), checked against the expected owner; ownership changes only
-//     at reroutes the harness announced (migration, kill recovery). At
+//     at reroutes the harness announced (migration, failover). At
 //     checkpoint rounds the per-node stream tables are polled and must be
 //     pairwise disjoint and jointly complete.
 //   - Gauges balance: on every poll, each node's Streams gauge equals the
@@ -20,15 +20,17 @@
 //     Streams × serve.StreamBytes() — sessions are neither leaked nor double-
 //     counted across exports, imports, kills, and restarts.
 //   - Conservation across migration: a stream's final session must have
-//     folded in exactly the decisions the driver issued, minus the ones a
-//     hard kill provably lost (issued since the last checkpoint). The loss
-//     is computed, expected, and reported — never silently absorbed.
+//     folded in exactly the decisions the driver issued, minus the ones an
+//     unmanaged kill provably lost (issued since the last replication
+//     round). The loss is computed, expected, and reported — never
+//     silently absorbed.
 //   - Determinism where defined: per-stream decision sequences are compared
 //     byte-for-byte against a solo in-process controller fed identical
-//     inputs. Graceful kills and checkpoint-aligned hard kills preserve
-//     determinism; a misaligned hard kill forfeits it for the streams that
-//     lost observations, and the checker reports those streams as diverged
-//     (with the first diverging round) rather than hiding them.
+//     inputs. Drained kills and replication-aligned unmanaged kills
+//     preserve determinism; an unmanaged kill off the replication cadence
+//     forfeits it for the streams that lost observations, and the checker
+//     reports those streams as diverged (with the first diverging round)
+//     rather than hiding them.
 //
 // The Checker is deliberately separable from the Harness: it consumes
 // announcements (SetOwner, ExpectDivergence) and evidence (RecordDecide,
@@ -53,14 +55,14 @@ import (
 const maxViolations = 64
 
 // Divergence records one stream whose decision sequence departed from the
-// solo reference — expected after a hard kill that lost observations.
+// solo reference — expected after a kill that lost observations.
 type Divergence struct {
 	Stream int `json:"stream"`
 	// Round is the first round whose decision differed (-1 if the stream
 	// was marked divergence-expected but never actually diverged).
 	Round int `json:"round"`
 	// Reason says which failure forfeited determinism (e.g. the kill round
-	// and how many decisions the restored checkpoint was missing).
+	// and how many decisions the restored replica was missing).
 	Reason string `json:"reason"`
 }
 
@@ -131,7 +133,7 @@ type Checker struct {
 	// diverged tracks streams excluded from the determinism comparison.
 	diverged map[int]*divergence
 	// issued and lost count decisions per stream: issued-and-succeeded, and
-	// provably lost to hard kills (for the conservation check).
+	// provably lost to kills (for the conservation check).
 	issued map[int]int64
 	lost   map[int]int64
 
@@ -227,7 +229,7 @@ func (c *Checker) RecordObserve() {
 }
 
 // Issued returns how many decides the driver has recorded for a stream —
-// the harness uses it to size the loss when restoring a stale checkpoint.
+// the harness uses it to size the loss when a stale replica is restored.
 func (c *Checker) Issued(stream int) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -235,7 +237,7 @@ func (c *Checker) Issued(stream int) int64 {
 }
 
 // CheckConservation verifies a stream's final session folded in every
-// decision the driver issued minus the ones hard kills provably lost.
+// decision the driver issued minus the ones kills provably lost.
 func (c *Checker) CheckConservation(stream int, finalDecisions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

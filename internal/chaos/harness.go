@@ -40,8 +40,6 @@ const (
 type Options struct {
 	// Fleet is the compiled chaos schedule to drive. Required.
 	Fleet *scenario.FleetTrace
-	// Task selects the workload; the zero value means image classification.
-	Task dnn.Task
 	// Base is the nominal request spec. A zero Base selects MinimizeEnergy
 	// with a deadline of 1.25× the slowest candidate's latency at full
 	// power and accuracy goal 0.92 (the alertload defaults).
@@ -55,9 +53,9 @@ type Options struct {
 	Seed int64
 	// Binary puts the cluster clients' per-input loop on binwire
 	// (PreferBinary: each connection upgraded on the node's HTTP port): the
-	// same failure drill over the binary transport (checkpoint taps and
-	// migrations stay on HTTP). Kills sever binwire connections exactly
-	// like HTTP ones.
+	// same failure drill over the binary transport (migrations and table
+	// polls stay on HTTP). Kills sever binwire connections exactly like
+	// HTTP ones.
 	Binary bool
 	// Adaptive runs every node's admission gate with the measured-delay
 	// controller on (internal/overload): the same failure drill, but with
@@ -86,8 +84,8 @@ type node struct {
 	// admission gate (survives restarts like the addresses).
 	adaptive bool
 	// selfHealing wires a membership agent and selfheal manager into the
-	// node (unmanaged fleets); managed fleets leave both nil and the
-	// harness orchestrates failures itself, as before.
+	// node (unmanaged fleets); managed fleets leave both nil, and their
+	// only failures are the operator's drain-then-kill and restart.
 	selfHealing bool
 
 	srv    *alert.Server
@@ -179,7 +177,7 @@ func (n *node) start() error {
 }
 
 // stop takes the node down hard: listener and in-flight connections are
-// severed, the pool is closed, the stream table is gone. Graceful kills
+// severed, the pool is closed, the stream table is gone. Managed kills
 // migrate everything away before calling this. For self-healing nodes the
 // heartbeat loop dies with the process, exactly like kill -9 would.
 func (n *node) stop() {
@@ -201,11 +199,11 @@ func (n *node) stop() {
 	n.agent, n.heal, n.cancel = nil, nil, nil
 }
 
-// checkpointRec is one stream's latest checkpoint: the snapshot plus the
-// round it was taken (for divergence reporting).
-type checkpointRec struct {
-	snap  alert.SessionSnapshot
-	round int
+// replicaRec is what the last replication round should have shipped for a
+// stream: how many decisions its owner's session held, and the round.
+type replicaRec struct {
+	decisions int64
+	round     int
 }
 
 // Harness drives a fleet of in-process nodes through a FleetTrace with the
@@ -215,7 +213,6 @@ type Harness struct {
 	fleet   *scenario.FleetTrace
 	base    alert.Spec
 	prof    *dnn.ProfileTable
-	task    dnn.Task
 	seed    int64
 	nodes   []*node
 	cl      *cluster.Cluster
@@ -227,13 +224,16 @@ type Harness struct {
 	// through it (initial routing, migration, kill recovery).
 	ownerAddr map[int]string
 	// expectedLive marks streams that must have a live session somewhere
-	// (first decide seen, not lost to an uncheckpointed hard kill). It is
+	// (first decide seen, not lost to a kill before any replication). It is
 	// the one piece of harness state the concurrent stream goroutines
 	// write, hence its own lock; everything else mutates only between
 	// rounds, single-threaded.
 	liveMu       sync.Mutex
 	expectedLive map[int]bool
-	checkpoints  map[int]checkpointRec
+	// replicas is the harness's own model of the last replication round,
+	// kept apart from what selfheal actually shipped so a kill's loss is
+	// judged against what should have survived it.
+	replicas map[int]replicaRec
 
 	report Report
 }
@@ -247,7 +247,6 @@ func New(opts Options) (*Harness, error) {
 	if opts.Fleet.Len() == 0 {
 		return nil, errors.New("chaos: fleet trace has no rounds")
 	}
-	task := opts.Task // zero value is dnn.ImageClassification
 	plat, models := alert.CPU1(), alert.ImageCandidates()
 	prof, err := dnn.Profile(plat, models)
 	if err != nil {
@@ -273,19 +272,18 @@ func New(opts Options) (*Harness, error) {
 		fleet:        opts.Fleet,
 		base:         base,
 		prof:         prof,
-		task:         task,
 		seed:         seed,
 		checker:      NewChecker(),
 		ownerAddr:    make(map[int]string),
 		expectedLive: make(map[int]bool),
-		checkpoints:  make(map[int]checkpointRec),
+		replicas:     make(map[int]replicaRec),
 	}
 	if opts.Fleet.Unmanaged {
 		// Double safety beyond scenario validation: an unmanaged fleet has
-		// no orchestrator, so restarts and graceful drains are meaningless.
+		// no orchestrator, so a restart is meaningless.
 		for r := 0; r < opts.Fleet.Len(); r++ {
 			for _, ev := range opts.Fleet.EventsAt(r) {
-				if ev.Kind == scenario.EventRestart || ev.Graceful {
+				if ev.Kind == scenario.EventRestart {
 					return nil, fmt.Errorf("chaos: unmanaged trace schedules %s at round %d", ev.Kind, r)
 				}
 			}
@@ -439,12 +437,12 @@ type streamState struct {
 }
 
 // Run drives the whole fleet trace and returns the checker's verdict. The
-// loop is round-based lockstep: each round opens with checkpoints, then
-// node events, then byzantine fire, then every live stream's requests run
-// concurrently (goroutine per stream) to a barrier. Quiescing between
-// rounds is what makes kills, restores, and table polls well-defined — and
-// within a round the full cluster data path still runs under real
-// concurrency.
+// loop is round-based lockstep: a round opens, on the checkpoint cadence,
+// with replication (unmanaged fleets) and a table poll, then node events,
+// then byzantine fire, then every live stream's requests run concurrently
+// (goroutine per stream) to a barrier. Quiescing between rounds is what makes kills, restores, and
+// table polls well-defined — and within a round the full cluster data path
+// still runs under real concurrency.
 func (h *Harness) Run(ctx context.Context) (*Report, error) {
 	S, rounds := h.fleet.Streams, h.fleet.Len()
 	h.report.Rounds = rounds
@@ -468,7 +466,7 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 		seed := h.seed + int64(s)*7919
 		states[s] = &streamState{loop: runner.NewLoop(
 			sim.NewEnv(h.prof, h.fleet.Base.Source(), seed+2),
-			workload.NewStream(h.task, total, seed+1), h.base, h.fleet.Base)}
+			workload.NewStream(dnn.ImageClassification, total, seed+1), h.base, h.fleet.Base)}
 	}
 
 	for r := 0; r < rounds; r++ {
@@ -476,17 +474,8 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 			return nil, err
 		}
 		if h.fleet.CheckpointAt(r) {
-			h.takeCheckpoints(ctx, r)
 			if h.fleet.Unmanaged {
-				// Replication rides the checkpoint cadence: every live node
-				// ships each stream's canonical snapshot to its ring
-				// successor, so a kill later this round (events run after
-				// checkpoints) finds a same-round replica waiting.
-				for _, n := range h.nodes {
-					if n.alive && n.heal != nil {
-						n.heal.ReplicateOnce(ctx)
-					}
-				}
+				h.replicate(ctx, r)
 			}
 			h.checker.Poll(ctx, h.liveClients(), h.expectedSet())
 			h.report.Checkpoints++
@@ -516,7 +505,7 @@ func (h *Harness) Run(ctx context.Context) (*Report, error) {
 
 	// Final accounting: the table must be complete and every surviving
 	// session must have folded in exactly the decisions the driver issued
-	// minus the provable hard-kill losses.
+	// minus the provable kill losses.
 	h.checker.Poll(ctx, h.liveClients(), h.expectedSet())
 	for s := 0; s < S; s++ {
 		n := h.nodeByAddr(h.ownerAddr[s])
@@ -568,26 +557,32 @@ func (h *Harness) expectedSet() map[int]bool {
 	return out
 }
 
-// takeCheckpoints snapshots every live stream in place via the owner's
-// checkpoint endpoint — the periodic backup hard-kill recovery restores
-// from.
-func (h *Harness) takeCheckpoints(ctx context.Context, round int) {
+// replicate is an unmanaged checkpoint round. The harness first records
+// what each live stream's replica should hold, reading its owner's session
+// in process; then every live node ships each of its sessions to its ring
+// successor, so a kill later this round (events run after replication)
+// finds a same-round replica waiting.
+func (h *Harness) replicate(ctx context.Context, round int) {
 	for s := 0; s < h.fleet.Streams; s++ {
 		if !h.isLive(s) {
 			continue
 		}
 		n := h.nodeByAddr(h.ownerAddr[s])
 		if n == nil || !n.alive {
-			h.checker.Violate("checkpoint round %d: stream %d owner dead", round, s)
+			h.checker.Violate("replication round %d: stream %d owner dead", round, s)
 			continue
 		}
-		cl, _ := h.cl.Node(n.addr)
-		snap, err := cl.CheckpointStream(ctx, s)
-		if err != nil {
-			h.checker.Violate("checkpoint round %d: stream %d on %s: %v", round, s, n.id, err)
+		snap, ok := n.srv.SnapshotStream(s)
+		if !ok {
+			h.checker.Violate("replication round %d: stream %d has no session on its owner %s", round, s, n.id)
 			continue
 		}
-		h.checkpoints[s] = checkpointRec{snap: snap, round: round}
+		h.replicas[s] = replicaRec{decisions: snap.Decisions, round: round}
+	}
+	for _, n := range h.nodes {
+		if n.alive {
+			n.heal.ReplicateOnce(ctx)
+		}
 	}
 }
 
@@ -599,16 +594,12 @@ func (h *Harness) applyEvent(ctx context.Context, round int, ev scenario.NodeEve
 		if !n.alive {
 			return fmt.Errorf("chaos: round %d: kill of dead node %s (trace bug)", round, n.id)
 		}
-		switch {
-		case h.fleet.Unmanaged:
+		if h.fleet.Unmanaged {
 			h.logf("round %d: unmanaged kill %s", round, n.id)
 			h.unmanagedKill(ctx, round, n)
-		case ev.Graceful:
-			h.logf("round %d: graceful kill %s", round, n.id)
+		} else {
+			h.logf("round %d: drain and kill %s", round, n.id)
 			h.gracefulKill(ctx, n)
-		default:
-			h.logf("round %d: hard kill %s", round, n.id)
-			h.hardKill(ctx, round, n)
 		}
 		h.report.Kills++
 		h.checker.Poll(ctx, h.liveClients(), h.expectedSet())
@@ -657,53 +648,6 @@ func (h *Harness) gracefulKill(ctx context.Context, victim *node) {
 		h.checker.Violate("graceful kill %s: remove member: %v", victim.id, err)
 	}
 	victim.stop()
-}
-
-// hardKill stops the victim where it stands — its stream table dies with
-// it — then restores each of its streams from the last checkpoint onto the
-// stream's new hash-home. Streams whose checkpoint is stale (or missing)
-// lose the decisions issued since it; the loss is announced to the checker
-// as expected divergence, never hidden.
-func (h *Harness) hardKill(ctx context.Context, round int, victim *node) {
-	orphans := h.ownedBy(victim.addr)
-	victim.stop()
-	if err := h.cl.RemoveMember(victim.addr); err != nil {
-		h.checker.Violate("hard kill %s: remove member: %v", victim.id, err)
-		return
-	}
-	for _, s := range orphans {
-		target := h.nodeByAddr(h.cl.Route(s)) // post-removal hash-home
-		if target == nil || !target.alive {
-			h.checker.Violate("hard kill %s: stream %d has no live home", victim.id, s)
-			continue
-		}
-		h.setOwner(s, target)
-		ck, has := h.checkpoints[s]
-		if !has {
-			// Nothing to restore: the stream restarts from scratch on its
-			// next request, losing everything it had observed.
-			if issued := h.checker.Issued(s); issued > 0 {
-				h.checker.ExpectDivergence(s, issued,
-					fmt.Sprintf("hard kill of %s at round %d with no checkpoint (%d decisions lost)", victim.id, round, issued))
-			}
-			h.markLive(s, false)
-			continue
-		}
-		lost := h.checker.Issued(s) - int64(ck.snap.Decisions)
-		if lost > 0 {
-			h.checker.ExpectDivergence(s, lost,
-				fmt.Sprintf("hard kill of %s at round %d restored checkpoint from round %d (%d decisions lost)",
-					victim.id, round, ck.round, lost))
-		}
-		tcl, _ := h.cl.Node(target.addr)
-		if err := tcl.ImportStream(ctx, s, ck.snap); err != nil {
-			h.checker.Violate("hard kill %s: restore stream %d onto %s: %v", victim.id, s, target.id, err)
-			continue
-		}
-		if err := h.cl.Pin(s, target.addr); err != nil {
-			h.checker.Violate("hard kill %s: pin stream %d to %s: %v", victim.id, s, target.id, err)
-		}
-	}
 }
 
 // unmanagedKill stops the victim and then only watches: the surviving
@@ -761,7 +705,7 @@ func (h *Harness) unmanagedKill(ctx context.Context, round int, victim *node) {
 			}
 			continue
 		}
-		ck, has := h.checkpoints[s]
+		last, has := h.replicas[s]
 		if !has {
 			// Killed before the first replication round: no replica ever
 			// shipped, so the stream restarts from scratch.
@@ -786,10 +730,10 @@ func (h *Harness) unmanagedKill(ctx context.Context, round int, victim *node) {
 		if route := h.cl.Route(s); route != holder.addr {
 			h.checker.Violate("unmanaged kill %s: stream %d restored on %s but routes to %s", victim.id, s, holder.addr, route)
 		}
-		if lost := h.checker.Issued(s) - int64(ck.snap.Decisions); lost > 0 {
+		if lost := h.checker.Issued(s) - last.decisions; lost > 0 {
 			h.checker.ExpectDivergence(s, lost,
 				fmt.Sprintf("unmanaged kill of %s at round %d restored the round-%d replica (%d decisions lost)",
-					victim.id, round, ck.round, lost))
+					victim.id, round, last.round, lost))
 		}
 	}
 	h.report.Failovers++

@@ -50,18 +50,12 @@ type Cell struct {
 	PerSetting map[string][]metrics.SettingResult
 	// Settings echoes the constraint grid that was run.
 	Settings []Setting
-	// RawRecords optionally retains the full per-input records keyed by
-	// scheme, in grid order; populated only when KeepRecords is set.
-	RawRecords map[string][]*metrics.Record
 }
 
 // CellOptions tune a cell run.
 type CellOptions struct {
 	// Schemes defaults to Table4Schemes.
 	Schemes []string
-	// KeepRecords retains per-input records (memory-heavy; Figures 8/10/11
-	// need them, Table 4 does not).
-	KeepRecords bool
 	// Parallelism is the number of constraint settings executed
 	// concurrently. Each setting is an independent, seed-deterministic
 	// simulation, so the cell's results are identical at any parallelism;
@@ -115,21 +109,16 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 		PerSetting: make(map[string][]metrics.SettingResult, len(schemes)+1),
 		Settings:   grid,
 	}
-	if opt.KeepRecords {
-		cell.RawRecords = make(map[string][]*metrics.Record)
-	}
 
 	// Every grid setting is an independent simulation with its own derived
 	// seed, so the settings can run on as many goroutines as the caller
 	// asks for. Results land in per-setting slots indexed by si and are
 	// assembled in grid order below, keeping the cell byte-identical to a
 	// serial run at any parallelism.
+	// Each setting's per-input samples become garbage as soon as the
+	// setting aggregates, keeping peak memory at O(schemes) records.
 	type settingOut struct {
 		results map[string]metrics.SettingResult
-		// records is populated only under KeepRecords; otherwise each
-		// setting's per-input samples become garbage as soon as the
-		// setting aggregates, keeping peak memory at O(schemes) records.
-		records map[string]*metrics.Record
 		err     error
 	}
 	outs := make([]settingOut, len(grid))
@@ -154,16 +143,7 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 			}
 			baseCfg.Trace = tr
 		}
-		if opt.KeepRecords {
-			out.records = make(map[string]*metrics.Record, len(schemes)+1)
-		}
-		keep := func(id string, rec *metrics.Record) {
-			out.results[id] = settingResult(id, rec)
-			if opt.KeepRecords {
-				out.records[id] = rec
-			}
-		}
-		keep(SchemeOracleSt, baselines.OracleStatic(baseCfg).Record)
+		out.results[SchemeOracleSt] = settingResult(SchemeOracleSt, baselines.OracleStatic(baseCfg).Record)
 		for _, id := range schemes {
 			sched, prof, err := newScheme(id, profs, setting.Spec, opt.ReferenceScorer)
 			if err != nil {
@@ -172,7 +152,7 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 			}
 			cfg := baseCfg
 			cfg.Prof = prof
-			keep(id, runner.Run(cfg, sched, nil))
+			out.results[id] = settingResult(id, runner.Run(cfg, sched, nil))
 		}
 		return out
 	}
@@ -206,9 +186,6 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 		}
 		for _, id := range append([]string{SchemeOracleSt}, schemes...) {
 			cell.PerSetting[id] = append(cell.PerSetting[id], out.results[id])
-			if opt.KeepRecords {
-				cell.RawRecords[id] = append(cell.RawRecords[id], out.records[id])
-			}
 		}
 	}
 

@@ -41,31 +41,3 @@ func TestRunCellParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestRunCellParallelKeepRecords checks record retention keeps grid order
-// under parallel execution.
-func TestRunCellParallelKeepRecords(t *testing.T) {
-	key := CellKey{Platform: "CPU1", Task: dnn.ImageClassification, Scenario: contention.Default}
-	sc := QuickScale()
-	sc.Inputs = 20
-	opt := CellOptions{Schemes: []string{SchemeALERT}, KeepRecords: true, Parallelism: 3}
-	cell, err := RunCell(key, core.MinimizeEnergy, sc, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := cell.RawRecords[SchemeALERT]
-	if len(recs) != len(cell.Settings) {
-		t.Fatalf("kept %d records for %d settings", len(recs), len(cell.Settings))
-	}
-	serialOpt := opt
-	serialOpt.Parallelism = 0
-	serialCell, err := RunCell(key, core.MinimizeEnergy, sc, serialOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(recs[i].Samples, serialCell.RawRecords[SchemeALERT][i].Samples) {
-			t.Fatalf("setting %d: parallel record differs from serial", i)
-		}
-	}
-}

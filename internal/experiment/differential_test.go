@@ -11,13 +11,14 @@ import (
 
 // TestGridCellFastPathMatchesReference is the experiment-grid leg of the
 // decide-fast-path differential criterion: a full Table 4 cell — every
-// ALERT variant, every constraint setting, with per-input records kept —
-// must be byte-identical whether the controllers score with the optimized
-// hot path or the naive reference scorer.
+// ALERT variant, every constraint setting — must be byte-identical whether
+// the controllers score with the optimized hot path or the naive reference
+// scorer. The per-input leg of the same criterion is the runner's
+// TestAlertFastPathMatchesReferenceOverTraces.
 func TestGridCellFastPathMatchesReference(t *testing.T) {
 	key := CellKey{Platform: "CPU1", Task: dnn.ImageClassification, Scenario: contention.Memory}
 	schemes := []string{SchemeALERT, SchemeALERTStar, SchemeALERTAny}
-	base := CellOptions{Schemes: schemes, KeepRecords: true}
+	base := CellOptions{Schemes: schemes}
 
 	fast, err := RunCell(key, core.MinimizeEnergy, scenarioScale(), base)
 	if err != nil {
@@ -34,13 +35,6 @@ func TestGridCellFastPathMatchesReference(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fast.PerSetting, ref.PerSetting) {
 		t.Error("per-setting aggregates diverge between fast and reference scorers")
-	}
-	for _, id := range schemes {
-		for si := range fast.RawRecords[id] {
-			if !reflect.DeepEqual(fast.RawRecords[id][si].Samples, ref.RawRecords[id][si].Samples) {
-				t.Errorf("scheme %s setting %d: per-input samples diverge", id, si)
-			}
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ func TestBinCountersAggregate(t *testing.T) {
 	c.RecordOp(OpObserve)
 	c.RecordCoalesce(2)
 	c.RecordOp(OpExport)
-	c.RecordOp(OpCheckpoint)
 	c.RecordOp(OpImport)
 	c.RecordOp(OpEvict)
 	c.RecordReject(RejectOverload)
@@ -50,7 +49,7 @@ func TestBinCountersAggregate(t *testing.T) {
 	if s.RejectedOverload != 1 || s.RejectedDeadline != 1 || s.RejectedDraining != 1 || s.RejectedRestoring != 1 || s.BadFrames != 1 {
 		t.Errorf("rejections = %+v", s)
 	}
-	if s.Exports != 1 || s.Checkpoints != 1 || s.Imports != 1 || s.Evictions != 1 {
+	if s.Exports != 1 || s.Imports != 1 || s.Evictions != 1 {
 		t.Errorf("stream ops = %+v", s)
 	}
 	// A batch folds into the latency pair exactly as on HTTP.
@@ -108,7 +107,6 @@ func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 			Batches:           3,
 			BatchDecisions:    192,
 			Exports:           2,
-			Checkpoints:       7,
 			Imports:           2,
 			Evictions:         1,
 			RejectedOverload:  13,
@@ -139,7 +137,7 @@ func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 		"conns_opened", "conns_closed", "frames_in", "frames_out",
 		"decides", "observes", "batches", "batch_decisions",
 		"coalesce_flushes", "coalesced",
-		"exports", "checkpoints", "imports", "evictions",
+		"exports", "imports", "evictions",
 		"rejected_overload", "rejected_deadline", "rejected_draining",
 		"rejected_restoring", "bad_frames",
 		"avg_decide_latency_ns", "max_decide_latency_ns", "uptime_ns",
@@ -151,8 +149,8 @@ func TestBinSnapshotJSONRoundTrip(t *testing.T) {
 // and the binary families appear only when a binary snapshot is present.
 func TestWritePrometheus(t *testing.T) {
 	serve := ServeSnapshot{Decisions: 7, Streams: 3, CandidatesScored: 182, InfeasibleFallbacks: 1}
-	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Checkpoints: 1}}
-	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Checkpoints: 2}, Coalesced: 6}
+	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Exports: 1}}
+	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Exports: 2}, Coalesced: 6}
 
 	ov := OverloadSnapshot{Adaptive: true, InflightLimit: 8, QueueLimit: 16, ShedOverload: 3}
 
@@ -166,8 +164,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE alert_serve_streams gauge\nalert_serve_streams 3\n",
 		"# TYPE alert_http_decides_total counter\nalert_http_decides_total 5\n",
 		"alert_http_rejected_overload_total 2\n",
-		"# TYPE alert_http_checkpoints_total counter\nalert_http_checkpoints_total 1\n",
-		"alert_binwire_checkpoints_total 2\n",
+		"# TYPE alert_http_exports_total counter\nalert_http_exports_total 1\n",
+		"alert_binwire_exports_total 2\n",
 		"# TYPE alert_binwire_conns gauge\nalert_binwire_conns 3\n",
 		"alert_binwire_decides_total 9\n",
 		"alert_binwire_coalesced_total 6\n",

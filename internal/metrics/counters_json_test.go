@@ -59,7 +59,6 @@ func TestNetSnapshotJSONRoundTrip(t *testing.T) {
 			Observes:         99,
 			Evictions:        2,
 			Exports:          8,
-			Checkpoints:      9,
 			Imports:          6,
 			RejectedOverload: 11,
 			RejectedDeadline: 1,
@@ -85,7 +84,7 @@ func TestNetSnapshotJSONRoundTrip(t *testing.T) {
 
 	assertJSONKeys(t, b, []string{
 		"decides", "batches", "batch_decisions", "observes", "reads",
-		"evictions", "exports", "checkpoints", "imports", "rejected_overload",
+		"evictions", "exports", "imports", "rejected_overload",
 		"rejected_deadline", "rejected_draining", "bad_requests",
 		"avg_request_latency_ns", "max_request_latency_ns", "uptime_ns",
 	})
@@ -120,7 +119,7 @@ func TestNetCountersRecording(t *testing.T) {
 	c.RecordOp(OpObserve)
 	c.RecordRead()
 	c.RecordOp(OpEvict)
-	c.RecordOp(OpCheckpoint)
+	c.RecordOp(OpExport)
 	c.RecordReject(RejectOverload)
 	c.RecordReject(RejectDeadline)
 	c.RecordReject(RejectDraining)
@@ -130,7 +129,7 @@ func TestNetCountersRecording(t *testing.T) {
 	if s.Decides != 2 || s.Batches != 1 || s.BatchDecisions != 64 || s.Observes != 1 {
 		t.Errorf("traffic counters wrong: %+v", s)
 	}
-	if s.Reads != 1 || s.Evictions != 1 || s.Checkpoints != 1 || s.RejectedOverload != 1 ||
+	if s.Reads != 1 || s.Evictions != 1 || s.Exports != 1 || s.RejectedOverload != 1 ||
 		s.RejectedDeadline != 1 || s.RejectedDraining != 1 || s.BadRequests != 1 {
 		t.Errorf("bookkeeping counters wrong: %+v", s)
 	}

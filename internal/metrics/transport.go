@@ -17,7 +17,6 @@ const (
 	OpBatch
 	OpEvict
 	OpExport
-	OpCheckpoint
 	OpImport
 	numOps
 )
@@ -61,7 +60,7 @@ type TransportCounters struct {
 }
 
 // RecordOp folds in one served op that carries no latency: observe, evict,
-// export, checkpoint, import.
+// export, import.
 func (c *TransportCounters) RecordOp(op Op) { c.ops[op].Add(1) }
 
 // RecordDecides folds in served decide requests and their latency d, with
@@ -103,13 +102,11 @@ type TransportSnapshot struct {
 	Observes       int64 `json:"observes"`
 	Batches        int64 `json:"batches"`
 	BatchDecisions int64 `json:"batch_decisions"`
-	// Stream ops served: evictions, exports (snapshot + remove),
-	// checkpoints (snapshot, keep serving), imports. They ride HTTP only,
-	// so a BinSnapshot's read 0.
-	Evictions   int64 `json:"evictions"`
-	Exports     int64 `json:"exports"`
-	Checkpoints int64 `json:"checkpoints"`
-	Imports     int64 `json:"imports"`
+	// Stream ops served: evictions, exports (snapshot + remove), imports.
+	// They ride HTTP only, so a BinSnapshot's read 0.
+	Evictions int64 `json:"evictions"`
+	Exports   int64 `json:"exports"`
+	Imports   int64 `json:"imports"`
 	// Refusals by class; see the Reject constants.
 	RejectedOverload  int64 `json:"rejected_overload"`
 	RejectedDeadline  int64 `json:"rejected_deadline"`
@@ -131,7 +128,6 @@ func (c *TransportCounters) snapshot() TransportSnapshot {
 		BatchDecisions:    c.batchDecisions.Load(),
 		Evictions:         c.ops[OpEvict].Load(),
 		Exports:           c.ops[OpExport].Load(),
-		Checkpoints:       c.ops[OpCheckpoint].Load(),
 		Imports:           c.ops[OpImport].Load(),
 		RejectedOverload:  c.rejected[RejectOverload].Load(),
 		RejectedDeadline:  c.rejected[RejectDeadline].Load(),
@@ -162,7 +158,6 @@ func (s *TransportSnapshot) writePrometheus(w io.Writer, prefix string) {
 		{"batch_decisions_total", "Decisions inside served decide-batch requests.", s.BatchDecisions},
 		{"evictions_total", "Stream evictions served.", s.Evictions},
 		{"exports_total", "Session exports served.", s.Exports},
-		{"checkpoints_total", "Session checkpoints served.", s.Checkpoints},
 		{"imports_total", "Session imports served.", s.Imports},
 		{"rejected_overload_total", "Requests refused by a full admission queue.", s.RejectedOverload},
 		{"rejected_deadline_total", "Requests expired while queued at admission.", s.RejectedDeadline},

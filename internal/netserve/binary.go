@@ -2,7 +2,7 @@
 // connections, reached by upgrading an HTTP connection on the front end's
 // own port (GET /v1/binwire, see upgrade). It carries the per-input loop
 // only — decide and observe — and leaves batches and the stream ops (evict,
-// export, checkpoint, import) to HTTP: many decides travel as pipelined
+// export, import) to HTTP: many decides travel as pipelined
 // decide frames, served as one burst. Like the HTTP handlers it is a codec
 // over the op core (ops.go) — decode a frame into an op, encode the result
 // or the reject — so the gate, drain state, recovery holds and SLO

@@ -374,9 +374,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	bs := startBinary(t, front)
 	rc := dialBinary(t, bs.Addr())
 	rc.decide(1, alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
-	// A checkpoint is a checkpoint on whichever transport served it.
-	if code := doJSON(t, front, http.MethodGet, "/v1/streams/1/checkpoint", nil, nil); code != http.StatusOK {
-		t.Fatalf("checkpoint status %d", code)
+	// An export is an export on whichever transport served it.
+	if code := doJSON(t, front, http.MethodGet, "/v1/streams/1/snapshot", nil, nil); code != http.StatusOK {
+		t.Fatalf("export status %d", code)
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
@@ -395,10 +395,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE alert_serve_candidates_scored_total counter",
 		"alert_serve_infeasible_fallbacks_total 0\n",
 		"alert_http_decides_total 0\n",
-		"alert_http_checkpoints_total 1\n",
+		"alert_http_exports_total 1\n",
 		"alert_http_reads_total 1\n",
 		"alert_binwire_decides_total 1\n",
-		"alert_binwire_checkpoints_total 0\n",
+		"alert_binwire_exports_total 0\n",
 		"alert_binwire_conns 1",
 	} {
 		if !strings.Contains(body, want) {

@@ -6,7 +6,7 @@
 // # One pipeline, two codecs
 //
 // Every data-plane operation — decide, observe, decide-batch, and the
-// stream ops export, checkpoint, import, evict — is implemented once, in
+// stream ops export, import, evict — is implemented once, in
 // ops.go, as
 //
 //	restoring hold → admit → serve → account → release
@@ -41,7 +41,6 @@
 //	GET    /v1/streams       live stream ids
 //	DELETE /v1/streams/{id}  evict one stream's session
 //	GET    /v1/streams/{id}/snapshot  export (snapshot + remove) a session
-//	GET    /v1/streams/{id}/checkpoint  checkpoint (snapshot, keep serving)
 //	PUT    /v1/streams/{id}  import a previously exported session
 //	GET    /v1/membership    the node's membership view (when enabled)
 //	POST   /v1/membership    peer heartbeat; replies with the merged view
@@ -476,31 +475,25 @@ func (s *Server) streamID(w http.ResponseWriter, idStr string) (int, bool) {
 
 // routeStream dispatches the per-stream endpoints:
 //
-//	DELETE /v1/streams/{id}             evict
-//	PUT    /v1/streams/{id}             import a migrated session
-//	GET    /v1/streams/{id}/snapshot    export (snapshot + remove) a session
-//	GET    /v1/streams/{id}/checkpoint  checkpoint a session in place
+//	DELETE /v1/streams/{id}           evict
+//	PUT    /v1/streams/{id}           import a migrated session
+//	GET    /v1/streams/{id}/snapshot  export (snapshot + remove) a session
 func (s *Server) routeStream(w http.ResponseWriter, r *http.Request, rest string) {
-	op := metrics.OpExport
-	idStr, isRead := strings.CutSuffix(rest, "/snapshot")
-	if !isRead {
-		op = metrics.OpCheckpoint
-		idStr, isRead = strings.CutSuffix(rest, "/checkpoint")
-	}
+	idStr, isExport := strings.CutSuffix(rest, "/snapshot")
 	id, ok := s.streamID(w, idStr)
 	if !ok {
 		return
 	}
 	tc := s.tc()
 	switch {
-	case isRead:
+	case isExport:
 		if r.Method != http.MethodGet {
 			s.methodNotAllowed(w, http.MethodGet)
 			return
 		}
 		// The blob rides base64 in JSON: session floats never pass through
 		// JSON number formatting.
-		blob, version, rej := s.snapshot(r.Context(), tc, op, id)
+		blob, version, rej := s.export(r.Context(), tc, id)
 		if rej.refused() {
 			s.writeReject(w, rej)
 			return

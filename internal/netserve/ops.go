@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the transport-neutral operation core. Every data-plane op —
-// decide, observe, batch, export, checkpoint, import, evict — runs
+// decide, observe, batch, export, import, evict — runs
 //
 //	restoring hold → admit → serve → account → release
 //
@@ -305,24 +305,15 @@ func (s *Server) evict(ctx context.Context, tc *metrics.TransportCounters, strea
 	return reject{}
 }
 
-// snapshot serves OpExport (drain the stream, snapshot its session, remove
-// it) and OpCheckpoint (snapshot it in place), returning the canonical
-// binary encoding and its format version. Export is admission-gated but
-// drain-exempt. Checkpoint — the periodic-backup read behind crash
-// recovery — bypasses the gate entirely, like the stats reads: it mutates
-// nothing and must keep answering under overload and drain.
-func (s *Server) snapshot(ctx context.Context, tc *metrics.TransportCounters, op metrics.Op, stream int) ([]byte, int, reject) {
-	var snap alert.SessionSnapshot
-	var ok bool
-	if op == metrics.OpExport {
-		if rej := s.begin(ctx, tc, op, nil); rej.refused() {
-			return nil, 0, rej
-		}
-		defer s.release(1)
-		snap, ok = s.alert.ExportStream(stream)
-	} else {
-		snap, ok = s.alert.SnapshotStream(stream)
+// export drains the stream, snapshots its session and removes it,
+// returning the canonical binary encoding and its format version. It is
+// admission-gated but drain-exempt.
+func (s *Server) export(ctx context.Context, tc *metrics.TransportCounters, stream int) ([]byte, int, reject) {
+	if rej := s.begin(ctx, tc, metrics.OpExport, nil); rej.refused() {
+		return nil, 0, rej
 	}
+	defer s.release(1)
+	snap, ok := s.alert.ExportStream(stream)
 	if !ok {
 		return nil, 0, reject{status: http.StatusNotFound, msg: fmt.Sprintf("stream %d has no session", stream)}
 	}
@@ -330,7 +321,7 @@ func (s *Server) snapshot(ctx context.Context, tc *metrics.TransportCounters, op
 	if err != nil {
 		return nil, 0, reject{status: http.StatusInternalServerError, msg: err.Error()}
 	}
-	tc.RecordOp(op)
+	tc.RecordOp(metrics.OpExport)
 	return blob, int(snap.Version), reject{}
 }
 

@@ -22,7 +22,7 @@ import (
 // table each: an op refused or served for a given server condition must
 // come back with the same status, the same hint, and move the same ledgers
 // whether it arrived as JSON or as a binwire frame. Batches and the stream
-// ops (evict, export, checkpoint, import) have no binwire form and run over
+// ops (evict, export, import) have no binwire form and run over
 // HTTP only.
 
 // call is one data-plane op as a test describes it.
@@ -88,8 +88,6 @@ func (h httpWire) do(t *testing.T, c call) (int, int64, string) {
 		method = http.MethodDelete
 	case metrics.OpExport:
 		path += "/snapshot"
-	case metrics.OpCheckpoint:
-		path += "/checkpoint"
 	case metrics.OpImport:
 		method, body = http.MethodPut, ImportRequest{SnapshotB64: base64.StdEncoding.EncodeToString(c.blob)}
 	}
@@ -240,7 +238,7 @@ func TestRejectMatrix(t *testing.T) {
 		livePeer = 40                  // a stream with a session, set up per condition
 	)
 	decide, observe, batch := metrics.OpDecide, metrics.OpObserve, metrics.OpBatch
-	evict, export, checkpoint, imp := metrics.OpEvict, metrics.OpExport, metrics.OpCheckpoint, metrics.OpImport
+	evict, export, imp := metrics.OpEvict, metrics.OpExport, metrics.OpImport
 	type row struct {
 		call
 		status int
@@ -280,7 +278,7 @@ func TestRejectMatrix(t *testing.T) {
 		{
 			// The one slot held and the one queue place taken: every gated
 			// op bounces with the static hint, clamped to a decide's
-			// deadline headroom; the ungated checkpoint still answers.
+			// deadline headroom.
 			name: "queue full",
 			cfg:  Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 25 * time.Millisecond},
 			arrange: func(t *testing.T, front *Server) func() {
@@ -301,7 +299,6 @@ func TestRejectMatrix(t *testing.T) {
 				{call{op: evict, stream: livePeer}, 429, metrics.RejectOverload, 25, "queue full"},
 				{call{op: export, stream: livePeer}, 429, metrics.RejectOverload, 25, "queue full"},
 				{call{op: imp, stream: 9, blob: donor}, 429, metrics.RejectOverload, 25, "queue full"},
-				{call{op: checkpoint, stream: livePeer}, served, 0, 0, ""},
 			},
 		},
 		{
@@ -318,8 +315,8 @@ func TestRejectMatrix(t *testing.T) {
 		},
 		{
 			// A draining node sheds state: everything mutating is refused,
-			// imports included, but exports — how its sessions leave — and
-			// checkpoints still serve.
+			// imports included, but exports — how its sessions leave —
+			// still serve.
 			name: "draining",
 			cfg:  Config{RetryAfter: 40 * time.Millisecond},
 			arrange: func(t *testing.T, front *Server) func() {
@@ -335,7 +332,6 @@ func TestRejectMatrix(t *testing.T) {
 				{call{op: observe, stream: 5}, 503, metrics.RejectDraining, 40, "draining"},
 				{call{op: evict, stream: livePeer}, 503, metrics.RejectDraining, 40, "draining"},
 				{call{op: imp, stream: 9, blob: donor}, 503, metrics.RejectDraining, 40, "draining"},
-				{call{op: checkpoint, stream: livePeer}, served, 0, 0, ""},
 				{call{op: export, stream: livePeer}, served, 0, 0, ""},
 				{call{op: export, stream: livePeer}, 404, noClass, 0, "no session"},
 			},
@@ -367,7 +363,6 @@ func TestRejectMatrix(t *testing.T) {
 				{call{op: decide, stream: 5, deadlineS: 0.2}, served, 0, 0, ""},
 				{call{op: batch, stream: 5, deadlineS: 0.2}, served, 0, 0, ""},
 				{call{op: observe, stream: 5}, served, 0, 0, ""},
-				{call{op: checkpoint, stream: 99}, 404, noClass, 0, "no session"},
 				{call{op: export, stream: 99}, 404, noClass, 0, "no session"},
 				{call{op: imp, stream: livePeer, blob: donor}, 409, noClass, 0, ""},
 				{call{op: imp, stream: 9, blob: []byte("junk")}, 400, noClass, 0, ""},
@@ -463,8 +458,7 @@ func TestRejectMatrix(t *testing.T) {
 func opCounter(s *metrics.TransportSnapshot, op metrics.Op) *int64 {
 	return map[metrics.Op]*int64{
 		metrics.OpDecide: &s.Decides, metrics.OpObserve: &s.Observes, metrics.OpBatch: &s.Batches,
-		metrics.OpEvict: &s.Evictions, metrics.OpExport: &s.Exports,
-		metrics.OpCheckpoint: &s.Checkpoints, metrics.OpImport: &s.Imports,
+		metrics.OpEvict: &s.Evictions, metrics.OpExport: &s.Exports, metrics.OpImport: &s.Imports,
 	}[op]
 }
 

@@ -31,7 +31,7 @@ import (
 // moves across 21 (model, cap) pairs there.
 func TestLoopParityPins(t *testing.T) {
 	image := traceConfig(t, "churn", 17)
-	sentence := sentenceChurnConfig(t, 17)
+	sentence := sentenceConfig(t, "churn", 17)
 	for _, c := range []struct {
 		cfg   runner.Config
 		sched runner.Scheduler
@@ -53,9 +53,10 @@ func TestLoopParityPins(t *testing.T) {
 	}
 }
 
-// sentenceChurnConfig is traceConfig's churn run on CPU1 sentence
-// prediction with a 50 ms per-word deadline.
-func sentenceChurnConfig(t *testing.T, seed int64) runner.Config {
+// sentenceConfig is traceConfig's run on CPU1 sentence prediction with a
+// 50 ms per-word deadline: tight enough that ALERT moves between
+// configurations under every built-in scenario.
+func sentenceConfig(t *testing.T, name string, seed int64) runner.Config {
 	t.Helper()
 	prof, err := dnn.Profile(platform.CPU1(), dnn.CandidatesFor(dnn.SentencePrediction))
 	if err != nil {
@@ -67,7 +68,7 @@ func sentenceChurnConfig(t *testing.T, seed int64) runner.Config {
 		NumInputs: 150,
 		Seed:      seed,
 	}
-	spec, err := scenario.ByName("churn")
+	spec, err := scenario.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,11 @@ import (
 
 // Node event kinds.
 const (
-	// EventKill takes a node down at the start of the round. A graceful
-	// kill drains and exports every session first (nothing is lost); a hard
-	// kill closes the node where it stands, and streams restart from their
-	// last checkpoint (losing whatever observed since it).
+	// EventKill takes a node down at the start of the round. In a managed
+	// fleet the operator drains it first, migrating every session away
+	// (nothing is lost); in an unmanaged one it dies where it stands, and
+	// the ring successor restores its streams from their last replicas
+	// (losing whatever they decided since).
 	EventKill = "kill"
 	// EventRestart brings a previously killed node back (empty stream
 	// table, same identity and address) at the start of the round.
@@ -95,9 +96,6 @@ type NodeEvent struct {
 	Node int `json:"node"`
 	// Kind is EventKill or EventRestart.
 	Kind string `json:"kind"`
-	// Graceful applies to kills: drain-and-export every session before
-	// going down (lossless) instead of dying where the node stands.
-	Graceful bool `json:"graceful,omitempty"`
 }
 
 // ByzantinePhase is a stretch of hostile client traffic: for Inputs rounds
@@ -126,15 +124,17 @@ type FleetSpec struct {
 	// Base is the per-stream environment scenario every stream replays.
 	Base Spec `json:"base"`
 	// CheckpointEvery is the checkpoint cadence in rounds: at the start of
-	// every round divisible by it, the harness snapshots every live session
-	// (without disturbing it). A hard kill aligned to a checkpoint round is
-	// therefore lossless. 0 means 25.
+	// every round divisible by it, the harness polls every node's stream
+	// table, and in an unmanaged fleet every live node first replicates
+	// each session to its ring successor. An unmanaged kill aligned to a
+	// checkpoint round is therefore lossless. 0 means 25.
 	CheckpointEvery int `json:"checkpointEvery,omitempty"`
-	// Unmanaged switches the harness from orchestrated failure handling to
-	// self-healing: a kill just stops the process, and the cluster itself —
-	// membership leases, replicated checkpoints, successor restores — must
-	// absorb it. Unmanaged schedules allow only hard kills: no restarts and
-	// no graceful drains, because both are orchestrator moves by definition.
+	// Unmanaged switches the harness from operator moves to self-healing:
+	// a managed kill drains the node first and a restart brings it back,
+	// while an unmanaged kill just stops the process, and the cluster
+	// itself — membership leases, replicated checkpoints, successor
+	// restores — must absorb it. Unmanaged schedules allow no restarts,
+	// because relaunching a process is an operator move by definition.
 	Unmanaged bool `json:"unmanaged,omitempty"`
 	// FlashCrowds, NodeEvents, and Byzantine are the chaos layers; all are
 	// optional.
@@ -245,16 +245,13 @@ func validateEvents(name string, events []NodeEvent, nodes int) error {
 	return nil
 }
 
-// validateUnmanaged rejects schedule entries that presuppose an
-// orchestrator: restarts (somebody must relaunch the process) and graceful
-// kills (somebody must drain it). An unmanaged drill is kill -9 or nothing.
+// validateUnmanaged rejects restarts, which presuppose an orchestrator
+// (somebody must relaunch the process). An unmanaged drill is kill -9 or
+// nothing.
 func validateUnmanaged(name string, events []NodeEvent) error {
 	for i, e := range events {
 		if e.Kind == EventRestart {
 			return fmt.Errorf("fleet %q: unmanaged schedules forbid restarts (event %d)", name, i)
-		}
-		if e.Graceful {
-			return fmt.Errorf("fleet %q: unmanaged schedules forbid graceful kills (event %d)", name, i)
 		}
 	}
 	return nil
@@ -380,8 +377,9 @@ func (t *FleetTrace) ByzAt(input int) []ByzRequest {
 	return t.Byz[lo:hi]
 }
 
-// CheckpointAt reports whether round input opens with a fleet-wide session
-// checkpoint. Round 0 does not: there is nothing to snapshot yet.
+// CheckpointAt reports whether round input opens with a checkpoint round: a
+// poll of every node's stream table, after replication in an unmanaged
+// fleet. Round 0 does not: there is nothing to snapshot yet.
 func (t *FleetTrace) CheckpointAt(input int) bool {
 	return input > 0 && t.CheckpointEvery > 0 && input%t.CheckpointEvery == 0
 }
@@ -563,14 +561,14 @@ func ReadFleetFile(path string) (*FleetTrace, error) {
 	return DecodeFleet(f)
 }
 
-// DefaultFleet builds the stock chaos fleet over a named built-in
-// scenario: kill/restart cycles alternating graceful and checkpoint-
-// aligned hard kills walking round-robin over the nodes, one flash crowd
-// surging half the streams mid-run, and a byzantine phase overlapping the
-// first failure. killEvery is the rounds between kills (0 disables
-// failures); each killed node restarts restartAfter rounds later (0 means
-// killEvery/2). The schedule is clamped so every killed node restarts
-// within the trace.
+// DefaultFleet builds the stock managed chaos fleet over a named built-in
+// scenario: drain-kill/restart cycles walking round-robin over the nodes,
+// one flash crowd surging half the streams mid-run, and a byzantine phase
+// overlapping the first failure. killEvery is the rounds between kills (0
+// disables failures) and doubles as the checkpoint cadence, so every kill
+// follows a table poll; each killed node restarts restartAfter rounds
+// later (0 means killEvery/2). The schedule is clamped so every killed
+// node restarts within the trace.
 func DefaultFleet(base Spec, streams, nodes, inputs, killEvery, restartAfter int) (FleetSpec, error) {
 	spec := FleetSpec{
 		Name:        "chaos-" + base.Name,
@@ -588,18 +586,12 @@ func DefaultFleet(base Spec, streams, nodes, inputs, killEvery, restartAfter int
 			restartAfter = 1
 		}
 		victim := 0
-		cycle := 0
 		for at := killEvery; at+restartAfter < inputs; at += killEvery {
 			spec.NodeEvents = append(spec.NodeEvents,
-				// Even cycles die gracefully (drain + export); odd cycles die
-				// hard exactly on a checkpoint round, so the restore-from-
-				// last-checkpoint is still lossless. Both flavors must keep
-				// every invariant green.
-				NodeEvent{AtInput: at, Node: victim, Kind: EventKill, Graceful: cycle%2 == 0},
+				NodeEvent{AtInput: at, Node: victim, Kind: EventKill},
 				NodeEvent{AtInput: at + restartAfter, Node: victim, Kind: EventRestart},
 			)
 			victim = (victim + 1) % nodes
-			cycle++
 		}
 	}
 	if inputs >= 8 {

@@ -25,7 +25,7 @@ func testFleetSpec(t *testing.T) FleetSpec {
 			{AtInput: 50, Inputs: 10, StreamFraction: 0.25, GapFactor: 0.5},
 		},
 		NodeEvents: []NodeEvent{
-			{AtInput: 40, Node: 1, Kind: EventKill, Graceful: true},
+			{AtInput: 40, Node: 1, Kind: EventKill},
 			{AtInput: 60, Node: 1, Kind: EventRestart},
 			{AtInput: 80, Node: 0, Kind: EventKill},
 			{AtInput: 100, Node: 0, Kind: EventRestart},
@@ -273,9 +273,9 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultFleet: the stock chaos spec must validate, schedule at least
-// two kill/restart cycles at the CI smoke's shape, and alternate graceful
-// and hard kills.
+// TestDefaultFleet: the stock chaos spec must validate and schedule at
+// least two kill/restart cycles at the CI smoke's shape, each kill on a
+// checkpoint round.
 func TestDefaultFleet(t *testing.T) {
 	base, err := ByName("bursty")
 	if err != nil {
@@ -285,18 +285,13 @@ func TestDefaultFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills, restarts, graceful := 0, 0, 0
+	kills, restarts := 0, 0
 	for _, e := range spec.NodeEvents {
 		switch e.Kind {
 		case EventKill:
 			kills++
-			if e.Graceful {
-				graceful++
-			}
-			// Hard kills must land on checkpoint rounds so the restore from
-			// the last checkpoint is lossless.
-			if !e.Graceful && e.AtInput%spec.checkpointEvery() != 0 {
-				t.Errorf("hard kill at round %d is not checkpoint-aligned (every %d)", e.AtInput, spec.checkpointEvery())
+			if e.AtInput%spec.checkpointEvery() != 0 {
+				t.Errorf("kill at round %d is not checkpoint-aligned (every %d)", e.AtInput, spec.checkpointEvery())
 			}
 		case EventRestart:
 			restarts++
@@ -304,9 +299,6 @@ func TestDefaultFleet(t *testing.T) {
 	}
 	if kills < 2 || restarts != kills {
 		t.Fatalf("stock fleet schedules %d kills / %d restarts, want >= 2 matched cycles", kills, restarts)
-	}
-	if graceful == 0 || graceful == kills {
-		t.Errorf("stock fleet kills are not mixed (graceful %d of %d)", graceful, kills)
 	}
 	if _, err := CompileFleet(spec, platform.CPU1(), 120, 0.1, 1); err != nil {
 		t.Fatalf("stock fleet does not compile: %v", err)

@@ -54,15 +54,11 @@ func NewServer(p *Platform, models []*Model, opts ServerOptions) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("alert: %w", err)
 	}
-	o, err := coreOptions(opts.Options)
-	if err != nil {
-		return nil, err
-	}
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{prof: prof, pool: serve.NewPool(prof, o, serve.Config{Shards: shards})}
+	s := &Server{prof: prof, pool: serve.NewPool(prof, coreOptions(opts.Options), serve.Config{Shards: shards})}
 	s.bursts.New = func() any { return s.NewBurst() }
 	return s, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/alert-project/alert/internal/baselines"
 	"github.com/alert-project/alert/internal/contention"
-	"github.com/alert-project/alert/internal/core"
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/runner"
 	"github.com/alert-project/alert/internal/sim"
@@ -86,15 +85,6 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		return nil, fmt.Errorf("alert: %w", err)
 	}
 
-	opts := core.DefaultOptions()
-	if cfg.SchedulerOptions.Confidence > 0 {
-		opts.Confidence = cfg.SchedulerOptions.Confidence
-	}
-	if cfg.SchedulerOptions.OverheadFrac > 0 {
-		opts.OverheadFrac = cfg.SchedulerOptions.OverheadFrac
-	}
-	opts.UseVariance = !cfg.SchedulerOptions.DisableVariance
-
 	rcfg := runner.Config{
 		Prof:      prof,
 		Scenario:  cfg.Contention,
@@ -110,7 +100,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		env = rcfg.NewEnv()
 	}
 
-	sched := baselines.NewAlert("ALERT", prof, cfg.Spec, opts)
+	sched := baselines.NewAlert("ALERT", prof, cfg.Spec, coreOptions(cfg.SchedulerOptions))
 	var trace func(in workload.Input, d sim.Decision, out sim.Outcome)
 	if cfg.Trace != nil {
 		trace = func(in workload.Input, d sim.Decision, out sim.Outcome) {
