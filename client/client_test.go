@@ -284,8 +284,8 @@ func TestClientExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 1 || snap.Decisions != 25 {
-		t.Fatalf("snapshot %+v, want version 1, 25 decisions", snap)
+	if snap.Version != 2 || snap.Decisions != 25 {
+		t.Fatalf("snapshot %+v, want version 2, 25 decisions", snap)
 	}
 	// The session left the source node with the export.
 	if _, err := src.ExportStream(ctx, stream); !errors.Is(err, ErrNoSession) {

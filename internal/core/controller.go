@@ -17,7 +17,7 @@
 //     use, shared by every stream on a platform.
 //   - State — the lightweight mutable per-stream half: the ξ and
 //     idle-power Kalman filters, the filter epoch, and the decision count.
-//     88 pointer-free bytes per stream, one goroutine at a time, and
+//     72 pointer-free bytes per stream, one goroutine at a time, and
 //     byte for byte the body of the stream's snapshot.
 //
 // Engine.Decide and Engine.Observe are the one decide/observe

@@ -19,7 +19,7 @@ import (
 // All mutable per-stream state (the ξ and idle-power Kalman filters, the
 // filter epoch, the decision count) lives in State, so a deployment
 // serving N inference streams on one platform pays for the candidate space
-// and the filter constants once and per-stream only for a State — 88
+// and the filter constants once and per-stream only for a State — 72
 // pointer-free bytes — instead of N Engine copies. That is the layer split
 // that lets the serving pool (internal/serve) scale its stream table to
 // millions of streams.

@@ -13,7 +13,7 @@ import (
 // counters. Everything a decision needs beyond that — the candidate space,
 // profile invariants, options, the filters' constants — is read from the
 // shared immutable Engine, and the scan workspace is supplied by whoever
-// drives the stream, so a State is 88 pointer-free bytes no matter how
+// drives the stream, so a State is 72 pointer-free bytes no matter how
 // large the configuration space is. It is also, field for field, the body
 // of the stream's snapshot (SessionSnapshot): restoring a stream is copying
 // its State. It memoizes nothing: every Decide rescans (in the serving loop

@@ -37,11 +37,13 @@ import (
 // SnapshotVersion is the current SessionSnapshot wire version. Decoders
 // reject snapshots from a different version instead of guessing: a session
 // resumed from misread state would silently diverge, which is strictly
-// worse than failing the migration.
-const SnapshotVersion = 1
+// worse than failing the migration. Version 2 dropped version 1's two
+// unread observation counters (90 → 74 bytes); a version-1 blob fails both
+// the length and the version check.
+const SnapshotVersion = 2
 
-// SnapshotBinaryLen is the exact encoded length of a version-1 snapshot.
-const SnapshotBinaryLen = 2 + 8 + 8 + 6*8 + 3*8 // version, epoch, decisions, xi, idle
+// SnapshotBinaryLen is the exact encoded length of a version-2 snapshot.
+const SnapshotBinaryLen = 2 + 8 + 8 + 5*8 + 2*8 // version, epoch, decisions, xi, idle
 
 // SessionSnapshot is the versioned, serializable value of a stream's
 // State. It is engine-independent by construction: everything else a
@@ -86,9 +88,9 @@ func (e *Engine) RestoreSessionWith(sc *Scratch, snap SessionSnapshot) (*Session
 }
 
 // Validate rejects snapshots no genuine session could have produced:
-// unknown versions, the reserved epoch 0, negative counters, and non-finite
-// filter state (Observe guards its inputs, so NaN/Inf here means corruption
-// — restoring it would poison every subsequent prediction).
+// unknown versions, the reserved epoch 0, a negative decision count, and
+// non-finite filter state (Observe guards its inputs, so NaN/Inf here means
+// corruption — restoring it would poison every subsequent prediction).
 func (snap SessionSnapshot) Validate() error {
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("core: snapshot version %d, this build speaks %d", snap.Version, SnapshotVersion)
@@ -96,8 +98,8 @@ func (snap SessionSnapshot) Validate() error {
 	if snap.Epoch == 0 {
 		return fmt.Errorf("core: snapshot epoch 0 is reserved (fresh sessions start at 1)")
 	}
-	if snap.Decisions < 0 || snap.Xi.N < 0 || snap.Idle.N < 0 {
-		return fmt.Errorf("core: snapshot carries negative counters")
+	if snap.Decisions < 0 {
+		return fmt.Errorf("core: snapshot carries a negative decision count")
 	}
 	for _, v := range [...]float64{
 		snap.Xi.K, snap.Xi.Q, snap.Xi.Y, snap.Xi.Mu, snap.Xi.Sigma2,
@@ -114,23 +116,19 @@ func (snap SessionSnapshot) Validate() error {
 }
 
 // MarshalBinary encodes the snapshot in the canonical fixed-width layout:
-// version (uint16 LE), epoch (uint64 LE), decisions (int64 LE), then the ξ
-// state (K, Q, Y, Mu, Sigma2 as float64 bit patterns, N as int64) and the
-// idle state (M, Phi, N) in field order. It never fails; the error is the
-// encoding.BinaryMarshaler signature.
+// version (uint16 LE) at offset 0, epoch (uint64 LE) at 2, decisions
+// (int64 LE) at 10, then the ξ state (K, Q, Y, Mu, Sigma2 at 18, 26, 34, 42,
+// 50) and the idle state (M, Phi at 58, 66) as little-endian float64 bit
+// patterns. It never fails; the error is the encoding.BinaryMarshaler
+// signature.
 func (snap SessionSnapshot) MarshalBinary() ([]byte, error) {
 	b := make([]byte, 0, SnapshotBinaryLen)
 	b = binary.LittleEndian.AppendUint16(b, snap.Version)
 	b = binary.LittleEndian.AppendUint64(b, snap.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, uint64(snap.Decisions))
-	for _, v := range [...]float64{snap.Xi.K, snap.Xi.Q, snap.Xi.Y, snap.Xi.Mu, snap.Xi.Sigma2} {
+	for _, v := range [...]float64{snap.Xi.K, snap.Xi.Q, snap.Xi.Y, snap.Xi.Mu, snap.Xi.Sigma2, snap.Idle.M, snap.Idle.Phi} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(snap.Xi.N))
-	for _, v := range [...]float64{snap.Idle.M, snap.Idle.Phi} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(snap.Idle.N))
 	return b, nil
 }
 
@@ -158,9 +156,7 @@ func (snap *SessionSnapshot) UnmarshalBinary(data []byte) error {
 	snap.Xi.Y = f(34)
 	snap.Xi.Mu = f(42)
 	snap.Xi.Sigma2 = f(50)
-	snap.Xi.N = int64(binary.LittleEndian.Uint64(data[58:66]))
-	snap.Idle.M = f(66)
-	snap.Idle.Phi = f(74)
-	snap.Idle.N = int64(binary.LittleEndian.Uint64(data[82:90]))
+	snap.Idle.M = f(58)
+	snap.Idle.Phi = f(66)
 	return nil
 }

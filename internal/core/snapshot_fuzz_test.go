@@ -41,7 +41,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(good[:SnapshotBinaryLen-1])
 	f.Add(append(append([]byte{}, good...), 0xAB))
 	mangled := append([]byte{}, good...)
-	mangled[0], mangled[1] = 0x02, 0x00
+	mangled[0], mangled[1] = 0x01, 0x00 // the retired version 1
 	f.Add(mangled)
 	f.Add(make([]byte, SnapshotBinaryLen))
 	f.Add([]byte("not a snapshot"))

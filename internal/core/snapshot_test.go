@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/alert-project/alert/internal/kalman"
 	"github.com/alert-project/alert/internal/mathx"
 	"github.com/alert-project/alert/internal/sim"
 )
@@ -188,6 +192,66 @@ func TestSnapshotUnmarshalRejects(t *testing.T) {
 	}
 }
 
+// TestSnapshotV2Layout pins the version-2 wire layout byte for byte. Every
+// field holds a different value, so a swapped or shifted field changes the
+// bytes even though it would still survive a round trip.
+func TestSnapshotV2Layout(t *testing.T) {
+	st := State{
+		Epoch:     7,
+		Decisions: 5,
+		Xi:        kalman.XiState{K: 0.5, Q: 0.25, Y: -0.125, Mu: 1.5, Sigma2: 2},
+		Idle:      kalman.IdleState{M: 3, Phi: 0.75},
+	}
+	want, err := hex.DecodeString("0200" + // version 2
+		"0700000000000000" + // epoch
+		"0500000000000000" + // decisions
+		"000000000000e03f" + // ξ K
+		"000000000000d03f" + // ξ Q
+		"000000000000c0bf" + // ξ Y
+		"000000000000f83f" + // ξ Mu
+		"0000000000000040" + // ξ Sigma2
+		"0000000000000840" + // idle M
+		"000000000000e83f") // idle Phi
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("v2 encoding:\n got %x\nwant %x", got, want)
+	}
+	var dec SessionSnapshot
+	if err := dec.UnmarshalBinary(want); err != nil {
+		t.Fatal(err)
+	}
+	if dec != st.Snapshot() {
+		t.Fatalf("decoded %+v, want %+v", dec, st.Snapshot())
+	}
+}
+
+// TestSnapshotRejectsV1: a version-1 blob (90 bytes, with the two
+// observation counters) and a 74-byte blob stamped version 1 are both
+// refused; there is no version-1 decoder.
+func TestSnapshotRejectsV1(t *testing.T) {
+	v1 := make([]byte, 90)
+	binary.LittleEndian.PutUint16(v1, 1)
+	binary.LittleEndian.PutUint64(v1[2:], 1)
+	var snap SessionSnapshot
+	if err := snap.UnmarshalBinary(v1); err == nil || !strings.Contains(err.Error(), "is 90 bytes") {
+		t.Errorf("90-byte v1 blob: err %v, want a length error", err)
+	}
+	stamped, err := State{Epoch: 1}.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(stamped, 1)
+	if err := snap.UnmarshalBinary(stamped); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("74-byte blob stamped version 1: err %v, want a version error", err)
+	}
+}
+
 // TestRestoreSessionRejects: snapshots no genuine session could produce —
 // wrong version, reserved epoch, non-finite or negative filter state — are
 // refused at restore, the semantic gate the permissive codec defers to.
@@ -204,7 +268,6 @@ func TestRestoreSessionRejects(t *testing.T) {
 		"inf sigma":      func(s *SessionSnapshot) { s.Xi.Sigma2 = math.Inf(1) },
 		"negative var":   func(s *SessionSnapshot) { s.Xi.Sigma2 = -0.5 },
 		"nan phi":        func(s *SessionSnapshot) { s.Idle.Phi = math.NaN() },
-		"negative xi n":  func(s *SessionSnapshot) { s.Xi.N = -3 },
 	}
 	for name, mutate := range cases {
 		snap := valid

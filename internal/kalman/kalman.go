@@ -65,19 +65,17 @@ func PaperLiteralXiParams() XiParams {
 // ALERT's key design bet is that one number (plus its variance) suffices to
 // re-rank the entire DNN × power-cap configuration space.
 //
-// It is the filter's complete mutable state — everything the recursion of
-// Eq. 5 carries from one observation to the next — and nothing else: the
-// constants are passed to the methods that read them, so every filter of
-// one configuration (every stream of a core.Engine) shares one XiParams,
-// and a state copied to another process under the same parameters resumes
-// with bit-identical behaviour.
+// It is the filter's complete mutable state — the five values the
+// recursion of Eq. 5 carries from one observation to the next — and nothing
+// else: the constants are passed to the methods that read them, so every
+// filter of one configuration (every stream of a core.Engine) shares one
+// XiParams, and a state copied to another process under the same
+// parameters resumes with bit-identical behaviour.
 type XiState struct {
 	// K is the Kalman gain K(n), Q the adaptive process noise Q(n), Y the
 	// last innovation y(n), Mu the posterior mean µ(n), Sigma2 the posterior
 	// variance σ²(n).
 	K, Q, Y, Mu, Sigma2 float64
-	// N counts the observations folded in so far.
-	N int64
 }
 
 // MakeXiState returns the filter's initial state under p.
@@ -116,7 +114,6 @@ func (f *XiState) Observe(p *XiParams, xi float64) {
 	f.Y = xi - f.Mu
 	f.Mu += f.K * f.Y
 	f.Sigma2 = prior
-	f.N++
 }
 
 // Std returns the posterior standard deviation of ξ. The controller reads
@@ -151,14 +148,14 @@ func DefaultIdleParams() IdleParams {
 }
 
 // IdleState tracks φ(n), the predicted ratio of DNN-idle power to the
-// inference power cap (Eq. 8): M the process variance M(n), Phi the
-// posterior estimate φ(n), N the observation count. Unlike XiState its gain
-// schedule is the classic fixed-noise recursion — idle power drifts slowly,
-// so adaptivity buys nothing there. Like XiState it is the filter's whole
-// mutable state; the constants are passed in.
+// inference power cap (Eq. 8): M the process variance M(n) and Phi the
+// posterior estimate φ(n). Unlike XiState its gain schedule is the classic
+// fixed-noise recursion — idle power drifts slowly, so adaptivity buys
+// nothing there. Like XiState it is the filter's whole mutable state, the
+// two values Eq. 8 carries forward and nothing else; the constants are
+// passed in.
 type IdleState struct {
 	M, Phi float64
-	N      int64
 }
 
 // MakeIdleState returns the filter's initial state under p.
@@ -178,5 +175,4 @@ func (f *IdleState) Observe(p *IdleParams, ratio float64) {
 	w := (f.M + p.S) / (f.M + p.S + p.V)
 	f.M = (1 - w) * (f.M + p.S)
 	f.Phi += w * (ratio - f.Phi)
-	f.N++
 }

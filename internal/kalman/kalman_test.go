@@ -74,13 +74,12 @@ func TestXiFilterRejectsGarbage(t *testing.T) {
 	p := DefaultXiParams()
 	f := MakeXiState(&p)
 	f.Observe(&p, 1.3)
-	mu, n := f.Mu, f.N
-	f.Observe(&p, math.NaN())
-	f.Observe(&p, math.Inf(1))
-	f.Observe(&p, -2)
-	f.Observe(&p, 0)
-	if f.Mu != mu || f.N != n {
-		t.Error("garbage observation changed filter state")
+	want := f
+	for _, xi := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -2, 0, 2 * maxCredibleXi} {
+		f.Observe(&p, xi)
+		if f != want {
+			t.Errorf("garbage observation %g changed filter state: %+v, want %+v", xi, f, want)
+		}
 	}
 }
 
@@ -196,11 +195,11 @@ func TestIdlePowerFilterRejectsGarbage(t *testing.T) {
 	p := DefaultIdleParams()
 	f := MakeIdleState(&p)
 	f.Observe(&p, 0.3)
-	r, n := f.Phi, f.N
-	f.Observe(&p, math.NaN())
-	f.Observe(&p, -1)
-	f.Observe(&p, math.Inf(1))
-	if f.Phi != r || f.N != n {
-		t.Error("garbage observation changed idle filter state")
+	want := f
+	for _, r := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+		f.Observe(&p, r)
+		if f != want {
+			t.Errorf("garbage observation %g changed idle filter state: %+v, want %+v", r, f, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package kalman
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -64,15 +65,33 @@ func TestIdlePowerFilterStateRoundTrip(t *testing.T) {
 // the state untouched, including non-finite values a corrupted snapshot
 // might carry — policy on those belongs to the restore layer.
 func TestStateCarriesNonFiniteBits(t *testing.T) {
-	st := XiState{K: math.NaN(), Q: math.Inf(1), Y: math.Copysign(0, -1), Mu: 1, Sigma2: 2, N: 3}
+	st := XiState{K: math.NaN(), Q: math.Inf(1), Y: math.Copysign(0, -1), Mu: 1, Sigma2: 2}
 	p := DefaultXiParams()
 	got := st
 	got.Observe(&p, math.NaN())
 	got.Observe(&p, -1)
-	if math.Float64bits(got.K) != math.Float64bits(st.K) ||
-		math.Float64bits(got.Q) != math.Float64bits(st.Q) ||
-		math.Float64bits(got.Y) != math.Float64bits(st.Y) ||
-		got.Mu != st.Mu || got.Sigma2 != st.Sigma2 || got.N != st.N {
+	if !reflect.DeepEqual(fieldBits(got), fieldBits(st)) {
 		t.Fatalf("rejected observation altered bits: %+v vs %+v", got, st)
 	}
+
+	idle := IdleState{M: math.NaN(), Phi: math.Copysign(0, -1)}
+	ip := DefaultIdleParams()
+	gotIdle := idle
+	gotIdle.Observe(&ip, math.NaN())
+	gotIdle.Observe(&ip, -1)
+	if !reflect.DeepEqual(fieldBits(gotIdle), fieldBits(idle)) {
+		t.Fatalf("rejected idle observation altered bits: %+v vs %+v", gotIdle, idle)
+	}
+}
+
+// fieldBits returns the bit pattern of every field of a filter state, so a
+// comparison sees every field and tells NaN from NaN and -0 from +0, which
+// == on the struct cannot.
+func fieldBits(st any) []uint64 {
+	v := reflect.ValueOf(st)
+	bits := make([]uint64, v.NumField())
+	for i := range bits {
+		bits[i] = math.Float64bits(v.Field(i).Float())
+	}
+	return bits
 }

@@ -97,7 +97,7 @@ func TestMigrationOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	soloSnap, _ := solo.SnapshotStream(stream)
 	blob := blobOf(t, soloSnap)
-	if err != nil || resp.StatusCode != http.StatusOK || raw.Stream != stream || raw.Version != 1 ||
+	if err != nil || resp.StatusCode != http.StatusOK || raw.Stream != stream || raw.Version != 2 ||
 		raw.SnapshotB64 != base64.StdEncoding.EncodeToString(blob) {
 		t.Fatalf("export reply %d %+v (%v)", resp.StatusCode, raw, err)
 	}

@@ -529,7 +529,9 @@ func TestCloseWaitsForFailover(t *testing.T) {
 // TestReplicaPutCostIndependentOfHeld: one PUT /v1/replicas/{id} costs the
 // same with 10,000 replicas held as with 10 — its reply carries no count,
 // so nothing lists or sorts the held table. Bytes are compared as well as
-// allocations: a table-sized slice is a single allocation.
+// allocations: a table-sized slice is a single allocation. Under -race the
+// detector drops a random share of sync.Pool Puts, so either side may count
+// an allocation or two the other did not; the bytes bound still holds there.
 func TestReplicaPutCostIndependentOfHeld(t *testing.T) {
 	n := startHealNode(t, "n1")
 	front := netserve.New(n.srv, netserve.Config{NodeID: "n1", Recovery: n.mgr})
@@ -563,7 +565,11 @@ func TestReplicaPutCostIndependentOfHeld(t *testing.T) {
 	}
 	fewA, fewB := cost(10)
 	manyA, manyB := cost(10000)
-	if manyA > fewA || manyB > fewB+1024 {
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	if manyA > fewA+slack || manyB > fewB+1024 {
 		t.Errorf("replica PUT with 10,000 held: %.1f allocs, %.0f B; with 10: %.1f allocs, %.0f B — want no more", manyA, manyB, fewA, fewB)
 	}
 }

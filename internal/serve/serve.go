@@ -3,12 +3,12 @@
 // many independent streams, so the pool splits the controller the way
 // internal/core does: one immutable core.Engine — the candidate space and
 // its precomputed fast-path view, built once and shared by everything —
-// and one 88-byte core.State per stream, held in a sharded stream table.
+// and one 72-byte core.State per stream, held in a sharded stream table.
 // Each shard is owned by exactly one worker goroutine that drains a private
 // FIFO queue and multiplexes every stream pinned to it, supplying the
 // engine and its one scan workspace to each call; per-stream cost is one
-// allocation, a 96-byte pointer-free table entry embedding the stream's
-// State (about 120–125 bytes with its map slot) that the garbage collector
+// allocation, an 80-byte pointer-free table entry embedding the stream's
+// State (about 105–110 bytes with its map slot) that the garbage collector
 // never scans, so the stream table scales to millions of streams on one
 // engine.
 //

@@ -16,7 +16,7 @@ import (
 // Server is the concurrent front-end over the ALERT runtime: one shared
 // immutable decision engine plus a sharded stream table holding a
 // lightweight session — the stream's own Kalman filter state, one
-// 96-byte pointer-free allocation — for every inference stream. A Scheduler
+// 80-byte pointer-free allocation — for every inference stream. A Scheduler
 // serves one stream (§3.6); a Server serves any number by pinning each
 // stream id to one of N shards and applying that stream's Decide/Observe
 // traffic to its session in submission order. Per-stream behaviour is
