@@ -56,11 +56,6 @@ type Cell struct {
 type CellOptions struct {
 	// Schemes defaults to Table4Schemes.
 	Schemes []string
-	// Parallelism is the number of constraint settings executed
-	// concurrently. Each setting is an independent, seed-deterministic
-	// simulation, so the cell's results are identical at any parallelism;
-	// values below 2 run serially, 0 keeps the serial default.
-	Parallelism int
 	// Scenario, when non-empty, names a built-in environment scenario
 	// (internal/scenario). Every setting then runs against a trace of that
 	// scenario compiled for the setting's deadline and seed — the scenario
@@ -91,9 +86,6 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 	if schemes == nil {
 		schemes = Table4Schemes
 	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = sc.Parallelism
-	}
 	var scenSpec scenario.Spec
 	if opt.Scenario != "" {
 		if scenSpec, err = scenario.ByName(opt.Scenario); err != nil {
@@ -111,7 +103,7 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 	}
 
 	// Every grid setting is an independent simulation with its own derived
-	// seed, so the settings can run on as many goroutines as the caller
+	// seed, so the settings can run on as many goroutines as sc.Parallelism
 	// asks for. Results land in per-setting slots indexed by si and are
 	// assembled in grid order below, keeping the cell byte-identical to a
 	// serial run at any parallelism.
@@ -157,7 +149,7 @@ func RunCell(key CellKey, obj core.Objective, sc Scale, opt CellOptions) (*Cell,
 		return out
 	}
 
-	if workers := min(opt.Parallelism, len(grid)); workers > 1 {
+	if workers := min(sc.Parallelism, len(grid)); workers > 1 {
 		var wg sync.WaitGroup
 		next := make(chan int)
 		for w := 0; w < workers; w++ {

@@ -23,7 +23,8 @@ func TestRunCellParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCell(key, core.MinimizeEnergy, sc, CellOptions{Schemes: schemes, Parallelism: 4})
+	sc.Parallelism = 4
+	parallel, err := RunCell(key, core.MinimizeEnergy, sc, CellOptions{Schemes: schemes})
 	if err != nil {
 		t.Fatal(err)
 	}

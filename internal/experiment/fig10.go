@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/alert-project/alert/internal/baselines"
 	"github.com/alert-project/alert/internal/contention"
@@ -94,16 +93,18 @@ func avgPerplexity(rec *metrics.Record) float64 {
 	return sum / float64(n)
 }
 
-// Render produces the text form of one Figure 10 subplot.
-func (r *Fig10Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 10 (%s contention): minimize error for sentence prediction @ CPU1 — average perplexity, lower is better\n",
-		r.Scenario)
-	fmt.Fprintf(&b, "%-12s %24s %24s\n", "Candidates", "ALERT mean [min..max]", "ALERT* mean [min..max]")
-	for _, g := range r.Groups {
-		fmt.Fprintf(&b, "%-12s %8.1f [%6.1f..%7.1f] %8.1f [%6.1f..%7.1f]\n",
-			g.CandidateSet, g.Alert.Mean, g.Alert.Min, g.Alert.Max,
-			g.AlertStar.Mean, g.AlertStar.Min, g.AlertStar.Max)
+// Table lays one Figure 10 subplot out as one row per candidate set, with
+// the mean, min and max perplexity of ALERT and ALERT*.
+func (r *Fig10Result) Table() *Table {
+	t := &Table{
+		ID: "fig10-" + r.Scenario.String(),
+		Title: []string{fmt.Sprintf("Figure 10 (%s contention): minimize error for sentence prediction @ CPU1 — average perplexity, lower is better",
+			r.Scenario)},
+		Cols: append([]Column{{"Candidates", 0}},
+			cols(1, "ALERT mean", "ALERT min", "ALERT max", "ALERT* mean", "ALERT* min", "ALERT* max")...),
 	}
-	return b.String()
+	for _, g := range r.Groups {
+		t.Add(g.CandidateSet, g.Alert.Mean, g.Alert.Min, g.Alert.Max, g.AlertStar.Mean, g.AlertStar.Min, g.AlertStar.Max)
+	}
+	return t
 }

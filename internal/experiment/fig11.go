@@ -89,20 +89,22 @@ func RunFig11(sc Scale) (*Fig11Result, error) {
 	return res, nil
 }
 
-// Render produces the text form of Figure 11: ASCII histograms with the
-// fitted Gaussian parameters.
-func (r *Fig11Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 11: distribution of ξ for image classification on CPU1\n")
+// Table lays Figure 11 out in one section per environment and one row per
+// histogram bin, with an ASCII bar; the fitted Gaussians are notes.
+func (r *Fig11Result) Table() *Table {
+	t := &Table{
+		ID:        "fig11",
+		Title:     []string{"Figure 11: distribution of ξ for image classification on CPU1"},
+		Sectioned: true,
+		Cols:      []Column{{"Scenario", 0}, {"ξ from", 3}, {"freq", 3}, {"histogram", 0}},
+	}
 	for _, h := range r.Histograms {
-		fmt.Fprintf(&b, "-- %s: observed ξ in [%.3f, %.3f], KF fit N(µ=%.3f, σ=%.3f) --\n",
-			h.Scenario, h.Stats.Min, h.Stats.Max, h.MuHat, h.SigmaHat)
 		width := (h.Hi - h.Lo) / float64(len(h.Freq))
 		for i, f := range h.Freq {
-			lo := h.Lo + float64(i)*width
-			bar := strings.Repeat("#", int(f*200+0.5))
-			fmt.Fprintf(&b, "%7.3f %6.3f %s\n", lo, f, bar)
+			t.Add(h.Scenario.String(), h.Lo+float64(i)*width, f, strings.Repeat("#", int(f*200+0.5)))
 		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: observed ξ in [%.3f, %.3f], KF fit N(µ=%.3f, σ=%.3f)",
+			h.Scenario, h.Stats.Min, h.Stats.Max, h.MuHat, h.SigmaHat))
 	}
-	return b.String()
+	return t
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/alert-project/alert/internal/contention"
 	"github.com/alert-project/alert/internal/dnn"
@@ -76,9 +75,9 @@ func RunFig2(sc Scale) (*Fig2Result, error) {
 	minErr, maxErr := res.Rows[0].ErrorPct, res.Rows[0].ErrorPct
 	minEn, maxEn := res.Rows[0].Energy, res.Rows[0].Energy
 	for _, r := range res.Rows[1:] {
-		minLat, maxLat = minF(minLat, r.Latency), maxF(maxLat, r.Latency)
-		minErr, maxErr = minF(minErr, r.ErrorPct), maxF(maxErr, r.ErrorPct)
-		minEn, maxEn = minF(minEn, r.Energy), maxF(maxEn, r.Energy)
+		minLat, maxLat = min(minLat, r.Latency), max(maxLat, r.Latency)
+		minErr, maxErr = min(minErr, r.ErrorPct), max(maxErr, r.ErrorPct)
+		minEn, maxEn = min(minEn, r.Energy), max(maxEn, r.Energy)
 	}
 	res.LatencySpan = maxLat / minLat
 	res.ErrorSpan = maxErr / minErr
@@ -86,22 +85,27 @@ func RunFig2(sc Scale) (*Fig2Result, error) {
 	return res, nil
 }
 
-// Render produces the text form of Figure 2.
-func (r *Fig2Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 2: tradeoffs of 42 image-classification DNNs (CPU2, default power)\n")
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %6s\n", "Model", "Latency(s)", "Top5Err(%)", "Energy(J)", "Hull")
-	for _, row := range r.Rows {
-		hull := ""
-		if row.OnHull {
-			hull = "*"
-		}
-		fmt.Fprintf(&b, "%-10s %12.4f %12.2f %12.2f %6s\n",
-			row.Name, row.Latency, row.ErrorPct, row.Energy, hull)
+// Table lays Figure 2 out as one row per network.
+func (r *Fig2Result) Table() *Table {
+	t := &Table{
+		ID:    "fig2",
+		Title: []string{"Figure 2: tradeoffs of 42 image-classification DNNs (CPU2, default power)"},
+		Cols:  []Column{{"Model", 0}, {"Latency(s)", 4}, {"Top5Err(%)", 2}, {"Energy(J)", 2}, {"Hull", 0}},
+		Notes: []string{fmt.Sprintf("spans: latency %.1fx, error %.1fx, energy %.1fx (paper: 18x, 7.8x, >20x)",
+			r.LatencySpan, r.ErrorSpan, r.EnergySpan)},
 	}
-	fmt.Fprintf(&b, "spans: latency %.1fx, error %.1fx, energy %.1fx (paper: 18x, 7.8x, >20x)\n",
-		r.LatencySpan, r.ErrorSpan, r.EnergySpan)
-	return b.String()
+	for _, row := range r.Rows {
+		t.Add(row.Name, row.Latency, row.ErrorPct, row.Energy, mark(row.OnHull))
+	}
+	return t
+}
+
+// mark is the "*" flag column cell.
+func mark(b bool) string {
+	if b {
+		return "*"
+	}
+	return ""
 }
 
 // Fig3Row is one power setting in the Figure 3 sweep.
@@ -175,30 +179,20 @@ func RunFig3(sc Scale) (*Fig3Result, error) {
 	return res, nil
 }
 
-// Render produces the text form of Figure 3.
-func (r *Fig3Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 3: ResNet50 energy/latency across power caps (CPU2, period = latency@40W)\n")
-	fmt.Fprintf(&b, "%-8s %12s %14s\n", "Cap(W)", "Latency(s)", "Energy/period(J)")
+// Table lays Figure 3 out as one row per power cap.
+func (r *Fig3Result) Table() *Table {
+	t := &Table{
+		ID:    "fig3",
+		Title: []string{"Figure 3: ResNet50 energy/latency across power caps (CPU2, period = latency@40W)"},
+		Cols:  []Column{{"Cap(W)", 0}, {"Latency(s)", 4}, {"Energy/period(J)", 3}},
+		Notes: []string{
+			fmt.Sprintf("min energy @ %.0fW, max energy @ %.0fW (%.2fx), speed 100W/40W = %.2fx",
+				r.MinEnergyCap, r.MaxEnergyCap, r.MaxOverMin, r.SpeedRatio),
+			"(paper: min @ 40W, max @ 64W at 1.3x, speed ratio > 2x)",
+		},
+	}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8.0f %12.4f %14.3f\n", row.CapW, row.Latency, row.Energy)
+		t.Add(row.CapW, row.Latency, row.Energy)
 	}
-	fmt.Fprintf(&b, "min energy @ %.0fW, max energy @ %.0fW (%.2fx), speed 100W/40W = %.2fx\n",
-		r.MinEnergyCap, r.MaxEnergyCap, r.MaxOverMin, r.SpeedRatio)
-	fmt.Fprintf(&b, "(paper: min @ 40W, max @ 64W at 1.3x, speed ratio > 2x)\n")
-	return b.String()
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return t
 }

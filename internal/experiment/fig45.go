@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/alert-project/alert/internal/contention"
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/mathx"
@@ -98,23 +95,23 @@ func RunFigVariance(contended bool, sc Scale) (*FigVarianceResult, error) {
 	return res, nil
 }
 
-// Render produces the text form of Figure 4 or 5.
-func (r *FigVarianceResult) Render() string {
-	var b strings.Builder
-	title := "Figure 4: latency variance across inputs and hardware (no co-located jobs)"
-	if r.Contended {
-		title = "Figure 5: latency variance with co-located jobs"
+// Table lays Figure 4 or 5 out as one row per (task, platform) box.
+func (r *FigVarianceResult) Table() *Table {
+	t := &Table{
+		ID:    "fig4",
+		Title: []string{"Figure 4: latency variance across inputs and hardware (no co-located jobs)"},
+		Cols: append([]Column{{"Task", 0}, {"Platform", 0}},
+			cols(4, "p10(s)", "p25(s)", "median(s)", "p75(s)", "p90(s)")...),
 	}
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-6s %-9s %10s %10s %10s %10s %10s\n",
-		"Task", "Platform", "p10(s)", "p25(s)", "median(s)", "p75(s)", "p90(s)")
+	if r.Contended {
+		t.ID, t.Title = "fig5", []string{"Figure 5: latency variance with co-located jobs"}
+	}
 	for _, box := range r.Boxes {
 		if box.OOM {
-			fmt.Fprintf(&b, "%-6s %-9s %10s\n", box.Setting, box.Platform, "OOM")
+			t.Add(box.Setting, box.Platform, "OOM")
 			continue
 		}
-		fmt.Fprintf(&b, "%-6s %-9s %10.4f %10.4f %10.4f %10.4f %10.4f\n",
-			box.Setting, box.Platform, box.Box.P10, box.Box.P25, box.Box.Median, box.Box.P75, box.Box.P90)
+		t.Add(box.Setting, box.Platform, box.Box.P10, box.Box.P25, box.Box.Median, box.Box.P75, box.Box.P90)
 	}
-	return b.String()
+	return t
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"github.com/alert-project/alert/internal/baselines"
 	"github.com/alert-project/alert/internal/contention"
@@ -95,22 +94,20 @@ func oracleEnergy(cfg runner.Config, o runner.Scheduler) float64 {
 	return rec.AvgEnergy()
 }
 
-// Render produces the text form of Figure 6.
-func (r *Fig6Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 6: minimize energy with latency+accuracy constraints, single-layer vs combined oracles (CPU1)\n")
-	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %12s\n", "Deadline", "AccGoal", "Sys-level", "App-level", "Combined")
-	fm := func(x float64) string {
-		if math.IsInf(x, 1) {
-			return "inf"
-		}
-		return fmt.Sprintf("%.2f", x)
+// Table lays Figure 6 out as one row per constraint setting; an oracle that
+// cannot meet the setting shows "inf".
+func (r *Fig6Result) Table() *Table {
+	t := &Table{
+		ID:    "fig6",
+		Title: []string{"Figure 6: minimize energy with latency+accuracy constraints, single-layer vs combined oracles (CPU1)"},
+		Cols:  append([]Column{{"Deadline", 2}, {"AccGoal", 3}}, cols(2, "Sys-level", "App-level", "Combined")...),
+		Notes: []string{
+			fmt.Sprintf("App-level / Combined mean energy ratio: %.2f (paper: ~1.6)", r.AppOverCombined),
+			fmt.Sprintf("Sys-level feasible only at deadlines >= %.2fs (paper: >= 0.3s)", r.SysInfeasibleBelow),
+		},
 	}
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-10.2f %-8.3f %12s %12s %12s\n",
-			p.Deadline, p.AccuracyGoal, fm(p.SysOnly), fm(p.AppOnly), fm(p.Combined))
+		t.Add(p.Deadline, p.AccuracyGoal, p.SysOnly, p.AppOnly, p.Combined)
 	}
-	fmt.Fprintf(&b, "App-level / Combined mean energy ratio: %.2f (paper: ~1.6)\n", r.AppOverCombined)
-	fmt.Fprintf(&b, "Sys-level feasible only at deadlines >= %.2fs (paper: >= 0.3s)\n", r.SysInfeasibleBelow)
-	return b.String()
+	return t
 }

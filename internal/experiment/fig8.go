@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/alert-project/alert/internal/contention"
 	"github.com/alert-project/alert/internal/core"
 	"github.com/alert-project/alert/internal/dnn"
@@ -59,35 +56,35 @@ func RunFig8(sc Scale) (*Fig8Result, error) {
 	return res, nil
 }
 
-// Render produces the text form of Figure 8.
-func (r *Fig8Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 8: ALERT vs Oracle and OracleStatic, minimize-energy task\n")
-	b.WriteString("(per scheme: mean [min..max] of average energy in J across constraint settings)\n")
+// Table lays Figure 8 out in one section per subplot and one row per
+// scenario, with each scheme's mean, min and max.
+func (r *Fig8Result) Table() *Table {
+	order := []string{SchemeOracleSt, SchemeALERT, SchemeOracle}
+	t := &Table{
+		ID: "fig8",
+		Title: []string{
+			"Figure 8: ALERT vs Oracle and OracleStatic, minimize-energy task",
+			"(per scheme: mean, min and max of average energy in J across constraint settings)",
+		},
+		Sectioned: true,
+		Cols:      []Column{{"Subplot", 0}, {"Scenario", 0}},
+	}
+	for _, id := range order {
+		t.Cols = append(t.Cols, cols(2, id+" mean", id+" min", id+" max")...)
+	}
 	for _, g := range r.Groups {
 		task := "Image Classification"
 		if g.Task == dnn.SentencePrediction {
 			task = "Sentence Prediction"
 		}
-		fmt.Fprintf(&b, "-- %s, %s --\n", g.Platform, task)
-		fmt.Fprintf(&b, "%-10s", "Scenario")
-		order := []string{SchemeOracleSt, SchemeALERT, SchemeOracle}
-		for _, id := range order {
-			fmt.Fprintf(&b, " %26s", id)
-		}
-		b.WriteByte('\n')
 		for _, scenario := range contention.Scenarios() {
-			name := scenario.String()
-			if scenario == contention.Default {
-				name = "Default"
-			}
-			fmt.Fprintf(&b, "%-10s", name)
+			row := []any{g.Platform + ", " + task, scenario.String()}
 			for _, id := range order {
 				box := g.Boxes[scenario][id]
-				fmt.Fprintf(&b, "   %7.2f [%6.2f..%7.2f]", box.Mean, box.Min, box.Max)
+				row = append(row, box.Mean, box.Min, box.Max)
 			}
-			b.WriteByte('\n')
+			t.Add(row...)
 		}
 	}
-	return b.String()
+	return t
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/alert-project/alert/internal/baselines"
 	"github.com/alert-project/alert/internal/contention"
@@ -144,29 +143,28 @@ func (t *Fig9Trace) AnytimeShare(from, to int) float64 {
 	return float64(any) / float64(n)
 }
 
-// Render produces the text form of Figure 9 (sampled every 5 inputs).
-func (r *Fig9Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9: minimize error under latency %.3fs and power %gW constraints (CPU1)\n",
-		r.Deadline, r.PowerLimitW)
-	fmt.Fprintf(&b, "memory contention active on inputs [%d, %d)\n", r.BurstStart, r.BurstEnd)
-	for _, t := range r.Traces {
-		fmt.Fprintf(&b, "-- %s --\n", t.Scheme)
-		fmt.Fprintf(&b, "%-6s %10s %8s %9s %-16s %5s\n", "input", "latency(s)", "cap(W)", "quality", "model", "cont")
-		for i, s := range t.Samples {
-			if i%5 != 0 {
-				continue
-			}
-			cont := ""
-			if s.Contention {
-				cont = "*"
-			}
-			fmt.Fprintf(&b, "%-6d %10.4f %8.1f %9.4f %-16s %5s\n",
-				s.Input, s.Latency, s.CapW, s.Quality, s.ModelName, cont)
-		}
-		fmt.Fprintf(&b, "mean quality: pre-burst %.4f | burst %.4f | post-burst %.4f; anytime share in burst %.0f%%\n",
-			t.MeanQuality(0, r.BurstStart), t.MeanQuality(r.BurstStart, r.BurstEnd),
-			t.MeanQuality(r.BurstEnd, len(t.Samples)), 100*t.AnytimeShare(r.BurstStart, r.BurstEnd))
+// Table lays Figure 9 out in one section per scheme and one row per input,
+// with each trace's burst summary as a note.
+func (r *Fig9Result) Table() *Table {
+	t := &Table{
+		ID: "fig9",
+		Title: []string{
+			fmt.Sprintf("Figure 9: minimize error under latency %.3fs and power %gW constraints (CPU1)",
+				r.Deadline, r.PowerLimitW),
+			fmt.Sprintf("memory contention active on inputs [%d, %d)", r.BurstStart, r.BurstEnd),
+		},
+		Sectioned: true,
+		Cols: []Column{{"Scheme", 0}, {"input", 0}, {"latency(s)", 4}, {"cap(W)", 1}, {"quality", 4},
+			{"model", 0}, {"anytime", 0}, {"cont", 0}},
 	}
-	return b.String()
+	for _, tr := range r.Traces {
+		for _, s := range tr.Samples {
+			t.Add(tr.Scheme, s.Input, s.Latency, s.CapW, s.Quality, s.ModelName, mark(s.UsedAny), mark(s.Contention))
+		}
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"%s mean quality: pre-burst %.4f | burst %.4f | post-burst %.4f; anytime share in burst %.0f%%",
+			tr.Scheme, tr.MeanQuality(0, r.BurstStart), tr.MeanQuality(r.BurstStart, r.BurstEnd),
+			tr.MeanQuality(r.BurstEnd, len(tr.Samples)), 100*tr.AnytimeShare(r.BurstStart, r.BurstEnd)))
+	}
+	return t
 }

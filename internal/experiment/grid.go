@@ -166,10 +166,3 @@ func GridFor(obj core.Objective, prof *dnn.ProfileTable, env contention.Scenario
 	}
 	return ErrorTaskGrid(prof, env, sc)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

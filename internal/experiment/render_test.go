@@ -10,9 +10,19 @@ import (
 	"github.com/alert-project/alert/internal/mathx"
 )
 
-// TestRenderersProduceCompleteTables exercises every text renderer the
-// cmd/experiments binary prints, checking structural completeness rather
-// than exact strings.
+// text is a table's text form, as cmd/experiments prints it.
+func text(t *testing.T, tb *Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestRenderersProduceCompleteTables exercises every result's Table as the
+// cmd/experiments binary prints it, checking structural completeness
+// rather than exact strings.
 func TestRenderersProduceCompleteTables(t *testing.T) {
 	sc := QuickScale()
 	sc.Inputs = 60
@@ -22,7 +32,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Render()
+		out := text(t, res.Table())
 		if strings.Count(out, "\n") < len(res.Rows) {
 			t.Error("render shorter than the row count")
 		}
@@ -36,7 +46,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Render()
+		out := text(t, res.Table())
 		if !strings.Contains(out, "Figure 5") {
 			t.Error("contended render mislabeled")
 		}
@@ -50,7 +60,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Render()
+		out := text(t, res.Table())
 		if !strings.Contains(out, "inf") {
 			t.Error("no infeasible settings rendered; Sys-level should fail tight deadlines")
 		}
@@ -61,7 +71,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Render()
+		out := text(t, res.Table())
 		if !strings.Contains(out, "ALERT-Trad") || !strings.Contains(out, "mean quality") {
 			t.Error("fig9 render incomplete")
 		}
@@ -72,7 +82,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(res.Render(), "ALERT*") {
+		if !strings.Contains(text(t, res.Table()), "ALERT*") {
 			t.Error("ablation column missing")
 		}
 	})
@@ -82,7 +92,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Render()
+		out := text(t, res.Table())
 		for _, name := range []string{"Default", "Compute", "Memory"} {
 			if !strings.Contains(out, name) {
 				t.Errorf("missing %s histogram", name)
@@ -105,12 +115,12 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 			Rows:    []Table4Row{{Key: key, Energy: energy, Error: errc}},
 			Schemes: schemes,
 		}
-		out := t4.Render()
+		out := text(t, t4.Table())
 		if !strings.Contains(out, "Harmonic mean") || !strings.Contains(out, "GPU") {
 			t.Error("table4 render incomplete")
 		}
 		f7 := Fig7(t4)
-		if !strings.Contains(f7.Render(), "violations") {
+		if !strings.Contains(text(t, f7.Table()), "violations") {
 			t.Error("fig7 render incomplete")
 		}
 		for _, id := range schemes {
@@ -126,7 +136,7 @@ func TestRenderersProduceCompleteTables(t *testing.T) {
 			Task:     dnn.ImageClassification,
 			Boxes:    map[contention.Scenario]map[string]mathx.BoxStats{},
 		}}}
-		if !strings.Contains(res.Render(), "CPU1") {
+		if !strings.Contains(text(t, res.Table()), "CPU1") {
 			t.Error("fig8 render missing group header")
 		}
 	})

@@ -1,8 +1,9 @@
 // Package experiment reproduces every table and figure in the paper's
 // evaluation (§2 and §5). Each experiment is a pure function from a Scale
-// (stream lengths, constraint-grid density, seed) to a typed result struct
-// with a text renderer, so the same code backs the cmd/experiments binary,
-// the integration tests, and the benchmark harness.
+// (stream lengths, constraint-grid density, seed) to a typed result struct,
+// so the same code backs the cmd/experiments binary, the integration tests,
+// and the benchmark harness. A result's Table method lays it out as a
+// Table, whose WriteText and WriteCSV are the only printers.
 package experiment
 
 // Scale sets the size of an experiment run. Full reproduces the paper's

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"github.com/alert-project/alert/internal/core"
 	"github.com/alert-project/alert/internal/dnn"
@@ -93,31 +91,24 @@ func RunScenarioSweep(names []string, sc Scale) (*ScenarioSweep, error) {
 	return sweep, nil
 }
 
-// Render produces the sweep's text table: per scenario and scheme the
+// Table lays the sweep out as one row per scenario: per scheme the
 // normalized energy (violated-setting superscript) and the mean
 // deadline-miss rate.
-func (s *ScenarioSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scenario sweep: %s, image classification, minimize-energy (norm. energy vs OracleStatic; ^n = violated settings; miss%% = mean deadline-miss rate)\n", s.Platform)
-	fmt.Fprintf(&b, "%-10s", "Scenario")
+func (s *ScenarioSweep) Table() *Table {
+	t := &Table{
+		ID:    "scenario",
+		Title: []string{fmt.Sprintf("Scenario sweep: %s, image classification, minimize-energy (norm. energy vs OracleStatic; ^n = violated settings; miss%% = mean deadline-miss rate)", s.Platform)},
+		Cols:  []Column{{"Scenario", 0}},
+	}
 	for _, id := range ScenarioSchemes {
-		fmt.Fprintf(&b, " %18s", id)
+		t.Cols = append(t.Cols, Column{id, 2}, Column{id + " miss%", 1})
 	}
-	b.WriteByte('\n')
 	for _, row := range s.Rows {
-		fmt.Fprintf(&b, "%-10s", row.Scenario)
+		r := []any{row.Scenario}
 		for _, id := range ScenarioSchemes {
-			c := row.Norm[id]
-			val := fmt.Sprintf("%.2f", c.NormValue)
-			if math.IsNaN(c.NormValue) {
-				val = "--"
-			}
-			if c.ViolatedSettings > 0 {
-				val += fmt.Sprintf("^%d", c.ViolatedSettings)
-			}
-			fmt.Fprintf(&b, " %11s %5.1f%%", val, 100*row.MissRate[id])
+			r = append(r, row.Norm[id], 100*row.MissRate[id])
 		}
-		b.WriteByte('\n')
+		t.Add(r...)
 	}
-	return b.String()
+	return t
 }

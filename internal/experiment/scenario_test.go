@@ -46,10 +46,10 @@ func TestRunScenarioSweep(t *testing.T) {
 			}
 		}
 	}
-	text := sweep.Render()
+	out := text(t, sweep.Table())
 	for _, want := range []string{"phased", "churn", SchemeALERT, "miss"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("render lacks %q:\n%s", want, text)
+		if !strings.Contains(out, want) {
+			t.Errorf("table lacks %q:\n%s", want, out)
 		}
 	}
 }
@@ -70,8 +70,9 @@ func TestScenarioCellDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallelism = 4
-	parallel, err := RunCell(key, core.MinimizeEnergy, scenarioScale(), opts)
+	sc := scenarioScale()
+	sc.Parallelism = 4
+	parallel, err := RunCell(key, core.MinimizeEnergy, sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"github.com/alert-project/alert/internal/contention"
 	"github.com/alert-project/alert/internal/core"
@@ -109,46 +107,41 @@ func (t *Table4) ViolationShare(energyTask bool) map[string]float64 {
 	return out
 }
 
-// Render produces the aligned-text form of Table 4, superscripts rendered
-// as ^k suffixes, mirroring the paper's caption semantics.
-func (t *Table4) Render() string {
-	var b strings.Builder
-	render := func(title string, energyTask bool) {
-		fmt.Fprintf(&b, "%s (normalized to OracleStatic, lower is better)\n", title)
-		fmt.Fprintf(&b, "%-6s %-12s %-8s", "Plat.", "DNN", "Work.")
-		for _, id := range t.Schemes {
-			fmt.Fprintf(&b, " %12s", id)
-		}
-		b.WriteByte('\n')
+// Table lays Table 4 out in two sections, one per task, each closed by the
+// harmonic-mean row.
+func (t *Table4) Table() *Table {
+	tb := &Table{
+		ID:        "table4",
+		Title:     []string{"Table 4 (normalized to OracleStatic, lower is better; ^k = k settings violated)"},
+		Sectioned: true,
+		Cols:      append([]Column{{"Task", 0}, {"Plat.", 0}, {"DNN", 0}, {"Work.", 0}}, cols(2, t.Schemes...)...),
+	}
+	for _, task := range []struct {
+		title  string
+		energy bool
+	}{
+		{"Table 4a: Energy in Minimize Energy Task", true},
+		{"Table 4b: Error Rate in Minimize Error Task", false},
+	} {
 		for _, row := range t.Rows {
 			cell := row.Energy
-			if !energyTask {
+			if !task.energy {
 				cell = row.Error
 			}
-			fmt.Fprintf(&b, "%-6s %-12s %-8s", row.Key.Platform, row.Key.Family(), row.Key.Workload())
+			r := []any{task.title, row.Key.Platform, row.Key.Family(), row.Key.Workload()}
 			for _, id := range t.Schemes {
-				c := cell.Norm[id]
-				val := fmt.Sprintf("%.2f", c.NormValue)
-				if math.IsNaN(c.NormValue) {
-					val = "--"
-				}
-				if c.ViolatedSettings > 0 {
-					val += fmt.Sprintf("^%d", c.ViolatedSettings)
-				}
-				fmt.Fprintf(&b, " %12s", val)
+				r = append(r, cell.Norm[id])
 			}
-			b.WriteByte('\n')
+			tb.Add(r...)
 		}
-		hm := t.HarmonicMeans(energyTask)
-		fmt.Fprintf(&b, "%-28s", "Harmonic mean")
+		hm := t.HarmonicMeans(task.energy)
+		r := []any{task.title, "", "Harmonic mean", ""}
 		for _, id := range t.Schemes {
-			fmt.Fprintf(&b, " %12.2f", hm[id])
+			r = append(r, hm[id])
 		}
-		b.WriteString("\n\n")
+		tb.Add(r...)
 	}
-	render("Table 4a: Energy in Minimize Energy Task", true)
-	render("Table 4b: Error Rate in Minimize Error Task", false)
-	return b.String()
+	return tb
 }
 
 // Fig7Summary condenses Table 4 into Figure 7: per scheme, the average
@@ -171,18 +164,18 @@ func Fig7(t *Table4) *Fig7Summary {
 	return s
 }
 
-// Render produces the text form of Figure 7.
-func (s *Fig7Summary) Render() string {
-	var b strings.Builder
-	b.WriteString("Figure 7: summary (normalized to OracleStatic; violations = % of settings >10% violated)\n")
-	fmt.Fprintf(&b, "%-12s %18s %14s %18s %14s\n",
-		"Scheme", "MinEnergy perf", "violations", "MinError perf", "violations")
+// Table lays Figure 7 out as one row per scheme, in name order.
+func (s *Fig7Summary) Table() *Table {
+	t := &Table{
+		ID:    "fig7",
+		Title: []string{"Figure 7: summary (normalized to OracleStatic; violations = % of settings >10% violated)"},
+		Cols: []Column{{"Scheme", 0}, {"MinEnergy perf", 2}, {"MinEnergy violations(%)", 1},
+			{"MinError perf", 2}, {"MinError violations(%)", 1}},
+	}
 	ids := append([]string(nil), s.Schemes...)
 	sort.Strings(ids)
 	for _, id := range ids {
-		fmt.Fprintf(&b, "%-12s %18.2f %13.1f%% %18.2f %13.1f%%\n",
-			id, s.NormPerf[0][id], 100*s.Violations[0][id],
-			s.NormPerf[1][id], 100*s.Violations[1][id])
+		t.Add(id, s.NormPerf[0][id], 100*s.Violations[0][id], s.NormPerf[1][id], 100*s.Violations[1][id])
 	}
-	return b.String()
+	return t
 }

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"github.com/alert-project/alert/internal/contention"
 	"github.com/alert-project/alert/internal/core"
@@ -74,49 +72,36 @@ func (t *Table5) HarmonicMeans(energyTask bool) map[string]float64 {
 	return out
 }
 
-// Render produces the text form of Table 5.
-func (t *Table5) Render() string {
-	var b strings.Builder
-	b.WriteString("Table 5: ALERT candidate sets, normalized to OracleStatic @ Sparse ResNet (lower is better)\n")
-	fmt.Fprintf(&b, "%-6s %-8s", "Plat.", "Work.")
-	for _, id := range Table5Schemes {
-		fmt.Fprintf(&b, " %12s", id)
+// Table lays Table 5 out in two sections, one per task, each closed by the
+// harmonic-mean row.
+func (t *Table5) Table() *Table {
+	tb := &Table{
+		ID:        "table5",
+		Title:     []string{"Table 5: ALERT candidate sets, normalized to OracleStatic @ Sparse ResNet (lower is better)"},
+		Sectioned: true,
+		Cols:      append([]Column{{"Task", 0}, {"Plat.", 0}, {"Work.", 0}}, cols(2, Table5Schemes...)...),
 	}
-	b.WriteString("   |")
-	for _, id := range Table5Schemes {
-		fmt.Fprintf(&b, " %12s", id)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-15s %38s   | %36s\n", "", "Minimize Energy Task", "Minimize Error Task")
-	for _, row := range t.Rows {
-		fmt.Fprintf(&b, "%-6s %-8s", row.Key.Platform, row.Key.Workload())
-		writeCells := func(cells map[string]metrics.CellResult) {
-			for _, id := range Table5Schemes {
-				c := cells[id]
-				val := fmt.Sprintf("%.2f", c.NormValue)
-				if math.IsNaN(c.NormValue) {
-					val = "--"
-				}
-				if c.ViolatedSettings > 0 {
-					val += fmt.Sprintf("^%d", c.ViolatedSettings)
-				}
-				fmt.Fprintf(&b, " %12s", val)
+	for _, task := range []struct {
+		title  string
+		energy bool
+	}{{"Minimize Energy Task", true}, {"Minimize Error Task", false}} {
+		for _, row := range t.Rows {
+			cells := row.Energy
+			if !task.energy {
+				cells = row.Error
 			}
+			r := []any{task.title, row.Key.Platform, row.Key.Workload()}
+			for _, id := range Table5Schemes {
+				r = append(r, cells[id])
+			}
+			tb.Add(r...)
 		}
-		writeCells(row.Energy)
-		b.WriteString("   |")
-		writeCells(row.Error)
-		b.WriteByte('\n')
+		hm := t.HarmonicMeans(task.energy)
+		r := []any{task.title, "Harmonic mean", ""}
+		for _, id := range Table5Schemes {
+			r = append(r, hm[id])
+		}
+		tb.Add(r...)
 	}
-	hmE, hmR := t.HarmonicMeans(true), t.HarmonicMeans(false)
-	fmt.Fprintf(&b, "%-15s", "Harmonic mean")
-	for _, id := range Table5Schemes {
-		fmt.Fprintf(&b, " %12.2f", hmE[id])
-	}
-	b.WriteString("   |")
-	for _, id := range Table5Schemes {
-		fmt.Fprintf(&b, " %12.2f", hmR[id])
-	}
-	b.WriteByte('\n')
-	return b.String()
+	return tb
 }
