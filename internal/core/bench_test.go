@@ -11,8 +11,10 @@ import (
 // The decide benchmarks measure the two scorers side by side so one run
 // carries its own baseline: "naive" is the retained pre-optimization scorer
 // (Options.ReferenceScorer) and "fast" is the bound-and-prune SoA scan. Both
-// Observe before every Decide, like the real loop. The contracts these
-// timings illustrate are held by deterministic tests:
+// Observe before every Decide, like the real loop; "cold" instead resets
+// the stream to the prior before every Decide, as a new stream's first
+// decide is. The contracts these timings illustrate are held by
+// deterministic tests:
 // TestSessionDecideAllocFree (0 allocs/op) and TestScanWorkBound (how many
 // candidates the scan scores).
 
@@ -42,16 +44,21 @@ func BenchmarkDecide(b *testing.B) {
 	spec := benchSpec()
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
 
-	run := func(b *testing.B, reference bool, spec Spec) {
+	run := func(b *testing.B, reference, cold bool, spec Spec) {
 		opts := DefaultOptions()
 		opts.ReferenceScorer = reference
 		ctl := NewEngine(prof, opts).NewSession()
+		prior := ctl.st
 		ctl.Observe(out)
 		ctl.Decide(spec) // warm scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ctl.Observe(out)
+			if cold {
+				ctl.st = prior
+			} else {
+				ctl.Observe(out)
+			}
 			ctl.Decide(spec)
 		}
 		b.StopTimer()
@@ -60,13 +67,14 @@ func BenchmarkDecide(b *testing.B) {
 
 	// The pre-optimization scorer, measured in the same run as its
 	// replacement.
-	b.Run("naive", func(b *testing.B) { run(b, true, spec) })
-	b.Run("fast", func(b *testing.B) { run(b, false, spec) })
+	b.Run("naive", func(b *testing.B) { run(b, true, false, spec) })
+	b.Run("fast", func(b *testing.B) { run(b, false, false, spec) })
+	b.Run("cold", func(b *testing.B) { run(b, false, true, spec) })
 	// A deadline nothing meets: the scan ends in the infeasibility
 	// fallback, its slow path.
 	infeasible := spec
 	infeasible.Deadline = 0.01
-	b.Run("fallback", func(b *testing.B) { run(b, false, infeasible) })
+	b.Run("fallback", func(b *testing.B) { run(b, false, false, infeasible) })
 }
 
 // BenchmarkDecideZoo is BenchmarkDecide over the 42-model

@@ -170,9 +170,11 @@ func TestEstimateAllMatchesFastScan(t *testing.T) {
 }
 
 // TestGoalReachIsConstantTime pins goalStage's O(1) verdicts (through the
-// precomputed reach) and missesGoal against the plain walk of the
-// candidate's reachable outputs, for goals on, between and beyond every
-// accuracy the profiles hold, plus the non-finite ones.
+// precomputed reach) and the scan's indexed goal-reach skip (reachLvl
+// below goalLevel) against the plain walk of the candidate's reachable
+// outputs, for goals on, between and beyond every accuracy the profiles
+// hold, plus the non-finite ones. A space with more distinct reach
+// levels than the index holds must still skip only candidates that miss.
 func TestGoalReachIsConstantTime(t *testing.T) {
 	walk := func(space *candSpace, i int32, g float64) int {
 		if g <= 0 || space.qFail[i] >= g {
@@ -209,11 +211,57 @@ func TestGoalReachIsConstantTime(t *testing.T) {
 				if got := space.goalStage(i, g); got != want {
 					t.Fatalf("candidate %d goal %v: goalStage %d, walk %d", i, g, got, want)
 				}
-				if got := space.missesGoal(i, g); got != (want == goalMissed) {
-					t.Fatalf("candidate %d goal %v: missesGoal %v, walk %d", i, g, got, want)
+				sel := selector{spec: Spec{AccuracyGoal: g}, minimizeEnergy: true}
+				if got := int(space.reachLvl[i]) < sel.goalLevel(space); got != (want == goalMissed) {
+					t.Fatalf("candidate %d goal %v: indexed skip %v, walk %d", i, g, got, want)
+				}
+				sel.minimizeEnergy = false
+				if sel.goalLevel(space) != 0 {
+					t.Fatalf("goal %v: MaximizeAccuracy skips by goal reach", g)
 				}
 			}
 		}
+	}
+
+	// 300 traditional models of distinct accuracies, two of them NaN: 300
+	// levels, so the index shares its top entry among the highest.
+	var models []*dnn.Model
+	for k := 0; k < 300; k++ {
+		models = append(models, &dnn.Model{Name: fmt.Sprint("m", k), Task: dnn.ImageClassification,
+			RefLatency: 0.01, Accuracy: 0.5 + float64(k)/1000, QFail: 0.001, UtilFactor: 1, MemGB: 1})
+	}
+	models[7].Accuracy, models[8].QFail, models[8].Accuracy = math.NaN(), math.NaN(), math.NaN()
+	prof, err := dnn.Profile(platform.CPU1(), models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := &NewEngine(prof, DefaultOptions()).space
+	if len(space.levels) <= math.MaxUint8 {
+		t.Fatalf("%d distinct reach levels: the shared top index is not exercised", len(space.levels))
+	}
+	exact, skipped := 0, 0
+	for _, g := range []float64{0.6, 0.7545, 0.7549, 0.755, 0.756, 0.79, 0.799, 0.8, math.NaN(), 1} {
+		sel := selector{spec: Spec{AccuracyGoal: g}, minimizeEnergy: true}
+		need := sel.goalLevel(space)
+		for i := int32(0); i < int32(len(space.stop)); i++ {
+			skip := int(space.reachLvl[i]) < need
+			misses := space.goalStage(i, g) == goalMissed
+			if skip && !misses {
+				t.Fatalf("goal %v candidate %d: skipped by index but reaches the goal", g, i)
+			}
+			if skip {
+				skipped++
+			}
+			if space.reachLvl[i] < math.MaxUint8 && skip != misses {
+				t.Fatalf("goal %v candidate %d: indexed skip %v, goal missed %v", g, i, skip, misses)
+			}
+			if misses && !skip {
+				exact++
+			}
+		}
+	}
+	if skipped == 0 || exact == 0 {
+		t.Fatalf("%d skipped by index, %d missed but kept: the shared top index is not exercised", skipped, exact)
 	}
 }
 
@@ -470,7 +518,9 @@ func feasibleSet(c *Session, spec Spec) []int {
 // pass picks the answer, the scan books it as one, and no candidate is
 // scored more than once per pass), and a best that only appears at the
 // very last candidate (the candidates that miss the accuracy goal are
-// skipped without a CDF even then, and every other one is scored).
+// skipped without a CDF even then, and once one candidate is scored the
+// chance-constraint line skips every one that cannot meet the deadline, so
+// only the first and the winner are scored).
 func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 	for _, prof := range diffProfiles(t) {
 		pair := newPair(prof, DefaultOptions())
@@ -519,22 +569,24 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 	if !found {
 		t.Fatal("no deadline makes the last candidate the only feasible one")
 	}
-	// With no best held until the last candidate, the only skip is the
-	// goal-reach rule, so the count is exactly the candidates it keeps.
+	// With no best held until the last candidate, the energy prune never
+	// fires: the goal-reach rule skips the candidates that cannot reach the
+	// goal, and the line skips every other one after the first scored, up
+	// to the winner.
 	reach := 0
 	for i := range pair.fast.Candidates() {
-		if !pair.fast.eng.space.missesGoal(int32(i), spec.AccuracyGoal) {
+		if pair.fast.eng.space.goalStage(int32(i), spec.AccuracyGoal) != goalMissed {
 			reach++
 		}
 	}
-	if reach == last+1 {
-		t.Fatal("every candidate reaches the goal: the goal-reach skip is not exercised")
+	if reach == last+1 || reach <= 2 {
+		t.Fatalf("%d of %d candidates reach the goal: the skips are not exercised", reach, last+1)
 	}
 	pair.fast.sc.TakeScanCounts()
 	pair.fast.Decide(spec)
-	if scored, fallbacks := pair.fast.sc.TakeScanCounts(); scored != reach || fallbacks != 0 {
-		t.Fatalf("scored %d of %d candidates with %d fallbacks; want the %d that can reach the goal",
-			scored, last+1, fallbacks, reach)
+	if scored, fallbacks := pair.fast.sc.TakeScanCounts(); scored != 2 || fallbacks != 0 {
+		t.Fatalf("scored %d of the %d candidates that can reach the goal, with %d fallbacks; want 2 and 0",
+			scored, reach, fallbacks)
 	}
 	_, est := checkSpec(t, pair.fast, pair.ref, spec)
 	if est.Candidate != pair.ref.Candidates()[last] {
@@ -551,6 +603,10 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 // the first feasible candidate appears, because the fallback is computed
 // only when nothing is feasible; the nominal-energy order meets a feasible
 // candidate right after them, and the energy floor ends the scan there.
+//
+// A new stream decides at the wide prior, where the first candidates the
+// order meets are infeasible. Its first decide is pinned exactly too, on
+// benchSpec and on the three specs bench/'s churn trace cycles through.
 func TestScanWorkBound(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: 30}
@@ -587,6 +643,32 @@ func TestScanWorkBound(t *testing.T) {
 		}
 	}
 
+	type cold struct {
+		spec Spec
+		work
+	}
+	base := benchBaseSpec(t)
+	colds := []cold{{benchSpec(), work{2, 48}}}
+	for k, w := range []work{{2, 48}, {1, 1}, {2, 29}} {
+		s := base
+		s.Deadline *= []float64{1, 0.7, 1.5}[k]
+		s.AccuracyGoal += []float64{0, -0.03, 0.015}[k]
+		colds = append(colds, cold{s, w})
+	}
+	eng := NewEngine(prof, DefaultOptions())
+	sc := eng.NewScratch()
+	for run := 0; run < 3; run++ {
+		for _, c := range colds {
+			st := eng.NewState()
+			eng.Decide(sc, &st, c.spec)
+			costed := sc.costed
+			scored, fallbacks := sc.TakeScanCounts()
+			if got := (work{scored, costed}); got != c.work || fallbacks != 0 {
+				t.Fatalf("run %d cold spec %+v: did %+v with %d fallbacks, want %+v and 0", run, c.spec, got, fallbacks, c.work)
+			}
+		}
+	}
+
 	// The reference scorer prunes nothing, and an infeasible spec is
 	// counted as a fallback.
 	refOpts := DefaultOptions()
@@ -599,12 +681,26 @@ func TestScanWorkBound(t *testing.T) {
 	}
 }
 
+// benchBaseSpec is bench/'s base requirement on CPU1 × image candidates:
+// minimize energy under a deadline of 1.25× the slowest candidate's
+// latency at the top cap, with accuracy goal 0.92.
+func benchBaseSpec(t testing.TB) Spec {
+	t.Helper()
+	plat := platform.CPU1()
+	slowest := 0.0
+	for _, m := range dnn.ImageCandidates() {
+		slowest = max(slowest, m.RefLatency/plat.Speed(plat.PMax))
+	}
+	return Spec{Objective: MinimizeEnergy, Deadline: 1.25 * slowest, AccuracyGoal: 0.92}
+}
+
 // TestEnergyFloorBoundsEveryCandidate checks energyFloor against cost
 // directly: at every visit position r of the nominal-energy order the floor
 // lies at or below the Energy of every candidate from r on — the fact the
 // scan's early exit rests on — across idle ratios from 0 to 1, step CDFs
-// (σ = 0), Prth near 1, and tiny and huge deadlines. Every input outside
-// the floor's argument must select enumeration order with no early exit.
+// (σ = 0), the wide prior, Prth near 1, and tiny and huge deadlines. Every
+// input outside the floor's argument must select enumeration order with no
+// early exit.
 func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 	// bounds requires the floor at every position to lie at or below the
 	// suffix minimum of cost's Energy in that visit order.
@@ -630,21 +726,23 @@ func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 				opts := DefaultOptions()
 				opts.UseVariance, opts.StopQuantile = variance, stopQ
 				c := NewEngine(prof, opts).NewSession()
-				feed(c, 1.05, 5)
-				for _, prth := range []float64{0, 0.9, 0.999, 1 - 1e-12} {
-					for _, dl := range []float64{1e-9, 1e-3, 0.2, 5, 1e6} {
-						spec := Spec{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.9, Prth: prth}
-						goal := c.eng.adjustedGoal(dl)
-						for _, phi := range []float64{0, 0x1p-1070, 0x1.7p-1069, 0x1p-50, 0.15, 0.5, 1} {
-							p := c.eng.scoreParamsFor(&c.st, spec)
-							p.phi = phi
-							what := fmt.Sprintf("%s variance %v stop %g spec %+v φ %g",
-								prof.Platform.Name, variance, stopQ, spec, phi)
-							bounds(what, &c.eng.space, goal, p)
-							// Latencies in the subnormal range, where only the
-							// floor's absolute term covers the rounding.
-							p.mu, p.zEnergy, p.zStop = 0x1p-1060, 0x1p-1060, 0x1p-1060
-							bounds(what+" κ 2⁻¹⁰⁶⁰", &c.eng.space, goal, p)
+				for _, fed := range []int{0, 5} { // the prior, then a few inputs
+					feed(c, 1.05, fed)
+					for _, prth := range []float64{0, 0.9, 0.999, 1 - 1e-12} {
+						for _, dl := range []float64{1e-9, 1e-3, 0.2, 5, 1e6} {
+							spec := Spec{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.9, Prth: prth}
+							goal := c.eng.adjustedGoal(dl)
+							for _, phi := range []float64{0, 0x1p-1070, 0x1.7p-1069, 0x1p-50, 0.15, 0.5, 1} {
+								p := c.eng.scoreParamsFor(&c.st, spec)
+								p.phi = phi
+								what := fmt.Sprintf("%s variance %v stop %g fed %d spec %+v φ %g",
+									prof.Platform.Name, variance, stopQ, fed, spec, phi)
+								bounds(what, &c.eng.space, goal, p)
+								// Latencies in the subnormal range, where only the
+								// floor's absolute term covers the rounding.
+								p.mu, p.zEnergy, p.zStop = 0x1p-1060, 0x1p-1060, 0x1p-1060
+								bounds(what+" κ 2⁻¹⁰⁶⁰", &c.eng.space, goal, p)
+							}
 						}
 					}
 				}
@@ -712,6 +810,75 @@ func TestEnergyFloorBoundsEveryCandidate(t *testing.T) {
 	}
 }
 
+// TestChanceLineRejectsOnlyInfeasible checks belowLine against the
+// reference scorer: every candidate the chance-constraint line skips is one
+// whose naive estimate consider rejects, for σ from the wide prior down to
+// 10⁻¹² and 0, µ on both sides of 1 and NaN, Prth near 0.5 and near 1, and
+// a non-default Confidence. The ratios just at and below x0 must compute
+// below the level too, and the line must exist (and skip) at the prior.
+func TestChanceLineRejectsOnlyInfeasible(t *testing.T) {
+	prof := diffProfiles(t)[0]
+	nan := math.NaN()
+	skippedAtPrior := 0
+	for _, conf := range []float64{0.98, 0.6} {
+		opts := DefaultOptions()
+		opts.Confidence = conf
+		opts.Xi.R = 0 // σ is then exactly the state's
+		eng := NewEngine(prof, opts)
+		space := &eng.space
+		for _, sigma := range []float64{math.Sqrt(0.1), 0.1, 1e-2, 1e-4, 1e-8, 1e-12, 0} {
+			for _, mu := range []float64{1, 0.7, 1.6, nan} {
+				st := eng.NewState()
+				st.Xi.Mu, st.Xi.Sigma2, st.Xi.Q = mu, sigma*sigma, 0
+				for _, prth := range []float64{0, 0.5 + 0x1p-30, 0.51, 0.9, 0.999, 1 - 1e-9} {
+					for _, dl := range []float64{0.03, 0.08, 0.2, 0.5} {
+						for _, spec := range []Spec{
+							{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.9, Prth: prth},
+							{Objective: MinimizeEnergy, Deadline: dl, AccuracyGoal: 0.93, Prth: prth},
+							{Objective: MaximizeAccuracy, Deadline: dl, Prth: prth},
+						} {
+							goal := eng.adjustedGoal(dl)
+							p := eng.scoreParamsFor(&st, spec)
+							sel := eng.newSelector(spec)
+							x0 := p.chanceLine(sel.conf)
+							if !(p.sigma > 0 && finite(p.mu)) && !math.IsNaN(x0) {
+								t.Fatalf("σ %g µ %g spec %+v: line %g, want none", p.sigma, p.mu, spec, x0)
+							}
+							if math.IsNaN(x0) {
+								continue
+							}
+							for k, x := 0, x0; k < 64; k, x = k+1, math.Nextafter(x, math.Inf(-1)) {
+								if pr := mathx.NormCDF(x, p.mu, p.sigma); !(pr < sel.conf) {
+									t.Fatalf("σ %g µ %g conf %g: NormCDF(%v) = %v at the line", p.sigma, p.mu, sel.conf, x, pr)
+								}
+							}
+							for i, cand := range eng.candidates {
+								c := space.cost(int32(i), goal, &p)
+								if !sel.belowLine(space, int32(i), &c, goal, x0) {
+									continue
+								}
+								est := eng.estimate(&st, cand, goal, spec)
+								probe := eng.newSelector(spec)
+								probe.consider(&est, int32(i))
+								if probe.bestSet {
+									t.Fatalf("σ %g µ %g spec %+v candidate %+v: below the line %g but feasible: %+v",
+										p.sigma, p.mu, spec, cand, x0, est)
+								}
+								if sigma == math.Sqrt(0.1) {
+									skippedAtPrior++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if skippedAtPrior == 0 {
+		t.Fatal("the line skipped nothing at the prior")
+	}
+}
+
 // fuzzEngines are the paired engines FuzzDecideMatchesReference draws
 // sessions from, built once: engines are immutable and sessions are cheap.
 var fuzzEngines struct {
@@ -725,18 +892,28 @@ var fuzzEngines struct {
 // reference scorer. The engine is the image candidates or their
 // duplicatedProfile, whose exact-tie twins meet out of enumeration order in
 // the nominal-energy visit order; the observed cap is fuzzed too, so the
-// idle ratio φ crosses 1 and the visit order's guard is exercised.
+// idle ratio φ crosses 1 and the visit order's guard is exercised. The
+// number of observations (0, 1 or 2) is fuzzed as well, so the decide can
+// run at the wide prior, where the chance-constraint line skips most.
 func FuzzDecideMatchesReference(f *testing.F) {
 	rng := mathx.NewRand(3)
 	for i := 0; i < 24; i++ {
 		s := specGen(rng)
 		f.Add(s.Objective == MinimizeEnergy, s.Deadline, s.EnergyBudget, s.AccuracyGoal, s.Prth,
-			0.6+1.8*rng.Float64(), 0.6+1.8*rng.Float64(), 10*rng.Float64(), 30.0, i%2 == 0, i%3 == 0)
+			0.6+1.8*rng.Float64(), 0.6+1.8*rng.Float64(), 10*rng.Float64(), 30.0, i%2 == 0, i%3 == 0, uint8(i%3))
 	}
-	f.Add(false, math.Inf(1), math.NaN(), 0.0, 1.0, 1.0, 1e6, 0.0, 30.0, false, false)
-	f.Add(true, 0.2, 0.0, 0.9, 0.0, 1.05, 1.05, 6.0, 3.0, true, true)
+	f.Add(false, math.Inf(1), math.NaN(), 0.0, 1.0, 1.0, 1e6, 0.0, 30.0, false, false, uint8(2))
+	f.Add(true, 0.2, 0.0, 0.9, 0.0, 1.05, 1.05, 6.0, 3.0, true, true, uint8(2))
+	// Cold streams: the first decide at the prior, with and without Prth,
+	// under both objectives.
+	for _, prth := range []float64{0, 0.95} {
+		f.Add(true, 0.2, 0.0, 0.93, prth, 1.0, 1.0, 6.0, 30.0, true, false, uint8(0))
+		f.Add(true, 0.20625, 0.0, 0.92, prth, 1.0, 1.0, 6.0, 30.0, true, true, uint8(0))
+		f.Add(false, 0.1, 4.0, 0.0, prth, 1.0, 1.0, 6.0, 30.0, true, false, uint8(0))
+		f.Add(false, 0.2, 0.0, 0.0, prth, 1.0, 1.0, 6.0, 30.0, true, true, uint8(0))
+	}
 
-	f.Fuzz(func(t *testing.T, minimize bool, deadline, budget, accGoal, prth, xi1, xi2, idle, capApplied float64, variance, duplicated bool) {
+	f.Fuzz(func(t *testing.T, minimize bool, deadline, budget, accGoal, prth, xi1, xi2, idle, capApplied float64, variance, duplicated bool, observations uint8) {
 		fuzzEngines.once.Do(func() {
 			dup, _ := duplicatedProfile(t)
 			for d, prof := range []*dnn.ProfileTable{diffProfiles(t)[0], dup} {
@@ -757,7 +934,7 @@ func FuzzDecideMatchesReference(f *testing.F) {
 			v = 1
 		}
 		fast, ref := fuzzEngines.fast[d][v].NewSession(), fuzzEngines.ref[d][v].NewSession()
-		for _, xi := range []float64{xi1, xi2} {
+		for _, xi := range []float64{xi1, xi2}[:observations%3] {
 			out := sim.Outcome{ObservedXi: xi, IdlePower: idle, CapApplied: capApplied}
 			fast.Observe(out)
 			ref.Observe(out)

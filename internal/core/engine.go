@@ -43,10 +43,10 @@ type Engine struct {
 	// per-candidate profile invariants precomputed (see fastpath.go).
 	space candSpace
 
-	// zEnergy and zStop are mathx.PhiInv of opts.EnergyConfidence and
-	// opts.StopQuantile: the standard-normal quantiles every Decide whose
-	// spec sets no Prth scores with.
-	zEnergy, zStop float64
+	// zEnergy, zStop and zConf are mathx.PhiInv of opts.EnergyConfidence,
+	// opts.StopQuantile and opts.Confidence: the standard-normal quantiles
+	// every Decide whose spec sets no Prth scores with.
+	zEnergy, zStop, zConf float64
 }
 
 // NewEngine builds the shared engine over a profiled candidate set,
@@ -79,6 +79,7 @@ func NewEngine(prof *dnn.ProfileTable, opts Options) *Engine {
 	e.space = newCandSpace(prof, e.candidates)
 	e.zEnergy = mathx.PhiInv(opts.EnergyConfidence)
 	e.zStop = mathx.PhiInv(opts.StopQuantile)
+	e.zConf = mathx.PhiInv(opts.Confidence)
 	return e
 }
 

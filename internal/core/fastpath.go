@@ -29,17 +29,24 @@ package core
 //     precomputed 1/σ (or 1/t_prof) is faster but perturbs the last ulp,
 //     which can flip a near-tie between candidates.
 //  4. Bound-and-prune (scan): most candidates cannot be feasible or cannot
-//     displace the running best, and a CDF-free test — the literal negation
-//     of the selector's own acceptance test, on the candidate's exact
-//     Energy — proves it for each of them before any erf is evaluated.
-//     Under MinimizeEnergy the scan visits candidates in ascending nominal
-//     energy power·execNom and stops at the first position whose energy
-//     floor (energyFloor) lies strictly above the running best, so most
-//     candidates are not even costed; ties on Energy go to the lower
-//     enumeration index, which keeps the winner order-independent. The
-//     infeasibility fallback is computed lazily, by a second pass that runs
-//     only when nothing was feasible, so no candidate is scored just to
-//     keep it current.
+//     displace the running best, and a CDF-free test proves it for each of
+//     them before any erf is evaluated. There are three such tests, each
+//     a proof that one of the selector's own acceptance tests fails: a
+//     byte compare of the candidate's reach level against the accuracy
+//     goal's (goalLevel), its exact Energy against the running best
+//     (prune), and its budget-per-work ratio against the chance-constraint
+//     line, the ratio below which a completion probability computes below
+//     the confidence level (chanceLine). Under MinimizeEnergy the scan
+//     visits candidates in ascending nominal energy power·execNom and stops
+//     at the first position whose energy floor (energyFloor, from the
+//     least power at that position or later) lies strictly above the
+//     running best, so most candidates are not even costed; ties on Energy
+//     go to the lower enumeration index, which keeps the winner
+//     order-independent. On the bench configuration a warm stream scores 1
+//     candidate and costs 1; a new stream, at the wide prior, scores 2 and
+//     costs 48. The infeasibility fallback is computed lazily, by a second
+//     pass that runs only when nothing was feasible, so no candidate is
+//     scored just to keep it current.
 
 import (
 	"cmp"
@@ -73,8 +80,13 @@ type candSpace struct {
 	// reach is the highest accuracy among the outputs the candidate can
 	// produce — its model's final accuracy, or the best stage accuracy
 	// through its stop stage — so whether an accuracy goal is reachable at
-	// all is one comparison (missesGoal). NaN accuracies are ignored.
+	// all is one comparison (goalStage). NaN accuracies are ignored.
 	reach []float64
+	// levels are the distinct reach levels max(reach, qFail) of the space,
+	// ascending, and reachLvl[i] is candidate i's index into them, so the
+	// scan's goal-reach skip is one byte compare per candidate (goalLevel).
+	reachLvl []uint8
+	levels   []float64
 	// stageNom[i][si] is stage si's nominal latency LatencyFrac·t_prof at
 	// the candidate's (model, cap); stageAcc[i][si] its accuracy. nil for
 	// traditional candidates. Candidates sharing (model, cap) share the
@@ -87,7 +99,8 @@ type candSpace struct {
 	// enum is the identity visit order, 0..n−1. byNom is the
 	// MinimizeEnergy visit order: candidate indices in ascending nominal
 	// energy power·execNom, ties in enumeration order, with nomAt[r] the
-	// nominal energy of byNom[r]. pMin and pMax are the extreme powers.
+	// nominal energy of byNom[r] and pSuf[r] the least power at position r
+	// or later; pMax is the greatest power.
 	// byNom is nil unless every power is positive and finite and every
 	// nominal latency and nominal energy finite and non-negative: only then
 	// is every Energy cost computes from finite scoreParams free of NaN (a
@@ -95,8 +108,8 @@ type candSpace struct {
 	// argument and the order-independent tie break need. A space without
 	// the order is scanned in enumeration order.
 	enum, byNom []int32
-	nomAt       []float64
-	pMin, pMax  float64
+	nomAt, pSuf []float64
+	pMax        float64
 }
 
 // newCandSpace precomputes the SoA layout from the enumerated candidates.
@@ -169,24 +182,51 @@ func newCandSpace(prof *dnn.ProfileTable, cands []Candidate) candSpace {
 	for i := range s.enum {
 		s.enum[i] = int32(i)
 	}
-	s.byNom, s.nomAt, s.pMin, s.pMax = nominalEnergyOrder(s.power, s.execNom)
+	s.reachLvl, s.levels = reachLevels(s.reach, s.qFail)
+	s.byNom, s.nomAt, s.pSuf, s.pMax = nominalEnergyOrder(s.power, s.execNom)
 	return s
 }
 
+// reachLevels indexes each candidate's reach level: the greater of reach
+// and qFail, ignoring NaN (−Inf when both are NaN). A goal g > 0 is then
+// reachable exactly when levels[reachLvl[i]] ≥ g, the test goalStage makes
+// before it returns goalMissed. A space with more than 255 distinct levels shares index 255 among
+// the highest; the scan never skips a candidate there (see goalLevel).
+func reachLevels(reach, qFail []float64) (lvl []uint8, levels []float64) {
+	at := make([]float64, len(reach))
+	for i, r := range reach {
+		if qFail[i] > r || r != r {
+			r = qFail[i]
+		}
+		if r != r {
+			r = math.Inf(-1)
+		}
+		at[i] = r
+	}
+	levels = slices.Clone(at)
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	lvl = make([]uint8, len(at))
+	for i, r := range at {
+		k, _ := slices.BinarySearch(levels, r)
+		lvl[i] = uint8(min(k, math.MaxUint8))
+	}
+	return lvl, levels
+}
+
 // nominalEnergyOrder sorts the candidate indices by nominal energy
-// power[i]·execNom[i], stably, and returns the sorted nominal energies and
-// the extreme powers; the order is nil when the space does not qualify (see
-// candSpace.byNom).
-func nominalEnergyOrder(power, execNom []float64) (byNom []int32, nomAt []float64, pMin, pMax float64) {
+// power[i]·execNom[i], stably, and returns the sorted nominal energies, the
+// suffix minima of power along that order and the greatest power; the
+// order is nil when the space does not qualify (see candSpace.byNom).
+func nominalEnergyOrder(power, execNom []float64) (byNom []int32, nomAt, pSuf []float64, pMax float64) {
 	n := len(power)
 	nom := make([]float64, n)
-	pMin, pMax = math.Inf(1), 0
 	for i := range nom {
 		nom[i] = power[i] * execNom[i]
 		if !(power[i] > 0 && finiteNonNeg(power[i]) && finiteNonNeg(execNom[i]) && finiteNonNeg(nom[i])) {
-			return nil, nil, 0, 0
+			return nil, nil, nil, 0
 		}
-		pMin, pMax = min(pMin, power[i]), max(pMax, power[i])
+		pMax = max(pMax, power[i])
 	}
 	byNom = make([]int32, n)
 	for i := range byNom {
@@ -194,10 +234,14 @@ func nominalEnergyOrder(power, execNom []float64) (byNom []int32, nomAt []float6
 	}
 	slices.SortStableFunc(byNom, func(a, b int32) int { return cmp.Compare(nom[a], nom[b]) })
 	nomAt = make([]float64, n)
-	for r, i := range byNom {
-		nomAt[r] = nom[i]
+	pSuf = make([]float64, n)
+	low := math.Inf(1)
+	for r := n - 1; r >= 0; r-- {
+		nomAt[r] = nom[byNom[r]]
+		low = min(low, power[byNom[r]])
+		pSuf[r] = low
 	}
-	return byNom, nomAt, pMin, pMax
+	return byNom, nomAt, pSuf, pMax
 }
 
 // finiteNonNeg reports 0 ≤ x < +Inf.
@@ -288,6 +332,10 @@ type scoreParams struct {
 	// zStop is NormQuantile(q, µ, σ) for the §3.5 stop quantile (Prth when
 	// the spec sets one): the planned-stop budget per unit of nominal work.
 	zStop float64
+	// zConf is the standard-normal quantile of the chance-constraint level
+	// (Prth when the spec sets one, else Options.Confidence), which places
+	// the scan's chance-constraint line (chanceLine).
+	zConf float64
 }
 
 // scoreParamsFor computes the per-Decide invariants once. The
@@ -296,11 +344,11 @@ type scoreParams struct {
 // through mathx.NormQuantileZ is the very expression the naive scorer's
 // NormQuantile evaluates, so the result is the same bits.
 func (e *Engine) scoreParamsFor(st *State, spec Spec) scoreParams {
-	p := scoreParams{mu: st.Xi.Mu, sigma: e.sigmaForPrediction(st), phi: st.Idle.Phi}
+	p := scoreParams{mu: st.Xi.Mu, sigma: e.sigmaForPrediction(st), phi: st.Idle.Phi, zConf: e.zConf}
 	zEnergy, zStop := e.zEnergy, e.zStop
 	if spec.Prth > 0 {
 		zEnergy = mathx.PhiInv(spec.Prth)
-		zStop = zEnergy
+		zStop, p.zConf = zEnergy, zEnergy
 	}
 	p.zEnergy = mathx.NormQuantileZ(zEnergy, p.mu, p.sigma)
 	p.zStop = mathx.NormQuantileZ(zStop, p.mu, p.sigma)
@@ -388,13 +436,6 @@ func (space *candSpace) goalStage(i int32, accGoal float64) int {
 		si++
 	}
 	return si
-}
-
-// missesGoal reports goalStage(i, accGoal) == goalMissed in O(1): neither a
-// deadline miss nor any output the candidate can produce meets the goal. A
-// NaN goal is met by nothing, as in goalStage.
-func (space *candSpace) missesGoal(i int32, accGoal float64) bool {
-	return !(accGoal <= 0 || space.qFail[i] >= accGoal || space.reach[i] >= accGoal)
 }
 
 // goalProb is PrQuality under goalStage's verdict gs: 1 when no goal binds,
@@ -572,12 +613,77 @@ func (s *selector) offerFallback(e *Estimate) {
 	}
 }
 
-// unreachable reports, before any cost is computed, that consider would
-// reject candidate i: MinimizeEnergy accepts only when e.PrQuality ≥
-// conf > 0, which a PrQuality of exactly 0 (missesGoal: no reachable
-// output meets the goal) cannot satisfy.
-func (s *selector) unreachable(space *candSpace, i int32) bool {
-	return s.minimizeEnergy && space.missesGoal(i, s.spec.AccuracyGoal)
+// goalLevel returns the reach level a candidate needs to be worth scoring:
+// the scan skips candidate i, before any cost is computed, when
+// reachLvl[i] lies below it. MinimizeEnergy accepts only when e.PrQuality ≥
+// conf > 0, which a PrQuality of exactly 0 (goalStage's goalMissed: no
+// reachable output meets the goal) cannot satisfy, and goalMissed holds
+// exactly when the candidate's reach level lies below the first level at
+// or above a goal g > 0. One binary search per Decide finds that level. A non-positive goal
+// is missed by nothing (level 0), a NaN goal by everything (every level);
+// MaximizeAccuracy has no such constraint (level 0). Index 255 stands for
+// every level from index 255 up, so a goal that needs one of those skips
+// only the candidates below index 255, each of which provably misses it.
+func (s *selector) goalLevel(space *candSpace) int {
+	g := s.spec.AccuracyGoal
+	switch {
+	case !s.minimizeEnergy || g <= 0:
+		return 0
+	case g != g:
+		return min(len(space.levels), math.MaxUint8)
+	}
+	k, _ := slices.BinarySearch(space.levels, g)
+	return min(k, math.MaxUint8)
+}
+
+// chanceLine returns x0, the chance-constraint line: every budget-per-work
+// ratio x ≤ x0 has a completion probability NormCDF(x, µ, σ) below conf,
+// the level consider holds PrDeadline and PrQuality against. It is NaN,
+// which no ratio lies at or below, when there is no such line: σ ≤ 0 (a
+// step CDF), a non-finite input, or a check that fails.
+//
+// x0 = µ + σ·(zConf − 2⁻¹⁶) sits just below the conf quantile, and is kept
+// only if NormCDF(x0, µ, σ) < conf − 2⁻⁴⁰ as computed. For x ≤ x0 the
+// computed standardization (x−µ)/σ/√2 is at most x0's, as float
+// subtraction and division by a positive number are monotone; math.Erf is
+// within 1 ulp of the monotone erf, so Erf there exceeds Erf at x0 by at
+// most 2 ulps, and 0.5·(1+Erf) by a few 2⁻⁵³ at most, well inside the
+// 2⁻⁴⁰ the check left. So every x ≤ x0 computes below conf, ties
+// included, and a NaN x, compared false, is never below the line.
+func (p *scoreParams) chanceLine(conf float64) float64 {
+	x0 := p.mu + p.sigma*(p.zConf-0x1p-16)
+	if !(p.sigma > 0 && finite(p.mu) && finite(p.sigma) && finite(x0) &&
+		mathx.NormCDF(x0, p.mu, p.sigma) < conf-qualitySlack) {
+		return math.NaN()
+	}
+	return x0
+}
+
+// belowLine reports that consider would reject candidate i, whose cost is
+// c, because the completion probability it holds against conf is
+// prWithin(d, b) = NormCDF(b/d, µ, σ) with b/d at or below the line x0
+// (chanceLine). That probability is PrDeadline = prWithin(execNom, goal)
+// for a traditional candidate, PrDeadline = prWithin(execNom, cut) for an
+// anytime one when the spec sets Prth (then conf is Prth), and
+// PrQuality = prWithin(stageNom[goalStage], cut) for an anytime one under
+// MinimizeEnergy. b/d is the very division prWithin performs; a d ≤ 0
+// completes with probability 1 and is never below the line.
+func (s *selector) belowLine(space *candSpace, i int32, c *candCost, goal, x0 float64) bool {
+	d, b := space.execNom[i], goal
+	if space.stop[i] >= 0 {
+		b = c.cut
+		if !(s.spec.Prth > 0) {
+			if !s.minimizeEnergy {
+				return false
+			}
+			gs := space.goalStage(i, s.spec.AccuracyGoal)
+			if gs < 0 {
+				return false
+			}
+			d = space.stageNom[i][gs]
+		}
+	}
+	return d > 0 && b/d <= x0
 }
 
 // prune reports, from candidate i's CDF-free cost c alone, that consider
@@ -613,27 +719,29 @@ func (s *selector) prune(space *candSpace, i int32, c candCost) bool {
 //   - Eq. 9 energy is p·(φ·goal + (1−φ)·lat) for lat ≤ goal and p·lat ≥
 //     p·goal beyond it, so for φ ∈ [0, 1] it is at least
 //     p·(φ·goal + (1−φ)·min(lat, goal));
-//   - p ≥ pMin, and p·w is nomAt[r] or more from position r on.
+//   - p ≥ pSuf[r], the least power from position r on, and p·w is
+//     nomAt[r] or more there.
 //
-// Hence Energy ≥ φ·goal·pMin + (1−φ)·min(κ·nomAt[r], goal·pMin). Every
-// term is non-negative, so float64 rounding moves each side by a relative
-// few 2⁻⁵³, which the 2⁻⁴⁰ slack covers as in qualityBound; tiny covers
-// what relative error cannot, a product rounded in the subnormal range and
-// then scaled by at most goal, κ or pMax.
+// Hence Energy ≥ φ·goal·pSuf[r] + (1−φ)·min(κ·nomAt[r], goal·pSuf[r]).
+// Every term is non-negative, so float64 rounding moves each side by a
+// relative few 2⁻⁵³, which the 2⁻⁴⁰ slack covers as in qualityBound; tiny
+// covers what relative error cannot, a product rounded in the subnormal
+// range and then scaled by at most goal, κ or pMax.
 type energyFloor struct {
-	nomAt                           []float64
-	kappa, goalP, base, slope, tiny float64
+	nomAt, pSuf                   []float64
+	kappa, goal, phi, slope, tiny float64
 }
 
 // at returns the floor for visit position r.
 func (f *energyFloor) at(r int) float64 {
-	return (f.base+f.slope*min(f.kappa*f.nomAt[r], f.goalP))*(1-qualitySlack) - f.tiny
+	goalP := f.goal * f.pSuf[r]
+	return (f.phi*goalP+f.slope*min(f.kappa*f.nomAt[r], goalP))*(1-qualitySlack) - f.tiny
 }
 
 // visitOrder returns the order scan visits the candidates in, and whether
 // it may stop at energyFloor. MinimizeEnergy visits them in ascending
 // nominal energy when the floor's argument holds: µ, the quantiles and the
-// goal finite, goal > 0, φ ∈ [0, 1], κ ≥ 0, and goal·pMin at most 2¹⁰⁰⁰ so
+// goal finite, goal > 0, φ ∈ [0, 1], κ ≥ 0, and goal·pMax at most 2¹⁰⁰⁰ so
 // the floor cannot overflow. Finite inputs keep every Energy finite, so
 // the lowest Energy with ties to the lowest index — what consider selects
 // — does not depend on the order. Anything else is visited in enumeration
@@ -646,16 +754,16 @@ func (space *candSpace) visitOrder(goal float64, p *scoreParams, minimizeEnergy 
 	if p.zStop > 0 {
 		kappa = min(kappa, p.zStop)
 	}
-	goalP := goal * space.pMin
 	if !(finite(p.mu) && finite(p.zEnergy) && finite(p.zStop) && finite(goal) &&
-		goal > 0 && p.phi >= 0 && p.phi <= 1 && kappa >= 0 && goalP <= 0x1p1000) {
+		goal > 0 && p.phi >= 0 && p.phi <= 1 && kappa >= 0 && goal*space.pMax <= 0x1p1000) {
 		return space.enum, energyFloor{}, false
 	}
 	return space.byNom, energyFloor{
 		nomAt: space.nomAt,
+		pSuf:  space.pSuf,
 		kappa: kappa,
-		goalP: goalP,
-		base:  p.phi * goalP,
+		goal:  goal,
+		phi:   p.phi,
 		slope: 1 - p.phi,
 		tiny:  0x1p-1000 * (1 + goal + kappa + space.pMax),
 	}, true
@@ -686,10 +794,14 @@ func (sc *Scratch) settle(sel *selector, scored, costed int) Estimate {
 //  1. Under MinimizeEnergy with a best held, if the energy floor of this
 //     position lies strictly above the best's Energy, no candidate left
 //     can beat or tie it: stop.
-//  2. unreachable, then prune on the CDF-free cost: if the candidate
-//     provably cannot be feasible, or cannot replace the held best, move
-//     on. Nothing else wants the skipped estimate: the fallback is
-//     computed by its own pass (fallback).
+//  2. The goal-reach skip (reachLvl below goalLevel), then prune on the
+//     CDF-free cost, then, once one candidate has been scored, the
+//     chance-constraint line (belowLine): if the candidate provably cannot
+//     be feasible, or cannot replace the held best, move on. Nothing else
+//     wants the skipped estimate: the fallback is computed by its own pass
+//     (fallback). The line costs one CDF to build, so it is built only
+//     when a second candidate gets that far; a warm decide, whose first
+//     scored candidate usually wins, never builds it.
 //  3. Survivors get the full estimateFast ladder and go through consider
 //     like every candidate of the reference scan.
 //
@@ -699,19 +811,29 @@ func (e *Engine) scan(sc *Scratch, st *State, goal float64, spec Spec) Estimate 
 	sel := e.newSelector(spec)
 	space := &e.space
 	order, floor, early := space.visitOrder(goal, &p, sel.minimizeEnergy)
+	need := sel.goalLevel(space)
+	x0, lined := 0.0, false
 	scored, costed := 0, 0
 	var est Estimate
 	for r, i := range order {
 		if early && sel.bestSet && floor.at(r) > sel.best.Energy {
 			break
 		}
-		if sel.unreachable(space, i) {
+		if int(space.reachLvl[i]) < need {
 			continue
 		}
 		c := space.cost(i, goal, &p)
 		costed++
 		if sel.prune(space, i, c) {
 			continue
+		}
+		if scored > 0 {
+			if !lined {
+				x0, lined = p.chanceLine(sel.conf), true
+			}
+			if sel.belowLine(space, i, &c, goal, x0) {
+				continue
+			}
 		}
 		e.estimateFast(sc, &est, i, goal, spec, &p, c)
 		scored++

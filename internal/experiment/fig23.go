@@ -118,8 +118,7 @@ type Fig3Row struct {
 // Fig3Result is the ResNet50 power sweep of §2.1 on CPU2 with periodic
 // inputs (period = latency at the 40 W cap).
 type Fig3Result struct {
-	Rows   []Fig3Row
-	Period float64
+	Rows []Fig3Row
 	// MinEnergyCap / MaxEnergyCap mark the curve's extremes; the paper
 	// finds the minimum at 40 W and the maximum at 64 W (1.3x higher).
 	MinEnergyCap, MaxEnergyCap float64
@@ -139,7 +138,7 @@ func RunFig3(sc Scale) (*Fig3Result, error) {
 	}
 	period := prof.At(0, 0) // nominal latency at the 40 W floor
 
-	res := &Fig3Result{Period: period}
+	res := &Fig3Result{}
 	for j := range prof.Caps {
 		cont := contention.NewSource(contention.Default, plat.Kind, sc.Seed)
 		env := sim.NewEnv(prof, cont, sc.Seed+int64(j))

@@ -22,7 +22,6 @@ type Fig9Sample struct {
 	ModelName  string
 	UsedAny    bool
 	Contention bool
-	Violated   bool
 }
 
 // Fig9Trace is one scheme's trajectory.
@@ -93,7 +92,6 @@ func RunFig9(sc Scale) (*Fig9Result, error) {
 				ModelName:  m.Name,
 				UsedAny:    m.IsAnytime(),
 				Contention: out.ContentionActive,
-				Violated:   out.Latency > deadline || out.Energy > spec.EnergyBudget,
 			})
 		})
 		res.Traces = append(res.Traces, trace)

@@ -21,11 +21,10 @@ var ScenarioSchemes = []string{
 // grid: the Table 4-style normalized cell per scheme, plus the mean
 // per-input deadline-miss and violation rates that steady-state tables hide.
 type ScenarioRow struct {
-	Scenario    string
-	Description string
-	Norm        map[string]metrics.CellResult
-	MissRate    map[string]float64
-	SLO         map[string]float64
+	Scenario string
+	Norm     map[string]metrics.CellResult
+	MissRate map[string]float64
+	SLO      map[string]float64
 }
 
 // ScenarioSweep evaluates the roster across environment scenarios — the
@@ -37,7 +36,6 @@ type ScenarioRow struct {
 type ScenarioSweep struct {
 	Platform  string
 	Objective core.Objective
-	Scale     Scale
 	Rows      []ScenarioRow
 }
 
@@ -49,7 +47,7 @@ func RunScenarioSweep(names []string, sc Scale) (*ScenarioSweep, error) {
 	if len(names) == 0 {
 		names = scenario.Names()
 	}
-	sweep := &ScenarioSweep{Platform: "CPU1", Objective: core.MinimizeEnergy, Scale: sc}
+	sweep := &ScenarioSweep{Platform: "CPU1", Objective: core.MinimizeEnergy}
 	for _, name := range names {
 		spec, err := scenario.ByName(name)
 		if err != nil {
@@ -71,11 +69,10 @@ func RunScenarioSweep(names []string, sc Scale) (*ScenarioSweep, error) {
 			return nil, err
 		}
 		row := ScenarioRow{
-			Scenario:    name,
-			Description: spec.Description,
-			Norm:        cell.Norm,
-			MissRate:    make(map[string]float64, len(ScenarioSchemes)),
-			SLO:         make(map[string]float64, len(ScenarioSchemes)),
+			Scenario: name,
+			Norm:     cell.Norm,
+			MissRate: make(map[string]float64, len(ScenarioSchemes)),
+			SLO:      make(map[string]float64, len(ScenarioSchemes)),
 		}
 		for _, id := range ScenarioSchemes {
 			var miss, viol []float64
