@@ -54,18 +54,19 @@ func TestBackoffToleratesGarbledRetryAfter(t *testing.T) {
 		srv := &rejectingServer{serveAfter: 3, retryAfter: header}
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		c, err := New(ts.URL, Options{MaxRetries: 10, BackoffBase: 20 * time.Millisecond, BackoffSeed: 7})
+		c, err := New(ts.URL, Options{MaxRetries: 10, BackoffSeed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		c.backoffBase = 20 * time.Millisecond
 
 		if _, err := c.Streams(context.Background()); err != nil {
 			t.Fatalf("header %q: request failed through transient overload: %v", header, err)
 		}
 		for i, gap := range srv.gaps() {
 			// Equal jitter keeps every wait >= half the scheduled one; the
-			// schedule starts at BackoffBase and doubles.
+			// schedule starts at backoffBase and doubles.
 			min := 20 * time.Millisecond / 2 << i
 			if gap < min {
 				t.Errorf("header %q: retry %d came after %s, want >= %s (immediate retry on a garbled hint?)",
@@ -102,11 +103,12 @@ func TestBackoffCapBounds(t *testing.T) {
 	srv := &rejectingServer{serveAfter: 2, retryAfter: "3000"}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	c, err := New(ts.URL, Options{MaxRetries: 5, BackoffCap: 50 * time.Millisecond, BackoffSeed: 11})
+	c, err := New(ts.URL, Options{MaxRetries: 5, BackoffSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.backoffCap = 50 * time.Millisecond
 
 	start := time.Now()
 	if _, err := c.Streams(context.Background()); err != nil {

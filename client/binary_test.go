@@ -292,9 +292,10 @@ func TestBinaryTransportMatchesJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
+		c.backoffBase = time.Millisecond
 		return c
 	}
-	retrying := Options{MaxRetries: retries, BackoffBase: time.Millisecond, BackoffSeed: 5}
+	retrying := Options{MaxRetries: retries, BackoffSeed: 5}
 	binRetrying := retrying
 	binRetrying.PreferBinary = true
 	wires := []struct {
@@ -679,11 +680,12 @@ func TestBinaryOverloadRetries(t *testing.T) {
 	if err := fe.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(url, Options{PreferBinary: true, MaxRetries: 3, BackoffBase: time.Millisecond, BackoffSeed: 42})
+	c, err := New(url, Options{PreferBinary: true, MaxRetries: 3, BackoffSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	c.backoffBase = time.Millisecond
 
 	_, _, err = c.Decide(context.Background(), 9, testSpec())
 	var oe *OverloadError

@@ -70,16 +70,11 @@ type Options struct {
 	HTTPClient *http.Client
 	// MaxRetries is how many times a request rejected with 429/503 is
 	// retried after the server's Retry-After hint. 0 disables retries:
-	// overload surfaces as *OverloadError.
+	// overload surfaces as *OverloadError. A retry with no usable hint
+	// waits 10ms, doubling per hintless retry; every wait, hinted or not,
+	// is capped at 2s so a misconfigured server cannot stall a caller that
+	// set no context deadline.
 	MaxRetries int
-	// BackoffBase is the wait before the first retry when the server sent
-	// no usable Retry-After hint; each subsequent hintless retry doubles it
-	// (capped by BackoffCap). A usable hint overrides the schedule for that
-	// attempt. 0 means 10ms.
-	BackoffBase time.Duration
-	// BackoffCap bounds every retry wait, hinted or not, so a misconfigured
-	// server cannot stall a caller that set no context deadline. 0 means 2s.
-	BackoffCap time.Duration
 	// BackoffSeed seeds the deterministic jitter applied to every wait
 	// (equal-jitter: the second half of the wait is uniformly random).
 	// Clients with different seeds desynchronize their retries instead of
@@ -117,8 +112,8 @@ type Client struct {
 	http        httpCodec
 	ownedHC     bool
 	maxRetries  int
-	backoffBase time.Duration
-	backoffCap  time.Duration
+	backoffBase time.Duration // first hintless retry wait; doubles per retry
+	backoffCap  time.Duration // bound on every retry wait
 
 	// rng drives the retry jitter; mu serializes it (Decide et al. are
 	// documented safe for concurrent use).
@@ -143,14 +138,8 @@ func New(baseURL string, opts Options) (*Client, error) {
 	c := &Client{
 		http:        httpCodec{base: strings.TrimRight(baseURL, "/"), hc: opts.HTTPClient},
 		maxRetries:  opts.MaxRetries,
-		backoffBase: opts.BackoffBase,
-		backoffCap:  opts.BackoffCap,
-	}
-	if c.backoffBase <= 0 {
-		c.backoffBase = 10 * time.Millisecond
-	}
-	if c.backoffCap <= 0 {
-		c.backoffCap = 2 * time.Second
+		backoffBase: 10 * time.Millisecond,
+		backoffCap:  2 * time.Second,
 	}
 	seed := opts.BackoffSeed
 	if seed == 0 {

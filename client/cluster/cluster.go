@@ -1,8 +1,7 @@
 // Package cluster turns a set of alertserve nodes into one logical
-// controller: streams are routed to nodes by consistent hashing, node
-// health is probed through GET /v1/stats, and live sessions migrate
-// between nodes with the drain → snapshot → ship → resume protocol built
-// on GET /v1/streams/{id}/snapshot and PUT /v1/streams/{id}.
+// controller: streams are routed to nodes by consistent hashing, and live
+// sessions migrate between nodes with the drain → snapshot → ship → resume
+// protocol built on GET /v1/streams/{id}/snapshot and PUT /v1/streams/{id}.
 //
 // Routing is coordination-free: every client that knows the same member
 // set hashes every stream to the same node, so no directory service is
@@ -16,7 +15,7 @@
 // by a single process.
 //
 // Membership is static at construction and follows the cluster at runtime:
-// SyncMembership/StartSync (sync.go) subscribe to the members' merged
+// each SyncMembership call (sync.go) reads the members' merged
 // GET /v1/membership views, so a cluster bootstrapped from one seed address
 // discovers the rest and routes around the dead.
 package cluster
@@ -33,13 +32,6 @@ import (
 	"github.com/alert-project/alert/internal/hashring"
 )
 
-// Options configures a Cluster.
-type Options struct {
-	// Client is applied to every per-node client (retry budget, backoff
-	// shape, timeouts). The zero value means client.Options defaults.
-	Client client.Options
-}
-
 // Cluster routes streams across alertserve nodes. All methods are safe for
 // concurrent use.
 type Cluster struct {
@@ -50,23 +42,18 @@ type Cluster struct {
 	ring      hashring.Ring
 	pins      map[int]string // stream -> address, overriding the ring
 	migrating map[int]bool   // streams with a Migrate in flight
-
-	// Membership-subscription soft state (sync.go). Guarded by sync.mu,
-	// not c.mu: sync rounds call SetMembers, which takes c.mu.
-	sync          syncState
-	syncThreshold int
-	syncChange    func([]string)
 }
 
 // New builds a cluster over the given member addresses (host:port or full
-// URLs, as accepted by client.New). The member list may be refreshed later
-// with SetMembers or a membership subscription; it must be non-empty here.
-func New(addrs []string, opts Options) (*Cluster, error) {
+// URLs, as accepted by client.New); opts is applied to every per-node
+// client. The member list may be refreshed later with SetMembers or
+// SyncMembership; it must be non-empty here.
+func New(addrs []string, opts client.Options) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no members")
 	}
 	c := &Cluster{
-		opts:      opts.Client,
+		opts:      opts,
 		nodes:     make(map[string]*client.Client, len(addrs)),
 		pins:      make(map[int]string),
 		migrating: make(map[int]bool),
@@ -221,37 +208,6 @@ func (c *Cluster) Observe(ctx context.Context, stream int, fb alert.Feedback) er
 		return err
 	}
 	return cl.Observe(ctx, stream, fb)
-}
-
-// Health probes every member's /v1/stats concurrently and returns each
-// member's probe error (nil = healthy). Unlike routed traffic a probe is
-// expected to fail sometimes, so the per-member errors are data, not a
-// method error.
-func (c *Cluster) Health(ctx context.Context) map[string]error {
-	c.mu.RLock()
-	nodes := make(map[string]*client.Client, len(c.nodes))
-	for addr, cl := range c.nodes {
-		nodes[addr] = cl
-	}
-	c.mu.RUnlock()
-
-	out := make(map[string]error, len(nodes))
-	var (
-		wg sync.WaitGroup
-		om sync.Mutex
-	)
-	for addr, cl := range nodes {
-		wg.Add(1)
-		go func(addr string, cl *client.Client) {
-			defer wg.Done()
-			_, err := cl.Stats(ctx)
-			om.Lock()
-			out[addr] = err
-			om.Unlock()
-		}(addr, cl)
-	}
-	wg.Wait()
-	return out
 }
 
 // ErrMigrationInFlight reports that another Migrate for the same stream is

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/alert-project/alert"
+	"github.com/alert-project/alert/client"
 	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/netserve"
 	"github.com/alert-project/alert/internal/scenario"
@@ -44,7 +45,7 @@ func TestClusterMigrationMatchesSolo(t *testing.T) {
 		startNode(t, "b", 3),
 		startNode(t, "c", 1),
 	}
-	cl, err := New(addrs, Options{})
+	cl, err := New(addrs, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,37 +188,12 @@ func nextMember(addrs []string, addr string) string {
 	return addrs[0]
 }
 
-// TestHealthReportsDeadMembers: probes return per-member errors, healthy
-// members nil, unreachable members non-nil — and probing never errors the
-// call itself.
-func TestHealthReportsDeadMembers(t *testing.T) {
-	live := startNode(t, "a", 1)
-	dead := "http://127.0.0.1:1" // reserved port: connection refused fast
-
-	cl, err := New([]string{live, dead}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	health := cl.Health(context.Background())
-	if len(health) != 2 {
-		t.Fatalf("health has %d entries, want 2", len(health))
-	}
-	if health[live] != nil {
-		t.Errorf("live member unhealthy: %v", health[live])
-	}
-	if health[dead] == nil {
-		t.Error("dead member reported healthy")
-	}
-}
-
 // TestMigrateEdgeCases: no-session migrations pin and succeed (idempotent
 // plans), same-node migrations are no-ops, and unknown members fail fast.
 func TestMigrateEdgeCases(t *testing.T) {
 	a := startNode(t, "a", 1)
 	b := startNode(t, "b", 1)
-	cl, err := New([]string{a, b}, Options{})
+	cl, err := New([]string{a, b}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +245,7 @@ func TestMigrateEdgeCases(t *testing.T) {
 func TestSetMembersDropsOrphanedPins(t *testing.T) {
 	a := startNode(t, "a", 1)
 	b := startNode(t, "b", 1)
-	cl, err := New([]string{a, b}, Options{})
+	cl, err := New([]string{a, b}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +296,7 @@ func TestConcurrentMigrateSameStream(t *testing.T) {
 	}))
 	defer slowB.Close()
 
-	cl, err := New([]string{a, slowB.URL, c}, Options{})
+	cl, err := New([]string{a, slowB.URL, c}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,50 +4,21 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/alert-project/alert/client"
-	"github.com/alert-project/alert/internal/mathx"
 	"github.com/alert-project/alert/internal/membership"
 )
 
-// This file is the membership subscription: instead of an operator (or the
+// This file is the membership follower: instead of an operator (or the
 // load generator) calling AddMember/RemoveMember by hand, the Cluster
-// polls its members' /v1/membership views, merges them, and rebuilds the
-// ring from the result. The server-side failure detector — direct
+// fetches its members' /v1/membership views, merges them, and rebuilds the
+// ring from the result. The caller decides when: whoever needs a fresh
+// view calls SyncMembership. The server-side failure detector — direct
 // heartbeat leases with a suspicion window — is the authority on liveness;
-// the client deliberately does not eject a member just because its own
-// probe failed, which is what keeps a slow-but-alive node from flapping
-// in and out of the ring (each eject/re-add remaps streams and forks
-// sessions, so flapping is the most expensive kind of wrong).
-
-// SyncOptions configure StartSync.
-type SyncOptions struct {
-	// Interval is the mean poll period; each round waits a seeded
-	// equal-jitter fraction of it (between Interval/2 and Interval) so a
-	// fleet of clients spreads its polls instead of arriving in phase.
-	// 0 means 1s.
-	Interval time.Duration
-	// Seed seeds the jitter; clients with different seeds desynchronize.
-	// 0 selects a fixed default seed.
-	Seed int64
-	// FailThreshold is how many consecutive failed sync rounds a member
-	// with no membership view anywhere (a static node, or a cluster whose
-	// agents are all unreachable) survives before it is ejected on probe
-	// evidence alone. Members covered by a reachable view are never
-	// ejected this way — the view's lease state decides. 0 means 3.
-	FailThreshold int
-	// OnChange, if set, is called after any sync round that changed the
-	// member set, with the new sorted member list. Tests and operators
-	// hook it to watch ring churn.
-	OnChange func(members []string)
-}
-
-// syncState is the Cluster's membership-subscription soft state.
-type syncState struct {
-	mu    sync.Mutex
-	fails map[string]int // member -> consecutive rounds without a usable reply
-}
+// the client never ejects a member because its own fetch failed, which is
+// what keeps a slow-but-alive node from flapping in and out of the ring
+// (each eject/re-add remaps streams and forks sessions, so flapping is the
+// most expensive kind of wrong).
 
 // SyncMembership runs one membership poll: fetch every current member's
 // view, merge them (the membership lattice join, so any one up-to-date
@@ -57,188 +28,77 @@ type syncState struct {
 //     is the flap-damping window, a node the detector is unsure about
 //     stays routable until the lease actually expires;
 //   - entries dead in the merged view are ejected;
-//   - current members unknown to every reachable view (static nodes) are
-//     kept until failThreshold consecutive rounds of probe failure.
+//   - current members no reachable view lists (static nodes) are kept:
+//     only SetMembers or RemoveMember drops them.
 //
 // If no member serves a view at all the set is left untouched and the
 // first fetch error is returned: a client that cannot see the cluster
 // must not dismantle its routing state over it.
 func (c *Cluster) SyncMembership(ctx context.Context) error {
 	members := c.Members()
-	type result struct {
-		addr string
-		view membership.View
-		err  error
-	}
-	results := make([]result, len(members))
+	views := make([]membership.View, len(members))
+	errs := make([]error, len(members))
 	var wg sync.WaitGroup
 	for i, addr := range members {
 		cl, ok := c.Node(addr)
 		if !ok {
-			results[i] = result{addr: addr, err: fmt.Errorf("cluster: %s no longer a member", addr)}
+			errs[i] = fmt.Errorf("%s no longer a member", addr)
 			continue
 		}
 		wg.Add(1)
-		go func(i int, addr string, cl *client.Client) {
+		go func(i int, cl *client.Client) {
 			defer wg.Done()
-			v, err := cl.Membership(ctx)
-			results[i] = result{addr: addr, view: v, err: err}
-		}(i, addr, cl)
+			views[i], errs[i] = cl.Membership(ctx)
+		}(i, cl)
 	}
 	wg.Wait()
 
 	merged := membership.View{}
-	reached := 0
 	var firstErr error
-	c.sync.mu.Lock()
-	if c.sync.fails == nil {
-		c.sync.fails = make(map[string]int)
-	}
-	for _, r := range results {
-		if r.err != nil {
+	reached := 0
+	for i, err := range errs {
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: membership sync via %s: %w", r.addr, r.err)
+				firstErr = fmt.Errorf("cluster: membership sync via %s: %w", members[i], err)
 			}
-			c.sync.fails[r.addr]++
 			continue
 		}
-		c.sync.fails[r.addr] = 0
-		merged, _ = membership.MergeViews(merged, r.view)
+		merged, _ = membership.MergeViews(merged, views[i])
 		reached++
 	}
-	fails := make(map[string]int, len(c.sync.fails))
-	for a, n := range c.sync.fails {
-		fails[a] = n
-	}
-	c.sync.mu.Unlock()
-
 	if reached == 0 {
 		return firstErr
 	}
 
-	threshold := c.failThreshold()
-	inView := make(map[string]bool, len(merged.Entries))
+	// routable[addr] is whether some merged entry lists addr alive or
+	// suspect; an address no entry lists is absent.
 	routable := make(map[string]bool, len(merged.Entries))
 	for _, e := range merged.Entries {
-		inView[e.Addr] = true
-		if e.State != membership.StateDead {
-			routable[e.Addr] = true
-		}
+		routable[e.Addr] = routable[e.Addr] || e.State != membership.StateDead
 	}
 	next := make([]string, 0, len(members))
-	have := make(map[string]bool, len(members))
 	for _, m := range members {
-		have[m] = true
-		switch {
-		case inView[m]:
-			if routable[m] {
-				next = append(next, m)
-			}
-			// dead in the merged view: ejected.
-		case fails[m] < threshold:
-			next = append(next, m) // static node, still within its grace
+		if r, listed := routable[m]; r || !listed {
+			next = append(next, m)
 		}
+		delete(routable, m)
 	}
 	for _, e := range merged.Entries {
-		if routable[e.Addr] && !have[e.Addr] {
+		if routable[e.Addr] {
 			next = append(next, e.Addr) // discovered member (transitive join)
+			delete(routable, e.Addr)
 		}
 	}
 	if len(next) == 0 {
-		// Every member dead or over threshold: refuse to empty the set —
-		// something is more wrong than routing can fix, and an empty ring
-		// just turns every request into a routing error.
+		// Every member dead: refuse to empty the set — something is more
+		// wrong than routing can fix, and an empty ring just turns every
+		// request into a routing error.
 		return fmt.Errorf("cluster: membership sync would remove every member; keeping current set")
 	}
 	if sameSet(next, members) {
 		return nil
 	}
-	if err := c.SetMembers(next); err != nil {
-		return err
-	}
-	c.gcSyncFails()
-	if cb := c.syncOnChange(); cb != nil {
-		cb(c.Members())
-	}
-	return nil
-}
-
-// StartSync polls SyncMembership on a jittered interval until ctx is
-// cancelled. The returned function waits for the loop to exit (call it
-// after cancelling, before Close, so no poll races the teardown). Round
-// errors are swallowed: the next round retries, and a cluster that stays
-// unreachable simply keeps its last known member set.
-func (c *Cluster) StartSync(ctx context.Context, opts SyncOptions) (stop func()) {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	if opts.FailThreshold > 0 {
-		c.setFailThreshold(opts.FailThreshold)
-	}
-	c.setSyncOnChange(opts.OnChange)
-	rng := mathx.NewRand(seed)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			half := interval / 2
-			wait := half + time.Duration(rng.Float64()*float64(half))
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(wait):
-			}
-			_ = c.SyncMembership(ctx)
-		}
-	}()
-	return func() { <-done }
-}
-
-func (c *Cluster) failThreshold() int {
-	c.sync.mu.Lock()
-	defer c.sync.mu.Unlock()
-	if c.syncThreshold <= 0 {
-		return 3
-	}
-	return c.syncThreshold
-}
-
-func (c *Cluster) setFailThreshold(n int) {
-	c.sync.mu.Lock()
-	defer c.sync.mu.Unlock()
-	c.syncThreshold = n
-}
-
-func (c *Cluster) setSyncOnChange(cb func([]string)) {
-	c.sync.mu.Lock()
-	defer c.sync.mu.Unlock()
-	c.syncChange = cb
-}
-
-func (c *Cluster) syncOnChange() func([]string) {
-	c.sync.mu.Lock()
-	defer c.sync.mu.Unlock()
-	return c.syncChange
-}
-
-// gcSyncFails drops failure counters for departed members.
-func (c *Cluster) gcSyncFails() {
-	current := make(map[string]bool)
-	for _, m := range c.Members() {
-		current[m] = true
-	}
-	c.sync.mu.Lock()
-	defer c.sync.mu.Unlock()
-	for a := range c.sync.fails {
-		if !current[a] {
-			delete(c.sync.fails, a)
-		}
-	}
+	return c.SetMembers(next)
 }
 
 func sameSet(a, b []string) bool {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/alert-project/alert"
+	"github.com/alert-project/alert/client"
 	"github.com/alert-project/alert/internal/membership"
 	"github.com/alert-project/alert/internal/netserve"
 )
@@ -71,7 +72,7 @@ func TestSyncMembershipFollowsViews(t *testing.T) {
 	n1, n2, n3 := startMemberNode(t, "n1"), startMemberNode(t, "n2"), startMemberNode(t, "n3")
 	connectAgents(n1, n2, n3)
 
-	cl, err := New([]string{n1.url, n2.url, n3.url}, Options{})
+	cl, err := New([]string{n1.url, n2.url, n3.url}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +138,14 @@ func TestSyncFlapDamping(t *testing.T) {
 	n3 := &memberNode{id: "n3", url: stall.URL, agent: n3agent}
 	connectAgents(n1, n2, n3)
 
-	cl, err := New([]string{n1.url, n2.url, n3.url}, Options{})
+	cl, err := New([]string{n1.url, n2.url, n3.url}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	changes := 0
-	cl.setSyncOnChange(func([]string) { changes++ })
-
-	// Far more rounds than any failure threshold: every probe of n3
-	// fails, yet the merged view from n1/n2 says alive, so n3 stays.
+	// Every probe of n3 fails, yet the merged view from n1/n2 says alive,
+	// so n3 stays in every round.
 	for round := 0; round < 8; round++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		err := cl.SyncMembership(ctx)
@@ -157,42 +155,40 @@ func TestSyncFlapDamping(t *testing.T) {
 		}
 		sameMembers(t, cl, n1.url, n2.url, n3.url)
 	}
-	if changes != 0 {
-		t.Fatalf("member set flapped %d times for a slow-but-alive node", changes)
-	}
 }
 
-// TestSyncStaticNodeGrace: a member no view covers (a node running
-// without membership) survives probe failures up to the flap-damping
-// threshold, then is ejected on probe evidence alone.
+// TestSyncStaticNodeGrace: a member no view lists (a node running
+// without membership) is not the view's to eject. It survives any number
+// of failed fetches; only RemoveMember drops it.
 func TestSyncStaticNodeGrace(t *testing.T) {
 	n1 := startMemberNode(t, "n1")
 	connectAgents(n1)
 	// A static node that is simply gone: probes fail outright.
 	deadURL := "http://127.0.0.1:1"
 
-	cl, err := New([]string{n1.url, deadURL}, Options{})
+	cl, err := New([]string{n1.url, deadURL}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.setFailThreshold(3)
 
-	for round := 1; round <= 2; round++ {
+	for round := 1; round <= 5; round++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		err := cl.SyncMembership(ctx)
 		cancel()
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		sameMembers(t, cl, n1.url, deadURL) // within grace
+		sameMembers(t, cl, n1.url, deadURL)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if err := cl.SyncMembership(ctx); err != nil {
-		t.Fatalf("threshold round: %v", err)
+	if err := cl.RemoveMember(deadURL); err != nil {
+		t.Fatal(err)
 	}
-	sameMembers(t, cl, n1.url) // grace exhausted
+	sameMembers(t, cl, n1.url)
+	if err := cl.SyncMembership(context.Background()); err != nil {
+		t.Fatalf("sync after removal: %v", err)
+	}
+	sameMembers(t, cl, n1.url)
 }
 
 // TestSyncKeepsSetWhenBlind: if no member serves a view the client keeps
@@ -202,7 +198,7 @@ func TestSyncKeepsSetWhenBlind(t *testing.T) {
 	// Plain nodes: /v1/membership answers 404 everywhere.
 	a := startNode(t, "a", 1)
 	b := startNode(t, "b", 1)
-	cl, err := New([]string{a, b}, Options{})
+	cl, err := New([]string{a, b}, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,43 +210,4 @@ func TestSyncKeepsSetWhenBlind(t *testing.T) {
 		}
 		sameMembers(t, cl, a, b)
 	}
-}
-
-// TestStartSyncLoop: the background loop follows a death end-to-end and
-// stops cleanly on cancel.
-func TestStartSyncLoop(t *testing.T) {
-	n1, n2, n3 := startMemberNode(t, "n1"), startMemberNode(t, "n2"), startMemberNode(t, "n3")
-	connectAgents(n1, n2, n3)
-
-	cl, err := New([]string{n1.url, n2.url, n3.url}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	changed := make(chan []string, 8)
-	stop := cl.StartSync(ctx, SyncOptions{
-		Interval: 10 * time.Millisecond,
-		Seed:     42,
-		OnChange: func(ms []string) { changed <- ms },
-	})
-
-	tomb := membership.View{Version: 2, Entries: []membership.Entry{{
-		ID: n3.id, Addr: n3.url, Incarnation: 1, State: membership.StateDead,
-	}}}
-	n1.agent.Merge(tomb)
-	n2.agent.Merge(tomb)
-
-	select {
-	case ms := <-changed:
-		if !sameSet(ms, []string{n1.url, n2.url}) {
-			t.Fatalf("sync loop converged to %v, want survivors only", ms)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sync loop never ejected the dead member")
-	}
-	cancel()
-	stop()
-	sameMembers(t, cl, n1.url, n2.url)
 }

@@ -1,17 +1,9 @@
-// Netserve: host the ALERT network serving front end on a loopback port
-// and drive it through the typed client — decide → observe round trips,
-// a batched dispatch, stream listing/eviction, and a graceful drain.
-// This is cmd/alertserve and client/ in one self-contained process.
-//
-//	go run ./examples/netserve
-package main
+package client_test
 
 import (
 	"context"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"github.com/alert-project/alert"
@@ -19,29 +11,26 @@ import (
 	"github.com/alert-project/alert/internal/netserve"
 )
 
-func main() {
+// ExampleClient hosts the network serving front end on a loopback port and
+// drives it through the typed client: decide → observe round trips, a
+// batched dispatch, stream listing and eviction, and a graceful drain.
+// This is cmd/alertserve and the client in one process.
+func ExampleClient() {
 	// The serving stack: shared decision engine + sharded stream table
 	// (alert.Server), wrapped by the HTTP front end with a bounded
 	// admission gate.
 	srv, err := alert.NewServer(alert.CPU1(), alert.ImageCandidates(), alert.ServerOptions{Shards: 4})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	defer srv.Close()
 	front := netserve.New(srv, netserve.Config{MaxInflight: 64, MaxQueue: 256})
+	ts := httptest.NewServer(front)
+	defer ts.Close()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	c, err := client.New(ts.URL, client.Options{MaxRetries: 3})
 	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: front}
-	go hs.Serve(ln)
-	defer hs.Close()
-	fmt.Printf("front end listening on %s\n", ln.Addr())
-
-	c, err := client.New("http://"+ln.Addr().String(), client.Options{MaxRetries: 3})
-	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
@@ -53,7 +42,7 @@ func main() {
 	for i := 0; i < 50; i++ {
 		d, est, err := c.Decide(ctx, 1, spec)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		err = c.Observe(ctx, 1, alert.Feedback{
 			Decision:       d,
@@ -62,7 +51,7 @@ func main() {
 			IdlePowerW:     5,
 		})
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 	}
 
@@ -74,32 +63,45 @@ func main() {
 	}
 	res, err := c.DecideBatch(ctx, reqs)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("batch of %d served; stream 2 chose model %d at %.1f W\n",
 		len(res), res[0].Decision.Model, res[0].Decision.CapW)
 
 	ids, err := c.Streams(ctx)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	stats, err := c.Stats(ctx)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("live streams: %v\n", ids)
-	fmt.Printf("serve: %s\n", stats.Serve)
-	fmt.Printf("net:   %s\n", stats.Net)
+	fmt.Printf("serve: decisions=%d observes=%d batches=%d streams=%d\n",
+		stats.Serve.Decisions, stats.Serve.Observes, stats.Serve.Batches, stats.Serve.Streams)
+	fmt.Printf("net: decides=%d observes=%d batches=%d batch_decisions=%d\n",
+		stats.Net.Decides, stats.Net.Observes, stats.Net.Batches, stats.Net.BatchDecisions)
 
 	// Evict the contended stream, then drain: new requests would now get
 	// 503 + Retry-After while in-flight ones finish.
 	if err := c.EvictStream(ctx, 1); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
+	if ids, err = c.Streams(ctx); err != nil {
+		panic(err)
+	}
+	fmt.Printf("after evicting stream 1: %v\n", ids)
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := front.Drain(dctx); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Println("drained cleanly")
+	// Output:
+	// batch of 8 served; stream 2 chose model 5 at 45.0 W
+	// live streams: [1 2 3 4 5 6 7 8 9]
+	// serve: decisions=58 observes=50 batches=1 streams=9
+	// net: decides=50 observes=50 batches=1 batch_decisions=8
+	// after evicting stream 1: [2 3 4 5 6 7 8 9]
+	// drained cleanly
 }

@@ -428,7 +428,7 @@ func newClusterBackend(cfg loadConfig, plat *alert.Platform, models []*dnn.Model
 	// Overload 429s are retried by the client itself (they are shed before
 	// any state is touched, so retries cannot double-apply); a replay needs
 	// every request served, not load shed.
-	cl, err := cluster.New(members, cluster.Options{Client: client.Options{MaxRetries: 100, PreferBinary: cfg.wire == "binary"}})
+	cl, err := cluster.New(members, client.Options{MaxRetries: 100, PreferBinary: cfg.wire == "binary"})
 	if err != nil {
 		return nil, err
 	}

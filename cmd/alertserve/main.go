@@ -22,8 +22,8 @@
 // GET /v1/membership), replicates each stream's checkpoint to its ring
 // successor every -replicate-every, and when a peer's lease expires
 // restores the streams it owned from the freshest replicated checkpoint —
-// no external orchestrator. Clients subscribed to the membership view
-// (client/cluster.StartSync) follow the cluster through the failover.
+// no external orchestrator. Clients that re-read the membership view
+// (client/cluster.SyncMembership) follow the cluster through the failover.
 //
 // The one listener also speaks the internal/binwire framed protocol for
 // the per-input loop (decide, observe; decide-batch and the stream ops stay

@@ -176,7 +176,7 @@ func TestHarnessMisalignedHardKill(t *testing.T) {
 // TestHarnessUnmanagedKill is the tentpole acceptance run: hard kills with
 // NO harness orchestration — no RemoveMember, no restore. The
 // cluster's own failure detector declares the victims dead, the router
-// ejects them through its membership subscription, and each ring successor
+// ejects them through SyncMembership, and each ring successor
 // restores the orphans from its replicated snapshots. Kills ride the
 // replication cadence, so nothing accepted is ever lost and every decision
 // stays byte-identical to the solo reference.

@@ -330,14 +330,13 @@ func New(opts Options) (*Harness, error) {
 	for i, n := range h.nodes {
 		addrs[i] = n.addr
 	}
-	clOpts := cluster.Options{}
+	clOpts := client.Options{PreferBinary: opts.Binary}
 	if opts.Fleet.Unmanaged {
 		// During an unmanaged failover the new owner sheds requests with
 		// 503 + Retry-After until the restore lands; a retry budget lets the
 		// driver ride the hold out instead of counting a shed as a loss.
-		clOpts.Client = client.Options{MaxRetries: 8, BackoffSeed: seed}
+		clOpts.MaxRetries, clOpts.BackoffSeed = 8, seed
 	}
-	clOpts.Client.PreferBinary = opts.Binary
 	h.cl, err = cluster.New(addrs, clOpts)
 	if err != nil {
 		h.Close()
@@ -652,7 +651,7 @@ func (h *Harness) gracefulKill(ctx context.Context, victim *node) {
 
 // unmanagedKill stops the victim and then only watches: the surviving
 // agents must declare it dead on their own, the router must eject it via
-// its membership subscription, and the ring successor must restore every
+// SyncMembership, and the ring successor must restore every
 // orphaned stream from its replicated snapshot — no RemoveMember, no
 // harness-side restore. The harness's role shrinks to bookkeeping: wait
 // for convergence (bounded by convergeGrace), account provable losses as
@@ -681,7 +680,7 @@ func (h *Harness) unmanagedKill(ctx context.Context, round int, victim *node) {
 	h.logf("round %d: survivors declared %s dead after %s (lease timeout %s)",
 		round, victim.id, time.Since(start).Round(time.Millisecond), unmanagedDead)
 
-	// 2. The router ejects the victim through its membership subscription.
+	// 2. The router ejects the victim through SyncMembership.
 	for {
 		if err := h.cl.SyncMembership(ctx); err == nil && !containsAddr(h.cl.Members(), victim.addr) {
 			break

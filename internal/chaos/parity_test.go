@@ -150,11 +150,11 @@ func tapDecides(t *testing.T, h *Harness) *decideTap {
 	for i, n := range h.nodes {
 		addrs[i] = n.addr
 	}
-	cl, err := cluster.New(addrs, cluster.Options{Client: client.Options{
+	cl, err := cluster.New(addrs, client.Options{
 		HTTPClient:  &http.Client{Transport: tap},
 		MaxRetries:  8,
 		BackoffSeed: h.seed,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

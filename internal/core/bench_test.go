@@ -126,7 +126,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	var wire []byte
 	for i := 0; i < b.N; i++ {
 		var err error
-		wire, err = sess.Snapshot().MarshalBinary()
+		wire, err = sess.st.Snapshot().MarshalBinary()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		if err := snap.UnmarshalBinary(wire); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.RestoreSession(snap); err != nil {
+		if _, err := restoreSession(eng, eng.NewScratch(), snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,10 +72,6 @@ func (s *Session) IdleRatio() float64 { return s.st.Idle.Phi }
 // Decisions returns how many Decide calls have been served.
 func (s *Session) Decisions() int { return int(s.st.Decisions) }
 
-// FilterEpoch returns the filter epoch: 1 on a fresh session, advancing on
-// every Observe.
-func (s *Session) FilterEpoch() uint64 { return s.st.Epoch }
-
 // Observe feeds back the measurement of the input just executed.
 func (s *Session) Observe(out sim.Outcome) { s.eng.Observe(&s.st, out) }
 

@@ -60,33 +60,6 @@ func (st State) Snapshot() SessionSnapshot {
 	return SessionSnapshot{Version: SnapshotVersion, State: st}
 }
 
-// Snapshot captures the session's mutable state. The scan workspace is
-// excluded (see the comment at the top of this file: it is pure
-// recomputation, so dropping it is bit-exact). The session remains usable;
-// Snapshot does not consume it.
-func (s *Session) Snapshot() SessionSnapshot { return s.st.Snapshot() }
-
-// RestoreSession rebuilds a session from a snapshot with a private scan
-// workspace. The restored session continues the original's decision
-// sequence bit-for-bit under identical traffic. The snapshot must come
-// from a session of an identically configured engine (same profile table
-// and options) — the filter parameters are read from this engine's options,
-// not the snapshot.
-func (e *Engine) RestoreSession(snap SessionSnapshot) (*Session, error) {
-	return e.RestoreSessionWith(e.NewScratch(), snap)
-}
-
-// RestoreSessionWith is RestoreSession sharing an existing scan workspace,
-// the restore-side companion of NewSessionWith.
-func (e *Engine) RestoreSessionWith(sc *Scratch, snap SessionSnapshot) (*Session, error) {
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
-	s := e.NewSessionWith(sc)
-	s.st = snap.State
-	return s, nil
-}
-
 // Validate rejects snapshots no genuine session could have produced:
 // unknown versions, the reserved epoch 0, a negative decision count, and
 // non-finite filter state (Observe guards its inputs, so NaN/Inf here means

@@ -22,7 +22,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	sess := NewEngine(prof, DefaultOptions()).NewSession()
 	seed := func() {
-		b, err := sess.Snapshot().MarshalBinary()
+		b, err := sess.st.Snapshot().MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		sess.Decide(Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 	}
 	seed()
-	good, err := sess.Snapshot().MarshalBinary()
+	good, err := sess.st.Snapshot().MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}

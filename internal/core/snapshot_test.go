@@ -13,6 +13,18 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
+// restoreSession rebuilds a session from a snapshot the way the serving
+// layer imports a stream: validate, then adopt the state on the scan
+// workspace sc.
+func restoreSession(e *Engine, sc *Scratch, snap SessionSnapshot) (*Session, error) {
+	if err := snap.Validate(); err != nil {
+		return nil, err
+	}
+	s := e.NewSessionWith(sc)
+	s.st = snap.State
+	return s, nil
+}
+
 // TestSnapshotRestoreReplayIdentical is the tentpole differential test:
 // snapshot a session mid-stream, restore it (directly and through the
 // binary codec), and drive original and restored sessions through the same
@@ -42,8 +54,8 @@ func TestSnapshotRestoreReplayIdentical(t *testing.T) {
 		}
 
 		// Snapshot → restore, both in-memory and through the binary codec.
-		snap := orig.Snapshot()
-		restored, err := eng.RestoreSession(snap)
+		snap := orig.st.Snapshot()
+		restored, err := restoreSession(eng, eng.NewScratch(), snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,12 +70,12 @@ func TestSnapshotRestoreReplayIdentical(t *testing.T) {
 		if decoded != snap {
 			t.Fatalf("binary round trip changed the snapshot:\n in %+v\nout %+v", snap, decoded)
 		}
-		shipped, err := eng.RestoreSession(decoded)
+		shipped, err := restoreSession(eng, eng.NewScratch(), decoded)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if restored.FilterEpoch() != orig.FilterEpoch() || restored.Decisions() != orig.Decisions() ||
+		if restored.st.Epoch != orig.st.Epoch || restored.Decisions() != orig.Decisions() ||
 			restored.XiMean() != orig.XiMean() || restored.XiStd() != orig.XiStd() ||
 			restored.IdleRatio() != orig.IdleRatio() {
 			t.Fatal("restored session state differs from the original's")
@@ -105,7 +117,7 @@ func TestSnapshotFreshSession(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	eng := NewEngine(prof, DefaultOptions())
 	fresh := eng.NewSession()
-	restored, err := eng.RestoreSession(fresh.Snapshot())
+	restored, err := restoreSession(eng, eng.NewScratch(), fresh.st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +141,7 @@ func TestSnapshotDoesNotConsume(t *testing.T) {
 		out := sim.Outcome{ObservedXi: 1 + 0.01*float64(i), IdlePower: 5, CapApplied: prof.Caps[0]}
 		a.Observe(out)
 		b.Observe(out)
-		a.Snapshot() // only a is snapshotted, every iteration
+		a.st.Snapshot() // only a is snapshotted, every iteration
 		da, ea := a.Decide(spec)
 		db, eb := b.Decide(spec)
 		if da != db || ea != eb {
@@ -146,7 +158,7 @@ func TestSnapshotBinaryCanonical(t *testing.T) {
 	sess.Observe(sim.Outcome{ObservedXi: 1.3, IdlePower: 4, CapApplied: prof.Caps[0]})
 	sess.Decide(Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 
-	snap := sess.Snapshot()
+	snap := sess.st.Snapshot()
 	b1, err := snap.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +270,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 func TestRestoreSessionRejects(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	eng := NewEngine(prof, DefaultOptions())
-	valid := eng.NewSession().Snapshot()
+	valid := eng.NewSession().st.Snapshot()
 
 	cases := map[string]func(*SessionSnapshot){
 		"version":        func(s *SessionSnapshot) { s.Version = 99 },
@@ -272,17 +284,18 @@ func TestRestoreSessionRejects(t *testing.T) {
 	for name, mutate := range cases {
 		snap := valid
 		mutate(&snap)
-		if _, err := eng.RestoreSession(snap); err == nil {
-			t.Errorf("%s: RestoreSession accepted an invalid snapshot", name)
+		if _, err := restoreSession(eng, eng.NewScratch(), snap); err == nil {
+			t.Errorf("%s: restore accepted an invalid snapshot", name)
 		}
 	}
-	if _, err := eng.RestoreSession(valid); err != nil {
-		t.Errorf("RestoreSession rejected a valid snapshot: %v", err)
+	if _, err := restoreSession(eng, eng.NewScratch(), valid); err != nil {
+		t.Errorf("restore rejected a valid snapshot: %v", err)
 	}
 }
 
-// TestRestoreSessionWithSharedScratch: restoring onto a shared workspace
-// decides identically to a private-workspace restore.
+// TestRestoreSessionWithSharedScratch: restoring onto the workspace of a
+// live session decides identically to a private-workspace restore, with
+// the two sessions interleaved on the one workspace.
 func TestRestoreSessionWithSharedScratch(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	eng := NewEngine(prof, DefaultOptions())
@@ -290,13 +303,13 @@ func TestRestoreSessionWithSharedScratch(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		sess.Observe(sim.Outcome{ObservedXi: 1.1, IdlePower: 3, CapApplied: prof.Caps[0]})
 	}
-	snap := sess.Snapshot()
+	snap := sess.st.Snapshot()
 
-	private, err := eng.RestoreSession(snap)
+	private, err := restoreSession(eng, eng.NewScratch(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := eng.RestoreSessionWith(eng.NewScratch(), snap)
+	shared, err := restoreSession(eng, sess.sc, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +318,8 @@ func TestRestoreSessionWithSharedScratch(t *testing.T) {
 		spec := specGen(rng)
 		d0, e0 := private.Decide(spec)
 		d1, e1 := shared.Decide(spec)
-		if d0 != d1 || e0 != e1 {
+		d2, e2 := sess.Decide(spec) // the original, on the same workspace
+		if d0 != d1 || e0 != e1 || d0 != d2 || e0 != e2 {
 			t.Fatalf("step %d: shared-scratch restore diverged", i)
 		}
 	}

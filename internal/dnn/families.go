@@ -52,12 +52,6 @@ func BERT() *Model {
 	}
 }
 
-// BenchmarkModels returns the four Table 2 networks keyed by the paper's
-// setting IDs (IMG1, IMG2, NLP1, NLP2), in that order.
-func BenchmarkModels() []*Model {
-	return []*Model{VGG16(), ResNet50(), WordRNN(), BERT()}
-}
-
 // SparseResNetFamily returns the traditional image-classification candidate
 // ladder: five sparsified ResNet variants spanning a 7x latency range and a
 // 90.2–94.5 % accuracy band.

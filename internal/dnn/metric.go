@@ -22,11 +22,3 @@ const (
 func PerplexityFromQuality(q float64) float64 {
 	return pplRefValue * math.Exp((pplRefQuality-q)*pplSlope)
 }
-
-// QualityFromPerplexity inverts PerplexityFromQuality.
-func QualityFromPerplexity(ppl float64) float64 {
-	if ppl <= 0 {
-		return 1
-	}
-	return pplRefQuality - math.Log(ppl/pplRefValue)/pplSlope
-}

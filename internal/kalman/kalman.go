@@ -48,17 +48,10 @@ type XiParams struct {
 // probabilities like 97 % vs 99.9 % that require σ on the order of a few
 // percent. With Q(0)=1e-4 the adaptive process noise does what the
 // Akhlaghi extension intends: σ settles near 0.02 in calm environments and
-// inflates past 0.1 within two or three surprise observations. See
-// PaperLiteralXiParams for the stated constants.
+// inflates past 0.1 within two or three surprise observations.
+// TestPaperLiteralParamsDegenerate runs the filter on the stated Q(0)=0.1.
 func DefaultXiParams() XiParams {
 	return XiParams{K0: 0.5, R: 0.001, Q0: 1e-4, Mu0: 1, Var0: 0.1, Alpha: 0.3}
-}
-
-// PaperLiteralXiParams returns the constants exactly as §3.4 states them,
-// including Q(0)=0.1. Kept for reference and for the sensitivity tests
-// that document why the default deviates.
-func PaperLiteralXiParams() XiParams {
-	return XiParams{K0: 0.5, R: 0.001, Q0: 0.1, Mu0: 1, Var0: 0.1, Alpha: 0.3}
 }
 
 // XiState tracks the global slowdown factor. It is deliberately scalar:

@@ -141,7 +141,8 @@ func TestPaperLiteralParamsDegenerate(t *testing.T) {
 	// Documents why DefaultXiParams lowers Q0: with the literal constants
 	// the posterior std is pinned near sqrt(Q0) ~= 0.32 and the gain near
 	// 1 no matter how quiet the input is.
-	p := PaperLiteralXiParams()
+	p := DefaultXiParams()
+	p.Q0 = 0.1 // the constants exactly as §3.4 states them
 	f := MakeXiState(&p)
 	for i := 0; i < 500; i++ {
 		f.Observe(&p, 1.0)

@@ -106,12 +106,3 @@ func NormQuantileZ(z, mu, sigma float64) float64 {
 	}
 	return mu + sigma*z
 }
-
-// NormPDF returns the density of N(mu, sigma^2) at x.
-func NormPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-z*z/2) / (sigma * math.Sqrt(2*math.Pi))
-}

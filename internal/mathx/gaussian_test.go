@@ -79,22 +79,3 @@ func TestNormQuantileInvertsNormCDF(t *testing.T) {
 		t.Errorf("degenerate quantile = %g, want mean", got)
 	}
 }
-
-func TestNormPDFIntegratesToOne(t *testing.T) {
-	// Trapezoidal integration over +/- 8 sigma.
-	const n = 4000
-	mu, sigma := 1.2, 0.33
-	lo, hi := mu-8*sigma, mu+8*sigma
-	h := (hi - lo) / n
-	var sum float64
-	for i := 0; i <= n; i++ {
-		w := 1.0
-		if i == 0 || i == n {
-			w = 0.5
-		}
-		sum += w * NormPDF(lo+float64(i)*h, mu, sigma)
-	}
-	if got := sum * h; math.Abs(got-1) > 1e-6 {
-		t.Errorf("pdf integrates to %g", got)
-	}
-}

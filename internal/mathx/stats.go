@@ -57,9 +57,6 @@ func (s *OnlineStats) Min() float64 { return s.min }
 // Max returns the largest observation, or 0 before any observation.
 func (s *OnlineStats) Max() float64 { return s.max }
 
-// Sum returns n * mean, the total of all observations.
-func (s *OnlineStats) Sum() float64 { return s.mean * float64(s.n) }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. The input slice is not modified.
 func Percentile(xs []float64, p float64) float64 {

@@ -135,16 +135,6 @@ func (r *Record) Merge(other *Record) {
 	}
 }
 
-// Energies returns the per-input energy series (no copy; treat as
-// read-only).
-func (r *Record) Energies() []float64 {
-	out := make([]float64, len(r.Samples))
-	for i, s := range r.Samples {
-		out[i] = s.Energy
-	}
-	return out
-}
-
 // Latencies returns the per-input latency series.
 func (r *Record) Latencies() []float64 {
 	out := make([]float64, len(r.Samples))
@@ -159,16 +149,6 @@ func (r *Record) Qualities() []float64 {
 	out := make([]float64, len(r.Samples))
 	for i, s := range r.Samples {
 		out[i] = s.Quality
-	}
-	return out
-}
-
-// TrueXis returns the realized slowdown factors, the series Figure 11
-// histograms.
-func (r *Record) TrueXis() []float64 {
-	out := make([]float64, len(r.Samples))
-	for i, s := range r.Samples {
-		out[i] = s.TrueXi
 	}
 	return out
 }

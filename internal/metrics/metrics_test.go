@@ -78,14 +78,8 @@ func TestSeriesAccessors(t *testing.T) {
 	if got := r.Latencies(); got[0] != 1 || got[1] != 3 {
 		t.Error("latencies")
 	}
-	if got := r.Energies(); got[0] != 2 || got[1] != 4 {
-		t.Error("energies")
-	}
 	if got := r.Qualities(); got[0] != 0.5 || got[1] != 0.7 {
 		t.Error("qualities")
-	}
-	if got := r.TrueXis(); got[0] != 1.1 || got[1] != 1.3 {
-		t.Error("xis")
 	}
 }
 

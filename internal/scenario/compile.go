@@ -56,15 +56,6 @@ func Compile(spec Spec, plat *platform.Platform, n int, period float64, seed int
 	return tr, nil
 }
 
-// MustCompile is Compile for known-good built-in specs; it panics on error.
-func MustCompile(spec Spec, plat *platform.Platform, n int, period float64, seed int64) *Trace {
-	tr, err := Compile(spec, plat, n, period, seed)
-	if err != nil {
-		panic(err)
-	}
-	return tr
-}
-
 // compileContention fills the co-runner fields by cycling the phase
 // schedule, running the stock stochastic co-runner model within each phase.
 // Each phase instance gets its own seed-derived source, so the environment

@@ -17,7 +17,7 @@ import (
 // shard with the same spec and no feedback: a real scan of the candidate
 // space per iteration plus the serving layer's own overhead.
 func BenchmarkPoolDecide(b *testing.B) {
-	pool := NewPool(testProfile(b), core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(testProfile(b), core.DefaultOptions(), 1)
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
 	pool.Decide(0, spec)
@@ -36,7 +36,7 @@ func BenchmarkPoolDecide(b *testing.B) {
 // pool: decide, then feed back an observation that moves the filters.
 func BenchmarkPoolDecideObserve(b *testing.B) {
 	prof := testProfile(b)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(prof, core.DefaultOptions(), 1)
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
 	b.ReportAllocs()
@@ -78,7 +78,7 @@ func BenchmarkPoolManyStreams(b *testing.B) {
 	b.Run("shared-engine", func(b *testing.B) {
 		before := liveHeap()
 		start := time.Now()
-		pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 8, QueueDepth: 256})
+		pool := newPool(prof, core.DefaultOptions(), 8, 256)
 		defer pool.Close()
 		// Touch every stream once so its session exists (create-on-first-use).
 		for s := 0; s < streams; s++ {
@@ -131,7 +131,7 @@ func BenchmarkPoolManyStreams(b *testing.B) {
 // over 8 shards (8 channel operations per burst instead of 64), the Burst
 // reused the way every caller above the pool reuses its own.
 func BenchmarkPoolDecideBatch(b *testing.B) {
-	pool := NewPool(testProfile(b), core.DefaultOptions(), Config{Shards: 8, QueueDepth: 256})
+	pool := newPool(testProfile(b), core.DefaultOptions(), 8, 256)
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.93}
 	burst := Burst{Ops: make([]Op, 64)}

@@ -32,7 +32,7 @@ func TestStreamsShareEnvelopeThroughEnergyBudgets(t *testing.T) {
 		for _, k := range []int{2, 4, 8} {
 			for _, share := range []float64{20, 30} {
 				budget := share * float64(k)
-				p := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+				p := NewPool(prof, core.DefaultOptions(), 2)
 				deadlines := make([]float64, k)
 				envs := make([]*sim.Env, k)
 				streams := make([]workload.Stream, k)

@@ -22,7 +22,7 @@ func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 // balanced through the sweep.
 func TestEvictIdle(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 	fc := &fakeClock{}
 	pool.clock = fc.now // before any traffic; workers sync via the task channel
@@ -92,7 +92,7 @@ func TestEvictIdle(t *testing.T) {
 // stream must not shield it from an idle sweep.
 func TestEvictIdleReadsDoNotRefresh(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(prof, core.DefaultOptions(), 1)
 	defer pool.Close()
 	fc := &fakeClock{}
 	pool.clock = fc.now
@@ -115,7 +115,7 @@ func TestEvictIdleReadsDoNotRefresh(t *testing.T) {
 // group recreates the session) and that the gauges balance afterwards.
 func TestEvictStreamConcurrentWithDecideBatch(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2, QueueDepth: 64})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}

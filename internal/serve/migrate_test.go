@@ -18,9 +18,9 @@ func TestExportImportMatchesSerial(t *testing.T) {
 	steps := script(stream, n)
 	want := serialRun(prof, steps)
 
-	a := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	a := NewPool(prof, core.DefaultOptions(), 2)
 	defer a.Close()
-	b := NewPool(prof, core.DefaultOptions(), Config{Shards: 3})
+	b := NewPool(prof, core.DefaultOptions(), 3)
 	defer b.Close()
 
 	for i := 0; i < n/2; i++ {
@@ -68,7 +68,7 @@ func TestExportImportMatchesSerial(t *testing.T) {
 // snapshot — the per-stream FIFO is the drain.
 func TestExportDrainsQueuedTraffic(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1, QueueDepth: 256})
+	pool := newPool(prof, core.DefaultOptions(), 1, 256)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -93,7 +93,7 @@ func TestExportDrainsQueuedTraffic(t *testing.T) {
 // TestExportUnknownStream: exporting a stream with no session reports
 // ok=false (nothing to ship) and moves no gauges.
 func TestExportUnknownStream(t *testing.T) {
-	pool := NewPool(testProfile(t), core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(testProfile(t), core.DefaultOptions(), 2)
 	defer pool.Close()
 	if _, ok := pool.ExportStream(42); ok {
 		t.Error("ExportStream invented a session for an unknown stream")
@@ -107,15 +107,14 @@ func TestExportUnknownStream(t *testing.T) {
 // snapshot both error without disturbing the table.
 func TestImportRefusals(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	pool.Decide(5, spec)
 	mu0, _ := pool.XiEstimate(5)
 
-	donor := pool.Engine().NewSession()
-	snap := donor.Snapshot()
+	snap := pool.Engine().NewState().Snapshot()
 	if err := pool.ImportStream(5, snap); err == nil {
 		t.Error("ImportStream replaced a live session")
 	}
@@ -143,9 +142,9 @@ func TestImportRefusals(t *testing.T) {
 // is a real decision and the stream-table gauges balance afterwards.
 func TestExportImportConcurrentWithTraffic(t *testing.T) {
 	prof := testProfile(t)
-	a := NewPool(prof, core.DefaultOptions(), Config{Shards: 2, QueueDepth: 64})
+	a := NewPool(prof, core.DefaultOptions(), 2)
 	defer a.Close()
-	b := NewPool(prof, core.DefaultOptions(), Config{Shards: 2, QueueDepth: 64})
+	b := NewPool(prof, core.DefaultOptions(), 2)
 	defer b.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}

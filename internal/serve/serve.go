@@ -94,32 +94,9 @@ import (
 	"github.com/alert-project/alert/internal/sim"
 )
 
-// Config sizes a Pool. Zero values select single-shard serving with a
-// small queue.
-type Config struct {
-	// Shards is the number of stream-table shards (and workers). Values
-	// below 1 mean 1. Streams per shard are unbounded; shards bound only
-	// concurrency, not capacity.
-	Shards int
-	// QueueDepth is the per-shard FIFO capacity. Submissions beyond it
-	// block until the worker catches up (backpressure). Values below 1
-	// mean 64.
-	QueueDepth int
-}
-
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
-func (c Config) depth() int {
-	if c.QueueDepth < 1 {
-		return 64
-	}
-	return c.QueueDepth
-}
+// queueDepth is each shard's FIFO capacity. Submissions beyond it block
+// until the worker catches up (backpressure).
+const queueDepth = 64
 
 type taskKind int
 
@@ -243,12 +220,20 @@ type Pool struct {
 }
 
 // NewPool builds the shared engine once over a (read-only) profile table
-// and starts the shard workers with empty stream tables.
-func NewPool(prof *dnn.ProfileTable, opts core.Options, cfg Config) *Pool {
+// and starts the shard workers with empty stream tables. shards is the
+// number of stream-table shards (and workers); values below 1 mean 1.
+// Streams per shard are unbounded: shards bound only concurrency, not
+// capacity.
+func NewPool(prof *dnn.ProfileTable, opts core.Options, shards int) *Pool {
+	return newPool(prof, opts, shards, queueDepth)
+}
+
+// newPool is NewPool with a per-shard queue depth other than queueDepth.
+func newPool(prof *dnn.ProfileTable, opts core.Options, shards, depth int) *Pool {
 	eng := core.NewEngine(prof, opts)
 	p := &Pool{
 		eng:      eng,
-		shards:   make([]*shard, cfg.shards()),
+		shards:   make([]*shard, max(shards, 1)),
 		counters: metrics.NewServeCounters(),
 		clock:    time.Now,
 		epoch:    time.Now(),
@@ -259,7 +244,7 @@ func NewPool(prof *dnn.ProfileTable, opts core.Options, cfg Config) *Pool {
 			eng:      eng,
 			sessions: make(map[int]*entry),
 			sc:       eng.NewScratch(),
-			ch:       make(chan task, cfg.depth()),
+			ch:       make(chan task, depth),
 			exited:   make(chan struct{}),
 		}
 		p.shards[i] = s

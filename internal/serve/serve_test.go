@@ -82,7 +82,7 @@ func TestShardDeterminism(t *testing.T) {
 	prof := testProfile(t)
 	const streams, steps = 7, 60
 
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	got := make([][]sim.Decision, streams)
@@ -115,7 +115,7 @@ func TestShardDeterminism(t *testing.T) {
 // stream's xi estimate must have moved.
 func TestObserveOrdering(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -145,7 +145,7 @@ func TestObserveOrdering(t *testing.T) {
 // controller state is only ever read on its worker goroutine.
 func TestXiEstimateDuringTraffic(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(prof, core.DefaultOptions(), 1)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -169,7 +169,7 @@ func TestXiEstimateDuringTraffic(t *testing.T) {
 // batch.
 func TestDecideBatch(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 3})
+	pool := NewPool(prof, core.DefaultOptions(), 3)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.15, AccuracyGoal: 0.9}
@@ -204,7 +204,7 @@ func TestDecideBatch(t *testing.T) {
 // decision: distinct specs per request make a misplaced result visible.
 func TestDecideBatchRequestOrder(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 4})
+	pool := NewPool(prof, core.DefaultOptions(), 4)
 	defer pool.Close()
 
 	// Mixed streams in a deliberately non-contiguous shard pattern, each
@@ -248,7 +248,7 @@ func TestDecideBatchFIFOWithObserves(t *testing.T) {
 	const streams, rounds = 3, 25
 	// Fewer shards than streams: per-stream FIFO must hold even when a
 	// shard's worker multiplexes several streams' sessions.
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	scripts := make([][]step, streams)
@@ -284,7 +284,7 @@ func TestDecideBatchFIFOWithObserves(t *testing.T) {
 func TestBurstMatchesSerial(t *testing.T) {
 	prof := testProfile(t)
 	const streams, rounds, depth = 5, 24, 3
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	scripts := make([][]step, streams)
@@ -326,7 +326,7 @@ func TestBurstMatchesSerial(t *testing.T) {
 // grown to the burst's size, singleton or not.
 func TestBurstSteadyStateAllocs(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
 	out := sim.Outcome{ObservedXi: 1.05, IdlePower: 6, CapApplied: prof.Caps[3]}
@@ -351,7 +351,7 @@ func TestBurstSteadyStateAllocs(t *testing.T) {
 // path's memory safety (disjoint result writes, wg-published reads).
 func TestDecideBatchStress(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 3, QueueDepth: 8})
+	pool := newPool(prof, core.DefaultOptions(), 3, 8)
 	defer pool.Close()
 
 	const goroutines = 8
@@ -402,7 +402,7 @@ func TestPoolDecideSteadyStateAllocs(t *testing.T) {
 		t.Skip("-race makes sync.Pool drop recycled bursts")
 	}
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(prof, core.DefaultOptions(), 1)
 	defer pool.Close()
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
 	pool.Decide(0, spec) // warm pool, scratch
@@ -418,7 +418,7 @@ func TestPoolDecideSteadyStateAllocs(t *testing.T) {
 // can satisfy shows up as an infeasible fallback.
 func TestScanCountersMove(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 	space := int64(len(pool.eng.Candidates()))
 
@@ -467,7 +467,7 @@ func TestScanCountersMove(t *testing.T) {
 // initial filter state like a brand-new stream.
 func TestEvictStream(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 2})
+	pool := NewPool(prof, core.DefaultOptions(), 2)
 	defer pool.Close()
 
 	spec := core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
@@ -528,7 +528,7 @@ func TestEvictStream(t *testing.T) {
 // execution, as always).
 func TestStreamChurn100k(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 4, QueueDepth: 128})
+	pool := newPool(prof, core.DefaultOptions(), 4, 128)
 	defer pool.Close()
 
 	const (
@@ -598,7 +598,7 @@ func TestStreamChurn100k(t *testing.T) {
 // TestShardPinning checks the stream→shard map, including negative streams.
 func TestShardPinning(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{Shards: 4})
+	pool := NewPool(prof, core.DefaultOptions(), 4)
 	defer pool.Close()
 
 	if got := pool.shardFor(6); got != pool.shards[2] {
@@ -612,13 +612,14 @@ func TestShardPinning(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults checks the zero config still serves.
+// TestConfigDefaults checks a pool built with no shard count still serves,
+// on one shard.
 func TestConfigDefaults(t *testing.T) {
 	prof := testProfile(t)
-	pool := NewPool(prof, core.DefaultOptions(), Config{})
+	pool := NewPool(prof, core.DefaultOptions(), 0)
 	defer pool.Close()
 	if pool.NumShards() != 1 {
-		t.Fatalf("zero config shards = %d, want 1", pool.NumShards())
+		t.Fatalf("shards = %d, want 1", pool.NumShards())
 	}
 	d, est := pool.Decide(0, core.Spec{Objective: core.MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9})
 	if est.LatMean <= 0 {
@@ -652,7 +653,7 @@ func TestStreamTableFootprint(t *testing.T) {
 	if sz := StreamBytes(); sz > 80 {
 		t.Errorf("stream-table entry is %d bytes, want <= 80", sz)
 	}
-	pool := NewPool(testProfile(t), core.DefaultOptions(), Config{Shards: 1})
+	pool := NewPool(testProfile(t), core.DefaultOptions(), 1)
 	defer pool.Close()
 	const n = 20000
 	out := sim.Outcome{ObservedXi: 1.1, IdlePower: 6, CapApplied: 30}

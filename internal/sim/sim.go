@@ -52,8 +52,7 @@ type Env struct {
 	// pending is the draw for the upcoming input; it is drawn lazily and
 	// cached so PeekXi and Step agree. It is held by value, so a step
 	// allocates nothing.
-	pending    pendingDraw
-	inputCount int
+	pending pendingDraw
 }
 
 // pendingDraw is one input's stochastic multipliers; valid is false until
@@ -73,9 +72,6 @@ func NewEnv(prof *dnn.ProfileTable, cont contention.Source, seed int64) *Env {
 
 // Now returns the virtual clock in seconds.
 func (e *Env) Now() float64 { return e.now }
-
-// InputCount returns how many inputs have been executed.
-func (e *Env) InputCount() int { return e.inputCount }
 
 // Decision is what a scheduler chose for one input.
 type Decision struct {
@@ -165,7 +161,6 @@ func (e *Env) EvaluateAt(d Decision, in workload.Input, goal, period float64) Ou
 func (e *Env) Step(d Decision, in workload.Input, goal, period float64) Outcome {
 	eff, noise := e.draw(in)
 	e.pending.valid = false
-	e.inputCount++
 	out := e.outcome(d, in, goal, period, eff, noise)
 	e.now += math.Max(period, out.Latency)
 	return out

@@ -29,9 +29,6 @@ func NewDeadlineTracker(task dnn.Task, perInput, overhead float64) *DeadlineTrac
 	return &DeadlineTracker{task: task, perInput: perInput, overhead: overhead, curSentence: -1}
 }
 
-// PerInput returns the nominal (unadjusted) per-input goal.
-func (d *DeadlineTracker) PerInput() float64 { return d.perInput }
-
 // SetPerInput retargets the nominal per-input goal mid-stream — scenario
 // spec churn. The new goal takes effect from the next GoalFor; for sentence
 // prediction the current sentence's remaining budget is recomputed against

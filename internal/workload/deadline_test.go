@@ -85,8 +85,8 @@ func TestSetPerInputRetargetsMidStream(t *testing.T) {
 		t.Fatalf("initial goal %g", got)
 	}
 	d.SetPerInput(0.25)
-	if got := d.PerInput(); got != 0.25 {
-		t.Fatalf("PerInput %g after SetPerInput", got)
+	if got := d.perInput; got != 0.25 {
+		t.Fatalf("perInput %g after SetPerInput", got)
 	}
 	if got := d.GoalFor(Input{ID: 1}); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("churned goal %g, want 0.25", got)

@@ -58,7 +58,7 @@ func NewServer(p *Platform, models []*Model, opts ServerOptions) (*Server, error
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &Server{prof: prof, pool: serve.NewPool(prof, coreOptions(opts.Options), serve.Config{Shards: shards})}
+	s := &Server{prof: prof, pool: serve.NewPool(prof, coreOptions(opts.Options), shards)}
 	s.bursts.New = func() any { return s.NewBurst() }
 	return s, nil
 }
