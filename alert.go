@@ -28,7 +28,7 @@
 //	}
 //
 // The package also ships the full simulation substrate used to reproduce
-// the paper's evaluation (see Simulate and the examples/ directory), so the
+// the paper's evaluation (see Simulate and its examples), so the
 // scheduler can be exercised end-to-end without GPUs, RAPL access, or
 // trained networks.
 package alert

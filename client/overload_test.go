@@ -10,14 +10,13 @@ import (
 	"github.com/alert-project/alert/internal/netserve"
 )
 
-// TestDynamicRetryAfterHint: against an adaptive front end, the
-// *OverloadError a saturated gate surfaces carries the controller's live
-// drain estimate — scaled to the measured service time — not the
-// configured static hint. The static hint is set to an absurd hour so the
-// test can tell the two apart.
+// TestDynamicRetryAfterHint: the *OverloadError a saturated gate surfaces
+// carries the controller's live drain estimate — scaled to the measured
+// service time — not the configured hint, which is set to an absurd hour
+// so the test can tell the two apart.
 func TestDynamicRetryAfterHint(t *testing.T) {
 	c, fe := startFrontEnd(t, netserve.Config{
-		MaxInflight: 1, MaxQueue: 1, Adaptive: true,
+		MaxInflight: 1, MaxQueue: 1,
 		RetryAfter:   time.Hour,
 		ServiceDelay: 20 * time.Millisecond,
 	})
@@ -52,9 +51,9 @@ func TestDynamicRetryAfterHint(t *testing.T) {
 	}
 	// Drain estimate: (1 queued + 1) × ~20ms service / 1 inflight ≈ 40ms.
 	// The exact value floats with scheduler jitter; what matters is that
-	// it is in the measured range, not the 1h static hint.
+	// it is in the measured range, not the 1h configured hint.
 	if oe.RetryAfter < 40*time.Millisecond || oe.RetryAfter > time.Second {
-		t.Errorf("RetryAfter = %v, want ~40ms drain estimate (static hint is 1h)", oe.RetryAfter)
+		t.Errorf("RetryAfter = %v, want ~40ms drain estimate (configured hint is 1h)", oe.RetryAfter)
 	}
 
 	fe.ReleaseTokenForTest()

@@ -19,27 +19,32 @@ import (
 	"github.com/alert-project/alert/internal/scenario"
 )
 
-// Gate-compare mode (-gate-compare): the head-to-head overload rehearsal
-// for the adaptive admission controller. The same trace-shaped request
-// schedule is driven at -overload × the static gate's capacity through two
-// identical in-process servers — one behind the static gate, one behind
-// the adaptive gate — and both runs report wall-clock SLO attainment
-// (sheds count as misses). Service time is pinned with Config.ServiceDelay
-// so "capacity" is a known quantity instead of an artifact of host speed.
+// Overload-drill mode (-overload-drill): the overload rehearsal for the
+// admission gate. A trace-shaped request schedule is driven at -overload ×
+// the gate's initial capacity through an in-process server, and the run
+// reports wall-clock SLO attainment (sheds count as misses). Service time
+// is pinned with Config.ServiceDelay so "capacity" is a known quantity
+// instead of an artifact of host speed.
 //
-// Two invariants are machine-checked on every run, per gate:
+// The exit status is the verdict. The run fails on any of:
 //
-//   - Zero dropped accepted requests: every request either returns a real
-//     decision or a structured 429; any other failure aborts the run.
-//   - Admission never changes computation: each stream's served requests
-//     are replayed in order against a fresh in-process alert.Server and
-//     the decision sequences must match byte for byte.
-//
-// The exit status is the verdict: non-zero if the adaptive gate's SLO
-// attainment falls below the static gate's.
+//   - a dropped accepted request: every request either returns a real
+//     decision or a structured 429; any other failure aborts the run;
+//   - a served decision that differs from the in-process replay: each
+//     stream's served requests are replayed in order against a fresh
+//     alert.Server, and admission decides whether a request runs, never
+//     what it computes;
+//   - deadline-expired sheds above maxDeadlineShedShare of issued
+//     requests: a request the gate cannot serve in time should be refused
+//     at the door, not left to wait out its deadline in the queue;
+//   - a queue-delay p95 above the wall deadline.
+
+// maxDeadlineShedShare bounds the drill's deadline-expired sheds as a share
+// of issued requests.
+const maxDeadlineShedShare = 0.01
 
 // gateTrialConfig parameterizes one trial (and is reused by the
-// BenchmarkGateCompare harness).
+// BenchmarkOverloadDrill harness).
 type gateTrialConfig struct {
 	trace        *scenario.Trace
 	base         alert.Spec
@@ -55,7 +60,7 @@ type gateTrialConfig struct {
 	wallDeadline time.Duration
 }
 
-// gateTrialResult is one gate's side of the comparison.
+// gateTrialResult is what one trial served and shed.
 type gateTrialResult struct {
 	issued, served, shed, met int
 	// specs[s] is the ordered spec sequence of stream s's *served*
@@ -63,8 +68,8 @@ type gateTrialResult struct {
 	// the determinism artifact the oracle replays.
 	specs  [][]alert.Spec
 	tokens []string
-	// gate is the admission gate's final snapshot — for the adaptive run,
-	// the limits the controller discovered.
+	// gate is the admission gate's final snapshot: the limits the
+	// controller discovered and the queue delay it ended on.
 	gate metrics.OverloadSnapshot
 }
 
@@ -78,7 +83,7 @@ func (r *gateTrialResult) slo() float64 {
 }
 
 // decisionToken formats one decision of a per-stream sequence artifact.
-// driveStream and the gate trials both write through it, so
+// driveStream and the drill both write through it, so
 // "byte-identical" means the same thing in both modes.
 func decisionToken(d alert.Decision) string {
 	return fmt.Sprintf("%d,%d,%.17g,%.17g;", d.Model, d.Cap, d.PlannedStop, d.Overhead)
@@ -97,7 +102,7 @@ func trialFeedback(d alert.Decision, latMean float64) alert.Feedback {
 // previous one has finished, immediately otherwise — so per-stream
 // decide → observe order stays strict (the determinism contract) while the
 // fleet of streams supplies the overload.
-func runGateTrial(cfg gateTrialConfig, adaptive bool) (*gateTrialResult, error) {
+func runGateTrial(cfg gateTrialConfig) (*gateTrialResult, error) {
 	srv, err := alert.NewServer(cfg.plat, cfg.models, alert.ServerOptions{Shards: cfg.shards})
 	if err != nil {
 		return nil, err
@@ -106,7 +111,6 @@ func runGateTrial(cfg gateTrialConfig, adaptive bool) (*gateTrialResult, error) 
 	front := netserve.New(srv, netserve.Config{
 		MaxInflight:  cfg.gateInflight,
 		MaxQueue:     cfg.gateQueue,
-		Adaptive:     adaptive,
 		ServiceDelay: cfg.serviceDelay,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -133,7 +137,7 @@ func runGateTrial(cfg gateTrialConfig, adaptive bool) (*gateTrialResult, error) 
 	}
 	defer observe.Close()
 
-	// Offered load: -overload × the static gate's service capacity,
+	// Offered load: -overload × the gate's initial service capacity,
 	// shaped by the trace's inter-arrival gaps (uniform when the trace is
 	// closed-loop), split evenly across the streams.
 	capacity := float64(cfg.gateInflight) / cfg.serviceDelay.Seconds()
@@ -267,7 +271,7 @@ func verifyGateDecisions(cfg gateTrialConfig, res *gateTrialResult) error {
 }
 
 // gateTrialConfigFrom resolves the flag set into a trial config, compiling
-// (or replaying) the trace once so both gates see the identical schedule.
+// (or replaying) the trace.
 func gateTrialConfigFrom(cfg loadConfig) (gateTrialConfig, error) {
 	var tc gateTrialConfig
 	plat, err := alert.PlatformByName(cfg.platform)
@@ -312,50 +316,41 @@ func gateTrialConfigFrom(cfg loadConfig) (gateTrialConfig, error) {
 	}, nil
 }
 
-// runGateCompare is the -gate-compare entry point: one trial per gate,
-// both oracle-checked, and the SLO verdict as the exit status.
-func runGateCompare(cfg loadConfig, stdout io.Writer) error {
+// runOverloadDrill is the -overload-drill entry point: one oracle-checked
+// trial, its report, and the bounds as the exit status.
+func runOverloadDrill(cfg loadConfig, stdout io.Writer) error {
 	tc, err := gateTrialConfigFrom(cfg)
 	if err != nil {
 		return err
 	}
 	capacity := float64(tc.gateInflight) / tc.serviceDelay.Seconds()
-	fmt.Fprintf(stdout, "gate-compare: scenario=%s streams=%d inputs/stream=%d seed=%d\n",
+	fmt.Fprintf(stdout, "overload-drill: scenario=%s streams=%d inputs/stream=%d seed=%d\n",
 		tc.trace.Scenario, tc.streams, tc.inputs, cfg.seed)
-	fmt.Fprintf(stdout, "gate-compare: offered %.1fx capacity (%.0f rps), service %s, gate %d/%d, wall deadline %s\n",
+	fmt.Fprintf(stdout, "overload-drill: offered %.1fx capacity (%.0f rps), service %s, gate %d/%d, wall deadline %s\n",
 		tc.overload, tc.overload*capacity, tc.serviceDelay, tc.gateInflight, tc.gateQueue, tc.wallDeadline)
 
-	report := func(name string, r *gateTrialResult) {
-		fmt.Fprintf(stdout, "%-9s slo %5.1f%% | served %d/%d (met %d) shed %d (overload %d, deadline %d) | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
-			name+":", 100*r.slo(), r.served, r.issued, r.met, r.shed,
-			r.gate.ShedOverload, r.gate.ShedDeadline,
-			r.gate.InflightLimit, r.gate.QueueLimit, r.gate.LimitIncreases, r.gate.LimitDecreases,
-			r.gate.ServiceEWMA.Round(time.Microsecond*10), r.gate.QueueDelayP95)
-	}
-
-	static, err := runGateTrial(tc, false)
+	r, err := runGateTrial(tc)
 	if err != nil {
-		return fmt.Errorf("static gate trial: %w", err)
+		return err
 	}
-	if err := verifyGateDecisions(tc, static); err != nil {
-		return fmt.Errorf("static gate trial: %w", err)
+	if err := verifyGateDecisions(tc, r); err != nil {
+		return err
 	}
-	report("static", static)
+	fmt.Fprintf(stdout, "gate: slo %5.1f%% | served %d/%d (met %d) shed %d (overload %d, deadline %d) | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
+		100*r.slo(), r.served, r.issued, r.met, r.shed,
+		r.gate.ShedOverload, r.gate.ShedDeadline,
+		r.gate.InflightLimit, r.gate.QueueLimit, r.gate.LimitIncreases, r.gate.LimitDecreases,
+		r.gate.ServiceEWMA.Round(time.Microsecond*10), r.gate.QueueDelayP95)
+	fmt.Fprintf(stdout, "decision determinism: byte-identical to the in-process replay\n")
 
-	adaptive, err := runGateTrial(tc, true)
-	if err != nil {
-		return fmt.Errorf("adaptive gate trial: %w", err)
+	maxDeadline := int64(maxDeadlineShedShare * float64(r.issued))
+	if r.gate.ShedDeadline > maxDeadline {
+		return fmt.Errorf("%d deadline-expired sheds, more than %.0f%% of %d issued", r.gate.ShedDeadline, 100*maxDeadlineShedShare, r.issued)
 	}
-	if err := verifyGateDecisions(tc, adaptive); err != nil {
-		return fmt.Errorf("adaptive gate trial: %w", err)
+	if r.gate.QueueDelayP95 > tc.wallDeadline {
+		return fmt.Errorf("queue-delay p95 %s above the %s wall deadline", r.gate.QueueDelayP95, tc.wallDeadline)
 	}
-	report("adaptive", adaptive)
-
-	gain := 100 * (adaptive.slo() - static.slo())
-	fmt.Fprintf(stdout, "decision determinism: both gates byte-identical to the in-process replay\n")
-	fmt.Fprintf(stdout, "adaptive SLO gain: %+.1f pp\n", gain)
-	if adaptive.slo() < static.slo() {
-		return fmt.Errorf("adaptive gate lost: slo %.1f%% < static %.1f%%", 100*adaptive.slo(), 100*static.slo())
-	}
+	fmt.Fprintf(stdout, "bounds held: deadline sheds %d <= %d, qd-p95 %s <= %s\n",
+		r.gate.ShedDeadline, maxDeadline, r.gate.QueueDelayP95, tc.wallDeadline)
 	return nil
 }

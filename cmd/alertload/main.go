@@ -126,16 +126,15 @@ type loadConfig struct {
 	unmanaged    bool   // hard kills only, absorbed by the cluster itself
 	fleetPath    string // replay a recorded FleetTrace instead of compiling
 	fleetRecord  string // record the compiled FleetTrace here
-	adaptive     bool   // with -chaos: every node's gate adaptive
 
-	// gate-compare mode: static vs adaptive admission head to head at
-	// -overload × gate capacity (see gatecompare.go).
-	gateCompare  bool
-	overload     float64
-	gateInflight int
-	gateQueue    int
-	serviceDelay time.Duration
-	wallDeadline time.Duration
+	// overload-drill mode: the admission gate at -overload × its initial
+	// capacity, checked against fixed bounds (see drill.go).
+	overloadDrill bool
+	overload      float64
+	gateInflight  int
+	gateQueue     int
+	serviceDelay  time.Duration
+	wallDeadline  time.Duration
 
 	objective      string
 	deadlineFactor float64
@@ -186,8 +185,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if cfg.gateCompare {
-		return runGateCompare(cfg, stdout)
+	if cfg.overloadDrill {
+		return runOverloadDrill(cfg, stdout)
 	}
 	if cfg.chaos {
 		return runChaos(cfg, stdout)
@@ -271,20 +270,18 @@ func parseFlags(args []string) (loadConfig, error) {
 		"with -chaos: replay a recorded fleet trace (JSON) instead of compiling one from -scenario")
 	fs.StringVar(&cfg.fleetRecord, "fleet-record", "",
 		"with -chaos: record the compiled fleet trace to this path")
-	fs.BoolVar(&cfg.adaptive, "adaptive", false,
-		"with -chaos: run every fleet node's admission gate with the measured-delay controller on")
-	fs.BoolVar(&cfg.gateCompare, "gate-compare", false,
-		"drive the same overload schedule through a static and an adaptive admission gate and compare SLO attainment (exit non-zero if adaptive loses)")
+	fs.BoolVar(&cfg.overloadDrill, "overload-drill", false,
+		"drive an overload schedule through the admission gate and check it: nothing accepted dropped, decisions identical to an in-process replay, deadline sheds <= 1% of issued, queue-delay p95 <= the wall deadline (exit non-zero on any failure)")
 	fs.Float64Var(&cfg.overload, "overload", 2.0,
-		"with -gate-compare: offered load as a multiple of the static gate's capacity (gate-inflight / service-delay)")
+		"with -overload-drill: offered load as a multiple of the gate's initial capacity (gate-inflight / service-delay)")
 	fs.IntVar(&cfg.gateInflight, "gate-inflight", 2,
-		"with -gate-compare: the gates' initial inflight limit")
+		"with -overload-drill: the gate's initial inflight limit")
 	fs.IntVar(&cfg.gateQueue, "gate-queue", 16,
-		"with -gate-compare: the gates' initial queue limit")
+		"with -overload-drill: the gate's initial queue limit")
 	fs.DurationVar(&cfg.serviceDelay, "service-delay", 3*time.Millisecond,
-		"with -gate-compare: pinned per-decide service time, so gate capacity is a known quantity")
+		"with -overload-drill: pinned per-decide service time, so gate capacity is a known quantity")
 	fs.DurationVar(&cfg.wallDeadline, "wall-deadline", 18*time.Millisecond,
-		"with -gate-compare: nominal wall-clock deadline per request (scaled per input by the trace's deadline churn)")
+		"with -overload-drill: nominal wall-clock deadline per request (scaled per input by the trace's deadline churn)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -320,15 +317,15 @@ func parseFlags(args []string) (loadConfig, error) {
 	if cfg.migrateEvery > 0 && cfg.addrs == "" {
 		return cfg, fmt.Errorf("-migrate-every requires -addrs (migration moves sessions between cluster members)")
 	}
-	if cfg.gateCompare {
+	if cfg.overloadDrill {
 		if remote || cfg.chaos {
-			return cfg, fmt.Errorf("-gate-compare builds its own pair of in-process servers and cannot combine with -addr, -addrs, or -chaos")
+			return cfg, fmt.Errorf("-overload-drill builds its own in-process server and cannot combine with -addr, -addrs, or -chaos")
 		}
 		if cfg.wire != "json" {
-			return cfg, fmt.Errorf("-gate-compare drives the HTTP/JSON path (admission semantics are transport-identical; see the binwire tests)")
+			return cfg, fmt.Errorf("-overload-drill drives the HTTP/JSON path (admission semantics are transport-identical; see the binwire tests)")
 		}
 		if cfg.referenceScorer || cfg.decisionsOut != "" || cfg.recordPath != "" {
-			return cfg, fmt.Errorf("-reference-scorer, -decisions-out, and -record do not apply to -gate-compare (it oracle-checks decisions itself)")
+			return cfg, fmt.Errorf("-reference-scorer, -decisions-out, and -record do not apply to -overload-drill (it oracle-checks decisions itself)")
 		}
 		if cfg.overload <= 0 || cfg.gateInflight <= 0 || cfg.gateQueue <= 0 {
 			return cfg, fmt.Errorf("-overload, -gate-inflight, and -gate-queue must be positive")
@@ -338,10 +335,7 @@ func parseFlags(args []string) (loadConfig, error) {
 		}
 	} else if cfg.overload != 2.0 || cfg.gateInflight != 2 || cfg.gateQueue != 16 ||
 		cfg.serviceDelay != 3*time.Millisecond || cfg.wallDeadline != 18*time.Millisecond {
-		return cfg, fmt.Errorf("-overload, -gate-inflight, -gate-queue, -service-delay, and -wall-deadline require -gate-compare")
-	}
-	if cfg.adaptive && !cfg.chaos {
-		return cfg, fmt.Errorf("-adaptive requires -chaos (-gate-compare runs both gates itself)")
+		return cfg, fmt.Errorf("-overload, -gate-inflight, -gate-queue, -service-delay, and -wall-deadline require -overload-drill")
 	}
 	if cfg.chaos {
 		if remote {
@@ -735,14 +729,10 @@ func runChaos(cfg loadConfig, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "chaos fleet data plane riding the binary transport")
 	}
 	// Seed 0: a replayed trace reproduces with its own recorded seed.
-	if cfg.adaptive {
-		fmt.Fprintln(stdout, "chaos fleet admission gates running adaptive")
-	}
 	h, err := chaos.New(chaos.Options{
-		Fleet:    ft,
-		Base:     spec,
-		Binary:   cfg.wire == "binary",
-		Adaptive: cfg.adaptive,
+		Fleet:  ft,
+		Base:   spec,
+		Binary: cfg.wire == "binary",
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "chaos: "+format+"\n", args...)
 		},

@@ -81,10 +81,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	platName := fs.String("platform", "CPU1", "Embedded | CPU1 | CPU2 | GPU")
 	task := fs.String("task", "image", "image | sentence")
 	shards := fs.Int("shards", 0, "stream-table shards (0 = one per CPU)")
-	maxInflight := fs.Int("max-inflight", 0, "admission gate: concurrent requests (0 = default 64)")
-	maxQueue := fs.Int("max-queue", 0, "admission gate: waiting requests before 429 (0 = 2x max-inflight)")
-	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 (0 = 50ms)")
-	adaptive := fs.Bool("adaptive", false, "let the measured-delay controller move the admission limits; -max-inflight/-max-queue become initial bounds")
+	maxInflight := fs.Int("max-inflight", 0, "admission gate: initial bound on concurrent requests; the measured-delay controller moves it within [1/8, 4x] (0 = default 64)")
+	maxQueue := fs.Int("max-queue", 0, "admission gate: initial bound on waiting requests before 429, moved like -max-inflight (0 = 2x max-inflight)")
+	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 503, and on 429 until service time is measured (0 = 50ms)")
 	nodeID := fs.String("node-id", "", "cluster identity advertised in /v1/stats (empty = standalone)")
 	peers := fs.String("peers", "", "comma-separated peer addresses the membership layer heartbeats first (requires -membership)")
 	idleEvict := fs.Duration("idle-evict", 0, "evict sessions idle longer than this, swept at the same period (0 = never)")
@@ -138,7 +137,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		MaxInflight: *maxInflight,
 		MaxQueue:    *maxQueue,
 		RetryAfter:  *retryAfter,
-		Adaptive:    *adaptive,
 		NodeID:      *nodeID,
 	}
 	var agent *membership.Agent

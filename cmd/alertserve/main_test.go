@@ -234,20 +234,24 @@ func TestClusterIdentityFlags(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFlags: -adaptive and the static bounds reach the admission
-// gate and surface in the /v1/stats overload snapshot, with the static
-// flags-off escape hatch staying the default.
+// TestAdaptiveFlags: -max-inflight and -max-queue reach the admission gate
+// as the controller's initial limits and surface in the /v1/stats overload
+// snapshot; -adaptive, which chose between two gates, is an unknown flag.
 func TestAdaptiveFlags(t *testing.T) {
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-adaptive"}, &out, nil); err == nil {
+		t.Fatal("-adaptive accepted; the gate has one mode")
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
-	var out strings.Builder
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-shards", "1",
-			"-adaptive", "-max-inflight", "4", "-max-queue", "8",
+			"-max-inflight", "4", "-max-queue", "8",
 		}, &out, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -270,9 +274,6 @@ func TestAdaptiveFlags(t *testing.T) {
 	}
 	if stats.Overload == nil {
 		t.Fatal("stats.overload missing")
-	}
-	if !stats.Overload.Adaptive {
-		t.Error("overload snapshot says the gate is static, want adaptive")
 	}
 	if stats.Overload.InflightLimit != 4 || stats.Overload.QueueLimit != 8 {
 		t.Errorf("initial limits = %d/%d, want 4/8",

@@ -228,50 +228,6 @@ func TestHarnessUnmanagedKill(t *testing.T) {
 	}
 }
 
-// TestHarnessUnmanagedKillAdaptive reruns the unmanaged drill with every
-// node's adaptive gate on: the moving admission limits must not disturb a
-// single harness invariant — no lost accepted work, no divergence,
-// byte-identical decisions — because admission policy decides whether a
-// request runs, never what it computes.
-func TestHarnessUnmanagedKillAdaptive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-node harness run")
-	}
-	base, err := scenario.ByName("steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const inputs = 36
-	spec, err := scenario.DefaultUnmanagedFleet(base, 6, 4, inputs, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := compileFleet(t, spec, inputs, 42)
-
-	h, err := New(Options{Fleet: ft, Adaptive: true, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	rep, err := h.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(rep.Summary())
-	if !rep.OK() {
-		t.Fatalf("invariant violations with the adaptive gate on:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	if rep.Failovers != rep.Kills || rep.Kills < 2 {
-		t.Errorf("absorbed %d of %d kills, want all of >= 2", rep.Failovers, rep.Kills)
-	}
-	if len(rep.Diverged) != 0 {
-		t.Errorf("adaptive run diverged: %+v", rep.Diverged)
-	}
-	if rep.MatchedRounds != rep.Decides {
-		t.Errorf("matched %d of %d decisions; the adaptive gate must not change served results", rep.MatchedRounds, rep.Decides)
-	}
-}
-
 // TestHarnessRejectsManagedEventsWhenUnmanaged: an unmanaged trace carrying
 // a restart must be refused up front — there is no orchestrator to execute
 // it.

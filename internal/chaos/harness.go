@@ -57,12 +57,6 @@ type Options struct {
 	// polls stay on HTTP). Kills sever binwire connections exactly like
 	// HTTP ones.
 	Binary bool
-	// Adaptive runs every node's admission gate with the measured-delay
-	// controller on (internal/overload): the same failure drill, but with
-	// the limits moving under load. The harness invariants must hold either
-	// way — admission policy decides whether a request runs, never what it
-	// computes.
-	Adaptive bool
 	// Logf, when set, receives progress lines (round, events) as the run
 	// unfolds; nil is silent.
 	Logf func(format string, args ...any)
@@ -80,9 +74,6 @@ type node struct {
 	// (first start binds :0 and records what it got).
 	hostport string
 	addr     string // http://hostport
-	// adaptive turns on the measured-delay controller for the node's
-	// admission gate (survives restarts like the addresses).
-	adaptive bool
 	// selfHealing wires a membership agent and selfheal manager into the
 	// node (unmanaged fleets); managed fleets leave both nil, and their
 	// only failures are the operator's drain-then-kill and restart.
@@ -124,7 +115,7 @@ func (n *node) serve(ln net.Listener, peers []string) error {
 		return fmt.Errorf("chaos: node %s: %w", n.id, err)
 	}
 	n.srv = srv
-	cfg := netserve.Config{NodeID: n.id, Adaptive: n.adaptive}
+	cfg := netserve.Config{NodeID: n.id}
 	if n.selfHealing {
 		agent, err := membership.New(membership.Config{
 			ID:             n.id,
@@ -297,7 +288,7 @@ func New(opts Options) (*Harness, error) {
 		if len(opts.Shards) > 0 {
 			shards = opts.Shards[i%len(opts.Shards)]
 		}
-		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: shards, selfHealing: opts.Fleet.Unmanaged, adaptive: opts.Adaptive}
+		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: shards, selfHealing: opts.Fleet.Unmanaged}
 		ln, err := n.listen()
 		if err != nil {
 			for _, l := range listeners {

@@ -152,7 +152,7 @@ func TestWritePrometheus(t *testing.T) {
 	net := NetSnapshot{TransportSnapshot: TransportSnapshot{Decides: 5, RejectedOverload: 2, Exports: 1}}
 	bin := BinSnapshot{ConnsOpened: 4, ConnsClosed: 1, TransportSnapshot: TransportSnapshot{Decides: 9, Exports: 2}, Coalesced: 6}
 
-	ov := OverloadSnapshot{Adaptive: true, InflightLimit: 8, QueueLimit: 16, ShedOverload: 3}
+	ov := OverloadSnapshot{InflightLimit: 8, QueueLimit: 16, ShedOverload: 3}
 
 	var sb strings.Builder
 	WritePrometheus(&sb, serve, net, &bin, &ov)
@@ -169,8 +169,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE alert_binwire_conns gauge\nalert_binwire_conns 3\n",
 		"alert_binwire_decides_total 9\n",
 		"alert_binwire_coalesced_total 6\n",
-		"# TYPE alert_overload_adaptive gauge\nalert_overload_adaptive 1\n",
-		"alert_overload_inflight_limit 8\n",
+		"# TYPE alert_overload_inflight_limit gauge\nalert_overload_inflight_limit 8\n",
 		"alert_overload_queue_limit 16\n",
 		"alert_overload_shed_overload_total 3\n",
 	} {

@@ -2,18 +2,13 @@ package metrics
 
 import "time"
 
-// OverloadSnapshot is a point-in-time view of the adaptive admission gate
+// OverloadSnapshot is a point-in-time view of the admission gate
 // (internal/overload): the live limits the controller is running, the
 // queue-delay signal it is steering on, and the shed-by-class counters.
 // It is served inside GET /v1/stats and rendered as alert_overload_*
 // gauges/counters on GET /metrics, so the JSON field names are a stable
 // wire contract; Duration fields marshal as integer nanoseconds.
 type OverloadSnapshot struct {
-	// Adaptive reports whether the measured-delay controller is allowed to
-	// move the limits. False means the gate is running the static
-	// configuration, but the controller still measures (observability is
-	// always on).
-	Adaptive bool `json:"adaptive"`
 	// InflightLimit and QueueLimit are the effective limits right now;
 	// Inflight and Queued the current occupancy against them.
 	InflightLimit int `json:"inflight_limit"`
@@ -30,9 +25,9 @@ type OverloadSnapshot struct {
 	// expected per-request deadline headroom.
 	ServiceEWMA  time.Duration `json:"service_ewma_ns"`
 	HeadroomEWMA time.Duration `json:"headroom_ewma_ns"`
-	// RetryAfterHint is the hint a rejection carries right now: the static
-	// Retry-After on a fixed gate, the controller's drain estimate on an
-	// adaptive one.
+	// RetryAfterHint is the hint a rejection carries right now: the
+	// controller's drain estimate, or the configured Retry-After before it
+	// has measured any service time.
 	RetryAfterHint time.Duration `json:"retry_after_hint_ns"`
 	// LimitIncreases and LimitDecreases count control-loop moves.
 	LimitIncreases int64 `json:"limit_increases"`

@@ -11,7 +11,7 @@ import (
 // internal/netserve. serve counts what the stream table served, net what
 // the HTTP surface saw, bin (nil omits its families)
 // what the binwire connections saw, and ov (nil when the server has no
-// admission gate) the adaptive gate's live state. Rendered by hand: the
+// admission gate) the gate's live state. Rendered by hand: the
 // format is a few comment lines plus name/value pairs, and the
 // alternative is a client-library dependency for what amounts to
 // fmt.Fprintf.
@@ -45,14 +45,7 @@ func WritePrometheus(w io.Writer, serve ServeSnapshot, net NetSnapshot, bin *Bin
 	gauge("alert_http_request_latency_max_seconds", "Max decide/batch handler latency.", secs(net.MaxRequestLatency))
 
 	if ov != nil {
-		// Adaptive admission gate state.
-		b2i := func(b bool) float64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		gauge("alert_overload_adaptive", "1 when the measured-delay controller may move the limits.", b2i(ov.Adaptive))
+		// Admission gate state.
 		gauge("alert_overload_inflight_limit", "Effective inflight limit right now.", float64(ov.InflightLimit))
 		gauge("alert_overload_queue_limit", "Effective admission queue limit right now.", float64(ov.QueueLimit))
 		gauge("alert_overload_inflight", "Requests holding a gate slot.", float64(ov.Inflight))

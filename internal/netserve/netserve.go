@@ -111,17 +111,21 @@ import (
 
 // Config sizes the front end. The zero value selects sensible defaults.
 type Config struct {
-	// MaxInflight bounds the requests concurrently past the admission gate
-	// (the mutating endpoints: decide, observe, decide-batch, and stream
-	// eviction; the stats/streams reads are deliberately ungated so
-	// monitoring keeps answering under overload and drain); 0 means 64.
+	// MaxInflight is the admission gate's initial bound on the requests
+	// concurrently past it (the mutating endpoints: decide, observe,
+	// decide-batch, and stream eviction; the stats/streams reads are
+	// deliberately ungated so monitoring keeps answering under overload and
+	// drain); 0 means 64. The measured-delay controller (internal/overload)
+	// moves the effective limit within [1/8, 4x] of it.
 	MaxInflight int
-	// MaxQueue bounds the requests waiting at the gate beyond MaxInflight;
-	// a request arriving with the queue full is rejected with 429. 0 means
-	// 2×MaxInflight.
+	// MaxQueue is the initial bound on the requests waiting at the gate
+	// beyond the inflight limit; a request arriving with the queue full is
+	// rejected with 429. 0 means 2×MaxInflight. The controller moves it
+	// within [1/8, 4x] as well.
 	MaxQueue int
-	// RetryAfter is the backoff hint attached to 429/503 responses; 0
-	// means 50ms.
+	// RetryAfter is the backoff hint attached to 503 responses, and to 429s
+	// until the controller has measured service time (after that a 429
+	// carries its drain estimate); 0 means 50ms.
 	RetryAfter time.Duration
 	// NodeID names this node in a cluster; it is echoed in GET /v1/stats so
 	// routing clients can verify they reached the member they meant to.
@@ -138,16 +142,9 @@ type Config struct {
 	// — and the restoring hold: decides/observes for a stream mid-restore
 	// are shed with 503 + Retry-After instead of forking a fresh session.
 	Recovery Recovery
-	// Adaptive lets the measured-delay controller (internal/overload) move
-	// the effective inflight/queue limits around the static
-	// MaxInflight/MaxQueue configuration. Off (the default), the limits
-	// stay pinned and the gate behaves exactly like the static one; the
-	// controller still measures, so the overload observability is live
-	// either way.
-	Adaptive bool
 	// ServiceDelay, when positive, adds an artificial per-decide service
 	// latency. It exists for overload rehearsal — cmd/alertload's
-	// gate-compare mode and the CI overload smoke use it to drive real
+	// -overload-drill and the CI overload smoke use it to drive real
 	// queueing at the gate with wall-clock-meaningful deadlines. Zero (the
 	// default) in production.
 	ServiceDelay time.Duration
@@ -225,7 +222,6 @@ func New(srv *alert.Server, cfg Config) *Server {
 		gate: overload.NewGate(overload.NewController(overload.Config{
 			Inflight:   cfg.maxInflight(),
 			Queue:      cfg.maxQueue(),
-			Adaptive:   cfg.Adaptive,
 			RetryAfter: cfg.retryAfter(),
 		})),
 		serviceDelay: cfg.ServiceDelay,

@@ -188,16 +188,19 @@ func (s *Server) release(n int) {
 // controller believes the engine costs. It covers n decides served by one
 // engine crossing (op OpDecide) or one batch of n (OpBatch), with one
 // clock read: service time (admitted → now; one sample per request) feeds
-// the controller, and sojourn (start, when the request — or the burst it
-// arrived in — was decoded → now) is the latency the counters see. It
-// returns the instant it read. The slots go back with release.
+// the controller, whose control loop ticks at now, and sojourn (start,
+// when the request — or the burst it arrived in — was decoded → now) is
+// the latency the counters see. It returns the instant it read. The slots
+// go back with release.
 func (s *Server) finish(tc *metrics.TransportCounters, op metrics.Op, n int, start, admitted time.Time) time.Time {
 	now := time.Now()
 	reqs := n
 	if op == metrics.OpBatch {
 		reqs = 1
 	}
-	s.gate.Controller().ObserveService(now.Sub(admitted), reqs)
+	ctrl := s.gate.Controller()
+	ctrl.ObserveService(now.Sub(admitted), reqs)
+	ctrl.Tick(now)
 	tc.RecordDecides(op, n, now.Sub(start))
 	return now
 }

@@ -67,9 +67,9 @@ func TestRetryHintClamp(t *testing.T) {
 	}
 }
 
-// TestRetryHintClampE2E drives the clamp through the wire: a static gate
-// configured with a 50ms hint rejects a request that only has 20ms of
-// deadline left, and the 429 body hints 20ms — not a retry scheduled past
+// TestRetryHintClampE2E drives the clamp through the wire: a gate
+// configured with a 50ms hint, with no service time measured yet, rejects a
+// request that only has 20ms of deadline left, and the 429 body hints 20ms — not a retry scheduled past
 // the caller's own deadline.
 func TestRetryHintClampE2E(t *testing.T) {
 	s := New(testAlertServer(t, 1), Config{
@@ -222,12 +222,12 @@ func TestBinaryDeadlineEdges(t *testing.T) {
 	}
 }
 
-// TestDynamicRetryAfterHTTP: with the adaptive gate on, an overload 429
-// carries the controller's live drain estimate — (queued+1) × expected
-// service time / inflight limit — instead of the static configured hint.
+// TestDynamicRetryAfterHTTP: once service time is measured, an overload
+// 429 carries the controller's live drain estimate — (queued+1) × expected
+// service time / inflight limit — instead of the configured hint.
 func TestDynamicRetryAfterHTTP(t *testing.T) {
 	s := New(testAlertServer(t, 1), Config{
-		MaxInflight: 1, MaxQueue: 1, Adaptive: true, RetryAfter: time.Hour,
+		MaxInflight: 1, MaxQueue: 1, RetryAfter: time.Hour,
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -267,7 +267,7 @@ func TestDynamicRetryAfterHTTP(t *testing.T) {
 	// One queued request ahead, 10ms expected service, limit 1:
 	// (1+1) × 10ms / 1 = 20ms. Exact because EWMA seeds on first sample.
 	if e.RetryAfterMs != 20 {
-		t.Errorf("retry_after_ms = %d, want 20 (drain estimate, not the 1h static hint)", e.RetryAfterMs)
+		t.Errorf("retry_after_ms = %d, want 20 (drain estimate, not the 1h configured hint)", e.RetryAfterMs)
 	}
 
 	s.ReleaseTokenForTest()
@@ -296,9 +296,6 @@ func TestStatsAndMetricsOverload(t *testing.T) {
 	if stats.Overload.InflightLimit != 3 || stats.Overload.QueueLimit != 6 {
 		t.Errorf("limits = %d/%d, want 3/6", stats.Overload.InflightLimit, stats.Overload.QueueLimit)
 	}
-	if stats.Overload.Adaptive {
-		t.Errorf("flags = %+v, want static", stats.Overload)
-	}
 	if stats.Overload.ServiceEWMA <= 0 {
 		t.Errorf("service_ewma = %v, want > 0 after a served decide", stats.Overload.ServiceEWMA)
 	}
@@ -313,7 +310,6 @@ func TestStatsAndMetricsOverload(t *testing.T) {
 	}
 	bodyStr := get("/metrics")
 	for _, want := range []string{
-		"alert_overload_adaptive 0\n",
 		"alert_overload_inflight_limit 3\n",
 		"alert_overload_queue_limit 6\n",
 		"alert_overload_shed_overload_total 0\n",
@@ -329,32 +325,33 @@ func TestStatsAndMetricsOverload(t *testing.T) {
 	}
 }
 
-// TestAdaptiveServesIdenticalDecisions: turning the adaptive gate on must
-// not change a single served decision — admission decides
-// *whether* a request runs, never *what* it computes. Same script, static
-// vs adaptive server, bit-identical decision sequence.
+// TestAdaptiveServesIdenticalDecisions: the measured-delay gate must not
+// change a single served decision — admission decides *whether* a request
+// runs, never *what* it computes. Same script through a gated front end
+// (an inflight bound of 1, so the controller has a limit to move) and
+// straight into an alert.Server, bit-identical decision sequence.
 func TestAdaptiveServesIdenticalDecisions(t *testing.T) {
-	static := New(testAlertServer(t, 1), Config{})
-	adaptive := New(testAlertServer(t, 1), Config{Adaptive: true})
+	gated := New(testAlertServer(t, 1), Config{MaxInflight: 1})
+	ref := testAlertServer(t, 1)
 
 	spec := testSpec()
+	aspec, err := spec.ToSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
-		var ds, da DecideResponse
-		if code := doJSON(t, static, http.MethodPost, "/v1/decide", DecideRequest{Stream: 1, Spec: spec}, &ds); code != http.StatusOK {
-			t.Fatalf("static decide %d: status %d", i, code)
+		var dg DecideResponse
+		if code := doJSON(t, gated, http.MethodPost, "/v1/decide", DecideRequest{Stream: 1, Spec: spec}, &dg); code != http.StatusOK {
+			t.Fatalf("gated decide %d: status %d", i, code)
 		}
-		if code := doJSON(t, adaptive, http.MethodPost, "/v1/decide", DecideRequest{Stream: 1, Spec: spec}, &da); code != http.StatusOK {
-			t.Fatalf("adaptive decide %d: status %d", i, code)
+		dr, est := ref.Decide(1, aspec)
+		if dg.Decision != FromDecision(dr) {
+			t.Fatalf("step %d: gated decision %+v != in-process %+v", i, dg.Decision, dr)
 		}
-		if ds.Decision != da.Decision {
-			t.Fatalf("step %d: adaptive decision %+v != static %+v", i, da.Decision, ds.Decision)
+		fb := Feedback{Decision: dg.Decision, LatencyS: dg.Estimate.LatMeanS * 1.05, CompletedStage: -1}
+		if code := doJSON(t, gated, http.MethodPost, "/v1/observe", ObserveRequest{Stream: 1, Feedback: fb}, nil); code != http.StatusAccepted {
+			t.Fatalf("gated observe %d: status %d", i, code)
 		}
-		fb := Feedback{Decision: ds.Decision, LatencyS: ds.Estimate.LatMeanS * 1.05, CompletedStage: -1}
-		if code := doJSON(t, static, http.MethodPost, "/v1/observe", ObserveRequest{Stream: 1, Feedback: fb}, nil); code != http.StatusAccepted {
-			t.Fatalf("static observe %d: status %d", i, code)
-		}
-		if code := doJSON(t, adaptive, http.MethodPost, "/v1/observe", ObserveRequest{Stream: 1, Feedback: fb}, nil); code != http.StatusAccepted {
-			t.Fatalf("adaptive observe %d: status %d", i, code)
-		}
+		ref.Observe(1, alert.Feedback{Decision: dr, Latency: est.LatMean * 1.05, CompletedStage: -1})
 	}
 }

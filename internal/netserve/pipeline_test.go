@@ -277,8 +277,9 @@ func TestRejectMatrix(t *testing.T) {
 		},
 		{
 			// The one slot held and the one queue place taken: every gated
-			// op bounces with the static hint, clamped to a decide's
-			// deadline headroom.
+			// op bounces with the configured hint (no service time is
+			// measured yet, so there is no drain estimate), clamped to a
+			// decide's deadline headroom.
 			name: "queue full",
 			cfg:  Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 25 * time.Millisecond},
 			arrange: func(t *testing.T, front *Server) func() {
@@ -337,7 +338,7 @@ func TestRejectMatrix(t *testing.T) {
 			},
 		},
 		{
-			// A static hint below the wire's 1ms resolution must not come
+			// A configured hint below the wire's 1ms resolution must not come
 			// out as 0, which both clients read as "no hint".
 			name: "draining, sub-millisecond hint",
 			cfg:  Config{RetryAfter: 500 * time.Microsecond},
@@ -550,7 +551,7 @@ func (c slowWriteConn) Write(b []byte) (int, error) {
 
 // TestSlowReaderDoesNotInflateService: service time is measured before the
 // response write, so one slow reader cannot raise the controller's service
-// EWMA (and with it trigger the adaptive gate's ×0.7 inflight shrink).
+// EWMA (and with it the gate's ×0.7 inflight shrink).
 // Decides are sent one at a time, so each is a singleton flush — the path
 // that measured after the write at the parent commit.
 func TestSlowReaderDoesNotInflateService(t *testing.T) {

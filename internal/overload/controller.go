@@ -1,12 +1,10 @@
-// Package overload is the adaptive admission subsystem: a resizable gate
-// (Gate) shared by the JSON and binary transports, and a measured-delay
-// controller (Controller) that tunes the gate's effective limits from
-// observed queue delay vs. per-request deadline headroom.
-//
-// The controller always measures — queue-delay EWMA/percentiles, service
-// and headroom EWMAs — so observability is on even when adaptation is off
-// and the gate runs its static configuration. What it sheds is counted by
-// the front end's transports, which refuse the request.
+// Package overload is the admission subsystem: a resizable gate (Gate)
+// shared by the JSON and binary transports, and a measured-delay controller
+// (Controller) that tunes the gate's effective limits from observed queue
+// delay vs. per-request deadline headroom. There is one gate: the
+// controller always runs, and the configured bounds are its starting
+// point. What it sheds is counted by the front end's transports, which
+// refuse the request.
 package overload
 
 import (
@@ -17,20 +15,15 @@ import (
 	"github.com/alert-project/alert/internal/metrics"
 )
 
-// Config sets the gate's static bounds and whether the controller may move
-// them. Zero values take the documented defaults.
+// Config sets the gate's initial bounds. Zero values take the documented
+// defaults.
 type Config struct {
-	// Inflight and Queue are the static gate bounds — the controller's
-	// initial operating point, and its fixed limits when Adaptive is off.
+	// Inflight and Queue are the controller's initial operating point; it
+	// moves the limits within [1/8, 4x] of them.
 	Inflight int
 	Queue    int
-	// Adaptive lets the control loop move the effective limits. Off, the
-	// limits stay pinned at Inflight/Queue and the loop is a no-op.
-	Adaptive bool
-	// RetryAfter is the static hint the server was configured with
-	// (default 50ms): the hint of every rejection when Adaptive is off, and
-	// the drain estimate's fallback before any service-latency samples
-	// exist when it is on.
+	// RetryAfter is the hint a rejection carries before any service-latency
+	// samples exist (default 50ms); after that it is the drain estimate.
 	RetryAfter time.Duration
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -55,8 +48,8 @@ const (
 	minAdjustSamples = 4
 	// decreaseBeta is the multiplicative-decrease factor; growth is +1.
 	decreaseBeta = 0.7
-	// growCap and shrinkFloor bound adaptation relative to the static
-	// configuration: limits may grow to 4x and shrink to 1/8 (floor 1).
+	// growCap and shrinkFloor bound adaptation relative to the configured
+	// bounds: limits may grow to 4x and shrink to 1/8 (floor 1).
 	growCap     = 4
 	shrinkFloor = 8
 	// svcInflation is how far the service EWMA must rise above its
@@ -74,20 +67,26 @@ const (
 )
 
 // Controller is the measured-delay control loop. Two coupled AIMD loops
-// tune the gate's effective limits around the static configuration:
+// tune the gate's effective limits around the configured bounds:
 //
-//   - The inflight limit steers on observed service latency vs. its own
-//     low-water mark: service time inflating with concurrency means the
-//     engine is past its capacity knee, so the limit shrinks
-//     multiplicatively; stable service time while requests wait (queue
-//     delay at or above half the target) grows it additively, letting the
-//     system discover capacity a conservative static bound left unused.
+//   - The inflight limit moves only while requests wait at the gate (queue
+//     delay p95 at or above half the target). Then service time inflated
+//     past its own low-water mark means the engine is past its capacity
+//     knee, so the limit shrinks multiplicatively; stable service time
+//     grows it additively, letting the system discover capacity a
+//     conservative bound left unused. With nobody waiting there is nothing
+//     to steer: a burst's sojourn reads as inflated service, and shrinking
+//     a limit nothing presses against only throttles the next burst.
 //
 //   - The queue limit steers on observed queue delay: p95 above the target
 //     (targetFrac of the deadline-headroom EWMA) once capacity is maxed or
 //     contended shrinks it multiplicatively — shedding starts earlier,
 //     bounding how long an admitted request can wait — and delay
 //     comfortably under the target re-grows it additively.
+//
+// The loop steps at most every adjustEvery, on the instants the gate and
+// the front end hand it: a queued grant (ObserveAdmission with a wait) and
+// a settlement (Tick). An uncontended grant reads no clock.
 //
 // All methods are safe for concurrent use.
 type Controller struct {
@@ -114,7 +113,7 @@ type Controller struct {
 	decreases int64
 }
 
-// NewController builds a controller at cfg's static operating point.
+// NewController builds a controller at cfg's initial operating point.
 func NewController(cfg Config) *Controller {
 	if cfg.Inflight < 1 {
 		cfg.Inflight = 1
@@ -129,7 +128,7 @@ func NewController(cfg Config) *Controller {
 	if now == nil {
 		now = time.Now
 	}
-	c := &Controller{
+	return &Controller{
 		cfg:         cfg,
 		now:         now,
 		minInfl:     max(1, cfg.Inflight/shrinkFloor),
@@ -138,10 +137,6 @@ func NewController(cfg Config) *Controller {
 		limInflight: cfg.Inflight,
 		limQueue:    cfg.Queue,
 	}
-	if cfg.Adaptive {
-		c.lastAdjust = now()
-	}
-	return c
 }
 
 // Limits returns the effective inflight and queue limits right now.
@@ -154,8 +149,8 @@ func (c *Controller) Limits() (inflight, queue int) {
 // ObserveAdmission folds in admitted requests, one per entry of deadlines:
 // each waited wait at the gate and, when positive, deadlines[i] is its
 // deadline headroom. Called by the Gate on every grant, once for a prefix
-// granted together; on an adaptive gate it is also the control loop's clock
-// tick, and a static one reads no clock here.
+// granted together. A grant that waited also ticks the control loop; one
+// that did not reads no clock.
 func (c *Controller) ObserveAdmission(wait time.Duration, deadlines ...float64) {
 	ws := wait.Seconds()
 	if ws < 0 {
@@ -171,7 +166,7 @@ func (c *Controller) ObserveAdmission(wait time.Duration, deadlines ...float64) 
 	}
 	c.hist[bucketOf(wait)] += float64(len(deadlines))
 	c.samples += len(deadlines)
-	if c.cfg.Adaptive {
+	if wait > 0 {
 		c.maybeAdjustLocked(c.now())
 	}
 }
@@ -192,8 +187,16 @@ func (c *Controller) ObserveService(d time.Duration, n int) {
 	}
 }
 
+// Tick runs a control step at now, the instant the caller settled served
+// work, if one is due.
+func (c *Controller) Tick(now time.Time) {
+	c.mu.Lock()
+	c.maybeAdjustLocked(now)
+	c.mu.Unlock()
+}
+
 // maybeAdjustLocked runs one control step if the cadence and sample
-// thresholds are met. Caller holds c.mu and has checked cfg.Adaptive.
+// thresholds are met. Caller holds c.mu.
 func (c *Controller) maybeAdjustLocked(now time.Time) {
 	if now.Sub(c.lastAdjust) < adjustEvery || c.samples < minAdjustSamples {
 		return
@@ -205,17 +208,18 @@ func (c *Controller) maybeAdjustLocked(now time.Time) {
 	p95 := c.percentileLocked(0.95).Seconds()
 	contended := c.svcFloor > 0 && c.svcEWMA > svcInflation*c.svcFloor
 
-	// Inflight loop: service latency is the contention signal. Inflated
-	// service time means the engine is past its capacity knee — back off.
-	// Stable service time with requests actually waiting means the static
-	// bound is leaving capacity unused — raise concurrency to absorb the
-	// load. (Growth needs demand: an idle gate learns nothing by growing.)
-	switch {
-	case contended:
-		c.limInflight = c.shrink(c.limInflight, c.minInfl)
-	case p95 >= target/2 && c.svcFloor > 0 && c.limInflight < c.maxInfl:
-		c.limInflight++
-		c.increases++
+	// Inflight loop: it acts only on demand, requests actually waiting.
+	// Then inflated service time means the engine is past its capacity
+	// knee — back off — and stable service time means the limit is leaving
+	// capacity unused — raise concurrency to absorb the load.
+	if p95 >= target/2 {
+		switch {
+		case contended:
+			c.limInflight = c.shrink(c.limInflight, c.minInfl)
+		case c.svcFloor > 0 && c.limInflight < c.maxInfl:
+			c.limInflight++
+			c.increases++
+		}
 	}
 
 	// Queue loop: the queue limit bounds how long an admitted request can
@@ -264,7 +268,7 @@ func (c *Controller) shrink(limit, floor int) int {
 // needs to drain the given backlog: (queued+1) requests through
 // limInflight servers at the observed service time, clamped to
 // [1ms, 30s]. Before any service samples exist it falls back to the
-// configured static hint.
+// configured hint.
 func (c *Controller) DrainEstimate(queued int) time.Duration {
 	c.mu.Lock()
 	svc, lim := c.svcEWMA, c.limInflight
@@ -288,7 +292,6 @@ func (c *Controller) DrainEstimate(queued int) time.Duration {
 // snapshotLocked fills the controller half of an OverloadSnapshot.
 // Caller holds c.mu.
 func (c *Controller) snapshotLocked(s *metrics.OverloadSnapshot) {
-	s.Adaptive = c.cfg.Adaptive
 	s.InflightLimit = c.limInflight
 	s.QueueLimit = c.limQueue
 	s.QueueDelayEWMA = secsDur(c.qdEWMA)

@@ -176,19 +176,9 @@ func (g *Gate) Saturated() bool {
 }
 
 // RetryAfter is the hint a rejection should carry right now: the
-// configured static hint when the limits are fixed, and the controller's
-// drain estimate for the current backlog when they adapt.
+// controller's drain estimate for the current backlog.
 func (g *Gate) RetryAfter() time.Duration {
 	_, queued := g.Occupancy()
-	return g.retryAfter(queued)
-}
-
-// retryAfter is RetryAfter's rule for a backlog of queued waiters. The
-// caller holds no lock: the drain estimate takes the controller's.
-func (g *Gate) retryAfter(queued int) time.Duration {
-	if !g.ctrl.cfg.Adaptive {
-		return g.ctrl.cfg.RetryAfter
-	}
 	return g.ctrl.DrainEstimate(queued)
 }
 
@@ -211,7 +201,7 @@ func (g *Gate) Snapshot() metrics.OverloadSnapshot {
 	g.ctrl.mu.Lock()
 	g.ctrl.snapshotLocked(&s)
 	g.ctrl.mu.Unlock()
-	s.RetryAfterHint = g.retryAfter(s.Queued)
+	s.RetryAfterHint = g.ctrl.DrainEstimate(s.Queued)
 	return s
 }
 

@@ -30,21 +30,9 @@ func (f *fakeClock) advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-func TestControllerStaticLimitsPinned(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Inflight: 4, Queue: 8, Clock: clk.now})
-	for i := 0; i < 100; i++ {
-		clk.advance(20 * time.Millisecond)
-		c.ObserveAdmission(time.Second, 0.010) // way past any target
-	}
-	if li, lq := c.Limits(); li != 4 || lq != 8 {
-		t.Fatalf("static limits moved: inflight=%d queue=%d", li, lq)
-	}
-}
-
 func TestControllerShrinksQueueOnDelay(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{Inflight: 4, Queue: 16, Adaptive: true, Clock: clk.now})
+	c := NewController(Config{Inflight: 4, Queue: 16, Clock: clk.now})
 	c.ObserveService(2*time.Millisecond, 1) // stable service
 	// Queue delay (20ms) far above target (half of 10ms headroom): the
 	// controller first spends the inflight headroom (capacity discovery),
@@ -68,7 +56,7 @@ func TestControllerShrinksQueueOnDelay(t *testing.T) {
 
 func TestControllerGrowsQueueUnderComfort(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
+	c := NewController(Config{Inflight: 2, Queue: 4, Clock: clk.now})
 	c.ObserveService(3*time.Millisecond, 1) // stable service
 	// Negligible delay against 100ms headroom: the queue probes up, but
 	// the inflight limit holds — growth needs demand (requests waiting),
@@ -91,7 +79,7 @@ func TestControllerGrowsQueueUnderComfort(t *testing.T) {
 
 func TestControllerGrowsInflightUnderDemand(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
+	c := NewController(Config{Inflight: 2, Queue: 4, Clock: clk.now})
 	c.ObserveService(2*time.Millisecond, 1) // stable service
 	// Delay past half the target (10ms headroom -> 5ms target) with stable
 	// service: demand without contention, so concurrency probes up to the
@@ -108,7 +96,7 @@ func TestControllerGrowsInflightUnderDemand(t *testing.T) {
 
 func TestControllerShrinksInflightOnServiceInflation(t *testing.T) {
 	clk := newFakeClock()
-	c := NewController(Config{Inflight: 8, Queue: 16, Adaptive: true, Clock: clk.now})
+	c := NewController(Config{Inflight: 8, Queue: 16, Clock: clk.now})
 	// Establish a low service floor, then inflate it well past 2x.
 	for i := 0; i < 50; i++ {
 		c.ObserveService(2*time.Millisecond, 1)
@@ -130,12 +118,45 @@ func TestControllerShrinksInflightOnServiceInflation(t *testing.T) {
 	}
 }
 
+// TestControllerHoldsInflightWhileNoneWaits: service samples inflate while
+// every admission is granted at once, with zero wait — what a binwire
+// burst's sojourn looks like — and the loop keeps stepping on the
+// settlement instants. Nothing presses against the inflight limit, so
+// shrinking it relieves nothing: it must not move.
+func TestControllerHoldsInflightWhileNoneWaits(t *testing.T) {
+	clk := newFakeClock()
+	c := NewController(Config{Inflight: 8, Queue: 16, Clock: clk.now})
+	g := NewGate(c)
+	for i := 0; i < 50; i++ {
+		c.ObserveService(2*time.Millisecond, 1)
+	}
+	for i := 0; i < 200; i++ {
+		if n, v, _ := g.TryAcquireN(0.010, 0.010, 0.010, 0.010); n != 4 || v != GateAdmitted {
+			t.Fatalf("step %d: granted %d (%v), want all 4 at once (inflight limit %d)", i, n, v, g.Snapshot().InflightLimit)
+		}
+		clk.advance(5 * time.Millisecond)
+		c.ObserveService(50*time.Millisecond, 4)
+		c.Tick(clk.now())
+		g.ReleaseN(4)
+	}
+	s := g.Snapshot()
+	if s.ServiceEWMA < 20*time.Millisecond {
+		t.Fatalf("service EWMA %v never inflated; the test is not testing anything", s.ServiceEWMA)
+	}
+	if s.InflightLimit != 8 || s.LimitDecreases != 0 {
+		t.Fatalf("inflight limit moved to %d (%d decreases) with nobody waiting, want 8", s.InflightLimit, s.LimitDecreases)
+	}
+	if s.QueueLimit <= 16 {
+		t.Fatalf("queue limit %d: the loop never stepped", s.QueueLimit)
+	}
+}
+
 func TestControllerDrainEstimate(t *testing.T) {
 	clk := newFakeClock()
 	c := NewController(Config{Inflight: 2, Queue: 8, RetryAfter: 70 * time.Millisecond, Clock: clk.now})
-	// No service samples: static fallback.
+	// No service samples: the configured fallback.
 	if got := c.DrainEstimate(5); got != 70*time.Millisecond {
-		t.Fatalf("cold drain estimate = %v, want static 70ms", got)
+		t.Fatalf("cold drain estimate = %v, want the configured 70ms", got)
 	}
 	for i := 0; i < 200; i++ {
 		c.ObserveService(10*time.Millisecond, 1)
@@ -239,24 +260,32 @@ func TestGateGrantsLongestPrefix(t *testing.T) {
 	}
 }
 
-// TestStaticControllerReadsNoClock: a static gate's grants and releases
-// never consult the clock — the control loop that needs it is off — so
-// neither construction nor an uncontended acquire/release reads it.
-func TestStaticControllerReadsNoClock(t *testing.T) {
+// TestUncontendedGrantReadsNoClock: neither construction nor an
+// uncontended acquire/release reads the clock, and the control loop still
+// steps — on the settlement instants the caller already read and hands to
+// Tick.
+func TestUncontendedGrantReadsNoClock(t *testing.T) {
 	var reads atomic.Int64
 	ctrl := NewController(Config{Inflight: 4, Queue: 4, Clock: func() time.Time {
 		reads.Add(1)
 		return time.Unix(1000, 0)
 	}})
 	g := NewGate(ctrl)
+	settled := time.Unix(1000, 0)
 	for i := 0; i < 1000; i++ {
 		if v, _ := g.TryAcquire(0.2); v != GateAdmitted {
 			t.Fatalf("pair %d: acquire = %v", i, v)
 		}
+		settled = settled.Add(time.Millisecond)
+		ctrl.ObserveService(time.Millisecond, 1)
+		ctrl.Tick(settled)
 		g.Release()
 	}
 	if n := reads.Load(); n != 0 {
-		t.Fatalf("%d clock reads over 1000 static acquire/release pairs, want 0", n)
+		t.Fatalf("%d clock reads over 1000 uncontended acquire/release pairs, want 0", n)
+	}
+	if _, lq := ctrl.Limits(); lq <= 4 {
+		t.Fatalf("queue limit %d: the loop never stepped on the settlement ticks", lq)
 	}
 }
 
@@ -307,7 +336,7 @@ func TestGateCancelGrantRace(t *testing.T) {
 
 func TestGateResizeWakesWaiters(t *testing.T) {
 	clk := newFakeClock()
-	ctrl := NewController(Config{Inflight: 2, Queue: 8, Adaptive: true, Clock: clk.now})
+	ctrl := NewController(Config{Inflight: 2, Queue: 8, Clock: clk.now})
 	g := NewGate(ctrl)
 	g.ForceAcquire()
 	g.ForceAcquire()
@@ -328,64 +357,53 @@ func TestGateResizeWakesWaiters(t *testing.T) {
 	}
 }
 
-// TestGateRetryAfter: the hint a rejection carries is the configured
-// static one on a fixed gate, whatever the controller has measured, and
-// the drain estimate on an adaptive gate.
+// TestGateRetryAfter: the hint a rejection carries is the configured one
+// until the controller has measured service time, and the drain estimate
+// after.
 func TestGateRetryAfter(t *testing.T) {
 	clk := newFakeClock()
-	for _, adaptive := range []bool{false, true} {
-		ctrl := NewController(Config{Inflight: 2, Queue: 8, Adaptive: adaptive, RetryAfter: 70 * time.Millisecond, Clock: clk.now})
-		g := NewGate(ctrl)
-		if got := g.RetryAfter(); got != 70*time.Millisecond {
-			t.Fatalf("adaptive=%v: cold hint = %v, want the static 70ms", adaptive, got)
-		}
-		for i := 0; i < 200; i++ {
-			ctrl.ObserveService(10*time.Millisecond, 1)
-		}
-		want := 70 * time.Millisecond
-		if adaptive {
-			want = ctrl.DrainEstimate(0)
-		}
-		if got := g.RetryAfter(); got != want || adaptive && got == 70*time.Millisecond {
-			t.Fatalf("adaptive=%v: warm hint = %v, want %v", adaptive, got, want)
-		}
+	ctrl := NewController(Config{Inflight: 2, Queue: 8, RetryAfter: 70 * time.Millisecond, Clock: clk.now})
+	g := NewGate(ctrl)
+	if got := g.RetryAfter(); got != 70*time.Millisecond {
+		t.Fatalf("cold hint = %v, want the configured 70ms", got)
+	}
+	for i := 0; i < 200; i++ {
+		ctrl.ObserveService(10*time.Millisecond, 1)
+	}
+	if got, want := g.RetryAfter(), ctrl.DrainEstimate(0); got != want || got == 70*time.Millisecond {
+		t.Fatalf("warm hint = %v, want the drain estimate %v", got, want)
 	}
 }
 
 // TestSnapshotRetryHintMatchesRejection: the hint /v1/stats and /metrics
-// report is the one a rejection carries at that moment — on a fixed and an
-// adaptive gate, cold and after service samples, with a waiter queued.
+// report is the one a rejection carries at that moment — cold and after
+// service samples, with a waiter queued.
 func TestSnapshotRetryHintMatchesRejection(t *testing.T) {
 	clk := newFakeClock()
-	for _, adaptive := range []bool{false, true} {
-		ctrl := NewController(Config{Inflight: 1, Queue: 8, Adaptive: adaptive, Clock: clk.now})
-		g := NewGate(ctrl)
-		g.ForceAcquire()
-		if _, w := g.TryAcquire(0); w == nil {
-			t.Fatalf("adaptive=%v: could not queue a waiter", adaptive)
+	ctrl := NewController(Config{Inflight: 1, Queue: 8, Clock: clk.now})
+	g := NewGate(ctrl)
+	g.ForceAcquire()
+	if _, w := g.TryAcquire(0); w == nil {
+		t.Fatal("could not queue a waiter")
+	}
+	for _, samples := range []int{0, 1} {
+		for i := 0; i < samples; i++ {
+			ctrl.ObserveService(20*time.Millisecond, 1)
 		}
-		for _, samples := range []int{0, 1} {
-			for i := 0; i < samples; i++ {
-				ctrl.ObserveService(20*time.Millisecond, 1)
-			}
-			if got, want := g.Snapshot().RetryAfterHint, g.RetryAfter(); got != want {
-				t.Errorf("adaptive=%v, %d service samples: snapshot hint %v, rejections carry %v", adaptive, samples, got, want)
-			}
+		if got, want := g.Snapshot().RetryAfterHint, g.RetryAfter(); got != want {
+			t.Errorf("%d service samples: snapshot hint %v, rejections carry %v", samples, got, want)
 		}
 	}
 }
 
 func TestGateSnapshot(t *testing.T) {
 	clk := newFakeClock()
-	ctrl := NewController(Config{Inflight: 2, Queue: 4, Adaptive: true, Clock: clk.now})
+	ctrl := NewController(Config{Inflight: 2, Queue: 4, Clock: clk.now})
 	g := NewGate(ctrl)
 	g.ForceAcquire()
 	ctrl.ObserveService(4*time.Millisecond, 1)
 	ctrl.ObserveAdmission(2*time.Millisecond, 0.020)
 	s := g.Snapshot()
-	if !s.Adaptive {
-		t.Fatalf("mode flag lost: %+v", s)
-	}
 	if s.Inflight != 1 || s.InflightLimit != 2 || s.QueueLimit != 4 {
 		t.Fatalf("occupancy/limits wrong: %+v", s)
 	}
