@@ -128,7 +128,7 @@ type Client struct {
 // New validates the base URL (e.g. "http://127.0.0.1:8372") and returns a
 // ready client.
 func New(baseURL string, opts Options) (*Client, error) {
-	u, err := url.Parse(baseURL)
+	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
 	if err != nil {
 		return nil, fmt.Errorf("client: bad base URL %q: %w", baseURL, err)
 	}
@@ -136,7 +136,7 @@ func New(baseURL string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("client: base URL %q must be http(s)", baseURL)
 	}
 	c := &Client{
-		http:        httpCodec{base: strings.TrimRight(baseURL, "/"), hc: opts.HTTPClient},
+		http:        httpCodec{base: u, hc: opts.HTTPClient},
 		maxRetries:  opts.MaxRetries,
 		backoffBase: 10 * time.Millisecond,
 		backoffCap:  2 * time.Second,

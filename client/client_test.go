@@ -142,7 +142,7 @@ func TestOverloadErrorSurface(t *testing.T) {
 	// race with the probes below), then overflow with probes until one is
 	// rejected.
 	fe.HoldTokenForTest()
-	retrier, err := New(c.http.base, Options{MaxRetries: 1000})
+	retrier, err := New(c.http.base.String(), Options{MaxRetries: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestOverloadErrorSurface(t *testing.T) {
 // transient overload by itself.
 func TestRetryOnOverload(t *testing.T) {
 	c, fe := startFrontEnd(t, netserve.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 5 * time.Millisecond})
-	retry, err := New(c.http.base, Options{MaxRetries: 50})
+	retry, err := New(c.http.base.String(), Options{MaxRetries: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestContextCancellation(t *testing.T) {
 	fe.HoldTokenForTest()
 	defer fe.ReleaseTokenForTest()
 
-	retry, err := New(c.http.base, Options{MaxRetries: 1000})
+	retry, err := New(c.http.base.String(), Options{MaxRetries: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.http.base != "http://host:1234" {
-		t.Errorf("base = %q, want trailing slash trimmed", c.http.base)
+	if c.http.base.String() != "http://host:1234" {
+		t.Errorf("base = %q, want trailing slash trimmed", c.http.base.String())
 	}
 	if _, err := New("https://host", Options{PreferBinary: true}); err == nil {
 		t.Error("PreferBinary with an https URL must error: binwire does not run over TLS")

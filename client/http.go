@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 
 	"github.com/alert-project/alert"
 	"github.com/alert-project/alert/internal/netserve"
@@ -17,28 +19,88 @@ import (
 // httpCodec is the HTTP/JSON codec: the /v1 API over a pooled, keep-alive
 // http.Client. Besides the per-input loop it carries everything that has no
 // binwire form: the stream ops (evict, snapshot, restore) and the
-// control-plane reads.
+// control-plane reads. The loop's bodies go through netserve's hand-written
+// codec; every other body through encoding/json.
 type httpCodec struct {
-	base string
+	base *url.URL // parsed once by New; each request copies it
 	hc   *http.Client
 }
 
-// once is one HTTP exchange: in (if any) is sent as the JSON body, a 2xx
-// reply is decoded into out (if any), anything else becomes statusError.
+// replies recycles the buffers the loop's replies are read into.
+var replies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// A reply buffer that an unusually large batch grew past this is dropped
+// rather than pooled.
+const maxPooledReply = 64 << 10
+
+// once is one HTTP exchange outside the per-input loop: in (if any) is sent
+// as the JSON body, a 2xx reply is decoded into out (if any), anything else
+// becomes statusError.
 func (h *httpCodec) once(ctx context.Context, method, path string, in, out any) error {
-	var rd io.Reader
+	var body []byte
 	if in != nil {
-		body, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("client: encoding %s: %w", path, err)
 		}
-		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, h.base+path, rd)
+	return h.exchange(ctx, method, path, body, func(r io.Reader) error {
+		if out == nil {
+			return nil
+		}
+		return json.NewDecoder(r).Decode(out)
+	})
+}
+
+// loop is one POST of the per-input loop: encode appends the request body,
+// and decode (nil for none) parses the whole 2xx reply, read into a pooled
+// buffer.
+func (h *httpCodec) loop(ctx context.Context, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+	buf := replies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledReply {
+			buf.Reset()
+			replies.Put(buf)
+		}
+	}()
+	body, err := encode(buf.AvailableBuffer())
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return fmt.Errorf("client: encoding %s: %w", path, err)
 	}
-	if in != nil {
+	// The transport may still read the body after Do returns, so it gets
+	// its own copy rather than the pooled buffer.
+	body = bytes.Clone(body)
+	return h.exchange(ctx, http.MethodPost, path, body, func(r io.Reader) error {
+		if decode == nil {
+			return nil
+		}
+		if _, err := buf.ReadFrom(r); err != nil {
+			return err
+		}
+		return decode(buf.Bytes())
+	})
+}
+
+// exchange sends body (nil for none) as the JSON request body and hands a
+// 2xx reply's body to read; any other reply becomes statusError.
+func (h *httpCodec) exchange(ctx context.Context, method, path string, body []byte, read func(io.Reader) error) error {
+	u := *h.base
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	req := (&http.Request{
+		Method:     method,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+	}).WithContext(ctx)
+	if body != nil {
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := h.hc.Do(req)
@@ -56,10 +118,8 @@ func (h *httpCodec) once(ctx context.Context, method, path string, in, out any) 
 		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
 		return statusError(resp.StatusCode, e.Error, e.RetryAfterMs, resp.Header.Get("Retry-After"))
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: decoding %s response: %w", path, err)
-		}
+	if err := read(resp.Body); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
 }
@@ -67,9 +127,11 @@ func (h *httpCodec) once(ctx context.Context, method, path string, in, out any) 
 func streamPath(stream int) string { return "/v1/streams/" + strconv.Itoa(stream) }
 
 func (h *httpCodec) decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
+	in := netserve.DecideRequest{Stream: stream, Spec: netserve.FromSpec(spec)}
 	var out netserve.DecideResponse
-	err := h.once(ctx, http.MethodPost, "/v1/decide",
-		netserve.DecideRequest{Stream: stream, Spec: netserve.FromSpec(spec)}, &out)
+	err := h.loop(ctx, "/v1/decide",
+		func(b []byte) ([]byte, error) { return netserve.AppendDecideRequest(b, &in) },
+		func(b []byte) error { return netserve.DecodeDecideResponse(b, &out) })
 	if err != nil {
 		return alert.Decision{}, alert.Estimate{}, "", err
 	}
@@ -77,8 +139,9 @@ func (h *httpCodec) decide(ctx context.Context, stream int, spec alert.Spec) (al
 }
 
 func (h *httpCodec) observe(ctx context.Context, stream int, fb alert.Feedback) error {
-	return h.once(ctx, http.MethodPost, "/v1/observe",
-		netserve.ObserveRequest{Stream: stream, Feedback: netserve.FromFeedback(fb)}, nil)
+	in := netserve.ObserveRequest{Stream: stream, Feedback: netserve.FromFeedback(fb)}
+	return h.loop(ctx, "/v1/observe",
+		func(b []byte) ([]byte, error) { return netserve.AppendObserveRequest(b, &in) }, nil)
 }
 
 func (h *httpCodec) batch(ctx context.Context, reqs []alert.BatchRequest) ([]alert.BatchResult, error) {
@@ -87,7 +150,10 @@ func (h *httpCodec) batch(ctx context.Context, reqs []alert.BatchRequest) ([]ale
 		in.Requests[i] = netserve.DecideRequest{Stream: r.Stream, Spec: netserve.FromSpec(r.Spec)}
 	}
 	var out netserve.BatchResponse
-	if err := h.once(ctx, http.MethodPost, "/v1/decide-batch", in, &out); err != nil {
+	err := h.loop(ctx, "/v1/decide-batch",
+		func(b []byte) ([]byte, error) { return netserve.AppendBatchRequest(b, &in) },
+		func(b []byte) error { return netserve.DecodeBatchResponse(b, &out) })
+	if err != nil {
 		return nil, err
 	}
 	res := make([]alert.BatchResult, len(out.Results))

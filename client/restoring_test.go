@@ -70,7 +70,7 @@ func TestRetryHonorsRestoring503Hint(t *testing.T) {
 	rec := &holdRecovery{stream: 9, holds: 1} // one rejection, then clear
 	c, _ := startFrontEnd(t, netserve.Config{RetryAfter: hint, Recovery: rec})
 
-	retry, err := New(c.http.base, Options{MaxRetries: 1, BackoffSeed: 7})
+	retry, err := New(c.http.base.String(), Options{MaxRetries: 1, BackoffSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

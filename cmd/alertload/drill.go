@@ -336,7 +336,9 @@ func runOverloadDrill(cfg loadConfig, stdout io.Writer) error {
 	if err := verifyGateDecisions(tc, r); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "gate: slo %5.1f%% | served %d/%d (met %d) shed %d (overload %d, deadline %d) | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
+	// Two ledgers: the decides this client issued, and the server's reject
+	// counters by class, which count shed observes (and retries) too.
+	fmt.Fprintf(stdout, "gate: slo %5.1f%% | decides served %d/%d (met %d), shed %d | server sheds (decide+observe): overload %d, deadline %d | final limits %d/%d (+%d/-%d moves) | svc %s qd-p95 %s\n",
 		100*r.slo(), r.served, r.issued, r.met, r.shed,
 		r.gate.ShedOverload, r.gate.ShedDeadline,
 		r.gate.InflightLimit, r.gate.QueueLimit, r.gate.LimitIncreases, r.gate.LimitDecreases,

@@ -74,7 +74,7 @@ func TestGateCompareRun(t *testing.T) {
 	for _, want := range []string{
 		"overload-drill: scenario=steady",
 		"offered 0.5x capacity",
-		"gate: slo 100.0% | served 32/32",
+		"gate: slo 100.0% | decides served 32/32 (met 32), shed 0 | server sheds (decide+observe): overload 0, deadline 0 |",
 		"decision determinism: byte-identical to the in-process replay",
 		"bounds held: deadline sheds 0 <= 0",
 	} {

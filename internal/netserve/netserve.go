@@ -350,12 +350,89 @@ func (s *Server) methodNotAllowed(w http.ResponseWriter, allow string) {
 
 // The data-plane handlers below are the HTTP codec over the op core
 // (ops.go): decode the JSON body, call the op with the HTTP counters,
-// encode its result or its reject.
+// encode its result or its reject. The per-input loop's three handlers
+// read their body and build their reply in one pooled loopBody through
+// the codec in jsonwire.go; every other body goes through encoding/json.
+
+// loopBody is one loop request's memory: the body it read and then the
+// reply it sends, and a batch's decoded requests and results.
+type loopBody struct {
+	buf     []byte
+	reqs    BatchRequest
+	results BatchResponse
+}
+
+// loopBodies recycles loopBody values across requests.
+var loopBodies = sync.Pool{New: func() any { return new(loopBody) }}
+
+// A loopBody that an unusually large request grew past these is dropped
+// rather than pooled.
+const (
+	maxPooledBody  = 64 << 10
+	maxPooledBatch = 1024
+)
+
+// observeAck is the POST /v1/observe reply.
+var observeAck = []byte("{}\n")
+
+func (lb *loopBody) free() {
+	if cap(lb.buf) <= maxPooledBody && cap(lb.results.Results) <= maxPooledBatch && cap(lb.reqs.Requests) <= maxPooledBatch {
+		loopBodies.Put(lb)
+	}
+}
+
+// decodeLoop reads r's body, bounded by maxBody, into lb.buf and parses it
+// with decode, writing the 400 itself on failure.
+func (s *Server) decodeLoop(w http.ResponseWriter, r *http.Request, lb *loopBody, decode func([]byte) error) bool {
+	rd := http.MaxBytesReader(w, r.Body, maxBody)
+	b := lb.buf[:0]
+	if n := r.ContentLength; n >= int64(cap(b)) && n < maxBody {
+		b = make([]byte, 0, n+1) // +1: the read that meets EOF needs room
+	}
+	var err error
+	for err == nil {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var n int
+		n, err = rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	lb.buf = b
+	if err == io.EOF {
+		err = decode(b)
+	}
+	if err != nil {
+		s.writeReject(w, badInput(s.tc(), fmt.Sprintf("bad request body: %v", err)))
+		return false
+	}
+	return true
+}
+
+// writeReply sends a loop reply that the codec appended to lb.buf[:0],
+// with its newline and in one Write, or a 500 when the codec refused a
+// value (a NaN or infinite float).
+func (s *Server) writeReply(w http.ResponseWriter, lb *loopBody, reply []byte, err error) {
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("encoding reply: %v", err))
+		return
+	}
+	lb.buf = append(reply, '\n')
+	writeLoop(w, http.StatusOK, lb.buf)
+}
+
+func writeLoop(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	lb := loopBodies.Get().(*loopBody)
+	defer lb.free()
 	var req DecideRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeLoop(w, r, lb, func(b []byte) error { return DecodeDecideRequest(b, &req) }) {
 		return
 	}
 	spec, err := req.Spec.ToSpec()
@@ -368,29 +445,34 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.writeReject(w, rej)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, DecideResponse{
+	reply, err := AppendDecideResponse(lb.buf[:0], &DecideResponse{
 		Decision: FromDecision(d),
 		Estimate: FromEstimate(est),
 		NodeID:   s.nodeID,
 	})
+	s.writeReply(w, lb, reply, err)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
+	lb := loopBodies.Get().(*loopBody)
+	defer lb.free()
 	var req ObserveRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeLoop(w, r, lb, func(b []byte) error { return DecodeObserveRequest(b, &req) }) {
 		return
 	}
 	if rej := s.observe(r.Context(), s.tc(), req.Stream, req.Feedback.ToFeedback()); rej.refused() {
 		s.writeReject(w, rej)
 		return
 	}
-	s.writeJSON(w, http.StatusAccepted, struct{}{})
+	writeLoop(w, http.StatusAccepted, observeAck)
 }
 
 func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	lb := loopBodies.Get().(*loopBody)
+	defer lb.free()
+	req := &lb.reqs
+	if !s.decodeLoop(w, r, lb, func(b []byte) error { return DecodeBatchRequest(b, req) }) {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -402,7 +484,8 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		b.reset()
 		s.batches.Put(b)
 	}()
-	for i, br := range req.Requests {
+	for i := range req.Requests {
+		br := &req.Requests[i]
 		spec, err := br.Spec.ToSpec()
 		if err != nil {
 			s.writeReject(w, badInput(s.tc(), fmt.Sprintf("request %d: %v", i, err)))
@@ -414,16 +497,18 @@ func (s *Server) handleDecideBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeReject(w, rej)
 		return
 	}
-	out := BatchResponse{Results: make([]BatchResult, len(b.slots))}
-	for i := range out.Results {
+	out := &lb.results
+	out.Results = out.Results[:0]
+	for i := range b.slots {
 		res := b.burst.Result(i)
-		out.Results[i] = BatchResult{
+		out.Results = append(out.Results, BatchResult{
 			Stream:   res.Stream,
 			Decision: FromDecision(res.Decision),
 			Estimate: FromEstimate(res.Estimate),
-		}
+		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	reply, err := AppendBatchResponse(lb.buf[:0], out)
+	s.writeReply(w, lb, reply, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

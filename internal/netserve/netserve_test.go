@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -428,6 +429,18 @@ func TestBadRequests(t *testing.T) {
 		{http.MethodPost, "/v1/decide", `{"stream":1,"spec":{"objective":"sideways","deadline_s":1}}`, http.StatusBadRequest},
 		{http.MethodPost, "/v1/decide", `{"stream":1,"bogus_field":1}`, http.StatusBadRequest},
 		{http.MethodPost, "/v1/decide-batch", `{"requests":[]}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1,"spec":{"objective":"min_energy","deadline_s":1,"bogus":1}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1.5,"spec":{"objective":"min_energy","deadline_s":1}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/observe", `{"stream":1e2,"feedback":{"decision":{"model":0,"cap":0,"cap_w":1},"latency_s":0.1,"completed_stage":-1}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1,"spec":{"objective":"min_energy","deadline_s":1e400}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1,"spec":{"objective":"` + strings.Repeat("x", maxBody) + `","deadline_s":1}}`, http.StatusBadRequest},
+		// Bodies encoding/json takes but the loop codec refuses (jsonwire.go):
+		// a case-folded key, trailing bytes, null, an escaped key, a repeated key.
+		{http.MethodPost, "/v1/decide", `{"Stream":1,"spec":{"objective":"min_energy","deadline_s":1}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1,"spec":{"objective":"min_energy","deadline_s":1}} {}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/observe", `{"stream":1,"feedback":null}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide-batch", `{"requests":[{"str\u0065am":1,"spec":{"objective":"min_energy","deadline_s":1}}]}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/decide", `{"stream":1,"stream":2,"spec":{"objective":"min_energy","deadline_s":1}}`, http.StatusBadRequest},
 		{http.MethodGet, "/v1/decide", ``, http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/stats", ``, http.StatusMethodNotAllowed},
 		{http.MethodDelete, "/v1/streams/notanint", ``, http.StatusBadRequest},

@@ -11,10 +11,14 @@ import (
 // endpoint, shared by the server handlers and the typed client package
 // (client/). Field names are stable; changes must be additive.
 //
-// All float64 fields round-trip bit-exactly: encoding/json emits the
-// shortest decimal that parses back to the same float64, which is what
-// makes a network replay's decision sequences byte-identical to the
-// in-process path (pinned by cmd/alertload's -addr tests).
+// All float64 fields round-trip bit-exactly, which is what makes a network
+// replay's decision sequences byte-identical to the in-process path
+// (pinned by cmd/alertload's -addr tests). The per-input loop's bodies —
+// decide, observe, decide-batch — go through the codec in jsonwire.go: it
+// writes the shortest decimal that parses back to the same float64 and
+// reads one through strconv.ParseFloat, and FuzzJSONWireMatchesEncodingJSON
+// holds its bytes and values to encoding/json's. Every other body goes
+// through encoding/json, which writes floats the same way.
 
 // The binwire upgrade: a client sends GET BinwirePath with "Connection:
 // Upgrade" and "Upgrade: " + BinwireProtocol, the server answers 101
