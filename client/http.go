@@ -52,34 +52,39 @@ func (h *httpCodec) once(ctx context.Context, method, path string, in, out any) 
 	})
 }
 
-// loop is one POST of the per-input loop: encode appends the request body,
-// and decode (nil for none) parses the whole 2xx reply, read into a pooled
-// buffer.
-func (h *httpCodec) loop(ctx context.Context, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
-	buf := replies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledReply {
-			buf.Reset()
-			replies.Put(buf)
-		}
-	}()
-	body, err := encode(buf.AvailableBuffer())
+// loop is one POST of the per-input loop: encode appends the request body
+// to a fresh buffer of capacity size (the transport may still read it after
+// Do returns, so it is never reused), and decode (nil for none) parses the
+// whole 2xx reply, read into a pooled buffer.
+func (h *httpCodec) loop(ctx context.Context, path string, size int, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+	body, err := encode(make([]byte, 0, size))
 	if err != nil {
 		return fmt.Errorf("client: encoding %s: %w", path, err)
 	}
-	// The transport may still read the body after Do returns, so it gets
-	// its own copy rather than the pooled buffer.
-	body = bytes.Clone(body)
 	return h.exchange(ctx, http.MethodPost, path, body, func(r io.Reader) error {
 		if decode == nil {
 			return nil
 		}
+		buf := replies.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledReply {
+				buf.Reset()
+				replies.Put(buf)
+			}
+		}()
 		if _, err := buf.ReadFrom(r); err != nil {
 			return err
 		}
 		return decode(buf.Bytes())
 	})
 }
+
+// Request body capacities for loop: room for any valid decide or observe
+// body, even with every number at its longest (221 and 342 bytes).
+const (
+	decideBodySize  = 256
+	observeBodySize = 384
+)
 
 // exchange sends body (nil for none) as the JSON request body and hands a
 // 2xx reply's body to read; any other reply becomes statusError.
@@ -129,7 +134,7 @@ func streamPath(stream int) string { return "/v1/streams/" + strconv.Itoa(stream
 func (h *httpCodec) decide(ctx context.Context, stream int, spec alert.Spec) (alert.Decision, alert.Estimate, string, error) {
 	in := netserve.DecideRequest{Stream: stream, Spec: netserve.FromSpec(spec)}
 	var out netserve.DecideResponse
-	err := h.loop(ctx, "/v1/decide",
+	err := h.loop(ctx, "/v1/decide", decideBodySize,
 		func(b []byte) ([]byte, error) { return netserve.AppendDecideRequest(b, &in) },
 		func(b []byte) error { return netserve.DecodeDecideResponse(b, &out) })
 	if err != nil {
@@ -140,7 +145,7 @@ func (h *httpCodec) decide(ctx context.Context, stream int, spec alert.Spec) (al
 
 func (h *httpCodec) observe(ctx context.Context, stream int, fb alert.Feedback) error {
 	in := netserve.ObserveRequest{Stream: stream, Feedback: netserve.FromFeedback(fb)}
-	return h.loop(ctx, "/v1/observe",
+	return h.loop(ctx, "/v1/observe", observeBodySize,
 		func(b []byte) ([]byte, error) { return netserve.AppendObserveRequest(b, &in) }, nil)
 }
 
@@ -150,7 +155,7 @@ func (h *httpCodec) batch(ctx context.Context, reqs []alert.BatchRequest) ([]ale
 		in.Requests[i] = netserve.DecideRequest{Stream: r.Stream, Spec: netserve.FromSpec(r.Spec)}
 	}
 	var out netserve.BatchResponse
-	err := h.loop(ctx, "/v1/decide-batch",
+	err := h.loop(ctx, "/v1/decide-batch", 32+decideBodySize*len(reqs),
 		func(b []byte) ([]byte, error) { return netserve.AppendBatchRequest(b, &in) },
 		func(b []byte) error { return netserve.DecodeBatchResponse(b, &out) })
 	if err != nil {

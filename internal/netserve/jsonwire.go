@@ -20,14 +20,18 @@ import (
 // against (FuzzJSONWireMatchesEncodingJSON).
 //
 // Encoding produces exactly json.Marshal's bytes and fails exactly where
-// it fails (a NaN or infinite float). Decoding yields, for every body it
-// accepts, the value json.Decoder with DisallowUnknownFields yields, but
-// it rejects some bodies encoding/json takes:
+// it fails (a NaN or infinite float). Decoding a request (the server's
+// side) yields, for every body it accepts, the value json.Decoder with
+// DisallowUnknownFields yields; decoding a reply (the client's side)
+// skips an unknown member as json.Decoder does by default, so a server
+// may add reply fields without breaking older clients. Both reject some
+// bodies encoding/json takes:
 //   - a key that matches a field only case-insensitively ("Stream");
 //   - a key written with escapes ("str\u0065am");
 //   - a repeated key;
-//   - null for any field or for the whole body;
-//   - anything but whitespace after the body's value.
+//   - null for a known field or for the whole body;
+//   - anything but whitespace after the body's value;
+//   - an unknown reply member nested more than maxSkipDepth levels deep.
 
 // AppendDecideRequest appends v's JSON encoding to b.
 func AppendDecideRequest(b []byte, v *DecideRequest) ([]byte, error) {
@@ -208,7 +212,7 @@ func DecodeDecideRequest(body []byte, v *DecideRequest) error {
 
 // DecodeDecideResponse parses a whole POST /v1/decide reply into v.
 func DecodeDecideResponse(body []byte, v *DecideResponse) error {
-	d := jsonDec{b: body}
+	d := jsonDec{b: body, skipUnknown: true}
 	*v = DecideResponse{}
 	var seen uint32
 	for n := 0; d.member(n); n++ {
@@ -264,7 +268,7 @@ func DecodeBatchRequest(body []byte, v *BatchRequest) error {
 
 // DecodeBatchResponse parses a whole POST /v1/decide-batch reply into v.
 func DecodeBatchResponse(body []byte, v *BatchResponse) error {
-	d := jsonDec{b: body}
+	d := jsonDec{b: body, skipUnknown: true}
 	*v = BatchResponse{}
 	var seen uint32
 	for n := 0; d.member(n); n++ {
@@ -280,12 +284,18 @@ func DecodeBatchResponse(body []byte, v *BatchResponse) error {
 }
 
 // jsonDec scans one body in place; err is the first fault, after which
-// every step is a no-op.
+// every step is a no-op. skipUnknown makes an unknown member's value be
+// skipped rather than refused.
 type jsonDec struct {
-	b   []byte
-	i   int
-	err error
+	b           []byte
+	i           int
+	err         error
+	skipUnknown bool
 }
+
+// maxSkipDepth bounds the nesting of a skipped value (encoding/json's own
+// bound, on the whole body, is 10000).
+const maxSkipDepth = 1000
 
 func (d *jsonDec) fail(what string) {
 	if d.err == nil {
@@ -357,8 +367,9 @@ func (d *jsonDec) member(n int) bool {
 }
 
 // key reads the member's key and its colon, and returns the key's index in
-// names. An unknown, escaped or repeated key is a fault (-1); seen holds
-// the indexes read so far.
+// names; seen holds the indexes read so far. An escaped, repeated or
+// case-folded key is a fault (-1), and so is an unknown one unless
+// skipUnknown is set: then its value is skipped and key returns -1.
 func (d *jsonDec) key(seen *uint32, names ...string) int {
 	rest := d.b[d.i:]
 	// Bodies list their keys in field order, so the search starts one past
@@ -375,14 +386,7 @@ func (d *jsonDec) key(seen *uint32, names ...string) int {
 		i++
 	}
 	if at < 0 {
-		switch end := bytes.IndexByte(rest, '"'); {
-		case end < 0:
-			d.fail("unterminated key")
-		case bytes.IndexByte(rest[:end], '\\') >= 0:
-			d.fail(fmt.Sprintf("escaped key %q", rest[:end]))
-		default:
-			d.fail(fmt.Sprintf("unknown field %q", rest[:end]))
-		}
+		d.unknown(names)
 		return -1
 	}
 	if *seen&(1<<at) != 0 {
@@ -391,13 +395,132 @@ func (d *jsonDec) key(seen *uint32, names ...string) int {
 	}
 	*seen |= 1 << at
 	d.i += len(names[at]) + 1
-	if d.peek() != ':' {
-		d.fail("want ':'")
+	if !d.colon() {
 		return -1
 	}
-	d.i++
 	return at
 }
+
+// unknown reads a key that matches none of names and, under skipUnknown,
+// skips its value. encoding/json would match a case-folded or escaped key
+// to a field, so those stay faults.
+func (d *jsonDec) unknown(names []string) {
+	start := d.i
+	escaped := d.strBody()
+	if d.err != nil {
+		return
+	}
+	k := d.b[start : d.i-1]
+	if escaped {
+		d.fail(fmt.Sprintf("escaped key %q", k))
+		return
+	}
+	for _, name := range names {
+		if bytes.EqualFold(k, []byte(name)) {
+			d.fail(fmt.Sprintf("key %q for %q", k, name))
+			return
+		}
+	}
+	if !d.skipUnknown {
+		d.fail(fmt.Sprintf("unknown field %q", k))
+		return
+	}
+	if d.colon() {
+		d.skip(0)
+	}
+}
+
+func (d *jsonDec) colon() bool {
+	if d.peek() != ':' {
+		d.fail("want ':'")
+		return false
+	}
+	d.i++
+	return true
+}
+
+// skip consumes one value of any kind, checking its syntax as
+// encoding/json does; depth is how deeply it sits in skipped values.
+func (d *jsonDec) skip(depth int) {
+	if depth > maxSkipDepth {
+		d.fail("skipped value nested too deep")
+		return
+	}
+	switch d.peek() {
+	case '"':
+		d.i++
+		d.strBody()
+	case '{':
+		for n := 0; d.member(n); n++ {
+			if d.strBody(); d.colon() {
+				d.skip(depth + 1)
+			}
+		}
+	case '[':
+		d.i++
+		for n := 0; d.element(n); n++ {
+			d.skip(depth + 1)
+		}
+	case 't', 'f':
+		d.bool()
+	case 'n':
+		if !bytes.HasPrefix(d.b[d.i:], []byte("null")) {
+			d.fail("want null")
+			return
+		}
+		d.i += 4
+	default:
+		d.number()
+	}
+}
+
+// strBody scans a string literal's body, from just past its opening quote
+// to just past its closing one, checking its escapes; it reports whether
+// it held one.
+func (d *jsonDec) strBody() (escaped bool) {
+	for d.err == nil {
+		if d.i == len(d.b) {
+			d.fail("unterminated string")
+			break
+		}
+		c := d.b[d.i]
+		d.i++
+		switch {
+		case c == '"':
+			return escaped
+		case c < 0x20:
+			d.fail("control character in string")
+		case c == '\\':
+			escaped = true
+			d.escape()
+		}
+	}
+	return escaped
+}
+
+// escape consumes an escape sequence past its backslash.
+func (d *jsonDec) escape() {
+	if d.i == len(d.b) {
+		d.fail("unterminated string")
+		return
+	}
+	c := d.b[d.i]
+	d.i++
+	switch c {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+	case 'u':
+		for end := d.i + 4; d.i < end; d.i++ {
+			if d.i == len(d.b) || !isHex(d.b[d.i]) {
+				d.fail("bad \\u escape")
+				return
+			}
+		}
+	default:
+		d.fail("bad escape")
+	}
+}
+
+func isHex(c byte) bool { return c-'0' <= 9 || (c|0x20)-'a' <= 5 }
 
 // element steps to an array's next element, n elements in; it returns
 // false at the closing bracket and on any fault.
@@ -530,21 +653,15 @@ func (d *jsonDec) str() string {
 // slowStr decodes the string literal that starts at start through
 // encoding/json.
 func (d *jsonDec) slowStr(start int) string {
-	for d.i = start + 1; d.i < len(d.b); d.i++ {
-		switch d.b[d.i] {
-		case '\\':
-			d.i++
-		case '"':
-			d.i++
-			var s string
-			if err := json.Unmarshal(d.b[start:d.i], &s); err != nil {
-				d.fail(fmt.Sprintf("bad string: %v", err))
-			}
-			return s
-		}
+	d.i = start + 1
+	if d.strBody(); d.err != nil {
+		return ""
 	}
-	d.fail("unterminated string")
-	return ""
+	var s string
+	if err := json.Unmarshal(d.b[start:d.i], &s); err != nil {
+		d.fail(fmt.Sprintf("bad string: %v", err))
+	}
+	return s
 }
 
 func (d *jsonDec) decideRequest(v *DecideRequest) {

@@ -7,13 +7,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 )
 
 // The loop codec (jsonwire.go) against its oracle, encoding/json: the
 // encoder's bytes and errors equal json.Marshal's, and every body the
-// decoder accepts decodes to the value json.Decoder with
-// DisallowUnknownFields yields, bit for bit.
+// decoder accepts decodes to the value json.Decoder yields, bit for bit —
+// with DisallowUnknownFields for the server's request bodies, without it
+// for the client's replies.
 
 // loopCodec is one loop body type's codec pair and its oracle.
 type loopCodec struct {
@@ -23,7 +26,7 @@ type loopCodec struct {
 	oracle func(body []byte) (any, error)
 }
 
-func codecFor[T any](name string, enc func([]byte, *T) ([]byte, error), dec func([]byte, *T) error) loopCodec {
+func codecFor[T any](name string, strict bool, enc func([]byte, *T) ([]byte, error), dec func([]byte, *T) error) loopCodec {
 	return loopCodec{
 		name:   name,
 		encode: func(v any) ([]byte, error) { return enc(nil, v.(*T)) },
@@ -35,7 +38,9 @@ func codecFor[T any](name string, enc func([]byte, *T) ([]byte, error), dec func
 		oracle: func(body []byte) (any, error) {
 			var v T
 			d := json.NewDecoder(bytes.NewReader(body))
-			d.DisallowUnknownFields()
+			if strict {
+				d.DisallowUnknownFields()
+			}
 			err := d.Decode(&v)
 			return &v, err
 		},
@@ -43,11 +48,11 @@ func codecFor[T any](name string, enc func([]byte, *T) ([]byte, error), dec func
 }
 
 var loopCodecs = []loopCodec{
-	codecFor("DecideRequest", AppendDecideRequest, DecodeDecideRequest),
-	codecFor("DecideResponse", AppendDecideResponse, DecodeDecideResponse),
-	codecFor("ObserveRequest", AppendObserveRequest, DecodeObserveRequest),
-	codecFor("BatchRequest", AppendBatchRequest, DecodeBatchRequest),
-	codecFor("BatchResponse", AppendBatchResponse, DecodeBatchResponse),
+	codecFor("DecideRequest", true, AppendDecideRequest, DecodeDecideRequest),
+	codecFor("DecideResponse", false, AppendDecideResponse, DecodeDecideResponse),
+	codecFor("ObserveRequest", true, AppendObserveRequest, DecodeObserveRequest),
+	codecFor("BatchRequest", true, AppendBatchRequest, DecodeBatchRequest),
+	codecFor("BatchResponse", false, AppendBatchResponse, DecodeBatchResponse),
 }
 
 // sameBits reports whether a and b hold the same values, floats compared
@@ -55,26 +60,46 @@ var loopCodecs = []loopCodec{
 func sameBits(a, b any) bool { return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b) }
 
 // loopValues builds one value of each loop body type (in loopCodecs'
-// order) whose every float is x and every string s.
+// order) whose every float is x, every string s, every bool x > 0 and
+// every list n long (nil for n < 0). It sets fields by reflection, so a
+// field added to a wire struct is set too and fails the encoder and
+// decoder tests until the codec writes and reads it.
 func loopValues(x float64, s string, n int) []any {
-	dec := Decision{Model: 3, Cap: -2, CapW: x, PlannedStopS: x, OverheadS: x}
-	est := Estimate{Model: 1, Cap: 4, StopStage: -1, RunToDeadline: x > 0, LatMeanS: x,
-		PrDeadline: x, Quality: x, PrQuality: x, EnergyJ: x, PlannedStopS: x}
-	req := DecideRequest{Stream: math.MaxInt, Spec: Spec{Objective: s, DeadlineS: x, EnergyBudgetJ: x, AccuracyGoal: x, Prth: x}}
-	var reqs []DecideRequest
-	var res []BatchResult
-	if n >= 0 {
-		reqs, res = make([]DecideRequest, n), make([]BatchResult, n)
-		for i := range reqs {
-			reqs[i], res[i] = req, BatchResult{Stream: -i, Decision: dec, Estimate: est}
-		}
+	vs := []any{&DecideRequest{}, &DecideResponse{}, &ObserveRequest{}, &BatchRequest{}, &BatchResponse{}}
+	k := 0
+	for _, v := range vs {
+		fill(reflect.ValueOf(v).Elem(), x, s, n, &k)
 	}
-	return []any{
-		&req,
-		&DecideResponse{Decision: dec, Estimate: est, NodeID: s},
-		&ObserveRequest{Stream: math.MinInt, Feedback: Feedback{Decision: dec, LatencyS: x, CompletedStage: -1, IdlePowerW: x}},
-		&BatchRequest{Requests: reqs},
-		&BatchResponse{Results: res},
+	return vs
+}
+
+// fillInts are the ints fill hands out in turn.
+var fillInts = []int{math.MaxInt, -2, 3, math.MinInt, 0, -1, 1 << 40}
+
+func fill(v reflect.Value, x float64, s string, n int, k *int) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), x, s, n, k)
+		}
+	case reflect.Slice:
+		if n >= 0 {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+		}
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), x, s, n, k)
+		}
+	case reflect.Int:
+		v.SetInt(int64(fillInts[*k%len(fillInts)]))
+		*k++
+	case reflect.Float64:
+		v.SetFloat(x)
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		v.SetBool(x > 0)
+	default:
+		panic("loopValues: no filler for a " + v.Kind().String() + " field")
 	}
 }
 
@@ -154,6 +179,9 @@ func TestJSONWireDecodeMatchesEncodingJSON(t *testing.T) {
 		{3, `{"requests":[]}`},
 		{3, `{"requests":[{},{"stream":2}]}`},
 		{4, `{"results":[{"decision":{"cap_w":12.5}}]}`},
+		// A reply skips a member it does not know, whatever its value.
+		{1, `{"decision":{"model":1,"later":[1,{"a":null,"b":"\u00e9\"x"}],"cap":2},"node_id":"n","added":{"x":-1.5e400}}`},
+		{4, `{"results":[{"stream":1,"extra":true,"estimate":{"new":[[],{}]}}],"next":null}`},
 	}
 	for _, tc := range accepted {
 		c := loopCodecs[tc.codec]
@@ -179,6 +207,8 @@ func TestJSONWireDecodeMatchesEncodingJSON(t *testing.T) {
 		{"null body", 4, `null`},
 		{"trailing bytes", 0, `{"stream":1}x`},
 		{"a second value", 3, `{"requests":[]} {}`},
+		{"case-folded reply key", 1, `{"Node_ID":"x"}`},
+		{"deep unknown reply member", 4, `{"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`},
 	}
 	for _, tc := range departures {
 		c := loopCodecs[tc.codec]
@@ -202,6 +232,10 @@ func TestJSONWireDecodeMatchesEncodingJSON(t *testing.T) {
 		{0, `{"spec":{"objective":1}}`}, {0, `{"stream` + "\n" + `":1}`}, {1, `{"estimate":{"run_to_deadline":tru}}`},
 		{1, `{"estimate":{"run_to_deadline":1}}`}, {3, `{"requests":[{}{}]}`}, {3, `{"requests":[,]}`},
 		{3, `{"requests":[{},]}`}, {3, `{"requests":{}}`}, {4, `{"results":[1]}`}, {4, `[]`},
+		// An unknown reply member is skipped only if it is valid JSON.
+		{1, `{"x":tru}`}, {1, `{"x":nul}`}, {1, `{"x":-}`}, {1, `{"x":"\q"}`}, {1, `{"x":"\u12"}`},
+		{1, `{"x":"a` + "\x01" + `"}`}, {1, `{"x":[1,]}`}, {1, `{"x":[}`}, {1, `{"x":{"a":1,}}`},
+		{1, `{"x":{1:2}}`}, {1, `{"x" 1}`}, {4, `{"x":}`}, {4, `{"x":"unterminated}`},
 	}
 	for _, tc := range rejected {
 		c := loopCodecs[tc.codec]
@@ -224,6 +258,7 @@ func FuzzJSONWireMatchesEncodingJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"stream":1,"stream":2}`), math.Float64bits(math.NaN()), "< >")
 	f.Add([]byte(`{"Stream":-0,"spec":null} `), math.Float64bits(1e-7), "\xff")
+	f.Add([]byte(`{"node_id":"a","x":[{"y":"\u00e9"},1e400,true,null]}`), math.Float64bits(-0.5), "")
 	f.Fuzz(func(t *testing.T, body []byte, bits uint64, s string) {
 		for _, c := range loopCodecs {
 			checkDecode(t, c, body)

@@ -384,11 +384,11 @@ func (lb *loopBody) free() {
 // decodeLoop reads r's body, bounded by maxBody, into lb.buf and parses it
 // with decode, writing the 400 itself on failure.
 func (s *Server) decodeLoop(w http.ResponseWriter, r *http.Request, lb *loopBody, decode func([]byte) error) bool {
+	// The buffer grows only with the bytes that arrive, never with the
+	// Content-Length a client declares. (Handing rd to bytes.Buffer's
+	// ReadFrom would move it to the heap: one more allocation a request.)
 	rd := http.MaxBytesReader(w, r.Body, maxBody)
 	b := lb.buf[:0]
-	if n := r.ContentLength; n >= int64(cap(b)) && n < maxBody {
-		b = make([]byte, 0, n+1) // +1: the read that meets EOF needs room
-	}
 	var err error
 	for err == nil {
 		if len(b) == cap(b) {

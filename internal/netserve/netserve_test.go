@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -461,6 +462,26 @@ func TestBadRequests(t *testing.T) {
 	}
 	if snap := s.NetStats(); snap.BadRequests != int64(len(cases)) {
 		t.Errorf("bad_requests counter = %d, want %d", snap.BadRequests, len(cases))
+	}
+}
+
+// TestLoopBodyGrowsWithBytesRead: a loop request that declares a
+// Content-Length near maxBody but sends a short body costs the server only
+// what it sent, not the declared size (a client that declares much and
+// sends nothing must not pin megabytes per connection).
+func TestLoopBodyGrowsWithBytesRead(t *testing.T) {
+	s := New(testAlertServer(t, 1), Config{})
+	decide, _ := json.Marshal(DecideRequest{Stream: 1, Spec: testSpec()})
+	for _, path := range []string{"/v1/decide", "/v1/observe", "/v1/decide-batch"} {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(decide))
+		req.ContentLength = maxBody - 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ServeHTTP(httptest.NewRecorder(), req)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte body declared as %d", path, grew, len(decide), req.ContentLength)
+		}
 	}
 }
 

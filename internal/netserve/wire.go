@@ -9,7 +9,9 @@ import (
 
 // This file is the HTTP wire contract: the JSON shapes of every /v1
 // endpoint, shared by the server handlers and the typed client package
-// (client/). Field names are stable; changes must be additive.
+// (client/). Field names are stable; changes must be additive. A client
+// skips a reply field it does not know; a server refuses an unknown
+// request field, so a new request field needs servers that read it.
 //
 // All float64 fields round-trip bit-exactly, which is what makes a network
 // replay's decision sequences byte-identical to the in-process path
