@@ -63,12 +63,6 @@ func NewScheduler(p *Platform, models []*Model, opts Options) (*Scheduler, error
 // the paper's defaults for zero values.
 func coreOptions(opts Options) core.Options {
 	o := core.DefaultOptions()
-	if opts.Confidence > 0 {
-		o.Confidence = opts.Confidence
-	}
-	if opts.OverheadFrac > 0 {
-		o.OverheadFrac = opts.OverheadFrac
-	}
 	o.UseVariance = !opts.DisableVariance
 	o.ReferenceScorer = opts.ReferenceScorer
 	return o
@@ -77,11 +71,6 @@ func coreOptions(opts Options) core.Options {
 // Options configure a Scheduler. The zero value reproduces the paper's
 // configuration.
 type Options struct {
-	// Confidence overrides the default 0.98 chance-constraint level used
-	// for deadline and accuracy-goal feasibility.
-	Confidence float64
-	// OverheadFrac overrides the scheduler's self-charged overhead model.
-	OverheadFrac float64
 	// DisableVariance turns off the probabilistic design, yielding the
 	// mean-only ALERT* variant the paper ablates in Figure 10. Only useful
 	// for studies.

@@ -168,8 +168,7 @@ func TestAlertStarOptionWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.SchedulerOptions.DisableVariance = true
-	star, err := Simulate(cfg)
+	star, err := simulate(cfg, Options{DisableVariance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

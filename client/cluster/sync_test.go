@@ -53,7 +53,7 @@ func connectAgents(nodes ...*memberNode) {
 	}
 	v := membership.View{Version: 1, Entries: entries}
 	for _, n := range nodes {
-		n.agent.Merge(v)
+		n.agent.HandleHeartbeat(membership.Heartbeat{View: v})
 	}
 }
 
@@ -88,8 +88,8 @@ func TestSyncMembershipFollowsViews(t *testing.T) {
 	tomb := membership.View{Version: 2, Entries: []membership.Entry{{
 		ID: n3.id, Addr: n3.url, Incarnation: 1, State: membership.StateDead,
 	}}}
-	n1.agent.Merge(tomb)
-	n2.agent.Merge(tomb)
+	n1.agent.HandleHeartbeat(membership.Heartbeat{View: tomb})
+	n2.agent.HandleHeartbeat(membership.Heartbeat{View: tomb})
 	if err := cl.SyncMembership(context.Background()); err != nil {
 		t.Fatalf("post-death sync: %v", err)
 	}
@@ -102,9 +102,9 @@ func TestSyncMembershipFollowsViews(t *testing.T) {
 	// merged view carries it to the client.
 	n4 := startMemberNode(t, "n4")
 	connectAgents(n4)
-	n1.agent.Merge(membership.View{Version: 3, Entries: []membership.Entry{{
+	n1.agent.HandleHeartbeat(membership.Heartbeat{View: membership.View{Version: 3, Entries: []membership.Entry{{
 		ID: n4.id, Addr: n4.url, Incarnation: 1, State: membership.StateAlive,
-	}}})
+	}}}})
 	if err := cl.SyncMembership(context.Background()); err != nil {
 		t.Fatalf("post-join sync: %v", err)
 	}

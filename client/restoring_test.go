@@ -34,7 +34,6 @@ func (h *holdRecovery) Restoring(stream int) bool {
 }
 
 func (h *holdRecovery) StoreReplica(int, string, int64, alert.SessionSnapshot) {}
-func (h *holdRecovery) Replicas() []netserve.ReplicaInfo                       { return nil }
 func (h *holdRecovery) HandleClaim(int, string, string, int64) (bool, int64)   { return false, -1 }
 func (h *holdRecovery) AnnounceImport(int, int64) bool                         { return false }
 

@@ -6,10 +6,11 @@
 //
 // Each stream runs the paper's decide → execute → observe loop against its
 // own virtual-time simulation environment replaying the scenario trace;
-// the Server multiplexes all streams across its shard pool. In open-loop
-// mode requests arrive on the trace's arrival process and queue behind the
-// stream's previous work (response time = queueing wait + service time);
-// in closed-loop mode the next request is issued on completion.
+// the Server multiplexes all streams across its shard pool. Under a trace
+// with an open-loop arrival process requests arrive on its gaps and queue
+// behind the stream's previous work (response time = queueing wait +
+// service time); under a closed-loop trace the next request is issued on
+// completion.
 //
 // Usage:
 //
@@ -110,7 +111,6 @@ type loadConfig struct {
 	inputs       int
 	seed         int64
 	shards       int
-	mode         string // "auto" | "open" | "closed"
 	addr         string // non-empty: drive a live alertserve over the network
 	addrs        string // non-empty: drive a cluster of alertserves with hash routing
 	wire         string // "json" | "binary": transport for remote/chaos data planes
@@ -240,7 +240,6 @@ func parseFlags(args []string) (loadConfig, error) {
 	fs.IntVar(&cfg.inputs, "inputs", 300, "inputs per stream")
 	fs.Int64Var(&cfg.seed, "seed", 1, "seed for trace compilation and stream noise")
 	fs.IntVar(&cfg.shards, "shards", 0, "server stream-table shards (0 = one per CPU; decisions are shard-count-invariant)")
-	fs.StringVar(&cfg.mode, "mode", "auto", "auto | open | closed loop")
 	fs.StringVar(&cfg.addr, "addr", "",
 		"drive a live alertserve at this host:port (or URL) instead of an in-process server; its streams [0,streams) are evicted first")
 	fs.StringVar(&cfg.addrs, "addrs", "",
@@ -287,11 +286,6 @@ func parseFlags(args []string) (loadConfig, error) {
 	}
 	if cfg.streams <= 0 || cfg.inputs <= 0 {
 		return cfg, fmt.Errorf("streams and inputs must be positive")
-	}
-	switch cfg.mode {
-	case "auto", "open", "closed":
-	default:
-		return cfg, fmt.Errorf("unknown -mode %q", cfg.mode)
 	}
 	if cfg.addr != "" && cfg.addrs != "" {
 		return cfg, fmt.Errorf("-addr and -addrs are mutually exclusive")
@@ -557,12 +551,6 @@ func runLoad(cfg loadConfig) (*loadReport, error) {
 		}
 	}
 	open := tr.OpenLoop()
-	switch cfg.mode {
-	case "open":
-		open = true
-	case "closed":
-		open = false
-	}
 
 	// The server under load: in-process by default, live alertserves over
 	// the network with -addr/-addrs. Shards bound only worker concurrency;

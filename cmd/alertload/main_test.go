@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"github.com/alert-project/alert"
+	"github.com/alert-project/alert/internal/dnn"
 	"github.com/alert-project/alert/internal/netserve"
+	"github.com/alert-project/alert/internal/scenario"
 )
 
 func testConfig() loadConfig {
@@ -441,32 +443,50 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestClosedLoopMode forces closed-loop pacing: with no queueing the
-// response time equals the service time, so misses can only come from slow
-// service, never arrival bursts.
+// TestClosedLoopMode drives one stream of the same trace under both
+// pacings: with no queueing the closed-loop response time equals the
+// service time, so misses can only come from slow service, never arrival
+// bursts.
 func TestClosedLoopMode(t *testing.T) {
-	open := testConfig()
-	open.mode = "open"
-	closed := testConfig()
-	closed.mode = "closed"
-
-	or, err := runLoad(open)
+	cfg := testConfig()
+	plat, models := alert.CPU1(), alert.ImageCandidates()
+	spec, err := baseSpec(cfg, plat, models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := runLoad(closed)
+	sspec, err := scenario.ByName(cfg.scenarioName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decisions are driven by the environment, not the arrival process.
-	for s := range or.DecisionSeqs {
-		if or.DecisionSeqs[s] != cr.DecisionSeqs[s] {
-			t.Errorf("stream %d: arrival mode changed decisions", s)
+	tr, err := scenario.Compile(sspec, plat, cfg.inputs, spec.Deadline, cfg.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := dnn.Profile(plat, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := func(open bool) streamResult {
+		srv, err := alert.NewServer(plat, models, alert.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer srv.Close()
+		res, err := driveStream(inProcess{srv}, prof, tr, spec, dnn.ImageClassification,
+			driveConfig{inputs: cfg.inputs, seed: cfg.seed, open: open})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	or, cr := drive(true), drive(false)
+	// Decisions are driven by the environment, not the arrival process.
+	if or.decisions != cr.decisions {
+		t.Error("arrival mode changed decisions")
 	}
 	// Queueing can only hurt: open-loop p99 response >= closed-loop p99.
-	if or.P99 < cr.P99-1e-12 {
-		t.Errorf("open-loop p99 %g below closed-loop %g", or.P99, cr.P99)
+	if op, cp := or.rec.LatencyPercentile(99), cr.rec.LatencyPercentile(99); op < cp-1e-12 {
+		t.Errorf("open-loop p99 %g below closed-loop %g", op, cp)
 	}
 }
 
@@ -480,9 +500,6 @@ func TestFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-streams", "0"}, &out); err == nil {
 		t.Error("zero streams must error")
-	}
-	if err := run([]string{"-mode", "sideways"}, &out); err == nil {
-		t.Error("bad mode must error")
 	}
 	if err := run([]string{"-replay", "/does/not/exist.json"}, &out); err == nil {
 		t.Error("missing replay file must error")

@@ -39,6 +39,11 @@
 // HTTP; cmd/alertload -addr drives it with scenario-shaped load. On
 // shutdown the server drains: new requests get 503 + Retry-After while
 // everything already admitted finishes, then the listener closes.
+//
+// A connection must deliver its request headers within readHeaderTimeout
+// (5s) and is closed after idleTimeout (2m) without a request, so a client
+// that stalls mid-request or holds connections open cannot pin the node's
+// goroutines and buffers. Neither bound is a flag.
 package main
 
 import (
@@ -60,6 +65,18 @@ import (
 	"github.com/alert-project/alert/internal/membership"
 	"github.com/alert-project/alert/internal/netserve"
 	"github.com/alert-project/alert/internal/selfheal"
+)
+
+const (
+	// readHeaderTimeout bounds how long a connection may take to deliver a
+	// request's headers, from its start or, kept alive, from the next
+	// request's first byte; honest headers arrive in one round trip.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection that sends no request for
+	// this long. It is longer than the client package's 90s idle-connection
+	// timeout, so a client retires an idle connection before the server
+	// closes it under a request the client is starting to send.
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -94,6 +111,12 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 	suspectAfter := fs.Duration("suspect-after", 0, "silence before a peer is suspected (0 = 4x heartbeat)")
 	deadAfter := fs.Duration("dead-after", 0, "silence before a suspect is declared dead (0 = 3x suspect-after)")
 	replicateEvery := fs.Duration("replicate-every", 0, "checkpoint-replication period to ring successors (0 = 2s)")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "Usage of alertserve:")
+		fs.PrintDefaults()
+		fmt.Fprintf(fs.Output(), "A connection must send its request headers within %v and is closed after %v without a request.\n",
+			readHeaderTimeout, idleTimeout)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -240,7 +263,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, onReady func(addr
 		close(reaperDone)
 	}
 
-	hs := &http.Server{Handler: front}
+	hs := &http.Server{Handler: front, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -288,5 +291,58 @@ func TestAdaptiveFlags(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not shut down")
+	}
+}
+
+// TestStalledHeaderDisconnected: a client that sends half a request line
+// and stalls is disconnected once readHeaderTimeout has passed, and the
+// goroutine serving its connection exits with it.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, io.Discard, func(addr string) { ready <- addr })
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run returned %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("server exited before ready: %v", err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/deci"); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes the connection (after a 400 reply, which is all
+	// it can say about an unparsed request); the slack only keeps a broken
+	// bound from hanging the test.
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	reply, err := io.ReadAll(conn)
+	held := time.Since(start)
+	if err != nil {
+		t.Fatalf("connection not closed after stalling %v: %v (read %q)", held, err, reply)
+	}
+	if held < readHeaderTimeout-100*time.Millisecond || held > readHeaderTimeout+2*time.Second {
+		t.Fatalf("connection closed after %v, want about readHeaderTimeout (%v)", held, readHeaderTimeout)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after the disconnect, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

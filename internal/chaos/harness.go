@@ -44,13 +44,6 @@ type Options struct {
 	// with a deadline of 1.25× the slowest candidate's latency at full
 	// power and accuracy goal 0.92 (the alertload defaults).
 	Base alert.Spec
-	// Shards sets each node's shard count, cycling if shorter than the
-	// fleet; empty means 1+index (deliberately heterogeneous, exercising
-	// shard-count-invariant replay).
-	Shards []int
-	// Seed drives the per-stream workload/environment randomness; 0 means
-	// the fleet trace's compile seed.
-	Seed int64
 	// Binary puts the cluster clients' per-input loop on binwire
 	// (PreferBinary: each connection upgraded on the node's HTTP port): the
 	// same failure drill over the binary transport (migrations and table
@@ -204,7 +197,7 @@ type Harness struct {
 	fleet   *scenario.FleetTrace
 	base    alert.Spec
 	prof    *dnn.ProfileTable
-	seed    int64
+	seed    int64 // the fleet trace's compile seed: drives per-stream workloads and backoff
 	nodes   []*node
 	cl      *cluster.Cluster
 	solo    *alert.Server
@@ -253,17 +246,12 @@ func New(opts Options) (*Harness, error) {
 		}
 		base = alert.Spec{Objective: alert.MinimizeEnergy, Deadline: 1.25 * slowest, AccuracyGoal: 0.92}
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = opts.Fleet.Seed
-	}
-
 	h := &Harness{
 		opts:         opts,
 		fleet:        opts.Fleet,
 		base:         base,
 		prof:         prof,
-		seed:         seed,
+		seed:         opts.Fleet.Seed,
 		checker:      NewChecker(),
 		ownerAddr:    make(map[int]string),
 		expectedLive: make(map[int]bool),
@@ -284,11 +272,9 @@ func New(opts Options) (*Harness, error) {
 	// full peer address list as membership seeds before the first heartbeat.
 	listeners := make([]net.Listener, 0, opts.Fleet.Nodes)
 	for i := 0; i < opts.Fleet.Nodes; i++ {
-		shards := 1 + i
-		if len(opts.Shards) > 0 {
-			shards = opts.Shards[i%len(opts.Shards)]
-		}
-		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: shards, selfHealing: opts.Fleet.Unmanaged}
+		// Node i runs 1+i shards: deliberately heterogeneous, exercising
+		// shard-count-invariant replay.
+		n := &node{id: fmt.Sprintf("n%d", i), index: i, shards: 1 + i, selfHealing: opts.Fleet.Unmanaged}
 		ln, err := n.listen()
 		if err != nil {
 			for _, l := range listeners {
@@ -326,7 +312,7 @@ func New(opts Options) (*Harness, error) {
 		// During an unmanaged failover the new owner sheds requests with
 		// 503 + Retry-After until the restore lands; a retry budget lets the
 		// driver ride the hold out instead of counting a shed as a loss.
-		clOpts.MaxRetries, clOpts.BackoffSeed = 8, seed
+		clOpts.MaxRetries, clOpts.BackoffSeed = 8, h.seed
 	}
 	h.cl, err = cluster.New(addrs, clOpts)
 	if err != nil {
@@ -353,10 +339,6 @@ func (h *Harness) Close() {
 		h.solo.Close()
 	}
 }
-
-// Checker exposes the trailing invariant checker (for tests that want to
-// feed or inspect it directly).
-func (h *Harness) Checker() *Checker { return h.checker }
 
 func (h *Harness) logf(format string, args ...any) {
 	if h.opts.Logf != nil {

@@ -36,6 +36,7 @@ func TestScenarioCalibration(t *testing.T) {
 	for _, c := range cases {
 		src := NewSource(c.sc, platform.CPU, 7)
 		var active mathx.OnlineStats
+		activeN := 0
 		for i := 0; i < 20000; i++ {
 			e := src.Next()
 			if e.Slowdown == 1 {
@@ -48,8 +49,9 @@ func TestScenarioCalibration(t *testing.T) {
 				t.Fatalf("%v extra power %g", c.sc, e.ExtraPower)
 			}
 			active.Add(e.Slowdown)
+			activeN++
 		}
-		if active.N() == 0 {
+		if activeN == 0 {
 			t.Fatalf("%v: co-runner never active", c.sc)
 		}
 		if m := active.Mean(); m < c.meanLo || m > c.meanHi {

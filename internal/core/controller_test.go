@@ -217,7 +217,7 @@ func TestExpectedQualityMonotoneInDeadline(t *testing.T) {
 
 func TestOverheadSubtractedFromGoal(t *testing.T) {
 	c, prof := newTestController(t, DefaultOptions())
-	if c.Overhead() <= 0 {
+	if c.eng.overhead <= 0 {
 		t.Fatal("overhead model missing")
 	}
 	feed(c, 1.0, 50)
@@ -230,7 +230,7 @@ func TestOverheadSubtractedFromGoal(t *testing.T) {
 	if !prof.Models[d.Model].IsAnytime() {
 		est := c.EstimateAll(Spec{Objective: MaximizeAccuracy, Deadline: deadline, EnergyBudget: 100})
 		_ = est
-		if prof.At(d.Model, d.Cap)+c.Overhead() > deadline {
+		if prof.At(d.Model, d.Cap)+c.eng.overhead > deadline {
 			t.Errorf("picked %s with no room for overhead", prof.Models[d.Model].Name)
 		}
 	}
@@ -264,8 +264,8 @@ func TestDecisionCountAndEstimateAllSize(t *testing.T) {
 	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.9}
 	c.Decide(spec)
 	c.Decide(spec)
-	if c.Decisions() != 2 {
-		t.Errorf("decisions = %d", c.Decisions())
+	if c.st.Decisions != 2 {
+		t.Errorf("decisions = %d", c.st.Decisions)
 	}
 	ests := c.EstimateAll(spec)
 	want := 0

@@ -81,7 +81,7 @@ func TestEstimateFastMatchesReference(t *testing.T) {
 					spec.Prth = prth
 					goal := c.eng.adjustedGoal(spec.Deadline)
 					p := c.eng.scoreParamsFor(&c.st, spec)
-					for i, cand := range c.Candidates() {
+					for i, cand := range c.eng.candidates {
 						want := c.eng.estimate(&c.st, cand, goal, spec)
 						var got Estimate
 						c.eng.estimateFast(c.sc, &got, int32(i), goal, spec, &p, c.eng.space.cost(int32(i), goal, &p))
@@ -288,21 +288,21 @@ func TestDecideAllocFree(t *testing.T) {
 // copy-pasted across every scan entry point and EstimateAll.
 func TestAdjustedGoalFallback(t *testing.T) {
 	c := NewEngine(diffProfiles(t)[0], DefaultOptions()).NewSession()
-	if c.Overhead() <= 0 {
+	if c.eng.overhead <= 0 {
 		t.Fatal("overhead model missing")
 	}
 	big := 1.0
-	if got, want := c.eng.adjustedGoal(big), big-c.Overhead(); got != want {
+	if got, want := c.eng.adjustedGoal(big), big-c.eng.overhead; got != want {
 		t.Errorf("adjustedGoal(%g) = %g, want %g", big, got, want)
 	}
-	tiny := c.Overhead() * 0.5
+	tiny := c.eng.overhead * 0.5
 	if got, want := c.eng.adjustedGoal(tiny), tiny*0.5; got != want {
 		t.Errorf("adjustedGoal(%g) = %g, want %g", tiny, got, want)
 	}
 	if got := c.eng.adjustedGoal(0); got != 0 {
 		t.Errorf("adjustedGoal(0) = %g, want 0", got)
 	}
-	if math.IsNaN(c.eng.adjustedGoal(c.Overhead())) {
+	if math.IsNaN(c.eng.adjustedGoal(c.eng.overhead)) {
 		t.Error("adjustedGoal(overhead) is NaN")
 	}
 }
@@ -538,9 +538,9 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 				pair.fast.sc.TakeScanCounts()
 				checkSpec(t, pair.fast, pair.ref, spec)
 				scored, fallbacks := pair.fast.sc.TakeScanCounts()
-				if fallbacks != 1 || scored > 2*len(pair.fast.Candidates()) {
+				if fallbacks != 1 || scored > 2*len(pair.fast.eng.candidates) {
 					t.Fatalf("spec %+v: %d fallbacks booked (want 1), %d of %d candidates scored",
-						spec, fallbacks, scored, len(pair.fast.Candidates()))
+						spec, fallbacks, scored, len(pair.fast.eng.candidates))
 				}
 			}
 		}
@@ -556,7 +556,7 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair := newPair(prof, DefaultOptions())
-	last := len(pair.ref.Candidates()) - 1
+	last := len(pair.ref.eng.candidates) - 1
 	spec := Spec{Objective: MinimizeEnergy, AccuracyGoal: 0.9}
 	found := false
 	for dl := 0.01; dl < 2; dl *= 1.01 {
@@ -574,7 +574,7 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 	// goal, and the line skips every other one after the first scored, up
 	// to the winner.
 	reach := 0
-	for i := range pair.fast.Candidates() {
+	for i := range pair.fast.eng.candidates {
 		if pair.fast.eng.space.goalStage(int32(i), spec.AccuracyGoal) != goalMissed {
 			reach++
 		}
@@ -589,7 +589,7 @@ func TestPruningWhenNothingOrOnlyTheLastIsFeasible(t *testing.T) {
 			scored, reach, fallbacks)
 	}
 	_, est := checkSpec(t, pair.fast, pair.ref, spec)
-	if est.Candidate != pair.ref.Candidates()[last] {
+	if est.Candidate != pair.ref.eng.candidates[last] {
 		t.Fatalf("winner %+v, want the last candidate", est.Candidate)
 	}
 }
@@ -614,7 +614,7 @@ func TestScanWorkBound(t *testing.T) {
 	var first []work
 	for run := 0; run < 3; run++ {
 		c := NewEngine(prof, DefaultOptions()).NewSession()
-		if n := len(c.Candidates()); n != 210 {
+		if n := len(c.eng.candidates); n != 210 {
 			t.Fatalf("candidate space is %d, want 210", n)
 		}
 		feed(c, 1.05, 5) // leave the wide prior, as any live stream has

@@ -111,18 +111,9 @@ func enumerateCandidates(prof *dnn.ProfileTable) []Candidate {
 	return out
 }
 
-// Profile returns the profile table the engine was built over.
-func (e *Engine) Profile() *dnn.ProfileTable { return e.prof }
-
-// Options returns the resolved (default-completed) options.
-func (e *Engine) Options() Options { return e.opts }
-
 // Candidates returns the precomputed joint configuration space in
 // enumeration order (read-only; shared by every Session).
 func (e *Engine) Candidates() []Candidate { return e.candidates }
-
-// Overhead returns the per-decision cost the engine charges each decision.
-func (e *Engine) Overhead() float64 { return e.overhead }
 
 // NewScratch allocates a scan workspace sized for this engine's longest
 // stage ladder. A Scratch may be shared by any number of streams that are

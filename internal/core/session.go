@@ -50,16 +50,6 @@ type Session struct {
 	st State
 }
 
-// Engine returns the shared immutable engine this session decides against.
-func (s *Session) Engine() *Engine { return s.eng }
-
-// Candidates returns the engine's precomputed joint configuration space in
-// enumeration order (read-only; shared by every Session).
-func (s *Session) Candidates() []Candidate { return s.eng.candidates }
-
-// Overhead returns the per-decision cost the session charges itself.
-func (s *Session) Overhead() float64 { return s.eng.overhead }
-
 // XiMean returns the current posterior mean of ξ.
 func (s *Session) XiMean() float64 { return s.st.Xi.Mu }
 
@@ -68,9 +58,6 @@ func (s *Session) XiStd() float64 { return s.st.Xi.Std() }
 
 // IdleRatio returns the current idle-power ratio estimate φ.
 func (s *Session) IdleRatio() float64 { return s.st.Idle.Phi }
-
-// Decisions returns how many Decide calls have been served.
-func (s *Session) Decisions() int { return int(s.st.Decisions) }
 
 // Observe feeds back the measurement of the input just executed.
 func (s *Session) Observe(out sim.Outcome) { s.eng.Observe(&s.st, out) }

@@ -246,14 +246,11 @@ func TestEngineXiPrior(t *testing.T) {
 func TestControllerIsEngineSessionFacade(t *testing.T) {
 	prof := diffProfiles(t)[0]
 	ctl := NewEngine(prof, DefaultOptions()).NewSession()
-	if ctl.Engine() == nil {
+	if ctl.eng == nil {
 		t.Fatal("session has no engine")
 	}
-	if got, want := len(ctl.Candidates()), len(ctl.Engine().Candidates()); got != want {
-		t.Fatalf("session candidates %d != engine candidates %d", got, want)
-	}
 
-	twinA := ctl.Engine().NewSession()
+	twinA := ctl.eng.NewSession()
 	twinB := NewEngine(prof, DefaultOptions()).NewSession()
 	spec := Spec{Objective: MinimizeEnergy, Deadline: 0.2, AccuracyGoal: 0.92}
 	for i := 0; i < 20; i++ {

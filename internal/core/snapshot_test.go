@@ -75,7 +75,7 @@ func TestSnapshotRestoreReplayIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if restored.st.Epoch != orig.st.Epoch || restored.Decisions() != orig.Decisions() ||
+		if restored.st.Epoch != orig.st.Epoch || restored.st.Decisions != orig.st.Decisions ||
 			restored.XiMean() != orig.XiMean() || restored.XiStd() != orig.XiStd() ||
 			restored.IdleRatio() != orig.IdleRatio() {
 			t.Fatal("restored session state differs from the original's")

@@ -20,10 +20,10 @@ func profFor(t *testing.T) *dnn.ProfileTable {
 
 func TestScaleSettings(t *testing.T) {
 	full := FullScale()
-	if got := full.Settings(); got < 35 || got > 40 {
+	if got := settings(full); got < 35 || got > 40 {
 		t.Errorf("full scale has %d settings, Table 4's caption says 35-40", got)
 	}
-	if QuickScale().Settings() >= full.Settings() {
+	if settings(QuickScale()) >= settings(full) {
 		t.Error("quick scale should be smaller")
 	}
 }
@@ -32,7 +32,7 @@ func TestEnergyGridShape(t *testing.T) {
 	prof := profFor(t)
 	sc := FullScale()
 	grid := EnergyTaskGrid(prof, contention.Default, sc)
-	if len(grid) != sc.Settings() {
+	if len(grid) != settings(sc) {
 		t.Fatalf("grid size %d", len(grid))
 	}
 	ref := referenceLatency(prof)
@@ -69,7 +69,7 @@ func TestErrorGridShape(t *testing.T) {
 	prof := profFor(t)
 	sc := FullScale()
 	grid := ErrorTaskGrid(prof, contention.Default, sc)
-	if len(grid) != sc.Settings() {
+	if len(grid) != settings(sc) {
 		t.Fatalf("grid size %d", len(grid))
 	}
 	plat := prof.Platform
@@ -111,3 +111,6 @@ func TestGridForDispatch(t *testing.T) {
 		t.Error("dispatch error")
 	}
 }
+
+// settings is the number of constraint settings per grid at scale s.
+func settings(s Scale) int { return len(s.DeadlineFactors) * s.OtherLevels }

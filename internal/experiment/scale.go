@@ -48,6 +48,3 @@ func QuickScale() Scale {
 		Seed:            42,
 	}
 }
-
-// Settings returns the number of constraint settings per grid.
-func (s Scale) Settings() int { return len(s.DeadlineFactors) * s.OtherLevels }

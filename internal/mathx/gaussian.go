@@ -1,7 +1,6 @@
 // Package mathx provides the small numeric toolkit shared by the ALERT
 // runtime and its simulation substrates: Gaussian distribution functions,
-// online moment estimators, robust summary statistics, and seeded random
-// variate generators.
+// a running mean, percentiles, and seeded random variate generators.
 //
 // Everything in this package is purely computational and allocation-free on
 // the hot paths; the ALERT controller calls into it once per candidate

@@ -5,57 +5,22 @@ import (
 	"sort"
 )
 
-// OnlineStats accumulates mean and variance in one pass using Welford's
-// algorithm. It is the measurement backbone for every experiment: latency,
-// energy, and accuracy streams all flow through it.
+// OnlineStats accumulates a running mean in one pass. It is the
+// measurement backbone for every experiment: latency, energy, and accuracy
+// streams all flow through it.
 type OnlineStats struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (s *OnlineStats) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
-
-// N returns the number of observations seen so far.
-func (s *OnlineStats) N() int { return s.n }
 
 // Mean returns the running mean, or 0 before any observation.
 func (s *OnlineStats) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two points.
-func (s *OnlineStats) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *OnlineStats) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (s *OnlineStats) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 before any observation.
-func (s *OnlineStats) Max() float64 { return s.max }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. The input slice is not modified.

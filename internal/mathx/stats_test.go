@@ -17,39 +17,31 @@ func TestOnlineStatsMatchesDirect(t *testing.T) {
 		mean += x
 	}
 	mean /= float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	v /= float64(len(xs) - 1)
 
 	if math.Abs(s.Mean()-mean) > 1e-12 {
 		t.Errorf("mean %g want %g", s.Mean(), mean)
 	}
-	if math.Abs(s.Var()-v) > 1e-12 {
-		t.Errorf("var %g want %g", s.Var(), v)
-	}
-	if s.Min() != 1 || s.Max() != 9 || s.N() != len(xs) {
-		t.Errorf("min/max/n = %g/%g/%d", s.Min(), s.Max(), s.N())
+	if s.n != len(xs) {
+		t.Errorf("n = %d, want %d", s.n, len(xs))
 	}
 }
 
 func TestOnlineStatsProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		var s OnlineStats
-		var clean []float64
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
 			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
 				continue
 			}
-			clean = append(clean, x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
 			s.Add(x)
 		}
-		if len(clean) == 0 {
-			return s.N() == 0
+		if s.n == 0 {
+			return s.Mean() == 0
 		}
-		// Mean must lie within [min, max]; variance non-negative.
-		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9 && s.Var() >= 0
+		// The mean must lie within [min, max].
+		return s.Mean() >= lo-1e-9 && s.Mean() <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -143,9 +143,6 @@ func New(cfg Config) (*Agent, error) {
 	}, nil
 }
 
-// ID returns this agent's member id.
-func (a *Agent) ID() string { return a.cfg.ID }
-
 // Addr returns this agent's advertised address.
 func (a *Agent) Addr() string { return a.cfg.Addr }
 
@@ -188,13 +185,6 @@ func (a *Agent) Members() []string {
 	return out
 }
 
-// Version returns the current view version.
-func (a *Agent) Version() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.version
-}
-
 // HandleHeartbeat is the receive side: merge the sender's view, renew the
 // sender's lease (a heartbeat is direct contact), and return our merged
 // view as the reply. Exported for the HTTP layer.
@@ -214,24 +204,6 @@ func (a *Agent) HandleHeartbeat(hb Heartbeat) View {
 		a.notify(v)
 	}
 	return v
-}
-
-// Merge folds a remote view into this agent's state without renewing any
-// lease (no direct contact — e.g. a view fetched by an observer on our
-// behalf). Used by tests and the fuzzer; the heartbeat path uses
-// HandleHeartbeat.
-func (a *Agent) Merge(remote View) {
-	now := a.cfg.Now()
-	a.mu.Lock()
-	changed := a.mergeLocked(remote, now)
-	if changed {
-		a.version++
-	}
-	v := a.viewLocked()
-	a.mu.Unlock()
-	if changed {
-		a.notify(v)
-	}
 }
 
 // mergeLocked applies the lattice join entry by entry. Caller holds a.mu

@@ -106,7 +106,7 @@ func stateOf(t *testing.T, a *Agent, id string) State {
 	t.Helper()
 	e, ok := a.View().Entry(id)
 	if !ok {
-		t.Fatalf("agent %s has no entry for %s", a.ID(), id)
+		t.Fatalf("agent %s has no entry for %s", a.cfg.ID, id)
 	}
 	return e.State
 }
@@ -127,11 +127,11 @@ func TestTransitiveDiscovery(t *testing.T) {
 	for _, a := range []*Agent{a1, a2, a3} {
 		v := a.View()
 		if len(v.Entries) != 3 {
-			t.Fatalf("agent %s sees %d members, want 3: %+v", a.ID(), len(v.Entries), v.Entries)
+			t.Fatalf("agent %s sees %d members, want 3: %+v", a.cfg.ID, len(v.Entries), v.Entries)
 		}
 		for _, id := range []string{"n1", "n2", "n3"} {
 			if stateOf(t, a, id) != StateAlive {
-				t.Errorf("agent %s sees %s as %s, want alive", a.ID(), id, stateOf(t, a, id))
+				t.Errorf("agent %s sees %s as %s, want alive", a.cfg.ID, id, stateOf(t, a, id))
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func TestGossipedAliveDoesNotResurrect(t *testing.T) {
 	stale := View{Version: 9, Entries: []Entry{
 		{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateAlive},
 	}}
-	a1.Merge(stale)
+	merge(a1, stale)
 	if got := stateOf(t, a1, "n2"); got != StateDead {
 		t.Fatalf("gossiped alive resurrected n2 (state %s)", got)
 	}
@@ -220,7 +220,7 @@ func TestGossipedAliveDoesNotResurrect(t *testing.T) {
 	refute := View{Version: 1, Entries: []Entry{
 		{ID: "n2", Addr: "h2:2", Incarnation: 2, State: StateAlive},
 	}}
-	a1.Merge(refute)
+	merge(a1, refute)
 	if got := stateOf(t, a1, "n2"); got != StateAlive {
 		t.Fatalf("incarnation refutation did not revive n2 (state %s)", got)
 	}
@@ -236,7 +236,7 @@ func TestSelfRefutation(t *testing.T) {
 	rumor := View{Version: 3, Entries: []Entry{
 		{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateSuspect},
 	}}
-	a2.Merge(rumor)
+	merge(a2, rumor)
 	self, _ := a2.View().Entry("n2")
 	if self.Incarnation != 2 || self.State != StateAlive {
 		t.Fatalf("self entry after rumor = %+v, want incarnation 2 alive", self)
@@ -244,7 +244,7 @@ func TestSelfRefutation(t *testing.T) {
 
 	// A rumor carrying a HIGHER incarnation (e.g. from a previous life)
 	// must be out-bid, not merely matched.
-	a2.Merge(View{Version: 4, Entries: []Entry{
+	merge(a2, View{Version: 4, Entries: []Entry{
 		{ID: "n2", Addr: "h2:2", Incarnation: 7, State: StateDead},
 	}})
 	self, _ = a2.View().Entry("n2")
@@ -305,9 +305,9 @@ func TestOnChangeFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Merge(View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateAlive}}})
-	a.Merge(View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateAlive}}}) // no-op
-	a.Merge(View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateDead}}})
+	merge(a, View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateAlive}}})
+	merge(a, View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateAlive}}}) // no-op
+	merge(a, View{Entries: []Entry{{ID: "n2", Addr: "h2:2", Incarnation: 1, State: StateDead}}})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(calls) != 2 {
@@ -411,7 +411,7 @@ func TestWireRoundTrip(t *testing.T) {
 	clock := newFakeClock()
 	tr := newMemTransport()
 	a := newTestAgent(t, clock, tr, "n1", "h1:1", nil)
-	a.Merge(View{Entries: []Entry{
+	merge(a, View{Entries: []Entry{
 		{ID: "n2", Addr: "h2:2", Incarnation: 3, State: StateSuspect},
 		{ID: "n3", Addr: "h3:3", Incarnation: 1, State: StateDead},
 	}})
@@ -432,3 +432,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("round trip not byte-identical:\n %s\n %s", enc, enc2)
 	}
 }
+
+// merge folds a gossiped view into a: a heartbeat naming no sender renews
+// no lease, so only the view's entries take effect.
+func merge(a *Agent, v View) { a.HandleHeartbeat(Heartbeat{View: v}) }

@@ -18,14 +18,11 @@ const maxReplyBody = 1 << 20
 // HTTPTransport delivers heartbeats as POST {addr}/v1/membership with a
 // canonical JSON heartbeat body, expecting the peer's view back. It is
 // the production transport; tests substitute in-process transports.
-type HTTPTransport struct {
-	// Client is the HTTP client to use. Nil means a private client with a
-	// 2s timeout — heartbeats are latency probes, so they must not hang
-	// on a wedged peer for the default transport's eternity.
-	Client *http.Client
-}
+type HTTPTransport struct{}
 
-var defaultHeartbeatClient = &http.Client{Timeout: 2 * time.Second}
+// heartbeatClient times out after 2s: heartbeats are latency probes, so
+// they must not hang on a wedged peer for the default client's eternity.
+var heartbeatClient = &http.Client{Timeout: 2 * time.Second}
 
 // Heartbeat implements Transport.
 func (t *HTTPTransport) Heartbeat(ctx context.Context, addr string, hb Heartbeat) (View, error) {
@@ -43,11 +40,7 @@ func (t *HTTPTransport) Heartbeat(ctx context.Context, addr string, hb Heartbeat
 		return View{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	cl := t.Client
-	if cl == nil {
-		cl = defaultHeartbeatClient
-	}
-	resp, err := cl.Do(req)
+	resp, err := heartbeatClient.Do(req)
 	if err != nil {
 		return View{}, err
 	}

@@ -45,7 +45,6 @@
 //	GET    /v1/membership    the node's membership view (when enabled)
 //	POST   /v1/membership    peer heartbeat; replies with the merged view
 //	PUT    /v1/replicas/{id} store a peer's replicated checkpoint
-//	GET    /v1/replicas      list held replicas
 //	POST   /v1/claims        resolve an ownership claim after import/restore
 //
 // The membership/replica/claim endpoints are the self-healing control
@@ -138,7 +137,7 @@ type Config struct {
 	// node).
 	Membership *membership.Agent
 	// Recovery, if set, enables the self-healing control plane — replica
-	// storage (PUT/GET /v1/replicas), ownership claims (POST /v1/claims)
+	// storage (PUT /v1/replicas/{id}), ownership claims (POST /v1/claims)
 	// — and the restoring hold: decides/observes for a stream mid-restore
 	// are shed with 503 + Retry-After instead of forking a fresh session.
 	Recovery Recovery
@@ -321,8 +320,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.routeStream(w, r, strings.TrimPrefix(path, "/v1/streams/"))
 	case path == membership.Endpoint:
 		s.handleMembership(w, r)
-	case path == "/v1/replicas":
-		s.method(w, r, http.MethodGet, s.handleReplicas)
 	case strings.HasPrefix(path, "/v1/replicas/"):
 		s.routeReplica(w, r, strings.TrimPrefix(path, "/v1/replicas/"))
 	case path == "/v1/claims":
@@ -707,20 +704,6 @@ func (s *Server) routeReplica(w http.ResponseWriter, r *http.Request, idStr stri
 	}
 	s.recovery.StoreReplica(id, req.Owner, snap.Decisions, snap)
 	s.writeJSON(w, http.StatusOK, ReplicaPutResponse{Stream: id})
-}
-
-// handleReplicas lists the replicas held for peers (ops and tests).
-func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if !s.healing(w) {
-		return
-	}
-	s.net.RecordRead()
-	infos := s.recovery.Replicas()
-	out := ReplicasResponse{Count: len(infos), Replicas: make([]ReplicaWire, len(infos))}
-	for i, ri := range infos {
-		out.Replicas[i] = ReplicaWire{Stream: ri.Stream, Owner: ri.Owner, Decisions: ri.Decisions}
-	}
-	s.writeJSON(w, http.StatusOK, out)
 }
 
 // handleClaim answers a peer's ownership claim (see ClaimRequest).

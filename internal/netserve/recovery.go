@@ -5,9 +5,12 @@ import "github.com/alert-project/alert"
 // Recovery is the self-healing hook the front end delegates to
 // (implemented by internal/selfheal.Manager; an interface here because
 // the import direction is fixed — selfheal dials peers through the client
-// wire types, so netserve can never import it). When nil, the replica and
-// claim endpoints 404 and no restoring holds apply — a node without
-// self-healing behaves exactly as before.
+// wire types, so netserve can never import it). The front end calls it
+// for three things: a replica PUT (StoreReplica), a peer's ownership
+// claim (HandleClaim) or a session import (AnnounceImport), and the
+// restoring check on every decide and observe (Restoring). When nil, the
+// replica and claim endpoints 404 and no restoring holds apply — a node
+// without self-healing behaves exactly as before.
 type Recovery interface {
 	// Restoring reports whether a stream's session is currently being
 	// restored from a replicated checkpoint. While true, decides and
@@ -18,8 +21,6 @@ type Recovery interface {
 	// StoreReplica saves a peer's replicated checkpoint of a stream it
 	// owns. decisions is the snapshot's decision count (its freshness).
 	StoreReplica(stream int, owner string, decisions int64, snap alert.SessionSnapshot)
-	// Replicas lists the replicated checkpoints held for peers.
-	Replicas() []ReplicaInfo
 	// HandleClaim answers a peer's ownership claim for a stream it just
 	// imported or restored. superseded=true means this node holds a
 	// session that outranks the claim (the claimant must evict its copy);
@@ -33,13 +34,6 @@ type Recovery interface {
 	// if a peer's session outranked ours — the import has been evicted
 	// and the caller must report the conflict.
 	AnnounceImport(stream int, decisions int64) (superseded bool)
-}
-
-// ReplicaInfo describes one held replica.
-type ReplicaInfo struct {
-	Stream    int
-	Owner     string
-	Decisions int64
 }
 
 // Claim kinds: how the claimant came to hold the session it is claiming.

@@ -318,19 +318,6 @@ type ReplicaPutResponse struct {
 	Stream int `json:"stream"`
 }
 
-// ReplicaWire is one held replica in a ReplicasResponse.
-type ReplicaWire struct {
-	Stream    int    `json:"stream"`
-	Owner     string `json:"owner"`
-	Decisions int64  `json:"decisions"`
-}
-
-// ReplicasResponse is the GET /v1/replicas reply, sorted by stream id.
-type ReplicasResponse struct {
-	Count    int           `json:"count"`
-	Replicas []ReplicaWire `json:"replicas,omitempty"`
-}
-
 // ClaimRequest is the POST /v1/claims body: NodeID announces it now
 // serves Stream with a session of Decisions decisions, acquired by Kind
 // (ClaimKindImport or ClaimKindRestore). Receivers holding a staler

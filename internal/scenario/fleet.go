@@ -100,14 +100,12 @@ type NodeEvent struct {
 
 // ByzantinePhase is a stretch of hostile client traffic: for Inputs rounds
 // starting at AtInput, PerRound byzantine requests per round are fired at
-// seed-chosen nodes, drawn from Kinds (all kinds when empty).
+// seed-chosen nodes, each of a seed-chosen kind from ByzKinds.
 type ByzantinePhase struct {
 	AtInput int `json:"at"`
 	Inputs  int `json:"inputs"`
 	// PerRound is how many byzantine requests fire each round (default 1).
 	PerRound int `json:"perRound,omitempty"`
-	// Kinds restricts the request kinds; empty means all of ByzKinds.
-	Kinds []string `json:"kinds,omitempty"`
 }
 
 // FleetSpec describes a fleet-scale chaos scenario symbolically. Like Spec
@@ -193,11 +191,6 @@ func (f FleetSpec) Validate() error {
 		}
 		if b.PerRound < 0 {
 			return fmt.Errorf("fleet %q: byzantine phase %d: perRound %d must be non-negative", f.Name, i, b.PerRound)
-		}
-		for _, k := range b.Kinds {
-			if !knownByzKind(k) {
-				return fmt.Errorf("fleet %q: byzantine phase %d: unknown kind %q (have %v)", f.Name, i, k, ByzKinds)
-			}
 		}
 	}
 	return nil
@@ -450,10 +443,6 @@ func CompileFleet(spec FleetSpec, plat *platform.Platform, inputs int, period fl
 		if per == 0 {
 			per = 1
 		}
-		kinds := b.Kinds
-		if len(kinds) == 0 {
-			kinds = ByzKinds
-		}
 		until := b.AtInput + b.Inputs
 		if until > inputs {
 			until = inputs
@@ -462,7 +451,7 @@ func CompileFleet(spec FleetSpec, plat *platform.Platform, inputs int, period fl
 			for j := 0; j < per; j++ {
 				tr.Byz = append(tr.Byz, ByzRequest{
 					AtInput: r,
-					Kind:    kinds[byzRng.Intn(len(kinds))],
+					Kind:    ByzKinds[byzRng.Intn(len(ByzKinds))],
 					Node:    byzRng.Intn(spec.Nodes),
 					Seed:    byzRng.Int63(),
 				})

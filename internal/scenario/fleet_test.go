@@ -260,9 +260,6 @@ func TestFleetValidation(t *testing.T) {
 		{"bad crowd gap factor", func(f *FleetSpec) {
 			f.FlashCrowds = []FlashCrowd{{AtInput: 0, Inputs: 10, StreamFraction: 0.5, GapFactor: 0}}
 		}},
-		{"unknown byz kind", func(f *FleetSpec) {
-			f.Byzantine = []ByzantinePhase{{AtInput: 0, Inputs: 5, Kinds: []string{"ddos"}}}
-		}},
 	}
 	for _, tc := range cases {
 		spec := FleetSpec{Name: "bad", Streams: 4, Nodes: 3, Base: base}

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,9 +70,6 @@ type Config struct {
 	// explicit ReplicateOnce calls (the chaos harness clocks it that way
 	// to keep drills deterministic).
 	ReplicateEvery time.Duration
-	// HTTPClient performs replica, claim, and probe requests. Nil means a
-	// private client with a 2s timeout.
-	HTTPClient *http.Client
 	// Logf, if set, receives one line per replication pass summary,
 	// restore, and claim resolution.
 	Logf func(format string, args ...any)
@@ -106,11 +102,9 @@ type Manager struct {
 	// and falls after one is removed, so a zero read means no stream was
 	// mid-restore at that instant: Restoring, which the front end calls for
 	// every op it serves, takes mu only while a restore is in flight.
-	holds     atomic.Int64
-	acquired  map[int]string  // stream -> claim kind of the last local import/restore
-	lastView  membership.View // previous view, for dead-transition detection
-	failovers int64
-	restored  int64
+	holds    atomic.Int64
+	acquired map[int]string  // stream -> claim kind of the last local import/restore
+	lastView membership.View // previous view, for dead-transition detection
 }
 
 var _ netserve.Recovery = (*Manager)(nil)
@@ -124,13 +118,9 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Agent == nil || cfg.Server == nil {
 		return nil, fmt.Errorf("selfheal: Agent and Server required")
 	}
-	cl := cfg.HTTPClient
-	if cl == nil {
-		cl = &http.Client{Timeout: 2 * time.Second}
-	}
 	m := &Manager{
 		cfg:       cfg,
-		http:      cl,
+		http:      &http.Client{Timeout: 2 * time.Second},
 		replicas:  make(map[int]replica),
 		restoring: make(map[int]bool),
 		acquired:  make(map[int]string),
@@ -271,7 +261,6 @@ func (m *Manager) putReplica(ctx context.Context, target string, stream int, sna
 // off the dead node before the crash is not an orphan.
 func (m *Manager) failover(ctx context.Context, dead membership.Entry) {
 	m.mu.Lock()
-	m.failovers++
 	orphans := make(map[int]replica)
 	for stream, r := range m.replicas {
 		if r.owner == dead.ID {
@@ -323,7 +312,6 @@ func (m *Manager) restoreOrphan(ctx context.Context, stream int, r replica, live
 	}
 	m.mu.Lock()
 	m.acquired[stream] = netserve.ClaimKindRestore
-	m.restored++
 	m.mu.Unlock()
 
 	if sup := m.announce(ctx, stream, r.decisions, netserve.ClaimKindRestore, members); sup {
@@ -429,18 +417,6 @@ func (m *Manager) StoreReplica(stream int, owner string, decisions int64, snap a
 	m.replicas[stream] = replica{owner: owner, decisions: decisions, snap: snap}
 }
 
-// Replicas lists held replicas, sorted by stream id.
-func (m *Manager) Replicas() []netserve.ReplicaInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]netserve.ReplicaInfo, 0, len(m.replicas))
-	for stream, r := range m.replicas {
-		out = append(out, netserve.ReplicaInfo{Stream: stream, Owner: r.owner, Decisions: r.decisions})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stream < out[j].Stream })
-	return out
-}
-
 // HandleClaim arbitrates a peer's ownership claim against any local
 // session for the stream, under the total order documented on the claim
 // kinds: decisions, then import-over-restore, then node id. Exactly one
@@ -504,13 +480,6 @@ func holderWins(localDec int64, localKind, localID string, claimDec int64, claim
 		return localKind == netserve.ClaimKindImport
 	}
 	return localID > claimID
-}
-
-// Stats returns failover counters for logs and tests.
-func (m *Manager) Stats() (failovers, restored int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failovers, m.restored
 }
 
 // doJSON performs one control-plane request against a member address.

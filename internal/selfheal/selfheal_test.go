@@ -81,7 +81,7 @@ func connect(t *testing.T, nodes []*healNode) {
 	}
 	v := membership.View{Version: 1, Entries: entries}
 	for _, n := range nodes {
-		n.agent.Merge(v)
+		n.agent.HandleHeartbeat(membership.Heartbeat{View: v})
 	}
 }
 
@@ -94,7 +94,7 @@ func declareDead(nodes []*healNode, victim *healNode) {
 	}}}
 	for _, n := range nodes {
 		if n != victim {
-			n.agent.Merge(tomb)
+			n.agent.HandleHeartbeat(membership.Heartbeat{View: tomb})
 		}
 	}
 }
@@ -164,10 +164,8 @@ func TestReplicateThenFailover(t *testing.T) {
 		succ := hashring.Successor(members, victim.url, s)
 		var holder *healNode
 		for _, n := range nodes[1:] {
-			for _, r := range n.mgr.Replicas() {
-				if r.Stream == s {
-					holder = n
-				}
+			if _, ok := heldReplica(n.mgr, s); ok {
+				holder = n
 			}
 		}
 		if holder == nil || holder.url != succ {
@@ -451,18 +449,26 @@ func TestStoreReplicaKeepsFreshest(t *testing.T) {
 
 	n.mgr.StoreReplica(1, "n2", 10, snap)
 	n.mgr.StoreReplica(1, "n2", 4, snap) // stale duplicate: dropped
-	if rs := n.mgr.Replicas(); len(rs) != 1 || rs[0].Decisions != 10 {
-		t.Fatalf("stale replica overwrote fresher: %+v", rs)
+	if r, _ := heldReplica(n.mgr, 1); len(n.mgr.replicas) != 1 || r.decisions != 10 {
+		t.Fatalf("stale replica overwrote fresher: %+v", r)
 	}
 	n.mgr.StoreReplica(1, "n2", 12, snap) // fresher: kept
-	if rs := n.mgr.Replicas(); rs[0].Decisions != 12 {
-		t.Fatalf("fresher replica dropped: %+v", rs)
+	if r, _ := heldReplica(n.mgr, 1); r.decisions != 12 {
+		t.Fatalf("fresher replica dropped: %+v", r)
 	}
 	// New owner (the stream moved): takes over regardless of count.
 	n.mgr.StoreReplica(1, "n3", 2, snap)
-	if rs := n.mgr.Replicas(); rs[0].Owner != "n3" || rs[0].Decisions != 2 {
-		t.Fatalf("ownership change not honored: %+v", rs)
+	if r, _ := heldReplica(n.mgr, 1); r.owner != "n3" || r.decisions != 2 {
+		t.Fatalf("ownership change not honored: %+v", r)
 	}
+}
+
+// heldReplica returns the replica m holds for stream, if any.
+func heldReplica(m *Manager, stream int) (replica, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.replicas[stream]
+	return r, ok
 }
 
 // TestRestoringShedsWith503: while a stream is mid-restore the front end

@@ -84,7 +84,7 @@ func BenchmarkPoolManyStreams(b *testing.B) {
 		for s := 0; s < streams; s++ {
 			pool.Observe(s, out)
 		}
-		pool.Drain()
+		drain(pool)
 		created := time.Since(start)
 		perStream := float64(liveHeap()-before) / streams
 

@@ -174,7 +174,7 @@ func TestEvictStreamConcurrentWithDecideBatch(t *testing.T) {
 	}()
 
 	wg.Wait()
-	pool.Drain()
+	drain(pool)
 	snap := pool.Counters().Snapshot()
 	if want := int64(len(pool.StreamIDs())); snap.Streams != want {
 		t.Errorf("Streams gauge = %d, want %d (live table entries)", snap.Streams, want)

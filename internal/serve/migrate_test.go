@@ -114,7 +114,7 @@ func TestImportRefusals(t *testing.T) {
 	pool.Decide(5, spec)
 	mu0, _ := pool.XiEstimate(5)
 
-	snap := pool.Engine().NewState().Snapshot()
+	snap := pool.eng.NewState().Snapshot()
 	if err := pool.ImportStream(5, snap); err == nil {
 		t.Error("ImportStream replaced a live session")
 	}
@@ -197,7 +197,7 @@ func TestExportImportConcurrentWithTraffic(t *testing.T) {
 
 	wg.Wait()
 	for name, pool := range map[string]*Pool{"a": a, "b": b} {
-		pool.Drain()
+		drain(pool)
 		s := pool.Counters().Snapshot()
 		if want := int64(len(pool.StreamIDs())); s.Streams != want {
 			t.Errorf("pool %s: Streams gauge = %d, want %d", name, s.Streams, want)

@@ -335,10 +335,6 @@ func (p *Pool) drop(s *shard, stream int) {
 	}
 }
 
-// Engine exposes the pool's shared immutable engine (e.g. for building
-// dedicated comparison sessions in tests and benchmarks).
-func (p *Pool) Engine() *core.Engine { return p.eng }
-
 // NumShards returns the stream-table shard count.
 func (p *Pool) NumShards() int { return len(p.shards) }
 
@@ -561,13 +557,6 @@ func (p *Pool) ImportStream(stream int, snap core.SessionSnapshot) (err error) {
 		p.counters.RecordStreamImport()
 	})
 	return err
-}
-
-// Drain blocks until every shard has served everything submitted before the
-// call. It is the fence that makes reading shard state (XiEstimate, tests)
-// well-defined.
-func (p *Pool) Drain() {
-	p.everyShard(func(int, *shard) {})
 }
 
 // XiEstimate reports the (mean, std) of the stream's slowdown filter,

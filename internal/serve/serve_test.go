@@ -380,7 +380,7 @@ func TestDecideBatchStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	pool.Drain()
+	drain(pool)
 	snap := pool.Counters().Snapshot()
 	wantDecides := int64(goroutines * 30 * (11 + 1))
 	if snap.Decisions != wantDecides {
@@ -465,6 +465,10 @@ func TestScanCountersMove(t *testing.T) {
 // TestEvictStream pins the session lifecycle: create on first use, evict on
 // demand (gauges move both ways), and a returning stream restarts from the
 // initial filter state like a brand-new stream.
+// drain blocks until every shard of p has served everything submitted
+// before the call: the fence that makes reading shard state well-defined.
+func drain(p *Pool) { p.everyShard(func(int, *shard) {}) }
+
 func TestEvictStream(t *testing.T) {
 	prof := testProfile(t)
 	pool := NewPool(prof, core.DefaultOptions(), 2)
@@ -575,7 +579,7 @@ func TestStreamChurn100k(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	pool.Drain()
+	drain(pool)
 
 	for s := 0; s < steady; s++ {
 		want := serialRun(prof, script(s, steadySteps))
@@ -626,7 +630,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("estimate LatMean = %g, want > 0", est.LatMean)
 	}
 	_ = d
-	pool.Drain()
+	drain(pool)
 	pool.Close() // double Close must be safe
 }
 
@@ -664,7 +668,7 @@ func TestStreamTableFootprint(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pool.Observe(i, out)
 	}
-	pool.Drain()
+	drain(pool)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 

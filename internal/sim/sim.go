@@ -47,7 +47,7 @@ type Env struct {
 	Cont contention.Source
 
 	rng *mathx.Rand
-	now float64
+	now float64 // the virtual clock in seconds
 
 	// pending is the draw for the upcoming input; it is drawn lazily and
 	// cached so PeekXi and Step agree. It is held by value, so a step
@@ -69,9 +69,6 @@ type pendingDraw struct {
 func NewEnv(prof *dnn.ProfileTable, cont contention.Source, seed int64) *Env {
 	return &Env{Plat: prof.Platform, Prof: prof, Cont: cont, rng: mathx.NewRand(seed)}
 }
-
-// Now returns the virtual clock in seconds.
-func (e *Env) Now() float64 { return e.now }
 
 // Decision is what a scheduler chose for one input.
 type Decision struct {
@@ -138,10 +135,6 @@ func (e *Env) PeekXi(in workload.Input) float64 {
 	eff, noise := e.draw(in)
 	return eff.Slowdown * in.SizeFactor * noise
 }
-
-// NominalLatency returns t_prof for a configuration, the quantity ALERT
-// multiplies by its ξ estimate.
-func (e *Env) NominalLatency(model, cap int) float64 { return e.Prof.At(model, cap) }
 
 // EvaluateAt computes the outcome the upcoming input would experience under
 // a decision, without consuming the input or advancing the clock. This is

@@ -41,7 +41,7 @@ func TestPeekDoesNotAdvance(t *testing.T) {
 	if a != b {
 		t.Fatal("PeekXi not idempotent")
 	}
-	if env.Now() != 0 {
+	if env.now != 0 {
 		t.Fatal("PeekXi advanced the environment")
 	}
 	out := env.Step(Decision{Model: 0, Cap: 0}, in, 10, 10)
@@ -168,13 +168,13 @@ func TestClockAdvancesByWindow(t *testing.T) {
 	env := newTestEnv(t, contention.Steady{})
 	in := workload.Input{ID: 0, SizeFactor: 1}
 	env.Step(Decision{Model: 0, Cap: 0}, in, 0.5, 0.5)
-	if math.Abs(env.Now()-0.5) > 1e-12 {
-		t.Errorf("clock %g, want period 0.5", env.Now())
+	if math.Abs(env.now-0.5) > 1e-12 {
+		t.Errorf("clock %g, want period 0.5", env.now)
 	}
 	// A run overshooting the period stretches the window.
 	in2 := workload.Input{ID: 1, SizeFactor: 1}
 	out := env.Step(Decision{Model: env.Prof.ModelIndex("SparseResNet-XL"), Cap: 0}, in2, 0.0001, 0.0001)
-	if env.Now() < 0.5+out.Latency-1e-9 {
+	if env.now < 0.5+out.Latency-1e-9 {
 		t.Error("clock did not stretch for an overrun")
 	}
 }

@@ -31,8 +31,6 @@ type SimConfig struct {
 	Inputs int
 	// Seed makes the run reproducible (default 1).
 	Seed int64
-	// SchedulerOptions tune the ALERT controller.
-	SchedulerOptions Options
 	// Trace, when set, observes every input's decision and measurement.
 	Trace func(TraceSample)
 }
@@ -63,7 +61,11 @@ type SimReport struct {
 
 // Simulate runs the ALERT scheduler over a simulated input stream and
 // returns the aggregate report.
-func Simulate(cfg SimConfig) (*SimReport, error) {
+func Simulate(cfg SimConfig) (*SimReport, error) { return simulate(cfg, Options{}) }
+
+// simulate is Simulate with the scheduler built under opts; the ALERT*
+// ablation test sets DisableVariance through it.
+func simulate(cfg SimConfig, opts Options) (*SimReport, error) {
 	if cfg.Platform == nil {
 		cfg.Platform = CPU1()
 	}
@@ -100,7 +102,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		env = rcfg.NewEnv()
 	}
 
-	sched := baselines.NewAlert("ALERT", prof, cfg.Spec, coreOptions(cfg.SchedulerOptions))
+	sched := baselines.NewAlert("ALERT", prof, cfg.Spec, coreOptions(opts))
 	var trace func(in workload.Input, d sim.Decision, out sim.Outcome)
 	if cfg.Trace != nil {
 		trace = func(in workload.Input, d sim.Decision, out sim.Outcome) {
